@@ -13,6 +13,8 @@ fn bench_route_generation(c: &mut Criterion) {
         ("bus8", Topology::bus(8)),
         ("torus2x4", Topology::torus2d(2, 4)),
         ("torus8x8", Topology::torus2d(8, 8)),
+        ("torus16x16", Topology::torus2d(16, 16)),
+        ("bus256", Topology::bus(256)),
         ("random64", {
             let mut rng = SmallRng::seed_from_u64(1);
             Topology::random_connected(64, 4, 32, &mut rng).unwrap()

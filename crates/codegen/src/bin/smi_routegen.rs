@@ -15,6 +15,13 @@
 //! Reads a topology description (JSON, or the `A:0 - B:0` text format when
 //! the file does not start with `{`), computes the routing plan, optionally
 //! verifies deadlock-freedom, and writes the serialized plan.
+//!
+//! The artifact carries what the devices consume — `num_ranks`, `scheme`,
+//! the per-rank next-hop tables (`per_rank`) and the hop-count matrix
+//! (`hops`) — and no `paths`: `--check` rebuilds them from the topology.
+//! Loaders must call `RoutingPlan::validate_against` with the topology
+//! before using the tables; a truncated or hand-edited artifact is rejected
+//! there with a typed error.
 
 use std::process::ExitCode;
 
@@ -24,7 +31,8 @@ use smi_topology::{PathStats, RoutingPlan, Topology};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: smi-routegen <topology.json> [--scheme updown|shortest] [--out routes.json] [--check]"
+        "usage: smi-routegen <topology.json> [--scheme updown|shortest] [--out routes.json] [--check]\n\
+         routes.json holds num_ranks, scheme, per_rank next-hop tables and the hops matrix (no paths)"
     );
     ExitCode::from(2)
 }

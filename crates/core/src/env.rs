@@ -43,9 +43,7 @@ use crate::params::RuntimeParams;
 pub use crate::transport::executor::WorkerStats;
 use crate::transport::executor::{ExecutorConfig, Pollable, ShardedExecutor, Step};
 use crate::transport::socket::FabricHealth;
-use crate::transport::wiring::{
-    build_transport, build_transport_with, FabricLinks, TransportHandle,
-};
+use crate::transport::wiring::{build_transport, FabricLinks, TransportHandle};
 use crate::transport::{TransportStats, WireSnapshot};
 use crate::SmiError;
 
@@ -449,26 +447,11 @@ impl std::fmt::Display for LaunchError {
 
 impl std::error::Error for LaunchError {}
 
-/// Validate the launch inputs and build the transport (all ranks local).
-fn prepare(
-    topo: &Topology,
-    metas: &[ProgramMeta],
-    params: &RuntimeParams,
-    stats: TransportStats,
-) -> Result<TransportHandle, LaunchError> {
-    assert_eq!(metas.len(), topo.num_ranks(), "one ProgramMeta per rank");
-    let design = ClusterDesign::mpmd(metas, topo).map_err(LaunchError::Codegen)?;
-    design
-        .validate_collectives()
-        .map_err(LaunchError::Codegen)?;
-    let plan = RoutingPlan::compute(topo).map_err(LaunchError::Topology)?;
-    Ok(build_transport(topo, &plan, &design, params, stats))
-}
-
-/// [`prepare`] for a fabric split across OS processes: builds only the
-/// ranks marked local in `links`, splicing the pre-established external
-/// links (socket-backed or otherwise) into the cross-rank edges. Every
-/// process must run this with the *same* topology and metas so the
+/// Validate the launch inputs and build the transport for the ranks marked
+/// local in `links` ([`FabricLinks::all_local`] when one process hosts the
+/// whole cluster), splicing the pre-established external links
+/// (socket-backed or otherwise) into the cross-rank edges. Every process of
+/// a split fabric must run this with the *same* topology and metas so the
 /// cluster design — and therefore the edge set — agrees on both sides of
 /// every socket.
 pub(crate) fn prepare_with(
@@ -484,9 +467,7 @@ pub(crate) fn prepare_with(
         .validate_collectives()
         .map_err(LaunchError::Codegen)?;
     let plan = RoutingPlan::compute(topo).map_err(LaunchError::Topology)?;
-    Ok(build_transport_with(
-        topo, &plan, &design, params, stats, links,
-    ))
+    Ok(build_transport(topo, &plan, &design, params, stats, links))
 }
 
 /// Where this process's ranks live relative to the rest of the cluster —
@@ -671,7 +652,8 @@ pub fn run_mpmd<T: Send + 'static>(
 ) -> Result<RunReport<T>, LaunchError> {
     assert_eq!(programs.len(), topo.num_ranks(), "one program per rank");
     let stats = TransportStats::default();
-    let transport = prepare(topo, &metas, &params, stats.clone())?;
+    let links = FabricLinks::all_local(topo.num_ranks());
+    let transport = prepare_with(topo, &metas, &params, stats.clone(), links)?;
     let num_ranks = topo.num_ranks();
     let outcome = run_group_threaded(
         transport.tables,
@@ -829,7 +811,8 @@ pub fn run_mpmd_tasks(
 ) -> Result<RunReport<Result<(), SmiError>>, LaunchError> {
     assert_eq!(factories.len(), topo.num_ranks(), "one task per rank");
     let stats = TransportStats::default();
-    let transport = prepare(topo, &metas, &params, stats.clone())?;
+    let links = FabricLinks::all_local(topo.num_ranks());
+    let transport = prepare_with(topo, &metas, &params, stats.clone(), links)?;
     let num_ranks = topo.num_ranks();
     let diag = FabricDiag::default();
     let outcome = run_group_tasks(

@@ -78,27 +78,9 @@ struct PortDelivery {
     credit: Option<(usize, Sender<Burst>)>,
 }
 
-/// Build all channels and CK machines for a fully-local cluster.
-pub(crate) fn build_transport(
-    topo: &Topology,
-    plan: &RoutingPlan,
-    design: &ClusterDesign,
-    params: &RuntimeParams,
-    stats: TransportStats,
-) -> TransportHandle {
-    build_transport_with(
-        topo,
-        plan,
-        design,
-        params,
-        stats,
-        FabricLinks::all_local(topo.num_ranks()),
-    )
-}
-
 /// Build channels and CK machines for the ranks this process hosts, wiring
 /// cross-process edges from the supplied fabric links.
-pub(crate) fn build_transport_with(
+pub(crate) fn build_transport(
     topo: &Topology,
     plan: &RoutingPlan,
     design: &ClusterDesign,

@@ -46,7 +46,7 @@ pub enum TopologyError {
     },
     /// More ranks than the 8-bit wire rank field can address.
     TooManyRanks(usize),
-    /// A malformed topology description (JSON or text).
+    /// A malformed topology description (JSON or text) or routing plan.
     BadSpec(String),
 }
 
@@ -83,7 +83,7 @@ impl fmt::Display for TopologyError {
             TopologyError::TooManyRanks(n) => {
                 write!(f, "{n} ranks exceed the 8-bit wire rank field (max 256)")
             }
-            TopologyError::BadSpec(msg) => write!(f, "bad topology description: {msg}"),
+            TopologyError::BadSpec(msg) => write!(f, "bad topology or routing description: {msg}"),
         }
     }
 }

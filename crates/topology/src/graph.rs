@@ -166,10 +166,11 @@ impl Topology {
         &self.connections
     }
 
-    /// The far end of the cable plugged into `rank`:`qsfp`, if any.
+    /// The far end of the cable plugged into `rank`:`qsfp`, if any (`None`
+    /// also for a port the device does not have).
     #[inline]
     pub fn peer(&self, rank: usize, qsfp: usize) -> Option<Endpoint> {
-        self.adj[rank][qsfp]
+        *self.adj[rank].get(qsfp)?
     }
 
     /// Iterate over the connected ports of `rank` as `(qsfp, far_end)`.

@@ -18,8 +18,8 @@
 //!   text formats.
 //! * [`RoutingPlan`] — per-rank next-hop tables computed with **up\*/down\***
 //!   routing over a BFS spanning tree (a classic deadlock-free oblivious
-//!   scheme for arbitrary topologies), together with the full per-pair paths
-//!   for analysis.
+//!   scheme for arbitrary topologies), together with the hop count of every
+//!   pair; full paths are rebuilt per source on demand, for analysis.
 //! * [`deadlock`] — a channel-dependency-graph acyclicity checker used to
 //!   *prove* (per instance) that a routing plan cannot deadlock under
 //!   wormhole/backpressure semantics.

@@ -18,15 +18,15 @@ pub struct PathStats {
     pub mean_stretch: f64,
 }
 
-/// BFS hop counts from every source.
+/// BFS hop counts from every source, independent of route generation (the
+/// reference that routed hop counts are compared against).
 pub fn shortest_hops(topo: &Topology) -> Vec<Vec<usize>> {
     let n = topo.num_ranks();
     let mut all = Vec::with_capacity(n);
     for src in 0..n {
         let mut dist = vec![usize::MAX; n];
         dist[src] = 0;
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(src);
+        let mut queue = std::collections::VecDeque::from([src]);
         while let Some(u) = queue.pop_front() {
             for (_, ep) in topo.neighbors(u) {
                 if dist[ep.rank] == usize::MAX {
@@ -48,36 +48,21 @@ impl PathStats {
         let routed: Vec<Vec<usize>> = (0..n)
             .map(|s| (0..n).map(|d| plan.hops(s, d)).collect())
             .collect();
-        let diameter = shortest
-            .iter()
-            .flat_map(|row| row.iter().copied())
-            .max()
-            .unwrap_or(0);
-        let routed_diameter = routed
-            .iter()
-            .flat_map(|row| row.iter().copied())
-            .max()
-            .unwrap_or(0);
-        let mut stretch_sum = 0.0;
-        let mut pairs = 0usize;
-        for s in 0..n {
-            for d in 0..n {
-                if s != d {
-                    stretch_sum += routed[s][d] as f64 / shortest[s][d] as f64;
-                    pairs += 1;
-                }
-            }
-        }
+        let diameter = shortest.iter().flatten().copied().max().unwrap_or(0);
+        let stretch: Vec<f64> = (0..n)
+            .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)))
+            .map(|(s, d)| routed[s][d] as f64 / shortest[s][d] as f64)
+            .collect();
         PathStats {
-            shortest,
-            routed,
             diameter,
-            routed_diameter,
-            mean_stretch: if pairs == 0 {
+            routed_diameter: plan.max_hops(),
+            mean_stretch: if stretch.is_empty() {
                 1.0
             } else {
-                stretch_sum / pairs as f64
+                stretch.iter().sum::<f64>() / stretch.len() as f64
             },
+            shortest,
+            routed,
         }
     }
 }

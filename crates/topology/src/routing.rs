@@ -11,6 +11,9 @@
 //! route ever turns down→up, the channel-dependency graph is provably
 //! acyclic, which [`crate::deadlock::find_cycle`] verifies per instance.
 //!
+//! One search per source carries the first-hop port and the distance to
+//! every rank: a plan is O(n²) small integers, and no path is materialised.
+//!
 //! A plain shortest-path scheme ([`Scheme::ShortestPath`]) is also provided;
 //! it is *not* deadlock-free in general (e.g. on rings) and exists for
 //! comparison and for negative tests of the deadlock checker.
@@ -56,15 +59,20 @@ pub enum Scheme {
     ShortestPath,
 }
 
-/// A complete set of routes for a topology: per-rank next-hop tables plus
-/// the full path of every (src, dst) pair for analysis and table generation.
+/// A complete set of routes for a topology — what the launch path and the
+/// devices consume: per-rank next-hop tables plus the routed hop count of
+/// every (src, dst) pair. Full paths are not stored; [`RoutingPlan::paths`]
+/// rebuilds them per source for analysis.
+///
+/// A plan loaded from a file must pass [`RoutingPlan::validate_against`]
+/// before its tables are indexed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoutingPlan {
     num_ranks: usize,
     scheme: Scheme,
     per_rank: Vec<RankRoutes>,
-    /// paths[src][dst] = directed hops from src to dst (empty when src == dst).
-    paths: Vec<Vec<Vec<Hop>>>,
+    /// hops[src][dst] = routed hop count (0 when src == dst).
+    hops: Vec<Vec<u32>>,
 }
 
 impl RoutingPlan {
@@ -76,39 +84,27 @@ impl RoutingPlan {
     /// Compute a routing plan with an explicit scheme.
     pub fn compute_with(topo: &Topology, scheme: Scheme) -> Result<RoutingPlan, TopologyError> {
         let n = topo.num_ranks();
-        let levels = bfs_levels(topo);
-        let mut paths: Vec<Vec<Vec<Hop>>> = vec![vec![Vec::new(); n]; n];
-        for (src, row) in paths.iter_mut().enumerate() {
-            let tree = match scheme {
-                Scheme::UpDown => updown_bfs(topo, &levels, src),
-                Scheme::ShortestPath => shortest_bfs(topo, src),
-            };
-            for (dst, path) in tree.into_iter().enumerate() {
-                match path {
-                    Some(p) => row[dst] = p,
-                    None if dst != src => return Err(TopologyError::NoRoute { src, dst }),
-                    None => {}
-                }
+        let mut search = Search::new(topo, scheme);
+        let mut per_rank = Vec::with_capacity(n);
+        let mut hops = Vec::with_capacity(n);
+        for src in 0..n {
+            search.run(src);
+            let (mut next, mut row) = (vec![NextHop::Local; n], vec![0; n]);
+            for dst in (0..n).filter(|&dst| dst != src) {
+                let best = search
+                    .best(dst)
+                    .ok_or(TopologyError::NoRoute { src, dst })?;
+                next[dst] = NextHop::Via(best.first_port as usize);
+                row[dst] = best.dist;
             }
+            per_rank.push(RankRoutes { next });
+            hops.push(row);
         }
-        let per_rank = (0..n)
-            .map(|r| RankRoutes {
-                next: (0..n)
-                    .map(|dst| {
-                        if dst == r {
-                            NextHop::Local
-                        } else {
-                            NextHop::Via(paths[r][dst][0].from.qsfp)
-                        }
-                    })
-                    .collect(),
-            })
-            .collect();
         Ok(RoutingPlan {
             num_ranks: n,
             scheme,
             per_rank,
-            paths,
+            hops,
         })
     }
 
@@ -136,199 +132,204 @@ impl RoutingPlan {
         &self.per_rank[rank]
     }
 
-    /// The full directed path from `src` to `dst`.
-    #[inline]
-    pub fn path(&self, src: usize, dst: usize) -> &[Hop] {
-        &self.paths[src][dst]
-    }
-
     /// Number of network hops from `src` to `dst` under this plan.
     #[inline]
     pub fn hops(&self, src: usize, dst: usize) -> usize {
-        self.paths[src][dst].len()
+        self.hops[src][dst] as usize
     }
 
     /// The longest routed path in the plan (routed diameter).
     pub fn max_hops(&self) -> usize {
-        (0..self.num_ranks)
-            .flat_map(|s| (0..self.num_ranks).map(move |d| (s, d)))
-            .map(|(s, d)| self.hops(s, d))
-            .max()
-            .unwrap_or(0)
+        self.hops.iter().flatten().copied().max().unwrap_or(0) as usize
     }
 
-    /// Verify that every path is physically valid: consecutive cables exist
-    /// in the topology and chain rank-to-rank. Used by tests.
+    /// The full directed paths, one `paths[dst]` per source in rank order
+    /// (empty for the source itself), rebuilt by the search that produced
+    /// the tables: one BFS plus the path walks per source. `topo` must be
+    /// the topology this plan was computed for.
+    pub fn paths<'a>(&self, topo: &'a Topology) -> impl Iterator<Item = Vec<Vec<Hop>>> + 'a {
+        let n = topo.num_ranks();
+        let mut search = Search::new(topo, self.scheme);
+        (0..n).map(move |src| {
+            search.run(src);
+            (0..n).map(|dst| search.path_to(dst)).collect()
+        })
+    }
+
+    /// Verify that these tables route on `topo`, without re-running the
+    /// search: they are `num_ranks` × `num_ranks`, only a rank itself is
+    /// `Local`, and every `Via` port has a cable whose far end is at least
+    /// one recorded hop closer to the destination. By induction on the hop
+    /// count, a packet following the tables from any rank then arrives
+    /// within `hops(src, dst)` steps, so a plan that passes can be indexed,
+    /// wired and walked without panicking or looping.
     pub fn validate_against(&self, topo: &Topology) -> Result<(), TopologyError> {
-        for src in 0..self.num_ranks {
-            for dst in 0..self.num_ranks {
-                let path = self.path(src, dst);
-                if src == dst {
-                    if !path.is_empty() {
-                        return Err(TopologyError::BadSpec(format!(
-                            "non-empty path from {src} to itself"
-                        )));
-                    }
-                    continue;
-                }
-                let mut at = src;
-                for hop in path {
-                    if hop.from.rank != at {
-                        return Err(TopologyError::BadSpec(format!(
-                            "path {src}->{dst} teleports at rank {at}"
-                        )));
-                    }
-                    match topo.peer(hop.from.rank, hop.from.qsfp) {
-                        Some(peer) if peer == hop.to => at = hop.to.rank,
-                        _ => {
-                            return Err(TopologyError::BadSpec(format!(
-                                "path {src}->{dst} uses nonexistent cable {}-{}",
-                                hop.from, hop.to
-                            )))
-                        }
-                    }
-                }
-                if at != dst {
-                    return Err(TopologyError::BadSpec(format!(
-                        "path {src}->{dst} ends at {at}"
-                    )));
-                }
+        let n = topo.num_ranks();
+        let bad = |msg: String| Err(TopologyError::BadSpec(msg));
+        let square = [self.num_ranks, self.per_rank.len(), self.hops.len()] == [n; 3]
+            && self.per_rank.iter().all(|t| t.next.len() == n)
+            && self.hops.iter().all(|row| row.len() == n);
+        if !square {
+            return bad(format!("routing tables are not {n}x{n}"));
+        }
+        for (rank, dst) in (0..n).flat_map(|r| (0..n).map(move |d| (r, d))) {
+            let (next, hops) = (self.per_rank[rank].next[dst], self.hops[rank][dst]);
+            let closer = |far: Endpoint| self.hops[far.rank][dst] < hops;
+            let leads_there = match next {
+                NextHop::Local => rank == dst && hops == 0,
+                NextHop::Via(q) => rank != dst && topo.peer(rank, q).is_some_and(closer),
+            };
+            if !leads_there {
+                return bad(format!(
+                    "rank {rank}'s entry for rank {dst} ({next:?}, {hops} hops) does not lead \
+                     there over a cable"
+                ));
             }
         }
         Ok(())
     }
 }
 
-/// BFS levels from rank 0 (the up*/down* root).
-fn bfs_levels(topo: &Topology) -> Vec<usize> {
-    let n = topo.num_ranks();
-    let mut level = vec![usize::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-    level[0] = 0;
-    queue.push_back(0usize);
-    while let Some(u) = queue.pop_front() {
-        for (_, ep) in topo.neighbors(u) {
-            if level[ep.rank] == usize::MAX {
-                level[ep.rank] = level[u] + 1;
-                queue.push_back(ep.rank);
-            }
-        }
-    }
-    level
-}
-
 /// Is the directed traversal `u -> v` an "up" move (toward the root)?
 /// Ties on level are broken by rank id so every cable has exactly one up
 /// direction.
 #[inline]
-fn is_up(levels: &[usize], u: usize, v: usize) -> bool {
+fn is_up(levels: &[u32], u: usize, v: usize) -> bool {
     levels[v] < levels[u] || (levels[v] == levels[u] && v < u)
 }
 
-/// BFS over (rank, phase) states where phase=0 means "still going up" and
-/// phase=1 means "now going down"; only up→down transitions are allowed.
-/// Returns the shortest legal path to every rank (None when unreachable).
-fn updown_bfs(topo: &Topology, levels: &[usize], src: usize) -> Vec<Option<Vec<Hop>>> {
-    let n = topo.num_ranks();
-    // state = rank * 2 + phase
-    let mut parent: Vec<Option<(usize, Hop)>> = vec![None; n * 2];
-    let mut dist = vec![usize::MAX; n * 2];
-    let start = src * 2;
-    dist[start] = 0;
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(start);
-    while let Some(state) = queue.pop_front() {
-        let (u, phase) = (state / 2, state % 2);
-        for (q, ep) in topo.neighbors(u) {
-            let up = is_up(levels, u, ep.rank);
-            // In the up phase we may keep going up or turn down;
-            // in the down phase we may only continue down.
-            let next_phase = if up { 0 } else { 1 };
-            if phase == 1 && up {
-                continue;
-            }
-            let next_state = ep.rank * 2 + next_phase;
-            if dist[next_state] == usize::MAX {
-                dist[next_state] = dist[state] + 1;
-                parent[next_state] = Some((
-                    state,
-                    Hop {
-                        from: Endpoint::new(u, q),
-                        to: ep,
-                    },
-                ));
-                queue.push_back(next_state);
-            }
-        }
-    }
-    (0..n)
-        .map(|dst| {
-            if dst == src {
-                return Some(Vec::new());
-            }
-            let s_up = dst * 2;
-            let s_down = dst * 2 + 1;
-            let best = if dist[s_up] <= dist[s_down] {
-                s_up
-            } else {
-                s_down
-            };
-            if dist[best] == usize::MAX {
-                return None;
-            }
-            let mut hops = Vec::with_capacity(dist[best]);
-            let mut cur = best;
-            while let Some((prev, hop)) = parent[cur] {
-                hops.push(hop);
-                cur = prev;
-            }
-            hops.reverse();
-            Some(hops)
-        })
-        .collect()
+const UNREACHED: u32 = u32::MAX;
+
+/// The per-source route search and its scratch buffers, reused across
+/// sources. BFS over `(rank, phase)` states, `state = rank * 2 + phase`:
+/// phase 0 means "still going up", phase 1 "now going down", and only
+/// up→down transitions are allowed. Under [`Scheme::ShortestPath`] every
+/// move counts as up, which makes this a plain BFS over ranks.
+struct Search<'a> {
+    topo: &'a Topology,
+    /// The cabled ports of each rank, in port order.
+    moves: Vec<Vec<Move>>,
+    /// What the search found out about each state.
+    reached: Vec<Reached>,
+    /// FIFO of discovered states; never pops, `run` reads it by index.
+    queue: Vec<u32>,
 }
 
-/// Plain BFS shortest paths (not deadlock-free in general).
-fn shortest_bfs(topo: &Topology, src: usize) -> Vec<Option<Vec<Hop>>> {
-    let n = topo.num_ranks();
-    let mut parent: Vec<Option<(usize, Hop)>> = vec![None; n];
-    let mut dist = vec![usize::MAX; n];
-    dist[src] = 0;
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(src);
-    while let Some(u) = queue.pop_front() {
-        for (q, ep) in topo.neighbors(u) {
-            if dist[ep.rank] == usize::MAX {
-                dist[ep.rank] = dist[u] + 1;
-                parent[ep.rank] = Some((
-                    u,
-                    Hop {
-                        from: Endpoint::new(u, q),
-                        to: ep,
-                    },
-                ));
-                queue.push_back(ep.rank);
+/// One cabled port as the search sees it.
+struct Move {
+    port: u32,
+    to_rank: u32,
+    up: bool,
+}
+
+/// The shortest legal path from the source to one state.
+#[derive(Clone, Copy)]
+struct Reached {
+    /// Its hop count ([`UNREACHED`] if there is no such path).
+    dist: u32,
+    /// The source port it leaves through.
+    first_port: u32,
+    /// Its last hop: out of state `prev` through port `port`.
+    prev: u32,
+    port: u32,
+}
+
+const NOT_REACHED: Reached = Reached {
+    dist: UNREACHED,
+    first_port: 0,
+    prev: 0,
+    port: 0,
+};
+
+impl<'a> Search<'a> {
+    fn new(topo: &'a Topology, scheme: Scheme) -> Self {
+        let states = topo.num_ranks() * 2;
+        // Up*/down* levels: hop counts of a plain search from the root, rank 0.
+        let levels = (scheme == Scheme::UpDown).then(|| {
+            let mut bfs = Search::new(topo, Scheme::ShortestPath);
+            bfs.run(0);
+            Vec::from_iter(bfs.reached.iter().step_by(2).map(|r| r.dist))
+        });
+        let moves_of = |u: usize| {
+            let to_move = |(q, ep): (usize, Endpoint)| Move {
+                port: q as u32,
+                to_rank: ep.rank as u32,
+                up: levels.as_ref().is_none_or(|l| is_up(l, u, ep.rank)),
+            };
+            topo.neighbors(u).map(to_move).collect()
+        };
+        Search {
+            topo,
+            moves: (0..topo.num_ranks()).map(moves_of).collect(),
+            reached: vec![NOT_REACHED; states],
+            queue: Vec::with_capacity(states),
+        }
+    }
+
+    /// Search from `src`, overwriting the previous source's results.
+    fn run(&mut self, src: usize) {
+        self.reached.fill(NOT_REACHED);
+        self.queue.clear();
+        let start = src * 2;
+        self.reached[start].dist = 0;
+        self.queue.push(start as u32);
+        let mut head = 0;
+        while let Some(&state) = self.queue.get(head) {
+            head += 1;
+            let from = self.reached[state as usize];
+            let (u, phase) = (state as usize / 2, state % 2);
+            for m in &self.moves[u] {
+                // In the up phase we may keep going up or turn down;
+                // in the down phase we may only continue down.
+                if phase == 1 && m.up {
+                    continue;
+                }
+                let next = m.to_rank * 2 + u32::from(!m.up);
+                let to = &mut self.reached[next as usize];
+                if to.dist == UNREACHED {
+                    *to = Reached {
+                        dist: from.dist + 1,
+                        // Only the source itself has dist 0.
+                        first_port: if from.dist == 0 {
+                            m.port
+                        } else {
+                            from.first_port
+                        },
+                        prev: state,
+                        port: m.port,
+                    };
+                    self.queue.push(next);
+                }
             }
         }
     }
-    (0..n)
-        .map(|dst| {
-            if dst == src {
-                return Some(Vec::new());
-            }
-            if dist[dst] == usize::MAX {
-                return None;
-            }
-            let mut hops = Vec::with_capacity(dist[dst]);
-            let mut cur = dst;
-            while let Some((prev, hop)) = parent[cur] {
-                hops.push(hop);
-                cur = prev;
-            }
-            hops.reverse();
-            Some(hops)
-        })
-        .collect()
+
+    /// The state in which the shortest legal path reaches `dst` (ties go to
+    /// the up phase), or `None` when `dst` is unreachable.
+    fn best(&self, dst: usize) -> Option<&Reached> {
+        let (up, down) = (&self.reached[dst * 2], &self.reached[dst * 2 + 1]);
+        let best = if up.dist <= down.dist { up } else { down };
+        (best.dist != UNREACHED).then_some(best)
+    }
+
+    /// The hops of the shortest legal path to `dst`; empty for the source
+    /// itself and for an unreachable rank.
+    fn path_to(&self, dst: usize) -> Vec<Hop> {
+        let Some(mut at) = self.best(dst) else {
+            return Vec::new();
+        };
+        let mut hops = Vec::with_capacity(at.dist as usize);
+        while at.dist != 0 {
+            let (rank, q) = (at.prev as usize / 2, at.port as usize);
+            hops.push(Hop {
+                from: Endpoint::new(rank, q),
+                to: self.topo.peer(rank, q).expect("searched over cabled ports"),
+            });
+            at = &self.reached[at.prev as usize];
+        }
+        hops.reverse();
+        hops
+    }
 }
 
 #[cfg(test)]
@@ -406,8 +407,11 @@ mod tests {
         let plan = RoutingPlan::compute(&topo).unwrap();
         assert_eq!(plan.hops(0, 1), 1);
         assert_eq!(plan.hops(1, 0), 1);
-        assert_eq!(plan.path(0, 1)[0].from, Endpoint::new(0, 1));
-        assert_eq!(plan.path(0, 1)[0].to, Endpoint::new(1, 0));
+        let hop = Hop {
+            from: Endpoint::new(0, 1),
+            to: Endpoint::new(1, 0),
+        };
+        assert_eq!(plan.paths(&topo).next(), Some(vec![vec![], vec![hop]]));
     }
 
     #[test]
@@ -417,5 +421,40 @@ mod tests {
         let json = serde_json::to_string(&plan).unwrap();
         let back: RoutingPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(plan, back);
+    }
+
+    #[test]
+    fn malformed_plan_is_a_typed_error() {
+        let topo = Topology::bus(4);
+        let plan = RoutingPlan::compute(&topo).unwrap();
+        let bad_spec = |plan: &RoutingPlan, topo: &Topology| {
+            matches!(plan.validate_against(topo), Err(TopologyError::BadSpec(_)))
+        };
+        let check = |what: &str, edit: fn(&mut RoutingPlan)| {
+            let mut edited = plan.clone();
+            edit(&mut edited);
+            assert!(bad_spec(&edited, &topo), "{what}");
+        };
+        check("a truncated table row", |p| p.per_rank[2].next.truncate(3));
+        check("a missing hop row", |p| p.hops.truncate(3));
+        // Rank 0 of a bus has nothing on port 0, and no device has a port 9.
+        check("an uncabled port", |p| {
+            p.per_rank[0].next[3] = NextHop::Via(0)
+        });
+        check("a port past the device", |p| {
+            p.per_rank[0].next[3] = NextHop::Via(9)
+        });
+        // 1 -> 3 sent west, where rank 0 sends it back east.
+        check("a loop", |p| p.per_rank[1].next[3] = NextHop::Via(0));
+        check("a hop count the walk cannot meet", |p| p.hops[0][3] = 1);
+        check("a rank swallowing packets", |p| {
+            p.per_rank[2].next[3] = NextHop::Local
+        });
+        // Tables of another rank count, and of other cabling (port 1 of the
+        // star's hub is rank 2).
+        assert!(bad_spec(&plan, &Topology::bus(5)));
+        assert!(bad_spec(&plan, &Topology::star(4)));
+        // The bus tables do route on a ring, which has every bus cable.
+        plan.validate_against(&Topology::ring(4)).unwrap();
     }
 }

@@ -74,19 +74,19 @@ proptest! {
         prop_assert_eq!(topo, back);
     }
 
-    /// Next-hop tables agree with the first hop of the stored paths
+    /// Next-hop tables agree with the first hop of the rebuilt paths
     /// (the invariant the CKS hardware tables rely on).
     #[test]
     fn tables_match_paths(n in 2usize..16, seed in any::<u64>()) {
         let topo = random_topo(n, 4, 3, seed);
         let plan = RoutingPlan::compute(&topo).unwrap();
-        for s in 0..n {
-            for d in 0..n {
+        for (s, paths) in plan.paths(&topo).enumerate() {
+            for (d, path) in paths.iter().enumerate() {
                 match plan.next_hop(s, d) {
                     smi_topology::NextHop::Local => prop_assert_eq!(s, d),
                     smi_topology::NextHop::Via(q) => {
-                        prop_assert_eq!(plan.path(s, d)[0].from.qsfp, q);
-                        prop_assert_eq!(plan.path(s, d)[0].from.rank, s);
+                        prop_assert_eq!(path[0].from.qsfp, q);
+                        prop_assert_eq!(path[0].from.rank, s);
                     }
                 }
             }

@@ -67,6 +67,31 @@ fn routing_plan_serialization_roundtrip_via_json() {
 }
 
 #[test]
+fn truncated_or_edited_routing_artifact_is_a_typed_error() {
+    use smi_topology::TopologyError;
+    let topo = Topology::bus(4);
+    let json = serde_json::to_string(&RoutingPlan::compute(&topo).unwrap()).unwrap();
+    let load = |text: &str| serde_json::from_str::<RoutingPlan>(text);
+
+    // Cut mid-file: no longer JSON.
+    assert!(load(&json[..json.len() / 2]).is_err());
+    // The pre-table format (`paths`, no `hops`) does not load either.
+    assert!(load(&json.replace("\"hops\"", "\"paths\"")).is_err());
+
+    // Cut at a row boundary and closed by hand: loads, but rank 3's hop row
+    // is gone. Indexing it would panic; validation says so first.
+    let cut = format!("{}]}}", &json[..json.rfind(",[").unwrap()]);
+    let truncated = load(&cut).expect("still well-formed JSON");
+    let err = truncated.validate_against(&topo).unwrap_err();
+    assert!(matches!(err, TopologyError::BadSpec(_)), "{err}");
+
+    // Rank 0 sending through port 3, which has no cable on a bus.
+    let edited = load(&json.replacen("{\"Via\":1}", "{\"Via\":3}", 1)).unwrap();
+    let err = edited.validate_against(&topo).unwrap_err();
+    assert!(matches!(err, TopologyError::BadSpec(_)), "{err}");
+}
+
+#[test]
 fn spmd_program_one_design_any_rank_count() {
     // "For SPMD programs … the user only needs to build a single bitstream
     // for any number of nodes": the same metadata works on 2, 4 and 8 ranks.
