@@ -1,5 +1,5 @@
 //! Scaling benchmark of the functional message plane: p2p throughput vs.
-//! rank count and executor worker count on the work-stealing runtime,
+//! rank count and executor worker count on the rank-local executor,
 //! emitted as `BENCH_scaling.json` so every CI run leaves a perf data point.
 //!
 //! Series:
@@ -9,17 +9,17 @@
 //!   `try_push_slice`/`try_pop_slice` APIs, default executor settings.
 //! * `task_bulk_sweep` / `task_bulk_static` — the same workload swept over
 //!   executor worker counts (1 → available_parallelism, powers of two) at
-//!   8/64/256 ranks, with work stealing on (`sweep`) and off (`static`,
-//!   the old fixed round-robin sharding). The 1-worker pair is the
-//!   no-regression bar: stealing bookkeeping must not tax the uncontended
-//!   case.
+//!   8/64/256 ranks, with work stealing on (`sweep`) and off (`static`:
+//!   the same block placement of ranks on workers, but no migration and no
+//!   cold lists). The 1-worker pair is the no-regression bar: stealing
+//!   bookkeeping must not tax the uncontended case.
 //! * `skewed_steal` / `skewed_static` — a deliberately skewed cluster: one
 //!   hot pair streams a large payload while every other pair sits gated
 //!   (Pending) until the hot transfer completes, then moves a token
-//!   payload. Static sharding polls the cold machines every sweep and
-//!   strands whole queues behind the placement; the stealing executor
-//!   evicts cold machines to the shared cold set and lets idle workers
-//!   take the hot work, so it must win here.
+//!   payload. Static placement polls the cold machines every sweep and
+//!   leaves the worker that owns no hot rank idle; the stealing executor
+//!   moves cold machines to per-worker cold lists and lets the idle worker
+//!   take part of the hot pipeline, so it must win here.
 //! * `threads_per_element` / `threads_bulk` — the paper-style blocking API
 //!   on thread-per-rank execution at 8 ranks, isolating the batching win
 //!   from the executor win.
@@ -439,9 +439,9 @@ fn main() {
     }
 
     // --- skewed cluster: one hot pair among many gated cold pairs ---
-    // Static sharding keeps polling every gated machine in the hot
-    // worker's shard; the stealing executor parks them in the cold set
-    // (and with >1 worker migrates the hot pair to an idle worker).
+    // Static placement keeps polling every gated machine in the hot
+    // worker's block; the stealing executor moves them to cold lists (and
+    // with >1 worker the idle worker steals part of the hot pipeline).
     let skew_ranks = 64usize;
     let (hot_n, cold_n) = match effort {
         smi_bench::Effort::Quick => (256u64 << 10, 1024u64),

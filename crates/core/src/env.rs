@@ -752,6 +752,10 @@ struct RankTaskItem {
 }
 
 impl Pollable for RankTaskItem {
+    fn home_rank(&self) -> Option<usize> {
+        Some(self.rank)
+    }
+
     fn poll(&mut self) -> Step {
         let state = std::mem::replace(&mut self.state, TaskState::Finished);
         match state {

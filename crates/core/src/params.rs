@@ -129,35 +129,37 @@ pub struct RuntimeParams {
     /// to this many packets under a single queue operation, amortizing
     /// synchronization cost. `1` degenerates to per-packet handover.
     pub burst_packets: usize,
-    /// Worker threads of the work-stealing transport executor that drives
-    /// all CK state machines (and, in task mode, the rank tasks). `0` means
-    /// `std::thread::available_parallelism()`.
+    /// Worker threads of the transport executor that drives all CK state
+    /// machines (and, in task mode, the rank tasks). `0` means
+    /// `std::thread::available_parallelism()`. Each worker is seeded with a
+    /// contiguous block of ranks, so only block-boundary links cross threads.
     pub transport_workers: usize,
-    /// Work stealing on the executor: when `true` (default) an idle worker
-    /// steals half of a victim's run queue, and machines that stay idle for
-    /// [`RuntimeParams::cold_idle_threshold`] consecutive polls are parked
-    /// in a shared cold set so hot machines are not diluted by sweeps over
-    /// quiescent ones. `false` pins every machine to the worker it was
-    /// seeded on — the historical static sharding, kept as a measurable
-    /// baseline (`bench_scaling` runs both on its skewed workload).
+    /// Work stealing on the executor: when `true` (default) a worker with
+    /// nothing hot or waking up steals half of what a sibling left visible,
+    /// and machines idle past [`RuntimeParams::cold_idle_threshold`] move
+    /// to their home worker's cold list so sweeps over quiescent machines
+    /// do not dilute hot ones. `false` is block placement without migration
+    /// or cold lists, the baseline `bench_scaling` measures both against.
     pub work_stealing: bool,
-    /// Maximum machines a worker drains from a run queue (its own or a
-    /// victim's) per lock acquisition. Larger batches amortize queue locks;
+    /// Maximum machines a worker takes from a run queue (its own or a
+    /// victim's) per lock acquisition; of its own never more than half
+    /// while a sibling could steal. Larger batches amortize queue locks;
     /// smaller ones migrate load at a finer grain.
     pub steal_batch: usize,
-    /// Consecutive idle polls after which a machine is evicted from its run
-    /// queue into the shared cold set (re-offered to idle workers, and at a
-    /// trickle to busy ones). Ignored when `work_stealing` is off.
+    /// Passes over a worker's share of the machines, counted in polls the
+    /// worker issued, that a machine may go without progress before it
+    /// leaves the run queue for its home worker's cold list, where it is
+    /// polled at a trickle until it progresses again. Ignored when
+    /// `work_stealing` is off.
     pub cold_idle_threshold: u32,
-    /// Initial (and minimum) condvar park timeout of a fully idle executor
-    /// worker. Parking replaces the historical 50 µs sleep loop: a
-    /// quiescent pool sits on the condvar and is woken by sibling progress
-    /// hints or this timeout (the backstop for progress produced outside
-    /// the pool — blocking-plane rank threads, socket peers).
+    /// Initial (and minimum) condvar park timeout of an executor worker
+    /// with nothing hot, waking up or stealable. A sibling wakes it early
+    /// only for stealable work or re-warmed machines; boundary links, rank
+    /// threads and socket peers are found by this timeout.
     pub park_timeout_min: Duration,
     /// Cap of the park timeout, which doubles per consecutive fruitless
     /// park. Bounds the poll cadence — and thus the added wake latency —
-    /// of a long-quiescent cluster.
+    /// of a long-quiescent worker.
     pub park_timeout_max: Duration,
     /// Connect-time behavior of socket transport backends
     /// ([`ReconnectPolicy`]): retry-with-backoff or fail on the first

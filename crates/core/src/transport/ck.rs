@@ -38,9 +38,8 @@ pub(crate) enum Route {
 
 /// A CKS or CKR kernel body in poll mode.
 pub(crate) struct CkMachine {
-    /// Diagnostic name.
-    #[allow(dead_code)]
-    pub name: String,
+    /// The rank this kernel belongs to ([`Pollable::home_rank`]).
+    pub rank: usize,
     pub inputs: Vec<LinkRx>,
     pub outputs: Vec<LinkTx>,
     /// Frame header → output index.
@@ -66,7 +65,7 @@ pub(crate) struct CkMachine {
 impl CkMachine {
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        name: String,
+        rank: usize,
         inputs: Vec<LinkRx>,
         outputs: Vec<LinkTx>,
         route: Box<dyn Fn(&Header) -> Route + Send>,
@@ -77,7 +76,7 @@ impl CkMachine {
     ) -> Self {
         let n = inputs.len();
         CkMachine {
-            name,
+            rank,
             inputs,
             outputs,
             route,
@@ -221,6 +220,10 @@ impl CkMachine {
 }
 
 impl Pollable for CkMachine {
+    fn home_rank(&self) -> Option<usize> {
+        Some(self.rank)
+    }
+
     fn poll(&mut self) -> Step {
         let mut progressed = false;
         if !self.drain(&mut progressed) {
@@ -299,7 +302,7 @@ mod tests {
         let (out1_tx, out1_rx) = bounded::<Burst>(16);
         let (fwd, unr) = counters();
         let m = CkMachine::new(
-            "t".into(),
+            0,
             vec![fifo_rx(in_rx)],
             vec![fifo_tx(out0_tx), fifo_tx(out1_tx)],
             Box::new(|h| Route::Output((h.dst % 2) as usize)),
@@ -326,7 +329,7 @@ mod tests {
         let (out_tx, out_rx) = bounded::<Burst>(4);
         let (fwd, unr) = counters();
         let m = CkMachine::new(
-            "t".into(),
+            0,
             vec![fifo_rx(in_rx)],
             vec![fifo_tx(out_tx)],
             Box::new(|_| Route::Output(0)),
@@ -353,7 +356,7 @@ mod tests {
         let (out_tx, out_rx) = bounded::<Burst>(4);
         let (fwd, unr) = counters();
         let m = CkMachine::new(
-            "t".into(),
+            0,
             vec![fifo_rx(in_rx)],
             vec![fifo_tx(out_tx)],
             Box::new(|h| Route::Output(h.dst as usize)),
@@ -383,7 +386,7 @@ mod tests {
         let outs: Vec<_> = (0..3).map(|_| bounded::<Burst>(8)).collect();
         let (fwd, unr) = counters();
         let m = CkMachine::new(
-            "t".into(),
+            0,
             vec![fifo_rx(in_rx)],
             outs.iter().map(|(tx, _)| fifo_tx(tx.clone())).collect(),
             Box::new(|h| Route::Output(h.dst as usize)),
@@ -414,7 +417,7 @@ mod tests {
         let (out_tx, out_rx) = bounded::<Burst>(4);
         let (fwd, unr) = counters();
         let m = CkMachine::new(
-            "t".into(),
+            0,
             vec![fifo_rx(in_rx)],
             vec![fifo_tx(out_tx)],
             Box::new(|h| {
@@ -446,7 +449,7 @@ mod tests {
         let (out_tx, _out_rx) = bounded::<Burst>(1);
         let (fwd, unr) = counters();
         let m = CkMachine::new(
-            "t".into(),
+            0,
             vec![fifo_rx(in_rx)],
             vec![fifo_tx(out_tx)],
             Box::new(|_| Route::Output(0)),
@@ -471,7 +474,7 @@ mod tests {
         let (out_tx, out_rx) = bounded::<Burst>(1);
         let (fwd, unr) = counters();
         let m = CkMachine::new(
-            "t".into(),
+            0,
             vec![fifo_rx(in_rx)],
             vec![fifo_tx(out_tx)],
             Box::new(|_| Route::Output(0)),

@@ -1,43 +1,41 @@
-//! The work-stealing executor: a fixed pool of worker threads cooperatively
+//! The rank-local executor: a fixed pool of worker threads cooperatively
 //! driving many poll-mode state machines.
 //!
-//! The previous runtime dedicated one OS thread to every CKS/CKR kernel
-//! (4 per rank on a 4-QSFP cluster) plus one per rank program — hundreds of
-//! threads at 64+ ranks. Its successor statically sharded the cluster's
-//! machines over `workers` threads, which made load imbalance invisible at
-//! one worker and pathological at many: a worker that happened to own the
-//! hot machines swept its whole shard (mostly idle machines) per hot poll
-//! while its siblings spun over nothing.
+//! In the paper a rank's application kernels and its CKS/CKR kernels share
+//! one FPGA and talk over on-chip FIFOs; only the QSFP links cross devices.
+//! The pool keeps that split in software:
 //!
-//! This module replaces the static shards with per-worker *run queues* plus
-//! work stealing:
+//! * **Placement** — every machine names its rank ([`Pollable::home_rank`]).
+//!   Worker `w` of `W` is seeded with the contiguous block
+//!   `[w·L/W, (w+1)·L/W)` of the `L` local ranks, a rank's task and all its
+//!   CK machines together, so a rank's FIFOs are touched by one thread and
+//!   only block-boundary links cross workers. Machines without a rank
+//!   (socket pumps) are dealt round-robin.
+//! * **Run queues** — a worker takes batches of at most
+//!   [`ExecutorConfig::batch`] machines from its queue, and never more than
+//!   half of it while a sibling could steal: the rest stays visible to
+//!   thieves while the batch is polled.
+//! * **Stealing** — a worker whose run queue is empty, and whose own cold
+//!   machines stayed idle when polled, takes half of a victim's visible
+//!   queue, so hot machines migrate to idle workers. A progressing worker
+//!   wakes a parked sibling only when it left stealable surplus or
+//!   re-warmed a cold machine.
+//! * **Cold lists** — a machine without progress for
+//!   [`ExecutorConfig::cold_after`] passes of its worker leaves the run
+//!   queue for that worker's private cold list (a stolen one first returns
+//!   to its home worker). Cold machines are polled where they lie — a batch
+//!   when the worker has nothing hot or nothing progressing, two per sweep
+//!   otherwise — and rejoin the run queue only by progressing, so an empty
+//!   run queue means "out of hot work", which is what allows a steal.
+//! * **Parking** — a worker with no hot work, a fruitless cold pass and
+//!   nothing to steal backs off (spin → yield) and parks on a condvar with
+//!   a doubling timeout ([`ExecutorConfig::park_min`] → `park_max`), the
+//!   backstop for progress the pool cannot see: boundary links fed by a
+//!   sibling, blocking-plane rank threads, socket peers.
 //!
-//! * **Run queues** — every worker owns a deque of machines and drains it
-//!   in small batches (one lock per [`ExecutorConfig::batch`] machines, so
-//!   thieves interleave without a lock per poll).
-//! * **Stealing** — a worker whose queue is empty picks a victim at random
-//!   (rotating through all workers) and steals half the victim's queue, so
-//!   busy state machines migrate to idle execution resources.
-//! * **Cold set** — a machine that reports [`Step::Idle`]
-//!   [`ExecutorConfig::cold_after`] times in a row is parked in a shared
-//!   cold set instead of re-queued, so hot machines are not diluted by
-//!   sweeps over quiescent ones. Cold machines are re-offered to any worker
-//!   that runs out of work and, at a trickle, to busy workers, so a machine
-//!   that wakes up is re-discovered and promoted back to a run queue.
-//! * **Parking** — a fully idle worker backs off (spin → yield) and then
-//!   parks on a condvar with a progressively doubling timeout
-//!   ([`ExecutorConfig::park_min`] → [`ExecutorConfig::park_max`]) instead
-//!   of the previous 50 µs sleep loop. Workers that make progress bump a
-//!   generation counter and nudge one parked sibling; the timeout is the
-//!   backstop for progress generated outside the pool (rank threads of the
-//!   blocking plane, socket peers).
-//!
-//! Per-worker counters (polls, progress, steals, parks) are snapshotted
-//! into [`WorkerStats`] and surface in [`crate::RunReport::worker_stats`],
-//! so imbalance is observable instead of invisible. This is the software
-//! analogue of the paper's spatial multiplexing: many state machines, few
-//! physical execution resources — and, like MPI Streams, stream progress is
-//! decoupled from any fixed thread placement.
+//! Per-worker counters surface in [`crate::RunReport::worker_stats`]. Like
+//! MPI Streams, a stream's producer, channel and consumer share one
+//! execution resource unless load forces them apart.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -68,6 +66,13 @@ pub(crate) enum Step {
 pub(crate) trait Pollable: Send {
     /// Advance as far as possible without blocking.
     fn poll(&mut self) -> Step;
+
+    /// The world rank this machine belongs to — a rank's task and its
+    /// CKS/CKR kernels — which the executor places on one worker. `None`
+    /// for machines that serve no single rank (socket pumps).
+    fn home_rank(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// Outcome of one iteration of a [`block_on_deadline`] poll closure.
@@ -148,19 +153,18 @@ pub(crate) fn block_on_deadline<T>(
     }
 }
 
-/// Tuning of the work-stealing pool, derived from
+/// Tuning of the executor pool, derived from
 /// [`RuntimeParams`] by [`ExecutorConfig::from_params`].
 #[derive(Debug, Clone)]
 pub(crate) struct ExecutorConfig {
-    /// Enable stealing and the cold set. `false` reproduces the historical
-    /// static sharding (machines never leave their initial queue) — kept as
-    /// the measurable baseline for `bench_scaling`'s skewed workload.
+    /// Enable stealing and the cold lists. `false` is block placement with
+    /// no migration or eviction — `bench_scaling`'s measurable baseline.
     pub steal: bool,
-    /// Maximum machines drained from a run queue (own or victim's) per lock
-    /// acquisition, and polled before the queue lock is released again.
+    /// Maximum machines taken from a run queue (own or victim's) per lock
+    /// acquisition, and polled before the queue lock is taken again.
     pub batch: usize,
-    /// Consecutive [`Step::Idle`] polls after which a machine is parked in
-    /// the shared cold set.
+    /// Passes of its worker, counted in polls issued, that a machine may
+    /// sit without progress before it moves to its home's cold list.
     pub cold_after: u32,
     /// Initial (and minimum) condvar park timeout of a fully idle worker.
     pub park_min: Duration,
@@ -201,15 +205,31 @@ pub struct WorkerStats {
     pub parks: u64,
 }
 
+/// A machine plus its scheduling state.
+struct Machine {
+    inner: Box<dyn Pollable>,
+    /// Its last progress on the poll clock (= `Shard::polls`) of the worker
+    /// holding it, translated (wrapping) when it changes hands.
+    idle_since: u64,
+    /// The worker it was placed on; a stolen machine gone cold returns there.
+    home: usize,
+}
+
+/// One worker's share of the pool, on a cache line of its own: what the
+/// owner writes every sweep must not bounce a line a sibling is writing.
+#[repr(align(64))]
 #[derive(Default)]
-struct Counters {
+struct Shard {
+    /// The run queue. The owner takes batches from the front and re-queues
+    /// survivors at the back; thieves split off the back half.
+    queue: Mutex<VecDeque<Machine>>,
     polls: AtomicU64,
     progress: AtomicU64,
     steals: AtomicU64,
     parks: AtomicU64,
 }
 
-impl Counters {
+impl Shard {
     fn snapshot(&self) -> WorkerStats {
         WorkerStats {
             polls: self.polls.load(Ordering::Relaxed),
@@ -220,52 +240,53 @@ impl Counters {
     }
 }
 
-/// A machine plus its scheduling state (how long it has been idle).
-struct Machine {
-    inner: Box<dyn Pollable>,
-    idle_streak: u32,
-}
-
 /// State shared by all workers of one pool.
 struct Pool {
-    /// Per-worker run queues. A worker pops batches from the front of its
-    /// own queue and re-queues survivors at the back; thieves split off the
-    /// back half of a victim's queue.
-    queues: Vec<Mutex<VecDeque<Machine>>>,
-    /// Machines idle long enough to be evicted from the run queues; re-
-    /// offered to idle workers and, at a trickle, to busy ones.
-    cold: Mutex<VecDeque<Machine>>,
+    shards: Vec<Shard>,
+    /// Machines the pool was spawned with.
+    machines: usize,
     /// Machines not yet [`Step::Done`]; workers exit when it reaches zero.
     live: AtomicUsize,
-    /// Progress generation: bumped on every sweep that made progress. A
-    /// parking worker snapshots it at sweep start and aborts the park when
-    /// it moved — the waker bumps it *before* taking `park_lock`, so the
-    /// re-check under the lock can never miss a wake.
-    epoch: AtomicU64,
-    /// Workers currently waiting on `park_cv` (incremented under
-    /// `park_lock`). Wakers skip the lock entirely while it is zero.
+    /// Workers on `park_cv`, or about to. Raised *before* the parker's last
+    /// look at `stop`/`live`: whoever set those and reads 0 may skip the lock.
     parked: AtomicUsize,
     park_lock: Mutex<()>,
     park_cv: Condvar,
     stop: Arc<AtomicBool>,
-    counters: Vec<Counters>,
     cfg: ExecutorConfig,
 }
 
 impl Pool {
-    fn wake_all(&self) {
+    /// Wake every parked worker (stop / all done), or hint one to steal. A
+    /// hint lost to a worker just parking costs at most a park timeout.
+    fn wake(&self, all: bool) {
         if self.parked.load(Ordering::SeqCst) > 0 {
             let _g = self.park_lock.lock();
-            self.park_cv.notify_all();
+            if all {
+                self.park_cv.notify_all();
+            } else {
+                self.park_cv.notify_one();
+            }
         }
     }
+}
 
-    fn wake_one(&self) {
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            let _g = self.park_lock.lock();
-            self.park_cv.notify_one();
+/// The worker each machine starts on, by home rank: the `L` distinct ranks,
+/// ascending, are cut into contiguous blocks — worker `w` of `W` owns
+/// `[w·L/W, (w+1)·L/W)` — and machines without one are dealt round-robin.
+fn place(homes: &[Option<usize>], workers: usize) -> Vec<usize> {
+    let mut ranks: Vec<usize> = homes.iter().flatten().copied().collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+    let mut deal = (0..workers).cycle();
+    let worker_of = |home: &Option<usize>| match home {
+        Some(r) => {
+            let i = ranks.binary_search(r).expect("collected above");
+            ((i + 1) * workers - 1) / ranks.len()
         }
-    }
+        None => deal.next().expect("workers >= 1"),
+    };
+    homes.iter().map(worker_of).collect()
 }
 
 /// Handle to the worker pool; joined at shutdown.
@@ -281,13 +302,12 @@ impl ShardedExecutor {
         Self::spawn_with(items, workers, stop, ExecutorConfig::default())
     }
 
-    /// Seed `items` round-robin over `workers` run queues and start the
-    /// workers.
+    /// Seed `items` over `workers` run queues by home rank (see [`place`])
+    /// and start the workers. A queue keeps the input order, so one worker
+    /// polls the input sequence; with `cfg.steal` off nothing ever migrates.
     ///
     /// Workers run until every machine is `Done` or `stop` is raised (end
-    /// of run / panic teardown). The round-robin seeding matches the old
-    /// static placement, so a no-steal pool is bit-compatible with the
-    /// historical sharding.
+    /// of run / panic teardown).
     pub fn spawn_with(
         items: Vec<Box<dyn Pollable>>,
         workers: usize,
@@ -296,23 +316,23 @@ impl ShardedExecutor {
     ) -> Self {
         let workers = workers.max(1).min(items.len().max(1));
         let live = items.len();
-        let mut queues: Vec<VecDeque<Machine>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (i, inner) in items.into_iter().enumerate() {
-            queues[i % workers].push_back(Machine {
+        let homes: Vec<Option<usize>> = items.iter().map(|m| m.home_rank()).collect();
+        let mut shards: Vec<Shard> = (0..workers).map(|_| Shard::default()).collect();
+        for (inner, home) in items.into_iter().zip(place(&homes, workers)) {
+            shards[home].queue.get_mut().push_back(Machine {
                 inner,
-                idle_streak: 0,
+                idle_since: 0,
+                home,
             });
         }
         let pool = Arc::new(Pool {
-            queues: queues.into_iter().map(Mutex::new).collect(),
-            cold: Mutex::new(VecDeque::new()),
+            shards,
+            machines: live,
             live: AtomicUsize::new(live),
-            epoch: AtomicU64::new(0),
             parked: AtomicUsize::new(0),
             park_lock: Mutex::new(()),
             park_cv: Condvar::new(),
             stop,
-            counters: (0..workers).map(|_| Counters::default()).collect(),
             cfg,
         });
         let threads = (0..workers)
@@ -332,227 +352,197 @@ impl ShardedExecutor {
         self.threads.len()
     }
 
-    /// Live snapshot of the per-worker scheduling counters.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Snapshot of the per-worker scheduling counters (live until joined).
     pub fn worker_stats(&self) -> Vec<WorkerStats> {
-        self.pool.counters.iter().map(Counters::snapshot).collect()
+        self.pool.shards.iter().map(Shard::snapshot).collect()
     }
 
     /// Join every worker (call after raising the stop flag, or once all
     /// machines are expected to finish on their own) and return the final
     /// per-worker counters.
     ///
-    /// Parked workers are kicked immediately: the stop flag is re-checked
-    /// under the park lock before every wait, so a notify here reaches any
-    /// worker that was parked — or about to park — when stop was raised.
-    pub fn join(self) -> Vec<WorkerStats> {
-        self.pool.wake_all();
-        for t in self.threads {
+    /// Parked workers are kicked at once: a parker raises `parked` before
+    /// its last check of the stop flag, so it sees that or this notify.
+    pub fn join(mut self) -> Vec<WorkerStats> {
+        self.pool.wake(true);
+        for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        self.pool.counters.iter().map(Counters::snapshot).collect()
+        self.worker_stats()
     }
 }
 
 /// How many machine polls may elapse between checks of the stop flag, so
 /// teardown latency is bounded by `K · slowest_poll` instead of the full
 /// sweep over a worker's queue.
-const STOP_CHECK_POLLS: u32 = 32;
+const STOP_CHECK_POLLS: u64 = 32;
 
-/// While busy, pull a couple of cold machines back every this many sweeps so
-/// a machine that went cold cannot be starved by a permanently hot queue.
-const COLD_REFRESH_SWEEPS: u64 = 8;
+/// Cold machines a busy worker re-polls per sweep, so one whose input
+/// arrived after it went cold is found without the hot queue stalling first.
+const COLD_TRICKLE: usize = 2;
+
+/// Fruitless sweeps in a row after which a worker stops yielding and parks.
+const PARK_AFTER_ROUNDS: u32 = 64;
 
 fn worker_loop(w: usize, pool: &Pool) {
-    let nw = pool.queues.len();
-    let me = &pool.counters[w];
+    let nw = pool.shards.len();
+    let cfg = &pool.cfg;
+    let me = &pool.shards[w];
+    let thieves = cfg.steal && nw > 1;
+    // Idleness runs on this worker's poll clock, not in polls of the
+    // machine: once the quiescent machines are gone a pass is short and
+    // `cold_after` polls of one machine go by between two messages.
+    let cold_span = cfg.cold_after as u64 * (pool.machines / nw).max(cfg.batch) as u64;
+    let mut clock = 0u64;
     let mut rng = rand::rngs::SmallRng::seed_from_u64(0x9e37_79b9_7f4a_7c15 ^ w as u64);
     let mut idle_rounds = 0u32;
-    let mut park_timeout = pool.cfg.park_min;
-    let mut sweep = 0u64;
-    let mut batch: Vec<Machine> = Vec::with_capacity(pool.cfg.batch);
-    let mut keep: Vec<Machine> = Vec::with_capacity(pool.cfg.batch);
-    let mut cold_out: Vec<Machine> = Vec::new();
+    let mut park_timeout = cfg.park_min;
+    let mut batch: Vec<Machine> = Vec::with_capacity(cfg.batch);
+    let mut keep: Vec<Machine> = Vec::with_capacity(cfg.batch);
+    // Machines placed here that went cold; only this worker touches them.
+    let mut cold: VecDeque<Machine> = VecDeque::new();
 
     loop {
         if pool.stop.load(Ordering::Relaxed) {
             return;
         }
         if pool.live.load(Ordering::Acquire) == 0 {
-            pool.wake_all();
+            pool.wake(true);
             return;
         }
-        sweep += 1;
-        let epoch = pool.epoch.load(Ordering::Acquire);
 
-        // 1. Drain a batch from the local run queue.
-        {
-            let mut q = pool.queues[w].lock();
-            let n = q.len().min(pool.cfg.batch);
-            batch.extend(q.drain(..n));
-        }
+        // 1. Take a batch from the local run queue; while a sibling could
+        // steal, at most half, so a thief sees the rest meanwhile. A parking
+        // worker takes all it owns: the park timeout bounds any staleness.
+        let parking = idle_rounds >= PARK_AFTER_ROUNDS;
+        let limit = if parking { usize::MAX } else { cfg.batch };
+        let surplus = {
+            let mut q = me.queue.lock();
+            let visible = if thieves && !parking { q.len() / 2 } else { 0 };
+            let take = (q.len() - visible).min(limit);
+            batch.extend(q.drain(..take));
+            !q.is_empty()
+        };
 
-        // 2. Locally out of work: steal half a victim's queue. Victims are
-        // visited in rotation from a random start; `try_lock` skips anyone
-        // mid-drain rather than convoying behind them.
-        if batch.is_empty() && pool.cfg.steal && nw > 1 {
-            let start = rng.gen_range(0..nw);
-            for i in 0..nw {
-                let v = (start + i) % nw;
-                if v == w {
-                    continue;
+        // 2. Re-poll cold machines after the hot ones: a batch when there
+        // is no hot work or it has stopped progressing (it may be blocked
+        // on a cold peer), a trickle when busy.
+        let hot = batch.len();
+        let want = if hot == 0 || idle_rounds >= 2 {
+            limit
+        } else {
+            COLD_TRICKLE
+        };
+        batch.extend(cold.drain(..want.min(cold.len())));
+
+        // 3. Poll the batch and sort the survivors: warm machines back to
+        // the local queue, cold ones to their home worker. Once the stop
+        // flag (checked every `STOP_CHECK_POLLS` polls) is up, all go back.
+        let (mut polls, mut progress) = (0u64, 0u64);
+        let mut rewarmed = false;
+        let mut stopping = false;
+        for (i, mut m) in batch.drain(..).enumerate() {
+            if !stopping {
+                polls += 1;
+                match m.inner.poll() {
+                    Step::Progress => {
+                        m.idle_since = clock + polls;
+                        progress += 1;
+                        rewarmed |= i >= hot;
+                    }
+                    Step::Idle => {}
+                    Step::Done => {
+                        if pool.live.fetch_sub(1, Ordering::SeqCst) == 1 {
+                            pool.wake(true);
+                        }
+                        continue;
+                    }
                 }
-                let Some(mut q) = pool.queues[v].try_lock() else {
-                    continue;
-                };
-                let n = q.len().div_ceil(2).min(pool.cfg.batch);
-                if n == 0 {
-                    continue;
+                if polls.is_multiple_of(STOP_CHECK_POLLS) {
+                    stopping = pool.stop.load(Ordering::Relaxed);
                 }
-                let at = q.len() - n;
-                batch.extend(q.split_off(at));
-                me.steals.fetch_add(n as u64, Ordering::Relaxed);
-                break;
+            }
+            let idle_for = (clock + polls).wrapping_sub(m.idle_since);
+            if stopping || !cfg.steal || idle_for < cold_span {
+                keep.push(m);
+            } else if m.home == w {
+                cold.push_back(m);
+            } else {
+                // Same age on the home's clock: one more idle poll there
+                // files it in the home's cold list.
+                let home = &pool.shards[m.home];
+                m.idle_since = home.polls.load(Ordering::Relaxed).wrapping_sub(idle_for);
+                home.queue.lock().push_back(m);
             }
         }
-
-        // 3. Re-offer cold machines: a full batch when out of work or when
-        // the local queue has stopped progressing (its machines may be
-        // blocked on evicted peers), a trickle when busy (so waking
-        // machines are re-discovered even while every worker stays
-        // saturated with hot ones). Re-offered machines get a fresh idle
-        // budget — without the reset, one `Idle` poll would bounce them
-        // straight back to the cold set before their pipeline peers ever
-        // get warmed up alongside them.
-        if pool.cfg.steal {
-            let want = if batch.is_empty() || idle_rounds >= 2 {
-                pool.cfg.batch
-            } else if sweep.is_multiple_of(COLD_REFRESH_SWEEPS) {
-                2
-            } else {
-                0
-            };
-            if want > 0 {
-                let mut cold = pool.cold.lock();
-                let n = cold.len().min(want);
-                batch.extend(cold.drain(..n).map(|mut m| {
-                    m.idle_streak = 0;
-                    m
-                }));
-            }
+        clock += polls;
+        me.polls.fetch_add(polls, Ordering::Relaxed);
+        me.progress.fetch_add(progress, Ordering::Relaxed);
+        if !keep.is_empty() {
+            me.queue.lock().extend(keep.drain(..));
         }
 
-        if batch.is_empty() {
-            // Nothing anywhere: back off — spin briefly, then yield, then
-            // park on the condvar (timed: external producers like rank
-            // threads and socket peers generate no wake hints).
-            idle_rounds += 1;
-            if idle_rounds < 4 {
-                std::hint::spin_loop();
-            } else if idle_rounds < 64 {
-                std::thread::yield_now();
-            } else {
-                park(pool, w, epoch, &mut park_timeout);
+        if progress > 0 {
+            idle_rounds = 0;
+            park_timeout = cfg.park_min;
+            if thieves && (surplus || rewarmed) {
+                pool.wake(false);
             }
             continue;
         }
 
-        // 4. Poll the batch, checking the stop flag every
-        // `STOP_CHECK_POLLS` polls so teardown cannot wait for a full
-        // sweep over a long queue of slow machines.
-        let mut progressed = false;
-        let mut polls_since_check = 0u32;
-        let mut stopping = false;
-        for mut m in batch.drain(..) {
-            if stopping {
-                keep.push(m);
-                continue;
-            }
-            match m.inner.poll() {
-                Step::Progress => {
-                    m.idle_streak = 0;
-                    progressed = true;
-                    me.progress.fetch_add(1, Ordering::Relaxed);
-                    keep.push(m);
-                }
-                Step::Idle => {
-                    m.idle_streak = m.idle_streak.saturating_add(1);
-                    keep.push(m);
-                }
-                Step::Done => {
-                    if pool.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        pool.wake_all();
+        // 4. Nothing hot, and nothing cold woke up: steal half a victim's
+        // visible queue for the next sweep (victims in rotation from a
+        // random start, skipping anyone mid-drain). Own cold machines come
+        // first: a worker woken at a phase start, all its machines cold but
+        // about to be ready, would else take and keep its sibling's ranks.
+        if hot == 0 && thieves {
+            let start = rng.gen_range(0..nw);
+            for v in (0..nw).map(|i| (start + i) % nw).filter(|&v| v != w) {
+                let Some(mut q) = pool.shards[v].queue.try_lock() else {
+                    continue;
+                };
+                let n = q.len().div_ceil(2).min(cfg.batch);
+                if n > 0 {
+                    let at = q.len() - n;
+                    batch.extend(q.split_off(at));
+                    // Idle ages carry over onto this worker's poll clock.
+                    let skew = clock.wrapping_sub(pool.shards[v].polls.load(Ordering::Relaxed));
+                    for m in &mut batch {
+                        m.idle_since = m.idle_since.wrapping_add(skew);
                     }
-                }
-            }
-            me.polls.fetch_add(1, Ordering::Relaxed);
-            polls_since_check += 1;
-            if polls_since_check >= STOP_CHECK_POLLS {
-                polls_since_check = 0;
-                stopping = pool.stop.load(Ordering::Relaxed);
-            }
-        }
-
-        // 5. Return survivors: stale machines to the cold set, the rest to
-        // the back of the local queue (round-robin fairness). On stop,
-        // everything goes straight back — the loop head exits next.
-        let cold_cut = if pool.cfg.steal && !stopping {
-            pool.cfg.cold_after
-        } else {
-            u32::MAX
-        };
-        {
-            let mut q = pool.queues[w].lock();
-            for m in keep.drain(..) {
-                if m.idle_streak >= cold_cut {
-                    cold_out.push(m);
-                } else {
-                    q.push_back(m);
+                    me.steals.fetch_add(n as u64, Ordering::Relaxed);
+                    break;
                 }
             }
         }
-        if !cold_out.is_empty() {
-            pool.cold.lock().extend(cold_out.drain(..));
-        }
-
-        if progressed {
-            idle_rounds = 0;
-            park_timeout = pool.cfg.park_min;
-            pool.epoch.fetch_add(1, Ordering::Release);
-            // Hint one parked sibling: there may now be stealable work or
-            // downstream machines made ready by this sweep.
-            pool.wake_one();
-        } else {
+        if batch.is_empty() {
+            // Nothing moved: spin briefly, then yield, then park — with
+            // cold lists on, only once the run queue has emptied into them
+            // (a machine still in it may be mid-stream).
             idle_rounds += 1;
             if idle_rounds < 4 {
                 std::hint::spin_loop();
-            } else if idle_rounds < 64 {
+            } else if !parking || (cfg.steal && hot > 0) {
                 std::thread::yield_now();
             } else {
-                park(pool, w, epoch, &mut park_timeout);
+                park(pool, w, &mut park_timeout);
             }
         }
     }
 }
 
-/// Park on the pool condvar until a wake hint or the (progressively
-/// doubling) timeout. `epoch` is the generation observed at the start of
-/// the caller's fruitless sweep: any progress bumped since then aborts the
-/// park, and because wakers bump it before taking `park_lock`, the re-check
-/// under the lock closes the lost-wakeup window.
-fn park(pool: &Pool, w: usize, epoch: u64, timeout: &mut Duration) {
+/// Park until a wake hint or the doubling timeout — timed because boundary
+/// links, rank threads and sockets make machines ready without a hint.
+fn park(pool: &Pool, w: usize, timeout: &mut Duration) {
     let mut g = pool.park_lock.lock();
-    if pool.stop.load(Ordering::Relaxed)
-        || pool.live.load(Ordering::Acquire) == 0
-        || pool.epoch.load(Ordering::Acquire) != epoch
-    {
-        return;
-    }
     pool.parked.fetch_add(1, Ordering::SeqCst);
-    pool.counters[w].parks.fetch_add(1, Ordering::Relaxed);
-    let _ = pool.park_cv.wait_for(&mut g, *timeout);
+    if !pool.stop.load(Ordering::SeqCst) && pool.live.load(Ordering::SeqCst) > 0 {
+        pool.shards[w].parks.fetch_add(1, Ordering::Relaxed);
+        let _ = pool.park_cv.wait_for(&mut g, *timeout);
+        *timeout = (*timeout * 2).min(pool.cfg.park_max);
+    }
     pool.parked.fetch_sub(1, Ordering::SeqCst);
-    *timeout = (*timeout * 2).min(pool.cfg.park_max);
 }
 
 #[cfg(test)]
@@ -573,6 +563,18 @@ mod tests {
             self.left -= 1;
             self.hits.fetch_add(1, Ordering::Relaxed);
             Step::Progress
+        }
+    }
+
+    /// Gives any machine a home rank.
+    struct Homed<M>(usize, M);
+
+    impl<M: Pollable> Pollable for Homed<M> {
+        fn poll(&mut self) -> Step {
+            self.1.poll()
+        }
+        fn home_rank(&self) -> Option<usize> {
+            Some(self.0)
         }
     }
 
@@ -663,15 +665,12 @@ mod tests {
         ex.join();
     }
 
-    /// One machine with lots of work, seeded onto worker 0's queue next to
-    /// nothing else, while worker 1 starts empty: worker 1 must steal it (or
-    /// its queue-mates) rather than spin idle forever.
+    /// Homeless machines alternate over 2 workers; the odd ones finish at
+    /// once, so worker 1 runs dry and must steal some of the long-running
+    /// even ones rather than park beside a busy sibling.
     #[test]
     fn idle_worker_steals_from_busy_victim() {
         let hits = Arc::new(AtomicU64::new(0));
-        // 8 machines, all seeded round-robin over 2 workers; the odd-queue
-        // machines finish instantly, so worker 1 runs dry and must steal
-        // the long-running even-queue machines to share the load.
         let items: Vec<Box<dyn Pollable>> = (0..8)
             .map(|i| {
                 Box::new(Countdown {
@@ -681,17 +680,118 @@ mod tests {
             })
             .collect();
         let stop = Arc::new(AtomicBool::new(false));
-        let cfg = ExecutorConfig {
-            batch: 1,
-            ..ExecutorConfig::default()
-        };
-        let ex = ShardedExecutor::spawn_with(items, 2, stop, cfg);
+        let ex = ShardedExecutor::spawn(items, 2, stop);
         let stats = ex.join();
         assert_eq!(hits.load(Ordering::Relaxed), 4 * 200_000 + 4);
         let steals: u64 = stats.iter().map(|s| s.steals).sum();
         assert!(steals > 0, "no machine was ever stolen: {stats:?}");
         let progress: u64 = stats.iter().map(|s| s.progress).sum();
         assert_eq!(progress, 4 * 200_000 + 4);
+    }
+
+    /// The skewed cluster at default tuning (batch 16): six hot machines
+    /// share home rank 0, every machine of ranks 1..4 finishes at once. The
+    /// hot set is smaller than a batch, so worker 1 can only get at it if
+    /// worker 0 leaves part of its queue visible while it polls.
+    #[test]
+    fn hot_rank_is_shared_at_default_tuning() {
+        let hits = Arc::new(AtomicU64::new(0));
+        let machine = |rank: usize, left: u64| {
+            let hits = hits.clone();
+            Box::new(Homed(rank, Countdown { left, hits })) as Box<dyn Pollable>
+        };
+        let mut items: Vec<Box<dyn Pollable>> = (0..6).map(|_| machine(0, 300_000)).collect();
+        items.extend((1..4).flat_map(|r| [machine(r, 1), machine(r, 1)]));
+        let stop = Arc::new(AtomicBool::new(false));
+        let stats = ShardedExecutor::spawn(items, 2, stop).join();
+        assert_eq!(hits.load(Ordering::Relaxed), 6 * 300_000 + 6);
+        assert_eq!(
+            stats.iter().map(|s| s.progress).sum::<u64>(),
+            6 * 300_000 + 6
+        );
+        assert!(stats[1].steals > 0, "worker 1 never stole: {stats:?}");
+        assert!(
+            stats[1].progress > 4,
+            "worker 1 did none of the hot work: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn placement_is_rank_local_contiguous_and_balanced() {
+        // 10 ranks (world ranks 100, 110, .. — placement sees only their
+        // order) with 3 machines each, interleaved the way wiring emits
+        // them: all CK machines rank by rank, then pumps, then the tasks.
+        let ranks: Vec<usize> = (0..10).map(|i| 100 + 10 * i).collect();
+        let mut homes: Vec<Option<usize>> = ranks.iter().flat_map(|&r| [Some(r); 2]).collect();
+        homes.extend([None; 5]);
+        homes.extend(ranks.iter().map(|&r| Some(r)));
+        for workers in [1, 2, 3, 4, 7, 10, 16] {
+            let placed = place(&homes, workers);
+            assert_eq!(placed.len(), homes.len());
+            let worker_of = |r: usize| {
+                let mut on = homes
+                    .iter()
+                    .zip(&placed)
+                    .filter(|(h, _)| **h == Some(r))
+                    .map(|(_, &w)| w);
+                let first = on.next().expect("rank has machines");
+                assert!(
+                    on.all(|w| w == first),
+                    "rank {r} split at {workers} workers"
+                );
+                first
+            };
+            let owners: Vec<usize> = ranks.iter().map(|&r| worker_of(r)).collect();
+            assert!(
+                owners.windows(2).all(|p| p[0] <= p[1]),
+                "blocks not contiguous at {workers} workers: {owners:?}"
+            );
+            let per_worker: Vec<usize> = (0..workers)
+                .map(|w| owners.iter().filter(|&&o| o == w).count())
+                .collect();
+            let (min, max) = (
+                per_worker.iter().min().unwrap(),
+                per_worker.iter().max().unwrap(),
+            );
+            assert!(max - min <= 1, "unbalanced blocks: {per_worker:?}");
+            // Homeless machines are dealt round-robin.
+            let dealt = homes.iter().zip(&placed).filter(|(h, _)| h.is_none());
+            assert!(dealt.enumerate().all(|(k, (_, &w))| w == k % workers));
+        }
+        // All homeless: plain round-robin.
+        assert_eq!(place(&[None; 5], 2), [0, 1, 0, 1, 0]);
+    }
+
+    /// With one worker the queue order is the input order, whatever the
+    /// homes — the one-worker schedule does not depend on placement.
+    #[test]
+    fn one_worker_polls_in_input_order() {
+        struct Recorder {
+            id: usize,
+            log: Arc<Mutex<Vec<usize>>>,
+        }
+        impl Pollable for Recorder {
+            fn poll(&mut self) -> Step {
+                self.log.lock().push(self.id);
+                Step::Done
+            }
+        }
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let items: Vec<Box<dyn Pollable>> = (0..40)
+            .map(|id| {
+                let m = Recorder {
+                    id,
+                    log: log.clone(),
+                };
+                match id % 3 {
+                    0 => Box::new(m) as Box<dyn Pollable>,
+                    _ => Box::new(Homed(7 - id % 5, m)),
+                }
+            })
+            .collect();
+        let stop = Arc::new(AtomicBool::new(false));
+        ShardedExecutor::spawn(items, 1, stop).join();
+        assert_eq!(*log.lock(), (0..40).collect::<Vec<_>>());
     }
 
     /// Teardown latency regression (ISSUE 8 satellite): a large queue of
@@ -800,7 +900,7 @@ mod tests {
         );
     }
 
-    /// Machines that go idle long enough are evicted to the cold set and
+    /// Machines that go idle long enough are evicted to the cold list and
     /// re-offered once they would be ready again — the hot machine is never
     /// starved by them, and cold machines still finish.
     #[test]
@@ -841,7 +941,7 @@ mod tests {
         };
         let ex = ShardedExecutor::spawn_with(items, 1, stop, cfg);
         // Let the hot machine run while the 32 idle ones go cold; then open
-        // the gate — the cold set must be re-offered so they all finish.
+        // the gate — the cold list must be re-polled so they all finish.
         std::thread::sleep(Duration::from_millis(50));
         gate.store(true, Ordering::SeqCst);
         ex.join();
@@ -849,17 +949,17 @@ mod tests {
         assert_eq!(hits.load(Ordering::Relaxed), 3_000_000);
     }
 
-    /// Disabling `work_stealing` reproduces the static placement: no
-    /// steals, no cold evictions, results identical.
+    /// `steal: false` is block placement without migration: a worker whose
+    /// own ranks finished never takes a sibling's machines, and nothing
+    /// goes cold.
     #[test]
     fn static_mode_never_steals() {
         let hits = Arc::new(AtomicU64::new(0));
         let items: Vec<Box<dyn Pollable>> = (0..16)
             .map(|i| {
-                Box::new(Countdown {
-                    left: (i as u64 + 1) * 1000,
-                    hits: hits.clone(),
-                }) as Box<dyn Pollable>
+                let left = (i as u64 + 1) * 1000;
+                let hits = hits.clone();
+                Box::new(Homed(i / 2, Countdown { left, hits })) as Box<dyn Pollable>
             })
             .collect();
         let stop = Arc::new(AtomicBool::new(false));
@@ -874,5 +974,13 @@ mod tests {
             (1..=16u64).map(|i| i * 1000).sum::<u64>()
         );
         assert!(stats.iter().all(|s| s.steals == 0), "{stats:?}");
+        // Ranks {2w, 2w+1} = machines 4w..4w+4 stay on worker w: each poll
+        // but the four `Done` ones progresses.
+        for (w, s) in stats.iter().enumerate() {
+            let want: u64 = (4 * w as u64 + 1..=4 * w as u64 + 4)
+                .map(|i| i * 1000)
+                .sum();
+            assert_eq!(s.progress, want, "worker {w}: {stats:?}");
+        }
     }
 }

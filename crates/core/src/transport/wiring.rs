@@ -288,7 +288,7 @@ pub(crate) fn build_transport(
                 })
                 .collect();
             machines.push(Box::new(CkMachine::new(
-                format!("r{r}.cks{p}"),
+                r,
                 inputs,
                 outputs,
                 Box::new(move |h: &Header| match route_table.get(h.dst as usize) {
@@ -343,7 +343,7 @@ pub(crate) fn build_transport(
             }
             let my_rank = r;
             machines.push(Box::new(CkMachine::new(
-                format!("r{r}.ckr{p}"),
+                r,
                 inputs,
                 outputs,
                 Box::new(move |h: &Header| {

@@ -150,8 +150,8 @@ fn collectives_identical_across_worker_counts() {
 
 #[test]
 fn static_sharding_matches_stealing() {
-    // `work_stealing: false` pins machines to their seeded queues (the old
-    // static placement). Scheduling policy must be invisible in the data.
+    // `work_stealing: false` keeps every machine on the worker its rank's
+    // block was placed on. Scheduling policy must be invisible in the data.
     let (stealing, _) = all_collectives(6, 0, 23, CollectiveScheme::Tree, 4, true);
     for workers in [1, 4] {
         let (pinned, stats) = all_collectives(6, 0, 23, CollectiveScheme::Tree, workers, false);
@@ -165,7 +165,7 @@ fn static_sharding_matches_stealing() {
 #[test]
 fn tight_buffers_survive_multi_worker_stealing() {
     // Tiny FIFOs maximise backpressure and idle polls, so machines bounce
-    // between hot queues and the cold set while work migrates between
+    // between run queues and cold lists while work migrates between
     // workers. Results must still be exact.
     let params_probe = RuntimeParams::tight();
     assert!(
@@ -209,7 +209,7 @@ fn tight_buffers_survive_multi_worker_stealing() {
 
 /// A bcast-then-gather rank task driven entirely by `try_*` polling, so the
 /// rank machines (not just the transport machines) live on the executor
-/// and are subject to stealing and cold-set parking.
+/// and are subject to stealing and cold-list eviction.
 type SweepOut = std::sync::Arc<parking_lot::Mutex<Vec<(Vec<i32>, Vec<i32>)>>>;
 
 struct SweepTask {
@@ -390,6 +390,141 @@ fn task_plane_identical_across_worker_counts() {
     for workers in [2, 4, 8] {
         let got = task_plane_run(ranks, n, workers);
         assert_eq!(got, baseline, "task plane diverged at {workers} workers");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Rank-local placement: balanced pairs keep both workers busy
+// ---------------------------------------------------------------------------
+
+/// Streams `data` to the next rank with the bulk `try_*` calls.
+struct PairSend {
+    ch: Option<SendChannel<i32>>,
+    data: Vec<i32>,
+    off: usize,
+}
+
+impl RankTask for PairSend {
+    fn poll(&mut self) -> Result<TaskStatus, SmiError> {
+        let ch = self.ch.as_mut().expect("open until done");
+        let before = self.off;
+        self.off += ch.try_push_slice(&self.data[self.off..])?;
+        if self.off == self.data.len() && ch.try_flush()? && ch.fully_sent() {
+            self.ch = None;
+            return Ok(TaskStatus::Done);
+        }
+        Ok(if self.off > before {
+            TaskStatus::Progress
+        } else {
+            TaskStatus::Pending
+        })
+    }
+}
+
+/// Receives a stream from the previous rank and publishes it in `out`.
+struct PairRecv {
+    ch: Option<RecvChannel<i32>>,
+    buf: Vec<i32>,
+    filled: usize,
+    out: std::sync::Arc<parking_lot::Mutex<Vec<Vec<i32>>>>,
+    rank: usize,
+}
+
+impl RankTask for PairRecv {
+    fn poll(&mut self) -> Result<TaskStatus, SmiError> {
+        let ch = self.ch.as_mut().expect("open until done");
+        let moved = ch.try_pop_slice(&mut self.buf[self.filled..])?;
+        self.filled += moved;
+        if self.filled == self.buf.len() {
+            self.ch = None;
+            self.out.lock()[self.rank] = std::mem::take(&mut self.buf);
+            return Ok(TaskStatus::Done);
+        }
+        Ok(if moved > 0 {
+            TaskStatus::Progress
+        } else {
+            TaskStatus::Pending
+        })
+    }
+}
+
+/// 64 ranks on a bus, every pair `2i → 2i+1` streaming `n` elements on the
+/// task plane: what each odd rank received, plus the per-worker counters.
+fn neighbour_pairs(n: usize, workers: usize) -> (Vec<Vec<i32>>, Vec<WorkerStats>) {
+    let ranks = 64usize;
+    let payload =
+        move |r: usize| -> Vec<i32> { (0..n as i32).map(|i| i * 31 + r as i32).collect() };
+    let out = std::sync::Arc::new(parking_lot::Mutex::new(vec![Vec::new(); ranks]));
+    let metas: Vec<ProgramMeta> = (0..ranks)
+        .map(|r| {
+            ProgramMeta::new().with(if r % 2 == 0 {
+                OpSpec::send(0, Datatype::Int)
+            } else {
+                OpSpec::recv(0, Datatype::Int)
+            })
+        })
+        .collect();
+    let factories: Vec<TaskFactory> = (0..ranks)
+        .map(|r| {
+            let out = out.clone();
+            let f: TaskFactory = Box::new(move |ctx: SmiCtx| {
+                Ok(if r % 2 == 0 {
+                    Box::new(PairSend {
+                        ch: Some(ctx.open_send_channel::<i32>(n as u64, r + 1, 0)?),
+                        data: payload(r),
+                        off: 0,
+                    }) as Box<dyn RankTask>
+                } else {
+                    Box::new(PairRecv {
+                        ch: Some(ctx.open_recv_channel::<i32>(n as u64, r - 1, 0)?),
+                        buf: vec![0; n],
+                        filled: 0,
+                        out,
+                        rank: r,
+                    })
+                })
+            });
+            f
+        })
+        .collect();
+    let params = RuntimeParams {
+        transport_workers: workers,
+        ..Default::default()
+    };
+    let report = run_mpmd_tasks(&Topology::bus(ranks), metas, factories, params).unwrap();
+    for (r, res) in report.results.iter().enumerate() {
+        assert!(res.is_ok(), "rank {r} at {workers} workers: {res:?}");
+    }
+    assert_eq!(report.transport.2, 0, "unroutable packets");
+    let got = out.lock().clone();
+    for r in (1..ranks).step_by(2) {
+        assert_eq!(got[r], payload(r - 1), "rank {r} at {workers} workers");
+    }
+    (got, report.worker_stats)
+}
+
+#[test]
+fn neighbour_pairs_keep_every_worker_busy() {
+    // Block placement puts sender `2i`, receiver `2i+1` and their CK
+    // machines on one worker, 16 pairs per worker at 2 workers: both must
+    // carry about half of the progress, where alternating placement left
+    // the split to chance and every burst crossing threads.
+    let n = 64 << 10;
+    let (baseline, _) = neighbour_pairs(n, 1);
+    for workers in [2, 4] {
+        let (got, stats) = neighbour_pairs(n, workers);
+        assert_eq!(got, baseline, "payloads diverged at {workers} workers");
+        if workers == 2 {
+            let progress: Vec<u64> = stats.iter().map(|s| s.progress).collect();
+            let (min, max) = (
+                *progress.iter().min().unwrap(),
+                *progress.iter().max().unwrap(),
+            );
+            assert!(
+                stats.len() == 2 && min > 0 && max as f64 / min as f64 <= 1.5,
+                "unbalanced progress at 2 workers: {stats:?}"
+            );
+        }
     }
 }
 

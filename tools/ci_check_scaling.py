@@ -7,16 +7,19 @@ Hard checks (fail the build):
     bench must always produce the no-regression pair.
   * The skewed-cluster series (`skewed_steal` / `skewed_static`) must be
     present at 1 worker.
-  * At 1 worker, stealing must not collapse against static sharding:
+  * At 1 worker, stealing must not collapse against static placement:
     steal >= HARD_FLOOR x static for every rank count. This is the
     "stealing bookkeeping is free when uncontended" bar.
+  * The 2-worker `skewed_steal` point (present when the runner has >1
+    cores) must carry its `steals` counter; the value is printed.
 
 Soft checks (warn only — shared CI runners may expose a single core, so
 multi-worker speedups are not reliably measurable there):
   * steal >= SOFT_FLOOR x static at 1 worker.
   * With >1 available cores: multi-worker throughput should not fall
-    below the 1-worker run, and skewed stealing should beat skewed
-    static.
+    below the 1-worker run; on the skewed workload the idle worker should
+    steal (`steals` > 0), two workers should not lose to one, and stealing
+    should beat static (block placement, no migration).
 """
 
 import json
@@ -41,11 +44,16 @@ if missing:
 print(f"ok: all executor series present in {PATH} (available_parallelism={ap})")
 
 
-def rate(name, ranks, workers):
+def point(name, ranks, workers):
     for p in points:
         if p["series"] == name and p["ranks"] == ranks and p["workers"] == workers:
-            return p["melem_per_s"]
+            return p
     return None
+
+
+def rate(name, ranks, workers):
+    p = point(name, ranks, workers)
+    return p["melem_per_s"] if p else None
 
 
 status = 0
@@ -87,6 +95,18 @@ else:
         print(f"ok: skewed 1-worker pair ({sk_steal:.2f} vs {sk_static:.2f} "
               f"Melem/s, {ratio:.2f}x)")
 
+# --- hard: the skewed 2-worker point reports its steals ---
+mw_point = point("skewed_steal", 64, 2)
+if mw_point is None and ap > 1:
+    print("ERROR: missing 2-worker skewed_steal point on a multi-core runner")
+    status = 1
+elif mw_point is not None and "steals" not in mw_point:
+    print("ERROR: 2-worker skewed_steal point has no 'steals' field")
+    status = 1
+elif mw_point is not None:
+    print(f"skewed_steal at 2 workers: steals={mw_point['steals']} "
+          f"parks={mw_point.get('parks')} ({mw_point['melem_per_s']:.2f} Melem/s)")
+
 # --- soft: multi-worker behaviour (only measurable with >1 cores) ---
 if ap > 1:
     for ranks in SWEEP_RANKS:
@@ -104,6 +124,14 @@ if ap > 1:
                   f"({best / base:.2f}x over 1 worker)")
     mw_steal = rate("skewed_steal", 64, 2)
     mw_static = rate("skewed_static", 64, 2)
+    if mw_point is not None and mw_point.get("steals") == 0:
+        print("WARNING: the idle worker never stole on the skewed workload (steals=0)")
+    if mw_steal is not None and sk_steal is not None and mw_steal < sk_steal:
+        print(f"WARNING: skewed stealing loses to one worker at 2 workers "
+              f"({mw_steal:.2f} vs {sk_steal:.2f} Melem/s)")
+    elif mw_steal is not None and sk_steal is not None:
+        print(f"ok: skewed stealing at 2 workers holds against 1 worker "
+              f"({mw_steal:.2f} vs {sk_steal:.2f} Melem/s)")
     if mw_steal is not None and mw_static is not None and mw_steal < mw_static:
         print(f"WARNING: skewed stealing did not beat static at 2 workers "
               f"({mw_steal:.2f} vs {mw_static:.2f} Melem/s)")
