@@ -7,19 +7,13 @@
 //! * `task_bulk` — disjoint neighbour pairs (`2i → 2i+1`) on a bus, rank
 //!   programs as cooperative tasks (`run_mpmd_tasks`) using the bulk
 //!   `try_push_slice`/`try_pop_slice` APIs, default executor settings.
-//! * `task_bulk_sweep` / `task_bulk_static` — the same workload swept over
-//!   executor worker counts (1 → available_parallelism, powers of two) at
-//!   8/64/256 ranks, with work stealing on (`sweep`) and off (`static`:
-//!   the same block placement of ranks on workers, but no migration and no
-//!   cold lists). The 1-worker pair is the no-regression bar: stealing
-//!   bookkeeping must not tax the uncontended case.
-//! * `skewed_steal` / `skewed_static` — a deliberately skewed cluster: one
-//!   hot pair streams a large payload while every other pair sits gated
-//!   (Pending) until the hot transfer completes, then moves a token
-//!   payload. Static placement polls the cold machines every sweep and
-//!   leaves the worker that owns no hot rank idle; the stealing executor
-//!   moves cold machines to per-worker cold lists and lets the idle worker
-//!   take part of the hot pipeline, so it must win here.
+//! * `task_bulk_sweep` — the same workload swept over executor worker
+//!   counts (1 → available_parallelism, powers of two) at 8/64/256 ranks.
+//! * `skewed_steal` — a deliberately skewed cluster: one hot pair streams a
+//!   large payload while every other pair sits gated (Pending) until the
+//!   hot transfer completes, then moves a token payload. The executor
+//!   moves the gated machines to per-worker cold lists and lets the worker
+//!   that owns no hot rank steal part of the hot pipeline.
 //! * `threads_per_element` / `threads_bulk` — the paper-style blocking API
 //!   on thread-per-rank execution at 8 ranks, isolating the batching win
 //!   from the executor win.
@@ -298,10 +292,9 @@ fn run_threads(ranks: usize, n: u64, bulk: bool) -> (f64, usize) {
 }
 
 /// Executor params for a sweep point.
-fn sweep_params(workers: usize, stealing: bool) -> RuntimeParams {
+fn sweep_params(workers: usize) -> RuntimeParams {
     RuntimeParams {
         transport_workers: workers,
-        work_stealing: stealing,
         ..Default::default()
     }
 }
@@ -396,7 +389,7 @@ fn main() {
         points.push(p);
     }
 
-    // --- worker-count sweep at fixed rank counts, stealing on vs off ---
+    // --- worker-count sweep at fixed rank counts ---
     // Worker counts: 1, powers of two up to available_parallelism, and
     // available_parallelism itself.
     let mut worker_sweep: Vec<usize> = vec![1];
@@ -417,31 +410,27 @@ fn main() {
         let pairs = (ranks / 2) as u64;
         let n = (sweep_elems / pairs).max(1024);
         for &workers in &worker_sweep {
-            for (series, stealing) in [("task_bulk_sweep", true), ("task_bulk_static", false)] {
-                let (dt, threads, steals, parks) = best_of(2, || {
-                    run_task_bulk(ranks, n, sweep_params(workers, stealing))
-                });
-                let p = Point {
-                    series,
-                    ranks,
-                    workers,
-                    elems_per_pair: n,
-                    seconds: dt,
-                    melem_per_s: (n * pairs) as f64 / dt / 1e6,
-                    threads_spawned: threads,
-                    steals,
-                    parks,
-                };
-                print_point(&p);
-                points.push(p);
-            }
+            let (dt, threads, steals, parks) =
+                best_of(2, || run_task_bulk(ranks, n, sweep_params(workers)));
+            let p = Point {
+                series: "task_bulk_sweep",
+                ranks,
+                workers,
+                elems_per_pair: n,
+                seconds: dt,
+                melem_per_s: (n * pairs) as f64 / dt / 1e6,
+                threads_spawned: threads,
+                steals,
+                parks,
+            };
+            print_point(&p);
+            points.push(p);
         }
     }
 
     // --- skewed cluster: one hot pair among many gated cold pairs ---
-    // Static placement keeps polling every gated machine in the hot
-    // worker's block; the stealing executor moves them to cold lists (and
-    // with >1 worker the idle worker steals part of the hot pipeline).
+    // The executor moves the gated machines to cold lists, and with >1
+    // worker the idle worker steals part of the hot pipeline.
     let skew_ranks = 64usize;
     let (hot_n, cold_n) = match effort {
         smi_bench::Effort::Quick => (256u64 << 10, 1024u64),
@@ -454,24 +443,22 @@ fn main() {
         skew_workers.push(2.min(ap));
     }
     for &workers in &skew_workers {
-        for (series, stealing) in [("skewed_steal", true), ("skewed_static", false)] {
-            let (dt, threads, steals, parks) = best_of(2, || {
-                run_skewed(skew_ranks, hot_n, cold_n, sweep_params(workers, stealing))
-            });
-            let p = Point {
-                series,
-                ranks: skew_ranks,
-                workers,
-                elems_per_pair: hot_n,
-                seconds: dt,
-                melem_per_s: total as f64 / dt / 1e6,
-                threads_spawned: threads,
-                steals,
-                parks,
-            };
-            print_point(&p);
-            points.push(p);
-        }
+        let (dt, threads, steals, parks) = best_of(2, || {
+            run_skewed(skew_ranks, hot_n, cold_n, sweep_params(workers))
+        });
+        let p = Point {
+            series: "skewed_steal",
+            ranks: skew_ranks,
+            workers,
+            elems_per_pair: hot_n,
+            seconds: dt,
+            melem_per_s: total as f64 / dt / 1e6,
+            threads_spawned: threads,
+            steals,
+            parks,
+        };
+        print_point(&p);
+        points.push(p);
     }
 
     // --- blocking-plane reference at 8 ranks ---

@@ -65,10 +65,6 @@ pub struct SendChannel<T: SmiType> {
     staged: Burst,
     /// Burst size cap ([`crate::RuntimeParams::burst_packets`]).
     max_burst: usize,
-    /// Whether bulk pushes wrap whole-packet spans into refcounted
-    /// [`Frame::Run`]s ([`crate::RuntimeParams::zero_copy`]) instead of
-    /// framing packet-by-packet.
-    zero_copy: bool,
     copies: CopyMeter,
     health: FabricHealth,
     _elem: PhantomData<T>,
@@ -85,7 +81,6 @@ impl<T: SmiType> SendChannel<T> {
         protocol: Protocol,
         timeout: Duration,
         max_burst: usize,
-        zero_copy: bool,
     ) -> Result<Self, SmiError> {
         let res = table.lock().take_send(port)?;
         if res.dtype != T::DATATYPE {
@@ -123,7 +118,6 @@ impl<T: SmiType> SendChannel<T> {
             timeout,
             staged: Vec::new(),
             max_burst: max_burst.max(1),
-            zero_copy,
             copies,
             health,
             _elem: PhantomData,
@@ -301,11 +295,11 @@ impl<T: SmiType> SendChannel<T> {
     /// Frame a chunk of `values` (bounded by the credit window), staging
     /// completed frames. Returns elements consumed.
     ///
-    /// With `zero_copy` on and no partial packet pending, a whole span of
-    /// elements (up to `max_burst` packets' worth) is wrapped into one
-    /// refcounted [`Frame::Run`] — the single copy the in-memory plane pays
-    /// for this data. Otherwise elements go through the packet framer, one
-    /// packet per call.
+    /// With no partial packet pending, a whole span of elements (up to
+    /// `max_burst` packets' worth) is wrapped into one refcounted
+    /// [`Frame::Run`] — the single copy the in-memory plane pays for this
+    /// data. Otherwise elements go through the packet framer, one packet
+    /// per call.
     fn frame_chunk(&mut self, values: &[T]) -> usize {
         let mut avail = values.len();
         if self.credits != u64::MAX {
@@ -313,7 +307,7 @@ impl<T: SmiType> SendChannel<T> {
         }
         avail = avail.min((self.count - self.sent) as usize);
         let epp = T::DATATYPE.elems_per_packet();
-        let taken = if self.zero_copy && self.framer.pending() == 0 && avail >= epp {
+        let taken = if self.framer.pending() == 0 && avail >= epp {
             let mut take = avail.min(self.max_burst.max(1) * epp);
             // Keep runs whole-packet aligned except at the message end, so
             // the materialized packet stream never carries a partial packet

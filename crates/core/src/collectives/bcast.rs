@@ -59,9 +59,6 @@ pub struct BcastChannel<T: SmiType> {
     /// Interior: received frames pending local deframing (the forwarding
     /// duty must not wait for the local application to pop).
     inbox: VecDeque<Frame>,
-    /// Whether the root wraps whole-packet spans into refcounted runs
-    /// ([`crate::RuntimeParams::zero_copy`]).
-    zero_copy: bool,
     state: CollectiveState,
     framer: Framer,
     deframer: Deframer,
@@ -99,7 +96,6 @@ impl<T: SmiType> BcastChannel<T> {
             window: Vec::new(),
             fwd_elems: 0,
             inbox: VecDeque::new(),
-            zero_copy: params.zero_copy,
             state: CollectiveState::Opening,
             framer: Framer::new(T::DATATYPE, my_wire, 0, port_wire, PacketOp::Bcast),
             deframer: Deframer::new(T::DATATYPE),
@@ -264,7 +260,7 @@ impl<T: SmiType> BcastChannel<T> {
             let sz = T::DATATYPE.size_bytes();
             while consumed < data.len() {
                 let remaining = &data[consumed..];
-                if self.zero_copy && self.framer.pending() == 0 && remaining.len() >= epp {
+                if self.framer.pending() == 0 && remaining.len() >= epp {
                     // Wrap a whole-packet span into one refcounted run: the
                     // single copy the in-memory fan-out pays.
                     let mut take = remaining.len().min(self.io.max_burst().max(1) * epp);

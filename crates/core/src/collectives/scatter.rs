@@ -16,11 +16,10 @@
 //! subtree owns it — frames never straddle block boundaries (the root
 //! flushes its framer at every block), so forwarding is plain counting.
 //!
-//! With [`crate::RuntimeParams::zero_copy`] on, the root wraps whole-packet
-//! spans of each child's blocks into refcounted [`PacketRun`]s the way
-//! bcast's fan-out does: one copy into the run buffer, then `Arc` handles
-//! all the way down the tree (interior nodes re-stamp the route on a
-//! cloned header, never the payload).
+//! The root wraps whole-packet spans of each child's blocks into refcounted
+//! [`PacketRun`]s the way bcast's fan-out does: one copy into the run
+//! buffer, then `Arc` handles all the way down the tree (interior nodes
+//! re-stamp the route on a cloned header, never the payload).
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -71,9 +70,6 @@ pub struct ScatterChannel<T: SmiType> {
     local: VecDeque<T>,
     /// Interior: own-block frames pending local deframing.
     inbox: VecDeque<Frame>,
-    /// Wrap whole-packet spans into refcounted runs at the root
-    /// ([`crate::RuntimeParams::zero_copy`]).
-    zero_copy: bool,
     state: CollectiveState,
     framer: Framer,
     deframer: Deframer,
@@ -127,7 +123,6 @@ impl<T: SmiType> ScatterChannel<T> {
             popped: 0,
             local: VecDeque::new(),
             inbox: VecDeque::new(),
-            zero_copy: params.zero_copy,
             state: CollectiveState::Opening,
             framer: Framer::new(T::DATATYPE, my_wire, 0, port_wire, PacketOp::Scatter),
             deframer: Deframer::new(T::DATATYPE),
@@ -339,7 +334,7 @@ impl<T: SmiType> ScatterChannel<T> {
                         .min(block_left)
                         .min((run.elems(self.count) - self.run_off) as usize);
                     let epp = T::DATATYPE.elems_per_packet();
-                    if self.zero_copy && self.framer.pending() == 0 && avail >= epp {
+                    if self.framer.pending() == 0 && avail >= epp {
                         // Whole-packet span (or a block-completing tail) as
                         // one refcounted run addressed to this child: the
                         // single copy the zero-copy fan-out pays.

@@ -41,7 +41,7 @@ use crate::comm::{Communicator, SplitBoard};
 use crate::endpoint::{new_table, EndpointTable, EndpointTableHandle};
 use crate::params::RuntimeParams;
 pub use crate::transport::executor::WorkerStats;
-use crate::transport::executor::{ExecutorConfig, Pollable, ShardedExecutor, Step};
+use crate::transport::executor::{Pollable, ShardedExecutor, Step};
 use crate::transport::socket::FabricHealth;
 use crate::transport::wiring::{build_transport, FabricLinks, TransportHandle};
 use crate::transport::{TransportStats, WireSnapshot};
@@ -115,7 +115,6 @@ impl SmiCtx {
             protocol,
             self.params.blocking_timeout,
             self.params.burst_packets,
-            self.params.zero_copy,
         )
     }
 
@@ -398,16 +397,14 @@ pub struct RunReport<T> {
     /// Payload bytes copied end to end — framing, refill, fan-out
     /// duplication, socket serialization and consumer drain all count;
     /// `Arc` handovers do not (see [`crate::transport::CopyMeter`]).
-    /// Dividing by the elements moved gives copies-per-element; comparing
-    /// a `zero_copy: true` run against the `false` baseline quantifies
-    /// what the run-buffer plane saved.
+    /// Dividing by the payload bytes moved gives copies per element byte.
     pub payload_copies: u64,
     /// Socket-plane wire counters: syscalls and bytes in both directions,
     /// buffer-pool hits/misses and cork merges (see
     /// [`crate::transport::WireSnapshot`]). All zeros for the in-memory
     /// fabric; for split runs the counters aggregate every socket
     /// connection of the run. `send_bytes_per_syscall()` is the headline
-    /// number the pooled fast path optimizes.
+    /// number the vectored, corked flush optimizes.
     pub wire_stats: WireSnapshot,
     /// OS threads the runtime spawned for this run (rank threads, if any,
     /// plus executor workers).
@@ -594,12 +591,7 @@ pub(crate) fn run_group_threaded<T: Send + 'static>(
 ) -> GroupOutcome<T> {
     assert_eq!(tables.len(), programs.len(), "one program per local rank");
     let stop = Arc::new(AtomicBool::new(false));
-    let executor = ShardedExecutor::spawn_with(
-        machines,
-        params.resolved_workers(),
-        stop.clone(),
-        ExecutorConfig::from_params(params),
-    );
+    let executor = ShardedExecutor::spawn(machines, params.resolved_workers(), stop.clone());
     let board = Arc::new(SplitBoard::default());
 
     let world: Vec<usize> = tables.iter().map(|(r, _)| *r).collect();
@@ -888,12 +880,7 @@ pub(crate) fn run_group_tasks(
         }));
     }
     drop(done_tx);
-    let executor = ShardedExecutor::spawn_with(
-        items,
-        params.resolved_workers(),
-        stop.clone(),
-        ExecutorConfig::from_params(params),
-    );
+    let executor = ShardedExecutor::spawn(items, params.resolved_workers(), stop.clone());
     let threads_spawned = executor.num_workers();
 
     let mut results: Vec<Result<(), SmiError>> = (0..locals)

@@ -134,33 +134,6 @@ pub struct RuntimeParams {
     /// `std::thread::available_parallelism()`. Each worker is seeded with a
     /// contiguous block of ranks, so only block-boundary links cross threads.
     pub transport_workers: usize,
-    /// Work stealing on the executor: when `true` (default) a worker with
-    /// nothing hot or waking up steals half of what a sibling left visible,
-    /// and machines idle past [`RuntimeParams::cold_idle_threshold`] move
-    /// to their home worker's cold list so sweeps over quiescent machines
-    /// do not dilute hot ones. `false` is block placement without migration
-    /// or cold lists, the baseline `bench_scaling` measures both against.
-    pub work_stealing: bool,
-    /// Maximum machines a worker takes from a run queue (its own or a
-    /// victim's) per lock acquisition; of its own never more than half
-    /// while a sibling could steal. Larger batches amortize queue locks;
-    /// smaller ones migrate load at a finer grain.
-    pub steal_batch: usize,
-    /// Passes over a worker's share of the machines, counted in polls the
-    /// worker issued, that a machine may go without progress before it
-    /// leaves the run queue for its home worker's cold list, where it is
-    /// polled at a trickle until it progresses again. Ignored when
-    /// `work_stealing` is off.
-    pub cold_idle_threshold: u32,
-    /// Initial (and minimum) condvar park timeout of an executor worker
-    /// with nothing hot, waking up or stealable. A sibling wakes it early
-    /// only for stealable work or re-warmed machines; boundary links, rank
-    /// threads and socket peers are found by this timeout.
-    pub park_timeout_min: Duration,
-    /// Cap of the park timeout, which doubles per consecutive fruitless
-    /// park. Bounds the poll cadence — and thus the added wake latency —
-    /// of a long-quiescent worker.
-    pub park_timeout_max: Duration,
     /// Connect-time behavior of socket transport backends
     /// ([`ReconnectPolicy`]): retry-with-backoff or fail on the first
     /// refused connection. Ignored by the in-memory backend.
@@ -180,24 +153,6 @@ pub struct RuntimeParams {
     /// than the whole budget is a configuration error surfaced as
     /// [`crate::SmiError::ReplayOverflow`].
     pub stream_replay_budget: usize,
-    /// Zero-copy payload plane: when `true` (default), bulk senders wrap
-    /// whole-packet element spans into refcounted run frames that in-memory
-    /// hops forward as `Arc` handles (the socket backend still serializes
-    /// at the process boundary). `false` restores the packet-by-packet
-    /// copying path — wire-identical to the historical baseline and the
-    /// reference point for [`crate::env::RunReport::payload_copies`].
-    pub zero_copy: bool,
-    /// Socket-plane fast path: when `true` (default), socket connections
-    /// encode frames into pooled buffers recycled on ack, drain the replay
-    /// ring with one `write_vectored` syscall spanning many frames (acks
-    /// piggybacked), cork small same-pair bursts under one frame header,
-    /// and decode data frames as zero-copy run views into pooled receive
-    /// blocks. `false` restores the per-frame allocate/stage/copy path —
-    /// observationally identical results, kept as the A/B baseline for
-    /// [`crate::env::RunReport::wire_stats`]. Both ends of a connection
-    /// must agree (the knob rides the shared `RuntimeParams`). Ignored by
-    /// the in-memory backend.
-    pub socket_pooling: bool,
     /// How many child-runs ahead of the in-order gather schedule the
     /// tree-gather combiner grants credits (pipelined multi-window grants).
     /// `1` degenerates to strictly serial per-child windows; the default
@@ -219,11 +174,6 @@ impl Default for RuntimeParams {
             collective_scheme: CollectiveScheme::Linear,
             burst_packets: 16,
             transport_workers: 0,
-            work_stealing: true,
-            steal_batch: 16,
-            cold_idle_threshold: 64,
-            park_timeout_min: Duration::from_micros(100),
-            park_timeout_max: Duration::from_millis(2),
             socket_reconnect: ReconnectPolicy::retry_fixed(100, Duration::from_millis(20)),
             stream_reconnect: ReconnectPolicy::Retry {
                 attempts: 10,
@@ -232,8 +182,6 @@ impl Default for RuntimeParams {
                 multiplier: 2.0,
             },
             stream_replay_budget: 4 << 20,
-            zero_copy: true,
-            socket_pooling: true,
             gather_grant_ahead: 2,
         }
     }
@@ -253,11 +201,6 @@ impl RuntimeParams {
             collective_scheme: CollectiveScheme::Linear,
             burst_packets: 1,
             transport_workers: 0,
-            work_stealing: true,
-            steal_batch: 1,
-            cold_idle_threshold: 64,
-            park_timeout_min: Duration::from_micros(100),
-            park_timeout_max: Duration::from_millis(2),
             socket_reconnect: ReconnectPolicy::retry_fixed(100, Duration::from_millis(20)),
             stream_reconnect: ReconnectPolicy::Retry {
                 attempts: 10,
@@ -266,8 +209,6 @@ impl RuntimeParams {
                 multiplier: 2.0,
             },
             stream_replay_budget: 4 << 20,
-            zero_copy: true,
-            socket_pooling: true,
             gather_grant_ahead: 2,
         }
     }

@@ -357,7 +357,6 @@ pub(crate) fn build_group_fabric(
             faults: faults.and_then(|fp| fp.injector_for(me, peer)),
             copies: stats.payload_copies.clone(),
             wire: stats.wire.clone(),
-            pooling: params.socket_pooling,
         };
         let (conn, pump) = SocketConn::new(ps.stream, cfg, health.clone())?;
         for key in tx_keys {

@@ -46,7 +46,6 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 use rand::{Rng, SeedableRng};
 
-use crate::params::RuntimeParams;
 use crate::transport::socket::FabricHealth;
 use crate::SmiError;
 
@@ -153,13 +152,24 @@ pub(crate) fn block_on_deadline<T>(
     }
 }
 
-/// Tuning of the executor pool, derived from
-/// [`RuntimeParams`] by [`ExecutorConfig::from_params`].
+/// Machines a worker takes from a run queue per lock acquisition. Larger
+/// batches amortize queue locks; smaller ones migrate load at a finer grain.
+const STEAL_BATCH: usize = 16;
+
+/// Passes over a worker's share of the machines that one may go without
+/// progress before it leaves the run queue for its home's cold list.
+const COLD_IDLE_THRESHOLD: u32 = 64;
+
+/// Park timeout of a worker with nothing hot, waking up or stealable: the
+/// first one, and the cap it doubles up to per consecutive fruitless park —
+/// the cap bounds the wake latency a long-quiescent worker adds.
+const PARK_TIMEOUT_MIN: Duration = Duration::from_micros(100);
+const PARK_TIMEOUT_MAX: Duration = Duration::from_millis(2);
+
+/// Tuning of the executor pool; [`Default`] is what every run uses, the
+/// fields exist so the pool's own tests can force an edge.
 #[derive(Debug, Clone)]
 pub(crate) struct ExecutorConfig {
-    /// Enable stealing and the cold lists. `false` is block placement with
-    /// no migration or eviction — `bench_scaling`'s measurable baseline.
-    pub steal: bool,
     /// Maximum machines taken from a run queue (own or victim's) per lock
     /// acquisition, and polled before the queue lock is taken again.
     pub batch: usize,
@@ -172,22 +182,14 @@ pub(crate) struct ExecutorConfig {
     pub park_max: Duration,
 }
 
-impl ExecutorConfig {
-    /// Map the public runtime knobs onto the pool tuning.
-    pub fn from_params(p: &RuntimeParams) -> Self {
-        ExecutorConfig {
-            steal: p.work_stealing,
-            batch: p.steal_batch.max(1),
-            cold_after: p.cold_idle_threshold.max(1),
-            park_min: p.park_timeout_min.max(Duration::from_micros(1)),
-            park_max: p.park_timeout_max.max(p.park_timeout_min),
-        }
-    }
-}
-
 impl Default for ExecutorConfig {
     fn default() -> Self {
-        ExecutorConfig::from_params(&RuntimeParams::default())
+        ExecutorConfig {
+            batch: STEAL_BATCH,
+            cold_after: COLD_IDLE_THRESHOLD,
+            park_min: PARK_TIMEOUT_MIN,
+            park_max: PARK_TIMEOUT_MAX,
+        }
     }
 }
 
@@ -297,14 +299,13 @@ pub(crate) struct ShardedExecutor {
 
 impl ShardedExecutor {
     /// [`ShardedExecutor::spawn_with`] under the default tuning.
-    #[cfg_attr(not(test), allow(dead_code))]
     pub fn spawn(items: Vec<Box<dyn Pollable>>, workers: usize, stop: Arc<AtomicBool>) -> Self {
         Self::spawn_with(items, workers, stop, ExecutorConfig::default())
     }
 
     /// Seed `items` over `workers` run queues by home rank (see [`place`])
     /// and start the workers. A queue keeps the input order, so one worker
-    /// polls the input sequence; with `cfg.steal` off nothing ever migrates.
+    /// polls the input sequence.
     ///
     /// Workers run until every machine is `Done` or `stop` is raised (end
     /// of run / panic teardown).
@@ -388,7 +389,7 @@ fn worker_loop(w: usize, pool: &Pool) {
     let nw = pool.shards.len();
     let cfg = &pool.cfg;
     let me = &pool.shards[w];
-    let thieves = cfg.steal && nw > 1;
+    let thieves = nw > 1;
     // Idleness runs on this worker's poll clock, not in polls of the
     // machine: once the quiescent machines are gone a pass is short and
     // `cold_after` polls of one machine go by between two messages.
@@ -463,7 +464,7 @@ fn worker_loop(w: usize, pool: &Pool) {
                 }
             }
             let idle_for = (clock + polls).wrapping_sub(m.idle_since);
-            if stopping || !cfg.steal || idle_for < cold_span {
+            if stopping || idle_for < cold_span {
                 keep.push(m);
             } else if m.home == w {
                 cold.push_back(m);
@@ -517,13 +518,13 @@ fn worker_loop(w: usize, pool: &Pool) {
             }
         }
         if batch.is_empty() {
-            // Nothing moved: spin briefly, then yield, then park — with
-            // cold lists on, only once the run queue has emptied into them
-            // (a machine still in it may be mid-stream).
+            // Nothing moved: spin briefly, then yield, then park — only
+            // once the run queue has emptied into the cold list (a machine
+            // still in it may be mid-stream).
             idle_rounds += 1;
             if idle_rounds < 4 {
                 std::hint::spin_loop();
-            } else if !parking || (cfg.steal && hot > 0) {
+            } else if !parking || hot > 0 {
                 std::thread::yield_now();
             } else {
                 park(pool, w, &mut park_timeout);
@@ -807,11 +808,11 @@ mod tests {
             }
         }
         // One worker, one queue of 1024 machines at 500 µs per poll: a full
-        // sweep is ~0.5 s. Disable stealing/cold eviction so the queue
-        // stays a single static shard (the historical worst case), and use
-        // a large batch so the sweep really is one long poll run.
+        // sweep is ~0.5 s. Never evict to the cold list so the queue stays
+        // a single shard (the historical worst case), and use a large batch
+        // so the sweep really is one long poll run.
         let cfg = ExecutorConfig {
-            steal: false,
+            cold_after: u32::MAX,
             batch: 1024,
             ..ExecutorConfig::default()
         };
@@ -947,40 +948,5 @@ mod tests {
         ex.join();
         assert_eq!(done.load(Ordering::Relaxed), 32);
         assert_eq!(hits.load(Ordering::Relaxed), 3_000_000);
-    }
-
-    /// `steal: false` is block placement without migration: a worker whose
-    /// own ranks finished never takes a sibling's machines, and nothing
-    /// goes cold.
-    #[test]
-    fn static_mode_never_steals() {
-        let hits = Arc::new(AtomicU64::new(0));
-        let items: Vec<Box<dyn Pollable>> = (0..16)
-            .map(|i| {
-                let left = (i as u64 + 1) * 1000;
-                let hits = hits.clone();
-                Box::new(Homed(i / 2, Countdown { left, hits })) as Box<dyn Pollable>
-            })
-            .collect();
-        let stop = Arc::new(AtomicBool::new(false));
-        let cfg = ExecutorConfig {
-            steal: false,
-            ..ExecutorConfig::default()
-        };
-        let ex = ShardedExecutor::spawn_with(items, 4, stop, cfg);
-        let stats = ex.join();
-        assert_eq!(
-            hits.load(Ordering::Relaxed),
-            (1..=16u64).map(|i| i * 1000).sum::<u64>()
-        );
-        assert!(stats.iter().all(|s| s.steals == 0), "{stats:?}");
-        // Ranks {2w, 2w+1} = machines 4w..4w+4 stay on worker w: each poll
-        // but the four `Done` ones progresses.
-        for (w, s) in stats.iter().enumerate() {
-            let want: u64 = (4 * w as u64 + 1..=4 * w as u64 + 4)
-                .map(|i| i * 1000)
-                .sum();
-            assert_eq!(s.progress, want, "worker {w}: {stats:?}");
-        }
     }
 }

@@ -9,9 +9,9 @@
 //! Two consumers:
 //!
 //! * the **wire level** (the real fault surface): each socket pump holds a
-//!   [`FaultInjector`] for its outbound direction and consults it as it
-//!   stages replay-ring frames. Frame indices are 1-based emission
-//!   ordinals; every action is one-shot, so replayed frames (which consume
+//!   [`FaultInjector`] for its outbound direction and consults it once per
+//!   replay-ring frame entering its write window — the same flush every
+//!   connection uses. Frame indices are 1-based emission ordinals; every action is one-shot, so replayed frames (which consume
 //!   fresh ordinals) are not re-faulted and recovery converges. A dropped
 //!   or delayed frame leaves a sequence gap at the receiver, which treats
 //!   it as a connection fault and heals through the reconnect/replay
@@ -200,6 +200,14 @@ impl FaultInjector {
         FaultAction::Pass
     }
 
+    /// Whether the next emission is scheduled no fault ([`FaultAction::Pass`]).
+    pub fn next_passes(&self) -> bool {
+        let n = self.emitted + 1;
+        !self.drop.contains(&n)
+            && !self.duplicate.contains(&n)
+            && !self.delay.iter().any(|&(f, _)| f == n)
+    }
+
     /// Withhold `bytes` until `by` further frames have been emitted.
     pub fn hold(&mut self, bytes: Vec<u8>, by: u64) {
         self.held.push((self.emitted + by, bytes));
@@ -241,7 +249,7 @@ impl FaultInjector {
     }
 
     /// Forget withheld frames (called on a connection fault: the frames
-    /// live on in the replay ring and will be re-staged after resume).
+    /// live on in the replay ring and will be re-sent after resume).
     pub fn clear_held(&mut self) {
         self.held.clear();
         self.released.clear();
@@ -480,7 +488,9 @@ mod tests {
         };
         assert!(plan.injector_for(1, 0).is_none());
         let mut inj = plan.injector_for(0, 1).expect("configured link");
+        assert!(inj.next_passes());
         assert_eq!(inj.on_emit(), FaultAction::Pass); // 1
+        assert!(!inj.next_passes());
         assert_eq!(inj.on_emit(), FaultAction::Drop); // 2
         assert_eq!(inj.on_emit(), FaultAction::Duplicate); // 3
         assert_eq!(inj.on_emit(), FaultAction::Delay(1)); // 4

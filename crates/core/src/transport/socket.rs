@@ -3,35 +3,33 @@
 //! heals mid-stream disconnects losslessly.
 //!
 //! One connection is opened per pair of OS processes and multiplexes every
-//! topology edge crossing that boundary. Wire format **v2** is a stream of
-//! frames, each `[src_rank u16 LE][src_qsfp u16 LE][npackets u32 LE]
-//! [seq u64 LE]` followed by `npackets` 32-byte packed packets
-//! ([`NetworkPacket::pack`]); the `(src_rank, src_qsfp)` tag is the
-//! *sender-side* endpoint of the topology edge the burst travels, which is
-//! all the receiver needs to demux the frame onto the right CKR input.
-//! `seq` numbers data frames 1, 2, 3… per connection; two `src_rank`
-//! sentinels reuse the header shape for control traffic:
+//! topology edge crossing that boundary. The wire is a stream of frames,
+//! each `[src_rank u16 LE][src_qsfp u16 LE][len u32 LE][seq u64 LE]` plus a
+//! body. The `(src_rank, src_qsfp)` tag is the *sender-side* endpoint of the
+//! topology edge the burst travels, which is all the receiver needs to
+//! demux the frame onto the right CKR input; `seq` numbers data frames
+//! 1, 2, 3… per connection.
 //!
-//! The pooled fast path ([`crate::RuntimeParams::socket_pooling`], default
-//! on) upgrades data frames to **v3** bodies: bit 31 of the `npackets`
-//! field ([`V3_FLAG`]) marks the low 31 bits as a body *byte length*, and
-//! the body is a sequence of typed items — [`V3_ITEM_PKT`] (one packed
-//! packet) or [`V3_ITEM_RUN`] (`[dtype u8][4-byte packed header]
-//! [nbytes u32 LE]` + densely packed payload). Run payloads are appended
-//! with one `memcpy` at encode time and decoded into [`PayloadRun`] *views*
-//! of the pooled receive block, so each payload byte is copied exactly once
-//! per boundary crossing. Encode buffers come from a free list refilled on
-//! ack; sends go out as one `write_vectored` spanning the control buffer
-//! (piggybacked acks) plus every unwritten ring frame, behind an adaptive
-//! cork that coalesces small same-pair bursts under one frame header.
-//! With pooling off both ends speak pure v2 — the wire-identical A/B
-//! baseline. Sentinel frames are shared by both versions:
-//!
-//! * [`HELLO_RANK`] — handshake frame (`npackets` = process index,
+//! * **Data frames** set bit 31 of `len` ([`V3_FLAG`]); the low 31 bits are
+//!   the body *byte length*. The body is a sequence of typed items —
+//!   [`V3_ITEM_PKT`] (one 32-byte packed packet, [`NetworkPacket::pack`]) or
+//!   [`V3_ITEM_RUN`] (`[dtype u8][4-byte packed header][nbytes u32 LE]` +
+//!   densely packed payload). Run payloads are appended with one `memcpy`
+//!   at encode time and decoded into [`PayloadRun`] *views* of the pooled
+//!   receive block, so each payload byte is copied exactly once per
+//!   boundary crossing. A data frame without the flag is stream corruption.
+//! * [`HELLO_RANK`] in `src_rank` — handshake frame (`len` = process index,
 //!   `src_qsfp` bit 0 = resume flag, `seq` = session id, plus an 8-byte
 //!   body carrying the sender's last contiguously received seq).
-//! * [`ACK_RANK`] — cumulative ack (`seq` = highest contiguous seq
-//!   received, no payload).
+//! * [`ACK_RANK`] in `src_rank` — cumulative ack (`seq` = highest
+//!   contiguous seq received, no body).
+//!
+//! Encode buffers come from a free list refilled on ack. Sends go out as
+//! one `write_vectored` spanning every unwritten ring frame, behind an
+//! adaptive cork that coalesces small same-pair bursts under one frame
+//! header. Bytes that are not ring frames — acks, and the copies a fault
+//! plan injects — are written only on a frame boundary, never into the
+//! middle of a partially written frame.
 //!
 //! The sender keeps every unacked encoded frame in a bounded replay ring;
 //! on a mid-stream I/O fault the connection enters a `Reconnecting` health
@@ -69,11 +67,11 @@ use crate::transport::faults::{FaultAction, FaultInjector};
 use crate::transport::link::{LinkRecv, LinkRx, LinkSend, LinkTx, Transport, TransportReceiver};
 use crate::transport::{meter_inline_data, Burst, CopyMeter, WireStats};
 
-/// Bytes of the per-burst frame header:
-/// `[src_rank u16 LE][src_qsfp u16 LE][npackets u32 LE][seq u64 LE]`.
+/// Bytes of the frame header:
+/// `[src_rank u16 LE][src_qsfp u16 LE][len u32 LE][seq u64 LE]`.
 pub(crate) const FRAME_HEADER_BYTES: usize = 16;
 
-/// `src_rank` sentinel marking a hello (handshake) frame; its `npackets`
+/// `src_rank` sentinel marking a hello (handshake) frame; its `len`
 /// field carries the sender's process index, `src_qsfp` carries flags
 /// (bit 0 = resume), `seq` carries the session id, and an 8-byte body
 /// carries the sender's last contiguously received data seq.
@@ -91,23 +89,12 @@ pub(crate) const HELLO_BYTES: usize = FRAME_HEADER_BYTES + 8;
 /// whole connection, resolved as soon as the slow CKR input drains.
 const INBOUND_QUEUE_CAP: usize = 1024;
 
-/// Sanity bound on `npackets` in one frame; our own sender never exceeds
-/// the burst size, so anything larger is stream corruption.
-const MAX_FRAME_PACKETS: usize = 4096;
-
 /// Bytes read from the socket per `read` call inside one poll.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// Cap on buffered-but-unparsed inbound bytes before the pump stops
-/// reading (keeps a wedged receiver from buffering unboundedly).
-const READ_BUF_CAP: usize = 4 << 20;
-
-/// Cap on bytes staged for one write batch (ring frames copied per refill).
-const STAGE_CAP: usize = 256 * 1024;
-
-/// Cap on buffered control bytes (acks); past this the pump skips
-/// generating new acks until the writer drains (they are cumulative, so
-/// skipped acks are subsumed by the next one).
+/// Cap on buffered boundary bytes (acks, injected copies); past this the
+/// pump skips generating new acks until the writer drains (they are
+/// cumulative, so skipped acks are subsumed by the next one).
 const CTRL_CAP: usize = 64 * 1024;
 
 /// Read timeout of the blocking resume-hello exchange; a failed exchange
@@ -129,20 +116,19 @@ const RESUME_GRACE: Duration = Duration::from_millis(500);
 /// could only turn a slow-but-live link into a dead one.
 const ACK_PROBE_TIMEOUT: Duration = Duration::from_millis(400);
 
-/// Bit flag in the `npackets` header field marking a **v3** frame body:
-/// the low 31 bits then carry the body *byte length* (not a packet count)
-/// and the body is a sequence of typed items ([`V3_ITEM_PKT`] /
-/// [`V3_ITEM_RUN`]).
+/// Bit flag in the `len` header field that every data frame sets: the low
+/// 31 bits carry the body *byte length* and the body is a sequence of typed
+/// items ([`V3_ITEM_PKT`] / [`V3_ITEM_RUN`]).
 pub(crate) const V3_FLAG: u32 = 1 << 31;
 
-/// v3 item kind byte: one 32-byte packed packet follows.
+/// Item kind byte: one 32-byte packed packet follows.
 pub(crate) const V3_ITEM_PKT: u8 = 0;
 
-/// v3 item kind byte: a dense run follows —
+/// Item kind byte: a dense run follows —
 /// `[dtype u8][4-byte packed header][nbytes u32 LE]` + payload.
 pub(crate) const V3_ITEM_RUN: u8 = 1;
 
-/// Fixed bytes of a v3 run item before its payload (kind + dtype +
+/// Fixed bytes of a run item before its payload (kind + dtype +
 /// packed header + length).
 pub(crate) const V3_RUN_ITEM_HEADER: usize = 1 + 1 + 4 + 4;
 
@@ -151,11 +137,11 @@ pub(crate) const V3_RUN_ITEM_HEADER: usize = 1 + 1 + 4 + 4;
 /// and run payloads can be handed out as views of it.
 const RECV_BLOCK_CAP: usize = 256 * 1024;
 
-/// Sanity bound on a v3 frame body; our own encoder splits at
+/// Sanity bound on a frame body; our own encoder splits at
 /// [`FRAME_SPLIT_BYTES`], so anything larger is stream corruption.
 const MAX_FRAME_BODY_BYTES: usize = RECV_BLOCK_CAP - FRAME_HEADER_BYTES;
 
-/// Encode-side split threshold: a burst whose v3 body would exceed this
+/// Encode-side split threshold: a burst whose body would exceed this
 /// is chunked into multiple frames (each with its own seq).
 const FRAME_SPLIT_BYTES: usize = 64 * 1024;
 
@@ -181,11 +167,6 @@ const ENC_BUF_POOL_MAX: usize = FRAME_SPLIT_BYTES + 4096;
 
 /// Max `IoSlice`s per `write_vectored` call (comfortably under IOV_MAX).
 const MAX_IOV: usize = 64;
-
-/// Shrink `rbuf`'s capacity back to this once it has drained below it: a
-/// backpressure episode must not pin its high-water mark for the life of
-/// the connection (legacy read path; pooled blocks are fixed-size).
-const RBUF_SHRINK_CAP: usize = READ_CHUNK * 8;
 
 // ---------------------------------------------------------------------------
 // Fabric health
@@ -537,53 +518,18 @@ impl Redial {
 // Frame codec
 // ---------------------------------------------------------------------------
 
-/// Total wire packets a burst of frames stands for (runs count each packet
-/// they would materialize into).
-pub(crate) fn burst_packets(burst: &[Frame]) -> usize {
-    burst.iter().map(|f| f.packet_count()).sum()
-}
-
-/// Append one framed data burst (with its sequence number) to a
-/// serialization buffer. Run frames are materialized here — the process
-/// boundary is where the zero-copy plane genuinely has to touch every
-/// payload byte again.
-pub(crate) fn encode_frame_into(
-    out: &mut Vec<u8>,
-    src_rank: u16,
-    src_qsfp: u16,
-    seq: u64,
-    burst: &[Frame],
-) {
-    let npackets = burst_packets(burst);
-    out.reserve(FRAME_HEADER_BYTES + npackets * PACKET_BYTES);
-    out.extend_from_slice(&src_rank.to_le_bytes());
-    out.extend_from_slice(&src_qsfp.to_le_bytes());
-    out.extend_from_slice(&(npackets as u32).to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    for f in burst {
-        match f {
-            Frame::Pkt(p) => out.extend_from_slice(&p.pack()),
-            Frame::Run(r) => {
-                for i in 0..r.packet_count() {
-                    out.extend_from_slice(&r.packet(i).pack());
-                }
-            }
-        }
-    }
-}
-
-/// Encoded v3 body size of one frame item.
-fn v3_item_bytes(f: &Frame) -> usize {
+/// Encoded body size of one frame item.
+fn item_bytes(f: &Frame) -> usize {
     match f {
         Frame::Pkt(_) => 1 + PACKET_BYTES,
         Frame::Run(r) => V3_RUN_ITEM_HEADER + r.payload.len(),
     }
 }
 
-/// Append one v3 item to a frame body. Run payloads go out with a single
+/// Append one item to a frame body. Run payloads go out with a single
 /// `extend_from_slice` — the one copy the process boundary genuinely
 /// requires.
-fn encode_v3_item(out: &mut Vec<u8>, f: &Frame) {
+fn encode_item(out: &mut Vec<u8>, f: &Frame) {
     match f {
         Frame::Pkt(p) => {
             out.push(V3_ITEM_PKT);
@@ -603,18 +549,17 @@ fn encode_v3_item(out: &mut Vec<u8>, f: &Frame) {
     }
 }
 
-/// Append one framed **v3** data burst (header carries the body byte
-/// length under [`V3_FLAG`]). The receive side decodes run items back into
-/// views of its pooled block, so runs cross the boundary with exactly one
-/// payload copy.
-pub(crate) fn encode_frame_v3_into(
+/// Append one framed data burst (header carries the body byte length under
+/// [`V3_FLAG`]). The receive side decodes run items back into views of its
+/// pooled block, so runs cross the boundary with exactly one payload copy.
+pub(crate) fn encode_frame_into(
     out: &mut Vec<u8>,
     src_rank: u16,
     src_qsfp: u16,
     seq: u64,
     burst: &[Frame],
 ) {
-    let body: usize = burst.iter().map(v3_item_bytes).sum();
+    let body: usize = burst.iter().map(item_bytes).sum();
     debug_assert!(body <= MAX_FRAME_BODY_BYTES, "unsplit oversized frame");
     out.reserve(FRAME_HEADER_BYTES + body);
     out.extend_from_slice(&src_rank.to_le_bytes());
@@ -622,14 +567,14 @@ pub(crate) fn encode_frame_v3_into(
     out.extend_from_slice(&(V3_FLAG | body as u32).to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
     for f in burst {
-        encode_v3_item(out, f);
+        encode_item(out, f);
     }
 }
 
-/// Decode the v3 frame body at `block[off..off + body]`. Run items become
+/// Decode the frame body at `block[off..off + body]`. Run items become
 /// zero-copy [`PayloadRun`] views pinning `block`; packet items are
 /// unpacked inline.
-fn decode_v3_body(block: &Arc<[u8]>, mut off: usize, body: usize) -> Result<Burst, String> {
+fn decode_body(block: &Arc<[u8]>, mut off: usize, body: usize) -> Result<Burst, String> {
     let end = off + body;
     let mut burst: Burst = Vec::new();
     while off < end {
@@ -638,7 +583,7 @@ fn decode_v3_body(block: &Arc<[u8]>, mut off: usize, body: usize) -> Result<Burs
         match kind {
             V3_ITEM_PKT => {
                 if end - off < PACKET_BYTES {
-                    return Err("truncated v3 packet item".into());
+                    return Err("truncated packet item".into());
                 }
                 let bytes: &[u8; PACKET_BYTES] = block[off..off + PACKET_BYTES]
                     .try_into()
@@ -650,7 +595,7 @@ fn decode_v3_body(block: &Arc<[u8]>, mut off: usize, body: usize) -> Result<Burs
             }
             V3_ITEM_RUN => {
                 if end - off < V3_RUN_ITEM_HEADER - 1 {
-                    return Err("truncated v3 run item".into());
+                    return Err("truncated run item".into());
                 }
                 let code = block[off] as usize;
                 let dtype = *Datatype::ALL
@@ -664,7 +609,7 @@ fn decode_v3_body(block: &Arc<[u8]>, mut off: usize, body: usize) -> Result<Burs
                         as usize;
                 off += V3_RUN_ITEM_HEADER - 1;
                 if end - off < nbytes {
-                    return Err("truncated v3 run payload".into());
+                    return Err("truncated run payload".into());
                 }
                 let payload = PayloadRun::from_shared(block.clone(), off, nbytes);
                 burst.push(Frame::Run(PacketRun {
@@ -674,7 +619,7 @@ fn decode_v3_body(block: &Arc<[u8]>, mut off: usize, body: usize) -> Result<Burs
                 }));
                 off += nbytes;
             }
-            other => return Err(format!("unknown v3 item kind {other}")),
+            other => return Err(format!("corrupt frame: unknown item kind {other}")),
         }
     }
     Ok(burst)
@@ -849,17 +794,16 @@ type InQueue = Arc<Mutex<VecDeque<Burst>>>;
 
 /// The transmit source of truth: every offered burst is encoded once into
 /// this ring and stays there until the peer's cumulative ack covers it.
-/// `cursor` separates already-staged frames (`< cursor`) from frames still
-/// awaiting first transmission; a resume rewinds `cursor` to 0 so every
-/// surviving frame is retransmitted.
+/// `cursor` separates frames the flush is done with (`< cursor`) from
+/// frames still awaiting transmission; a resume rewinds `cursor` to 0 so
+/// every surviving frame is retransmitted.
 struct ReplayRing {
     frames: VecDeque<(u64, Vec<u8>)>,
     bytes: usize,
     next_seq: u64,
     cursor: usize,
-    /// Bytes of `frames[cursor]` already on the wire — the vectored send
-    /// path writes straight from the ring and a partial write lands here.
-    /// The legacy staging path keeps it 0.
+    /// Bytes of `frames[cursor]` already on the wire: the flush writes
+    /// straight from the ring and a partial write lands here.
     wire_off: usize,
     budget: usize,
 }
@@ -903,6 +847,21 @@ impl ReplayRing {
         self.cursor = 0;
         self.wire_off = 0;
     }
+
+    /// Account `n` written bytes to the frame at the cursor, moving the
+    /// cursor on when they complete it (returns whether they did).
+    fn wrote(&mut self, n: &mut usize) -> bool {
+        let rem = self.frames[self.cursor].1.len() - self.wire_off;
+        if *n < rem {
+            self.wire_off += *n;
+            *n = 0;
+            return false;
+        }
+        *n -= rem;
+        self.cursor += 1;
+        self.wire_off = 0;
+        true
+    }
 }
 
 struct ConnShared {
@@ -912,10 +871,8 @@ struct ConnShared {
     peer: PeerInfo,
     copies: CopyMeter,
     wire: WireStats,
-    /// Pooled fast path on ([`crate::RuntimeParams::socket_pooling`]).
-    pooling: bool,
     /// Free list of recycled encode buffers: refilled by acks, drained by
-    /// `offer`. Only used when `pooling` is on.
+    /// `offer`.
     enc_pool: Mutex<Vec<Vec<u8>>>,
 }
 
@@ -932,7 +889,7 @@ impl ConnShared {
     /// Return encode buffers to the free list (bounded; oversized one-off
     /// buffers are dropped rather than hoarded).
     fn recycle(&self, bufs: Vec<Vec<u8>>) {
-        if !self.pooling || bufs.is_empty() {
+        if bufs.is_empty() {
             return;
         }
         let mut pool = self.enc_pool.lock().expect("enc pool lock");
@@ -948,14 +905,12 @@ impl ConnShared {
     /// An encode buffer with room for `need` bytes: recycled when the pool
     /// has one (hit), freshly allocated otherwise (miss).
     fn enc_buf(&self, need: usize) -> Vec<u8> {
-        if self.pooling {
-            if let Some(mut b) = self.enc_pool.lock().expect("enc pool lock").pop() {
-                self.wire.pool_hits.fetch_add(1, Ordering::Relaxed);
-                b.reserve(need);
-                return b;
-            }
-            self.wire.pool_misses.fetch_add(1, Ordering::Relaxed);
+        if let Some(mut b) = self.enc_pool.lock().expect("enc pool lock").pop() {
+            self.wire.pool_hits.fetch_add(1, Ordering::Relaxed);
+            b.reserve(need);
+            return b;
         }
+        self.wire.pool_misses.fetch_add(1, Ordering::Relaxed);
         Vec::with_capacity(need)
     }
 }
@@ -973,7 +928,9 @@ pub(crate) enum ReconnectRole {
         hub: Arc<ReconnectHub>,
     },
     /// No recovery possible (raw stream pairs in unit tests).
-    #[allow(dead_code)] // constructed by test-only ConnConfig::basic
+    // Only the test-only `ConnConfig::basic` constructs it; `#[cfg(test)]`
+    // would also have to gate the two matches in the pump that handle it.
+    #[allow(dead_code)]
     None,
 }
 
@@ -1005,16 +962,11 @@ pub(crate) struct ConnConfig {
     /// Wire-level counters (syscalls, bytes, pool and cork effectiveness;
     /// [`crate::transport::TransportStats::wire`]).
     pub wire: WireStats,
-    /// Pooled fast path ([`crate::RuntimeParams::socket_pooling`]): v3
-    /// frame bodies, recycled encode buffers, vectored writes, zero-copy
-    /// receive decode. Both ends of a connection must agree.
-    pub pooling: bool,
 }
 
 impl ConnConfig {
     /// A minimal config for unit tests over raw stream pairs: default
-    /// replay budget, no recovery, no faults, and pooling *off* — the v2
-    /// baseline whose raw bytes many tests assert on.
+    /// replay budget, no recovery, no faults.
     #[cfg(test)]
     pub fn basic(peer: PeerInfo, recv_keys: &[(usize, usize)]) -> ConnConfig {
         ConnConfig {
@@ -1028,7 +980,6 @@ impl ConnConfig {
             faults: None,
             copies: CopyMeter::default(),
             wire: WireStats::default(),
-            pooling: false,
         }
     }
 }
@@ -1057,7 +1008,6 @@ impl SocketConn {
             peer: cfg.peer.clone(),
             copies: cfg.copies.clone(),
             wire: cfg.wire.clone(),
-            pooling: cfg.pooling,
             enc_pool: Mutex::new(Vec::new()),
         });
         let queues: HashMap<(usize, usize), InQueue> = cfg
@@ -1085,14 +1035,11 @@ impl SocketConn {
             session: cfg.session,
             local_proc: cfg.local_proc,
             faults: cfg.faults,
-            pooling: cfg.pooling,
+            admitted: 0,
+            pending_sever: None,
             phase: Phase::Streaming,
-            staged: Vec::new(),
-            staged_pos: 0,
             ctrl: Vec::new(),
             cork_defers: 0,
-            pending_sever: None,
-            rbuf: Vec::new(),
             rpos: 0,
             rblock: None,
             rfilled: 0,
@@ -1133,19 +1080,6 @@ struct SocketLinkTx {
     src_qsfp: u16,
 }
 
-impl Transport for SocketLinkTx {
-    fn offer(&mut self, burst: Burst) -> LinkSend {
-        if self.conn.closed.load(Ordering::Relaxed) {
-            return LinkSend::Closed;
-        }
-        if self.conn.pooling {
-            self.offer_pooled(burst)
-        } else {
-            self.offer_legacy(burst)
-        }
-    }
-}
-
 /// Charge the copy meter for serializing `burst` into a wire buffer: run
 /// payloads by exact byte length, inline data packets by packet (control
 /// packets carry no semantic payload).
@@ -1167,44 +1101,14 @@ fn meter_outbound(copies: &CopyMeter, burst: &[Frame]) {
     }
 }
 
-impl SocketLinkTx {
-    /// The v2 baseline: one frame per burst, freshly allocated, packets
-    /// materialized (runs copied packet by packet).
-    fn offer_legacy(&mut self, burst: Burst) -> LinkSend {
-        let need = FRAME_HEADER_BYTES + burst_packets(&burst) * PACKET_BYTES;
-        let mut ring = self.conn.ring.lock().expect("ring lock");
-        if need > ring.budget {
-            drop(ring);
-            return self.overflow(need);
+impl Transport for SocketLinkTx {
+    /// Encode into recycled buffers: small bursts cork-merged into the
+    /// newest untransmitted ring frame, large bursts split so every frame
+    /// fits one receive block.
+    fn offer(&mut self, burst: Burst) -> LinkSend {
+        if self.conn.closed.load(Ordering::Relaxed) {
+            return LinkSend::Closed;
         }
-        if ring.bytes + need > ring.budget {
-            // Ring full of unacked frames: ordinary backpressure.
-            return LinkSend::Full(burst);
-        }
-        let seq = ring.next_seq;
-        ring.next_seq += 1;
-        let mut bytes = Vec::with_capacity(need);
-        encode_frame_into(&mut bytes, self.src_rank, self.src_qsfp, seq, &burst);
-        ring.bytes += bytes.len();
-        ring.frames.push_back((seq, bytes));
-        drop(ring);
-        // Serialization stages every payload byte of data traffic into the
-        // ring; charge the copy meter for it.
-        let data_packets: usize = burst
-            .iter()
-            .filter(|f| f.header().op.carries_data())
-            .map(|f| f.packet_count())
-            .sum();
-        if data_packets > 0 {
-            self.conn.copies.add_packets(data_packets);
-        }
-        LinkSend::Accepted
-    }
-
-    /// The pooled fast path: v3 encoding into recycled buffers, small
-    /// bursts cork-merged into the newest untransmitted ring frame, large
-    /// bursts split so every frame fits one receive block.
-    fn offer_pooled(&mut self, burst: Burst) -> LinkSend {
         // Split oversized runs at packet-aligned element boundaries so no
         // single item (and thus no frame) outgrows FRAME_SPLIT_BYTES.
         let mut items: Vec<Frame> = Vec::with_capacity(burst.len());
@@ -1237,7 +1141,7 @@ impl SocketLinkTx {
         let mut cur: Vec<Frame> = Vec::new();
         let mut cur_bytes = 0usize;
         for f in items {
-            let b = v3_item_bytes(&f);
+            let b = item_bytes(&f);
             if !cur.is_empty() && cur_bytes + b > FRAME_SPLIT_BYTES {
                 chunks.push(std::mem::take(&mut cur));
                 cur_bytes = 0;
@@ -1249,7 +1153,7 @@ impl SocketLinkTx {
 
         let bodies: Vec<usize> = chunks
             .iter()
-            .map(|c| c.iter().map(v3_item_bytes).sum())
+            .map(|c| c.iter().map(item_bytes).sum())
             .collect();
         let total_need: usize = bodies.iter().map(|b| FRAME_HEADER_BYTES + b).sum();
         let max_need = bodies
@@ -1277,7 +1181,7 @@ impl SocketLinkTx {
                 {
                     let buf = &mut ring.frames[idx].1;
                     for f in &chunks[0] {
-                        encode_v3_item(buf, f);
+                        encode_item(buf, f);
                     }
                     let new_body = (buf.len() - FRAME_HEADER_BYTES) as u32;
                     buf[4..8].copy_from_slice(&(V3_FLAG | new_body).to_le_bytes());
@@ -1299,11 +1203,11 @@ impl SocketLinkTx {
             return LinkSend::Full(chunks.into_iter().flatten().collect());
         }
         for chunk in &chunks {
-            let body: usize = chunk.iter().map(v3_item_bytes).sum();
+            let body: usize = chunk.iter().map(item_bytes).sum();
             let seq = ring.next_seq;
             ring.next_seq += 1;
             let mut buf = self.conn.enc_buf(FRAME_HEADER_BYTES + body);
-            encode_frame_v3_into(&mut buf, self.src_rank, self.src_qsfp, seq, chunk);
+            encode_frame_into(&mut buf, self.src_rank, self.src_qsfp, seq, chunk);
             ring.bytes += buf.len();
             ring.frames.push_back((seq, buf));
         }
@@ -1313,7 +1217,9 @@ impl SocketLinkTx {
         }
         LinkSend::Accepted
     }
+}
 
+impl SocketLinkTx {
     /// One frame can never fit the replay budget: recovery could never
     /// replay it, so this is a fatal configuration error, not backpressure.
     fn overflow(&self, need: usize) -> LinkSend {
@@ -1372,7 +1278,7 @@ enum Phase {
     },
 }
 
-/// The I/O duty cycle of one connection: a [`Pollable`] that stages unacked
+/// The I/O duty cycle of one connection: a [`Pollable`] that writes unacked
 /// frames from the replay ring onto the socket and reads/deframes inbound
 /// bytes into the per-link demux queues, generating cumulative acks. Never
 /// blocks in `Streaming`; a resume handshake performs bounded blocking I/O
@@ -1390,27 +1296,23 @@ pub(crate) struct SocketPump {
     session: u64,
     local_proc: usize,
     faults: Option<FaultInjector>,
-    /// Pooled fast path on (mirrors `ConnShared::pooling`).
-    pooling: bool,
-    phase: Phase,
-    /// Bytes staged for writing (control bytes first, then ring frames);
-    /// legacy path and fault-injected sends only.
-    staged: Vec<u8>,
-    staged_pos: usize,
-    /// Pending control bytes (cumulative acks). The vectored path sends
-    /// them as the leading `IoSlice` of the same syscall as data frames.
-    ctrl: Vec<u8>,
-    /// Polls the adaptive cork has deferred a pending vectored write.
-    cork_defers: u32,
-    /// An injected sever waiting for the staged bytes to drain.
+    /// Ring frames from the write cursor on that `faults` has already let
+    /// pass; only these enter the write window. A fault forgets them, so
+    /// replayed frames take fresh emission ordinals.
+    admitted: usize,
+    /// An injected sever waiting for everything admitted to be written.
     pending_sever: Option<u64>,
-    /// Legacy read path: inbound bytes not yet parsed (`rpos` = parse
-    /// cursor, shared with the pooled path below).
-    rbuf: Vec<u8>,
-    rpos: usize,
-    /// Pooled read path: current receive block (`rpos..rfilled` =
-    /// unparsed), block free list, and blocks still pinned by run views.
+    phase: Phase,
+    /// Pending bytes that are not ring frames: cumulative acks, plus the
+    /// owned copies `faults` injects (duplicates, released delayed frames).
+    /// Always whole frames, written only on a frame boundary of the ring.
+    ctrl: Vec<u8>,
+    /// Polls the adaptive cork has deferred a pending write.
+    cork_defers: u32,
+    /// Current receive block (`rpos..rfilled` = unparsed), block free list,
+    /// and blocks still pinned by run views.
     rblock: Option<Arc<[u8]>>,
+    rpos: usize,
     rfilled: usize,
     rpool: Vec<Arc<[u8]>>,
     rretired: Vec<Arc<[u8]>>,
@@ -1441,85 +1343,58 @@ impl SocketPump {
         self.done = true;
     }
 
-    /// Refill `staged` from the control buffer and the replay ring,
-    /// applying outbound fault injection per staged ring frame.
-    fn stage_out(&mut self) {
-        self.staged.clear();
-        self.staged_pos = 0;
-        if !self.ctrl.is_empty() {
-            self.staged.append(&mut self.ctrl);
-        }
-        if self.pending_sever.is_some() {
-            return;
-        }
-        let shared = self.shared.clone();
-        let mut ring = shared.ring.lock().expect("ring lock");
-        while ring.cursor < ring.frames.len() && self.staged.len() < STAGE_CAP {
-            let at = ring.cursor;
-            ring.cursor += 1;
-            let action = match self.faults.as_mut() {
-                Some(f) => f.on_emit(),
-                None => FaultAction::Pass,
+    /// Outbound fault injection, asked once per emission as frames enter
+    /// the write window: a frame that passes is written from the ring like
+    /// any other; a dropped, duplicated or delayed one is decided when the
+    /// write cursor reaches it, and the cursor moves past it without a
+    /// slice — the copies that do go out are owned boundary bytes in `ctrl`.
+    /// Returns how many frames from the cursor on may be written; without a
+    /// fault plan that is all of them.
+    fn admit(&mut self, ring: &mut ReplayRing) -> usize {
+        let Some(faults) = self.faults.as_mut() else {
+            return ring.frames.len() - ring.cursor;
+        };
+        loop {
+            if self.admitted == 0 {
+                // Nothing admitted is left unwritten: a delayed frame that
+                // came due goes out behind the frames that outran it.
+                for released in faults.take_released() {
+                    self.ctrl.extend_from_slice(&released);
+                }
+            }
+            if self.pending_sever.is_some() || self.admitted >= MAX_IOV {
+                break;
+            }
+            let Some((_, frame)) = ring.frames.get(ring.cursor + self.admitted) else {
+                break;
             };
-            match action {
-                FaultAction::Pass => self.staged.extend_from_slice(&ring.frames[at].1),
-                FaultAction::Drop => {}
+            if self.admitted > 0 && !faults.next_passes() {
+                break;
+            }
+            match faults.on_emit() {
+                FaultAction::Pass => self.admitted += 1,
+                FaultAction::Drop => ring.cursor += 1,
                 FaultAction::Duplicate => {
-                    self.staged.extend_from_slice(&ring.frames[at].1);
-                    let dup = ring.frames[at].1.clone();
-                    self.staged.extend_from_slice(&dup);
+                    self.ctrl.extend_from_slice(frame);
+                    self.ctrl.extend_from_slice(frame);
+                    ring.cursor += 1;
                 }
                 FaultAction::Delay(by) => {
-                    let bytes = ring.frames[at].1.clone();
-                    self.faults.as_mut().expect("injector").hold(bytes, by);
+                    faults.hold(frame.clone(), by);
+                    ring.cursor += 1;
                 }
             }
-            if let Some(f) = self.faults.as_mut() {
-                for b in f.take_released() {
-                    self.staged.extend_from_slice(&b);
-                }
-                if let Some(n) = f.sever_due() {
-                    self.pending_sever = Some(n);
-                    break;
-                }
-            }
+            self.pending_sever = faults.sever_due();
         }
+        self.admitted
     }
 
-    fn flush_out(&mut self, progressed: &mut bool) -> Result<(), String> {
-        if self.staged_pos == self.staged.len() {
-            self.stage_out();
-        }
-        while self.staged_pos < self.staged.len() {
-            match self.stream.write(&self.staged[self.staged_pos..]) {
-                Ok(0) => return Err("write returned 0 (connection closed)".into()),
-                Ok(n) => {
-                    self.staged_pos += n;
-                    self.shared.wire.add_send(n);
-                    *progressed = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // A peer that died mid-stream commonly surfaces as a write
-                // error (EPIPE/ECONNRESET) before the read side sees EOF.
-                Err(e) => return Err(format!("write failed: {e}")),
-            }
-        }
-        if self.staged_pos == self.staged.len() {
-            if let Some(n) = self.pending_sever.take() {
-                let _ = self.stream.shutdown();
-                return Err(format!("injected sever after frame {n}"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Vectored send (pooled, fault-free connections): one
-    /// `write_vectored` spans the control buffer (piggybacked acks) plus
-    /// every unwritten ring frame, straight from the pooled encode buffers
-    /// — no staging copy, one syscall for many frames. The adaptive cork
-    /// defers small writes a few polls so bursts coalesce.
-    fn flush_vectored(&mut self, progressed: &mut bool) -> Result<(), String> {
+    /// The send path: one `write_vectored` spans every unwritten ring
+    /// frame, straight from the pooled encode buffers — no staging copy,
+    /// one syscall for many frames — plus the boundary bytes in `ctrl`
+    /// (piggybacked acks). The adaptive cork defers small writes a few
+    /// polls so bursts coalesce.
+    fn flush(&mut self, progressed: &mut bool) -> Result<(), String> {
         let shared = self.shared.clone();
         let mut ring = shared.ring.lock().expect("ring lock");
         // Pending bytes (summed only until the flush threshold is known).
@@ -1542,18 +1417,25 @@ impl SocketPump {
         }
         self.cork_defers = 0;
         loop {
+            let window = self.admit(&mut ring);
+            let mut frames = ring.frames.iter().skip(ring.cursor).take(window);
             let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_IOV);
+            // `ctrl` must not land inside a half-written frame: the peer
+            // would take it for payload. Finish that frame first.
+            if ring.wire_off > 0 {
+                let (_, buf) = frames
+                    .next()
+                    .expect("a half-written frame is in the window");
+                slices.push(IoSlice::new(&buf[ring.wire_off..]));
+            }
             if !self.ctrl.is_empty() {
                 slices.push(IoSlice::new(&self.ctrl));
             }
-            let mut first = ring.wire_off;
-            for (_, buf) in ring.frames.iter().skip(ring.cursor) {
-                if slices.len() >= MAX_IOV {
-                    break;
-                }
-                slices.push(IoSlice::new(&buf[first..]));
-                first = 0;
-            }
+            slices.extend(
+                frames
+                    .take(MAX_IOV - slices.len())
+                    .map(|(_, buf)| IoSlice::new(buf)),
+            );
             if slices.is_empty() {
                 break;
             }
@@ -1563,27 +1445,31 @@ impl SocketPump {
                     drop(slices);
                     shared.wire.add_send(n);
                     *progressed = true;
-                    // Consume ctrl first, then whole frames, then partial.
+                    // Consume in slice order: the half-written frame, the
+                    // boundary bytes, whole frames.
+                    let mut completed = 0;
+                    if ring.wire_off > 0 {
+                        completed += usize::from(ring.wrote(&mut n));
+                    }
                     let ctrl_take = n.min(self.ctrl.len());
-                    if ctrl_take > 0 {
-                        self.ctrl.drain(..ctrl_take);
-                        n -= ctrl_take;
-                    }
+                    self.ctrl.drain(..ctrl_take);
+                    n -= ctrl_take;
                     while n > 0 {
-                        let rem = ring.frames[ring.cursor].1.len() - ring.wire_off;
-                        if n >= rem {
-                            n -= rem;
-                            ring.cursor += 1;
-                            ring.wire_off = 0;
-                        } else {
-                            ring.wire_off += n;
-                            n = 0;
-                        }
+                        completed += usize::from(ring.wrote(&mut n));
                     }
+                    self.admitted = self.admitted.saturating_sub(completed);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                // A peer that died mid-stream commonly surfaces as a write
+                // error (EPIPE/ECONNRESET) before the read side sees EOF.
                 Err(e) => return Err(format!("write failed: {e}")),
+            }
+        }
+        if self.admitted == 0 && self.ctrl.is_empty() {
+            if let Some(n) = self.pending_sever.take() {
+                let _ = self.stream.shutdown();
+                return Err(format!("injected sever after frame {n}"));
             }
         }
         Ok(())
@@ -1642,8 +1528,7 @@ impl SocketPump {
         true
     }
 
-    /// Pooled read path: read straight into the current `Arc` block. A
-    /// block stops being writable the moment a run view pins it
+    /// Read straight into the current `Arc` block. A block stops being writable the moment a run view pins it
     /// (`Arc::get_mut` fails), so the pump rotates to a recycled block and
     /// parks the pinned one on the retired list until consumers drain it.
     fn fill_rblock(&mut self, progressed: &mut bool) -> Result<(), String> {
@@ -1677,10 +1562,9 @@ impl SocketPump {
         Ok(())
     }
 
-    /// Pooled deframe: parse frames out of the current receive block,
-    /// decoding v3 run items into zero-copy views of it (v2 frames — e.g.
-    /// from a duplicate-replay overlap — still decode as packet copies).
-    fn deframe_pooled(&mut self, progressed: &mut bool) -> Result<(), String> {
+    /// Parse frames out of the current receive block, decoding run items
+    /// into zero-copy views of it.
+    fn deframe(&mut self, progressed: &mut bool) -> Result<(), String> {
         let Some(block) = self.rblock.clone() else {
             return Ok(());
         };
@@ -1703,128 +1587,16 @@ impl SocketPump {
                 *progressed = true;
                 continue;
             }
-            let v3 = nfield & V3_FLAG != 0;
-            let body = if v3 {
-                let body = (nfield & !V3_FLAG) as usize;
-                if body > MAX_FRAME_BODY_BYTES {
-                    return Err(format!("corrupt frame: {body}-byte v3 body claimed"));
-                }
-                body
-            } else {
-                let npackets = nfield as usize;
-                if npackets > MAX_FRAME_PACKETS {
-                    return Err(format!("corrupt frame: {npackets} packets claimed"));
-                }
-                npackets * PACKET_BYTES
-            };
+            if nfield & V3_FLAG == 0 {
+                return Err(format!(
+                    "corrupt frame: data frame without the body-length flag (len field {nfield:#x})"
+                ));
+            }
+            let body = (nfield & !V3_FLAG) as usize;
+            if body > MAX_FRAME_BODY_BYTES {
+                return Err(format!("corrupt frame: {body}-byte body claimed"));
+            }
             let need = FRAME_HEADER_BYTES + body;
-            if avail < need {
-                break;
-            }
-            if seq <= self.last_recv {
-                // Replay overlap or duplicate: already delivered, discard.
-                self.rpos += need;
-                *progressed = true;
-                continue;
-            }
-            if seq > self.last_recv + 1 {
-                return Err(format!(
-                    "sequence gap: expected {}, got {seq}",
-                    self.last_recv + 1
-                ));
-            }
-            let key = (src_rank as usize, src_qsfp as usize);
-            let Some(queue) = self.queues.get(&key) else {
-                return Err(format!(
-                    "frame from unknown endpoint (rank {src_rank}, qsfp {src_qsfp})"
-                ));
-            };
-            let mut q = queue.lock().expect("in queue lock");
-            if q.len() >= INBOUND_QUEUE_CAP {
-                break; // head-of-line backpressure
-            }
-            let burst = if v3 {
-                decode_v3_body(&block, self.rpos + FRAME_HEADER_BYTES, body)?
-            } else {
-                let npackets = body / PACKET_BYTES;
-                let mut burst: Burst = Vec::with_capacity(npackets);
-                let mut off = self.rpos + FRAME_HEADER_BYTES;
-                for _ in 0..npackets {
-                    let bytes: &[u8; PACKET_BYTES] = block[off..off + PACKET_BYTES]
-                        .try_into()
-                        .expect("packet slice");
-                    let pkt = NetworkPacket::unpack(bytes)
-                        .map_err(|e| format!("undecodable packet on wire: {e}"))?;
-                    burst.push(pkt.into());
-                    off += PACKET_BYTES;
-                }
-                burst
-            };
-            meter_inline_data(&self.shared.copies, &burst);
-            q.push_back(burst);
-            drop(q);
-            self.rpos += need;
-            self.last_recv = seq;
-            *progressed = true;
-        }
-        if self.last_recv > self.last_acked && self.ctrl.len() < CTRL_CAP {
-            encode_ack_into(&mut self.ctrl, self.last_recv);
-            self.last_acked = self.last_recv;
-        }
-        Ok(())
-    }
-
-    fn fill_rbuf(&mut self, progressed: &mut bool) -> Result<(), String> {
-        if self.eof {
-            return Ok(());
-        }
-        let mut chunk = [0u8; READ_CHUNK];
-        for _ in 0..4 {
-            if self.rbuf.len() - self.rpos > READ_BUF_CAP {
-                break;
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.rbuf.extend_from_slice(&chunk[..n]);
-                    self.shared.wire.add_recv(n);
-                    *progressed = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(format!("read failed: {e}")),
-            }
-        }
-        Ok(())
-    }
-
-    fn deframe(&mut self, progressed: &mut bool) -> Result<(), String> {
-        loop {
-            let avail = self.rbuf.len() - self.rpos;
-            if avail < FRAME_HEADER_BYTES {
-                break;
-            }
-            let hdr = &self.rbuf[self.rpos..self.rpos + FRAME_HEADER_BYTES];
-            let src_rank = u16::from_le_bytes(hdr[..2].try_into().expect("2 bytes"));
-            let src_qsfp = u16::from_le_bytes(hdr[2..4].try_into().expect("2 bytes"));
-            let npackets = u32::from_le_bytes(hdr[4..8].try_into().expect("4 bytes")) as usize;
-            let seq = u64::from_le_bytes(hdr[8..16].try_into().expect("8 bytes"));
-            if src_rank == HELLO_RANK {
-                return Err("unexpected hello frame mid-stream".into());
-            }
-            if src_rank == ACK_RANK {
-                self.rpos += FRAME_HEADER_BYTES;
-                self.shared.apply_ack(seq);
-                *progressed = true;
-                continue;
-            }
-            if npackets > MAX_FRAME_PACKETS {
-                return Err(format!("corrupt frame: {npackets} packets claimed"));
-            }
-            let need = FRAME_HEADER_BYTES + npackets * PACKET_BYTES;
             if avail < need {
                 break;
             }
@@ -1856,17 +1628,7 @@ impl SocketPump {
                 // CKR input drains its queue.
                 break;
             }
-            let mut burst: Burst = Vec::with_capacity(npackets);
-            let mut off = self.rpos + FRAME_HEADER_BYTES;
-            for _ in 0..npackets {
-                let bytes: &[u8; PACKET_BYTES] = self.rbuf[off..off + PACKET_BYTES]
-                    .try_into()
-                    .expect("packet slice");
-                let pkt = NetworkPacket::unpack(bytes)
-                    .map_err(|e| format!("undecodable packet on wire: {e}"))?;
-                burst.push(pkt.into());
-                off += PACKET_BYTES;
-            }
+            let burst = decode_body(&block, self.rpos + FRAME_HEADER_BYTES, body)?;
             meter_inline_data(&self.shared.copies, &burst);
             q.push_back(burst);
             drop(q);
@@ -1874,18 +1636,8 @@ impl SocketPump {
             self.last_recv = seq;
             *progressed = true;
         }
-        if self.rpos > 0 && (self.rpos == self.rbuf.len() || self.rpos >= READ_CHUNK * 4) {
-            self.rbuf.drain(..self.rpos);
-            self.rpos = 0;
-            // A backpressure episode can balloon the buffer toward
-            // READ_BUF_CAP; once drained back to steady state, release the
-            // high-water capacity so long-lived connections don't pin it.
-            if self.rbuf.capacity() > RBUF_SHRINK_CAP && self.rbuf.len() <= READ_CHUNK {
-                self.rbuf.shrink_to(RBUF_SHRINK_CAP);
-            }
-        }
         // Cumulative ack for everything newly delivered; skipped when the
-        // control buffer is backed up (acks are cumulative, the next one
+        // boundary buffer is backed up (acks are cumulative, the next one
         // covers this one).
         if self.last_recv > self.last_acked && self.ctrl.len() < CTRL_CAP {
             encode_ack_into(&mut self.ctrl, self.last_recv);
@@ -1897,14 +1649,11 @@ impl SocketPump {
     /// After EOF: remaining unparsed bytes are either complete frames
     /// blocked on a full queue (keep polling) or a truncated tail.
     fn eof_verdict(&self) -> Option<String> {
-        let (buf, avail): (&[u8], usize) = if self.pooling {
-            match self.rblock.as_ref() {
-                Some(b) => (&b[self.rpos..self.rfilled], self.rfilled - self.rpos),
-                None => (&[], 0),
-            }
-        } else {
-            (&self.rbuf[self.rpos..], self.rbuf.len() - self.rpos)
+        let buf: &[u8] = match self.rblock.as_ref() {
+            Some(b) => &b[self.rpos..self.rfilled],
+            None => &[],
         };
+        let avail = buf.len();
         if avail == 0 {
             return Some("connection closed by peer (EOF)".into());
         }
@@ -1916,10 +1665,8 @@ impl SocketPump {
         let nfield = u32::from_le_bytes(hdr[4..8].try_into().expect("4 bytes"));
         let body = if src_rank == ACK_RANK {
             0
-        } else if nfield & V3_FLAG != 0 {
-            ((nfield & !V3_FLAG) as usize).min(MAX_FRAME_BODY_BYTES)
         } else {
-            (nfield as usize).min(MAX_FRAME_PACKETS) * PACKET_BYTES
+            ((nfield & !V3_FLAG) as usize).min(MAX_FRAME_BODY_BYTES)
         };
         if avail < FRAME_HEADER_BYTES + body {
             return Some(format!("link cut mid-frame ({avail} trailing bytes)"));
@@ -1936,12 +1683,10 @@ impl SocketPump {
     /// (no recovery) or enter `Reconnecting`.
     fn on_fault(&mut self, detail: String) -> Step {
         let _ = self.stream.shutdown();
-        self.staged.clear();
-        self.staged_pos = 0;
         self.ctrl.clear();
+        self.admitted = 0;
         self.pending_sever = None;
         self.cork_defers = 0;
-        self.rbuf.clear();
         self.rpos = 0;
         self.rfilled = 0;
         self.eof = false;
@@ -2092,29 +1837,10 @@ impl SocketPump {
             return self.on_fault("peer initiated mid-stream resume".into());
         }
         let mut progressed = false;
-        // Fault injection needs per-frame custody of outbound bytes, so the
-        // injected-fault seam keeps the staged path even when pooling is on
-        // (v3 frames travel through it as opaque byte buffers).
-        let use_vectored = self.pooling && self.faults.is_none();
-        let r = if use_vectored {
-            self.flush_vectored(&mut progressed)
-        } else {
-            self.flush_out(&mut progressed)
-        }
-        .and_then(|()| {
-            if self.pooling {
-                self.fill_rblock(&mut progressed)
-            } else {
-                self.fill_rbuf(&mut progressed)
-            }
-        })
-        .and_then(|()| {
-            if self.pooling {
-                self.deframe_pooled(&mut progressed)
-            } else {
-                self.deframe(&mut progressed)
-            }
-        });
+        let r = self
+            .flush(&mut progressed)
+            .and_then(|()| self.fill_rblock(&mut progressed))
+            .and_then(|()| self.deframe(&mut progressed));
         if let Err(detail) = r {
             return self.on_fault(detail);
         }
@@ -2142,10 +1868,10 @@ impl SocketPump {
     fn probe_ack_progress(&mut self) -> Option<String> {
         let oldest = {
             let ring = self.shared.ring.lock().expect("ring lock");
-            // `cursor > 0` means the front frame has been staged for the
-            // wire (or handed to the fault injector); `wire_off > 0` means
-            // the vectored path has partially written it — only then can
-            // the peer be expected to ack it (or be known stalled).
+            // `cursor > 0` means the front frame has been written (or kept
+            // off the wire by the fault injector); `wire_off > 0` means it
+            // is partially written — only then can the peer be expected to
+            // ack it (or be known stalled).
             if ring.cursor > 0 || ring.wire_off > 0 {
                 ring.frames.front().map(|(seq, _)| *seq)
             } else {
@@ -2329,12 +2055,12 @@ mod tests {
         p
     }
 
-    /// The tag byte of a frame delivered by the socket plane (always an
-    /// inline packet: decode never produces runs).
+    /// The tag byte of a delivered frame that was offered as a packet
+    /// (packet items decode back to inline packets).
     fn tag(f: &Frame) -> u8 {
         match f {
             Frame::Pkt(p) => p.payload[0],
-            Frame::Run(_) => panic!("socket decode must emit inline packets"),
+            Frame::Run(_) => panic!("a packet item must decode to an inline packet"),
         }
     }
 
@@ -2344,6 +2070,47 @@ mod tests {
             process: 1,
             backend,
             addr: "test".into(),
+        }
+    }
+
+    /// One end of a socket pair wrapped with `cfg`, the other left raw.
+    fn conn_to_raw(cfg: ConnConfig) -> (SocketConn, SocketPump, SocketStream, FabricHealth) {
+        let (sa, raw) = pair();
+        let health = FabricHealth::default();
+        let (conn, pump) = SocketConn::new(sa, cfg, health.clone()).unwrap();
+        (conn, pump, raw, health)
+    }
+
+    /// Both ends wrapped, on one health board: A sends from endpoint (0,0)
+    /// and B from (1,0), each expecting the other's tag.
+    fn conn_pair() -> (SocketConn, SocketPump, SocketConn, SocketPump, FabricHealth) {
+        let (conn_a, pump_a, sb, health) = conn_to_raw(ConnConfig::basic(peer("uds"), &[(1, 0)]));
+        let cfg_b = ConnConfig::basic(peer("uds"), &[(0, 0)]);
+        let (conn_b, pump_b) = SocketConn::new(sb, cfg_b, health.clone()).unwrap();
+        (conn_a, pump_a, conn_b, pump_b, health)
+    }
+
+    fn offer(tx: &mut LinkTx, burst: Burst) {
+        assert!(matches!(tx.offer(burst), LinkSend::Accepted));
+    }
+
+    fn run_of(elems: &[u8]) -> Frame {
+        Frame::Run(smi_wire::PacketRun::from_elems(
+            0,
+            1,
+            0,
+            PacketOp::Send,
+            elems,
+        ))
+    }
+
+    /// Append the payload of a delivered burst of runs to `out`.
+    fn run_bytes(burst: &[Frame], out: &mut Vec<u8>) {
+        for f in burst {
+            match f {
+                Frame::Run(r) => out.extend_from_slice(r.payload.as_slice()),
+                Frame::Pkt(_) => panic!("decode must deliver runs as views"),
+            }
         }
     }
 
@@ -2376,13 +2143,6 @@ mod tests {
 
     #[test]
     fn frame_encode_shape() {
-        let mut out = Vec::new();
-        encode_frame_into(&mut out, 5, 2, 77, &[pkt(1, 9).into(), pkt(1, 10).into()]);
-        assert_eq!(out.len(), FRAME_HEADER_BYTES + 2 * PACKET_BYTES);
-        assert_eq!(u16::from_le_bytes(out[..2].try_into().unwrap()), 5);
-        assert_eq!(u16::from_le_bytes(out[2..4].try_into().unwrap()), 2);
-        assert_eq!(u32::from_le_bytes(out[4..8].try_into().unwrap()), 2);
-        assert_eq!(u64::from_le_bytes(out[8..16].try_into().unwrap()), 77);
         let mut ack = Vec::new();
         encode_ack_into(&mut ack, 123);
         assert_eq!(ack.len(), FRAME_HEADER_BYTES);
@@ -2391,45 +2151,12 @@ mod tests {
     }
 
     #[test]
-    fn run_frames_materialize_into_wire_packets() {
-        use smi_wire::PacketRun;
-        let elems: Vec<u8> = (0..60).collect();
-        let frame = Frame::Run(PacketRun::from_elems(0, 1, 0, PacketOp::Send, &elems));
-        assert_eq!(frame.packet_count(), 3); // 28 + 28 + 4
-        let mut out = Vec::new();
-        encode_frame_into(&mut out, 3, 1, 9, &[frame]);
-        assert_eq!(out.len(), FRAME_HEADER_BYTES + 3 * PACKET_BYTES);
-        assert_eq!(u32::from_le_bytes(out[4..8].try_into().unwrap()), 3);
-        let mut got = Vec::new();
-        for i in 0..3 {
-            let off = FRAME_HEADER_BYTES + i * PACKET_BYTES;
-            let p = NetworkPacket::unpack(out[off..off + PACKET_BYTES].try_into().unwrap())
-                .expect("valid packet");
-            got.extend_from_slice(p.valid_payload(smi_wire::Datatype::Char));
-        }
-        assert_eq!(got, elems);
-    }
-
-    #[test]
     fn bursts_cross_the_socket_in_order() {
-        let (sa, sb) = pair();
-        let health = FabricHealth::default();
-        // A sends from endpoint (0,0); B receives the same key.
-        let (conn_a, mut pump_a) =
-            SocketConn::new(sa, ConnConfig::basic(peer("uds"), &[]), health.clone()).unwrap();
-        let (conn_b, mut pump_b) = SocketConn::new(
-            sb,
-            ConnConfig::basic(peer("uds"), &[(0, 0)]),
-            health.clone(),
-        )
-        .unwrap();
+        let (conn_a, mut pump_a, conn_b, mut pump_b, health) = conn_pair();
         let mut tx = conn_a.tx(0, 0);
         let mut rx = conn_b.rx((0, 0));
         for i in 0..50u8 {
-            assert!(matches!(
-                tx.offer(vec![pkt(1, i).into()]),
-                LinkSend::Accepted
-            ));
+            offer(&mut tx, vec![pkt(1, i).into()]);
         }
         let mut seen = Vec::new();
         while seen.len() < 50 {
@@ -2445,29 +2172,13 @@ mod tests {
 
     #[test]
     fn acks_trim_the_replay_ring() {
-        let (sa, sb) = pair();
-        let health = FabricHealth::default();
-        let (conn_a, mut pump_a) =
-            SocketConn::new(sa, ConnConfig::basic(peer("uds"), &[]), health.clone()).unwrap();
-        let (conn_b, mut pump_b) = SocketConn::new(
-            sb,
-            ConnConfig::basic(peer("uds"), &[(0, 0)]),
-            health.clone(),
-        )
-        .unwrap();
+        let (conn_a, mut pump_a, conn_b, mut pump_b, health) = conn_pair();
         let mut tx = conn_a.tx(0, 0);
         let mut rx = conn_b.rx((0, 0));
         for i in 0..20u8 {
-            assert!(matches!(
-                tx.offer(vec![pkt(1, i).into()]),
-                LinkSend::Accepted
-            ));
+            offer(&mut tx, vec![pkt(1, i).into()]);
         }
-        {
-            let ring = conn_a.shared.ring.lock().unwrap();
-            assert_eq!(ring.frames.len(), 20);
-            assert_eq!(ring.next_seq, 21);
-        }
+        assert!(conn_a.shared.ring.lock().unwrap().bytes > 0);
         // Drive until B delivered everything and A's ring is fully acked.
         let mut delivered = 0;
         for _ in 0..100_000 {
@@ -2481,6 +2192,7 @@ mod tests {
             }
         }
         assert_eq!(delivered, 20);
+        assert!(health.peer_down().is_none());
         let ring = conn_a.shared.ring.lock().unwrap();
         assert!(ring.frames.is_empty(), "acked frames must leave the ring");
         assert_eq!(ring.bytes, 0);
@@ -2490,14 +2202,8 @@ mod tests {
     #[test]
     fn duplicate_frames_are_discarded() {
         // Write frames 1, 1, 2 by hand; the conn must deliver 1 and 2 once.
-        let (mut raw, sb) = pair();
-        let health = FabricHealth::default();
-        let (conn_b, mut pump_b) = SocketConn::new(
-            sb,
-            ConnConfig::basic(peer("uds"), &[(0, 0)]),
-            health.clone(),
-        )
-        .unwrap();
+        let (conn_b, mut pump_b, mut raw, health) =
+            conn_to_raw(ConnConfig::basic(peer("uds"), &[(0, 0)]));
         let mut bytes = Vec::new();
         encode_frame_into(&mut bytes, 0, 0, 1, &[pkt(1, 10).into()]);
         encode_frame_into(&mut bytes, 0, 0, 1, &[pkt(1, 10).into()]);
@@ -2552,14 +2258,8 @@ mod tests {
     #[test]
     fn sequence_gap_without_recovery_kills_the_link() {
         // Frames 1 then 3: a hole. With ReconnectRole::None the conn dies.
-        let (mut raw, sb) = pair();
-        let health = FabricHealth::default();
-        let (conn_b, mut pump_b) = SocketConn::new(
-            sb,
-            ConnConfig::basic(peer("uds"), &[(0, 0)]),
-            health.clone(),
-        )
-        .unwrap();
+        let (conn_b, mut pump_b, mut raw, health) =
+            conn_to_raw(ConnConfig::basic(peer("uds"), &[(0, 0)]));
         let mut bytes = Vec::new();
         encode_frame_into(&mut bytes, 0, 0, 1, &[pkt(1, 1).into()]);
         encode_frame_into(&mut bytes, 0, 0, 3, &[pkt(1, 3).into()]);
@@ -2584,26 +2284,9 @@ mod tests {
 
     #[test]
     fn peer_death_marks_health_and_closes_links() {
-        let (sa, sb) = pair();
-        let health_a = FabricHealth::default();
-        let (conn_a, mut pump_a) = SocketConn::new(
-            sa,
-            ConnConfig::basic(peer("uds"), &[(1, 0)]),
-            health_a.clone(),
-        )
-        .unwrap();
-        let (conn_b, mut pump_b) = SocketConn::new(
-            sb,
-            ConnConfig::basic(peer("uds"), &[]),
-            FabricHealth::default(),
-        )
-        .unwrap();
+        let (conn_a, mut pump_a, conn_b, mut pump_b, health_a) = conn_pair();
         // B sends one burst, then dies (stream dropped).
-        let mut btx = conn_b.tx(1, 0);
-        assert!(matches!(
-            btx.offer(vec![pkt(0, 7).into()]),
-            LinkSend::Accepted
-        ));
+        offer(&mut conn_b.tx(1, 0), vec![pkt(0, 7).into()]);
         for _ in 0..100 {
             pump_b.poll();
         }
@@ -2640,19 +2323,17 @@ mod tests {
 
     #[test]
     fn replay_ring_overflow_is_a_typed_error() {
-        let (sa, _sb) = pair();
-        let health = FabricHealth::default();
         let mut cfg = ConnConfig::basic(peer("uds"), &[]);
-        cfg.replay_budget = FRAME_HEADER_BYTES + PACKET_BYTES; // one packet max
-        let (conn_a, _pump_a) = SocketConn::new(sa, cfg, health.clone()).unwrap();
+        cfg.replay_budget = FRAME_HEADER_BYTES + 1 + PACKET_BYTES; // one packet item max
+        let (conn_a, _pump_a, _raw, health) = conn_to_raw(cfg);
         let mut tx = conn_a.tx(0, 0);
         // A two-packet frame can never fit: typed fatal error, not Full.
         let burst = vec![pkt(1, 0).into(), pkt(1, 1).into()];
         assert!(matches!(tx.offer(burst), LinkSend::Closed));
         match health.error() {
             Some(SmiError::ReplayOverflow { needed, budget }) => {
-                assert_eq!(needed, FRAME_HEADER_BYTES + 2 * PACKET_BYTES);
-                assert_eq!(budget, FRAME_HEADER_BYTES + PACKET_BYTES);
+                assert_eq!(needed, FRAME_HEADER_BYTES + 2 * (1 + PACKET_BYTES));
+                assert_eq!(budget, FRAME_HEADER_BYTES + 1 + PACKET_BYTES);
             }
             other => panic!("expected ReplayOverflow, got {other:?}"),
         }
@@ -2660,21 +2341,14 @@ mod tests {
 
     #[test]
     fn full_ring_is_backpressure_not_an_error() {
-        let (sa, _sb) = pair();
-        let health = FabricHealth::default();
         let mut cfg = ConnConfig::basic(peer("uds"), &[]);
-        cfg.replay_budget = 2 * (FRAME_HEADER_BYTES + PACKET_BYTES);
-        let (conn_a, _pump_a) = SocketConn::new(sa, cfg, health.clone()).unwrap();
+        cfg.replay_budget = 2 * (FRAME_HEADER_BYTES + 1 + PACKET_BYTES);
+        let (conn_a, _pump_a, _raw, health) = conn_to_raw(cfg);
         let mut tx = conn_a.tx(0, 0);
-        assert!(matches!(
-            tx.offer(vec![pkt(1, 0).into()]),
-            LinkSend::Accepted
-        ));
-        assert!(matches!(
-            tx.offer(vec![pkt(1, 1).into()]),
-            LinkSend::Accepted
-        ));
-        // Third frame exceeds the budget while unacked: Full, burst back.
+        offer(&mut tx, vec![pkt(1, 0).into()]);
+        offer(&mut tx, vec![pkt(1, 1).into()]);
+        // A third packet exceeds the budget while unacked (corked into the
+        // first frame or not): Full, burst back.
         match tx.offer(vec![pkt(1, 2).into()]) {
             LinkSend::Full(b) => assert_eq!(tag(&b[0]), 2),
             other => panic!("expected Full, got {other:?}"),
@@ -2745,13 +2419,8 @@ mod tests {
         let path = dir.join("resume.sock");
         let (listener, addr) = SocketListener::bind_uds(path).unwrap();
 
-        let (sa, sb) = pair();
-        let health = FabricHealth::default();
         let session = fresh_session_id();
         let cfg = ConnConfig {
-            peer: peer("uds"),
-            recv_keys: Vec::new(),
-            replay_budget: 1 << 20,
             policy: ReconnectPolicy::Retry {
                 attempts: 10,
                 backoff: Duration::from_millis(5),
@@ -2762,25 +2431,20 @@ mod tests {
                 redial: Redial::Uds(addr),
             },
             session,
-            local_proc: 0,
-            faults: None,
-            copies: CopyMeter::default(),
-            wire: WireStats::default(),
-            pooling: false,
+            ..ConnConfig::basic(peer("uds"), &[])
         };
-        let (conn_a, mut pump_a) = SocketConn::new(sa, cfg, health.clone()).unwrap();
+        let (conn_a, mut pump_a, sb, health) = conn_to_raw(cfg);
         let mut tx = conn_a.tx(0, 0);
+        // Push every frame across the original stream (polling between
+        // offers, so the cork cannot merge them into one frame), then cut
+        // it without ever acking: everything must be replayed.
         for i in 0..10u8 {
-            assert!(matches!(
-                tx.offer(vec![pkt(1, i).into()]),
-                LinkSend::Accepted
-            ));
+            offer(&mut tx, vec![pkt(1, i).into()]);
+            for _ in 0..=CORK_MAX_DEFERS {
+                pump_a.poll();
+            }
         }
-        // Push the first frames across the original stream, then cut it
-        // without ever acking: everything must be replayed.
-        for _ in 0..50 {
-            pump_a.poll();
-        }
+        assert_eq!(conn_a.shared.ring.lock().unwrap().cursor, 10);
         sb.shutdown().unwrap();
         drop(sb);
 
@@ -2798,22 +2462,18 @@ mod tests {
                 last_recv: 0, // got nothing: replay everything
             };
             send_hello(&mut s, &reply).unwrap();
-            let need = 10 * (FRAME_HEADER_BYTES + PACKET_BYTES);
-            let mut buf = vec![0u8; need];
+            let frame = FRAME_HEADER_BYTES + 1 + PACKET_BYTES;
+            let mut buf = vec![0u8; 10 * frame];
             s.read_exact(&mut buf).unwrap();
+            let block: Arc<[u8]> = buf.into();
             let mut tags = Vec::new();
             for f in 0..10 {
-                let off = f * (FRAME_HEADER_BYTES + PACKET_BYTES);
-                let seq = u64::from_le_bytes(buf[off + 8..off + 16].try_into().expect("8 bytes"));
+                let off = f * frame;
+                let seq = u64::from_le_bytes(block[off + 8..off + 16].try_into().expect("8 bytes"));
                 assert_eq!(seq, f as u64 + 1, "replayed in order");
-                let body = off + FRAME_HEADER_BYTES;
-                let p = NetworkPacket::unpack(
-                    buf[body..body + PACKET_BYTES]
-                        .try_into()
-                        .expect("one packet"),
-                )
-                .expect("valid packet");
-                tags.push(p.payload[0]);
+                let burst = decode_body(&block, off + FRAME_HEADER_BYTES, 1 + PACKET_BYTES)
+                    .expect("valid body");
+                tags.extend(burst.iter().map(tag));
             }
             // Hand the stream back so it outlives the assertions: dropping
             // it here would look like a second mid-stream fault.
@@ -2844,12 +2504,7 @@ mod tests {
     /// walks Healthy → Reconnecting{0..n} → Dead.
     #[test]
     fn reconnect_budget_exhaustion_marks_peer_dead() {
-        let (sa, sb) = pair();
-        let health = FabricHealth::default();
         let cfg = ConnConfig {
-            peer: peer("uds"),
-            recv_keys: Vec::new(),
-            replay_budget: 1 << 20,
             policy: ReconnectPolicy::Retry {
                 attempts: 3,
                 backoff: Duration::from_millis(1),
@@ -2860,18 +2515,11 @@ mod tests {
                 redial: Redial::Uds("/nonexistent/smi-no-such-listener.sock".into()),
             },
             session: 1,
-            local_proc: 0,
-            faults: None,
-            copies: CopyMeter::default(),
-            wire: WireStats::default(),
-            pooling: false,
+            ..ConnConfig::basic(peer("uds"), &[])
         };
-        let (conn_a, mut pump_a) = SocketConn::new(sa, cfg, health.clone()).unwrap();
+        let (conn_a, mut pump_a, sb, health) = conn_to_raw(cfg);
         let mut tx = conn_a.tx(0, 0);
-        assert!(matches!(
-            tx.offer(vec![pkt(1, 0).into()]),
-            LinkSend::Accepted
-        ));
+        offer(&mut tx, vec![pkt(1, 0).into()]);
         sb.shutdown().unwrap();
         drop(sb);
         let mut was_reconnecting = false;
@@ -2896,13 +2544,6 @@ mod tests {
         assert_eq!(health.error(), Some(SmiError::PeerDisconnected { rank: 1 }));
     }
 
-    /// `basic()` with pooling switched on: the v3 fast path under test.
-    fn pooled_cfg(peer: PeerInfo, recv_keys: &[(usize, usize)]) -> ConnConfig {
-        let mut cfg = ConnConfig::basic(peer, recv_keys);
-        cfg.pooling = true;
-        cfg
-    }
-
     #[test]
     fn v3_frame_roundtrip_mixes_packets_and_runs() {
         use smi_wire::PacketRun;
@@ -2913,7 +2554,7 @@ mod tests {
             pkt(1, 8).into(),
         ];
         let mut out = Vec::new();
-        encode_frame_v3_into(&mut out, 5, 3, 42, &burst);
+        encode_frame_into(&mut out, 5, 3, 42, &burst);
         // Header: v3 flag set, low bits carry the body byte length.
         let nfield = u32::from_le_bytes(out[4..8].try_into().unwrap());
         assert_ne!(nfield & V3_FLAG, 0);
@@ -2924,7 +2565,7 @@ mod tests {
             2 * (1 + PACKET_BYTES) + V3_RUN_ITEM_HEADER + elems.len()
         );
         let block: Arc<[u8]> = out.into();
-        let got = decode_v3_body(&block, FRAME_HEADER_BYTES, body).unwrap();
+        let got = decode_body(&block, FRAME_HEADER_BYTES, body).unwrap();
         assert_eq!(got.len(), 3);
         match (&got[0], &got[1], &got[2]) {
             (Frame::Pkt(a), Frame::Run(r), Frame::Pkt(b)) => {
@@ -2944,40 +2585,18 @@ mod tests {
     }
 
     #[test]
-    fn pooled_conn_delivers_runs_as_views() {
-        use smi_wire::PacketRun;
-        let (sa, sb) = pair();
-        let health = FabricHealth::default();
-        let wire = WireStats::default();
-        let mut cfg_a = pooled_cfg(peer("uds"), &[]);
-        cfg_a.wire = wire.clone();
-        let (conn_a, mut pump_a) = SocketConn::new(sa, cfg_a, health.clone()).unwrap();
-        let (conn_b, mut pump_b) =
-            SocketConn::new(sb, pooled_cfg(peer("uds"), &[(0, 0)]), health.clone()).unwrap();
-        let mut tx = conn_a.tx(0, 0);
+    fn conn_delivers_runs_as_views() {
+        let (conn_a, mut pump_a, conn_b, mut pump_b, health) = conn_pair();
+        let wire = &conn_a.shared.wire;
         let mut rx = conn_b.rx((0, 0));
         let elems: Vec<u8> = (0..100).map(|i| i as u8).collect();
-        assert!(matches!(
-            tx.offer(vec![Frame::Run(PacketRun::from_elems(
-                0,
-                1,
-                0,
-                PacketOp::Send,
-                &elems
-            ))]),
-            LinkSend::Accepted
-        ));
+        offer(&mut conn_a.tx(0, 0), vec![run_of(&elems)]);
         let mut got: Vec<u8> = Vec::new();
         for _ in 0..100_000 {
             pump_a.poll();
             pump_b.poll();
             while let LinkRecv::Burst(b) = rx.try_recv() {
-                for f in &b {
-                    match f {
-                        Frame::Run(r) => got.extend_from_slice(r.payload.as_slice()),
-                        Frame::Pkt(_) => panic!("pooled decode must deliver runs"),
-                    }
-                }
+                run_bytes(&b, &mut got);
             }
             if got.len() == elems.len() {
                 break;
@@ -2992,23 +2611,14 @@ mod tests {
 
     #[test]
     fn cork_merges_small_bursts_into_one_frame() {
-        let (sa, sb) = pair();
-        let health = FabricHealth::default();
-        let wire = WireStats::default();
-        let mut cfg_a = pooled_cfg(peer("uds"), &[]);
-        cfg_a.wire = wire.clone();
-        let (conn_a, mut pump_a) = SocketConn::new(sa, cfg_a, health.clone()).unwrap();
-        let (conn_b, mut pump_b) =
-            SocketConn::new(sb, pooled_cfg(peer("uds"), &[(0, 0)]), health.clone()).unwrap();
+        let (conn_a, mut pump_a, conn_b, mut pump_b, health) = conn_pair();
+        let wire = &conn_a.shared.wire;
         let mut tx = conn_a.tx(0, 0);
         let mut rx = conn_b.rx((0, 0));
         // 16 one-packet offers before the pump ever runs: everything after
         // the first must merge into the same untransmitted ring frame.
         for i in 0..16u8 {
-            assert!(matches!(
-                tx.offer(vec![pkt(1, i).into()]),
-                LinkSend::Accepted
-            ));
+            offer(&mut tx, vec![pkt(1, i).into()]);
         }
         {
             let ring = conn_a.shared.ring.lock().unwrap();
@@ -3032,26 +2642,17 @@ mod tests {
             }
         }
         assert_eq!(seen, (0..16u8).collect::<Vec<_>>());
+        assert!(health.peer_down().is_none());
     }
 
     #[test]
     fn oversized_run_splits_across_frames() {
-        use smi_wire::PacketRun;
-        let (sa, sb) = pair();
-        let health = FabricHealth::default();
-        let (conn_a, mut pump_a) =
-            SocketConn::new(sa, pooled_cfg(peer("uds"), &[]), health.clone()).unwrap();
-        let (conn_b, mut pump_b) =
-            SocketConn::new(sb, pooled_cfg(peer("uds"), &[(0, 0)]), health.clone()).unwrap();
-        let mut tx = conn_a.tx(0, 0);
+        let (conn_a, mut pump_a, conn_b, mut pump_b, health) = conn_pair();
         let mut rx = conn_b.rx((0, 0));
         let elems: Vec<u8> = (0..150_000).map(|i| (i * 31) as u8).collect();
-        let run = PacketRun::from_elems(0, 1, 0, PacketOp::Send, &elems);
+        let run = run_of(&elems);
         let total_packets = run.packet_count();
-        assert!(matches!(
-            tx.offer(vec![Frame::Run(run)]),
-            LinkSend::Accepted
-        ));
+        offer(&mut conn_a.tx(0, 0), vec![run]);
         {
             let ring = conn_a.shared.ring.lock().unwrap();
             assert!(
@@ -3069,13 +2670,8 @@ mod tests {
             pump_a.poll();
             pump_b.poll();
             while let LinkRecv::Burst(b) = rx.try_recv() {
-                for f in &b {
-                    packets += f.packet_count();
-                    match f {
-                        Frame::Run(r) => got.extend_from_slice(r.payload.as_slice()),
-                        Frame::Pkt(_) => panic!("pooled decode must deliver runs"),
-                    }
-                }
+                packets += b.iter().map(Frame::packet_count).sum::<usize>();
+                run_bytes(&b, &mut got);
             }
             if got.len() == elems.len() {
                 break;
@@ -3086,45 +2682,140 @@ mod tests {
             packets, total_packets,
             "packet-aligned splitting preserves the packet count"
         );
+        assert!(health.peer_down().is_none());
     }
 
+    /// Outside input: a data frame without the body-length flag, an unknown
+    /// item kind, and a run item overrunning its frame body each end as a
+    /// typed stream fault, never a panic or a delivery.
     #[test]
-    fn legacy_rbuf_capacity_shrinks_after_drain() {
-        let (sa, sb) = pair();
-        let health = FabricHealth::default();
-        let (conn_a, mut pump_a) =
-            SocketConn::new(sa, ConnConfig::basic(peer("uds"), &[]), health.clone()).unwrap();
-        let (conn_b, mut pump_b) = SocketConn::new(
-            sb,
-            ConnConfig::basic(peer("uds"), &[(0, 0)]),
-            health.clone(),
-        )
-        .unwrap();
-        // Simulate a past backpressure episode ballooning the read buffer.
-        pump_b.rbuf.reserve(RBUF_SHRINK_CAP * 4);
-        assert!(pump_b.rbuf.capacity() > RBUF_SHRINK_CAP);
-        let mut tx = conn_a.tx(0, 0);
-        let mut rx = conn_b.rx((0, 0));
-        assert!(matches!(
-            tx.offer(vec![pkt(1, 1).into()]),
-            LinkSend::Accepted
-        ));
-        let mut seen = 0;
-        for _ in 0..100_000 {
+    fn malformed_frames_are_typed_stream_faults() {
+        let header = |len: u32| {
+            let mut h = Vec::new();
+            h.extend_from_slice(&0u16.to_le_bytes());
+            h.extend_from_slice(&0u16.to_le_bytes());
+            h.extend_from_slice(&len.to_le_bytes());
+            h.extend_from_slice(&1u64.to_le_bytes());
+            h
+        };
+        // A pre-v3 frame: `len` is a packet count, one packed packet follows.
+        let mut unflagged = header(1);
+        unflagged.extend_from_slice(&pkt(1, 1).pack());
+        let mut bad_kind = header(V3_FLAG | 2);
+        bad_kind.extend_from_slice(&[7, 0]);
+        // A run item claiming 100 payload bytes in a body that holds 4.
+        let mut overrun = Vec::new();
+        encode_frame_into(&mut overrun, 0, 0, 1, &[run_of(&[1, 2, 3, 4])]);
+        let nbytes_at = FRAME_HEADER_BYTES + V3_RUN_ITEM_HEADER - 4;
+        overrun[nbytes_at..nbytes_at + 4].copy_from_slice(&100u32.to_le_bytes());
+        for (bytes, want) in [
+            (unflagged, "corrupt frame"),
+            (bad_kind, "corrupt frame"),
+            (overrun, "truncated"),
+        ] {
+            let (conn, mut pump, mut raw, health) =
+                conn_to_raw(ConnConfig::basic(peer("uds"), &[(0, 0)]));
+            raw.write_all(&bytes).unwrap();
+            let mut rx = conn.rx((0, 0));
+            let mut closed = false;
+            for _ in 0..100_000 {
+                pump.poll();
+                match rx.try_recv() {
+                    LinkRecv::Closed => {
+                        closed = true;
+                        break;
+                    }
+                    LinkRecv::Burst(b) => panic!("malformed frame delivered: {b:?}"),
+                    LinkRecv::Empty => {}
+                }
+            }
+            assert!(closed, "link must close on {want}");
+            let pd = health.peer_down().expect("marked down");
+            assert!(pd.detail.contains(want), "detail: {}", pd.detail);
+        }
+    }
+
+    /// Regression (ISSUE 14): after a short write the frame at the cursor is
+    /// half on the wire; an ack generated in the same poll must wait for the
+    /// frame boundary instead of landing inside that frame's payload.
+    #[test]
+    fn acks_never_land_inside_a_partially_written_frame() {
+        let (conn_a, mut pump_a, conn_b, mut pump_b, health) = conn_pair();
+        let (mut tx_a, mut rx_a) = (conn_a.tx(0, 0), conn_a.rx((1, 0)));
+        let (mut tx_b, mut rx_b) = (conn_b.tx(1, 0), conn_b.rx((0, 0)));
+        // 15 × 60 000 bytes outrun the socket buffer, so A's writes go short
+        // while B's one-packet bursts keep A generating acks.
+        let runs: Vec<Vec<u8>> = (0..15u32)
+            .map(|r| (0..60_000u32).map(|i| (i * 7 + r * 13) as u8).collect())
+            .collect();
+        for elems in &runs {
+            offer(&mut tx_a, vec![run_of(elems)]);
+        }
+        let total: usize = runs.iter().map(Vec::len).sum();
+        let mut got: Vec<u8> = Vec::with_capacity(total);
+        let mut trickled = 0u32;
+        for round in 0..200_000u32 {
+            if let LinkSend::Accepted = tx_b.offer(vec![pkt(0, round as u8).into()]) {
+                trickled += 1;
+            }
             pump_a.poll();
             pump_b.poll();
-            while let LinkRecv::Burst(b) = rx.try_recv() {
-                seen += b.len();
+            while let LinkRecv::Burst(_) = rx_a.try_recv() {}
+            while let LinkRecv::Burst(b) = rx_b.try_recv() {
+                run_bytes(&b, &mut got);
             }
-            if seen == 1 {
+            if got.len() >= total || health.peer_down().is_some() {
                 break;
             }
         }
-        assert_eq!(seen, 1);
         assert!(
-            pump_b.rbuf.capacity() <= RBUF_SHRINK_CAP,
-            "high-water capacity released, got {}",
-            pump_b.rbuf.capacity()
+            health.peer_down().is_none(),
+            "stream fault: {:?}",
+            health.peer_down()
         );
+        assert!(trickled > 0);
+        assert!(got == runs.concat(), "payload corrupted in flight");
+    }
+
+    /// The fault plan acts on the flush every connection uses: emission
+    /// ordinals count ring frames as they enter the write window, a dropped
+    /// or delayed frame stays off the wire, copies travel as boundary bytes,
+    /// and the sever fires once its frame is fully written.
+    #[test]
+    fn injected_faults_shape_the_wire_of_the_one_flush() {
+        use crate::transport::faults::{DelaySpec, FaultPlan, LinkFault, SeverSpec};
+        let plan = FaultPlan {
+            links: vec![LinkFault {
+                drop: vec![2],
+                duplicate: vec![3],
+                delay: vec![DelaySpec { frame: 4, by: 1 }],
+                sever: vec![SeverSpec { after_frame: 6 }],
+                ..LinkFault::clean(0, 1)
+            }],
+        };
+        let mut cfg = ConnConfig::basic(peer("uds"), &[]);
+        cfg.faults = plan.injector_for(0, 1);
+        let (conn_a, mut pump_a, mut raw, health) = conn_to_raw(cfg);
+        let mut tx = conn_a.tx(0, 0);
+        // Seven frames too large to cork-merge; the seventh lies past the sever.
+        let elems = vec![0xA5u8; CORK_MERGE_CAP];
+        for _ in 0..7 {
+            offer(&mut tx, vec![run_of(&elems)]);
+        }
+        while health.peer_down().is_none() {
+            pump_a.poll();
+        }
+        let detail = health.peer_down().expect("severed").detail;
+        assert!(detail.contains("injected sever after frame 6"), "{detail}");
+        let mut wire = Vec::new();
+        raw.read_to_end(&mut wire).unwrap();
+        let frame = FRAME_HEADER_BYTES + V3_RUN_ITEM_HEADER + elems.len();
+        let seqs: Vec<u64> = wire
+            .chunks(frame)
+            .map(|f| u64::from_le_bytes(f[8..16].try_into().unwrap()))
+            .collect();
+        // 2 dropped, 3 twice, 4 held back past 5 and what was admitted with it.
+        assert_eq!(seqs, [1, 3, 3, 5, 6, 4]);
+        assert_eq!(wire.len(), 6 * frame);
     }
 }

@@ -336,21 +336,9 @@ fn all_collectives_split(
     count: u64,
     scheme: smi::CollectiveScheme,
 ) -> Vec<(Vec<i32>, Vec<i32>, Vec<i32>, Vec<i32>)> {
-    all_collectives_split_pooling(plan, root, count, scheme, true)
-}
-
-#[allow(clippy::type_complexity)]
-fn all_collectives_split_pooling(
-    plan: &ProcessPlan,
-    root: usize,
-    count: u64,
-    scheme: smi::CollectiveScheme,
-    socket_pooling: bool,
-) -> Vec<(Vec<i32>, Vec<i32>, Vec<i32>, Vec<i32>)> {
     let params = RuntimeParams {
         collective_scheme: scheme,
         reduce_credits: 32, // several windows at moderate counts
-        socket_pooling,
         ..Default::default()
     };
     let meta = ProgramMeta::new()
@@ -457,59 +445,19 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-backend equivalence: in-memory ≡ Unix-domain sockets
+// Cross-backend equivalence: in-memory ≡ Unix-domain ≡ TCP sockets
 // ---------------------------------------------------------------------------
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(11))]
 
     /// Splitting the cluster across OS-process-style groups joined by real
-    /// Unix-domain sockets changes nothing observable: all four collectives
-    /// deliver exactly the in-memory results for random rank counts (2..=8),
-    /// roots, payload lengths, partitions and schemes.
+    /// sockets (vectored frames, encode-buffer pool, cork, zero-copy receive
+    /// decode) changes nothing observable: all four collectives deliver
+    /// exactly the in-memory results for random rank counts (2..=8), roots,
+    /// payload lengths, partitions, schemes and both socket backends.
     #[test]
-    fn unix_socket_backend_matches_in_memory(
-        ranks_pick in any::<u8>(),
-        root_pick in any::<u8>(),
-        nproc_pick in any::<u8>(),
-        count in 1u64..24,
-        tree in any::<bool>(),
-    ) {
-        let ranks = 2 + (ranks_pick as usize % 7); // 2..=8
-        let root = root_pick as usize % ranks;
-        let nproc = 2 + (nproc_pick as usize % (ranks - 1)); // 2..=ranks
-        let scheme = if tree {
-            smi::CollectiveScheme::Tree
-        } else {
-            smi::CollectiveScheme::Linear
-        };
-        let topo = Topology::bus(ranks);
-        let plan = ProcessPlan::split(&topo, TransportBackend::Uds, nproc);
-        let inmem = all_collectives(ranks, root, count, scheme);
-        let uds = all_collectives_split(&plan, root, count, scheme);
-        prop_assert_eq!(
-            &inmem, &uds,
-            "ranks={} root={} nproc={} count={} scheme={:?}",
-            ranks, root, nproc, count, scheme
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Socket-plane pooling equivalence: pooled ≡ unpooled ≡ inmem
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(5))]
-
-    /// The pooled socket fast path (v3 vectored frames, encode-buffer slab,
-    /// cork, zero-copy receive decode) is wire-behavior-invariant: all four
-    /// collectives deliver bit-identical results with pooling on, pooling
-    /// off, and on the in-memory plane, for random rank counts (2..=8),
-    /// roots, payload lengths, partitions, schemes and both socket
-    /// backends.
-    #[test]
-    fn pooled_socket_matches_unpooled_and_in_memory(
+    fn socket_backends_match_in_memory(
         ranks_pick in any::<u8>(),
         root_pick in any::<u8>(),
         nproc_pick in any::<u8>(),
@@ -533,16 +481,10 @@ proptest! {
         let topo = Topology::bus(ranks);
         let plan = ProcessPlan::split(&topo, backend, nproc);
         let inmem = all_collectives(ranks, root, count, scheme);
-        let pooled = all_collectives_split_pooling(&plan, root, count, scheme, true);
-        let unpooled = all_collectives_split_pooling(&plan, root, count, scheme, false);
+        let split = all_collectives_split(&plan, root, count, scheme);
         prop_assert_eq!(
-            &pooled, &unpooled,
-            "pooled != unpooled: ranks={} root={} nproc={} count={} scheme={:?} backend={}",
-            ranks, root, nproc, count, scheme, backend
-        );
-        prop_assert_eq!(
-            &inmem, &pooled,
-            "pooled != inmem: ranks={} root={} nproc={} count={} scheme={:?} backend={}",
+            &inmem, &split,
+            "ranks={} root={} nproc={} count={} scheme={:?} backend={}",
             ranks, root, nproc, count, scheme, backend
         );
     }

@@ -6,7 +6,9 @@ use smi::env::SmiCtx;
 use smi::prelude::*;
 
 /// Run all four rooted collectives over `plan` and return per-rank
-/// `(bcast, reduce@root, scatter slice, gather@root)`.
+/// `(bcast, reduce@root, scatter slice, gather@root)`. No faults are
+/// injected, so a run that had to heal a connection is a bug hiding behind
+/// the replay ring: that fails here too.
 #[allow(clippy::type_complexity)]
 fn collective_suite(
     plan: &ProcessPlan,
@@ -14,22 +16,8 @@ fn collective_suite(
     count: u64,
     scheme: CollectiveScheme,
 ) -> Vec<(Vec<i32>, Vec<i32>, Vec<i32>, Vec<i32>)> {
-    collective_suite_with(plan, root, count, scheme, true)
-}
-
-/// [`collective_suite`] with an explicit `socket_pooling` setting, for the
-/// pooled ≡ unpooled A/B comparisons.
-#[allow(clippy::type_complexity)]
-fn collective_suite_with(
-    plan: &ProcessPlan,
-    root: usize,
-    count: u64,
-    scheme: CollectiveScheme,
-    socket_pooling: bool,
-) -> Vec<(Vec<i32>, Vec<i32>, Vec<i32>, Vec<i32>)> {
     let params = RuntimeParams {
         collective_scheme: scheme,
-        socket_pooling,
         ..Default::default()
     };
     let meta = ProgramMeta::new()
@@ -37,7 +25,7 @@ fn collective_suite_with(
         .with(OpSpec::reduce(1, Datatype::Int, ReduceOp::Add))
         .with(OpSpec::scatter(2, Datatype::Int))
         .with(OpSpec::gather(3, Datatype::Int));
-    run_split_spmd(
+    let report = run_split_spmd(
         plan,
         meta,
         move |ctx: SmiCtx| {
@@ -91,8 +79,9 @@ fn collective_suite_with(
         },
         params,
     )
-    .unwrap()
-    .results
+    .unwrap();
+    assert_eq!(report.reconnects_healed, 0, "fault-free run healed");
+    report.results
 }
 
 /// The acceptance matrix: the full collective suite over every backend,
@@ -124,11 +113,11 @@ fn collective_suite_identical_across_backends_and_splits() {
     }
 }
 
-/// The pooled socket fast path (vectored v3 frames, cork, zero-copy
-/// receive decode) is result-invariant: pooled ≡ unpooled ≡ inmem for all
-/// four collectives across uds/tcp and 2–8 ranks.
+/// The socket path (vectored frames, cork, zero-copy receive decode) is
+/// result-invariant: socket ≡ inmem for all four collectives across
+/// uds/tcp and 2–8 ranks.
 #[test]
-fn pooled_unpooled_inmem_identical_across_rank_counts() {
+fn socket_inmem_identical_across_rank_counts() {
     let count = 40;
     for (ranks, nproc, root) in [(2usize, 2usize, 0usize), (3, 3, 1), (5, 2, 2), (8, 4, 7)] {
         let topo = Topology::bus(ranks);
@@ -145,13 +134,11 @@ fn pooled_unpooled_inmem_identical_across_rank_counts() {
         );
         for backend in [TransportBackend::Uds, TransportBackend::Tcp] {
             let plan = ProcessPlan::split(&topo, backend, nproc);
-            for pooling in [true, false] {
-                let got = collective_suite_with(&plan, root, count, scheme, pooling);
-                assert_eq!(
-                    reference, got,
-                    "backend={backend} ranks={ranks} nproc={nproc} pooling={pooling}"
-                );
-            }
+            let got = collective_suite(&plan, root, count, scheme);
+            assert_eq!(
+                reference, got,
+                "backend={backend} ranks={ranks} nproc={nproc}"
+            );
         }
     }
 }
@@ -211,6 +198,7 @@ fn split_mpmd_point_to_point_crosses_boundary() {
         .collect();
     let plan = ProcessPlan::split(&topo, TransportBackend::Uds, 2);
     let report = run_split_mpmd(&plan, metas, programs, RuntimeParams::default()).unwrap();
+    assert_eq!(report.reconnects_healed, 0, "fault-free run healed");
     for r in [2usize, 3] {
         let want: Vec<i32> = (0..n as i32).map(|i| i * 3 + (r - 2) as i32).collect();
         assert_eq!(report.results[r], want, "rank {r}");
@@ -268,6 +256,58 @@ impl RankTask for SliceRecv {
     }
 }
 
+/// Regression (ISSUE 14): both ranks of a UDS pair stream 2 MB at each
+/// other before either pops, so every pump sees short writes while it has
+/// acks to send. An ack written into a half-sent frame corrupted the
+/// payload and was "healed" by a reconnect; fault-free runs must not heal.
+#[test]
+fn bidirectional_bulk_exchange_is_exact_and_never_heals() {
+    const N: u64 = 500_000;
+    fn data(rank: usize) -> Vec<i32> {
+        (0..N as i32).map(|i| i * 3 + rank as i32).collect()
+    }
+    let plan = ProcessPlan::split(&Topology::bus(2), TransportBackend::Uds, 2);
+    let meta = ProgramMeta::new()
+        .with(OpSpec::send(0, Datatype::Int))
+        .with(OpSpec::recv(0, Datatype::Int));
+    for stream_reconnect in [
+        RuntimeParams::default().stream_reconnect,
+        ReconnectPolicy::Fail,
+    ] {
+        for round in 0..5 {
+            let params = RuntimeParams {
+                stream_reconnect,
+                ..Default::default()
+            };
+            let report = run_split_spmd(
+                &plan,
+                meta.clone(),
+                move |ctx: SmiCtx| {
+                    let (me, other) = (ctx.rank(), 1 - ctx.rank());
+                    let mut tx = ctx.open_send_channel::<i32>(N, other, 0).unwrap();
+                    tx.push_slice(&data(me)).unwrap();
+                    let mut rx = ctx.open_recv_channel::<i32>(N, other, 0).unwrap();
+                    let mut buf = vec![0i32; N as usize];
+                    rx.pop_slice(&mut buf).unwrap();
+                    buf
+                },
+                params,
+            )
+            .unwrap_or_else(|e| panic!("{stream_reconnect:?} round {round}: {e:?}"));
+            assert_eq!(
+                report.reconnects_healed, 0,
+                "{stream_reconnect:?} round {round}: fault-free run healed"
+            );
+            for rank in 0..2 {
+                assert!(
+                    report.results[rank] == data(1 - rank),
+                    "{stream_reconnect:?} round {round}: rank {rank} popped wrong data"
+                );
+            }
+        }
+    }
+}
+
 /// The cooperative task plane streams across socket transports: one rank
 /// per group, so every packet of both directed pairs rides a socket pump.
 #[test]
@@ -314,6 +354,7 @@ fn split_task_plane_streams_across_sockets() {
     // One rank per process: all four ranks talk through sockets.
     let plan = ProcessPlan::split(&topo, TransportBackend::Uds, 4);
     let report = run_split_mpmd_tasks(&plan, metas, factories, RuntimeParams::default()).unwrap();
+    assert_eq!(report.reconnects_healed, 0, "fault-free run healed");
     for (r, res) in report.results.iter().enumerate() {
         assert!(res.is_ok(), "rank {r}: {res:?}");
     }

@@ -1,6 +1,6 @@
 //! Work-stealing executor correctness: collective results must be
-//! identical no matter how many workers drive the transport machines,
-//! whether stealing is on or off, and on both execution planes.
+//! identical no matter how many workers drive the transport machines, on
+//! both execution planes.
 //!
 //! The executor only schedules `Pollable` machines — it must never change
 //! what they compute. These tests pin that down by running the same
@@ -24,12 +24,10 @@ fn all_collectives(
     count: u64,
     scheme: CollectiveScheme,
     workers: usize,
-    stealing: bool,
 ) -> (Vec<CollOutcome>, Vec<WorkerStats>) {
     let params = RuntimeParams {
         collective_scheme: scheme,
         transport_workers: workers,
-        work_stealing: stealing,
         ..Default::default()
     };
     let topo = Topology::bus(ranks);
@@ -127,10 +125,10 @@ fn collectives_identical_across_worker_counts() {
     // at 1/2/4/8 executor workers. Every multi-worker run must match the
     // single-worker run element for element.
     for scheme in [CollectiveScheme::Linear, CollectiveScheme::Tree] {
-        let (baseline, _) = all_collectives(9, 2, 17, scheme, 1, true);
+        let (baseline, _) = all_collectives(9, 2, 17, scheme, 1);
         check_outcomes(&baseline, 2, 17);
         for workers in [2, 4, 8] {
-            let (got, stats) = all_collectives(9, 2, 17, scheme, workers, true);
+            let (got, stats) = all_collectives(9, 2, 17, scheme, workers);
             assert_eq!(
                 got, baseline,
                 "results diverged at {workers} workers ({scheme:?})"
@@ -149,29 +147,10 @@ fn collectives_identical_across_worker_counts() {
 }
 
 #[test]
-fn static_sharding_matches_stealing() {
-    // `work_stealing: false` keeps every machine on the worker its rank's
-    // block was placed on. Scheduling policy must be invisible in the data.
-    let (stealing, _) = all_collectives(6, 0, 23, CollectiveScheme::Tree, 4, true);
-    for workers in [1, 4] {
-        let (pinned, stats) = all_collectives(6, 0, 23, CollectiveScheme::Tree, workers, false);
-        assert_eq!(pinned, stealing, "static ({workers} workers) diverged");
-        let steals: u64 = stats.iter().map(|s| s.steals).sum();
-        assert_eq!(steals, 0, "static mode must never steal");
-    }
-    check_outcomes(&stealing, 0, 23);
-}
-
-#[test]
 fn tight_buffers_survive_multi_worker_stealing() {
     // Tiny FIFOs maximise backpressure and idle polls, so machines bounce
     // between run queues and cold lists while work migrates between
     // workers. Results must still be exact.
-    let params_probe = RuntimeParams::tight();
-    assert!(
-        params_probe.work_stealing,
-        "tight() should keep stealing on"
-    );
     for workers in [2, 4] {
         let params = RuntimeParams {
             transport_workers: workers,
@@ -536,8 +515,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// For random rank counts, roots, payload lengths, schemes and worker
-    /// counts, the multi-worker run (stealing on or off) matches the
-    /// single-worker run for all four collectives.
+    /// counts, the multi-worker run matches the single-worker run for all
+    /// four collectives.
     #[test]
     fn worker_count_never_changes_results(
         ranks_pick in any::<u8>(),
@@ -545,7 +524,6 @@ proptest! {
         count in 1u64..28,
         workers_pick in any::<u8>(),
         tree in any::<bool>(),
-        stealing in any::<bool>(),
     ) {
         let ranks = 2 + (ranks_pick as usize % 9); // 2..=10
         let root = root_pick as usize % ranks;
@@ -555,12 +533,12 @@ proptest! {
         } else {
             CollectiveScheme::Linear
         };
-        let (baseline, _) = all_collectives(ranks, root, count, scheme, 1, true);
-        let (got, _) = all_collectives(ranks, root, count, scheme, workers, stealing);
+        let (baseline, _) = all_collectives(ranks, root, count, scheme, 1);
+        let (got, _) = all_collectives(ranks, root, count, scheme, workers);
         prop_assert_eq!(
             &got, &baseline,
-            "ranks={} root={} count={} workers={} scheme={:?} stealing={}",
-            ranks, root, count, workers, scheme, stealing
+            "ranks={} root={} count={} workers={} scheme={:?}",
+            ranks, root, count, workers, scheme
         );
     }
 }

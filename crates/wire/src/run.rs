@@ -12,7 +12,8 @@
 //! consumers.
 //!
 //! A [`Frame`] is what transport bursts actually carry: either a single
-//! inline packet (control traffic, legacy copying path) or a run view.
+//! inline packet (control traffic, partial tails, per-element pushes) or a
+//! run view.
 
 use std::sync::Arc;
 
