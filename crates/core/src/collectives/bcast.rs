@@ -5,7 +5,7 @@ use std::marker::PhantomData;
 
 use smi_wire::{Deframer, Frame, Framer, NetworkPacket, PacketOp, PacketRun, SmiType};
 
-use crate::collectives::topology::{CollectiveScheme, TreeShape};
+use crate::collectives::topology::TreeShape;
 use crate::collectives::{expect_op, CollectivePoll, CollectiveState};
 use crate::comm::Communicator;
 use crate::endpoint::{CollIo, EndpointTableHandle};
@@ -24,7 +24,7 @@ use crate::SmiError;
 /// state, advanced by [`CollectivePoll::poll`] / the `try_*` operations
 /// instead of blocking inside open.
 ///
-/// Both [`CollectiveScheme`]s run through one code path, parameterized by
+/// Both [`crate::CollectiveScheme`]s run through one code path, parameterized by
 /// the shape's parent/children relations: `Linear` is the star tree (the
 /// root parents everyone — the paper's shape, bit-identical to the
 /// pre-tree protocol), `Tree` is a binomial tree in which interior nodes
@@ -73,12 +73,11 @@ impl<T: SmiType> BcastChannel<T> {
         count: u64,
         port: usize,
         root: usize,
-        scheme: CollectiveScheme,
         params: &RuntimeParams,
     ) -> Result<Self, SmiError> {
         let my_world = comm.world_rank(comm.rank())?;
         let io = CollIo::open(table, port, smi_codegen::OpKind::Bcast, T::DATATYPE, params)?;
-        let shape = TreeShape::new(scheme, comm.size(), root, comm.rank());
+        let shape = TreeShape::new(params.collective_scheme, comm.size(), root, comm.rank());
         let (parent, children) = shape.resolve_world(comm)?;
         let is_root = comm.rank() == root;
         let port_wire = smi_wire::header::port_to_wire(port)?;

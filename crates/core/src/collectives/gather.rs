@@ -101,9 +101,9 @@ impl<T: SmiType> GatherChannel<T> {
         count: u64,
         port: usize,
         root: usize,
-        scheme: CollectiveScheme,
         params: &RuntimeParams,
     ) -> Result<Self, SmiError> {
+        let scheme = params.collective_scheme;
         let root_world = comm.world_rank(root)?;
         let my_world = comm.world_rank(comm.rank())?;
         let io = CollIo::open(

@@ -39,10 +39,8 @@
 //!
 //! ## Routing schemes: linear vs. tree
 //!
-//! Every collective supports two [`CollectiveScheme`]s, selected through
-//! [`crate::RuntimeParams::collective_scheme`] (or per open via the
-//! `open_*_channel_poll_with_scheme` context methods — the scheme must be
-//! uniform across all members of one collective):
+//! Every collective supports two [`CollectiveScheme`]s, selected for the
+//! whole run through [`crate::RuntimeParams::collective_scheme`]:
 //!
 //! * **Linear** (default) — the paper's root-centric shape: every element
 //!   moves directly between the root and each member. Internally this is

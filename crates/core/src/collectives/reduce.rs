@@ -4,7 +4,7 @@
 use smi_wire::reduce::SmiNumeric;
 use smi_wire::{Deframer, NetworkPacket, PacketOp, ReduceOp};
 
-use crate::collectives::topology::{CollectiveScheme, TreeShape};
+use crate::collectives::topology::TreeShape;
 use crate::collectives::{expect_op, CollectivePoll, CollectiveState};
 use crate::comm::Communicator;
 use crate::endpoint::{CollIo, CreditLedger, EndpointTableHandle};
@@ -19,7 +19,7 @@ use crate::SmiError;
 /// Reduce needs no open handshake (the first credit window is implicitly
 /// granted), so the poll-mode core starts in `Streaming`.
 ///
-/// Both [`CollectiveScheme`]s share one code path, parameterized by the
+/// Both [`crate::CollectiveScheme`]s share one code path, parameterized by the
 /// shape's parent/children relations:
 ///
 /// * a **leaf** (no children) frames contributions within its granted
@@ -72,7 +72,6 @@ impl<T: SmiNumeric> ReduceChannel<T> {
         count: u64,
         port: usize,
         root: usize,
-        scheme: CollectiveScheme,
         params: &RuntimeParams,
     ) -> Result<Self, SmiError> {
         let credits_window = params.reduce_credits;
@@ -86,7 +85,7 @@ impl<T: SmiNumeric> ReduceChannel<T> {
             params,
         )?;
         let op = io.reduce_op().expect("reduce binding carries an operator");
-        let shape = TreeShape::new(scheme, comm.size(), root, comm.rank());
+        let shape = TreeShape::new(params.collective_scheme, comm.size(), root, comm.rank());
         let (parent_world, children) = shape.resolve_world(comm)?;
         let is_root = comm.rank() == root;
         let mut contrib_slot = vec![None; smi_wire::MAX_RANKS];

@@ -5,7 +5,7 @@
 //! only streamed once readiness arrived (§3.3); readiness is absorbed
 //! non-blockingly, so the core never parks a thread.
 //!
-//! Both [`CollectiveScheme`]s run through one code path driven by the
+//! Both [`crate::CollectiveScheme`]s run through one code path driven by the
 //! shape's deterministic block `schedule`: `Linear`
 //! is the star tree (the root streams every member's block directly, gated
 //! on that member's ready-`Sync` — the paper's shape, wire-identical to the
@@ -26,7 +26,7 @@ use std::marker::PhantomData;
 
 use smi_wire::{Deframer, Frame, Framer, NetworkPacket, PacketOp, PacketRun, SmiType};
 
-use crate::collectives::topology::{CollectiveScheme, Run, RunTarget, TreeShape};
+use crate::collectives::topology::{Run, RunTarget, TreeShape};
 use crate::collectives::{expect_op, CollectivePoll, CollectiveState};
 use crate::comm::Communicator;
 use crate::endpoint::{CollIo, EndpointTableHandle};
@@ -84,7 +84,6 @@ impl<T: SmiType> ScatterChannel<T> {
         count: u64,
         port: usize,
         root: usize,
-        scheme: CollectiveScheme,
         params: &RuntimeParams,
     ) -> Result<Self, SmiError> {
         let my_world = comm.world_rank(comm.rank())?;
@@ -95,7 +94,7 @@ impl<T: SmiType> ScatterChannel<T> {
             T::DATATYPE,
             params,
         )?;
-        let shape = TreeShape::new(scheme, comm.size(), root, comm.rank());
+        let shape = TreeShape::new(params.collective_scheme, comm.size(), root, comm.rank());
         let (parent, children) = shape.resolve_world(comm)?;
         let schedule = shape.schedule();
         let subtree_elems = schedule.iter().map(|r| r.elems(count)).sum();

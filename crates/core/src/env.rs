@@ -3,18 +3,26 @@
 //!
 //! Mirrors the paper's workflow (Fig. 8): the op metadata (what the Clang
 //! pass would extract) plus the topology produce the communication design
-//! and routing tables; the "host program" — here [`run_spmd`]/[`run_mpmd`] —
-//! uploads them, starts the transport, runs one application per rank, and
-//! tears everything down.
+//! and routing tables; the "host program" uploads them, starts the
+//! transport, runs one application per rank, and tears everything down.
+//! That workflow exists once: `run_group` runs one *group* — the ranks one
+//! process hosts — from wiring to teardown, and `launch` runs a cluster of
+//! N groups and merges their outcomes into the one [`RunReport`]. Without a
+//! [`ProcessPlan`] (or with an `"inmem"` one) N is 1 and the group runs on
+//! the calling thread; a plan with sockets gets a thread per group and real
+//! sockets between them; `smi-launch` children, one group per OS process,
+//! call `run_group` themselves. Every public launcher — [`run_mpmd`],
+//! [`run_spmd`], [`run_mpmd_tasks`], [`run_spmd_tasks`] here, `run_split_*`
+//! in [`crate::proc`] — forwards to `launch`, so where a rank is placed
+//! never changes how it is run. What they choose between is the kind of
+//! rank body (`Bodies`), and a panic in one reaches the caller from both:
 //!
-//! Two execution models are provided:
-//!
-//! * **Thread-per-rank** ([`run_mpmd`]/[`run_spmd`]): each rank program is
-//!   an arbitrary blocking closure on its own OS thread. The transport (all
+//! * **Thread-per-rank** (`run_mpmd`/`run_spmd`): each rank program is an
+//!   arbitrary blocking closure on its own OS thread. The transport (all
 //!   CKS/CKR state machines) runs on the sharded executor — a fixed pool of
 //!   worker threads — instead of one thread per CK kernel, so the thread
 //!   bill is `ranks + workers` rather than `ranks + 4·ranks`.
-//! * **Cooperative tasks** ([`run_mpmd_tasks`]/[`run_spmd_tasks`]): rank
+//! * **Cooperative tasks** (`run_mpmd_tasks`/`run_spmd_tasks`): rank
 //!   programs are poll-mode state machines (like the paper's hardware
 //!   kernels) scheduled on the *same* worker pool as the transport. A
 //!   64-rank cluster then runs on `workers` threads total — this is the
@@ -25,21 +33,23 @@
 //!   variants.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use smi_codegen::{ClusterDesign, CodegenError, OpKind, ProgramMeta};
+use smi_codegen::{ClusterDesign, CodegenError, ProgramMeta};
 use smi_topology::{RoutingPlan, Topology, TopologyError};
 use smi_wire::reduce::SmiNumeric;
 use smi_wire::SmiType;
 
 use crate::channel::{Protocol, RecvChannel, SendChannel};
-use crate::collectives::{
-    BcastChannel, CollectiveScheme, GatherChannel, ReduceChannel, ScatterChannel,
-};
+use crate::collectives::{BcastChannel, GatherChannel, ReduceChannel, ScatterChannel};
 use crate::comm::{Communicator, SplitBoard};
-use crate::endpoint::{new_table, EndpointTable, EndpointTableHandle};
+use crate::endpoint::{new_table, EndpointTableHandle};
 use crate::params::RuntimeParams;
+use crate::proc::{
+    build_group_fabric, proc_of, setup_groups, GroupFabric, GroupWiring, ProcessPlan,
+    TransportBackend,
+};
 pub use crate::transport::executor::WorkerStats;
 use crate::transport::executor::{Pollable, ShardedExecutor, Step};
 use crate::transport::socket::FabricHealth;
@@ -186,35 +196,7 @@ impl SmiCtx {
         root: usize,
         comm: &Communicator,
     ) -> Result<BcastChannel<T>, SmiError> {
-        self.open_bcast_channel_poll_with_scheme(
-            count,
-            port,
-            root,
-            comm,
-            self.params.collective_scheme,
-        )
-    }
-
-    /// [`SmiCtx::open_bcast_channel_poll`] with an explicit routing scheme,
-    /// overriding [`crate::RuntimeParams::collective_scheme`]. Every member
-    /// of the collective must pick the same scheme.
-    pub fn open_bcast_channel_poll_with_scheme<T: SmiType>(
-        &self,
-        count: u64,
-        port: usize,
-        root: usize,
-        comm: &Communicator,
-        scheme: CollectiveScheme,
-    ) -> Result<BcastChannel<T>, SmiError> {
-        BcastChannel::open(
-            self.table.clone(),
-            comm,
-            count,
-            port,
-            root,
-            scheme,
-            &self.params,
-        )
+        BcastChannel::open(self.table.clone(), comm, count, port, root, &self.params)
     }
 
     /// `SMI_Open_reduce_channel`: `root` is a communicator rank; the
@@ -243,34 +225,7 @@ impl SmiCtx {
         root: usize,
         comm: &Communicator,
     ) -> Result<ReduceChannel<T>, SmiError> {
-        self.open_reduce_channel_poll_with_scheme(
-            count,
-            port,
-            root,
-            comm,
-            self.params.collective_scheme,
-        )
-    }
-
-    /// [`SmiCtx::open_reduce_channel_poll`] with an explicit routing scheme
-    /// (see [`SmiCtx::open_bcast_channel_poll_with_scheme`]).
-    pub fn open_reduce_channel_poll_with_scheme<T: SmiNumeric>(
-        &self,
-        count: u64,
-        port: usize,
-        root: usize,
-        comm: &Communicator,
-        scheme: CollectiveScheme,
-    ) -> Result<ReduceChannel<T>, SmiError> {
-        ReduceChannel::open(
-            self.table.clone(),
-            comm,
-            count,
-            port,
-            root,
-            scheme,
-            &self.params,
-        )
+        ReduceChannel::open(self.table.clone(), comm, count, port, root, &self.params)
     }
 
     /// Open a scatter channel: `root` is a communicator rank; the root
@@ -300,34 +255,7 @@ impl SmiCtx {
         root: usize,
         comm: &Communicator,
     ) -> Result<ScatterChannel<T>, SmiError> {
-        self.open_scatter_channel_poll_with_scheme(
-            count,
-            port,
-            root,
-            comm,
-            self.params.collective_scheme,
-        )
-    }
-
-    /// [`SmiCtx::open_scatter_channel_poll`] with an explicit routing
-    /// scheme (see [`SmiCtx::open_bcast_channel_poll_with_scheme`]).
-    pub fn open_scatter_channel_poll_with_scheme<T: SmiType>(
-        &self,
-        count: u64,
-        port: usize,
-        root: usize,
-        comm: &Communicator,
-        scheme: CollectiveScheme,
-    ) -> Result<ScatterChannel<T>, SmiError> {
-        ScatterChannel::open(
-            self.table.clone(),
-            comm,
-            count,
-            port,
-            root,
-            scheme,
-            &self.params,
-        )
+        ScatterChannel::open(self.table.clone(), comm, count, port, root, &self.params)
     }
 
     /// Open a gather channel: every member pushes `count` elements, the root
@@ -356,34 +284,7 @@ impl SmiCtx {
         root: usize,
         comm: &Communicator,
     ) -> Result<GatherChannel<T>, SmiError> {
-        self.open_gather_channel_poll_with_scheme(
-            count,
-            port,
-            root,
-            comm,
-            self.params.collective_scheme,
-        )
-    }
-
-    /// [`SmiCtx::open_gather_channel_poll`] with an explicit routing
-    /// scheme (see [`SmiCtx::open_bcast_channel_poll_with_scheme`]).
-    pub fn open_gather_channel_poll_with_scheme<T: SmiType>(
-        &self,
-        count: u64,
-        port: usize,
-        root: usize,
-        comm: &Communicator,
-        scheme: CollectiveScheme,
-    ) -> Result<GatherChannel<T>, SmiError> {
-        GatherChannel::open(
-            self.table.clone(),
-            comm,
-            count,
-            port,
-            root,
-            scheme,
-            &self.params,
-        )
+        GatherChannel::open(self.table.clone(), comm, count, port, root, &self.params)
     }
 }
 
@@ -451,7 +352,7 @@ impl std::error::Error for LaunchError {}
 /// a split fabric must run this with the *same* topology and metas so the
 /// cluster design — and therefore the edge set — agrees on both sides of
 /// every socket.
-pub(crate) fn prepare_with(
+fn prepare_with(
     topo: &Topology,
     metas: &[ProgramMeta],
     params: &RuntimeParams,
@@ -474,21 +375,11 @@ pub(crate) struct FabricDiag {
     /// Transport backend carrying cross-process edges (`"inmem"`, `"uds"`,
     /// `"tcp"`).
     pub backend: &'static str,
-    /// Peer-liveness board shared with the socket pumps.
+    /// Peer-liveness board shared with the socket pumps and the endpoints.
     pub health: FabricHealth,
     /// World rank → (process index, peer address) for every rank hosted by
     /// another OS process. Empty when the whole fabric is in-memory.
     pub remote: HashMap<usize, (usize, String)>,
-}
-
-impl Default for FabricDiag {
-    fn default() -> Self {
-        FabricDiag {
-            backend: "inmem",
-            health: FabricHealth::default(),
-            remote: HashMap::new(),
-        }
-    }
 }
 
 /// Render the task-plane stall report: which world ranks stopped making
@@ -547,158 +438,6 @@ pub(crate) struct GroupOutcome<T> {
     pub worker_stats: Vec<WorkerStats>,
 }
 
-fn make_ctx(
-    rank: usize,
-    num_ranks: usize,
-    table: EndpointTable,
-    board: Arc<SplitBoard>,
-    params: RuntimeParams,
-) -> SmiCtx {
-    let handle = new_table();
-    *handle.lock() = table;
-    SmiCtx {
-        rank,
-        num_ranks,
-        table: handle,
-        board,
-        params,
-    }
-}
-
-/// Run one process's ranks in thread-per-rank mode: spawn a thread per
-/// local rank, drive the machines (CK kernels plus any socket pumps) on
-/// the sharded executor, and only tear the executor down after
-/// `on_complete` returns.
-///
-/// `on_complete` is the fabric-wide completion barrier: when the cluster
-/// is split across OS processes it must not return until *every* rank in
-/// *every* process finished, so a peer still draining its final bursts
-/// never observes this process's sockets closing early. A rank finishing
-/// proves all data it needed arrived, so once all ranks everywhere are
-/// done, anything still in flight is protocol residue and the sockets can
-/// drop. Single-process callers pass a no-op. The barrier is waited even
-/// when a local rank panicked — peers must not hang on a barrier this
-/// process abandoned — and the panic is resumed after teardown.
-///
-/// `programs` aligns with `tables` (both ordered by world rank).
-pub(crate) fn run_group_threaded<T: Send + 'static>(
-    tables: Vec<(usize, EndpointTable)>,
-    programs: Vec<Box<dyn FnOnce(SmiCtx) -> T + Send>>,
-    num_ranks: usize,
-    machines: Vec<Box<dyn Pollable>>,
-    params: &RuntimeParams,
-    on_complete: Box<dyn FnOnce() + Send>,
-) -> GroupOutcome<T> {
-    assert_eq!(tables.len(), programs.len(), "one program per local rank");
-    let stop = Arc::new(AtomicBool::new(false));
-    let executor = ShardedExecutor::spawn(machines, params.resolved_workers(), stop.clone());
-    let board = Arc::new(SplitBoard::default());
-
-    let world: Vec<usize> = tables.iter().map(|(r, _)| *r).collect();
-    let mut app_handles = Vec::with_capacity(tables.len());
-    for ((rank, table), program) in tables.into_iter().zip(programs) {
-        let board = board.clone();
-        let params = params.clone();
-        app_handles.push(
-            std::thread::Builder::new()
-                .name(format!("smi-rank-{rank}"))
-                .spawn(move || program(make_ctx(rank, num_ranks, table, board, params)))
-                .expect("spawn rank thread"),
-        );
-    }
-    let threads_spawned = app_handles.len() + executor.num_workers();
-    let mut results = Vec::with_capacity(app_handles.len());
-    let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-    for (i, h) in app_handles.into_iter().enumerate() {
-        match h.join() {
-            Ok(v) => results.push((world[i], v)),
-            Err(p) => {
-                // Release everything so remaining joins cannot hang forever.
-                stop.store(true, Ordering::SeqCst);
-                panic.get_or_insert(p);
-            }
-        }
-    }
-    on_complete();
-    stop.store(true, Ordering::SeqCst);
-    let worker_stats = executor.join();
-    if let Some(p) = panic {
-        std::panic::resume_unwind(p);
-    }
-    GroupOutcome {
-        results,
-        threads_spawned,
-        // The threaded runner has no fabric diagnostics in scope; split
-        // runners overwrite this from their own health board.
-        reconnects_healed: 0,
-        worker_stats,
-    }
-}
-
-/// Run an MPMD program: one closure per rank, each with its own op metadata.
-pub fn run_mpmd<T: Send + 'static>(
-    topo: &Topology,
-    metas: Vec<ProgramMeta>,
-    programs: Vec<Box<dyn FnOnce(SmiCtx) -> T + Send>>,
-    params: RuntimeParams,
-) -> Result<RunReport<T>, LaunchError> {
-    assert_eq!(programs.len(), topo.num_ranks(), "one program per rank");
-    let stats = TransportStats::default();
-    let links = FabricLinks::all_local(topo.num_ranks());
-    let transport = prepare_with(topo, &metas, &params, stats.clone(), links)?;
-    let num_ranks = topo.num_ranks();
-    let outcome = run_group_threaded(
-        transport.tables,
-        programs,
-        num_ranks,
-        transport.machines,
-        &params,
-        Box::new(|| {}),
-    );
-    let mut slots: Vec<Option<T>> = (0..num_ranks).map(|_| None).collect();
-    for (rank, v) in outcome.results {
-        slots[rank] = Some(v);
-    }
-    Ok(RunReport {
-        results: slots
-            .into_iter()
-            .map(|s| s.expect("one result per rank"))
-            .collect(),
-        transport: stats.snapshot(),
-        payload_copies: stats.payload_copies.count(),
-        wire_stats: stats.wire.snapshot(),
-        threads_spawned: outcome.threads_spawned,
-        reconnects_healed: outcome.reconnects_healed,
-        worker_stats: outcome.worker_stats,
-    })
-}
-
-/// Run an SPMD program: the same op metadata and closure on every rank
-/// ("only one instance of the code is generated", §4.5).
-pub fn run_spmd<T, F>(
-    topo: &Topology,
-    meta: ProgramMeta,
-    program: F,
-    params: RuntimeParams,
-) -> Result<RunReport<T>, LaunchError>
-where
-    T: Send + 'static,
-    F: Fn(SmiCtx) -> T + Send + Sync + Clone + 'static,
-{
-    let metas = vec![meta; topo.num_ranks()];
-    let programs: Vec<Box<dyn FnOnce(SmiCtx) -> T + Send>> = (0..topo.num_ranks())
-        .map(|_| {
-            let f = program.clone();
-            Box::new(move |ctx: SmiCtx| f(ctx)) as Box<dyn FnOnce(SmiCtx) -> T + Send>
-        })
-        .collect();
-    run_mpmd(topo, metas, programs, params)
-}
-
-// ---------------------------------------------------------------------------
-// Cooperative task plane
-// ---------------------------------------------------------------------------
-
 /// Progress report of one cooperative poll step of a rank task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskStatus {
@@ -723,6 +462,14 @@ pub trait RankTask: Send {
 /// Builds one rank's task from its context (runs on an executor worker).
 pub type TaskFactory = Box<dyn FnOnce(SmiCtx) -> Result<Box<dyn RankTask>, SmiError> + Send>;
 
+/// What a rank task yields.
+type TaskResult = Result<(), SmiError>;
+
+/// What a task item tells its group's watchdog: the rank's index within
+/// the group and its outcome — `None` from an item an unwinding worker
+/// drops.
+type TaskEvent = (usize, Option<TaskResult>);
+
 enum TaskState {
     Init {
         ctx: Box<SmiCtx>,
@@ -735,12 +482,14 @@ enum TaskState {
 /// Executor adapter: drives one rank task and reports its outcome.
 struct RankTaskItem {
     rank: usize,
+    /// Index of `rank` among the group's ranks, the key of its events.
+    slot: usize,
     state: TaskState,
-    done_tx: crossbeam::channel::Sender<(usize, Result<(), SmiError>)>,
+    done_tx: crossbeam::channel::Sender<TaskEvent>,
     /// Bumped on every poll that made progress — the per-rank liveness
     /// signal the stall watchdog reads, so one livelocked rank cannot hide
     /// behind other ranks' (or the transport's) progress.
-    progress: Arc<std::sync::atomic::AtomicU64>,
+    progress: Arc<AtomicU64>,
 }
 
 impl Pollable for RankTaskItem {
@@ -750,170 +499,305 @@ impl Pollable for RankTaskItem {
 
     fn poll(&mut self) -> Step {
         let state = std::mem::replace(&mut self.state, TaskState::Finished);
-        match state {
+        let outcome = match state {
             TaskState::Init { ctx, factory } => match factory(*ctx) {
                 Ok(task) => {
                     self.state = TaskState::Running(task);
                     self.progress.fetch_add(1, Ordering::Relaxed);
-                    Step::Progress
+                    return Step::Progress;
                 }
-                Err(e) => {
-                    let _ = self.done_tx.send((self.rank, Err(e)));
-                    Step::Done
-                }
+                Err(e) => Err(e),
             },
+            // A finished or failed task is dropped with this arm (returning
+            // its endpoint resources) before its outcome is reported.
             TaskState::Running(mut task) => match task.poll() {
                 Ok(TaskStatus::Progress) => {
                     self.state = TaskState::Running(task);
                     self.progress.fetch_add(1, Ordering::Relaxed);
-                    Step::Progress
+                    return Step::Progress;
                 }
                 Ok(TaskStatus::Pending) => {
                     self.state = TaskState::Running(task);
-                    Step::Idle
+                    return Step::Idle;
                 }
-                Ok(TaskStatus::Done) => {
-                    // Drop the task (returning endpoint resources) before
-                    // reporting completion.
-                    drop(task);
-                    let _ = self.done_tx.send((self.rank, Ok(())));
-                    Step::Done
-                }
-                Err(e) => {
-                    drop(task);
-                    let _ = self.done_tx.send((self.rank, Err(e)));
-                    Step::Done
-                }
+                Ok(TaskStatus::Done) => Ok(()),
+                Err(e) => Err(e),
             },
-            TaskState::Finished => Step::Done,
+            TaskState::Finished => return Step::Done,
+        };
+        let _ = self.done_tx.send((self.slot, Some(outcome)));
+        Step::Done
+    }
+}
+
+/// A panicking factory or task unwinds the worker polling it, which drops
+/// every item that worker holds: tell the watchdog at once instead of
+/// letting it sit out a `blocking_timeout` window on ranks that will never
+/// report. At teardown nothing is panicking and nothing is sent.
+impl Drop for RankTaskItem {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.done_tx.send((self.slot, None));
         }
     }
 }
 
-/// Run an MPMD program in cooperative task mode: every rank task *and* every
-/// CK state machine is driven by the sharded executor's worker pool, so the
-/// whole cluster uses `workers` OS threads regardless of rank count.
-///
-/// The only restriction compared to [`run_mpmd`] is that rank tasks must be
-/// non-blocking: use the `try_*` channel APIs, and open collectives with
-/// the poll-mode variants ([`SmiCtx::open_bcast_channel_poll`] & friends),
-/// whose rendezvous-free handshake is driven by
-/// [`crate::CollectivePoll::poll`]/`try_*` instead of blocking inside open.
-pub fn run_mpmd_tasks(
-    topo: &Topology,
-    metas: Vec<ProgramMeta>,
-    factories: Vec<TaskFactory>,
-    params: RuntimeParams,
-) -> Result<RunReport<Result<(), SmiError>>, LaunchError> {
-    assert_eq!(factories.len(), topo.num_ranks(), "one task per rank");
-    let stats = TransportStats::default();
-    let links = FabricLinks::all_local(topo.num_ranks());
-    let transport = prepare_with(topo, &metas, &params, stats.clone(), links)?;
-    let num_ranks = topo.num_ranks();
-    let diag = FabricDiag::default();
-    let outcome = run_group_tasks(
-        transport.tables,
-        factories,
-        num_ranks,
-        transport.machines,
-        &params,
-        &diag,
-        Box::new(|| {}),
-    );
-    let mut results: Vec<Result<(), SmiError>> = (0..num_ranks)
-        .map(|_| Err(SmiError::TransportClosed))
-        .collect();
-    for (rank, res) in outcome.results {
-        results[rank] = res;
-    }
-    Ok(RunReport {
-        results,
-        transport: stats.snapshot(),
-        payload_copies: stats.payload_copies.count(),
-        wire_stats: stats.wire.snapshot(),
-        threads_spawned: outcome.threads_spawned,
-        reconnects_healed: outcome.reconnects_healed,
-        worker_stats: outcome.worker_stats,
-    })
+/// A blocking rank program: an arbitrary closure on its own OS thread.
+type RankProgram<T> = Box<dyn FnOnce(SmiCtx) -> T + Send>;
+
+/// A caught panic payload on its way to `resume_unwind`.
+type Panic = Box<dyn std::any::Any + Send>;
+
+/// The rank programs of a launch — or of one group of it — in world-rank
+/// order: the one thing the two execution models differ in.
+pub(crate) enum Bodies<T> {
+    /// Thread-per-rank: each program blocks on its own OS thread.
+    Threads(Vec<RankProgram<T>>),
+    /// Cooperative tasks on the executor's workers, beside the machines.
+    /// The `fn` is the identity: it witnesses `T = Result<(), SmiError>`.
+    Tasks(Vec<TaskFactory>, fn(TaskResult) -> T),
 }
 
-/// Run one process's ranks in cooperative task mode: rank tasks and
-/// machines (CK kernels plus socket pumps) all on the executor's worker
-/// pool. See [`run_group_threaded`] for the `on_complete` completion
-/// barrier contract; `factories` aligns with `tables`.
-pub(crate) fn run_group_tasks(
-    tables: Vec<(usize, EndpointTable)>,
-    factories: Vec<TaskFactory>,
-    num_ranks: usize,
-    machines: Vec<Box<dyn Pollable>>,
+impl<T> Bodies<T> {
+    fn len(&self) -> usize {
+        match self {
+            Bodies::Threads(programs) => programs.len(),
+            Bodies::Tasks(factories, _) => factories.len(),
+        }
+    }
+
+    /// One closure, cloned per rank ("only one instance of the code is
+    /// generated", §4.5).
+    pub fn spmd_threads<F>(n: usize, program: F) -> Self
+    where
+        F: Fn(SmiCtx) -> T + Send + Clone + 'static,
+    {
+        let clone = |_| Box::new(program.clone()) as RankProgram<T>;
+        Bodies::Threads((0..n).map(clone).collect())
+    }
+
+    /// Deal the bodies to their groups, each group's in world-rank order.
+    fn split(self, procs: &[Vec<usize>]) -> Vec<Bodies<T>> {
+        fn deal<B>(bodies: Vec<B>, procs: &[Vec<usize>]) -> impl Iterator<Item = Vec<B>> {
+            let owner = proc_of(procs, bodies.len());
+            let mut dealt: Vec<Vec<B>> = procs.iter().map(|_| Vec::new()).collect();
+            for (body, g) in bodies.into_iter().zip(owner) {
+                dealt[g].push(body);
+            }
+            dealt.into_iter()
+        }
+        match self {
+            Bodies::Threads(programs) => deal(programs, procs).map(Bodies::Threads).collect(),
+            Bodies::Tasks(factories, wrap) => {
+                let tasks = |f| Bodies::Tasks(f, wrap);
+                deal(factories, procs).map(tasks).collect()
+            }
+        }
+    }
+}
+
+impl Bodies<TaskResult> {
+    /// One task per rank; the only place the identity witness is written.
+    pub fn tasks(factories: Vec<TaskFactory>) -> Self {
+        Bodies::Tasks(factories, std::convert::identity)
+    }
+
+    /// One factory closure, cloned per rank.
+    pub fn spmd_tasks<F>(n: usize, factory: F) -> Self
+    where
+        F: Fn(SmiCtx) -> Result<Box<dyn RankTask>, SmiError> + Send + Clone + 'static,
+    {
+        let clone = |_| Box::new(factory.clone()) as TaskFactory;
+        Self::tasks((0..n).map(clone).collect())
+    }
+}
+
+/// The watchdog's view of a group's rank tasks: their event channel and
+/// per-rank progress counters, in group order.
+struct TaskWatch {
+    events: crossbeam::channel::Receiver<TaskEvent>,
+    progress: Vec<Arc<AtomicU64>>,
+}
+
+/// How a started group is awaited: rank threads are joined, rank tasks
+/// watched.
+enum Started<T> {
+    Threads(Vec<std::thread::JoinHandle<T>>),
+    Tasks(TaskWatch, fn(TaskResult) -> T),
+}
+
+/// Run one group's share of the cluster — the whole of it when `wiring` is
+/// `None` — from wiring to teardown: build the group's fabric and
+/// transport, start the executor on the machines (CK kernels, socket
+/// pumps and, in task mode, the rank tasks), run the rank bodies (aligned
+/// with the group's ranks in world-rank order) to completion, and only
+/// tear the executor down after `on_complete` returns.
+///
+/// `on_complete` is the fabric-wide completion barrier: when the cluster
+/// spans groups it must not return until *every* rank of *every* group
+/// finished, so a peer still draining its final bursts never observes this
+/// group's sockets closing early. A rank finishing proves all data it
+/// needed arrived, so once all ranks everywhere are done, anything still
+/// in flight is protocol residue and the sockets can drop. A one-group run
+/// passes a no-op. The barrier is waited on every way out — a failed
+/// preparation, a panicking rank thread, a worker a panicking task or
+/// machine unwound — because peers must not hang on a barrier this group
+/// abandoned; a panic is resumed after teardown, whichever mode raised it.
+pub(crate) fn run_group<T: Send + 'static>(
+    topo: &Topology,
+    metas: &[ProgramMeta],
     params: &RuntimeParams,
-    diag: &FabricDiag,
-    on_complete: Box<dyn FnOnce() + Send>,
-) -> GroupOutcome<Result<(), SmiError>> {
-    assert_eq!(tables.len(), factories.len(), "one task per local rank");
+    stats: &TransportStats,
+    wiring: Option<GroupWiring<'_>>,
+    bodies: Bodies<T>,
+    on_complete: impl FnOnce(),
+) -> Result<GroupOutcome<T>, LaunchError> {
+    let num_ranks = topo.num_ranks();
+    let prep = (|| {
+        let fabric = match wiring {
+            Some(wiring) => {
+                let idx = wiring.idx;
+                build_group_fabric(topo, wiring, params, stats)
+                    .map_err(|e| LaunchError::Plan(format!("fabric for process {idx}: {e}")))?
+            }
+            None => GroupFabric::all_local(num_ranks),
+        };
+        let mut transport = prepare_with(topo, metas, params, stats.clone(), fabric.links)?;
+        transport.machines.extend(fabric.pumps);
+        Ok((transport, fabric.diag))
+    })();
+    let (transport, diag) = match prep {
+        Ok(v) => v,
+        Err(e) => {
+            on_complete();
+            return Err(e);
+        }
+    };
+    assert_eq!(transport.tables.len(), bodies.len(), "one body per rank");
+
     let stop = Arc::new(AtomicBool::new(false));
     let board = Arc::new(SplitBoard::default());
-    let locals = tables.len();
-    let world: Vec<usize> = tables.iter().map(|(r, _)| *r).collect();
-    let local_of: HashMap<usize, usize> = world.iter().enumerate().map(|(i, &r)| (r, i)).collect();
-    let (done_tx, done_rx) = crossbeam::channel::unbounded();
-
-    let rank_progress: Vec<Arc<std::sync::atomic::AtomicU64>> = (0..locals)
-        .map(|_| Arc::new(std::sync::atomic::AtomicU64::new(0)))
-        .collect();
-    let mut items: Vec<Box<dyn Pollable>> = machines;
-    for (i, ((rank, table), factory)) in tables.into_iter().zip(factories).enumerate() {
-        items.push(Box::new(RankTaskItem {
+    let world: Vec<usize> = transport.tables.iter().map(|(r, _)| *r).collect();
+    let ctxs = transport.tables.into_iter().map(|(rank, table)| {
+        let handle = new_table();
+        *handle.lock() = table;
+        let (board, params) = (board.clone(), params.clone());
+        let ctx = SmiCtx {
             rank,
-            state: TaskState::Init {
-                ctx: Box::new(make_ctx(
+            num_ranks,
+            table: handle,
+            board,
+            params,
+        };
+        (rank, ctx)
+    });
+    let mut items = transport.machines;
+    let started = match bodies {
+        Bodies::Threads(programs) => Started::Threads(
+            ctxs.zip(programs)
+                .map(|((rank, ctx), program)| {
+                    std::thread::Builder::new()
+                        .name(format!("smi-rank-{rank}"))
+                        .spawn(move || program(ctx))
+                        .expect("spawn rank thread")
+                })
+                .collect(),
+        ),
+        Bodies::Tasks(factories, wrap) => {
+            let (done_tx, events) = crossbeam::channel::unbounded();
+            let progress: Vec<Arc<AtomicU64>> = world.iter().map(|_| Arc::default()).collect();
+            for (slot, ((rank, ctx), factory)) in ctxs.zip(factories).enumerate() {
+                items.push(Box::new(RankTaskItem {
                     rank,
-                    num_ranks,
-                    table,
-                    board.clone(),
-                    params.clone(),
-                )),
-                factory,
-            },
-            done_tx: done_tx.clone(),
-            progress: rank_progress[i].clone(),
-        }));
-    }
-    drop(done_tx);
+                    slot,
+                    state: TaskState::Init {
+                        ctx: Box::new(ctx),
+                        factory,
+                    },
+                    done_tx: done_tx.clone(),
+                    progress: progress[slot].clone(),
+                }));
+            }
+            Started::Tasks(TaskWatch { events, progress }, wrap)
+        }
+    };
     let executor = ShardedExecutor::spawn(items, params.resolved_workers(), stop.clone());
-    let threads_spawned = executor.num_workers();
+    let mut threads_spawned = executor.num_workers();
 
-    let mut results: Vec<Result<(), SmiError>> = (0..locals)
+    let mut rank_panic: Option<Panic> = None;
+    let results: Vec<T> = match started {
+        Started::Threads(handles) => {
+            threads_spawned += handles.len();
+            let join = |h: std::thread::JoinHandle<T>| match h.join() {
+                Ok(v) => Some(v),
+                Err(p) => {
+                    // Release everything so remaining joins cannot hang forever.
+                    stop.store(true, Ordering::SeqCst);
+                    rank_panic.get_or_insert(p);
+                    None
+                }
+            };
+            handles.into_iter().filter_map(join).collect()
+        }
+        Started::Tasks(watch, wrap) => {
+            let results = await_tasks(&watch, &world, params, &diag);
+            results.into_iter().map(wrap).collect()
+        }
+    };
+    on_complete();
+    stop.store(true, Ordering::SeqCst);
+    match (rank_panic, executor.join()) {
+        (Some(p), _) | (None, Err(p)) => std::panic::resume_unwind(p),
+        (None, Ok(worker_stats)) => Ok(GroupOutcome {
+            results: world.into_iter().zip(results).collect(),
+            threads_spawned,
+            reconnects_healed: diag.health.healed(),
+            worker_stats,
+        }),
+    }
+}
+
+/// Collect the outcome of every rank task of a group, in group order.
+///
+/// Doubles as the stall watchdog: the blocking plane bounds every stalled
+/// operation by `blocking_timeout`; the cooperative plane's analogue is "no
+/// unfinished rank task made progress for a whole timeout window" — e.g. a
+/// failed rank leaving its peer polling Pending forever. Progress is
+/// tracked *per rank* (not executor-wide), so a livelocked rank cannot be
+/// masked by transport churn or other ranks' activity, and the stall report
+/// names exactly the ranks that stopped moving. The run is only ended when
+/// every unfinished local rank stalled — a single rank legitimately idle
+/// while its peers stream (e.g. awaiting a serialized gather grant) does
+/// not trip it. When the fabric spans processes and a peer process is
+/// known dead, the stall is reported as [`SmiError::PeerDisconnected`]
+/// rather than a generic [`SmiError::Stalled`].
+fn await_tasks(
+    watch: &TaskWatch,
+    world: &[usize],
+    params: &RuntimeParams,
+    diag: &FabricDiag,
+) -> Vec<TaskResult> {
+    let TaskWatch { events, progress } = watch;
+    let locals = world.len();
+    let mut results: Vec<TaskResult> = (0..locals)
         .map(|_| Err(SmiError::TransportClosed))
         .collect();
     let mut reported = vec![false; locals];
     let mut remaining = locals;
-    // Stall watchdog: the blocking plane bounds every stalled operation by
-    // `blocking_timeout`; the cooperative plane's analogue is "no unfinished
-    // rank task made progress for a whole timeout window" — e.g. a failed
-    // rank leaving its peer polling Pending forever. Progress is tracked
-    // *per rank* (not executor-wide), so a livelocked rank cannot be masked
-    // by transport churn or other ranks' activity, and the stall report
-    // names exactly the ranks that stopped moving. The run is only ended
-    // when every unfinished local rank stalled — a single rank legitimately
-    // idle while its peers stream (e.g. awaiting a serialized gather grant)
-    // does not trip it. When the fabric spans processes and a peer process
-    // is known dead, the stall is reported as [`SmiError::PeerDisconnected`]
-    // rather than a generic [`SmiError::Stalled`].
-    let snapshot = |v: &[Arc<std::sync::atomic::AtomicU64>]| -> Vec<u64> {
-        v.iter().map(|c| c.load(Ordering::Relaxed)).collect()
-    };
-    let mut last_progress = snapshot(&rank_progress);
+    let snapshot = || -> Vec<u64> { progress.iter().map(|c| c.load(Ordering::Relaxed)).collect() };
+    let mut last_progress = snapshot();
     while remaining > 0 {
-        match done_rx.recv_timeout(params.blocking_timeout) {
-            Ok((rank, res)) => {
-                let i = local_of[&rank];
+        match events.recv_timeout(params.blocking_timeout) {
+            Ok((i, Some(res))) => {
                 results[i] = res;
                 reported[i] = true;
                 remaining -= 1;
             }
+            // A worker is unwinding: the run is over, and joining the
+            // executor hands the panic back.
+            Ok((_, None)) => break,
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                let now = snapshot(&rank_progress);
+                let now = snapshot();
                 if diag.health.any_reconnecting() {
                     // Mid-stream recovery in flight: reconnect attempts are
                     // bounded by their own budget (which ends in either a
@@ -925,17 +809,17 @@ pub(crate) fn run_group_tasks(
                 }
                 let stalled: Vec<usize> = (0..locals)
                     .filter(|&i| !reported[i] && now[i] == last_progress[i])
-                    .map(|i| world[i])
                     .collect();
                 if stalled.len() == remaining {
-                    eprintln!("{}", stall_message(&stalled, diag));
+                    let ranks: Vec<usize> = stalled.iter().map(|&i| world[i]).collect();
+                    eprintln!("{}", stall_message(&ranks, diag));
                     let peer_down = diag.health.error();
-                    for rank in stalled {
-                        results[local_of[&rank]] = match &peer_down {
+                    for i in stalled {
+                        results[i] = match &peer_down {
                             Some(SmiError::PeerDisconnected { rank: down }) => {
                                 Err(SmiError::PeerDisconnected { rank: *down })
                             }
-                            _ => Err(SmiError::Stalled { rank }),
+                            _ => Err(SmiError::Stalled { rank: world[i] }),
                         };
                     }
                     break;
@@ -945,15 +829,155 @@ pub(crate) fn run_group_tasks(
             Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
         }
     }
-    on_complete();
-    stop.store(true, Ordering::SeqCst);
-    let worker_stats = executor.join();
-    GroupOutcome {
-        results: world.into_iter().zip(results).collect(),
-        threads_spawned,
-        reconnects_healed: diag.health.healed(),
-        worker_stats,
+    results
+}
+
+/// The launch every public launcher forwards to: `bodies` (one per rank of
+/// `topo`) run over `plan`'s partition, or as one group when there is no
+/// plan or the plan's backend is `"inmem"`. One group runs on the calling
+/// thread with a no-op completion barrier; a plan with sockets gets its
+/// mesh established up front and one `smi-proc-<idx>` thread per group,
+/// each in [`run_group`], with a [`std::sync::Barrier`] over the groups.
+pub(crate) fn launch<T: Send + 'static>(
+    topo: &Topology,
+    plan: Option<&ProcessPlan>,
+    metas: Vec<ProgramMeta>,
+    bodies: Bodies<T>,
+    params: RuntimeParams,
+) -> Result<RunReport<T>, LaunchError> {
+    let num_ranks = topo.num_ranks();
+    assert_eq!(bodies.len(), num_ranks, "one program per rank");
+    let stats = TransportStats::default();
+    let (metas, params, stats) = (&metas[..], &params, &stats);
+    let backend = plan.map(ProcessPlan::parse_backend).transpose()?;
+    let outcomes = match (plan, backend) {
+        (Some(plan), Some(backend)) if backend != TransportBackend::InMem => {
+            let procs = plan.rank_sets();
+            let wirings = setup_groups(topo, &procs, backend, plan.faults.as_ref())?;
+            let barrier = std::sync::Barrier::new(procs.len());
+            let groups = wirings.into_iter().zip(bodies.split(&procs));
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = groups
+                    .map(|(wiring, bodies)| {
+                        let wait = || {
+                            barrier.wait();
+                        };
+                        std::thread::Builder::new()
+                            .name(format!("smi-proc-{}", wiring.idx))
+                            .spawn_scoped(scope, move || {
+                                run_group(topo, metas, params, stats, Some(wiring), bodies, wait)
+                            })
+                            .expect("spawn group thread")
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join()).collect()
+            })
+        }
+        _ => {
+            let run = run_group(topo, metas, params, stats, None, bodies, || {});
+            vec![Ok(run)]
+        }
+    };
+    merge_outcomes(outcomes, num_ranks, stats)
+}
+
+/// Merge the groups' world-rank-tagged outcomes into the run's one
+/// [`RunReport`]. A panic a group resumed propagates — the first one wins,
+/// after every group has been joined — and so does the first launch error.
+fn merge_outcomes<T>(
+    outcomes: Vec<std::thread::Result<Result<GroupOutcome<T>, LaunchError>>>,
+    num_ranks: usize,
+    stats: &TransportStats,
+) -> Result<RunReport<T>, LaunchError> {
+    let mut slots: Vec<Option<T>> = (0..num_ranks).map(|_| None).collect();
+    let mut threads_spawned = 0usize;
+    let mut reconnects_healed = 0usize;
+    let mut worker_stats = Vec::new();
+    let mut err: Option<LaunchError> = None;
+    let mut panic: Option<Panic> = None;
+    for outcome in outcomes {
+        match outcome {
+            Ok(Ok(outcome)) => {
+                threads_spawned += outcome.threads_spawned;
+                reconnects_healed += outcome.reconnects_healed;
+                worker_stats.extend(outcome.worker_stats);
+                for (rank, v) in outcome.results {
+                    slots[rank] = Some(v);
+                }
+            }
+            Ok(Err(e)) => {
+                err.get_or_insert(e);
+            }
+            Err(p) => {
+                panic.get_or_insert(p);
+            }
+        }
     }
+    if let Some(p) = panic {
+        std::panic::resume_unwind(p);
+    }
+    if let Some(e) = err {
+        return Err(e);
+    }
+    Ok(RunReport {
+        results: slots
+            .into_iter()
+            .map(|s| s.expect("one result per rank"))
+            .collect(),
+        transport: stats.snapshot(),
+        payload_copies: stats.payload_copies.count(),
+        wire_stats: stats.wire.snapshot(),
+        threads_spawned,
+        reconnects_healed,
+        worker_stats,
+    })
+}
+
+/// Run an MPMD program: one closure per rank, each with its own op metadata.
+pub fn run_mpmd<T: Send + 'static>(
+    topo: &Topology,
+    metas: Vec<ProgramMeta>,
+    programs: Vec<Box<dyn FnOnce(SmiCtx) -> T + Send>>,
+    params: RuntimeParams,
+) -> Result<RunReport<T>, LaunchError> {
+    launch(topo, None, metas, Bodies::Threads(programs), params)
+}
+
+/// Run an SPMD program: the same op metadata and closure on every rank
+/// ("only one instance of the code is generated", §4.5).
+pub fn run_spmd<T, F>(
+    topo: &Topology,
+    meta: ProgramMeta,
+    program: F,
+    params: RuntimeParams,
+) -> Result<RunReport<T>, LaunchError>
+where
+    T: Send + 'static,
+    F: Fn(SmiCtx) -> T + Send + Sync + Clone + 'static,
+{
+    let n = topo.num_ranks();
+    let bodies = Bodies::spmd_threads(n, program);
+    launch(topo, None, vec![meta; n], bodies, params)
+}
+
+/// Run an MPMD program in cooperative task mode: every rank task *and* every
+/// CK state machine is driven by the sharded executor's worker pool, so the
+/// whole cluster uses `workers` OS threads regardless of rank count.
+///
+/// The only restriction compared to [`run_mpmd`] is that rank tasks must be
+/// non-blocking: use the `try_*` channel APIs, and open collectives with
+/// the poll-mode variants ([`SmiCtx::open_bcast_channel_poll`] & friends),
+/// whose rendezvous-free handshake is driven by
+/// [`crate::CollectivePoll::poll`]/`try_*` instead of blocking inside open.
+/// A panicking task is re-raised to the caller, as a panicking closure of
+/// [`run_mpmd`] is.
+pub fn run_mpmd_tasks(
+    topo: &Topology,
+    metas: Vec<ProgramMeta>,
+    factories: Vec<TaskFactory>,
+    params: RuntimeParams,
+) -> Result<RunReport<Result<(), SmiError>>, LaunchError> {
+    launch(topo, None, metas, Bodies::tasks(factories), params)
 }
 
 /// SPMD variant of [`run_mpmd_tasks`]: one factory closure, cloned per rank.
@@ -966,20 +990,10 @@ pub fn run_spmd_tasks<F>(
 where
     F: Fn(SmiCtx) -> Result<Box<dyn RankTask>, SmiError> + Send + Sync + Clone + 'static,
 {
-    let metas = vec![meta; topo.num_ranks()];
-    let factories: Vec<TaskFactory> = (0..topo.num_ranks())
-        .map(|_| {
-            let f = factory.clone();
-            Box::new(move |ctx: SmiCtx| f(ctx)) as TaskFactory
-        })
-        .collect();
-    run_mpmd_tasks(topo, metas, factories, params)
+    let n = topo.num_ranks();
+    let bodies = Bodies::spmd_tasks(n, factory);
+    launch(topo, None, vec![meta; n], bodies, params)
 }
-
-// Silence an unused-import warning when the OpKind re-export is only used in
-// doc examples.
-#[allow(unused_imports)]
-use OpKind as _OpKindUsed;
 
 #[cfg(test)]
 mod tests {
@@ -989,7 +1003,7 @@ mod tests {
 
     #[test]
     fn stall_message_names_backend() {
-        let diag = FabricDiag::default();
+        let diag = crate::proc::GroupFabric::all_local(3).diag;
         let msg = stall_message(&[0, 2], &diag);
         assert!(msg.contains("rank(s) [0, 2]"), "{msg}");
         assert!(msg.contains("backend=inmem"), "{msg}");

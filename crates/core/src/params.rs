@@ -120,9 +120,8 @@ pub struct RuntimeParams {
     /// How collectives route traffic between members
     /// ([`CollectiveScheme`]): `Linear` (the paper's root-centric shape,
     /// the regression baseline) or `Tree` (binomial-tree forwarding, the
-    /// scaling scheme past ~16 ranks). Per-open overrides are available
-    /// via the `open_*_channel_poll_with_scheme` context methods; the
-    /// scheme must be uniform across all members of one collective.
+    /// scaling scheme past ~16 ranks). One scheme holds for the whole run,
+    /// so every member of a collective derives the same shape.
     pub collective_scheme: CollectiveScheme,
     /// Maximum packets moved per burst on the hot path: bulk channel
     /// operations (`push_slice`/`pop_slice`) and CK forwarding hand over up

@@ -20,7 +20,7 @@
 //! ```
 //!
 //! The `done`/`halt` exchange is the cross-process completion barrier (see
-//! [`crate::env::run_group_threaded`]): no child drops its data sockets
+//! [`crate::env::run_group`]): no child drops its data sockets
 //! until the launcher has heard `done` from every process, so a peer still
 //! draining its final bursts never sees a false disconnect. Fault injection
 //! comes in two flavours: `--kill <proc>:<bootstrap|stream>` makes the
@@ -47,11 +47,11 @@ use smi_codegen::{OpSpec, ProgramMeta};
 use smi_wire::{Datatype, ReduceOp};
 
 use super::{
-    bind_data_listener, build_group_fabric, crossing_pairs, GroupWiring, PeerStream, ProcessPlan,
-    StreamRole, TransportBackend,
+    bind_data_listener, crossing_pairs, GroupWiring, PeerStream, ProcessPlan, StreamRole,
+    TransportBackend,
 };
 use crate::collectives::CollectiveScheme;
-use crate::env::{prepare_with, run_group_threaded, SmiCtx};
+use crate::env::{run_group, Bodies, SmiCtx};
 use crate::params::{ReconnectPolicy, RuntimeParams};
 use crate::transport::faults::{DelaySpec, FaultPlan, LinkFault, SeverSpec};
 use crate::transport::socket::{
@@ -549,57 +549,41 @@ fn child_run(o: &Opts) -> Result<i32, String> {
     // The data listener stays open for the whole run (inside an acceptor
     // pump) so faulted peers can re-dial mid-stream.
     let wiring = GroupWiring {
+        procs: &procs,
+        idx: me,
         backend,
         streams,
         listener: Some(listener),
         hub: ReconnectHub::new(),
+        faults: plan.faults.as_ref(),
     };
-    let stats = TransportStats::default();
-    let fabric = build_group_fabric(
-        &topo,
-        &procs,
-        me,
-        wiring,
-        &params,
-        plan.faults.as_ref(),
-        &stats,
-    )
-    .map_err(|e| format!("fabric: {e}"))?;
     let metas = vec![workload_meta(); topo.num_ranks()];
-    let mut transport =
-        prepare_with(&topo, &metas, &params, stats, fabric.links).map_err(|e| e.to_string())?;
-    transport.machines.extend(fabric.pumps);
-
     let kill_at = (o.kill == Some((me, KillPhase::Stream))).then(|| (o.count / 4).max(1));
-    let prog = workload_program(o.count, kill_at);
-    type RankProg = Box<dyn FnOnce(SmiCtx) -> Result<(), String> + Send>;
-    let programs: Vec<RankProg> = procs[me]
-        .iter()
-        .map(|_| {
-            let f = prog.clone();
-            Box::new(move |ctx: SmiCtx| f(ctx)) as RankProg
-        })
-        .collect();
+    let bodies = Bodies::spmd_threads(procs[me].len(), workload_program(o.count, kill_at));
 
     // The done/halt exchange is this process's leg of the fabric-wide
     // completion barrier: sockets stay pumped until everyone finished.
-    let outcome = run_group_threaded(
-        transport.tables,
-        programs,
-        topo.num_ranks(),
-        transport.machines,
+    let barrier = move || {
+        let _ = boot.send_line(&format!("done {me}"));
+        while boot.read_line().is_ok_and(|l| l != "halt") {}
+    };
+    let stats = TransportStats::default();
+    let outcome = run_group(
+        &topo,
+        &metas,
         &params,
-        Box::new(move || {
-            let _ = boot.send_line(&format!("done {me}"));
-            loop {
-                match boot.read_line() {
-                    Ok(l) if l == "halt" => break,
-                    Ok(_) => continue,
-                    Err(_) => break,
-                }
-            }
-        }),
-    );
+        &stats,
+        Some(wiring),
+        bodies,
+        barrier,
+    )
+    .map_err(|e| e.to_string())?;
+    if outcome.reconnects_healed > 0 {
+        eprintln!(
+            "smi-launch[child {me}]: healed {} mid-stream reconnect(s)",
+            outcome.reconnects_healed
+        );
+    }
 
     let mut failed = false;
     for (rank, res) in outcome.results {

@@ -8,7 +8,8 @@
 //! [`NetworkPacket`](smi_wire::NetworkPacket) bursts, while everything
 //! within a process stays on the zero-copy in-memory fast path.
 //!
-//! Two entry points:
+//! This module owns the plan and the sockets, not a runtime: both entry
+//! points hand each group's streams to the launch engine in [`crate::env`].
 //!
 //! * [`run_split_mpmd`]/[`run_split_spmd`]/[`run_split_mpmd_tasks`]: run
 //!   the whole "cluster of processes" inside the calling process, one
@@ -34,10 +35,7 @@ use serde::{Deserialize, Serialize};
 use smi_codegen::ProgramMeta;
 use smi_topology::{Topology, TopologySpec};
 
-use crate::env::{
-    prepare_with, run_group_tasks, run_group_threaded, run_mpmd, run_mpmd_tasks, FabricDiag,
-    GroupOutcome, LaunchError, RunReport, SmiCtx, TaskFactory,
-};
+use crate::env::{self, Bodies, FabricDiag, LaunchError, RunReport, SmiCtx, TaskFactory};
 use crate::params::RuntimeParams;
 use crate::transport::executor::Pollable;
 use crate::transport::faults::FaultPlan;
@@ -56,8 +54,8 @@ pub use launch::launch_cli;
 /// Which carrier moves bursts between processes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportBackend {
-    /// Single process, in-memory FIFOs only (the split runners delegate to
-    /// the plain runners; `smi-launch` rejects it).
+    /// Single process, in-memory FIFOs only (the split runners run such a
+    /// plan as one group; `smi-launch` rejects it).
     InMem,
     /// Unix-domain sockets: same-host multi-process, the low-latency
     /// default.
@@ -217,7 +215,7 @@ impl ProcessPlan {
 }
 
 /// rank → hosting process index.
-fn proc_of(procs: &[Vec<usize>], n: usize) -> Vec<usize> {
+pub(crate) fn proc_of(procs: &[Vec<usize>], n: usize) -> Vec<usize> {
     let mut owner = vec![usize::MAX; n];
     for (p, ranks) in procs.iter().enumerate() {
         for &r in ranks {
@@ -252,6 +250,24 @@ pub(crate) struct GroupFabric {
     pub diag: FabricDiag,
 }
 
+impl GroupFabric {
+    /// The one-group fabric: all `n` ranks here, no sockets. The watchdog's
+    /// diagnostics read the health board the endpoints were built with.
+    pub fn all_local(n: usize) -> GroupFabric {
+        let links = FabricLinks::all_local(n);
+        let diag = FabricDiag {
+            backend: TransportBackend::InMem.name(),
+            health: links.health.clone(),
+            remote: HashMap::new(),
+        };
+        GroupFabric {
+            links,
+            pumps: Vec::new(),
+            diag,
+        }
+    }
+}
+
 /// Which side of an established process-pair stream this process is, for
 /// mid-stream recovery purposes.
 pub(crate) enum StreamRole {
@@ -277,10 +293,15 @@ pub(crate) struct PeerStream {
     pub role: StreamRole,
 }
 
-/// Everything `build_group_fabric` needs beyond the plan itself: the
-/// established peer streams, plus the group's persistent data listener and
-/// reconnect hub for mid-stream recovery.
-pub(crate) struct GroupWiring {
+/// One group's share of a cluster that spans sockets — everything
+/// [`build_group_fabric`] wires: where the group sits in the partition, its
+/// established peer streams, the persistent data listener and reconnect hub
+/// for mid-stream recovery, and the faults to inject.
+pub(crate) struct GroupWiring<'a> {
+    /// The rank set of every group, indexed by process.
+    pub procs: &'a [Vec<usize>],
+    /// This group's index in `procs`.
+    pub idx: usize,
     pub backend: TransportBackend,
     pub streams: Vec<PeerStream>,
     /// The listener the peer-dialed streams came in on, kept open so faulted
@@ -288,21 +309,20 @@ pub(crate) struct GroupWiring {
     pub listener: Option<SocketListener>,
     /// Routes resumed streams from the acceptor to the owning pump.
     pub hub: Arc<ReconnectHub>,
+    pub faults: Option<&'a FaultPlan>,
 }
 
-/// Wire process `me`'s share of the fabric from established streams, one
+/// Wire one group's share of the fabric from its established streams, one
 /// per peer process it shares a topology edge with. Each stream carries
 /// every edge between the two processes, demuxed by the sender-side
 /// endpoint stamped in the frame headers.
 pub(crate) fn build_group_fabric(
     topo: &Topology,
-    procs: &[Vec<usize>],
-    me: usize,
-    wiring: GroupWiring,
+    wiring: GroupWiring<'_>,
     params: &RuntimeParams,
-    faults: Option<&FaultPlan>,
     stats: &TransportStats,
 ) -> io::Result<GroupFabric> {
+    let (procs, me, faults) = (wiring.procs, wiring.idx, wiring.faults);
     let n = topo.num_ranks();
     let owner = proc_of(procs, n);
     let local: Vec<bool> = (0..n).map(|r| owner[r] == me).collect();
@@ -426,63 +446,51 @@ pub(crate) fn bind_data_listener(
     }
 }
 
-/// The per-group inputs the split runners prepare before spawning group
-/// threads.
-struct GroupSetup {
-    idx: usize,
-    wiring: GroupWiring,
-    ranks: Vec<usize>,
-}
-
-/// Validate the plan and establish the inter-group socket mesh. For every
-/// crossing pair `(lo, hi)` the lower-indexed group listens and the higher
-/// dials — the same orientation mid-stream recovery re-dials with — and the
-/// listener stays open inside the lo group's wiring so faulted peers can
-/// come back.
-fn setup_groups(
-    plan: &ProcessPlan,
+/// Establish the inter-group socket mesh of a validated plan: one
+/// [`GroupWiring`] per group, in process order. For every crossing pair
+/// `(lo, hi)` the lower-indexed group listens and the higher dials — the
+/// same orientation mid-stream recovery re-dials with — and the listener
+/// stays open inside the lo group's wiring so faulted peers can come back.
+pub(crate) fn setup_groups<'a>(
     topo: &Topology,
+    procs: &'a [Vec<usize>],
     backend: TransportBackend,
-) -> Result<Vec<GroupSetup>, LaunchError> {
-    let procs = plan.rank_sets();
-    let mut groups: Vec<GroupSetup> = procs
-        .iter()
-        .enumerate()
-        .map(|(idx, ranks)| GroupSetup {
+    faults: Option<&'a FaultPlan>,
+) -> Result<Vec<GroupWiring<'a>>, LaunchError> {
+    let mut groups: Vec<GroupWiring> = (0..procs.len())
+        .map(|idx| GroupWiring {
+            procs,
             idx,
-            wiring: GroupWiring {
-                backend,
-                streams: Vec::new(),
-                listener: None,
-                hub: ReconnectHub::new(),
-            },
-            ranks: ranks.clone(),
+            backend,
+            streams: Vec::new(),
+            listener: None,
+            hub: ReconnectHub::new(),
+            faults,
         })
         .collect();
     let mut redials: HashMap<usize, Redial> = HashMap::new();
-    for (g, h) in crossing_pairs(topo, &procs) {
+    for (g, h) in crossing_pairs(topo, procs) {
         let mut plumb = || -> io::Result<()> {
             if let std::collections::hash_map::Entry::Vacant(e) = redials.entry(g) {
                 let (listener, redial) = bind_data_listener(backend, &format!("grp{g}"))?;
-                groups[g].wiring.listener = Some(listener);
+                groups[g].listener = Some(listener);
                 e.insert(redial);
             }
             let redial = redials[&g].clone();
             let dialed = redial.connect()?;
             let accepted = groups[g]
-                .wiring
                 .listener
                 .as_ref()
                 .expect("listener bound above")
                 .accept()?;
             let session = fresh_session_id();
-            groups[g].wiring.streams.push(PeerStream {
+            groups[g].streams.push(PeerStream {
                 proc: h,
                 stream: accepted,
                 session,
                 role: StreamRole::Accept,
             });
-            groups[h].wiring.streams.push(PeerStream {
+            groups[h].streams.push(PeerStream {
                 proc: g,
                 stream: dialed,
                 session,
@@ -496,12 +504,13 @@ fn setup_groups(
     Ok(groups)
 }
 
-/// [`run_mpmd`] with the cluster split across in-process groups joined by
-/// real sockets — one thread group per planned process, cross-group edges
-/// on the plan's backend. Behaviourally identical to [`run_mpmd`] (the
-/// collective and point-to-point semantics don't change with the carrier);
-/// used to prove exactly that, deterministically, without spawning OS
-/// processes. With `backend: "inmem"` it simply delegates to [`run_mpmd`].
+/// [`run_mpmd`](crate::run_mpmd) with the cluster split across in-process
+/// groups joined by real sockets — one thread group per planned process,
+/// cross-group edges on the plan's backend. Behaviourally identical to
+/// `run_mpmd` (the collective and point-to-point semantics don't change
+/// with the carrier); used to prove exactly that, deterministically,
+/// without spawning OS processes. A `backend: "inmem"` plan is the
+/// one-group case: its partition is ignored and it runs as `run_mpmd` does.
 ///
 /// Communicator splits ([`crate::Communicator::split`]) are not supported
 /// across process boundaries — the split board is process-local. Use the
@@ -513,87 +522,7 @@ pub fn run_split_mpmd<T: Send + 'static>(
     params: RuntimeParams,
 ) -> Result<RunReport<T>, LaunchError> {
     let topo = plan.build_topology()?;
-    let backend = plan.parse_backend()?;
-    assert_eq!(programs.len(), topo.num_ranks(), "one program per rank");
-    if backend == TransportBackend::InMem {
-        return run_mpmd(&topo, metas, programs, params);
-    }
-    let num_ranks = topo.num_ranks();
-    let groups = setup_groups(plan, &topo, backend)?;
-    let procs = plan.rank_sets();
-    let nproc = procs.len();
-    let stats = TransportStats::default();
-    let barrier = Arc::new(std::sync::Barrier::new(nproc));
-    let faults = plan.faults.clone();
-    type Prog<T> = Box<dyn FnOnce(SmiCtx) -> T + Send>;
-    let mut slots: Vec<Option<Prog<T>>> = programs.into_iter().map(Some).collect();
-
-    let mut handles = Vec::with_capacity(nproc);
-    for group in groups {
-        let group_programs: Vec<Prog<T>> = group
-            .ranks
-            .iter()
-            .map(|&r| slots[r].take().expect("each rank in exactly one process"))
-            .collect();
-        let topo = topo.clone();
-        let metas = metas.clone();
-        let params = params.clone();
-        let stats = stats.clone();
-        let procs = procs.clone();
-        let barrier = barrier.clone();
-        let faults = faults.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("smi-proc-{}", group.idx))
-                .spawn(move || -> Result<GroupOutcome<T>, LaunchError> {
-                    let prep = (|| {
-                        let fabric = build_group_fabric(
-                            &topo,
-                            &procs,
-                            group.idx,
-                            group.wiring,
-                            &params,
-                            faults.as_ref(),
-                            &stats,
-                        )
-                        .map_err(|e| {
-                            LaunchError::Plan(format!("fabric for process {}: {e}", group.idx))
-                        })?;
-                        let health = fabric.diag.health.clone();
-                        let mut transport =
-                            prepare_with(&topo, &metas, &params, stats, fabric.links)?;
-                        transport.machines.extend(fabric.pumps);
-                        Ok((transport, health))
-                    })();
-                    let (transport, health) = match prep {
-                        Ok(t) => t,
-                        Err(e) => {
-                            // Never leave peers hanging on the completion
-                            // barrier this group would have joined.
-                            barrier.wait();
-                            return Err(e);
-                        }
-                    };
-                    let mut outcome = run_group_threaded(
-                        transport.tables,
-                        group_programs,
-                        num_ranks,
-                        transport.machines,
-                        &params,
-                        Box::new(move || {
-                            barrier.wait();
-                        }),
-                    );
-                    outcome.reconnects_healed = health.healed();
-                    Ok(outcome)
-                })
-                .expect("spawn group thread"),
-        );
-    }
-
-    merge_outcomes(handles, num_ranks, &stats, |slot| {
-        slot.expect("one result per rank")
-    })
+    env::launch(&topo, Some(plan), metas, Bodies::Threads(programs), params)
 }
 
 /// SPMD variant of [`run_split_mpmd`]: one closure, cloned per rank.
@@ -607,15 +536,10 @@ where
     T: Send + 'static,
     F: Fn(SmiCtx) -> T + Send + Sync + Clone + 'static,
 {
-    let n = plan.build_topology()?.num_ranks();
-    let metas = vec![meta; n];
-    let programs: Vec<Box<dyn FnOnce(SmiCtx) -> T + Send>> = (0..n)
-        .map(|_| {
-            let f = program.clone();
-            Box::new(move |ctx: SmiCtx| f(ctx)) as Box<dyn FnOnce(SmiCtx) -> T + Send>
-        })
-        .collect();
-    run_split_mpmd(plan, metas, programs, params)
+    let topo = plan.build_topology()?;
+    let n = topo.num_ranks();
+    let bodies = Bodies::spmd_threads(n, program);
+    env::launch(&topo, Some(plan), vec![meta; n], bodies, params)
 }
 
 /// Cooperative-task variant of [`run_split_mpmd`]: each group drives its
@@ -630,137 +554,7 @@ pub fn run_split_mpmd_tasks(
     params: RuntimeParams,
 ) -> Result<RunReport<Result<(), SmiError>>, LaunchError> {
     let topo = plan.build_topology()?;
-    let backend = plan.parse_backend()?;
-    assert_eq!(factories.len(), topo.num_ranks(), "one task per rank");
-    if backend == TransportBackend::InMem {
-        return run_mpmd_tasks(&topo, metas, factories, params);
-    }
-    let num_ranks = topo.num_ranks();
-    let groups = setup_groups(plan, &topo, backend)?;
-    let procs = plan.rank_sets();
-    let nproc = procs.len();
-    let stats = TransportStats::default();
-    let barrier = Arc::new(std::sync::Barrier::new(nproc));
-    let faults = plan.faults.clone();
-    let mut slots: Vec<Option<TaskFactory>> = factories.into_iter().map(Some).collect();
-
-    let mut handles = Vec::with_capacity(nproc);
-    for group in groups {
-        let group_factories: Vec<TaskFactory> = group
-            .ranks
-            .iter()
-            .map(|&r| slots[r].take().expect("each rank in exactly one process"))
-            .collect();
-        let topo = topo.clone();
-        let metas = metas.clone();
-        let params = params.clone();
-        let stats = stats.clone();
-        let procs = procs.clone();
-        let barrier = barrier.clone();
-        let faults = faults.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("smi-proc-{}", group.idx))
-                .spawn(
-                    move || -> Result<GroupOutcome<Result<(), SmiError>>, LaunchError> {
-                        let prep = (|| {
-                            let fabric = build_group_fabric(
-                                &topo,
-                                &procs,
-                                group.idx,
-                                group.wiring,
-                                &params,
-                                faults.as_ref(),
-                                &stats,
-                            )
-                            .map_err(|e| {
-                                LaunchError::Plan(format!("fabric for process {}: {e}", group.idx))
-                            })?;
-                            let mut transport =
-                                prepare_with(&topo, &metas, &params, stats, fabric.links)?;
-                            transport.machines.extend(fabric.pumps);
-                            Ok((transport, fabric.diag))
-                        })();
-                        let (transport, diag) = match prep {
-                            Ok(v) => v,
-                            Err(e) => {
-                                barrier.wait();
-                                return Err(e);
-                            }
-                        };
-                        Ok(run_group_tasks(
-                            transport.tables,
-                            group_factories,
-                            num_ranks,
-                            transport.machines,
-                            &params,
-                            &diag,
-                            Box::new(move || {
-                                barrier.wait();
-                            }),
-                        ))
-                    },
-                )
-                .expect("spawn group thread"),
-        );
-    }
-
-    merge_outcomes(handles, num_ranks, &stats, |slot| {
-        slot.unwrap_or(Err(SmiError::TransportClosed))
-    })
-}
-
-/// Join the group threads and merge their world-rank-tagged outcomes into
-/// one [`RunReport`]. Rank panics resumed by a group runner propagate;
-/// the first one wins after every group has been joined.
-fn merge_outcomes<T, F>(
-    handles: Vec<std::thread::JoinHandle<Result<GroupOutcome<T>, LaunchError>>>,
-    num_ranks: usize,
-    stats: &TransportStats,
-    finish: F,
-) -> Result<RunReport<T>, LaunchError>
-where
-    F: Fn(Option<T>) -> T,
-{
-    let mut slots: Vec<Option<T>> = (0..num_ranks).map(|_| None).collect();
-    let mut threads_spawned = 0usize;
-    let mut reconnects_healed = 0usize;
-    let mut worker_stats = Vec::new();
-    let mut err: Option<LaunchError> = None;
-    let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-    for h in handles {
-        match h.join() {
-            Ok(Ok(outcome)) => {
-                threads_spawned += outcome.threads_spawned;
-                reconnects_healed += outcome.reconnects_healed;
-                worker_stats.extend(outcome.worker_stats);
-                for (rank, v) in outcome.results {
-                    slots[rank] = Some(v);
-                }
-            }
-            Ok(Err(e)) => {
-                err.get_or_insert(e);
-            }
-            Err(p) => {
-                panic.get_or_insert(p);
-            }
-        }
-    }
-    if let Some(p) = panic {
-        std::panic::resume_unwind(p);
-    }
-    if let Some(e) = err {
-        return Err(e);
-    }
-    Ok(RunReport {
-        results: slots.into_iter().map(finish).collect(),
-        transport: stats.snapshot(),
-        payload_copies: stats.payload_copies.count(),
-        wire_stats: stats.wire.snapshot(),
-        threads_spawned,
-        reconnects_healed,
-        worker_stats,
-    })
+    env::launch(&topo, Some(plan), metas, Bodies::tasks(factories), params)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! [`Step::Idle`], letting the executor worker drive its other machines.
 //!
 //! Machines are engine-agnostic: inputs and outputs are
-//! [`Transport`]/[`TransportReceiver`] trait objects
+//! [`super::link::Transport`]/[`super::link::TransportReceiver`] trait objects
 //! ([`crate::transport::link`]), so the same state machine drives in-memory
 //! FIFO edges and socket edges that cross a process boundary.
 //!
@@ -316,7 +316,7 @@ mod tests {
         drop(in_tx); // machine drains then finishes
         let stop = Arc::new(AtomicBool::new(false));
         let ex = ShardedExecutor::spawn(vec![Box::new(m)], 1, stop);
-        ex.join();
+        ex.join().unwrap();
         let count = |rx: Receiver<Burst>| rx.try_iter().map(|b| b.len()).sum::<usize>();
         assert_eq!(count(out0_rx), 5);
         assert_eq!(count(out1_rx), 5);
@@ -341,7 +341,9 @@ mod tests {
         in_tx.send(vec![pkt(0); 7]).unwrap();
         drop(in_tx);
         let stop = Arc::new(AtomicBool::new(false));
-        ShardedExecutor::spawn(vec![Box::new(m)], 1, stop).join();
+        ShardedExecutor::spawn(vec![Box::new(m)], 1, stop)
+            .join()
+            .unwrap();
         // The 7-packet burst arrives as a single burst (fast path).
         let bursts: Vec<Burst> = out_rx.try_iter().collect();
         assert_eq!(bursts.len(), 1);
@@ -369,7 +371,9 @@ mod tests {
         in_tx.send(vec![Frame::Run(run)]).unwrap();
         drop(in_tx);
         let stop = Arc::new(AtomicBool::new(false));
-        ShardedExecutor::spawn(vec![Box::new(m)], 1, stop).join();
+        ShardedExecutor::spawn(vec![Box::new(m)], 1, stop)
+            .join()
+            .unwrap();
         let bursts: Vec<Burst> = out_rx.try_iter().collect();
         assert_eq!(bursts.len(), 1);
         assert_eq!(bursts[0].len(), 1);
@@ -402,7 +406,9 @@ mod tests {
         in_tx.send(burst).unwrap();
         drop(in_tx);
         let stop = Arc::new(AtomicBool::new(false));
-        ShardedExecutor::spawn(vec![Box::new(m)], 1, stop).join();
+        ShardedExecutor::spawn(vec![Box::new(m)], 1, stop)
+            .join()
+            .unwrap();
         let sizes: Vec<Vec<usize>> = outs
             .iter()
             .map(|(_, rx)| rx.try_iter().map(|b| b.len()).collect())
@@ -435,7 +441,9 @@ mod tests {
         in_tx.send(vec![pkt(0), pkt(3), pkt(0)]).unwrap();
         drop(in_tx);
         let stop = Arc::new(AtomicBool::new(false));
-        ShardedExecutor::spawn(vec![Box::new(m)], 1, stop).join();
+        ShardedExecutor::spawn(vec![Box::new(m)], 1, stop)
+            .join()
+            .unwrap();
         let delivered: usize = out_rx.try_iter().map(|b| b.len()).sum();
         assert_eq!(delivered, 2);
         assert_eq!(unr.load(Ordering::Relaxed), 1);
@@ -465,7 +473,7 @@ mod tests {
         let ex = ShardedExecutor::spawn(vec![Box::new(m)], 1, stop.clone());
         std::thread::sleep(std::time::Duration::from_millis(20));
         stop.store(true, Ordering::SeqCst);
-        ex.join(); // must terminate
+        ex.join().unwrap(); // must terminate
     }
 
     #[test]
@@ -497,7 +505,7 @@ mod tests {
             }
             std::thread::yield_now();
         }
-        ex.join();
+        ex.join().unwrap();
         assert_eq!(seen, (0..50u8).collect::<Vec<_>>());
     }
 }

@@ -38,6 +38,7 @@
 //! execution resource unless load forces them apart.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -341,7 +342,17 @@ impl ShardedExecutor {
                 let pool = pool.clone();
                 std::thread::Builder::new()
                     .name(format!("smi-worker-{w}"))
-                    .spawn(move || worker_loop(w, &pool))
+                    .spawn(move || {
+                        let run = AssertUnwindSafe(|| worker_loop(w, &pool));
+                        if let Err(panic) = catch_unwind(run) {
+                            // A machine panicked: no run survives that, so
+                            // release the siblings (parked ones at once) and
+                            // let `join` hand the payload to the caller.
+                            pool.stop.store(true, Ordering::SeqCst);
+                            pool.wake(true);
+                            resume_unwind(panic);
+                        }
+                    })
                     .expect("spawn executor worker")
             })
             .collect();
@@ -360,16 +371,20 @@ impl ShardedExecutor {
 
     /// Join every worker (call after raising the stop flag, or once all
     /// machines are expected to finish on their own) and return the final
-    /// per-worker counters.
+    /// per-worker counters — or, like [`JoinHandle::join`], the payload of
+    /// the first worker a panicking machine unwound.
     ///
     /// Parked workers are kicked at once: a parker raises `parked` before
     /// its last check of the stop flag, so it sees that or this notify.
-    pub fn join(mut self) -> Vec<WorkerStats> {
+    pub fn join(mut self) -> std::thread::Result<Vec<WorkerStats>> {
         self.pool.wake(true);
+        let mut panic = None;
         for t in self.threads.drain(..) {
-            let _ = t.join();
+            if let Err(p) = t.join() {
+                panic.get_or_insert(p);
+            }
         }
-        self.worker_stats()
+        panic.map_or_else(|| Ok(self.worker_stats()), Err)
     }
 }
 
@@ -593,7 +608,7 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let ex = ShardedExecutor::spawn(items, 3, stop);
         assert_eq!(ex.num_workers(), 3);
-        ex.join(); // workers exit once every machine is Done
+        ex.join().unwrap(); // workers exit once every machine is Done
         assert_eq!(hits.load(Ordering::Relaxed), (1..=10).sum::<u64>());
     }
 
@@ -609,7 +624,7 @@ mod tests {
         let ex = ShardedExecutor::spawn(vec![Box::new(Forever)], 1, stop.clone());
         std::thread::sleep(Duration::from_millis(10));
         stop.store(true, Ordering::SeqCst);
-        ex.join(); // must terminate
+        ex.join().unwrap(); // must terminate
     }
 
     #[test]
@@ -663,7 +678,7 @@ mod tests {
             .collect();
         let ex = ShardedExecutor::spawn(items, 16, stop);
         assert_eq!(ex.num_workers(), 2);
-        ex.join();
+        ex.join().unwrap();
     }
 
     /// Homeless machines alternate over 2 workers; the odd ones finish at
@@ -682,7 +697,7 @@ mod tests {
             .collect();
         let stop = Arc::new(AtomicBool::new(false));
         let ex = ShardedExecutor::spawn(items, 2, stop);
-        let stats = ex.join();
+        let stats = ex.join().unwrap();
         assert_eq!(hits.load(Ordering::Relaxed), 4 * 200_000 + 4);
         let steals: u64 = stats.iter().map(|s| s.steals).sum();
         assert!(steals > 0, "no machine was ever stolen: {stats:?}");
@@ -704,7 +719,7 @@ mod tests {
         let mut items: Vec<Box<dyn Pollable>> = (0..6).map(|_| machine(0, 300_000)).collect();
         items.extend((1..4).flat_map(|r| [machine(r, 1), machine(r, 1)]));
         let stop = Arc::new(AtomicBool::new(false));
-        let stats = ShardedExecutor::spawn(items, 2, stop).join();
+        let stats = ShardedExecutor::spawn(items, 2, stop).join().unwrap();
         assert_eq!(hits.load(Ordering::Relaxed), 6 * 300_000 + 6);
         assert_eq!(
             stats.iter().map(|s| s.progress).sum::<u64>(),
@@ -791,7 +806,7 @@ mod tests {
             })
             .collect();
         let stop = Arc::new(AtomicBool::new(false));
-        ShardedExecutor::spawn(items, 1, stop).join();
+        ShardedExecutor::spawn(items, 1, stop).join().unwrap();
         assert_eq!(*log.lock(), (0..40).collect::<Vec<_>>());
     }
 
@@ -824,7 +839,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20)); // mid-sweep
         let t = Instant::now();
         stop.store(true, Ordering::SeqCst);
-        ex.join();
+        ex.join().unwrap();
         let dt = t.elapsed();
         // Bound: STOP_CHECK_POLLS polls at 500 µs each, plus generous CI
         // slack — but far below the ~0.5 s full sweep.
@@ -893,7 +908,7 @@ mod tests {
         );
         let t = Instant::now();
         gate.store(true, Ordering::SeqCst);
-        ex.join(); // machines drain to Done; workers exit on live == 0
+        ex.join().unwrap(); // machines drain to Done; workers exit on live == 0
         assert!(
             t.elapsed() < Duration::from_secs(2),
             "resume after wake took {:?}",
@@ -945,7 +960,7 @@ mod tests {
         // the gate — the cold list must be re-polled so they all finish.
         std::thread::sleep(Duration::from_millis(50));
         gate.store(true, Ordering::SeqCst);
-        ex.join();
+        ex.join().unwrap();
         assert_eq!(done.load(Ordering::Relaxed), 32);
         assert_eq!(hits.load(Ordering::Relaxed), 3_000_000);
     }

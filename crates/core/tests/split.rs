@@ -1,113 +1,154 @@
-//! Multi-process-style split-runner tests: the cluster is partitioned into
-//! groups joined by real socket transports (Unix-domain or TCP), and every
-//! observable result must be identical to the single-group in-memory run.
+//! Placement tests of the one launch engine: the cluster runs as one group
+//! in memory, or partitioned into groups joined by real socket transports
+//! (Unix-domain or TCP), in thread mode or task mode — and every observable
+//! result must be identical to the single-group in-memory run.
 
-use smi::env::SmiCtx;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
+
+use smi::env::{LaunchError, SmiCtx};
 use smi::prelude::*;
 
-/// Run all four rooted collectives over `plan` and return per-rank
-/// `(bcast, reduce@root, scatter slice, gather@root)`. No faults are
-/// injected, so a run that had to heal a connection is a bug hiding behind
-/// the replay ring: that fails here too.
-#[allow(clippy::type_complexity)]
-fn collective_suite(
-    plan: &ProcessPlan,
+/// Executor workers per group in the placement matrix (explicit, so the
+/// thread bill is a formula, not a property of the host).
+const WORKERS: usize = 2;
+
+/// The placements one table drives both rank-body kinds through: no plan,
+/// an `"inmem"` plan (one group, whatever its partition says), and socket
+/// plans. Each row is `(plan, groups the engine runs)`.
+fn placements(topo: &Topology) -> Vec<(Option<ProcessPlan>, usize)> {
+    let plan = |backend, nproc| Some(ProcessPlan::split(topo, backend, nproc));
+    vec![
+        (None, 1),
+        (plan(TransportBackend::InMem, 1), 1),
+        (plan(TransportBackend::InMem, 2), 1),
+        (plan(TransportBackend::Uds, 2), 2),
+        (plan(TransportBackend::Uds, 4), 4),
+        (plan(TransportBackend::Tcp, 2), 2),
+        (plan(TransportBackend::Tcp, 4), 4),
+    ]
+}
+
+fn label(plan: &Option<ProcessPlan>) -> String {
+    match plan {
+        None => "no plan".into(),
+        Some(p) => format!("{} × {}", p.backend, p.processes.len()),
+    }
+}
+
+/// Per-rank `(bcast, reduce@root, scatter slice, gather@root)`.
+type Suite = (Vec<i32>, Vec<i32>, Vec<i32>, Vec<i32>);
+
+/// Run all four rooted collectives in thread mode on `topo` — over `plan`,
+/// or with no plan at all. No faults are injected, so a run that had to heal a
+/// connection is a bug hiding behind the replay ring: that fails here too.
+fn collective_suite_report(
+    topo: &Topology,
+    plan: Option<&ProcessPlan>,
     root: usize,
     count: u64,
-    scheme: CollectiveScheme,
-) -> Vec<(Vec<i32>, Vec<i32>, Vec<i32>, Vec<i32>)> {
-    let params = RuntimeParams {
-        collective_scheme: scheme,
-        ..Default::default()
-    };
+    params: RuntimeParams,
+) -> RunReport<Suite> {
     let meta = ProgramMeta::new()
         .with(OpSpec::bcast(0, Datatype::Int))
         .with(OpSpec::reduce(1, Datatype::Int, ReduceOp::Add))
         .with(OpSpec::scatter(2, Datatype::Int))
         .with(OpSpec::gather(3, Datatype::Int));
-    let report = run_split_spmd(
-        plan,
-        meta,
-        move |ctx: SmiCtx| {
-            let comm = ctx.world();
-            let rank = comm.rank();
-            let n = comm.size();
-            let is_root = rank == root;
-            let mut bcast: Vec<i32> = if is_root {
-                (0..count as i32).map(|i| i * 11 - 3).collect()
-            } else {
-                vec![0; count as usize]
-            };
-            let mut ch = ctx
-                .open_bcast_channel::<i32>(count, 0, root, &comm)
-                .unwrap();
-            ch.bcast_slice(&mut bcast).unwrap();
-            drop(ch);
-            let contrib: Vec<i32> = (0..count as i32).map(|i| i * 7 + rank as i32).collect();
-            let mut reduce = vec![0i32; count as usize];
-            let mut ch = ctx
-                .open_reduce_channel::<i32>(count, 1, root, &comm)
-                .unwrap();
-            ch.reduce_slice(&contrib, &mut reduce).unwrap();
-            drop(ch);
-            if !is_root {
-                reduce.clear();
-            }
-            let mut ch = ctx
-                .open_scatter_channel::<i32>(count, 2, root, &comm)
-                .unwrap();
-            if is_root {
-                let src: Vec<i32> = (0..(count * n as u64) as i32).map(|i| i * 5 - 9).collect();
-                ch.push_slice(&src).unwrap();
-            }
-            let mut mine = vec![0i32; count as usize];
-            ch.pop_slice(&mut mine).unwrap();
-            drop(ch);
-            let mut ch = ctx
-                .open_gather_channel::<i32>(count, 3, root, &comm)
-                .unwrap();
-            let own: Vec<i32> = (0..count as i32).map(|i| rank as i32 * 1000 + i).collect();
-            ch.push_slice(&own).unwrap();
-            let gathered = if is_root {
-                let mut all = vec![0i32; (count * n as u64) as usize];
-                ch.pop_slice(&mut all).unwrap();
-                all
-            } else {
-                Vec::new()
-            };
-            (bcast, reduce, mine, gathered)
-        },
-        params,
-    )
+    let program = move |ctx: SmiCtx| {
+        let comm = ctx.world();
+        let rank = comm.rank();
+        let n = comm.size();
+        let is_root = rank == root;
+        let mut bcast: Vec<i32> = if is_root {
+            (0..count as i32).map(|i| i * 11 - 3).collect()
+        } else {
+            vec![0; count as usize]
+        };
+        let mut ch = ctx
+            .open_bcast_channel::<i32>(count, 0, root, &comm)
+            .unwrap();
+        ch.bcast_slice(&mut bcast).unwrap();
+        drop(ch);
+        let contrib: Vec<i32> = (0..count as i32).map(|i| i * 7 + rank as i32).collect();
+        let mut reduce = vec![0i32; count as usize];
+        let mut ch = ctx
+            .open_reduce_channel::<i32>(count, 1, root, &comm)
+            .unwrap();
+        ch.reduce_slice(&contrib, &mut reduce).unwrap();
+        drop(ch);
+        if !is_root {
+            reduce.clear();
+        }
+        let mut ch = ctx
+            .open_scatter_channel::<i32>(count, 2, root, &comm)
+            .unwrap();
+        if is_root {
+            let src: Vec<i32> = (0..(count * n as u64) as i32).map(|i| i * 5 - 9).collect();
+            ch.push_slice(&src).unwrap();
+        }
+        let mut mine = vec![0i32; count as usize];
+        ch.pop_slice(&mut mine).unwrap();
+        drop(ch);
+        let mut ch = ctx
+            .open_gather_channel::<i32>(count, 3, root, &comm)
+            .unwrap();
+        let own: Vec<i32> = (0..count as i32).map(|i| rank as i32 * 1000 + i).collect();
+        ch.push_slice(&own).unwrap();
+        let gathered = if is_root {
+            let mut all = vec![0i32; (count * n as u64) as usize];
+            ch.pop_slice(&mut all).unwrap();
+            all
+        } else {
+            Vec::new()
+        };
+        (bcast, reduce, mine, gathered)
+    };
+    let report = match plan {
+        Some(plan) => run_split_spmd(plan, meta, program, params),
+        None => run_spmd(topo, meta, program, params),
+    }
     .unwrap();
     assert_eq!(report.reconnects_healed, 0, "fault-free run healed");
-    report.results
+    report
 }
 
-/// The acceptance matrix: the full collective suite over every backend,
-/// every scheme, and 2- and 4-way process splits matches the in-memory
-/// single-group run bit for bit.
+/// [`collective_suite_report`]'s results over `plan` under `scheme`.
+fn collective_suite(
+    plan: &ProcessPlan,
+    root: usize,
+    count: u64,
+    scheme: CollectiveScheme,
+) -> Vec<Suite> {
+    let params = RuntimeParams {
+        collective_scheme: scheme,
+        ..Default::default()
+    };
+    let topo = plan.build_topology().unwrap();
+    collective_suite_report(&topo, Some(plan), root, count, params).results
+}
+
+/// The acceptance matrix, thread mode: the full collective suite over every
+/// placement and every scheme matches the no-plan run bit for bit, and the
+/// thread bill is one thread per rank plus every group's workers.
 #[test]
 fn collective_suite_identical_across_backends_and_splits() {
     let topo = Topology::bus(4);
     let count = 48;
     for scheme in [CollectiveScheme::Linear, CollectiveScheme::Tree] {
         for root in [0, 3] {
-            let reference = collective_suite(
-                &ProcessPlan::split(&topo, TransportBackend::InMem, 1),
-                root,
-                count,
-                scheme,
-            );
-            for backend in [TransportBackend::Uds, TransportBackend::Tcp] {
-                for nproc in [2, 4] {
-                    let plan = ProcessPlan::split(&topo, backend, nproc);
-                    let got = collective_suite(&plan, root, count, scheme);
-                    assert_eq!(
-                        reference, got,
-                        "backend={backend} nproc={nproc} scheme={scheme:?} root={root}"
-                    );
-                }
+            let params = RuntimeParams {
+                collective_scheme: scheme,
+                transport_workers: WORKERS,
+                ..Default::default()
+            };
+            let mut reference = None;
+            for (plan, groups) in placements(&topo) {
+                let at = format!("{} scheme={scheme:?} root={root}", label(&plan));
+                let got =
+                    collective_suite_report(&topo, plan.as_ref(), root, count, params.clone());
+                assert_eq!(got.threads_spawned, 4 + groups * WORKERS, "{at}");
+                let reference = reference.get_or_insert_with(|| got.results.clone());
+                assert_eq!(*reference, got.results, "{at}");
             }
         }
     }
@@ -308,8 +349,10 @@ fn bidirectional_bulk_exchange_is_exact_and_never_heals() {
     }
 }
 
-/// The cooperative task plane streams across socket transports: one rank
-/// per group, so every packet of both directed pairs rides a socket pump.
+/// The acceptance matrix, task mode: the same placements stream two
+/// directed pairs on the cooperative plane (with one rank per group every
+/// packet rides a socket pump); what arrives is identical everywhere and
+/// the thread bill is the groups' workers alone.
 #[test]
 fn split_task_plane_streams_across_sockets() {
     let topo = Topology::bus(4);
@@ -323,45 +366,209 @@ fn split_task_plane_streams_across_sockets() {
             }
         })
         .collect();
-    let out = std::sync::Arc::new(parking_lot::Mutex::new(vec![Vec::new(); 4]));
-    let factories: Vec<TaskFactory> = (0..4usize)
-        .map(|r| {
-            let out = out.clone();
-            let f: TaskFactory = if r % 2 == 0 {
+    let params = RuntimeParams {
+        transport_workers: WORKERS,
+        ..Default::default()
+    };
+    for (plan, groups) in placements(&topo) {
+        let at = label(&plan);
+        let out = std::sync::Arc::new(parking_lot::Mutex::new(vec![Vec::new(); 4]));
+        let factories: Vec<TaskFactory> = (0..4usize)
+            .map(|r| {
+                let out = out.clone();
+                let f: TaskFactory = if r % 2 == 0 {
+                    Box::new(move |ctx: SmiCtx| {
+                        let ch = ctx.open_send_channel::<i32>(n, r + 1, 0)?;
+                        Ok(Box::new(SliceSend {
+                            ch: Some(ch),
+                            data: (0..n as i32).map(|i| i * 2 + r as i32).collect(),
+                            off: 0,
+                        }) as Box<dyn RankTask>)
+                    })
+                } else {
+                    Box::new(move |ctx: SmiCtx| {
+                        let ch = ctx.open_recv_channel::<i32>(n, r - 1, 0)?;
+                        Ok(Box::new(SliceRecv {
+                            ch: Some(ch),
+                            buf: vec![0; n as usize],
+                            filled: 0,
+                            out,
+                            rank: r,
+                        }) as Box<dyn RankTask>)
+                    })
+                };
+                f
+            })
+            .collect();
+        let report = match &plan {
+            Some(plan) => run_split_mpmd_tasks(plan, metas.clone(), factories, params.clone()),
+            None => run_mpmd_tasks(&topo, metas.clone(), factories, params.clone()),
+        }
+        .unwrap();
+        assert_eq!(report.reconnects_healed, 0, "{at}: fault-free run healed");
+        assert_eq!(report.threads_spawned, groups * WORKERS, "{at}");
+        for (r, res) in report.results.iter().enumerate() {
+            assert!(res.is_ok(), "{at}: rank {r}: {res:?}");
+        }
+        let collected = std::mem::take(&mut *out.lock());
+        for r in [1usize, 3] {
+            let want: Vec<i32> = (0..n as i32).map(|i| i * 2 + (r - 1) as i32).collect();
+            assert_eq!(collected[r], want, "{at}: rank {r}");
+        }
+    }
+}
+
+/// A task that panics on its first poll.
+struct Bomb;
+
+impl RankTask for Bomb {
+    fn poll(&mut self) -> Result<TaskStatus, SmiError> {
+        panic!("rank 0 blew up");
+    }
+}
+
+/// A task with nothing to do.
+struct Idle;
+
+impl RankTask for Idle {
+    fn poll(&mut self) -> Result<TaskStatus, SmiError> {
+        Ok(TaskStatus::Done)
+    }
+}
+
+/// The four mode × placement combinations of a 4-rank bus: no plan, or two
+/// UDS-joined groups `[0, 1]` and `[2, 3]`.
+fn two_placements() -> [Option<ProcessPlan>; 2] {
+    let split = ProcessPlan::split(&Topology::bus(4), TransportBackend::Uds, 2);
+    [None, Some(split)]
+}
+
+/// Rank 0 panics; rank 1 idles and ranks 2 → 3 stream a message, none of
+/// them waiting on rank 0. The caller must observe rank 0's panic — not an
+/// `Ok` report — and promptly: well inside the default 10 s
+/// `blocking_timeout`, so nobody sat out a stall window to notice. Same
+/// contract for a panicking rank thread and a panicking rank task, local
+/// and split, on one worker (the panic takes the only worker down) and two.
+#[test]
+fn rank_task_panic_propagates_like_a_rank_thread_panic() {
+    let topo = Topology::bus(4);
+    let n = 64u64;
+    let data = move || -> Vec<i32> { (0..n as i32).map(|i| i * 5 + 1).collect() };
+    let metas = vec![
+        ProgramMeta::new(),
+        ProgramMeta::new(),
+        ProgramMeta::new().with(OpSpec::send(0, Datatype::Int)),
+        ProgramMeta::new().with(OpSpec::recv(0, Datatype::Int)),
+    ];
+    let assert_panics = |what: String, run: &dyn Fn()| {
+        let t0 = Instant::now();
+        let payload = catch_unwind(AssertUnwindSafe(run))
+            .err()
+            .unwrap_or_else(|| panic!("{what}: the rank's panic never reached the caller"));
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"rank 0 blew up"),
+            "{what}"
+        );
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(2), "{what}: took {took:?}");
+    };
+    for plan in two_placements() {
+        let threads = || {
+            let programs: Vec<Box<dyn FnOnce(SmiCtx) + Send>> = vec![
+                Box::new(|_| panic!("rank 0 blew up")),
+                Box::new(|_| {}),
                 Box::new(move |ctx: SmiCtx| {
-                    let ch = ctx.open_send_channel::<i32>(n, r + 1, 0)?;
-                    Ok(Box::new(SliceSend {
-                        ch: Some(ch),
-                        data: (0..n as i32).map(|i| i * 2 + r as i32).collect(),
-                        off: 0,
-                    }) as Box<dyn RankTask>)
-                })
-            } else {
+                    let mut ch = ctx.open_send_channel::<i32>(n, 3, 0).unwrap();
+                    ch.push_slice(&data()).unwrap();
+                }),
                 Box::new(move |ctx: SmiCtx| {
-                    let ch = ctx.open_recv_channel::<i32>(n, r - 1, 0)?;
-                    Ok(Box::new(SliceRecv {
-                        ch: Some(ch),
-                        buf: vec![0; n as usize],
-                        filled: 0,
-                        out,
-                        rank: r,
-                    }) as Box<dyn RankTask>)
-                })
+                    let mut ch = ctx.open_recv_channel::<i32>(n, 2, 0).unwrap();
+                    let mut buf = vec![0i32; n as usize];
+                    ch.pop_slice(&mut buf).unwrap();
+                    assert_eq!(buf, data());
+                }),
+            ];
+            let _ = match &plan {
+                Some(plan) => run_split_mpmd(plan, metas.clone(), programs, Default::default()),
+                None => run_mpmd(&topo, metas.clone(), programs, Default::default()),
             };
-            f
+        };
+        assert_panics(format!("threads, {}", label(&plan)), &threads);
+        for workers in [1, 2] {
+            let tasks = || {
+                let out = std::sync::Arc::new(parking_lot::Mutex::new(vec![Vec::new(); 4]));
+                let factories: Vec<TaskFactory> = vec![
+                    Box::new(|_| Ok(Box::new(Bomb) as Box<dyn RankTask>)),
+                    Box::new(|_| Ok(Box::new(Idle) as Box<dyn RankTask>)),
+                    Box::new(move |ctx: SmiCtx| {
+                        let ch = Some(ctx.open_send_channel::<i32>(n, 3, 0)?);
+                        let (data, off) = (data(), 0);
+                        Ok(Box::new(SliceSend { ch, data, off }) as Box<dyn RankTask>)
+                    }),
+                    Box::new(move |ctx: SmiCtx| {
+                        let ch = ctx.open_recv_channel::<i32>(n, 2, 0)?;
+                        Ok(Box::new(SliceRecv {
+                            ch: Some(ch),
+                            buf: vec![0; n as usize],
+                            filled: 0,
+                            out,
+                            rank: 3,
+                        }) as Box<dyn RankTask>)
+                    }),
+                ];
+                let params = RuntimeParams {
+                    transport_workers: workers,
+                    ..Default::default()
+                };
+                let _ = match &plan {
+                    Some(plan) => run_split_mpmd_tasks(plan, metas.clone(), factories, params),
+                    None => run_mpmd_tasks(&topo, metas.clone(), factories, params),
+                };
+            };
+            let what = format!("tasks on {workers} worker(s), {}", label(&plan));
+            assert_panics(what, &tasks);
+        }
+    }
+}
+
+/// A launch that fails validation — port 0 is a bcast on rank 0 and a
+/// reduce on rank 1 — returns the same `LaunchError::Codegen` whichever
+/// rank-body kind and placement it was headed for, and returns it: every
+/// group of a split run fails its preparation and still meets the others
+/// at the completion barrier instead of stranding them there.
+#[test]
+fn validation_failure_is_the_same_error_on_every_path() {
+    let topo = Topology::bus(4);
+    let metas: Vec<ProgramMeta> = (0..4)
+        .map(|r| match r {
+            0 => ProgramMeta::new().with(OpSpec::bcast(0, Datatype::Int)),
+            1 => ProgramMeta::new().with(OpSpec::reduce(0, Datatype::Int, ReduceOp::Add)),
+            _ => ProgramMeta::new(),
         })
         .collect();
-    // One rank per process: all four ranks talk through sockets.
-    let plan = ProcessPlan::split(&topo, TransportBackend::Uds, 4);
-    let report = run_split_mpmd_tasks(&plan, metas, factories, RuntimeParams::default()).unwrap();
-    assert_eq!(report.reconnects_healed, 0, "fault-free run healed");
-    for (r, res) in report.results.iter().enumerate() {
-        assert!(res.is_ok(), "rank {r}: {res:?}");
+    let mut errors = Vec::new();
+    for plan in two_placements() {
+        let programs: Vec<Box<dyn FnOnce(SmiCtx) + Send>> = (0..4)
+            .map(|_| Box::new(|_: SmiCtx| {}) as Box<dyn FnOnce(SmiCtx) + Send>)
+            .collect();
+        let threads = match &plan {
+            Some(plan) => run_split_mpmd(plan, metas.clone(), programs, Default::default()),
+            None => run_mpmd(&topo, metas.clone(), programs, Default::default()),
+        };
+        errors.push(threads.map(|_| ()).expect_err("threads: launch must fail"));
+        let factories: Vec<TaskFactory> = (0..4)
+            .map(|_| Box::new(|_: SmiCtx| Ok(Box::new(Idle) as Box<dyn RankTask>)) as TaskFactory)
+            .collect();
+        let tasks = match &plan {
+            Some(plan) => run_split_mpmd_tasks(plan, metas.clone(), factories, Default::default()),
+            None => run_mpmd_tasks(&topo, metas.clone(), factories, Default::default()),
+        };
+        errors.push(tasks.map(|_| ()).expect_err("tasks: launch must fail"));
     }
-    let collected = std::mem::take(&mut *out.lock());
-    for r in [1usize, 3] {
-        let want: Vec<i32> = (0..n as i32).map(|i| i * 2 + (r - 1) as i32).collect();
-        assert_eq!(collected[r], want, "rank {r}");
+    for e in &errors {
+        assert!(matches!(e, LaunchError::Codegen(_)), "{e}");
+        assert_eq!(e.to_string(), errors[0].to_string());
     }
 }
 
