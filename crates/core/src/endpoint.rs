@@ -16,11 +16,12 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, Sender, TrySendError};
+use crossbeam::channel::{Receiver, TrySendError};
 use parking_lot::Mutex;
 use smi_codegen::OpKind;
 use smi_wire::{Datatype, Frame, NetworkPacket, PacketRun, ReduceOp};
 
+use crate::transport::link::FifoTx;
 use crate::transport::socket::FabricHealth;
 use crate::transport::{meter_inline_data, Burst, CopyMeter};
 use crate::SmiError;
@@ -37,7 +38,7 @@ const HEALTH_POLL_SLICE: Duration = Duration::from_millis(20);
 /// in flight (`health`): recovery must not be misreported as a timeout.
 /// Reconnects are budget-bounded, so a failed one still ends the wait.
 pub(crate) fn send_burst(
-    tx: &Sender<Burst>,
+    tx: &FifoTx,
     burst: Burst,
     timeout: std::time::Duration,
     waiting_for: &'static str,
@@ -65,7 +66,7 @@ pub(crate) fn send_burst(
 
 /// Blocking single-packet send (control packets: syncs, grants).
 pub(crate) fn send_packet(
-    tx: &Sender<Burst>,
+    tx: &FifoTx,
     pkt: NetworkPacket,
     timeout: std::time::Duration,
     waiting_for: &'static str,
@@ -233,12 +234,13 @@ impl PacketRx {
     }
 }
 
-/// Send-side endpoint hardware: the FIFO into the bound CKS, plus the
+/// Send-side endpoint hardware: the FIFO into the bound CKS (a [`FifoTx`]:
+/// every push, blocking or not, raises that kernel's wake handle), plus the
 /// credit-return path used by the credit-based protocol.
 #[derive(Debug)]
 pub(crate) struct SendRes {
     pub dtype: Datatype,
-    pub to_cks: Sender<Burst>,
+    pub to_cks: FifoTx,
     pub credit_rx: PacketRx,
 }
 
@@ -248,7 +250,7 @@ pub(crate) struct SendRes {
 pub(crate) struct RecvRes {
     pub dtype: Datatype,
     pub from_ckr: PacketRx,
-    pub grant_tx: Sender<Burst>,
+    pub grant_tx: FifoTx,
 }
 
 /// Collective endpoint hardware (the support-kernel attachment of §4.4):
@@ -260,7 +262,7 @@ pub(crate) struct CollRes {
     pub kind: OpKind,
     pub dtype: Datatype,
     pub reduce_op: Option<ReduceOp>,
-    pub to_cks: Sender<Burst>,
+    pub to_cks: FifoTx,
     pub rx: PacketRx,
     pub credit_rx: PacketRx,
 }
@@ -657,7 +659,7 @@ mod tests {
         std::mem::forget(_ctx);
         SendRes {
             dtype: Datatype::Int,
-            to_cks: tx,
+            to_cks: tx.into(),
             credit_rx: PacketRx::new(crx, CopyMeter::default()),
         }
     }

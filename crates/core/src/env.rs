@@ -35,6 +35,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use smi_codegen::{ClusterDesign, CodegenError, ProgramMeta};
 use smi_topology::{RoutingPlan, Topology, TopologyError};
@@ -740,7 +741,7 @@ pub(crate) fn run_group<T: Send + 'static>(
             handles.into_iter().filter_map(join).collect()
         }
         Started::Tasks(watch, wrap) => {
-            let results = await_tasks(&watch, &world, params, &diag);
+            let results = await_tasks(&watch, &world, params, &diag, &stop);
             results.into_iter().map(wrap).collect()
         }
     };
@@ -771,12 +772,18 @@ pub(crate) fn run_group<T: Send + 'static>(
 /// not trip it. When the fabric spans processes and a peer process is
 /// known dead, the stall is reported as [`SmiError::PeerDisconnected`]
 /// rather than a generic [`SmiError::Stalled`].
+///
+/// The window is waited out in short slices, leaving as soon as `stop` is
+/// up: a worker that a panicking machine unwound raises it, and may hold no
+/// rank task whose drop would say so on the event channel.
 fn await_tasks(
     watch: &TaskWatch,
     world: &[usize],
     params: &RuntimeParams,
     diag: &FabricDiag,
+    stop: &AtomicBool,
 ) -> Vec<TaskResult> {
+    const SLICE: Duration = Duration::from_millis(20);
     let TaskWatch { events, progress } = watch;
     let locals = world.len();
     let mut results: Vec<TaskResult> = (0..locals)
@@ -786,17 +793,22 @@ fn await_tasks(
     let mut remaining = locals;
     let snapshot = || -> Vec<u64> { progress.iter().map(|c| c.load(Ordering::Relaxed)).collect() };
     let mut last_progress = snapshot();
-    while remaining > 0 {
-        match events.recv_timeout(params.blocking_timeout) {
+    let mut window_end = Instant::now() + params.blocking_timeout;
+    while remaining > 0 && !stop.load(Ordering::SeqCst) {
+        let left = window_end.saturating_duration_since(Instant::now());
+        match events.recv_timeout(left.min(SLICE)) {
             Ok((i, Some(res))) => {
                 results[i] = res;
                 reported[i] = true;
                 remaining -= 1;
+                window_end = Instant::now() + params.blocking_timeout;
             }
             // A worker is unwinding: the run is over, and joining the
             // executor hands the panic back.
             Ok((_, None)) => break,
+            Err(crossbeam::channel::RecvTimeoutError::Timeout) if !left.is_zero() => {}
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                window_end = Instant::now() + params.blocking_timeout;
                 let now = snapshot();
                 if diag.health.any_reconnecting() {
                     // Mid-stream recovery in flight: reconnect attempts are
@@ -997,9 +1009,49 @@ where
 
 #[cfg(test)]
 mod tests {
-    use super::{stall_message, FabricDiag};
+    use super::*;
     use crate::transport::socket::{FabricHealth, PeerDown, PeerDownKind, ReconnectInfo};
-    use std::collections::HashMap;
+
+    /// The unit-level twin of `rank_task_panic_propagates_like_a_rank_thread_panic`
+    /// (`tests/split.rs`): a *machine* panics on a worker that holds no rank
+    /// task, so nothing reaches the event channel. The watchdog must leave
+    /// on the stop flag the unwinding worker raises — well inside the
+    /// default 10 s `blocking_timeout` — and the join hand the payload over.
+    #[test]
+    fn machine_panic_ends_the_wait_at_once() {
+        struct Bomb;
+        impl Pollable for Bomb {
+            fn poll(&mut self) -> Step {
+                panic!("machine blew up");
+            }
+        }
+        struct Quiet;
+        impl Pollable for Quiet {
+            fn poll(&mut self) -> Step {
+                Step::Idle
+            }
+        }
+        for workers in [1, 2] {
+            let stop = Arc::new(AtomicBool::new(false));
+            // One rank task that never reports: its sender stays alive here.
+            let (_done_tx, events) = crossbeam::channel::unbounded::<TaskEvent>();
+            let progress = vec![Arc::default()];
+            let watch = TaskWatch { events, progress };
+            let diag = crate::proc::GroupFabric::all_local(1).diag;
+            let items: Vec<Box<dyn Pollable>> = vec![Box::new(Quiet), Box::new(Bomb)];
+            let t0 = Instant::now();
+            let executor = ShardedExecutor::spawn(items, workers, stop.clone());
+            let results = await_tasks(&watch, &[0], &RuntimeParams::default(), &diag, &stop);
+            let took = t0.elapsed();
+            assert!(
+                took < Duration::from_secs(2),
+                "{workers} worker(s): {took:?}"
+            );
+            assert!(results[0].is_err());
+            let payload = executor.join().expect_err("the worker unwound");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"machine blew up"));
+        }
+    }
 
     #[test]
     fn stall_message_names_backend() {

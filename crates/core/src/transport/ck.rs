@@ -8,6 +8,9 @@
 //! input is never reordered). Unlike the previous implementation it never
 //! blocks: when an output is full the machine parks the burst and reports
 //! [`Step::Idle`], letting the executor worker drive its other machines.
+//! With nothing parked, `Idle` means asleep: every producer into an input
+//! raises the machine's [`Wake`] after its push, and the executor does not
+//! poll it again before that.
 //!
 //! Machines are engine-agnostic: inputs and outputs are
 //! [`super::link::Transport`]/[`super::link::TransportReceiver`] trait objects
@@ -24,7 +27,7 @@ use std::sync::Arc;
 
 use smi_wire::{Frame, Header};
 
-use crate::transport::executor::{Pollable, Step};
+use crate::transport::executor::{Pollable, Step, Wake};
 use crate::transport::link::{LinkRecv, LinkRx, LinkSend, LinkTx};
 use crate::transport::Burst;
 
@@ -54,6 +57,9 @@ pub(crate) struct CkMachine {
     /// Incremented per dropped packet.
     pub unroutable: Arc<AtomicU64>,
     // --- runtime state ---
+    /// Raised by whoever fills or closes an input (the wiring hands every
+    /// such producer a clone); this kernel sleeps on it.
+    wake: Wake,
     dead: Vec<bool>,
     current: usize,
     /// A routed burst an output refused; retried before anything else.
@@ -66,6 +72,7 @@ impl CkMachine {
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         rank: usize,
+        wake: Wake,
         inputs: Vec<LinkRx>,
         outputs: Vec<LinkTx>,
         route: Box<dyn Fn(&Header) -> Route + Send>,
@@ -84,6 +91,7 @@ impl CkMachine {
             max_burst: max_burst.max(1),
             forwards,
             unroutable,
+            wake,
             dead: vec![false; n],
             current: 0,
             parked: None,
@@ -102,7 +110,9 @@ impl CkMachine {
                 true
             }
             LinkSend::Full(b) => {
+                // Room in an output raises nothing: stay runnable.
                 self.parked = Some((idx, b));
+                self.wake.hold();
                 false
             }
             LinkSend::Closed => {
@@ -224,6 +234,10 @@ impl Pollable for CkMachine {
         Some(self.rank)
     }
 
+    fn wake(&self) -> Option<&Wake> {
+        Some(&self.wake)
+    }
+
     fn poll(&mut self) -> Step {
         let mut progressed = false;
         if !self.drain(&mut progressed) {
@@ -282,13 +296,17 @@ impl Pollable for CkMachine {
 mod tests {
     use super::*;
     use crate::transport::executor::ShardedExecutor;
-    use crate::transport::link::{fifo_rx, fifo_tx};
-    use crossbeam::channel::{bounded, Receiver};
+    use crate::transport::link::{fifo, FifoTx};
+    use crossbeam::channel::{bounded, Receiver, Sender};
     use smi_wire::{NetworkPacket, PacketOp, PacketRun};
     use std::sync::atomic::AtomicBool;
 
     fn pkt(dst: u8) -> Frame {
         NetworkPacket::new(0, dst, 0, PacketOp::Send).into()
+    }
+
+    fn fifo_tx(tx: Sender<Burst>) -> LinkTx {
+        Box::new(FifoTx::from(tx))
     }
 
     fn counters() -> (Arc<AtomicU64>, Arc<AtomicU64>) {
@@ -297,13 +315,15 @@ mod tests {
 
     #[test]
     fn forwards_by_route_and_finishes_on_disconnect() {
-        let (in_tx, in_rx) = bounded::<Burst>(16);
+        let wake = Wake::default();
+        let (in_tx, in_rx) = fifo(16, &wake);
         let (out0_tx, out0_rx) = bounded::<Burst>(16);
         let (out1_tx, out1_rx) = bounded::<Burst>(16);
         let (fwd, unr) = counters();
         let m = CkMachine::new(
             0,
-            vec![fifo_rx(in_rx)],
+            wake,
+            vec![in_rx],
             vec![fifo_tx(out0_tx), fifo_tx(out1_tx)],
             Box::new(|h| Route::Output((h.dst % 2) as usize)),
             8,
@@ -312,7 +332,7 @@ mod tests {
             unr,
         );
         // Mixed-route burst: must be split per output.
-        in_tx.send((0..10u8).map(pkt).collect()).unwrap();
+        in_tx.try_send((0..10u8).map(pkt).collect()).unwrap();
         drop(in_tx); // machine drains then finishes
         let stop = Arc::new(AtomicBool::new(false));
         let ex = ShardedExecutor::spawn(vec![Box::new(m)], 1, stop);
@@ -325,12 +345,14 @@ mod tests {
 
     #[test]
     fn uniform_burst_forwarded_whole() {
-        let (in_tx, in_rx) = bounded::<Burst>(4);
+        let wake = Wake::default();
+        let (in_tx, in_rx) = fifo(4, &wake);
         let (out_tx, out_rx) = bounded::<Burst>(4);
         let (fwd, unr) = counters();
         let m = CkMachine::new(
             0,
-            vec![fifo_rx(in_rx)],
+            wake,
+            vec![in_rx],
             vec![fifo_tx(out_tx)],
             Box::new(|_| Route::Output(0)),
             8,
@@ -338,7 +360,7 @@ mod tests {
             fwd,
             unr,
         );
-        in_tx.send(vec![pkt(0); 7]).unwrap();
+        in_tx.try_send(vec![pkt(0); 7]).unwrap();
         drop(in_tx);
         let stop = Arc::new(AtomicBool::new(false));
         ShardedExecutor::spawn(vec![Box::new(m)], 1, stop)
@@ -354,12 +376,14 @@ mod tests {
     fn run_frame_routed_once_and_counted_in_packets() {
         // A 57-element char run spans 3 packets but moves as one frame:
         // forwards counts the packet span, the output sees one frame.
-        let (in_tx, in_rx) = bounded::<Burst>(4);
+        let wake = Wake::default();
+        let (in_tx, in_rx) = fifo(4, &wake);
         let (out_tx, out_rx) = bounded::<Burst>(4);
         let (fwd, unr) = counters();
         let m = CkMachine::new(
             0,
-            vec![fifo_rx(in_rx)],
+            wake,
+            vec![in_rx],
             vec![fifo_tx(out_tx)],
             Box::new(|h| Route::Output(h.dst as usize)),
             8,
@@ -368,7 +392,7 @@ mod tests {
             unr,
         );
         let run = PacketRun::from_elems(0, 0, 0, PacketOp::Send, &[7u8; 57]);
-        in_tx.send(vec![Frame::Run(run)]).unwrap();
+        in_tx.try_send(vec![Frame::Run(run)]).unwrap();
         drop(in_tx);
         let stop = Arc::new(AtomicBool::new(false));
         ShardedExecutor::spawn(vec![Box::new(m)], 1, stop)
@@ -386,12 +410,14 @@ mod tests {
         // copied per child, grouped per destination (AAAA BBBB CC). The
         // machine must carve it into one whole burst per run — no
         // per-packet splits, no restaging through the stash.
-        let (in_tx, in_rx) = bounded::<Burst>(4);
+        let wake = Wake::default();
+        let (in_tx, in_rx) = fifo(4, &wake);
         let outs: Vec<_> = (0..3).map(|_| bounded::<Burst>(8)).collect();
         let (fwd, unr) = counters();
         let m = CkMachine::new(
             0,
-            vec![fifo_rx(in_rx)],
+            wake,
+            vec![in_rx],
             outs.iter().map(|(tx, _)| fifo_tx(tx.clone())).collect(),
             Box::new(|h| Route::Output(h.dst as usize)),
             8,
@@ -403,7 +429,7 @@ mod tests {
         for (dst, copies) in [(0u8, 4), (1, 4), (2, 2)] {
             burst.extend(std::iter::repeat_n(pkt(dst), copies));
         }
-        in_tx.send(burst).unwrap();
+        in_tx.try_send(burst).unwrap();
         drop(in_tx);
         let stop = Arc::new(AtomicBool::new(false));
         ShardedExecutor::spawn(vec![Box::new(m)], 1, stop)
@@ -419,12 +445,14 @@ mod tests {
 
     #[test]
     fn unroutable_counted_and_dropped() {
-        let (in_tx, in_rx) = bounded::<Burst>(4);
+        let wake = Wake::default();
+        let (in_tx, in_rx) = fifo(4, &wake);
         let (out_tx, out_rx) = bounded::<Burst>(4);
         let (fwd, unr) = counters();
         let m = CkMachine::new(
             0,
-            vec![fifo_rx(in_rx)],
+            wake,
+            vec![in_rx],
             vec![fifo_tx(out_tx)],
             Box::new(|h| {
                 if h.dst == 0 {
@@ -438,7 +466,7 @@ mod tests {
             fwd,
             unr.clone(),
         );
-        in_tx.send(vec![pkt(0), pkt(3), pkt(0)]).unwrap();
+        in_tx.try_send(vec![pkt(0), pkt(3), pkt(0)]).unwrap();
         drop(in_tx);
         let stop = Arc::new(AtomicBool::new(false));
         ShardedExecutor::spawn(vec![Box::new(m)], 1, stop)
@@ -453,12 +481,14 @@ mod tests {
     fn stalled_machine_reports_idle_and_releases_on_stop() {
         // Output capacity 1, no consumer: the machine parks the burst and
         // reports Idle; the stop flag releases the executor.
-        let (in_tx, in_rx) = bounded::<Burst>(8);
+        let wake = Wake::default();
+        let (in_tx, in_rx) = fifo(8, &wake);
         let (out_tx, _out_rx) = bounded::<Burst>(1);
         let (fwd, unr) = counters();
         let m = CkMachine::new(
             0,
-            vec![fifo_rx(in_rx)],
+            wake,
+            vec![in_rx],
             vec![fifo_tx(out_tx)],
             Box::new(|_| Route::Output(0)),
             1,
@@ -466,9 +496,9 @@ mod tests {
             fwd,
             unr,
         );
-        in_tx.send(vec![pkt(0)]).unwrap();
-        in_tx.send(vec![pkt(0)]).unwrap();
-        in_tx.send(vec![pkt(0)]).unwrap();
+        in_tx.try_send(vec![pkt(0)]).unwrap();
+        in_tx.try_send(vec![pkt(0)]).unwrap();
+        in_tx.try_send(vec![pkt(0)]).unwrap();
         let stop = Arc::new(AtomicBool::new(false));
         let ex = ShardedExecutor::spawn(vec![Box::new(m)], 1, stop.clone());
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -478,12 +508,14 @@ mod tests {
 
     #[test]
     fn order_within_input_preserved_under_backpressure() {
-        let (in_tx, in_rx) = bounded::<Burst>(64);
+        let wake = Wake::default();
+        let (in_tx, in_rx) = fifo(64, &wake);
         let (out_tx, out_rx) = bounded::<Burst>(1);
         let (fwd, unr) = counters();
         let m = CkMachine::new(
             0,
-            vec![fifo_rx(in_rx)],
+            wake,
+            vec![in_rx],
             vec![fifo_tx(out_tx)],
             Box::new(|_| Route::Output(0)),
             4,
@@ -492,7 +524,7 @@ mod tests {
             unr,
         );
         for i in 0..50u8 {
-            in_tx.send(vec![pkt(i)]).unwrap();
+            in_tx.try_send(vec![pkt(i)]).unwrap();
         }
         drop(in_tx);
         let stop = Arc::new(AtomicBool::new(false));

@@ -18,20 +18,46 @@
 //! * **Stealing** — a worker whose run queue is empty, and whose own cold
 //!   machines stayed idle when polled, takes half of a victim's visible
 //!   queue, so hot machines migrate to idle workers. A progressing worker
-//!   wakes a parked sibling only when it left stealable surplus or
-//!   re-warmed a cold machine.
-//! * **Cold lists** — a machine without progress for
-//!   [`ExecutorConfig::cold_after`] passes of its worker leaves the run
-//!   queue for that worker's private cold list (a stolen one first returns
-//!   to its home worker). Cold machines are polled where they lie — a batch
-//!   when the worker has nothing hot or nothing progressing, two per sweep
-//!   otherwise — and rejoin the run queue only by progressing, so an empty
-//!   run queue means "out of hot work", which is what allows a steal.
+//!   unparks a sibling only when it left stealable surplus or re-warmed an
+//!   aged machine.
+//! * **Cold lists** — a machine that is out of work leaves the run queue
+//!   for its home worker's private cold list (a stolen one is first handed
+//!   home), so an empty run queue means "out of hot work", which is what
+//!   allows a steal. How it gets back depends on who can tell that it has
+//!   work again:
+//!   * *CK machines are woken.* Every FIFO, link and socket queue a CK
+//!     machine drains carries that machine's [`Wake`], and every producer —
+//!     an endpoint's push (poll-mode or blocking), a peer machine's
+//!     forward, the socket pump's demux, the drop of a sender, the close of
+//!     a connection — raises it afterwards. At home the machine goes to
+//!     sleep on its first `Idle` poll that leaves the handle down: the
+//!     worker lowers it before the poll reads any input and files the
+//!     machine with a compare-and-swap that a raise since then fails, so a
+//!     push racing the poll is never lost. It is not polled again until a
+//!     raise finds it asleep and names it in its home's wake list: a
+//!     sleeping kernel costs no polls and a sweep costs O(woken). The home
+//!     worker drains that list after its hot batch and again after each
+//!     round of woken machines — they run once the poll that woke them has
+//!     returned, never nested in it — until nobody was woken or the sweep
+//!     has issued a batch's worth of polls, so a packet crosses a chain of
+//!     idle kernels in one sweep, not one sweep of the aged machines (a
+//!     pump's poll is a syscall) per hop. A machine holding a burst its
+//!     output refused keeps its own handle up — room in an output raises
+//!     nothing — and stays runnable. A stolen one is aged like the rest
+//!     while it is away (its thief keeps polling it, or the steal would buy
+//!     nothing) and sleeps once it is handed home.
+//!   * *Rank tasks and socket pumps are aged.* Their readiness is user
+//!     code's or the kernel's: one without progress for
+//!     [`ExecutorConfig::cold_after`] passes of its worker goes cold and is
+//!     re-polled where it lies — a batch when the worker has nothing hot or
+//!     nothing progressing, two per sweep otherwise — rejoining the run
+//!     queue only by progressing.
 //! * **Parking** — a worker with no hot work, a fruitless cold pass and
-//!   nothing to steal backs off (spin → yield) and parks on a condvar with
-//!   a doubling timeout ([`ExecutorConfig::park_min`] → `park_max`), the
-//!   backstop for progress the pool cannot see: boundary links fed by a
-//!   sibling, blocking-plane rank threads, socket peers.
+//!   nothing to steal backs off (spin → yield) and parks its thread. A
+//!   raise for one of its sleepers, a machine handed home, a steal hint and
+//!   stop all unpark it at once; the doubling timeout
+//!   ([`ExecutorConfig::park_min`] → `park_max`) is the backstop for the
+//!   aged machines only.
 //!
 //! Per-worker counters surface in [`crate::RunReport::worker_stats`]. Like
 //! MPI Streams, a stream's producer, channel and consumer share one
@@ -39,12 +65,12 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use rand::{Rng, SeedableRng};
 
 use crate::transport::socket::FabricHealth;
@@ -72,6 +98,108 @@ pub(crate) trait Pollable: Send {
     /// for machines that serve no single rank (socket pumps).
     fn home_rank(&self) -> Option<usize> {
         None
+    }
+
+    /// The handle every producer into this machine's inputs raises after a
+    /// push. A machine that has one sleeps, unpolled, from the moment it
+    /// reports [`Step::Idle`] with the handle down until the next raise;
+    /// one without (its readiness is user code's or the kernel's) is aged
+    /// and re-polled instead.
+    fn wake(&self) -> Option<&Wake> {
+        None
+    }
+}
+
+/// What a raise needs of a sleeping machine's home worker.
+#[derive(Default)]
+struct Doorbell {
+    /// Slots of the machines asleep at this worker that were raised since
+    /// it last looked: each once, and filed by the time it looks.
+    woken: Mutex<Vec<usize>>,
+    /// Up while the worker is parked, or about to be: raised *before* its
+    /// last look at `woken`, its run queue and `stop`/`live`, so whoever
+    /// wrote one of those and reads `false` here may skip the unpark.
+    parked: AtomicBool,
+    thread: OnceLock<Thread>,
+}
+
+impl Doorbell {
+    /// Unpark the worker if it is parked; says whether it was.
+    fn unpark(&self) -> bool {
+        let parked = self.parked.load(Ordering::SeqCst);
+        if let (true, Some(t)) = (parked, self.thread.get()) {
+            t.unpark();
+        }
+        parked
+    }
+}
+
+/// States of a [`Wake`]: in the run queue or mid-poll with nothing raised
+/// since that poll began; raised; filed among its home worker's sleepers.
+const AWAKE: u8 = 0;
+const RAISED: u8 = 1;
+const ASLEEP: u8 = 2;
+
+#[derive(Default)]
+struct WakeState {
+    state: AtomicU8,
+    /// The home worker's doorbell and the machine's slot there, set once
+    /// when the machine is spawned.
+    home: OnceLock<(Arc<Doorbell>, usize)>,
+}
+
+/// The wake handle of one machine: its producers raise it after every push,
+/// its worker lowers it before every poll and files the machine asleep only
+/// if it is still down after an idle one. A raise that finds the machine
+/// asleep names it in its home worker's wake list.
+#[derive(Clone, Default)]
+pub(crate) struct Wake(Arc<WakeState>);
+
+impl Wake {
+    /// Call *after* the push (or the close) the machine must not miss. The
+    /// worker lowers the handle before its poll reads any input and files
+    /// the machine with a compare-and-swap that a raise since then fails,
+    /// so a raise is seen by that poll's reads, by that swap, or — the
+    /// machine asleep — by the wake list.
+    pub fn raise(&self) {
+        let s = &*self.0;
+        // Look before swapping: a stream of pushes into a machine that is
+        // already up must not keep writing the line its worker reads.
+        if s.state.load(Ordering::SeqCst) != RAISED
+            && s.state.swap(RAISED, Ordering::SeqCst) == ASLEEP
+        {
+            let (bell, slot) = s.home.get().expect("only a spawned machine sleeps");
+            bell.woken.lock().push(*slot);
+            bell.unpark();
+        }
+    }
+
+    /// Raised by the machine itself, mid-poll, when it waits on something no
+    /// producer will raise for (a full output). `Relaxed`: it publishes
+    /// nothing, and the worker that reads it back after the poll is this
+    /// thread.
+    pub fn hold(&self) {
+        self.0.state.store(RAISED, Ordering::Relaxed);
+    }
+
+    /// Lower the handle ahead of a poll. Reading a stale `AWAKE` only leaves
+    /// a raise standing, which keeps the machine runnable for one more poll.
+    fn lower(&self) {
+        if self.0.state.load(Ordering::Relaxed) != AWAKE {
+            self.0.state.store(AWAKE, Ordering::SeqCst);
+        }
+    }
+
+    /// After an idle poll: put the machine to sleep unless it was raised
+    /// since [`Wake::lower`], and say in which slot to file it. Only its
+    /// home worker asks.
+    fn sleep(&self) -> Option<usize> {
+        let s = &*self.0;
+        let asleep = s
+            .state
+            .compare_exchange(AWAKE, ASLEEP, Ordering::SeqCst, Ordering::SeqCst);
+        let (_, slot) = s.home.get().expect("only a spawned machine sleeps");
+        asleep.ok().map(|_| *slot)
     }
 }
 
@@ -177,7 +305,7 @@ pub(crate) struct ExecutorConfig {
     /// Passes of its worker, counted in polls issued, that a machine may
     /// sit without progress before it moves to its home's cold list.
     pub cold_after: u32,
-    /// Initial (and minimum) condvar park timeout of a fully idle worker.
+    /// Initial (and minimum) park timeout of a fully idle worker.
     pub park_min: Duration,
     /// Cap of the progressively doubled park timeout.
     pub park_max: Duration,
@@ -204,7 +332,7 @@ pub struct WorkerStats {
     pub progress: u64,
     /// Machines this worker stole from siblings' run queues.
     pub steals: u64,
-    /// Times this worker parked on the idle condvar.
+    /// Times this worker parked for want of work.
     pub parks: u64,
 }
 
@@ -216,6 +344,8 @@ struct Machine {
     idle_since: u64,
     /// The worker it was placed on; a stolen machine gone cold returns there.
     home: usize,
+    /// Its wake handle, which knows its slot among the sleepers of `home`.
+    wake: Option<Wake>,
 }
 
 /// One worker's share of the pool, on a cache line of its own: what the
@@ -226,6 +356,9 @@ struct Shard {
     /// The run queue. The owner takes batches from the front and re-queues
     /// survivors at the back; thieves split off the back half.
     queue: Mutex<VecDeque<Machine>>,
+    bell: Arc<Doorbell>,
+    /// Machines with a wake handle placed here: the size of the sleeper slab.
+    sleepers: usize,
     polls: AtomicU64,
     progress: AtomicU64,
     steals: AtomicU64,
@@ -250,25 +383,23 @@ struct Pool {
     machines: usize,
     /// Machines not yet [`Step::Done`]; workers exit when it reaches zero.
     live: AtomicUsize,
-    /// Workers on `park_cv`, or about to. Raised *before* the parker's last
-    /// look at `stop`/`live`: whoever set those and reads 0 may skip the lock.
+    /// Workers parked, or about to be (raised with the worker's own
+    /// [`Doorbell::parked`]): lets a busy worker's steal hint skip the
+    /// doorbells, whose lines their owners write every sweep.
     parked: AtomicUsize,
-    park_lock: Mutex<()>,
-    park_cv: Condvar,
     stop: Arc<AtomicBool>,
     cfg: ExecutorConfig,
 }
 
 impl Pool {
-    /// Wake every parked worker (stop / all done), or hint one to steal. A
-    /// hint lost to a worker just parking costs at most a park timeout.
+    /// Unpark every parked worker (stop / all done), or hint one to steal.
     fn wake(&self, all: bool) {
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            let _g = self.park_lock.lock();
-            if all {
-                self.park_cv.notify_all();
-            } else {
-                self.park_cv.notify_one();
+        if self.parked.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        for shard in &self.shards {
+            if shard.bell.unpark() && !all {
+                return;
             }
         }
     }
@@ -321,10 +452,18 @@ impl ShardedExecutor {
         let homes: Vec<Option<usize>> = items.iter().map(|m| m.home_rank()).collect();
         let mut shards: Vec<Shard> = (0..workers).map(|_| Shard::default()).collect();
         for (inner, home) in items.into_iter().zip(place(&homes, workers)) {
-            shards[home].queue.get_mut().push_back(Machine {
+            let shard = &mut shards[home];
+            let wake = inner.wake().cloned();
+            if let Some(wake) = &wake {
+                let home = (shard.bell.clone(), shard.sleepers);
+                assert!(wake.0.home.set(home).is_ok(), "a machine is spawned once");
+                shard.sleepers += 1;
+            }
+            shard.queue.get_mut().push_back(Machine {
                 inner,
                 idle_since: 0,
                 home,
+                wake,
             });
         }
         let pool = Arc::new(Pool {
@@ -332,8 +471,6 @@ impl ShardedExecutor {
             machines: live,
             live: AtomicUsize::new(live),
             parked: AtomicUsize::new(0),
-            park_lock: Mutex::new(()),
-            park_cv: Condvar::new(),
             stop,
             cfg,
         });
@@ -374,8 +511,9 @@ impl ShardedExecutor {
     /// per-worker counters — or, like [`JoinHandle::join`], the payload of
     /// the first worker a panicking machine unwound.
     ///
-    /// Parked workers are kicked at once: a parker raises `parked` before
-    /// its last check of the stop flag, so it sees that or this notify.
+    /// Parked workers are kicked at once: a parker raises its `parked` flag
+    /// before its last check of the stop flag, so it sees that or this
+    /// unpark.
     pub fn join(mut self) -> std::thread::Result<Vec<WorkerStats>> {
         self.pool.wake(true);
         let mut panic = None;
@@ -393,8 +531,9 @@ impl ShardedExecutor {
 /// sweep over a worker's queue.
 const STOP_CHECK_POLLS: u64 = 32;
 
-/// Cold machines a busy worker re-polls per sweep, so one whose input
-/// arrived after it went cold is found without the hot queue stalling first.
+/// Cold machines — aged ones, which have no wake handle — a busy worker
+/// re-polls per sweep, so one whose input arrived after it went cold is
+/// found without the hot queue stalling first.
 const COLD_TRICKLE: usize = 2;
 
 /// Fruitless sweeps in a row after which a worker stops yielding and parks.
@@ -405,9 +544,12 @@ fn worker_loop(w: usize, pool: &Pool) {
     let cfg = &pool.cfg;
     let me = &pool.shards[w];
     let thieves = nw > 1;
-    // Idleness runs on this worker's poll clock, not in polls of the
-    // machine: once the quiescent machines are gone a pass is short and
-    // `cold_after` polls of one machine go by between two messages.
+    let bell = &*me.bell;
+    let _ = bell.thread.set(std::thread::current());
+    // Idleness of a machine without a wake handle runs on this worker's
+    // poll clock, not in polls of the machine: once the quiescent machines
+    // are gone a pass is short and `cold_after` polls of one machine go by
+    // between two messages.
     let cold_span = cfg.cold_after as u64 * (pool.machines / nw).max(cfg.batch) as u64;
     let mut clock = 0u64;
     let mut rng = rand::rngs::SmallRng::seed_from_u64(0x9e37_79b9_7f4a_7c15 ^ w as u64);
@@ -416,6 +558,10 @@ fn worker_loop(w: usize, pool: &Pool) {
     let mut batch: Vec<Machine> = Vec::with_capacity(cfg.batch);
     let mut keep: Vec<Machine> = Vec::with_capacity(cfg.batch);
     // Machines placed here that went cold; only this worker touches them.
+    // The ones with a wake handle sleep in their slot until a raise names
+    // it in `bell.woken`; the others queue up for the trickle.
+    let mut asleep: Vec<Option<Machine>> = (0..me.sleepers).map(|_| None).collect();
+    let mut woken: Vec<usize> = Vec::new();
     let mut cold: VecDeque<Machine> = VecDeque::new();
 
     loop {
@@ -440,10 +586,13 @@ fn worker_loop(w: usize, pool: &Pool) {
             !q.is_empty()
         };
 
-        // 2. Re-poll cold machines after the hot ones: a batch when there
-        // is no hot work or it has stopped progressing (it may be blocked
-        // on a cold peer), a trickle when busy.
+        // 2. After the hot ones, the sleepers raised since the last sweep,
+        // then the aged cold machines: a batch when there is no hot work or
+        // it has stopped progressing (it may be blocked on a cold peer), a
+        // trickle when busy.
         let hot = batch.len();
+        rouse(bell, &mut woken, &mut asleep, &mut batch);
+        let mut cold_from = batch.len();
         let want = if hot == 0 || idle_rounds >= 2 {
             limit
         } else {
@@ -454,41 +603,66 @@ fn worker_loop(w: usize, pool: &Pool) {
         // 3. Poll the batch and sort the survivors: warm machines back to
         // the local queue, cold ones to their home worker. Once the stop
         // flag (checked every `STOP_CHECK_POLLS` polls) is up, all go back.
+        // Then follow the wakes: the sleepers those polls raised run next,
+        // round by round, while the sweep is short of a batch's worth of
+        // polls — a packet crosses a chain of idle kernels in one sweep.
         let (mut polls, mut progress) = (0u64, 0u64);
         let mut rewarmed = false;
         let mut stopping = false;
-        for (i, mut m) in batch.drain(..).enumerate() {
-            if !stopping {
-                polls += 1;
-                match m.inner.poll() {
-                    Step::Progress => {
-                        m.idle_since = clock + polls;
-                        progress += 1;
-                        rewarmed |= i >= hot;
+        while !batch.is_empty() {
+            for (i, mut m) in batch.drain(..).enumerate() {
+                let mut idle = false;
+                if !stopping {
+                    polls += 1;
+                    // Down before the poll reads any input: a push racing the
+                    // poll is seen by its reads or fails the `sleep` below.
+                    if let Some(wake) = &m.wake {
+                        wake.lower();
                     }
-                    Step::Idle => {}
-                    Step::Done => {
-                        if pool.live.fetch_sub(1, Ordering::SeqCst) == 1 {
-                            pool.wake(true);
+                    match m.inner.poll() {
+                        Step::Progress => {
+                            m.idle_since = clock + polls;
+                            progress += 1;
+                            rewarmed |= i >= cold_from;
                         }
-                        continue;
+                        Step::Idle => idle = true,
+                        Step::Done => {
+                            if pool.live.fetch_sub(1, Ordering::SeqCst) == 1 {
+                                pool.wake(true);
+                            }
+                            continue;
+                        }
+                    }
+                    if polls.is_multiple_of(STOP_CHECK_POLLS) {
+                        stopping = pool.stop.load(Ordering::Relaxed);
                     }
                 }
-                if polls.is_multiple_of(STOP_CHECK_POLLS) {
-                    stopping = pool.stop.load(Ordering::Relaxed);
+                let idle_for = (clock + polls).wrapping_sub(m.idle_since);
+                // At home, a machine with a wake handle goes to sleep on its
+                // first idle poll that leaves the handle down. One without goes
+                // cold after `cold_span`, and so does a stolen one — its thief
+                // polls it like any aged machine, which is what makes a steal
+                // worth its while — to be handed home and filed there.
+                let at_home = m.home == w;
+                let handle = m.wake.as_ref().filter(|_| at_home);
+                match handle.map(|wake| idle.then(|| wake.sleep()).flatten()) {
+                    Some(Some(slot)) => asleep[slot] = Some(m),
+                    Some(None) => keep.push(m),
+                    None if stopping || idle_for < cold_span => keep.push(m),
+                    None if at_home => cold.push_back(m),
+                    None => {
+                        // Same age on the home's clock: one more idle poll there
+                        // files it. The home is unparked for it.
+                        let home = &pool.shards[m.home];
+                        m.idle_since = home.polls.load(Ordering::Relaxed).wrapping_sub(idle_for);
+                        home.queue.lock().push_back(m);
+                        home.bell.unpark();
+                    }
                 }
             }
-            let idle_for = (clock + polls).wrapping_sub(m.idle_since);
-            if stopping || idle_for < cold_span {
-                keep.push(m);
-            } else if m.home == w {
-                cold.push_back(m);
-            } else {
-                // Same age on the home's clock: one more idle poll there
-                // files it in the home's cold list.
-                let home = &pool.shards[m.home];
-                m.idle_since = home.polls.load(Ordering::Relaxed).wrapping_sub(idle_for);
-                home.queue.lock().push_back(m);
+            if !stopping && polls < cfg.batch as u64 {
+                rouse(bell, &mut woken, &mut asleep, &mut batch);
+                cold_from = usize::MAX;
             }
         }
         clock += polls;
@@ -548,16 +722,37 @@ fn worker_loop(w: usize, pool: &Pool) {
     }
 }
 
-/// Park until a wake hint or the doubling timeout — timed because boundary
-/// links, rank threads and sockets make machines ready without a hint.
+/// Move the sleepers raised since the last look from their slots into `batch`.
+fn rouse(
+    bell: &Doorbell,
+    woken: &mut Vec<usize>,
+    asleep: &mut [Option<Machine>],
+    batch: &mut Vec<Machine>,
+) {
+    std::mem::swap(&mut *bell.woken.lock(), woken);
+    batch.extend(woken.drain(..).map(|slot| {
+        let sleeper = asleep[slot].take();
+        sleeper.expect("a raise names a sleeper once, and it was filed before this look")
+    }));
+}
+
+/// Park until unparked — a raise for a sleeper of this worker, a machine
+/// handed home, a steal hint, stop — or the doubling timeout: timed because
+/// rank tasks and socket pumps become ready without anyone raising a thing.
 fn park(pool: &Pool, w: usize, timeout: &mut Duration) {
-    let mut g = pool.park_lock.lock();
+    let me = &pool.shards[w];
     pool.parked.fetch_add(1, Ordering::SeqCst);
-    if !pool.stop.load(Ordering::SeqCst) && pool.live.load(Ordering::SeqCst) > 0 {
-        pool.shards[w].parks.fetch_add(1, Ordering::Relaxed);
-        let _ = pool.park_cv.wait_for(&mut g, *timeout);
+    me.bell.parked.store(true, Ordering::SeqCst);
+    if !pool.stop.load(Ordering::SeqCst)
+        && pool.live.load(Ordering::SeqCst) > 0
+        && me.bell.woken.lock().is_empty()
+        && me.queue.lock().is_empty()
+    {
+        me.parks.fetch_add(1, Ordering::Relaxed);
+        std::thread::park_timeout(*timeout);
         *timeout = (*timeout * 2).min(pool.cfg.park_max);
     }
+    me.bell.parked.store(false, Ordering::SeqCst);
     pool.parked.fetch_sub(1, Ordering::SeqCst);
 }
 
@@ -849,9 +1044,8 @@ mod tests {
         );
     }
 
-    /// A quiescent pool parks on the condvar (observable via the parks
-    /// counter) instead of spinning, and still completes promptly when a
-    /// machine wakes up.
+    /// A quiescent pool parks (observable via the parks counter) instead of
+    /// spinning, and still completes promptly when a machine wakes up.
     #[test]
     fn idle_workers_park_and_resume() {
         struct GateThenCount {
@@ -963,5 +1157,239 @@ mod tests {
         ex.join().unwrap();
         assert_eq!(done.load(Ordering::Relaxed), 32);
         assert_eq!(hits.load(Ordering::Relaxed), 3_000_000);
+    }
+
+    // --- Wake-driven sleepers: CK machines over real FIFOs. Every pool
+    // below parks for 10 s, so no pass can lean on the park timeout. ---
+
+    use crate::transport::ck::{CkMachine, Route};
+    use crate::transport::link::{fifo, FifoTx};
+    use crate::transport::Burst;
+    use crossbeam::channel::{bounded, Receiver};
+    use smi_wire::{NetworkPacket, PacketOp};
+
+    fn patient() -> ExecutorConfig {
+        ExecutorConfig {
+            park_min: Duration::from_secs(10),
+            park_max: Duration::from_secs(10),
+            ..ExecutorConfig::default()
+        }
+    }
+
+    fn tagged(tag: u8) -> Burst {
+        vec![NetworkPacket::new(0, tag, 0, PacketOp::Send).into()]
+    }
+
+    /// A one-input, one-output CK machine of `rank` sleeping on `wake`.
+    fn forwarder(
+        rank: usize,
+        wake: Wake,
+        input: crate::transport::link::LinkRx,
+        output: FifoTx,
+    ) -> CkMachine {
+        CkMachine::new(
+            rank,
+            wake,
+            vec![input],
+            vec![Box::new(output)],
+            Box::new(|_| Route::Output(0)),
+            8,
+            8,
+            Arc::default(),
+            Arc::default(),
+        )
+    }
+
+    /// feed → machine of rank 0 → machine of rank 1 → `out`: on two workers
+    /// the middle FIFO crosses them.
+    fn chain(out_depth: usize) -> (FifoTx, Vec<Box<dyn Pollable>>, Receiver<Burst>) {
+        let (w0, w1) = (Wake::default(), Wake::default());
+        let (feed, in0) = fifo(4, &w0);
+        let (mid, in1) = fifo(4, &w1);
+        let (out_tx, out_rx) = bounded(out_depth);
+        let m0 = forwarder(0, w0, in0, mid);
+        let m1 = forwarder(1, w1, in1, FifoTx::from(out_tx));
+        (feed, vec![Box::new(m0), Box::new(m1)], out_rx)
+    }
+
+    fn feed_all(feed: &FifoTx, tags: std::ops::Range<u8>, mut pause: impl FnMut()) {
+        for tag in tags {
+            let mut burst = tagged(tag);
+            while let Err(e) = feed.try_send(burst) {
+                burst = match e {
+                    crossbeam::channel::TrySendError::Full(b) => b,
+                    _ => panic!("machine gone"),
+                };
+                std::thread::yield_now();
+            }
+            pause();
+        }
+    }
+
+    fn expect_tags(out: &Receiver<Burst>, tags: std::ops::Range<u8>, what: &str) {
+        for tag in tags {
+            let burst = out
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("{what}: burst {tag} never arrived"));
+            assert_eq!(burst[0].header().dst, tag, "{what}: out of order");
+        }
+    }
+
+    /// Wait, up to 5 s, for something another thread is about to make true.
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        let start = Instant::now();
+        while !cond() {
+            assert!(start.elapsed() < Duration::from_secs(5), "never: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// No lost wake-up: a producer thread pushes bursts, pausing at random
+    /// — not at all (the push races the poll), tens of microseconds (the
+    /// machine sleeps, its worker still spins) or a millisecond (the worker
+    /// parks) — and every burst comes out, in order.
+    #[test]
+    fn no_push_into_a_sleeping_machine_is_lost() {
+        const N: u8 = 8;
+        for round in 0..200u64 {
+            for workers in [1, 2] {
+                let (feed, items, out) = chain(N as usize);
+                let stop = Arc::new(AtomicBool::new(false));
+                let ex = ShardedExecutor::spawn_with(items, workers, stop, patient());
+                let producer = std::thread::spawn(move || {
+                    let mut rng = rand::rngs::SmallRng::seed_from_u64(round * 2 + workers as u64);
+                    feed_all(&feed, 0..N, || match rng.gen_range(0..8u32) {
+                        0 => std::thread::sleep(Duration::from_millis(1)),
+                        1..=3 => {
+                            let until =
+                                Instant::now() + Duration::from_micros(rng.gen_range(5..80));
+                            while Instant::now() < until {
+                                std::hint::spin_loop();
+                            }
+                        }
+                        _ => {}
+                    });
+                    // `feed` drops here: the close ends both machines.
+                });
+                expect_tags(&out, 0..N, &format!("round {round}, {workers} worker(s)"));
+                producer.join().unwrap();
+                ex.join().unwrap();
+            }
+        }
+    }
+
+    /// Dropping the last sender wakes a sleeping machine on a parked worker,
+    /// and it finishes.
+    #[test]
+    fn closing_the_input_wakes_the_machine_to_finish() {
+        for workers in [1, 2] {
+            let (feed, items, _out) = chain(1);
+            let stop = Arc::new(AtomicBool::new(false));
+            let ex = ShardedExecutor::spawn_with(items, workers, stop, patient());
+            eventually("all parked", || {
+                ex.worker_stats().iter().all(|s| s.parks > 0)
+            });
+            let t = Instant::now();
+            drop(feed);
+            ex.join().unwrap(); // both machines Done, the second via the first's drop
+            assert!(t.elapsed() < Duration::from_secs(5), "{:?}", t.elapsed());
+        }
+    }
+
+    /// A machine holding a burst its output refused is waiting for room,
+    /// which nobody raises a handle for: it must stay runnable.
+    #[test]
+    fn back_pressured_machine_does_not_sleep() {
+        const N: u8 = 20;
+        for workers in [1, 2] {
+            let (feed, items, out) = chain(1);
+            let stop = Arc::new(AtomicBool::new(false));
+            let ex = ShardedExecutor::spawn_with(items, workers, stop, patient());
+            let producer = std::thread::spawn(move || feed_all(&feed, 0..N, || {}));
+            for tag in 0..N {
+                std::thread::sleep(Duration::from_millis(1)); // the slow consumer
+                expect_tags(&out, tag..tag + 1, &format!("{workers} worker(s)"));
+            }
+            producer.join().unwrap();
+            ex.join().unwrap();
+        }
+    }
+
+    /// A stolen machine that goes idle is handed home, filed there, and the
+    /// next raise wakes it there.
+    #[test]
+    fn stolen_sleeper_is_filed_and_woken_at_home() {
+        /// Logs which worker made each progressing poll.
+        struct Spy(CkMachine, Arc<Mutex<Vec<usize>>>);
+        impl Pollable for Spy {
+            fn poll(&mut self) -> Step {
+                let step = self.0.poll();
+                if step == Step::Progress {
+                    let name = std::thread::current().name().unwrap_or("").to_owned();
+                    let worker = name.trim_start_matches("smi-worker-").parse().unwrap();
+                    self.1.lock().push(worker);
+                }
+                step
+            }
+            fn home_rank(&self) -> Option<usize> {
+                self.0.home_rank()
+            }
+            fn wake(&self) -> Option<&Wake> {
+                self.0.wake()
+            }
+        }
+        /// Holds its worker hostage until the spy has been polled elsewhere.
+        struct Hostage(Arc<Mutex<Vec<usize>>>);
+        impl Pollable for Hostage {
+            fn poll(&mut self) -> Step {
+                let t = Instant::now();
+                while self.0.lock().is_empty() && t.elapsed() < Duration::from_secs(5) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Step::Done
+            }
+            fn home_rank(&self) -> Option<usize> {
+                Some(0)
+            }
+        }
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let wake = Wake::default();
+        let (feed, input) = fifo(4, &wake);
+        let (out_tx, out) = bounded(4);
+        let spy = Spy(forwarder(0, wake, input, FifoTx::from(out_tx)), log.clone());
+        // Worker 0 is seeded [hostage, spy] and, with a thief about, takes
+        // only the hostage; worker 1's own machine finishes at once, so it
+        // steals the spy, which has a burst waiting.
+        let items: Vec<Box<dyn Pollable>> = vec![
+            Box::new(Hostage(log.clone())),
+            Box::new(spy),
+            Box::new(Homed(
+                1,
+                Countdown {
+                    left: 1,
+                    hits: Arc::default(),
+                },
+            )),
+        ];
+        feed.try_send(tagged(0)).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let ex = ShardedExecutor::spawn_with(items, 2, stop, patient());
+        expect_tags(&out, 0..1, "stolen");
+        eventually("the thief moves the first burst", || *log.lock() == [1]);
+        // Quiescence: the thief aged it out and sent it home (or home, free
+        // again, stole it back), home filed it, and both parked — for 10 s,
+        // so the state holds.
+        let polls = || ex.worker_stats().iter().map(|s| s.polls).sum::<u64>();
+        eventually("quiescence", || {
+            let before = polls();
+            std::thread::sleep(Duration::from_millis(30));
+            polls() == before && ex.worker_stats().iter().all(|s| s.parks > 0)
+        });
+        feed.try_send(tagged(1)).unwrap();
+        expect_tags(&out, 1..2, "woken at home");
+        eventually("home moves the second burst", || *log.lock() == [1, 0]);
+        drop(feed);
+        let stats = ex.join().unwrap();
+        assert!(stats[1].steals >= 1, "{stats:?}");
     }
 }

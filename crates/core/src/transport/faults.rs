@@ -417,12 +417,15 @@ impl TransportReceiver for FaultRx {
             }
         }
     }
+
+    fn wake_with(&mut self, wake: &crate::transport::executor::Wake) {
+        self.inner.wake_with(wake);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::link::{fifo_rx, fifo_tx};
     use smi_wire::{NetworkPacket, PacketOp};
 
     fn pkt(tag: u8) -> smi_wire::Frame {
@@ -440,8 +443,8 @@ mod tests {
     }
 
     fn fifo() -> (LinkTx, Box<dyn TransportReceiver>) {
-        let (tx, rx) = crossbeam::channel::bounded::<Burst>(64);
-        (fifo_tx(tx), fifo_rx(rx))
+        let (tx, rx) = crate::transport::link::fifo(64, &Default::default());
+        (Box::new(tx), rx)
     }
 
     #[test]

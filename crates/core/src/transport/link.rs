@@ -10,8 +10,11 @@
 //! the executor: `offer`/`try_recv` never block, and backpressure is
 //! reported, not waited out.
 
-use crossbeam::channel::{Receiver, Sender, TryRecvError, TrySendError};
+use std::time::Duration;
 
+use crossbeam::channel::{bounded, Receiver, SendTimeoutError, Sender, TryRecvError, TrySendError};
+
+use crate::transport::executor::Wake;
 use crate::transport::Burst;
 
 /// Outcome of offering a burst to a link's send half.
@@ -47,6 +50,12 @@ pub(crate) trait Transport: Send {
 pub(crate) trait TransportReceiver: Send {
     /// Poll for the next burst.
     fn try_recv(&mut self) -> LinkRecv;
+
+    /// Name the consumer's wake handle, for a link that was made before its
+    /// consumer (a socket's): from here on whoever fills or closes the link
+    /// raises `wake` afterwards. An in-memory FIFO's send half carries the
+    /// handle from the start ([`fifo`]).
+    fn wake_with(&mut self, _wake: &Wake) {}
 }
 
 /// Boxed send half — what the wiring hands a CK machine per output edge.
@@ -54,12 +63,74 @@ pub(crate) type LinkTx = Box<dyn Transport>;
 /// Boxed receive half — what the wiring hands a CK machine per input edge.
 pub(crate) type LinkRx = Box<dyn TransportReceiver>;
 
-/// The in-memory fast path: a bounded crossbeam FIFO of bursts.
-pub(crate) struct FifoTx(pub Sender<Burst>);
+/// A consumer's wake handle that is also raised when dropped. A sender
+/// declares it *after* the channel half it guards, so it drops after it:
+/// the consumer woken for a close finds the link closed.
+struct RaiseOnDrop(Option<Wake>);
+
+impl RaiseOnDrop {
+    fn raise(&self) {
+        if let Some(wake) = &self.0 {
+            wake.raise();
+        }
+    }
+}
+
+impl Drop for RaiseOnDrop {
+    fn drop(&mut self) {
+        self.raise();
+    }
+}
+
+/// The in-memory fast path: the send half of a bounded crossbeam FIFO of
+/// bursts. When a CK machine drains the FIFO ([`fifo`]) it carries that
+/// machine's wake handle and raises it after every push and when it is
+/// dropped — whether a peer machine feeds it as a [`Transport`] or an
+/// endpoint through the sender-like methods.
+pub(crate) struct FifoTx {
+    tx: Sender<Burst>,
+    wake: RaiseOnDrop,
+}
+
+impl std::fmt::Debug for FifoTx {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("FifoTx { .. }")
+    }
+}
+
+/// A send half nobody is woken by: the consumer is rank code.
+impl From<Sender<Burst>> for FifoTx {
+    fn from(tx: Sender<Burst>) -> Self {
+        FifoTx {
+            tx,
+            wake: RaiseOnDrop(None),
+        }
+    }
+}
+
+impl FifoTx {
+    /// [`Sender::try_send`], then the raise.
+    pub fn try_send(&self, burst: Burst) -> Result<(), TrySendError<Burst>> {
+        self.tx.try_send(burst)?;
+        self.wake.raise();
+        Ok(())
+    }
+
+    /// [`Sender::send_timeout`], then the raise.
+    pub fn send_timeout(
+        &self,
+        burst: Burst,
+        timeout: Duration,
+    ) -> Result<(), SendTimeoutError<Burst>> {
+        self.tx.send_timeout(burst, timeout)?;
+        self.wake.raise();
+        Ok(())
+    }
+}
 
 impl Transport for FifoTx {
     fn offer(&mut self, burst: Burst) -> LinkSend {
-        match self.0.try_send(burst) {
+        match self.try_send(burst) {
             Ok(()) => LinkSend::Accepted,
             Err(TrySendError::Full(b)) => LinkSend::Full(b),
             Err(TrySendError::Disconnected(_)) => LinkSend::Closed,
@@ -68,7 +139,7 @@ impl Transport for FifoTx {
 }
 
 /// Receive half of the in-memory fast path.
-pub(crate) struct FifoRx(pub Receiver<Burst>);
+struct FifoRx(Receiver<Burst>);
 
 impl TransportReceiver for FifoRx {
     fn try_recv(&mut self) -> LinkRecv {
@@ -80,27 +151,22 @@ impl TransportReceiver for FifoRx {
     }
 }
 
-/// Box a crossbeam sender as a link send half.
-pub(crate) fn fifo_tx(tx: Sender<Burst>) -> LinkTx {
-    Box::new(FifoTx(tx))
-}
-
-/// Box a crossbeam receiver as a link receive half.
-pub(crate) fn fifo_rx(rx: Receiver<Burst>) -> LinkRx {
-    Box::new(FifoRx(rx))
+/// A bounded in-memory FIFO of bursts drained by the CK machine that sleeps
+/// on `consumer`.
+pub(crate) fn fifo(depth: usize, consumer: &Wake) -> (FifoTx, LinkRx) {
+    let (tx, rx) = bounded(depth);
+    let wake = RaiseOnDrop(Some(consumer.clone()));
+    (FifoTx { tx, wake }, Box::new(FifoRx(rx)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::bounded;
     use smi_wire::{NetworkPacket, PacketOp};
 
     #[test]
     fn fifo_link_roundtrip_and_backpressure() {
-        let (tx, rx) = bounded::<Burst>(1);
-        let mut ltx = fifo_tx(tx);
-        let mut lrx = fifo_rx(rx);
+        let (mut ltx, mut lrx) = fifo(1, &Wake::default());
         let pkt = NetworkPacket::new(0, 1, 0, PacketOp::Send);
         assert!(matches!(ltx.offer(vec![pkt.into()]), LinkSend::Accepted));
         // Capacity 1: the second burst bounces back intact.
@@ -119,9 +185,8 @@ mod tests {
 
     #[test]
     fn fifo_tx_reports_closed_receiver() {
-        let (tx, rx) = bounded::<Burst>(1);
-        drop(rx);
-        let mut ltx = fifo_tx(tx);
+        let (mut ltx, lrx) = fifo(1, &Wake::default());
+        drop(lrx);
         assert!(matches!(ltx.offer(Vec::new()), LinkSend::Closed));
     }
 }

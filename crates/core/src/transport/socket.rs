@@ -55,14 +55,14 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use smi_wire::{Datatype, Frame, Header, NetworkPacket, PacketRun, PayloadRun, PACKET_BYTES};
 
 use crate::error::SmiError;
 use crate::params::ReconnectPolicy;
-use crate::transport::executor::{Pollable, Step};
+use crate::transport::executor::{Pollable, Step, Wake};
 use crate::transport::faults::{FaultAction, FaultInjector};
 use crate::transport::link::{LinkRecv, LinkRx, LinkSend, LinkTx, Transport, TransportReceiver};
 use crate::transport::{meter_inline_data, Burst, CopyMeter, WireStats};
@@ -789,8 +789,22 @@ impl ReconnectHub {
 // Connection: replay ring + link handles + pump
 // ---------------------------------------------------------------------------
 
-/// One per-link inbound demux queue.
-type InQueue = Arc<Mutex<VecDeque<Burst>>>;
+/// One per-link inbound demux queue, and the handle of the CKR draining it
+/// once the wiring has named it: the pump raises it after every push,
+/// [`ConnShared::close`] after closing.
+#[derive(Default)]
+struct InQueue {
+    bursts: Mutex<VecDeque<Burst>>,
+    wake: OnceLock<Wake>,
+}
+
+impl InQueue {
+    fn raise(&self) {
+        if let Some(wake) = self.wake.get() {
+            wake.raise();
+        }
+    }
+}
 
 /// The transmit source of truth: every offered burst is encoded once into
 /// this ring and stays there until the peer's cumulative ack covers it.
@@ -874,9 +888,17 @@ struct ConnShared {
     /// Free list of recycled encode buffers: refilled by acks, drained by
     /// `offer`.
     enc_pool: Mutex<Vec<Vec<u8>>>,
+    /// Inbound demux queues, by sender-side endpoint.
+    queues: HashMap<(usize, usize), Arc<InQueue>>,
 }
 
 impl ConnShared {
+    /// Close every link of the connection and wake their consumers for it.
+    fn close(&self) {
+        self.closed.store(true, Ordering::SeqCst);
+        self.queues.values().for_each(|q| q.raise());
+    }
+
     fn apply_ack(&self, acked: u64) {
         let mut recycled = Vec::new();
         self.ring
@@ -990,7 +1012,6 @@ impl ConnConfig {
 /// executor for any byte to move.
 pub(crate) struct SocketConn {
     shared: Arc<ConnShared>,
-    queues: HashMap<(usize, usize), InQueue>,
 }
 
 impl SocketConn {
@@ -1001,6 +1022,7 @@ impl SocketConn {
         health: FabricHealth,
     ) -> io::Result<(SocketConn, SocketPump)> {
         stream.set_nonblocking(true)?;
+        let queues = cfg.recv_keys.iter().map(|&k| (k, Arc::default()));
         let shared = Arc::new(ConnShared {
             closed: AtomicBool::new(false),
             ring: Mutex::new(ReplayRing::new(cfg.replay_budget.max(1))),
@@ -1009,15 +1031,10 @@ impl SocketConn {
             copies: cfg.copies.clone(),
             wire: cfg.wire.clone(),
             enc_pool: Mutex::new(Vec::new()),
+            queues: queues.collect(),
         });
-        let queues: HashMap<(usize, usize), InQueue> = cfg
-            .recv_keys
-            .iter()
-            .map(|&k| (k, Arc::new(Mutex::new(VecDeque::new()))))
-            .collect();
         let conn = SocketConn {
             shared: shared.clone(),
-            queues: queues.clone(),
         };
         let slot = match &cfg.role {
             ReconnectRole::Listener { hub } => Some(hub.register(cfg.peer.process, cfg.session)),
@@ -1026,7 +1043,6 @@ impl SocketConn {
         let pump = SocketPump {
             stream,
             shared,
-            queues,
             health,
             peer: cfg.peer,
             policy: cfg.policy,
@@ -1069,7 +1085,7 @@ impl SocketConn {
     pub fn rx(&self, key: (usize, usize)) -> LinkRx {
         Box::new(SocketLinkRx {
             conn: self.shared.clone(),
-            queue: self.queues[&key].clone(),
+            queue: self.shared.queues[&key].clone(),
         })
     }
 }
@@ -1235,30 +1251,38 @@ impl SocketLinkTx {
                 budget,
             },
         });
-        self.conn.closed.store(true, Ordering::Release);
+        self.conn.close();
         LinkSend::Closed
     }
 }
 
 struct SocketLinkRx {
     conn: Arc<ConnShared>,
-    queue: InQueue,
+    queue: Arc<InQueue>,
 }
 
 impl TransportReceiver for SocketLinkRx {
     fn try_recv(&mut self) -> LinkRecv {
-        if let Some(b) = self.queue.lock().expect("in queue lock").pop_front() {
+        let pop = |q: &InQueue| q.bursts.lock().expect("in queue lock").pop_front();
+        if let Some(b) = pop(&self.queue) {
             return LinkRecv::Burst(b);
         }
-        if !self.conn.closed.load(Ordering::Acquire) {
+        // `SeqCst` pairs with [`ConnShared::close`]: the consumer lowered
+        // its wake handle before this look, the closer raises it after.
+        if !self.conn.closed.load(Ordering::SeqCst) {
             return LinkRecv::Empty;
         }
         // The pump finishes demuxing before setting `closed`; one re-check
         // after observing the flag drains the race window.
-        match self.queue.lock().expect("in queue lock").pop_front() {
+        match pop(&self.queue) {
             Some(b) => LinkRecv::Burst(b),
             None => LinkRecv::Closed,
         }
+    }
+
+    fn wake_with(&mut self, wake: &Wake) {
+        let fresh = self.queue.wake.set(wake.clone()).is_ok();
+        assert!(fresh, "a link has one consumer");
     }
 }
 
@@ -1287,7 +1311,6 @@ enum Phase {
 pub(crate) struct SocketPump {
     stream: SocketStream,
     shared: Arc<ConnShared>,
-    queues: HashMap<(usize, usize), InQueue>,
     health: FabricHealth,
     peer: PeerInfo,
     policy: ReconnectPolicy,
@@ -1339,7 +1362,7 @@ impl SocketPump {
             detail,
             kind: PeerDownKind::Link,
         });
-        self.shared.closed.store(true, Ordering::Release);
+        self.shared.close();
         self.done = true;
     }
 
@@ -1617,12 +1640,12 @@ impl SocketPump {
                 ));
             }
             let key = (src_rank as usize, src_qsfp as usize);
-            let Some(queue) = self.queues.get(&key) else {
+            let Some(queue) = self.shared.queues.get(&key) else {
                 return Err(format!(
                     "frame from unknown endpoint (rank {src_rank}, qsfp {src_qsfp})"
                 ));
             };
-            let mut q = queue.lock().expect("in queue lock");
+            let mut q = queue.bursts.lock().expect("in queue lock");
             if q.len() >= INBOUND_QUEUE_CAP {
                 // Head-of-line backpressure: stop parsing until the slow
                 // CKR input drains its queue.
@@ -1632,6 +1655,7 @@ impl SocketPump {
             meter_inline_data(&self.shared.copies, &burst);
             q.push_back(burst);
             drop(q);
+            queue.raise();
             self.rpos += need;
             self.last_recv = seq;
             *progressed = true;

@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Sender};
 use smi_codegen::{ClusterDesign, OpKind};
 use smi_topology::{NextHop, RoutingPlan, Topology};
 use smi_wire::{Header, PacketOp};
@@ -23,8 +23,8 @@ use smi_wire::{Header, PacketOp};
 use crate::endpoint::{CollRes, EndpointTable, PacketRx, RecvRes, SendRes};
 use crate::params::RuntimeParams;
 use crate::transport::ck::{CkMachine, Route};
-use crate::transport::executor::Pollable;
-use crate::transport::link::{fifo_rx, fifo_tx, LinkRx, LinkTx};
+use crate::transport::executor::{Pollable, Wake};
+use crate::transport::link::{fifo, FifoTx, LinkRx, LinkTx};
 use crate::transport::socket::FabricHealth;
 use crate::transport::{Burst, TransportStats};
 
@@ -66,8 +66,11 @@ impl FabricLinks {
     }
 }
 
-/// A bounded channel pair used for intra-rank CK plumbing.
-type Pipe = (Sender<Burst>, Receiver<Burst>);
+/// Take the link half of endpoint `(rank, qsfp)`; each is taken once.
+fn take_link<T>(links: &mut HashMap<(usize, usize), T>, rank: usize, qsfp: usize) -> T {
+    let half = links.remove(&(rank, qsfp));
+    half.unwrap_or_else(|| panic!("no link half for endpoint ({rank},{qsfp})"))
+}
 
 /// Delivery targets of one port at one rank.
 #[derive(Default)]
@@ -109,6 +112,21 @@ pub(crate) fn build_transport(
     // asynchronicity knob (same rule as the single-rank wiring).
     let ep_depth = |op_depth: usize| op_depth.max(params.endpoint_fifo_depth).max(1);
 
+    // One wake handle per CK machine, `wakes[rank][pair]` = (CKS's, CKR's),
+    // made before any FIFO: every producer into a machine's inputs carries
+    // that machine's handle from the start.
+    let wakes: Vec<Vec<(Wake, Wake)>> = (0..n)
+        .map(|r| {
+            let pairs = design.rank(r).ck_qsfps.iter().filter(|_| local[r]);
+            pairs.map(|_| Default::default()).collect()
+        })
+        .collect();
+    let ckr_wake_at = |rank: usize, qsfp: usize| {
+        let pairs = &design.rank(rank).ck_qsfps;
+        let p = pairs.iter().position(|&q| q == qsfp);
+        &wakes[rank][p.unwrap_or_else(|| panic!("no CK pair on endpoint ({rank},{qsfp})"))].1
+    };
+
     // Directed link halves. `link_tx` is keyed by the sender-side endpoint
     // (a CKS's own network port), `link_rx` by the receiver-side endpoint (a
     // CKR's own network port); each is consumed exactly once below.
@@ -118,9 +136,9 @@ pub(crate) fn build_transport(
         for (from, to) in [(c.a, c.b), (c.b, c.a)] {
             match (local[from.rank], local[to.rank]) {
                 (true, true) => {
-                    let (tx, rx) = bounded(ck_depth);
-                    link_tx.insert((from.rank, from.qsfp), fifo_tx(tx));
-                    link_rx.insert((to.rank, to.qsfp), fifo_rx(rx));
+                    let (tx, rx) = fifo(ck_depth, ckr_wake_at(to.rank, to.qsfp));
+                    link_tx.insert((from.rank, from.qsfp), Box::new(tx));
+                    link_rx.insert((to.rank, to.qsfp), rx);
                 }
                 (true, false) => {
                     let tx = ext_tx.remove(&(from.rank, from.qsfp)).unwrap_or_else(|| {
@@ -132,12 +150,13 @@ pub(crate) fn build_transport(
                     link_tx.insert((from.rank, from.qsfp), tx);
                 }
                 (false, true) => {
-                    let rx = ext_rx.remove(&(from.rank, from.qsfp)).unwrap_or_else(|| {
+                    let mut rx = ext_rx.remove(&(from.rank, from.qsfp)).unwrap_or_else(|| {
                         panic!(
                             "missing external link rx for edge ({},{})",
                             from.rank, from.qsfp
                         )
                     });
+                    rx.wake_with(ckr_wake_at(to.rank, to.qsfp));
                     link_rx.insert((to.rank, to.qsfp), rx);
                 }
                 (false, false) => {}
@@ -161,26 +180,12 @@ pub(crate) fn build_transport(
             pair_of_qsfp[q] = i;
         }
 
-        // Intra-rank CK interconnect.
-        let mk = || bounded::<Burst>(ck_depth);
-        let cks_to_ckr: Vec<_> = (0..np).map(|_| mk()).collect();
-        let ckr_to_cks: Vec<_> = (0..np).map(|_| mk()).collect();
-        let mut cks_to_cks: Vec<Vec<Option<Pipe>>> =
-            (0..np).map(|_| (0..np).map(|_| None).collect()).collect();
-        let mut ckr_to_ckr: Vec<Vec<Option<Pipe>>> =
-            (0..np).map(|_| (0..np).map(|_| None).collect()).collect();
-        for i in 0..np {
-            for j in 0..np {
-                if i != j {
-                    cks_to_cks[i][j] = Some(mk());
-                    ckr_to_ckr[i][j] = Some(mk());
-                }
-            }
-        }
-
         // Endpoints.
         let mut table = EndpointTable::with_health(health.clone(), meter.clone());
-        let mut cks_app_inputs: Vec<Vec<LinkRx>> = (0..np).map(|_| Vec::new()).collect();
+        let (cks_wake, ckr_wake): (Vec<&Wake>, Vec<&Wake>) =
+            wakes[r].iter().map(|(cks, ckr)| (cks, ckr)).unzip();
+        // Every CKS's inputs start with its endpoints' FIFOs.
+        let mut cks_in: Vec<Vec<LinkRx>> = (0..np).map(|_| Vec::new()).collect();
         let mut deliveries: HashMap<usize, PortDelivery> = HashMap::new();
         for b in &rank_design.bindings {
             let op = b.op;
@@ -188,8 +193,8 @@ pub(crate) fn build_transport(
             table.declare(op.port, op.kind);
             match op.kind {
                 OpKind::Send => {
-                    let (app_tx, cks_rx) = bounded(ep_depth(op.buffer_depth));
-                    cks_app_inputs[pair].push(fifo_rx(cks_rx));
+                    let (app_tx, cks_rx) = fifo(ep_depth(op.buffer_depth), cks_wake[pair]);
+                    cks_in[pair].push(cks_rx);
                     let (credit_tx, credit_rx) = bounded(op.buffer_depth.max(4));
                     let d = deliveries.entry(op.port).or_default();
                     assert!(
@@ -215,8 +220,8 @@ pub(crate) fn build_transport(
                     d.data = Some((pair, data_tx));
                     // Receive endpoints own a send path into their CKS for
                     // credit grants (credit-based protocol, §3.3).
-                    let (grant_tx, grant_rx) = bounded::<Burst>(4);
-                    cks_app_inputs[pair].push(fifo_rx(grant_rx));
+                    let (grant_tx, grant_rx) = fifo(4, cks_wake[pair]);
+                    cks_in[pair].push(grant_rx);
                     table.ports.entry(op.port).or_default().recv = Some(RecvRes {
                         dtype: op.dtype,
                         from_ckr: PacketRx::new(app_rx, meter.clone()),
@@ -224,8 +229,8 @@ pub(crate) fn build_transport(
                     });
                 }
                 _ => {
-                    let (sup_tx, cks_rx) = bounded(ep_depth(op.buffer_depth));
-                    cks_app_inputs[pair].push(fifo_rx(cks_rx));
+                    let (sup_tx, cks_rx) = fifo(ep_depth(op.buffer_depth), cks_wake[pair]);
+                    cks_in[pair].push(cks_rx);
                     // Collective delivery must hold at least one burst per
                     // peer: every member may send a one-shot control packet
                     // (ready-`Sync`) to a port *before* its owner opens the
@@ -255,40 +260,53 @@ pub(crate) fn build_transport(
             }
         }
 
-        // --- CKS machines ---
+        // Intra-rank CK interconnect, each FIFO moved straight into the two
+        // machines it joins. CKS `p` reads its endpoints, its CKR (transit)
+        // and every other CKS, and writes its network port (0), its CKR (1)
+        // and every other CKS; CKR `p` reads its network port, its CKS and
+        // every other CKR, and writes its CKS (0), every other CKR and the
+        // endpoints it owns. "Every other" is in ascending pair order on
+        // both sides, which is what `mesh_idx` counts on.
+        let mut cks_out: Vec<Vec<LinkTx>> = Vec::with_capacity(np);
+        let mut ckr_in: Vec<Vec<LinkRx>> = Vec::with_capacity(np);
+        let mut ckr_out: Vec<Vec<LinkTx>> = Vec::with_capacity(np);
         for p in 0..np {
-            let mut inputs = std::mem::take(&mut cks_app_inputs[p]);
-            inputs.push(fifo_rx(ckr_to_cks[p].1.clone()));
-            let mut outputs: Vec<LinkTx> = vec![
-                link_tx
-                    .remove(&(r, pairs[p]))
-                    .unwrap_or_else(|| panic!("no link tx for endpoint ({r},{})", pairs[p])), // 0: network port
-                fifo_tx(cks_to_ckr[p].0.clone()), // 1: paired CKR (local dst)
-            ];
-            let mut out_idx_of_pair = vec![usize::MAX; np];
-            for j in 0..np {
-                if j != p {
-                    inputs.push(fifo_rx(cks_to_cks[j][p].as_ref().expect("wired").1.clone()));
-                    out_idx_of_pair[j] = outputs.len();
-                    outputs.push(fifo_tx(cks_to_cks[p][j].as_ref().expect("wired").0.clone()));
-                }
+            let (to_ckr, from_cks) = fifo(ck_depth, ckr_wake[p]);
+            let (to_cks, from_ckr) = fifo(ck_depth, cks_wake[p]);
+            cks_out.push(vec![take_link(&mut link_tx, r, pairs[p]), Box::new(to_ckr)]);
+            ckr_in.push(vec![take_link(&mut link_rx, r, pairs[p]), from_cks]);
+            ckr_out.push(vec![Box::new(to_cks)]);
+            cks_in[p].push(from_ckr);
+        }
+        for i in 0..np {
+            for j in (0..np).filter(|&j| j != i) {
+                let (tx, rx) = fifo(ck_depth, cks_wake[j]);
+                cks_out[i].push(Box::new(tx));
+                cks_in[j].push(rx);
+                let (tx, rx) = fifo(ck_depth, ckr_wake[j]);
+                ckr_out[i].push(Box::new(tx));
+                ckr_in[j].push(rx);
             }
+        }
+        // Where machine `p` of a mesh finds its output to peer `j`, the
+        // mesh outputs starting at `first`.
+        let mesh_idx = |first: usize, p: usize, j: usize| first + j - usize::from(j > p);
+
+        // --- CKS machines ---
+        for (p, (inputs, outputs)) in cks_in.into_iter().zip(cks_out).enumerate() {
             // dst rank -> output index (the M20K routing table of §4.3).
             let route_table: Vec<usize> = (0..n)
                 .map(|dst| match plan.next_hop(r, dst) {
                     NextHop::Local => 1,
-                    NextHop::Via(q) => {
-                        let t = pair_of_qsfp[q];
-                        if t == p {
-                            0
-                        } else {
-                            out_idx_of_pair[t]
-                        }
-                    }
+                    NextHop::Via(q) => match pair_of_qsfp[q] {
+                        t if t == p => 0,
+                        t => mesh_idx(2, p, t),
+                    },
                 })
                 .collect();
             machines.push(Box::new(CkMachine::new(
                 r,
+                cks_wake[p].clone(),
                 inputs,
                 outputs,
                 Box::new(move |h: &Header| match route_table.get(h.dst as usize) {
@@ -303,47 +321,27 @@ pub(crate) fn build_transport(
         }
 
         // --- CKR machines ---
-        for p in 0..np {
-            let mut inputs: Vec<LinkRx> = vec![
-                link_rx
-                    .remove(&(r, pairs[p]))
-                    .unwrap_or_else(|| panic!("no link rx for endpoint ({r},{})", pairs[p])),
-                fifo_rx(cks_to_ckr[p].1.clone()),
-            ];
-            let mut outputs: Vec<LinkTx> = vec![fifo_tx(ckr_to_cks[p].0.clone())]; // 0: paired CKS (transit)
-            let mut out_idx_of_pair = vec![usize::MAX; np];
-            for j in 0..np {
-                if j != p {
-                    inputs.push(fifo_rx(ckr_to_ckr[j][p].as_ref().expect("wired").1.clone()));
-                    out_idx_of_pair[j] = outputs.len();
-                    outputs.push(fifo_tx(ckr_to_ckr[p][j].as_ref().expect("wired").0.clone()));
-                }
-            }
+        for (p, (inputs, mut outputs)) in ckr_in.into_iter().zip(ckr_out).enumerate() {
             // (port, is_credit) -> output index.
             let mut delivery_idx: HashMap<(usize, bool), usize> = HashMap::new();
             for (&port, d) in &deliveries {
-                if let Some((owner, tx)) = &d.data {
+                for (is_credit, delivery) in [(false, &d.data), (true, &d.credit)] {
+                    let Some((owner, tx)) = delivery else {
+                        continue;
+                    };
                     let idx = if *owner == p {
-                        outputs.push(fifo_tx(tx.clone()));
+                        outputs.push(Box::new(FifoTx::from(tx.clone())));
                         outputs.len() - 1
                     } else {
-                        out_idx_of_pair[*owner]
+                        mesh_idx(1, p, *owner)
                     };
-                    delivery_idx.insert((port, false), idx);
-                }
-                if let Some((owner, tx)) = &d.credit {
-                    let idx = if *owner == p {
-                        outputs.push(fifo_tx(tx.clone()));
-                        outputs.len() - 1
-                    } else {
-                        out_idx_of_pair[*owner]
-                    };
-                    delivery_idx.insert((port, true), idx);
+                    delivery_idx.insert((port, is_credit), idx);
                 }
             }
             let my_rank = r;
             machines.push(Box::new(CkMachine::new(
                 r,
+                ckr_wake[p].clone(),
                 inputs,
                 outputs,
                 Box::new(move |h: &Header| {
@@ -394,13 +392,13 @@ fn build_single_rank(
                 let slot = table.ports.entry(op.port).or_default();
                 slot.send = Some(SendRes {
                     dtype: op.dtype,
-                    to_cks: data_tx,
+                    to_cks: FifoTx::from(data_tx),
                     credit_rx: PacketRx::new(credit_rx, meter.clone()),
                 });
                 slot.recv = Some(RecvRes {
                     dtype: op.dtype,
                     from_ckr: PacketRx::new(data_rx, meter.clone()),
-                    grant_tx,
+                    grant_tx: FifoTx::from(grant_tx),
                 });
             }
             OpKind::Recv => {
@@ -416,7 +414,7 @@ fn build_single_rank(
                     slot.recv = Some(RecvRes {
                         dtype: op.dtype,
                         from_ckr: PacketRx::new(data_rx, meter.clone()),
-                        grant_tx,
+                        grant_tx: FifoTx::from(grant_tx),
                     });
                 }
             }
@@ -428,7 +426,7 @@ fn build_single_rank(
                     kind: op.kind,
                     dtype: op.dtype,
                     reduce_op: op.reduce_op,
-                    to_cks: tx,
+                    to_cks: FifoTx::from(tx),
                     rx: PacketRx::new(rx, meter.clone()),
                     credit_rx: PacketRx::new(crx, meter.clone()),
                 });
