@@ -16,8 +16,8 @@
 //!   `try_*` driving on the cooperative task plane, swept over rank counts
 //!   under both [`CollectiveScheme`]s. The linear series is the paper's
 //!   root-serialized shape (falls off past ~16 ranks on a bus); the tree
-//!   series routes through binomial interior forwarders/combiners, keeping
-//!   the root at `O(log N)` streams.
+//!   series routes through interior forwarders/combiners along the hop
+//!   tree — on the bus, the chain leaving the root.
 //!
 //! Usage: `bench_collectives [--quick|--smoke | --full] [--out PATH]`
 //! (`--smoke` is an alias for `--quick`.)

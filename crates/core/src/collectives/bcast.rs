@@ -5,7 +5,7 @@ use std::marker::PhantomData;
 
 use smi_wire::{Deframer, Frame, Framer, NetworkPacket, PacketOp, PacketRun, SmiType};
 
-use crate::collectives::topology::TreeShape;
+use crate::collectives::topology::WireEdges;
 use crate::collectives::{expect_op, CollectivePoll, CollectiveState};
 use crate::comm::Communicator;
 use crate::endpoint::{CollIo, EndpointTableHandle};
@@ -27,22 +27,24 @@ use crate::SmiError;
 /// Both [`crate::CollectiveScheme`]s run through one code path, parameterized by
 /// the shape's parent/children relations: `Linear` is the star tree (the
 /// root parents everyone — the paper's shape, bit-identical to the
-/// pre-tree protocol), `Tree` is a binomial tree in which interior nodes
-/// collect their children's readiness before announcing their own
-/// *subtree* ready, then re-frame every received window to their children
-/// while also delivering it locally — so the root stages `O(log N)`
-/// copies of each packet instead of `N−1`.
+/// pre-tree protocol), `Tree` is the hop tree
+/// ([`crate::collectives::topology`]: every edge as short as the routed
+/// topology allows, one physical link on the regular topologies) in which
+/// interior nodes collect their children's readiness before announcing
+/// their own *subtree* ready, then re-frame every received window to their
+/// children while also delivering it locally — so each packet crosses each
+/// link once, and the root stages one copy per neighbour instead of `N−1`.
 pub struct BcastChannel<T: SmiType> {
     count: u64,
     done: u64,
     is_root: bool,
     my_wire: u8,
     port_wire: u8,
-    /// World rank of the tree parent (None at the root).
-    parent: Option<usize>,
-    /// World ranks of the fan-out targets (linear root: every other
-    /// member; tree: the binomial children).
-    children: Vec<usize>,
+    /// Wire rank of the tree parent (None at the root).
+    parent: Option<u8>,
+    /// Wire ranks of the fan-out targets (linear root: every other
+    /// member; tree: the hop-tree children).
+    children: Vec<u8>,
     /// Ready announcements received from children so far.
     ready: usize,
     /// Non-root: whether the own (subtree-)ready announcement is staged.
@@ -72,16 +74,14 @@ impl<T: SmiType> BcastChannel<T> {
         comm: &Communicator,
         count: u64,
         port: usize,
-        root: usize,
+        edges: WireEdges,
         params: &RuntimeParams,
     ) -> Result<Self, SmiError> {
-        let my_world = comm.world_rank(comm.rank())?;
         let io = CollIo::open(table, port, smi_codegen::OpKind::Bcast, T::DATATYPE, params)?;
-        let shape = TreeShape::new(params.collective_scheme, comm.size(), root, comm.rank());
-        let (parent, children) = shape.resolve_world(comm)?;
-        let is_root = comm.rank() == root;
+        let WireEdges { parent, children } = edges;
+        let is_root = parent.is_none();
         let port_wire = smi_wire::header::port_to_wire(port)?;
-        let my_wire = smi_wire::header::rank_to_wire(my_world)?;
+        let my_wire = comm.wire_rank(comm.rank())?;
         let mut chan = BcastChannel {
             count,
             done: 0,
@@ -144,7 +144,7 @@ impl<T: SmiType> BcastChannel<T> {
                             let parent = self.parent.expect("non-root has a parent");
                             let sync = NetworkPacket::control(
                                 self.my_wire,
-                                parent as u8,
+                                parent,
                                 self.port_wire,
                                 PacketOp::Sync,
                                 0,

@@ -32,7 +32,7 @@ use std::marker::PhantomData;
 
 use smi_wire::{Deframer, Framer, NetworkPacket, PacketOp, SmiType};
 
-use crate::collectives::topology::{CollectiveScheme, Run, RunTarget, TreeShape};
+use crate::collectives::topology::{CollectiveScheme, Run, RunTarget, TreeShape, WireEdges};
 use crate::collectives::{expect_op, CollectivePoll, CollectiveState};
 use crate::comm::Communicator;
 use crate::endpoint::{CollIo, EndpointTableHandle};
@@ -48,19 +48,19 @@ pub struct GatherChannel<T: SmiType> {
     num_members: usize,
     my_wire: u8,
     port_wire: u8,
-    root_world: usize,
+    root_wire: u8,
     is_root: bool,
     scheme: CollectiveScheme,
-    /// Members in communicator order (world ranks; linear root grants).
-    members: Vec<usize>,
+    /// Members in communicator order (wire ranks; linear root grants).
+    members: Vec<u8>,
     /// Linear leaf: whether the root's grant arrived.
     granted: bool,
     /// Linear root: communicator index currently granted (== popped / count).
     grant_sent_for: Option<usize>,
-    /// Tree: world rank of the parent (None at the root).
-    parent: Option<usize>,
-    /// Tree: world ranks of the children.
-    children: Vec<usize>,
+    /// Tree: wire rank of the parent (None at the root).
+    parent: Option<u8>,
+    /// Tree: wire ranks of the children.
+    children: Vec<u8>,
     /// Tree: this node's merge schedule (subtree blocks in comm order).
     schedule: Vec<Run>,
     /// Tree: total elements of this node's subtree stream (fixed at open).
@@ -104,8 +104,7 @@ impl<T: SmiType> GatherChannel<T> {
         params: &RuntimeParams,
     ) -> Result<Self, SmiError> {
         let scheme = params.collective_scheme;
-        let root_world = comm.world_rank(root)?;
-        let my_world = comm.world_rank(comm.rank())?;
+        let root_wire = comm.wire_rank(root)?;
         let io = CollIo::open(
             table,
             port,
@@ -114,29 +113,27 @@ impl<T: SmiType> GatherChannel<T> {
             params,
         )?;
         let shape = TreeShape::new(scheme, comm.size(), root, comm.rank());
-        let (parent, children) = shape.resolve_world(comm)?;
-        let schedule = shape.schedule();
-        let subtree_elems = schedule.iter().map(|r| r.elems(count)).sum();
+        let WireEdges { parent, children } = shape.resolve_world(comm)?;
         let is_root = comm.rank() == root;
         let port_wire = smi_wire::header::port_to_wire(port)?;
-        let my_wire = smi_wire::header::rank_to_wire(my_world)?;
-        let parent_wire = parent.unwrap_or(root_world);
+        let my_wire = comm.wire_rank(comm.rank())?;
+        let members = (0..comm.size()).map(|m| comm.wire_rank(m));
         let stash = vec![VecDeque::new(); children.len()];
         Ok(GatherChannel {
             count,
             num_members: comm.size(),
             my_wire,
             port_wire,
-            root_world,
+            root_wire,
             is_root,
             scheme,
-            members: comm.world_ranks().to_vec(),
+            members: members.collect::<Result<_, _>>()?,
             granted: false,
             grant_sent_for: None,
             parent,
             children,
-            schedule,
-            subtree_elems,
+            schedule: shape.schedule(),
+            subtree_elems: shape.span() as u64 * count,
             run_idx: 0,
             run_off: 0,
             granted_upto: 0,
@@ -160,7 +157,7 @@ impl<T: SmiType> GatherChannel<T> {
             framer: Framer::new(
                 T::DATATYPE,
                 my_wire,
-                parent_wire as u8,
+                parent.unwrap_or(root_wire),
                 port_wire,
                 PacketOp::Gather,
             ),
@@ -245,7 +242,7 @@ impl<T: SmiType> GatherChannel<T> {
                     let chunk = left.min(u32::MAX as u64);
                     let pkt = NetworkPacket::control(
                         self.my_wire,
-                        self.children[c] as u8,
+                        self.children[c],
                         self.port_wire,
                         PacketOp::Credit,
                         chunk as u32,
@@ -273,7 +270,7 @@ impl<T: SmiType> GatherChannel<T> {
     fn drain_into_stash(&mut self) -> Result<(), SmiError> {
         while let Some(pkt) = self.io.try_recv_data()? {
             expect_op(&pkt, PacketOp::Gather)?;
-            let src = pkt.header.src as usize;
+            let src = pkt.header.src;
             match self.children.iter().position(|&w| w == src) {
                 Some(c) => self.stash[c].push_back(pkt),
                 None => {
@@ -373,7 +370,7 @@ impl<T: SmiType> GatherChannel<T> {
                     }
                     let mut copy = pkt;
                     copy.header.src = self.my_wire;
-                    copy.header.dst = self.parent.expect("non-root has a parent") as u8;
+                    copy.header.dst = self.parent.expect("non-root has a parent");
                     self.io.stage(copy);
                     self.run_off += k;
                     self.emitted += k;
@@ -504,7 +501,7 @@ impl<T: SmiType> GatherChannel<T> {
             let src_idx = (self.popped / self.count) as usize;
             let slice_left = (self.count - self.popped % self.count) as usize;
             let src_world = self.members[src_idx];
-            if src_world == self.root_world {
+            if src_world == self.root_wire {
                 // Own contribution, from the local buffer.
                 let take = slice_left.min(out.len() - filled).min(self.local.len());
                 if take == 0 {
@@ -523,7 +520,7 @@ impl<T: SmiType> GatherChannel<T> {
             if self.grant_sent_for != Some(src_idx) {
                 let grant = NetworkPacket::control(
                     self.my_wire,
-                    src_world as u8,
+                    src_world,
                     self.port_wire,
                     PacketOp::Sync,
                     0,
@@ -536,7 +533,7 @@ impl<T: SmiType> GatherChannel<T> {
                 match self.io.try_recv_data()? {
                     Some(pkt) => {
                         expect_op(&pkt, PacketOp::Gather)?;
-                        if pkt.header.src as usize != src_world {
+                        if pkt.header.src != src_world {
                             return Err(SmiError::ProtocolViolation {
                                 detail: format!(
                                     "gather order violated: data from {} while collecting {}",
@@ -643,7 +640,7 @@ impl<T: SmiType> GatherChannel<T> {
                     && self.schedule[self.run_idx].target == RunTarget::Own
             } else {
                 let src_idx = (self.popped / self.count) as usize;
-                self.members[src_idx] == self.root_world
+                self.members[src_idx] == self.root_wire
             };
             if own_up && self.local.is_empty() && self.pushed < self.count {
                 return Err(SmiError::ProtocolViolation {

@@ -48,25 +48,32 @@
 //!   protocol bit-identical to the pre-tree implementation; it remains the
 //!   regression baseline and wins on latency at small rank counts, where
 //!   an extra store-and-forward hop costs more than root serialization.
-//! * **Tree** — a binomial tree over virtual ranks
-//!   ([`topology`]): the parent of virtual rank `v` is `v` with its lowest
-//!   set bit cleared, derived deterministically from
-//!   `(root, rank, num_ranks)` with **no extra handshake rounds** — the
-//!   same `Opening → Streaming → Done` protocol runs along tree edges
-//!   instead of root spokes. Non-root members become interior
-//!   *forwarders* (bcast/scatter re-frame received windows to their
-//!   children, grouped per child for long same-route CKS runs) or
-//!   *combiners* (reduce folds child contributions into the credit-window
-//!   ring before forwarding partial aggregates upward; gather merges child
-//!   subtree streams in deterministic block-schedule order under per-edge,
-//!   element-exact credit grants). The root then touches `O(log N)`
-//!   streams instead of `N − 1`, which is what keeps task-plane
-//!   bcast/reduce throughput from collapsing past ~16 ranks.
-//!
-//! The lowest-bit binomial orientation makes every subtree a contiguous
-//! virtual-rank range, so scatter/gather route whole `count`-element member
-//! blocks through interior nodes by counting alone — packets never straddle
-//! block boundaries and carry no extra routing metadata.
+//! * **Tree** — the same `Opening → Streaming → Done` protocol runs along
+//!   tree edges instead of root spokes, with **no extra handshake rounds**:
+//!   every member derives the identical tree locally ([`topology`]).
+//!   Non-root members become interior *forwarders* (bcast/scatter re-frame
+//!   received windows to their children, grouped per child for long
+//!   same-route CKS runs) or *combiners* (reduce folds child contributions
+//!   into the credit-window ring before forwarding partial aggregates
+//!   upward; gather merges child subtree streams in deterministic
+//!   block-schedule order under per-edge, element-exact credit grants).
+//!   Which tree depends on what an edge carries:
+//!   * **bcast, reduce** — every edge carries the whole stream, so the tree
+//!     is grown over the launch's routed hop matrix (members join nearest
+//!     the root first and attach to the nearest member already placed). On
+//!     a full communicator over `bus`/`ring`/`torus2d`/`star` every edge is
+//!     one physical link: a packet crosses each link once and no transit
+//!     rank's CK kernels relay another edge's traffic. The tree is as deep
+//!     as the topology is wide, which the per-message subtree-ready
+//!     handshake pays for (serial over depth).
+//!   * **scatter, gather** — blocks are personalised: each travels root ↔
+//!     owner over the same physical hops under any tree, so these keep the
+//!     shallow lowest-bit binomial tree over virtual ranks (the parent of
+//!     `v` is `v` with its lowest set bit cleared), from `(root, rank,
+//!     num_ranks)` alone. That orientation makes every subtree a contiguous
+//!     virtual-rank range, so whole `count`-element member blocks route
+//!     through interior nodes by counting alone — packets never straddle
+//!     block boundaries and carry no extra routing metadata.
 
 mod bcast;
 mod gather;

@@ -4,7 +4,7 @@
 use smi_wire::reduce::SmiNumeric;
 use smi_wire::{Deframer, NetworkPacket, PacketOp, ReduceOp};
 
-use crate::collectives::topology::TreeShape;
+use crate::collectives::topology::WireEdges;
 use crate::collectives::{expect_op, CollectivePoll, CollectiveState};
 use crate::comm::Communicator;
 use crate::endpoint::{CollIo, CreditLedger, EndpointTableHandle};
@@ -20,7 +20,9 @@ use crate::SmiError;
 /// granted), so the poll-mode core starts in `Streaming`.
 ///
 /// Both [`crate::CollectiveScheme`]s share one code path, parameterized by the
-/// shape's parent/children relations:
+/// shape's parent/children relations (`Tree` is the hop tree of
+/// [`crate::collectives::topology`], so a partial aggregate crosses one
+/// physical link per level on the regular topologies):
 ///
 /// * a **leaf** (no children) frames contributions within its granted
 ///   window and stages packet bursts toward its parent — in the linear
@@ -37,17 +39,17 @@ pub struct ReduceChannel<T: SmiNumeric> {
     op: ReduceOp,
     my_wire: u8,
     is_root: bool,
-    /// World rank of the tree parent (None at the root).
-    parent: Option<usize>,
-    /// World ranks of the direct contributors (linear root: every other
-    /// member; tree: the binomial children; leaf: empty).
-    children: Vec<usize>,
+    /// Wire rank of the tree parent (None at the root).
+    parent: Option<u8>,
+    /// Wire ranks of the direct contributors (linear root: every other
+    /// member; tree: the hop-tree children; leaf: empty).
+    children: Vec<u8>,
     /// Combiner: ring window of `credits_window` accumulation slots.
     window: Vec<T>,
     /// Combiner: per-contributor element progress — slot 0 is the own
     /// stream, slot `1 + i` is `children[i]`.
     progress: Vec<u64>,
-    /// World rank → contributor slot (1-based; children only).
+    /// Wire rank → contributor slot (1-based; children only).
     contrib_slot: Vec<Option<usize>>,
     /// Elements completed at this node: results returned to the caller
     /// (root), elements framed upward (interior), contributions consumed
@@ -71,12 +73,11 @@ impl<T: SmiNumeric> ReduceChannel<T> {
         comm: &Communicator,
         count: u64,
         port: usize,
-        root: usize,
+        edges: WireEdges,
         params: &RuntimeParams,
     ) -> Result<Self, SmiError> {
         let credits_window = params.reduce_credits;
         assert!(credits_window >= 1, "reduce needs at least one credit");
-        let my_world = comm.world_rank(comm.rank())?;
         let io = CollIo::open(
             table,
             port,
@@ -85,16 +86,14 @@ impl<T: SmiNumeric> ReduceChannel<T> {
             params,
         )?;
         let op = io.reduce_op().expect("reduce binding carries an operator");
-        let shape = TreeShape::new(params.collective_scheme, comm.size(), root, comm.rank());
-        let (parent_world, children) = shape.resolve_world(comm)?;
-        let is_root = comm.rank() == root;
+        let WireEdges { parent, children } = edges;
+        let is_root = parent.is_none();
         let mut contrib_slot = vec![None; smi_wire::MAX_RANKS];
         for (i, &w) in children.iter().enumerate() {
-            contrib_slot[w] = Some(1 + i);
+            contrib_slot[usize::from(w)] = Some(1 + i);
         }
         let port_wire = smi_wire::header::port_to_wire(port)?;
-        let my_wire = smi_wire::header::rank_to_wire(my_world)?;
-        let parent_wire = parent_world.unwrap_or(my_world);
+        let my_wire = comm.wire_rank(comm.rank())?;
         let ident = identity_of::<T>(op);
         // The root always runs the windowed combiner path, even for a
         // single-member communicator with no children.
@@ -105,7 +104,7 @@ impl<T: SmiNumeric> ReduceChannel<T> {
             op,
             my_wire,
             is_root,
-            parent: parent_world,
+            parent,
             window: if is_combiner {
                 vec![ident; credits_window as usize]
             } else {
@@ -121,7 +120,7 @@ impl<T: SmiNumeric> ReduceChannel<T> {
             framer: smi_wire::Framer::new(
                 T::DATATYPE,
                 my_wire,
-                parent_wire as u8,
+                parent.unwrap_or(my_wire),
                 port_wire,
                 PacketOp::Reduce,
             ),
@@ -282,7 +281,7 @@ impl<T: SmiNumeric> ReduceChannel<T> {
             for &dst in &self.children {
                 let pkt = NetworkPacket::control(
                     self.my_wire,
-                    dst as u8,
+                    dst,
                     self.port_wire,
                     PacketOp::Credit,
                     chunk as u32,

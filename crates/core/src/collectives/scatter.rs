@@ -26,7 +26,7 @@ use std::marker::PhantomData;
 
 use smi_wire::{Deframer, Frame, Framer, NetworkPacket, PacketOp, PacketRun, SmiType};
 
-use crate::collectives::topology::{Run, RunTarget, TreeShape};
+use crate::collectives::topology::{Run, RunTarget, TreeShape, WireEdges};
 use crate::collectives::{expect_op, CollectivePoll, CollectiveState};
 use crate::comm::Communicator;
 use crate::endpoint::{CollIo, EndpointTableHandle};
@@ -43,10 +43,10 @@ pub struct ScatterChannel<T: SmiType> {
     is_root: bool,
     my_wire: u8,
     port_wire: u8,
-    /// World rank of the tree parent (None at the root).
-    parent: Option<usize>,
-    /// World ranks of the direct downstream targets.
-    children: Vec<usize>,
+    /// Wire rank of the tree parent (None at the root).
+    parent: Option<u8>,
+    /// Wire ranks of the direct downstream targets.
+    children: Vec<u8>,
     /// Readiness per child (root: gates streaming; interior: gates the own
     /// announcement).
     child_ready: Vec<bool>,
@@ -86,7 +86,6 @@ impl<T: SmiType> ScatterChannel<T> {
         root: usize,
         params: &RuntimeParams,
     ) -> Result<Self, SmiError> {
-        let my_world = comm.world_rank(comm.rank())?;
         let io = CollIo::open(
             table,
             port,
@@ -95,12 +94,10 @@ impl<T: SmiType> ScatterChannel<T> {
             params,
         )?;
         let shape = TreeShape::new(params.collective_scheme, comm.size(), root, comm.rank());
-        let (parent, children) = shape.resolve_world(comm)?;
-        let schedule = shape.schedule();
-        let subtree_elems = schedule.iter().map(|r| r.elems(count)).sum();
+        let WireEdges { parent, children } = shape.resolve_world(comm)?;
         let is_root = comm.rank() == root;
         let port_wire = smi_wire::header::port_to_wire(port)?;
-        let my_wire = smi_wire::header::rank_to_wire(my_world)?;
+        let my_wire = comm.wire_rank(comm.rank())?;
         let n_children = children.len();
         let mut chan = ScatterChannel {
             count,
@@ -113,8 +110,8 @@ impl<T: SmiType> ScatterChannel<T> {
             child_ready: vec![false; n_children],
             ready: 0,
             sync_staged: false,
-            schedule,
-            subtree_elems,
+            schedule: shape.schedule(),
+            subtree_elems: shape.span() as u64 * count,
             run_idx: 0,
             run_off: 0,
             pushed: 0,
@@ -161,7 +158,7 @@ impl<T: SmiType> ScatterChannel<T> {
                     match self.io.try_recv_data()? {
                         Some(pkt) => {
                             expect_op(&pkt, PacketOp::Sync)?;
-                            self.mark_ready(pkt.header.src as usize)?;
+                            self.mark_ready(pkt.header.src)?;
                         }
                         None => break,
                     }
@@ -171,7 +168,7 @@ impl<T: SmiType> ScatterChannel<T> {
                         let parent = self.parent.expect("non-root has a parent");
                         let sync = NetworkPacket::control(
                             self.my_wire,
-                            parent as u8,
+                            parent,
                             self.port_wire,
                             PacketOp::Sync,
                             0,
@@ -208,7 +205,7 @@ impl<T: SmiType> ScatterChannel<T> {
     }
 
     /// Record a ready announcement from a child.
-    fn mark_ready(&mut self, src_world: usize) -> Result<(), SmiError> {
+    fn mark_ready(&mut self, src_world: u8) -> Result<(), SmiError> {
         let idx = self
             .children
             .iter()
@@ -227,7 +224,7 @@ impl<T: SmiType> ScatterChannel<T> {
     fn absorb_syncs(&mut self) -> Result<(), SmiError> {
         while let Some(pkt) = self.io.try_recv_data()? {
             expect_op(&pkt, PacketOp::Sync)?;
-            self.mark_ready(pkt.header.src as usize)?;
+            self.mark_ready(pkt.header.src)?;
         }
         Ok(())
     }
@@ -268,12 +265,12 @@ impl<T: SmiType> ScatterChannel<T> {
                 RunTarget::Child(c) => match frame {
                     Frame::Pkt(mut p) => {
                         p.header.src = self.my_wire;
-                        p.header.dst = self.children[c] as u8;
+                        p.header.dst = self.children[c];
                         self.io.stage(p);
                     }
                     Frame::Run(mut r) => {
                         r.header.src = self.my_wire;
-                        r.header.dst = self.children[c] as u8;
+                        r.header.dst = self.children[c];
                         self.io.stage_frame(Frame::Run(r));
                     }
                 },
@@ -345,7 +342,7 @@ impl<T: SmiType> ScatterChannel<T> {
                         self.io.meter().add_bytes(take * T::DATATYPE.size_bytes());
                         let run_frame = PacketRun::from_elems(
                             self.my_wire,
-                            self.children[c] as u8,
+                            self.children[c],
                             self.port_wire,
                             PacketOp::Scatter,
                             &values[consumed..consumed + take],
@@ -374,7 +371,7 @@ impl<T: SmiType> ScatterChannel<T> {
                             pkt
                         };
                         if let Some(mut p) = maybe {
-                            p.header.dst = self.children[c] as u8;
+                            p.header.dst = self.children[c];
                             self.io.stage(p);
                             if self.io.stage_full() && !self.io.try_flush()? {
                                 if self.run_off == run.elems(self.count) {

@@ -5,21 +5,40 @@
 //! root's communication kernel ("it does not yet implement tree-based
 //! collectives, resulting in a higher congestion in the root rank", §5.3.4)
 //! but names tree schemes as the natural extension the support-kernel
-//! architecture enables (§4.4). This module derives both shapes **purely
-//! from `(root, rank, num_ranks)`** — no wire traffic, no extra handshake
-//! rounds — so every member computes the identical topology locally:
+//! architecture enables (§4.4). Every shape here is derived **locally** —
+//! no wire traffic, no extra handshake rounds — from inputs all members
+//! hold identically, so every member computes the same tree:
 //!
 //! * [`CollectiveScheme::Linear`] — the paper's shape, expressed as a
 //!   *star tree*: the root is the parent of every other member. This keeps
 //!   the pre-tree wire protocol bit-identical (it is the regression
 //!   baseline) while letting the channel state machines share one code
 //!   path for both schemes.
-//! * [`CollectiveScheme::Tree`] — a **binomial tree** over virtual ranks
-//!   (communicator indices rotated so the root is virtual rank 0). A
-//!   member's parent clears the lowest set bit of its virtual rank, which
-//!   makes every subtree a *contiguous* virtual-rank range — the property
-//!   scatter/gather exploit to route whole per-member blocks through
-//!   interior nodes without any in-band destination metadata.
+//! * [`CollectiveScheme::Tree`] — two trees, by what an edge carries:
+//!   * **bcast and reduce: the hop tree** (`hop_tree`). Every edge of
+//!     these two carries the *whole* stream, so an edge that spans `k`
+//!     routed hops costs `k` CKS/CKR forwards per packet and shares its
+//!     links with every other edge routed over them. The tree is therefore
+//!     grown over the launch's routed hop matrix: members join in order of
+//!     distance from the root and attach to the nearest member already in
+//!     the tree. On a full communicator over `bus`/`ring`/`torus2d`/`star`
+//!     every edge is one physical link (the last hop of a member's route
+//!     from the root always offers such a parent); on a sub-communicator
+//!     it is the nearest-member tree. Deterministic from `(hop matrix,
+//!     member list, root)`; O(n²), so a context caches it per
+//!     `(communicator, root)`. The price is depth — 31 on `bus(32)` — which
+//!     the per-message subtree-ready handshake climbs serially.
+//!   * **scatter and gather: the block tree** — a binomial tree over
+//!     virtual ranks (communicator indices rotated so the root is virtual
+//!     rank 0), from `(root, rank, num_ranks)` alone. A member's parent
+//!     clears the lowest set bit of its virtual rank, which makes every
+//!     subtree a *contiguous* virtual-rank range — the property that lets
+//!     whole per-member blocks route through interior nodes without any
+//!     in-band destination metadata. They stay on it on purpose: their
+//!     blocks are personalised, each travels root ↔ owner over the same
+//!     physical hops under any tree, so a deeper tree would only add
+//!     app-level relays, and `TreeShape::schedule` counts on contiguous
+//!     subtrees.
 //!
 //! For scatter and gather the tree additionally needs a deterministic
 //! *block schedule* (`TreeShape::schedule`): the sequence of
@@ -31,6 +50,14 @@
 //! equals its schedule — so interior nodes forward packets at block
 //! granularity with plain counting, no reordering and no header extension.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+
+use crate::comm::Communicator;
+use crate::SmiError;
+
 /// How a collective routes its traffic between communicator members.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CollectiveScheme {
@@ -40,10 +67,12 @@ pub enum CollectiveScheme {
     /// communicator grows.
     #[default]
     Linear,
-    /// Binomial-tree routing: non-root members act as interior forwarders
-    /// (bcast/scatter) or combiners (reduce/gather), so the root touches
-    /// only `O(log N)` streams and the per-element copy/fold work spreads
-    /// over the whole communicator.
+    /// Tree routing: non-root members act as interior forwarders
+    /// (bcast/scatter) or combiners (reduce/gather), so the root touches a
+    /// few streams and the per-element copy/fold work spreads over the
+    /// whole communicator. Bcast and reduce take the hop tree (every edge
+    /// as short as the routed topology allows), scatter and gather the
+    /// lowest-bit binomial block tree — see the module docs for why.
     Tree,
 }
 
@@ -69,6 +98,113 @@ impl Run {
     /// Elements in this run for a per-member element count.
     pub fn elems(&self, count: u64) -> u64 {
         self.blocks as u64 * count
+    }
+}
+
+/// The routed hop matrix of a launch (`hops[src][dst]`, world ranks), kept
+/// from its routing plan and shared by every rank's context.
+pub(crate) type HopTable = Arc<Vec<Vec<u32>>>;
+
+/// One member's tree edges as the ranks its packets are addressed to — all
+/// a bcast or reduce channel needs of a tree.
+#[derive(Debug, Clone)]
+pub(crate) struct WireEdges {
+    /// The parent (`None` at the root).
+    pub parent: Option<u8>,
+    /// The children, in ascending communicator order.
+    pub children: Vec<u8>,
+}
+
+impl WireEdges {
+    /// Translate edges from communicator indices to wire ranks — the one
+    /// checked conversion every collective's ranks take on their way to a
+    /// packet header.
+    fn resolve(
+        comm: &Communicator,
+        parent: Option<usize>,
+        children: impl Iterator<Item = usize>,
+    ) -> Result<WireEdges, SmiError> {
+        Ok(WireEdges {
+            parent: parent.map(|p| comm.wire_rank(p)).transpose()?,
+            children: children
+                .map(|c| comm.wire_rank(c))
+                .collect::<Result<_, _>>()?,
+        })
+    }
+}
+
+/// The hop tree of bcast and reduce: the parent of every member of
+/// `members` (world ranks in communicator order; the result is in
+/// communicator indices, the root its own parent). Members are placed in
+/// order of `(hops(root, m), m)` and each attaches to the placed member
+/// with the shortest round trip `hops(p, m) + hops(m, p)` — data flows one
+/// way, handshake and credits the other — preferring on a tie the one with
+/// the fewest children so far, then the lowest index.
+pub(crate) fn hop_tree(hops: &[Vec<u32>], members: &[usize], root: usize) -> Vec<usize> {
+    let n = members.len();
+    let mut order: Vec<usize> = (0..n).filter(|&m| m != root).collect();
+    order.sort_by_key(|&m| (hops[members[root]][members[m]], m));
+    let mut parent = vec![root; n];
+    let mut kids = vec![0usize; n];
+    let mut placed = Vec::with_capacity(n);
+    placed.push(root);
+    for m in order {
+        let wm = members[m];
+        let round_trip = |p: usize| hops[members[p]][wm] + hops[wm][members[p]];
+        let p = *placed
+            .iter()
+            .min_by_key(|&&p| (round_trip(p), kids[p], p))
+            .expect("the root is placed");
+        parent[m] = p;
+        kids[p] += 1;
+        placed.push(m);
+    }
+    parent
+}
+
+/// This member's edges in the [`hop_tree`] of `comm` rooted at `root`.
+fn hop_tree_edges(
+    hops: &[Vec<u32>],
+    comm: &Communicator,
+    root: usize,
+) -> Result<WireEdges, SmiError> {
+    let (me, parents) = (comm.rank(), hop_tree(hops, comm.world_ranks(), root));
+    let is_child = |&m: &usize| m != root && parents[m] == me;
+    let parent = (me != root).then_some(parents[me]);
+    WireEdges::resolve(comm, parent, (0..parents.len()).filter(is_child))
+}
+
+/// One rank's source of hop trees: the launch's hop matrix and the edges it
+/// has derived from it so far, by `(communicator id, root)` beside the
+/// member list they were derived for — the derivation is O(n²) (≈ 100 µs at
+/// 256 ranks), every open after a communicator's first is a lookup.
+pub(crate) struct HopTrees {
+    hops: HopTable,
+    derived: Mutex<HashMap<(u64, usize), Derived>>,
+}
+
+type Derived = (Arc<Vec<usize>>, WireEdges);
+
+impl HopTrees {
+    pub fn new(hops: HopTable) -> Self {
+        HopTrees {
+            hops,
+            derived: Mutex::default(),
+        }
+    }
+
+    /// This member's edges in the hop tree of `comm` rooted at `root`.
+    pub fn edges(&self, comm: &Communicator, root: usize) -> Result<WireEdges, SmiError> {
+        let (id, members) = comm.identity();
+        let mut derived = self.derived.lock();
+        if let Some((of, edges)) = derived.get(&(id, root)) {
+            if of == members {
+                return Ok(edges.clone());
+            }
+        }
+        let edges = hop_tree_edges(&self.hops, comm, root)?;
+        derived.insert((id, root), (members.clone(), edges.clone()));
+        Ok(edges)
     }
 }
 
@@ -199,27 +335,14 @@ impl TreeShape {
 
     /// Number of members whose blocks flow through this node (its own
     /// included) — the subtree size.
-    #[allow(dead_code)]
     pub fn span(&self) -> usize {
         self.span
     }
 
     /// Translate the parent/children relations from communicator indices
-    /// to world ranks (what the transport routes on).
-    pub fn resolve_world(
-        &self,
-        comm: &crate::comm::Communicator,
-    ) -> Result<(Option<usize>, Vec<usize>), crate::SmiError> {
-        let parent = match self.parent {
-            Some(p) => Some(comm.world_rank(p)?),
-            None => None,
-        };
-        let children = self
-            .children
-            .iter()
-            .map(|&c| comm.world_rank(c))
-            .collect::<Result<_, _>>()?;
-        Ok((parent, children))
+    /// to the wire ranks packets are addressed to.
+    pub fn resolve_world(&self, comm: &Communicator) -> Result<WireEdges, SmiError> {
+        WireEdges::resolve(comm, self.parent, self.children.iter().copied())
     }
 
     /// The node's block schedule: per member block of its subtree, in
@@ -256,6 +379,140 @@ impl TreeShape {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{rngs::SmallRng, SeedableRng};
+    use smi_topology::{RoutingPlan, Topology};
+
+    /// The five regular builders at a few sizes: on these a full
+    /// communicator's hop tree must have one-link edges only.
+    fn regular_topologies() -> Vec<(&'static str, Topology)> {
+        vec![
+            ("bus(2)", Topology::bus(2)),
+            ("bus(9)", Topology::bus(9)),
+            ("bus(32)", Topology::bus(32)),
+            ("ring(8)", Topology::ring(8)),
+            ("ring(13)", Topology::ring(13)),
+            ("torus2d(2,4)", Topology::torus2d(2, 4)),
+            ("torus2d(4,4)", Topology::torus2d(4, 4)),
+            ("torus2d(3,5)", Topology::torus2d(3, 5)),
+            ("star(7)", Topology::star(7)),
+            ("fully_connected(6)", Topology::fully_connected(6)),
+        ]
+    }
+
+    fn hops_of(topo: &Topology) -> Vec<Vec<u32>> {
+        RoutingPlan::compute(topo).unwrap().into_hops()
+    }
+
+    /// Check the hop tree of `members` rooted at index `root` the way the
+    /// channels meet it — every member derives its own edges — and return
+    /// the parent relation: every member's chain of parents reaches the
+    /// root (a spanning tree), `p` lists `c` as a child exactly when `c`
+    /// names `p` its parent, and the edges cost no more routed hops than
+    /// the lowest-bit binomial's.
+    fn check_hop_tree(hops: &[Vec<u32>], members: &[usize], root: usize, at: &str) -> Vec<usize> {
+        let n = members.len();
+        let wire = |m: usize| u8::try_from(members[m]).unwrap();
+        let edges: Vec<WireEdges> = (0..n)
+            .map(|me| {
+                let comm = Communicator::of_members(members.to_vec(), me);
+                hop_tree_edges(hops, &comm, root).unwrap()
+            })
+            .collect();
+        let parents = hop_tree(hops, members, root);
+        for m in 0..n {
+            let want = (m != root).then(|| wire(parents[m]));
+            assert_eq!(edges[m].parent, want, "{at}: parent of member {m}");
+            let mine: Vec<u8> = (0..n)
+                .filter(|&c| edges[c].parent == Some(wire(m)))
+                .map(wire)
+                .collect();
+            assert_eq!(edges[m].children, mine, "{at}: children of member {m}");
+            let (mut up, mut steps) = (m, 0);
+            while up != root {
+                up = parents[up];
+                steps += 1;
+                assert!(steps < n, "{at}: member {m} never reaches the root");
+            }
+        }
+        // The root is its own parent in both relations: a 0-hop edge.
+        let cost = |parents: &[usize]| -> u32 {
+            let edge = |(m, &p): (usize, &usize)| {
+                let (p, c) = (members[p], members[m]);
+                hops[p][c] + hops[c][p]
+            };
+            parents.iter().enumerate().map(edge).sum()
+        };
+        let binomial: Vec<usize> = (0..n)
+            .map(|m| TreeShape::new(CollectiveScheme::Tree, n, root, m).parent)
+            .map(|p| p.unwrap_or(root))
+            .collect();
+        let (ours, theirs) = (cost(&parents), cost(&binomial));
+        assert!(ours <= theirs, "{at}: {ours} hops against {theirs}");
+        parents
+    }
+
+    #[test]
+    fn full_communicator_hop_trees_span_over_single_links() {
+        for (name, topo) in regular_topologies() {
+            let hops = hops_of(&topo);
+            let members: Vec<usize> = (0..topo.num_ranks()).collect();
+            for root in 0..members.len() {
+                let at = format!("{name} root {root}");
+                let parents = check_hop_tree(&hops, &members, root, &at);
+                for (m, &p) in parents.iter().enumerate().filter(|&(m, _)| m != root) {
+                    assert_eq!((hops[p][m], hops[m][p]), (1, 1), "{at}: edge {p} -> {m}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bus_hop_tree_is_the_chains_leaving_the_root() {
+        let hops = hops_of(&Topology::bus(8));
+        let members: Vec<usize> = (0..8).collect();
+        assert_eq!(hop_tree(&hops, &members, 0), vec![0, 0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(hop_tree(&hops, &members, 5), vec![1, 2, 3, 4, 5, 5, 5, 6]);
+        // Even ranks only: the nearest member is two links away.
+        assert_eq!(hop_tree(&hops, &[0, 2, 4, 6], 1), vec![1, 1, 1, 2]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Regular and seeded random topologies × any root × full and
+        /// random sub-communicators, in world or reversed order.
+        #[test]
+        fn hop_trees_span_and_members_agree(
+            pick in any::<u8>(),
+            seed in any::<u64>(),
+            root_pick in any::<u8>(),
+            keep in prop::collection::vec(any::<bool>(), 32),
+            full in any::<bool>(),
+            reversed in any::<bool>(),
+        ) {
+            let regular = regular_topologies();
+            let (name, topo) = match regular.get(pick as usize % (regular.len() + 6)) {
+                Some((name, topo)) => (name.to_string(), topo.clone()),
+                None => {
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    let ranks = 2 + (seed % 19) as usize;
+                    let extra = (seed >> 8) as usize % 8;
+                    let topo = Topology::random_connected(ranks, 4, extra, &mut rng).unwrap();
+                    (format!("random_connected({ranks}, 4, {extra}) seed {seed}"), topo)
+                }
+            };
+            let mut members: Vec<usize> =
+                (0..topo.num_ranks()).filter(|&r| full || keep[r]).collect();
+            prop_assume!(!members.is_empty());
+            if reversed {
+                members.reverse();
+            }
+            let root = root_pick as usize % members.len();
+            let at = format!("{name} members {members:?} root {root}");
+            check_hop_tree(&hops_of(&topo), &members, root, &at);
+        }
+    }
 
     #[test]
     fn binomial_relations_lowbit() {

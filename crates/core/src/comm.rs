@@ -71,6 +71,19 @@ impl Communicator {
         }
     }
 
+    /// Member `my_index` of a communicator over `ranks`, as a split would
+    /// have produced it.
+    #[cfg(test)]
+    pub(crate) fn of_members(ranks: Vec<usize>, my_index: usize) -> Communicator {
+        Communicator {
+            id: 1,
+            ranks: Arc::new(ranks),
+            my_index,
+            epoch: Arc::default(),
+            board: Arc::default(),
+        }
+    }
+
     /// This member's rank within the communicator (`SMI_Comm_rank`).
     #[inline]
     pub fn rank(&self) -> usize {
@@ -89,6 +102,17 @@ impl Communicator {
             rank: comm_rank,
             size: self.size(),
         })
+    }
+
+    /// The rank packets for member `comm_rank` are addressed to: its world
+    /// rank, checked against the header's 8-bit field.
+    pub(crate) fn wire_rank(&self, comm_rank: usize) -> Result<u8, SmiError> {
+        Ok(smi_wire::header::rank_to_wire(self.world_rank(comm_rank)?)?)
+    }
+
+    /// The communicator's id (world = 0) and shared member list.
+    pub(crate) fn identity(&self) -> (u64, &Arc<Vec<usize>>) {
+        (self.id, &self.ranks)
     }
 
     /// The member world ranks in communicator order.

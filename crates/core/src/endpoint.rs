@@ -381,13 +381,13 @@ impl CollIo {
         self.staged.push(frame);
     }
 
-    /// Stage a frame window once per destination in `dsts` (world ranks),
+    /// Stage a frame window once per destination in `dsts` (wire ranks),
     /// grouped per child: all of child 0's copies, then child 1's, … so
     /// mixed parent/child bursts reach the CKS as maximal same-route runs.
     /// Inline packets are duplicated per child (a metered payload copy
     /// each); run frames are re-addressed `Arc` clones — no payload moves,
     /// which is what makes tree fan-out zero-copy. The window is drained.
-    pub fn stage_fanout(&mut self, window: &mut Vec<Frame>, dsts: &[usize]) {
+    pub fn stage_fanout(&mut self, window: &mut Vec<Frame>, dsts: &[u8]) {
         if dsts.is_empty() {
             window.clear();
             return;
@@ -397,14 +397,14 @@ impl CollIo {
                 match f {
                     Frame::Pkt(pkt) => {
                         let mut copy = *pkt;
-                        copy.header.dst = dst as u8;
+                        copy.header.dst = dst;
                         if copy.header.op.carries_data() {
                             self.copies.add_packets(1);
                         }
                         self.staged.push(copy.into());
                     }
                     Frame::Run(run) => {
-                        self.staged.push(Frame::Run(run.with_dst(dst as u8)));
+                        self.staged.push(Frame::Run(run.with_dst(dst)));
                     }
                 }
             }

@@ -43,7 +43,10 @@ use smi_wire::reduce::SmiNumeric;
 use smi_wire::SmiType;
 
 use crate::channel::{Protocol, RecvChannel, SendChannel};
-use crate::collectives::{BcastChannel, GatherChannel, ReduceChannel, ScatterChannel};
+use crate::collectives::topology::{HopTable, HopTrees, TreeShape, WireEdges};
+use crate::collectives::{
+    BcastChannel, CollectiveScheme, GatherChannel, ReduceChannel, ScatterChannel,
+};
 use crate::comm::{Communicator, SplitBoard};
 use crate::endpoint::{new_table, EndpointTableHandle};
 use crate::params::RuntimeParams;
@@ -67,6 +70,8 @@ pub struct SmiCtx {
     table: EndpointTableHandle,
     board: Arc<SplitBoard>,
     params: RuntimeParams,
+    /// Where bcast/reduce trees come from under `Tree`.
+    trees: HopTrees,
 }
 
 impl SmiCtx {
@@ -88,6 +93,18 @@ impl SmiCtx {
     /// The runtime configuration.
     pub fn params(&self) -> &RuntimeParams {
         &self.params
+    }
+
+    /// This rank's edges in the tree a bcast or reduce rooted at `root` (a
+    /// communicator rank) streams along: the star under `Linear`, the hop
+    /// tree under `Tree`.
+    fn stream_edges(&self, comm: &Communicator, root: usize) -> Result<WireEdges, SmiError> {
+        comm.world_rank(root)?;
+        if self.params.collective_scheme == CollectiveScheme::Linear {
+            let star = TreeShape::new(CollectiveScheme::Linear, comm.size(), root, comm.rank());
+            return star.resolve_world(comm);
+        }
+        self.trees.edges(comm, root)
     }
 
     /// `SMI_Open_send_channel`: a transient channel sending `count` elements
@@ -197,7 +214,8 @@ impl SmiCtx {
         root: usize,
         comm: &Communicator,
     ) -> Result<BcastChannel<T>, SmiError> {
-        BcastChannel::open(self.table.clone(), comm, count, port, root, &self.params)
+        let edges = self.stream_edges(comm, root)?;
+        BcastChannel::open(self.table.clone(), comm, count, port, edges, &self.params)
     }
 
     /// `SMI_Open_reduce_channel`: `root` is a communicator rank; the
@@ -226,7 +244,8 @@ impl SmiCtx {
         root: usize,
         comm: &Communicator,
     ) -> Result<ReduceChannel<T>, SmiError> {
-        ReduceChannel::open(self.table.clone(), comm, count, port, root, &self.params)
+        let edges = self.stream_edges(comm, root)?;
+        ReduceChannel::open(self.table.clone(), comm, count, port, edges, &self.params)
     }
 
     /// Open a scatter channel: `root` is a communicator rank; the root
@@ -349,7 +368,8 @@ impl std::error::Error for LaunchError {}
 /// Validate the launch inputs and build the transport for the ranks marked
 /// local in `links` ([`FabricLinks::all_local`] when one process hosts the
 /// whole cluster), splicing the pre-established external links
-/// (socket-backed or otherwise) into the cross-rank edges. Every process of
+/// (socket-backed or otherwise) into the cross-rank edges; the routing
+/// plan's hop matrix comes back with it. Every process of
 /// a split fabric must run this with the *same* topology and metas so the
 /// cluster design — and therefore the edge set — agrees on both sides of
 /// every socket.
@@ -359,14 +379,17 @@ fn prepare_with(
     params: &RuntimeParams,
     stats: TransportStats,
     links: FabricLinks,
-) -> Result<TransportHandle, LaunchError> {
+) -> Result<(TransportHandle, HopTable), LaunchError> {
     assert_eq!(metas.len(), topo.num_ranks(), "one ProgramMeta per rank");
     let design = ClusterDesign::mpmd(metas, topo).map_err(LaunchError::Codegen)?;
     design
         .validate_collectives()
         .map_err(LaunchError::Codegen)?;
     let plan = RoutingPlan::compute(topo).map_err(LaunchError::Topology)?;
-    Ok(build_transport(topo, &plan, &design, params, stats, links))
+    let transport = build_transport(topo, &plan, &design, params, stats, links);
+    // The next-hop tables live on in the wired kernels; of the plan only the
+    // hop matrix is kept, for the collective trees.
+    Ok((transport, Arc::new(plan.into_hops())))
 }
 
 /// Where this process's ranks live relative to the rest of the cluster —
@@ -663,11 +686,11 @@ pub(crate) fn run_group<T: Send + 'static>(
             }
             None => GroupFabric::all_local(num_ranks),
         };
-        let mut transport = prepare_with(topo, metas, params, stats.clone(), fabric.links)?;
+        let (mut transport, hops) = prepare_with(topo, metas, params, stats.clone(), fabric.links)?;
         transport.machines.extend(fabric.pumps);
-        Ok((transport, fabric.diag))
+        Ok((transport, hops, fabric.diag))
     })();
-    let (transport, diag) = match prep {
+    let (transport, hops, diag) = match prep {
         Ok(v) => v,
         Err(e) => {
             on_complete();
@@ -689,6 +712,7 @@ pub(crate) fn run_group<T: Send + 'static>(
             table: handle,
             board,
             params,
+            trees: HopTrees::new(hops.clone()),
         };
         (rank, ctx)
     });

@@ -95,11 +95,13 @@
 //! (`Opening → Streaming → Done` handshake driven by
 //! [`CollectivePoll::poll`]/`try_*`), so a poll-mode [`RankTask`] can drive
 //! them on the executor's worker pool — no OS thread per rank. Every
-//! collective also supports binomial-tree routing
-//! ([`CollectiveScheme::Tree`] via [`RuntimeParams::collective_scheme`]):
-//! non-root ranks forward/combine for their subtree, so the root touches
-//! `O(log N)` streams instead of `N − 1` — the scaling scheme past ~16
-//! ranks (see [`collectives`] for the topology derivation):
+//! collective also supports tree routing ([`CollectiveScheme::Tree`] via
+//! [`RuntimeParams::collective_scheme`]): non-root ranks forward/combine
+//! for their subtree, so the root touches a few streams instead of `N − 1`
+//! — the scaling scheme past ~16 ranks. Bcast and reduce stream along a
+//! tree grown over the routed hop matrix (every edge one physical link on
+//! the regular topologies), scatter and gather along a binomial block tree
+//! (see [`collectives`] for both derivations and why they differ):
 //!
 //! ```
 //! use smi::prelude::*;

@@ -119,9 +119,11 @@ pub struct RuntimeParams {
     pub blocking_deadline: Option<Duration>,
     /// How collectives route traffic between members
     /// ([`CollectiveScheme`]): `Linear` (the paper's root-centric shape,
-    /// the regression baseline) or `Tree` (binomial-tree forwarding, the
-    /// scaling scheme past ~16 ranks). One scheme holds for the whole run,
-    /// so every member of a collective derives the same shape.
+    /// the regression baseline) or `Tree` (interior forwarding/combining,
+    /// the scaling scheme past ~16 ranks: the hop tree for bcast and
+    /// reduce, the binomial block tree for scatter and gather). One scheme
+    /// holds for the whole run, so every member of a collective derives
+    /// the same shape.
     pub collective_scheme: CollectiveScheme,
     /// Maximum packets moved per burst on the hot path: bulk channel
     /// operations (`push_slice`/`pop_slice`) and CK forwarding hand over up

@@ -154,6 +154,31 @@ fn collective_suite_identical_across_backends_and_splits() {
     }
 }
 
+/// Under `Tree`, bcast and reduce stream along a tree every rank derives
+/// from its own process's copy of the routed hop matrix: each group of a
+/// split run must arrive at the same one. Where the hop tree is neither the
+/// binomial tree nor a single chain — a torus, a bus rooted mid-way — every
+/// placement gives the no-plan results, and no connection had to heal.
+#[test]
+fn every_process_derives_the_same_hop_tree() {
+    let params = RuntimeParams {
+        collective_scheme: CollectiveScheme::Tree,
+        transport_workers: WORKERS,
+        ..Default::default()
+    };
+    for (topo, root) in [(Topology::torus2d(2, 4), 5), (Topology::bus(8), 3)] {
+        let mut reference = None;
+        for (plan, _) in placements(&topo) {
+            let got = collective_suite_report(&topo, plan.as_ref(), root, 100, params.clone());
+            let reference = reference.get_or_insert_with(|| got.results.clone());
+            assert_eq!(*reference, got.results, "{} root={root}", label(&plan));
+        }
+        let (bcast, reduce, ..) = &reference.expect("placements ran")[root];
+        assert_eq!(*bcast, Vec::from_iter((0..100).map(|i| i * 11 - 3)));
+        assert_eq!(*reduce, Vec::from_iter((0..100).map(|i| 8 * i * 7 + 28)));
+    }
+}
+
 /// The socket path (vectored frames, cork, zero-copy receive decode) is
 /// result-invariant: socket ≡ inmem for all four collectives across
 /// uds/tcp and 2–8 ranks.

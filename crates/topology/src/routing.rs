@@ -138,6 +138,12 @@ impl RoutingPlan {
         self.hops[src][dst] as usize
     }
 
+    /// Give up the tables and keep the hop matrix (`[src][dst]`, 0 on the
+    /// diagonal): what a launch still needs once the fabric is wired.
+    pub fn into_hops(self) -> Vec<Vec<u32>> {
+        self.hops
+    }
+
     /// The longest routed path in the plan (routed diameter).
     pub fn max_hops(&self) -> usize {
         self.hops.iter().flatten().copied().max().unwrap_or(0) as usize
