@@ -10,7 +10,9 @@
 //! [`Step::Idle`], letting the executor worker drive its other machines.
 //! With nothing parked, `Idle` means asleep: every producer into an input
 //! raises the machine's [`Wake`] after its push, and the executor does not
-//! poll it again before that.
+//! poll it again before that. So does `Drained`, a poll that moved data and
+//! then read every live input empty, no streak cut short by the persistence
+//! `R`.
 //!
 //! Machines are engine-agnostic: inputs and outputs are
 //! [`super::link::Transport`]/[`super::link::TransportReceiver`] trait objects
@@ -249,6 +251,8 @@ impl Pollable for CkMachine {
         }
         let n = self.inputs.len();
         let mut polled = 0usize;
+        // An input left unread because its streak hit `persistence`.
+        let mut capped = false;
         'rotate: while polled < n {
             polled += 1;
             let at = self.current;
@@ -280,14 +284,17 @@ impl Pollable for CkMachine {
                     }
                 }
             }
+            capped |= streak == self.persistence;
         }
-        if self.dead.iter().all(|&d| d) && self.stash.is_empty() && self.parked.is_none() {
+        let held = !self.stash.is_empty() || self.parked.is_some();
+        if self.dead.iter().all(|&d| d) && !held {
             return Step::Done;
         }
-        if progressed {
-            Step::Progress
-        } else {
-            Step::Idle
+        match (progressed, capped || held) {
+            (false, _) => Step::Idle,
+            // Every live input read empty after the data moved: sleep now.
+            (true, false) => Step::Drained,
+            (true, true) => Step::Progress,
         }
     }
 }
@@ -504,6 +511,54 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         stop.store(true, Ordering::SeqCst);
         ex.join().unwrap(); // must terminate
+    }
+
+    /// One output of depth `out_depth`, `inputs` inputs, persistence `r`.
+    fn polled(
+        inputs: usize,
+        out_depth: usize,
+        r: u32,
+    ) -> (Vec<FifoTx>, CkMachine, Receiver<Burst>) {
+        let wake = Wake::default();
+        let (feeds, rxs): (Vec<FifoTx>, Vec<LinkRx>) = (0..inputs).map(|_| fifo(8, &wake)).unzip();
+        let (out_tx, out_rx) = bounded::<Burst>(out_depth);
+        let (fwd, unr) = counters();
+        let route = Box::new(|_: &Header| Route::Output(0));
+        let m = CkMachine::new(0, wake, rxs, vec![fifo_tx(out_tx)], route, r, 8, fwd, unr);
+        (feeds, m, out_rx)
+    }
+
+    #[test]
+    fn poll_that_empties_every_input_is_drained() {
+        let (feeds, mut m, out) = polled(2, 8, 4);
+        feeds[1].try_send(vec![pkt(0)]).unwrap();
+        feeds[1].try_send(vec![pkt(1)]).unwrap();
+        assert_eq!(m.poll(), Step::Drained);
+        assert_eq!(out.try_iter().count(), 2);
+        assert_eq!(m.poll(), Step::Idle);
+    }
+
+    #[test]
+    fn poll_cut_short_by_persistence_is_progress() {
+        let (feeds, mut m, _out) = polled(1, 8, 2);
+        for dst in 0..3 {
+            feeds[0].try_send(vec![pkt(dst)]).unwrap();
+        }
+        // Two bursts, then the streak is capped with the third unread.
+        assert_eq!(m.poll(), Step::Progress);
+        assert_eq!(m.poll(), Step::Drained);
+    }
+
+    #[test]
+    fn poll_stopped_by_a_full_output_is_progress() {
+        let (feeds, mut m, out) = polled(1, 1, 4);
+        feeds[0].try_send(vec![pkt(0)]).unwrap();
+        feeds[0].try_send(vec![pkt(1)]).unwrap();
+        // The second burst is parked: the machine holds its handle.
+        assert_eq!(m.poll(), Step::Progress);
+        assert_eq!(out.try_iter().count(), 1);
+        assert_eq!(m.poll(), Step::Drained);
+        assert_eq!(out.try_iter().count(), 1);
     }
 
     #[test]

@@ -30,7 +30,9 @@
 //!     an endpoint's push (poll-mode or blocking), a peer machine's
 //!     forward, the socket pump's demux, the drop of a sender, the close of
 //!     a connection — raises it afterwards. At home the machine goes to
-//!     sleep on its first `Idle` poll that leaves the handle down: the
+//!     sleep on its first poll that leaves the handle down and either
+//!     moved nothing (`Idle`) or moved data and then found every input empty
+//!     (`Drained`: no confirming idle poll follows a draining one): the
 //!     worker lowers it before the poll reads any input and files the
 //!     machine with a compare-and-swap that a raise since then fails, so a
 //!     push racing the poll is never lost. It is not polled again until a
@@ -81,6 +83,10 @@ use crate::SmiError;
 pub(crate) enum Step {
     /// Moved at least one packet / made observable progress.
     Progress,
+    /// Moved data, then found every live input empty with nothing held
+    /// back: progress, and asleep at once like [`Step::Idle`] (CK machines
+    /// only, never a rank task or a pump).
+    Drained,
     /// Nothing to do right now; poll again later.
     Idle,
     /// Permanently finished; the executor drops the machine.
@@ -102,9 +108,9 @@ pub(crate) trait Pollable: Send {
 
     /// The handle every producer into this machine's inputs raises after a
     /// push. A machine that has one sleeps, unpolled, from the moment it
-    /// reports [`Step::Idle`] with the handle down until the next raise;
-    /// one without (its readiness is user code's or the kernel's) is aged
-    /// and re-polled instead.
+    /// reports [`Step::Idle`] or [`Step::Drained`] with the handle down
+    /// until the next raise; one without (its readiness is user code's or
+    /// the kernel's) is aged and re-polled instead.
     fn wake(&self) -> Option<&Wake> {
         None
     }
@@ -150,8 +156,8 @@ struct WakeState {
 
 /// The wake handle of one machine: its producers raise it after every push,
 /// its worker lowers it before every poll and files the machine asleep only
-/// if it is still down after an idle one. A raise that finds the machine
-/// asleep names it in its home worker's wake list.
+/// if it is still down after an idle or draining one. A raise that finds the
+/// machine asleep names it in its home worker's wake list.
 #[derive(Clone, Default)]
 pub(crate) struct Wake(Arc<WakeState>);
 
@@ -190,9 +196,9 @@ impl Wake {
         }
     }
 
-    /// After an idle poll: put the machine to sleep unless it was raised
-    /// since [`Wake::lower`], and say in which slot to file it. Only its
-    /// home worker asks.
+    /// After an idle or draining poll: put the machine to sleep unless it was
+    /// raised since [`Wake::lower`], and say in which slot to file it. Only
+    /// its home worker asks.
     fn sleep(&self) -> Option<usize> {
         let s = &*self.0;
         let asleep = s
@@ -620,10 +626,11 @@ fn worker_loop(w: usize, pool: &Pool) {
                         wake.lower();
                     }
                     match m.inner.poll() {
-                        Step::Progress => {
+                        step @ (Step::Progress | Step::Drained) => {
                             m.idle_since = clock + polls;
                             progress += 1;
                             rewarmed |= i >= cold_from;
+                            idle = step == Step::Drained;
                         }
                         Step::Idle => idle = true,
                         Step::Done => {
@@ -639,7 +646,8 @@ fn worker_loop(w: usize, pool: &Pool) {
                 }
                 let idle_for = (clock + polls).wrapping_sub(m.idle_since);
                 // At home, a machine with a wake handle goes to sleep on its
-                // first idle poll that leaves the handle down. One without goes
+                // first idle or draining poll that leaves the handle down —
+                // a drained kernel needs no confirming poll. One without goes
                 // cold after `cold_span`, and so does a stolen one — its thief
                 // polls it like any aged machine, which is what makes a steal
                 // worth its while — to be handed home and filed there.
@@ -1296,6 +1304,34 @@ mod tests {
         }
     }
 
+    /// A poll that moves a burst and drains the input files the machine
+    /// asleep at once: one poll per burst, no confirming idle poll.
+    #[test]
+    fn drained_machine_sleeps_without_another_poll() {
+        let wake = Wake::default();
+        let (feed, input) = fifo(4, &wake);
+        let (out_tx, out) = bounded(4);
+        let items: Vec<Box<dyn Pollable>> =
+            vec![Box::new(forwarder(0, wake, input, FifoTx::from(out_tx)))];
+        feed.try_send(tagged(0)).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let ex = ShardedExecutor::spawn_with(items, 1, stop, patient());
+        for tag in 0..2u8 {
+            if tag > 0 {
+                feed.try_send(tagged(tag)).unwrap();
+            }
+            expect_tags(&out, tag..tag + 1, "drained");
+            eventually("parked", || ex.worker_stats()[0].parks > tag as u64);
+            let stats = ex.worker_stats()[0];
+            assert_eq!(
+                (stats.polls, stats.progress),
+                (tag as u64 + 1, tag as u64 + 1)
+            );
+        }
+        drop(feed);
+        ex.join().unwrap();
+    }
+
     /// A machine holding a burst its output refused is waiting for room,
     /// which nobody raises a handle for: it must stay runnable.
     #[test]
@@ -1319,12 +1355,12 @@ mod tests {
     /// next raise wakes it there.
     #[test]
     fn stolen_sleeper_is_filed_and_woken_at_home() {
-        /// Logs which worker made each progressing poll.
+        /// Logs which worker made each progressing (or draining) poll.
         struct Spy(CkMachine, Arc<Mutex<Vec<usize>>>);
         impl Pollable for Spy {
             fn poll(&mut self) -> Step {
                 let step = self.0.poll();
-                if step == Step::Progress {
+                if matches!(step, Step::Progress | Step::Drained) {
                     let name = std::thread::current().name().unwrap_or("").to_owned();
                     let worker = name.trim_start_matches("smi-worker-").parse().unwrap();
                     self.1.lock().push(worker);

@@ -14,6 +14,7 @@
 //! marked local are instantiated here.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crossbeam::channel::{bounded, Sender};
 use smi_codegen::{ClusterDesign, OpKind};
@@ -72,13 +73,14 @@ fn take_link<T>(links: &mut HashMap<(usize, usize), T>, rank: usize, qsfp: usize
     half.unwrap_or_else(|| panic!("no link half for endpoint ({rank},{qsfp})"))
 }
 
-/// Delivery targets of one port at one rank.
+/// Delivery targets of one port at one rank, which every CKR of the rank
+/// writes directly.
 #[derive(Default)]
 struct PortDelivery {
-    /// (owner CK pair, sender) for data/sync packets.
-    data: Option<(usize, Sender<Burst>)>,
-    /// (owner CK pair, sender) for credit packets.
-    credit: Option<(usize, Sender<Burst>)>,
+    /// Sender for data/sync packets.
+    data: Option<Sender<Burst>>,
+    /// Sender for credit packets.
+    credit: Option<Sender<Burst>>,
 }
 
 /// Build channels and CK machines for the ranks this process hosts, wiring
@@ -202,7 +204,7 @@ pub(crate) fn build_transport(
                         "duplicate credit delivery for port {}",
                         op.port
                     );
-                    d.credit = Some((pair, credit_tx));
+                    d.credit = Some(credit_tx);
                     table.ports.entry(op.port).or_default().send = Some(SendRes {
                         dtype: op.dtype,
                         to_cks: app_tx,
@@ -217,7 +219,7 @@ pub(crate) fn build_transport(
                         "duplicate data delivery for port {}",
                         op.port
                     );
-                    d.data = Some((pair, data_tx));
+                    d.data = Some(data_tx);
                     // Receive endpoints own a send path into their CKS for
                     // credit grants (credit-based protocol, §3.3).
                     let (grant_tx, grant_rx) = fifo(4, cks_wake[pair]);
@@ -246,8 +248,8 @@ pub(crate) fn build_transport(
                         "collective port clash on port {}",
                         op.port
                     );
-                    d.data = Some((pair, data_tx));
-                    d.credit = Some((pair, credit_tx));
+                    d.data = Some(data_tx);
+                    d.credit = Some(credit_tx);
                     table.ports.entry(op.port).or_default().coll = Some(CollRes {
                         kind: op.kind,
                         dtype: op.dtype,
@@ -261,56 +263,73 @@ pub(crate) fn build_transport(
         }
 
         // Intra-rank CK interconnect, each FIFO moved straight into the two
-        // machines it joins. CKS `p` reads its endpoints, its CKR (transit)
-        // and every other CKS, and writes its network port (0), its CKR (1)
-        // and every other CKS; CKR `p` reads its network port, its CKS and
-        // every other CKR, and writes its CKS (0), every other CKR and the
-        // endpoints it owns. "Every other" is in ascending pair order on
-        // both sides, which is what `mesh_idx` counts on.
+        // machines it joins. CKS `p` reads its endpoints, every CKR and every
+        // other CKS, and writes its network port (0), its CKR (1) and every
+        // other CKS in ascending pair order, which is what `mesh_idx` counts
+        // on. CKR `p` reads its network port and its CKS, and writes every
+        // CKS in pair order, then every endpoint: a transit packet crosses
+        // straight to the CKS of its next hop, a local one to its endpoint.
+        // Several CKRs may feed one endpoint FIFO and each stream still
+        // arrives in order: routing is static, so every `(src, dst)` stream
+        // enters the rank through exactly one CKR.
         let mut cks_out: Vec<Vec<LinkTx>> = Vec::with_capacity(np);
         let mut ckr_in: Vec<Vec<LinkRx>> = Vec::with_capacity(np);
-        let mut ckr_out: Vec<Vec<LinkTx>> = Vec::with_capacity(np);
+        let mut ckr_out: Vec<Vec<LinkTx>> = (0..np).map(|_| Vec::new()).collect();
         for p in 0..np {
             let (to_ckr, from_cks) = fifo(ck_depth, ckr_wake[p]);
-            let (to_cks, from_ckr) = fifo(ck_depth, cks_wake[p]);
             cks_out.push(vec![take_link(&mut link_tx, r, pairs[p]), Box::new(to_ckr)]);
             ckr_in.push(vec![take_link(&mut link_rx, r, pairs[p]), from_cks]);
-            ckr_out.push(vec![Box::new(to_cks)]);
-            cks_in[p].push(from_ckr);
         }
         for i in 0..np {
-            for j in (0..np).filter(|&j| j != i) {
+            for j in 0..np {
                 let (tx, rx) = fifo(ck_depth, cks_wake[j]);
-                cks_out[i].push(Box::new(tx));
-                cks_in[j].push(rx);
-                let (tx, rx) = fifo(ck_depth, ckr_wake[j]);
                 ckr_out[i].push(Box::new(tx));
-                ckr_in[j].push(rx);
+                cks_in[j].push(rx);
+                if j != i {
+                    let (tx, rx) = fifo(ck_depth, cks_wake[j]);
+                    cks_out[i].push(Box::new(tx));
+                    cks_in[j].push(rx);
+                }
             }
         }
-        // Where machine `p` of a mesh finds its output to peer `j`, the
-        // mesh outputs starting at `first`.
-        let mesh_idx = |first: usize, p: usize, j: usize| first + j - usize::from(j > p);
+        // Where CKS `p` finds its output to CKS `j`.
+        let mesh_idx = |p: usize, j: usize| 2 + j - usize::from(j > p);
+        // dst rank -> the CK pair whose port the next hop leaves by, `np` for
+        // this rank: the M20K routing table of §4.3, built once per rank and
+        // shared by its CKS and CKR routes.
+        let next_pair: Arc<Vec<usize>> = Arc::new(
+            (0..n)
+                .map(|dst| match plan.next_hop(r, dst) {
+                    NextHop::Local => np,
+                    NextHop::Via(q) => pair_of_qsfp[q],
+                })
+                .collect(),
+        );
+        // (port, is_credit) -> CKR output index, after the `np` CKSs.
+        let mut delivery_tx: Vec<Sender<Burst>> = Vec::new();
+        let mut delivery_idx: HashMap<(usize, bool), usize> = HashMap::new();
+        for (port, d) in deliveries {
+            for (is_credit, tx) in [(false, d.data), (true, d.credit)] {
+                if let Some(tx) = tx {
+                    delivery_idx.insert((port, is_credit), np + delivery_tx.len());
+                    delivery_tx.push(tx);
+                }
+            }
+        }
+        let delivery_idx = Arc::new(delivery_idx);
 
         // --- CKS machines ---
         for (p, (inputs, outputs)) in cks_in.into_iter().zip(cks_out).enumerate() {
-            // dst rank -> output index (the M20K routing table of §4.3).
-            let route_table: Vec<usize> = (0..n)
-                .map(|dst| match plan.next_hop(r, dst) {
-                    NextHop::Local => 1,
-                    NextHop::Via(q) => match pair_of_qsfp[q] {
-                        t if t == p => 0,
-                        t => mesh_idx(2, p, t),
-                    },
-                })
-                .collect();
+            let next_pair = next_pair.clone();
             machines.push(Box::new(CkMachine::new(
                 r,
                 cks_wake[p].clone(),
                 inputs,
                 outputs,
-                Box::new(move |h: &Header| match route_table.get(h.dst as usize) {
-                    Some(&idx) => Route::Output(idx),
+                Box::new(move |h: &Header| match next_pair.get(h.dst as usize) {
+                    Some(&t) if t == np => Route::Output(1),
+                    Some(&t) if t == p => Route::Output(0),
+                    Some(&t) => Route::Output(mesh_idx(p, t)),
                     None => Route::Drop,
                 }),
                 params.poll_persistence,
@@ -322,37 +341,23 @@ pub(crate) fn build_transport(
 
         // --- CKR machines ---
         for (p, (inputs, mut outputs)) in ckr_in.into_iter().zip(ckr_out).enumerate() {
-            // (port, is_credit) -> output index.
-            let mut delivery_idx: HashMap<(usize, bool), usize> = HashMap::new();
-            for (&port, d) in &deliveries {
-                for (is_credit, delivery) in [(false, &d.data), (true, &d.credit)] {
-                    let Some((owner, tx)) = delivery else {
-                        continue;
-                    };
-                    let idx = if *owner == p {
-                        outputs.push(Box::new(FifoTx::from(tx.clone())));
-                        outputs.len() - 1
-                    } else {
-                        mesh_idx(1, p, *owner)
-                    };
-                    delivery_idx.insert((port, is_credit), idx);
-                }
-            }
-            let my_rank = r;
+            let delivery = delivery_tx.iter().map(|tx| FifoTx::from(tx.clone()));
+            outputs.extend(delivery.map(|tx| Box::new(tx) as LinkTx));
+            let (next_pair, delivery_idx) = (next_pair.clone(), delivery_idx.clone());
             machines.push(Box::new(CkMachine::new(
                 r,
                 ckr_wake[p].clone(),
                 inputs,
                 outputs,
-                Box::new(move |h: &Header| {
-                    if h.dst as usize != my_rank {
-                        return Route::Output(0);
+                Box::new(move |h: &Header| match next_pair.get(h.dst as usize) {
+                    Some(&t) if t < np => Route::Output(t),
+                    Some(_) => {
+                        let key = (h.port as usize, h.op == PacketOp::Credit);
+                        delivery_idx
+                            .get(&key)
+                            .map_or(Route::Drop, |&i| Route::Output(i))
                     }
-                    let key = (h.port as usize, h.op == PacketOp::Credit);
-                    match delivery_idx.get(&key) {
-                        Some(&idx) => Route::Output(idx),
-                        None => Route::Drop,
-                    }
+                    None => Route::Drop,
                 }),
                 params.poll_persistence,
                 params.burst_packets,

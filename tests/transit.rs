@@ -1,0 +1,187 @@
+//! One kernel crossing per transit hop, end to end: every rank streams to
+//! every other at once, so packets transit ranks in both directions and
+//! arrive at CKRs that do not own their port (ports are dealt to CK pairs
+//! round-robin). Every stream must arrive bit-exact in memory and over
+//! sockets, and the forward *counts* — which a noisy host cannot blur — must
+//! show that a rank a packet enters costs one CKR forward and a rank it
+//! leaves one CKS forward, plus at most one CKS mesh hop at its origin.
+
+use std::sync::{Arc, Mutex};
+
+use smi::prelude::*;
+use smi_topology::RoutingPlan;
+
+const EPP: usize = Datatype::Int.elems_per_packet();
+
+/// Elements per stream: several packets, the last one partial.
+const COUNT: usize = 3 * EPP + 5;
+
+fn value(src: usize, dst: usize, i: usize) -> i32 {
+    (src * 1_000_003 + dst * 10_007 + i) as i32
+}
+
+/// The port of stream `src → dst` on `n` ranks: distinct among a rank's
+/// sends and among its receives, so every rank declares ports `1..n` both
+/// ways.
+fn port(src: usize, dst: usize, n: usize) -> usize {
+    (dst + n - src) % n
+}
+
+struct Outbound {
+    ch: SendChannel<i32>,
+    data: Vec<i32>,
+    off: usize,
+}
+
+struct Inbound {
+    src: usize,
+    ch: RecvChannel<i32>,
+    buf: Vec<i32>,
+    filled: usize,
+}
+
+/// `received[dst]` = every `(src, stream)` rank `dst` popped.
+type Received = Arc<Mutex<Vec<Vec<(usize, Vec<i32>)>>>>;
+
+/// One rank's half of the all-pairs exchange, on the poll-mode cores.
+struct AllPairs {
+    rank: usize,
+    sends: Vec<Outbound>,
+    recvs: Vec<Inbound>,
+    got: Vec<(usize, Vec<i32>)>,
+    out: Received,
+}
+
+impl RankTask for AllPairs {
+    fn poll(&mut self) -> Result<TaskStatus, SmiError> {
+        let mut moved = 0;
+        let mut i = 0;
+        while i < self.sends.len() {
+            let s = &mut self.sends[i];
+            let n = s.ch.try_push_slice(&s.data[s.off..])?;
+            s.off += n;
+            moved += n;
+            if s.off == s.data.len() && s.ch.try_flush()? && s.ch.fully_sent() {
+                self.sends.swap_remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        let mut i = 0;
+        while i < self.recvs.len() {
+            let r = &mut self.recvs[i];
+            let n = r.ch.try_pop_slice(&mut r.buf[r.filled..])?;
+            r.filled += n;
+            moved += n;
+            if r.filled == r.buf.len() {
+                let r = self.recvs.swap_remove(i);
+                self.got.push((r.src, r.buf));
+            } else {
+                i += 1;
+            }
+        }
+        if self.sends.is_empty() && self.recvs.is_empty() {
+            self.out.lock().unwrap()[self.rank] = std::mem::take(&mut self.got);
+            return Ok(TaskStatus::Done);
+        }
+        Ok(if moved > 0 {
+            TaskStatus::Progress
+        } else {
+            TaskStatus::Pending
+        })
+    }
+}
+
+/// All-pairs p2p on `topo`, in memory (`plan` = `None`) or over `plan`;
+/// checks every stream and returns the transport counters.
+fn all_pairs(topo: &Topology, plan: Option<&ProcessPlan>, workers: usize) -> (u64, u64, u64) {
+    let n = topo.num_ranks();
+    let meta = (1..n).fold(ProgramMeta::new(), |m, p| {
+        m.with(OpSpec::send(p, Datatype::Int))
+            .with(OpSpec::recv(p, Datatype::Int))
+    });
+    let out: Received = Arc::new(Mutex::new(vec![Vec::new(); n]));
+    let factories: Vec<TaskFactory> = (0..n)
+        .map(|rank| {
+            let out = out.clone();
+            Box::new(move |ctx: SmiCtx| {
+                let mut task = AllPairs {
+                    rank,
+                    sends: Vec::new(),
+                    recvs: Vec::new(),
+                    got: Vec::new(),
+                    out,
+                };
+                for peer in (0..n).filter(|&p| p != rank) {
+                    task.sends.push(Outbound {
+                        ch: ctx.open_send_channel(COUNT as u64, peer, port(rank, peer, n))?,
+                        data: (0..COUNT).map(|i| value(rank, peer, i)).collect(),
+                        off: 0,
+                    });
+                    task.recvs.push(Inbound {
+                        src: peer,
+                        ch: ctx.open_recv_channel(COUNT as u64, peer, port(peer, rank, n))?,
+                        buf: vec![0; COUNT],
+                        filled: 0,
+                    });
+                }
+                Ok(Box::new(task) as Box<dyn RankTask>)
+            }) as TaskFactory
+        })
+        .collect();
+    let params = RuntimeParams {
+        transport_workers: workers,
+        ..RuntimeParams::default()
+    };
+    let metas = vec![meta; n];
+    let report = match plan {
+        Some(plan) => run_split_mpmd_tasks(plan, metas, factories, params),
+        None => run_mpmd_tasks(topo, metas, factories, params),
+    }
+    .unwrap();
+    for (r, res) in report.results.iter().enumerate() {
+        assert!(res.is_ok(), "rank {r}: {res:?}");
+    }
+    assert_eq!(report.reconnects_healed, 0, "fault-free run healed");
+    let mut received = std::mem::take(&mut *out.lock().unwrap());
+    for (dst, streams) in received.iter_mut().enumerate() {
+        streams.sort_by_key(|(src, _)| *src);
+        let srcs: Vec<usize> = streams.iter().map(|(src, _)| *src).collect();
+        assert_eq!(srcs, Vec::from_iter((0..n).filter(|&s| s != dst)));
+        for (src, stream) in streams.iter() {
+            let want: Vec<i32> = (0..COUNT).map(|i| value(*src, dst, i)).collect();
+            assert!(*stream == want, "stream {src} → {dst} corrupted");
+        }
+    }
+    report.transport
+}
+
+#[test]
+fn transit_costs_one_crossing_per_rank() {
+    let packets = COUNT.div_ceil(EPP) as u64;
+    for (name, topo) in [
+        ("bus(5)", Topology::bus(5)),
+        ("ring(6)", Topology::ring(6)),
+        ("torus2d(3,3)", Topology::torus2d(3, 3)),
+    ] {
+        let n = topo.num_ranks();
+        let routes = RoutingPlan::compute(&topo).unwrap();
+        let pairs = (0..n).flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)));
+        let hops: u64 = pairs.map(|(s, d)| routes.hops(s, d) as u64).sum();
+        let (link_hops, sent) = (hops * packets, (n * (n - 1)) as u64 * packets);
+        let split = |nproc| Some(ProcessPlan::split(&topo, TransportBackend::Uds, nproc));
+        for (plan, workers) in [(None, 1), (None, 2), (split(2), 2), (split(4), 2)] {
+            let at = match &plan {
+                Some(p) => format!("{name}, uds × {}", p.processes.len()),
+                None => format!("{name}, in memory on {workers} worker(s)"),
+            };
+            let (cks, ckr, unroutable) = all_pairs(&topo, plan.as_ref(), workers);
+            assert_eq!(unroutable, 0, "{at}");
+            assert_eq!(ckr, link_hops, "{at}: one CKR forward per rank entered");
+            assert!(
+                (link_hops..=link_hops + sent).contains(&cks),
+                "{at}: {cks} CKS forwards for {link_hops} link hops of {sent} packets"
+            );
+        }
+    }
+}
