@@ -48,7 +48,7 @@ fn ablate_buffer_depth(c: &mut Criterion) {
     g.finish();
 }
 
-/// Linear vs binomial-tree collective schemes (the paper's named extension).
+/// Linear vs hop-tree collective schemes (the paper's named extension).
 fn ablate_tree_collectives(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablate_tree_collectives");
     g.sample_size(10);

@@ -19,8 +19,7 @@
 //! construction (the gather analogue of the reduce tail-window clamp) and
 //! arrive on the credit delivery path, where they can never be
 //! head-of-line blocked by in-flight data. Grants are pipelined: a parent
-//! grants up to [`RuntimeParams::gather_grant_ahead`] child runs ahead of
-//! its merge cursor, so the next child's data is already in flight when
+//! grants up to [`GRANT_AHEAD`] child runs ahead of its merge cursor, so the next child's data is already in flight when
 //! the cursor reaches it; early packets from a granted-ahead child are
 //! parked in a per-child stash (bounded by the granted window) until their
 //! run comes up. All nodes start in `Streaming` (grants gate data, not the
@@ -39,6 +38,13 @@ use crate::endpoint::{CollIo, EndpointTableHandle};
 use crate::params::RuntimeParams;
 use crate::transport::executor::{block_on_deadline, BlockingStep};
 use crate::SmiError;
+
+/// How many child runs ahead of the in-order merge schedule the tree-gather
+/// combiner grants credits: one extra child's window stays in flight to
+/// hide the grant round trip (1 would be strictly serial per-child windows).
+/// Early packets from granted-ahead children are parked until the schedule
+/// reaches them.
+const GRANT_AHEAD: usize = 2;
 
 /// A gather channel, as a poll-mode core with bulk `push_slice` /
 /// `pop_slice` operations and non-blocking `try_*` forms.
@@ -70,11 +76,9 @@ pub struct GatherChannel<T: SmiType> {
     /// Tree: schedule index below which every `Child` run's grant is staged
     /// (the pipelined-grant cursor; always `>= run_idx` once pumping).
     granted_upto: usize,
-    /// Tree: how many runs ahead of the merge cursor to grant (≥ 1).
-    grant_ahead: usize,
     /// Tree: per-child parking lot for packets that arrived ahead of the
     /// merge cursor from a granted-ahead child. Bounded by the granted
-    /// window (`grant_ahead` runs of `count` elements each).
+    /// window ([`GRANT_AHEAD`] runs of `count` elements each).
     stash: Vec<VecDeque<NetworkPacket>>,
     /// Tree non-root: elements this node may still emit upward.
     upstream_credits: u64,
@@ -137,7 +141,6 @@ impl<T: SmiType> GatherChannel<T> {
             run_idx: 0,
             run_off: 0,
             granted_upto: 0,
-            grant_ahead: params.gather_grant_ahead.max(1),
             stash,
             upstream_credits: 0,
             emitted: 0,
@@ -224,14 +227,14 @@ impl<T: SmiType> GatherChannel<T> {
         Ok(())
     }
 
-    /// Stage credit grants for upcoming `Child` runs, up to `grant_ahead`
+    /// Stage credit grants for upcoming `Child` runs, up to [`GRANT_AHEAD`]
     /// runs past the merge cursor (pipelined multi-window grants): the next
     /// child's run is in flight while the current one is still merging.
     /// Each run is granted exactly once, element-exact. The wire carries a
     /// 32-bit credit argument, so a run beyond `u32::MAX` elements is
     /// granted as multiple packets instead of silently truncating.
     fn grant_runs_ahead(&mut self) -> Result<(), SmiError> {
-        let horizon = (self.run_idx + self.grant_ahead).min(self.schedule.len());
+        let horizon = (self.run_idx + GRANT_AHEAD).min(self.schedule.len());
         let mut staged = false;
         while self.granted_upto < horizon {
             let run = self.schedule[self.granted_upto];
@@ -265,7 +268,7 @@ impl<T: SmiType> GatherChannel<T> {
     /// (possibly gated on upstream credits), so the delivery FIFO must
     /// always be emptied — a full FIFO would block the rank's CK kernel
     /// and, with it, unrelated traffic forwarded through this rank. Stash
-    /// growth is bounded by the granted windows (`grant_ahead` runs per
+    /// growth is bounded by the granted windows ([`GRANT_AHEAD`] runs per
     /// child). Data from a non-child source is a protocol violation.
     fn drain_into_stash(&mut self) -> Result<(), SmiError> {
         while let Some(pkt) = self.io.try_recv_data()? {

@@ -15,7 +15,8 @@
 //!   baseline) while letting the channel state machines share one code
 //!   path for both schemes.
 //! * [`CollectiveScheme::Tree`] — two trees, by what an edge carries:
-//!   * **bcast and reduce: the hop tree** (`hop_tree`). Every edge of
+//!   * **bcast and reduce: the hop tree** ([`hop_tree`], shared with the
+//!     cycle-level fabric through `smi_topology`). Every edge of
 //!     these two carries the *whole* stream, so an edge that spans `k`
 //!     routed hops costs `k` CKS/CKR forwards per packet and shares its
 //!     links with every other edge routed over them. The tree is therefore
@@ -54,6 +55,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use smi_topology::hop_tree;
 
 use crate::comm::Communicator;
 use crate::SmiError;
@@ -131,35 +133,6 @@ impl WireEdges {
                 .collect::<Result<_, _>>()?,
         })
     }
-}
-
-/// The hop tree of bcast and reduce: the parent of every member of
-/// `members` (world ranks in communicator order; the result is in
-/// communicator indices, the root its own parent). Members are placed in
-/// order of `(hops(root, m), m)` and each attaches to the placed member
-/// with the shortest round trip `hops(p, m) + hops(m, p)` — data flows one
-/// way, handshake and credits the other — preferring on a tie the one with
-/// the fewest children so far, then the lowest index.
-pub(crate) fn hop_tree(hops: &[Vec<u32>], members: &[usize], root: usize) -> Vec<usize> {
-    let n = members.len();
-    let mut order: Vec<usize> = (0..n).filter(|&m| m != root).collect();
-    order.sort_by_key(|&m| (hops[members[root]][members[m]], m));
-    let mut parent = vec![root; n];
-    let mut kids = vec![0usize; n];
-    let mut placed = Vec::with_capacity(n);
-    placed.push(root);
-    for m in order {
-        let wm = members[m];
-        let round_trip = |p: usize| hops[members[p]][wm] + hops[wm][members[p]];
-        let p = *placed
-            .iter()
-            .min_by_key(|&&p| (round_trip(p), kids[p], p))
-            .expect("the root is placed");
-        parent[m] = p;
-        kids[p] += 1;
-        placed.push(m);
-    }
-    parent
 }
 
 /// This member's edges in the [`hop_tree`] of `comm` rooted at `root`.
@@ -465,16 +438,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn bus_hop_tree_is_the_chains_leaving_the_root() {
-        let hops = hops_of(&Topology::bus(8));
-        let members: Vec<usize> = (0..8).collect();
-        assert_eq!(hop_tree(&hops, &members, 0), vec![0, 0, 1, 2, 3, 4, 5, 6]);
-        assert_eq!(hop_tree(&hops, &members, 5), vec![1, 2, 3, 4, 5, 5, 5, 6]);
-        // Even ranks only: the nearest member is two links away.
-        assert_eq!(hop_tree(&hops, &[0, 2, 4, 6], 1), vec![1, 1, 1, 2]);
     }
 
     proptest! {

@@ -154,13 +154,6 @@ pub struct RuntimeParams {
     /// than the whole budget is a configuration error surfaced as
     /// [`crate::SmiError::ReplayOverflow`].
     pub stream_replay_budget: usize,
-    /// How many child-runs ahead of the in-order gather schedule the
-    /// tree-gather combiner grants credits (pipelined multi-window grants).
-    /// `1` degenerates to strictly serial per-child windows; the default
-    /// keeps one extra child's window in flight to hide the grant
-    /// round-trip. Early packets from granted-ahead children are parked
-    /// until the schedule reaches them.
-    pub gather_grant_ahead: usize,
 }
 
 impl Default for RuntimeParams {
@@ -183,7 +176,6 @@ impl Default for RuntimeParams {
                 multiplier: 2.0,
             },
             stream_replay_budget: 4 << 20,
-            gather_grant_ahead: 2,
         }
     }
 }
@@ -210,7 +202,6 @@ impl RuntimeParams {
                 multiplier: 2.0,
             },
             stream_replay_budget: 4 << 20,
-            gather_grant_ahead: 2,
         }
     }
 

@@ -276,46 +276,38 @@ fn tree_bcast_stays_within_its_copy_budget() {
 
 #[test]
 fn gather_grant_ahead_pipelines_without_reorder_bugs() {
-    // Pipelined multi-window grants: with grant_ahead > 1 children send
-    // ahead of the merge cursor and the root/interior stashes early
-    // packets per child. The gathered stream must stay in communicator
-    // order for serial (1) and deep (4) grant windows, on both schemes.
+    // Pipelined multi-window grants: children send ahead of the merge
+    // cursor and the root/interior stashes early packets per child. The
+    // gathered stream must stay in communicator order on both schemes.
     for scheme in [CollectiveScheme::Linear, CollectiveScheme::Tree] {
-        for ahead in [1usize, 2, 4] {
-            let ranks = 8usize;
-            let n = 39u64;
-            let root = 0usize;
-            let topo = Topology::bus(ranks);
-            let meta = ProgramMeta::new().with(OpSpec::gather(0, Datatype::Int));
-            let params = RuntimeParams {
-                gather_grant_ahead: ahead,
-                collective_scheme: scheme,
-                ..Default::default()
-            };
-            let report = run_spmd(
-                &topo,
-                meta,
-                move |ctx: SmiCtx| {
-                    let comm = ctx.world();
-                    let rank = comm.rank() as i32;
-                    let mut g = ctx.open_gather_channel::<i32>(n, 0, root, &comm).unwrap();
-                    let src: Vec<i32> = (0..n as i32).map(|i| rank * 1000 + i).collect();
-                    g.push_slice(&src).unwrap();
-                    if comm.rank() == root {
-                        let mut out = vec![0i32; n as usize * comm.size()];
-                        g.pop_slice(&mut out).unwrap();
-                        out
-                    } else {
-                        Vec::new()
-                    }
-                },
-                params,
-            )
-            .unwrap();
-            let want: Vec<i32> = (0..ranks as i32)
-                .flat_map(|r| (0..n as i32).map(move |i| r * 1000 + i))
-                .collect();
-            assert_eq!(report.results[root], want, "{scheme:?} grant_ahead={ahead}");
-        }
+        let ranks = 8usize;
+        let n = 39u64;
+        let root = 0usize;
+        let topo = Topology::bus(ranks);
+        let meta = ProgramMeta::new().with(OpSpec::gather(0, Datatype::Int));
+        let report = run_spmd(
+            &topo,
+            meta,
+            move |ctx: SmiCtx| {
+                let comm = ctx.world();
+                let rank = comm.rank() as i32;
+                let mut g = ctx.open_gather_channel::<i32>(n, 0, root, &comm).unwrap();
+                let src: Vec<i32> = (0..n as i32).map(|i| rank * 1000 + i).collect();
+                g.push_slice(&src).unwrap();
+                if comm.rank() == root {
+                    let mut out = vec![0i32; n as usize * comm.size()];
+                    g.pop_slice(&mut out).unwrap();
+                    out
+                } else {
+                    Vec::new()
+                }
+            },
+            params_with(scheme),
+        )
+        .unwrap();
+        let want: Vec<i32> = (0..ranks as i32)
+            .flat_map(|r| (0..n as i32).map(move |i| r * 1000 + i))
+            .collect();
+        assert_eq!(report.results[root], want, "{scheme:?}");
     }
 }

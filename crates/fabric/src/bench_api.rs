@@ -7,7 +7,7 @@
 //! counters.
 
 use smi_codegen::{ClusterDesign, OpKind, OpSpec, ProgramMeta};
-use smi_topology::{RoutingPlan, Topology};
+use smi_topology::{hop_tree, RoutingPlan, Topology};
 use smi_wire::{Datatype, ReduceOp};
 
 use crate::apps::collective_apps::{CollectiveConsumer, CollectiveProducer};
@@ -89,87 +89,6 @@ pub fn p2p_stream(
         time_us: params.cycles_to_us(report.cycles),
         payload_gbit_s: params.payload_gbit_s(bytes, report.cycles),
         hops,
-        errors,
-    })
-}
-
-/// Result of an aggregate multi-flow streaming run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PairsResult {
-    /// Total cycles until the last sink finished.
-    pub cycles: u64,
-    /// Wall time in µs at the configured kernel clock.
-    pub time_us: f64,
-    /// Aggregate payload bandwidth over all flows in Gbit/s.
-    pub aggregate_gbit_s: f64,
-    /// Number of concurrent flows.
-    pub pairs: usize,
-    /// Sequence mismatches observed across all sinks (must be 0).
-    pub errors: u64,
-}
-
-/// Stream `count` elements on every disjoint neighbour pair (rank `2i` →
-/// `2i+1`) concurrently — the timing-plane reference for the functional
-/// plane's `bench_scaling` sweep. Requires an even rank count.
-pub fn p2p_pairs(
-    topo: &Topology,
-    count: u64,
-    dtype: Datatype,
-    params: &FabricParams,
-) -> Result<PairsResult, SimError> {
-    let n = topo.num_ranks();
-    assert!(
-        n >= 2 && n.is_multiple_of(2),
-        "disjoint pairs need an even rank count"
-    );
-    let pairs = n / 2;
-    let plan = RoutingPlan::compute(topo).expect("routable topology");
-    let metas: Vec<ProgramMeta> = (0..n)
-        .map(|r| {
-            if r % 2 == 0 {
-                ProgramMeta::new().with(OpSpec::send(0, dtype))
-            } else {
-                ProgramMeta::new().with(OpSpec::recv(0, dtype))
-            }
-        })
-        .collect();
-    let design = ClusterDesign::mpmd(&metas, topo).expect("valid design");
-    let mut b = FabricBuilder::new(topo.clone(), plan, design, params.clone());
-    let width = dtype.elems_per_packet() as u32;
-    let probe = new_probe();
-    for p in 0..pairs {
-        let (src, dst) = (2 * p, 2 * p + 1);
-        let out = b.register_send(src, 0);
-        let input = b.register_recv(dst, 0);
-        b.add_component(StreamSource::new(
-            format!("source.{p}"),
-            out,
-            dtype,
-            src as u8,
-            dst as u8,
-            0,
-            count,
-            width,
-            new_probe(),
-        ));
-        b.add_component(StreamSink::new(
-            format!("sink.{p}"),
-            input,
-            dtype,
-            count,
-            probe.clone(),
-        ));
-    }
-    let mut fabric = b.finalize();
-    let budget = 10_000 + (count / dtype.elems_per_packet() as u64) * 8;
-    let report = fabric.run(budget.max(1_000_000))?;
-    let bytes = dtype.bytes_for(count as usize) * pairs;
-    let errors = probe.borrow().errors;
-    Ok(PairsResult {
-        cycles: report.cycles,
-        time_us: params.cycles_to_us(report.cycles),
-        aggregate_gbit_s: params.payload_gbit_s(bytes, report.cycles),
-        pairs,
         errors,
     })
 }
@@ -316,7 +235,9 @@ pub enum CollectiveKind {
 pub enum CollectiveScheme {
     /// The paper's linear scheme (§4.4).
     Linear,
-    /// Binomial-tree extension (Bcast/Reduce only).
+    /// The paper's named extension (Bcast/Reduce only): the functional
+    /// plane's hop tree, every edge one physical link on the regular
+    /// topologies.
     Tree,
 }
 
@@ -354,7 +275,6 @@ pub fn collective(
     };
     let meta = ProgramMeta::new().with(op_spec);
     let design = ClusterDesign::spmd(&meta, topo).expect("valid design");
-    let mut b = FabricBuilder::new(topo.clone(), plan, design, params.clone());
     let comm = CollectiveComm {
         ranks: (0..n).collect(),
         root,
@@ -362,6 +282,11 @@ pub fn collective(
         dtype,
         count,
     };
+    let parents = match scheme {
+        CollectiveScheme::Tree => hop_tree(&plan.clone().into_hops(), &comm.ranks, root),
+        CollectiveScheme::Linear => Vec::new(),
+    };
+    let mut b = FabricBuilder::new(topo.clone(), plan, design, params.clone());
     let width = dtype.elems_per_packet() as u32;
     let probe = new_probe();
     let sz = dtype.size_bytes();
@@ -371,9 +296,17 @@ pub fn collective(
             (CollectiveKind::Bcast, CollectiveScheme::Linear) => b.add_component(
                 BcastSupport::new(format!("bcast.r{rank}"), comm.clone(), rank, w),
             ),
-            (CollectiveKind::Bcast, CollectiveScheme::Tree) => b.add_component(
-                TreeBcastSupport::new(format!("tbcast.r{rank}"), comm.clone(), rank, w),
-            ),
+            (CollectiveKind::Bcast, CollectiveScheme::Tree) => {
+                let (parent, children) = tree_edges(&parents, root, rank);
+                b.add_component(TreeBcastSupport::new(
+                    format!("tbcast.r{rank}"),
+                    comm.clone(),
+                    rank,
+                    parent,
+                    children,
+                    w,
+                ))
+            }
             (CollectiveKind::Scatter, _) => b.add_component(ScatterSupport::new(
                 format!("scatter.r{rank}"),
                 comm.clone(),
@@ -397,12 +330,15 @@ pub fn collective(
                 ))
             }
             (CollectiveKind::Reduce, CollectiveScheme::Tree) => {
+                let (parent, children) = tree_edges(&parents, root, rank);
                 b.add_component(TreeReduceSupport::new(
                     format!("treduce.r{rank}"),
                     comm.clone(),
                     reduce_op,
                     params.reduce_credits as u64,
                     rank,
+                    parent,
+                    children,
                     w,
                 ))
             }
@@ -685,6 +621,16 @@ pub fn bcast_subset(
     })
 }
 
+/// `rank`'s parent (`None` at the root) and children, ascending, in the
+/// tree `parents` (a [`hop_tree`] over the world, so indices are ranks).
+fn tree_edges(parents: &[usize], root: usize, rank: usize) -> (Option<usize>, Vec<usize>) {
+    let parent = (rank != root).then(|| parents[rank]);
+    let children = (0..parents.len())
+        .filter(|&c| c != root && parents[c] == rank)
+        .collect();
+    (parent, children)
+}
+
 fn op_kind_of(kind: CollectiveKind) -> OpKind {
     match kind {
         CollectiveKind::Bcast => OpKind::Bcast,
@@ -725,17 +671,6 @@ mod tests {
         // Streaming hides distance: bandwidths within 5%.
         let ratio = far.payload_gbit_s / near.payload_gbit_s;
         assert!((0.95..=1.05).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn disjoint_pairs_aggregate_bandwidth() {
-        let topo = Topology::bus(8);
-        let r = p2p_pairs(&topo, 50_000, Datatype::Float, &params()).unwrap();
-        assert_eq!(r.errors, 0);
-        assert_eq!(r.pairs, 4);
-        // Four non-overlapping 1-hop flows: aggregate far exceeds a single
-        // flow's ~33 Gbit/s payload line rate.
-        assert!(r.aggregate_gbit_s > 40.0, "agg {}", r.aggregate_gbit_s);
     }
 
     #[test]

@@ -6,14 +6,19 @@
 //! enables ("they can also be exploited to offer different implementations of
 //! collectives, such as tree-based schema for Bcast and Reduce", §4.4).
 //!
-//! [`TreeBcastSupport`] implements a streaming **binomial-tree broadcast**:
-//! every rank receives the message stream from its tree parent and fans each
-//! packet out to its children, so the root pushes each packet `O(log N)`
-//! times instead of `N−1` times. Readiness `Sync`s flow child→parent before
-//! any data moves, preserving the §3.3 correctness protocol along every tree
-//! edge. The tree-based Reduce ([`TreeReduceSupport`]) reverses the edges:
-//! children stream credit-windowed contributions to their parent, which folds
-//! them with its own stream and forwards the partial aggregate upward.
+//! Both kernels stream along the **hop tree** of the functional plane
+//! ([`smi_topology::hop_tree`], grown over the routing plan's hop matrix, so
+//! every edge is one physical link on the regular topologies); the caller
+//! derives each rank's parent and children and hands them in.
+//!
+//! [`TreeBcastSupport`] is a streaming tree broadcast: every rank receives
+//! the message stream from its tree parent and fans each packet out to its
+//! children, so the root pushes each packet once per child instead of `N−1`
+//! times. Readiness `Sync`s flow child→parent before any data moves,
+//! preserving the §3.3 correctness protocol along every tree edge. The
+//! tree-based Reduce ([`TreeReduceSupport`]) reverses the edges: children
+//! stream credit-windowed contributions to their parent, which folds them
+//! with its own stream and forwards the partial aggregate upward.
 
 use smi_wire::{Deframer, NetworkPacket, PacketOp, ReduceOp};
 
@@ -21,49 +26,6 @@ use crate::builder::SupportWiring;
 use crate::collective::CollectiveComm;
 use crate::engine::{Component, Status};
 use crate::fifo::FifoPool;
-
-/// Binomial-tree relations on *virtual* ranks (communicator indices rotated
-/// so the root is 0).
-pub(crate) fn vrank(comm: &CollectiveComm, rank: usize) -> usize {
-    let idx = comm.index_of(rank).expect("member rank");
-    (idx + comm.size() - comm.root_index()) % comm.size()
-}
-
-pub(crate) fn rank_of_vrank(comm: &CollectiveComm, v: usize) -> usize {
-    comm.ranks[(v + comm.root_index()) % comm.size()]
-}
-
-/// Parent of virtual rank `v` in the binomial tree (None for the root).
-pub(crate) fn tree_parent(v: usize) -> Option<usize> {
-    if v == 0 {
-        None
-    } else {
-        // Clear the highest set bit.
-        let hb = usize::BITS - 1 - v.leading_zeros();
-        Some(v & !(1 << hb))
-    }
-}
-
-/// Children of virtual rank `v` in a binomial tree over `n` nodes,
-/// in increasing order.
-pub(crate) fn tree_children(v: usize, n: usize) -> Vec<usize> {
-    let start = if v == 0 {
-        0
-    } else {
-        (usize::BITS - v.leading_zeros()) as usize
-    };
-    let mut kids = Vec::new();
-    let mut j = start;
-    loop {
-        let child = v + (1usize << j);
-        if child >= n {
-            break;
-        }
-        kids.push(child);
-        j += 1;
-    }
-    kids
-}
 
 enum Phase {
     /// Collect readiness Syncs from all children. Runs *before* announcing
@@ -85,36 +47,33 @@ enum Phase {
     Done,
 }
 
-/// Binomial-tree broadcast support kernel.
+/// Tree broadcast support kernel.
 pub struct TreeBcastSupport {
     name: String,
     comm: CollectiveComm,
     my_rank: usize,
     w: SupportWiring,
-    children: Vec<usize>, // global ranks
-    is_root: bool,
+    parent: Option<usize>,
+    children: Vec<usize>,
     phase: Phase,
 }
 
 impl TreeBcastSupport {
-    /// Create the support kernel for `my_rank`.
+    /// Create the support kernel for `my_rank`, whose tree `parent` (`None`
+    /// at the root) and `children` are global ranks.
     pub fn new(
         name: impl Into<String>,
         comm: CollectiveComm,
         my_rank: usize,
+        parent: Option<usize>,
+        children: Vec<usize>,
         wiring: SupportWiring,
     ) -> Self {
-        let v = vrank(&comm, my_rank);
-        let children: Vec<usize> = tree_children(v, comm.size())
-            .into_iter()
-            .map(|c| rank_of_vrank(&comm, c))
-            .collect();
-        let is_root = v == 0;
         let phase = if comm.count == 0 {
             Phase::Done
         } else if children.is_empty() {
             // Leaf: nothing to collect; root-leaf degenerates to streaming.
-            if is_root {
+            if parent.is_none() {
                 Phase::Stream {
                     elems: 0,
                     pkt: None,
@@ -132,8 +91,8 @@ impl TreeBcastSupport {
             comm,
             my_rank,
             w: wiring,
+            parent,
             children,
-            is_root,
             phase,
         }
     }
@@ -148,8 +107,7 @@ impl Component for TreeBcastSupport {
         match &mut self.phase {
             Phase::Done => Status::Done,
             Phase::SendSync => {
-                let parent_v = tree_parent(vrank(&self.comm, self.my_rank)).expect("non-root");
-                let parent = rank_of_vrank(&self.comm, parent_v);
+                let parent = self.parent.expect("non-root");
                 if fifos.can_push(self.w.to_cks) {
                     let sync = self.comm.control(self.my_rank, parent, PacketOp::Sync, 0);
                     fifos.push(self.w.to_cks, sync);
@@ -170,7 +128,7 @@ impl Component for TreeBcastSupport {
                     assert_eq!(pkt.header.op, PacketOp::Sync, "expected child Sync");
                     *got += 1;
                     if *got == self.children.len() {
-                        self.phase = if self.is_root {
+                        self.phase = if self.parent.is_none() {
                             Phase::Stream {
                                 elems: 0,
                                 pkt: None,
@@ -193,7 +151,7 @@ impl Component for TreeBcastSupport {
                 delivered_local,
             } => {
                 if pkt.is_none() {
-                    let input = if self.is_root {
+                    let input = if self.parent.is_none() {
                         self.w.app_in
                     } else {
                         self.w.from_ckr
@@ -202,12 +160,12 @@ impl Component for TreeBcastSupport {
                         return Status::Idle;
                     }
                     let got = fifos.pop(input);
-                    if !self.is_root {
+                    if self.parent.is_some() {
                         assert_eq!(got.header.op, PacketOp::Bcast, "expected Bcast data");
                     }
                     *pkt = Some(got);
                     *fanout_idx = 0;
-                    *delivered_local = self.is_root; // root's app already has the data
+                    *delivered_local = self.parent.is_none(); // root's app already has the data
                 }
                 let data = pkt.expect("loaded above");
                 // Deliver locally first (non-root only), then to children,
@@ -250,12 +208,11 @@ impl Component for TreeBcastSupport {
     }
 }
 
-/// Binomial-tree reduce support kernel.
+/// Tree reduce support kernel.
 ///
 /// Every node folds its own application stream with its children's partial
 /// aggregates (credit-windowed per edge) and forwards the tile to its parent;
-/// the root emits the final tile to the application. Implemented in the
-/// ablation pass — see `TreeReduceSupport::new`.
+/// the root emits the final tile to the application.
 pub struct TreeReduceSupport {
     name: String,
     comm: CollectiveComm,
@@ -283,22 +240,20 @@ pub struct TreeReduceSupport {
 }
 
 impl TreeReduceSupport {
-    /// Create the support kernel for `my_rank`.
+    /// Create the support kernel for `my_rank`, whose tree `parent` (`None`
+    /// at the root) and `children` are global ranks.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         name: impl Into<String>,
         comm: CollectiveComm,
         op: ReduceOp,
         credits: u64,
         my_rank: usize,
+        parent: Option<usize>,
+        children: Vec<usize>,
         wiring: SupportWiring,
     ) -> Self {
         assert!(credits >= 1);
-        let v = vrank(&comm, my_rank);
-        let children: Vec<usize> = tree_children(v, comm.size())
-            .into_iter()
-            .map(|c| rank_of_vrank(&comm, c))
-            .collect();
-        let parent = tree_parent(v).map(|p| rank_of_vrank(&comm, p));
         let sz = comm.dtype.size_bytes();
         let tile_size = comm.count.min(credits);
         let mut tile = vec![0u8; credits as usize * sz];
@@ -536,56 +491,5 @@ impl TreeReduceSupport {
             &pkt.payload[..k as usize * sz],
         );
         self.progress[idx] += k;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn binomial_relations() {
-        // n = 8, root at vrank 0: children 1,2,4; v=1 -> 3,5; v=3 -> 7.
-        assert_eq!(tree_children(0, 8), vec![1, 2, 4]);
-        assert_eq!(tree_children(1, 8), vec![3, 5]);
-        assert_eq!(tree_children(2, 8), vec![6]);
-        assert_eq!(tree_children(3, 8), vec![7]);
-        assert_eq!(tree_children(4, 8), Vec::<usize>::new());
-        assert_eq!(tree_parent(0), None);
-        assert_eq!(tree_parent(1), Some(0));
-        assert_eq!(tree_parent(5), Some(1));
-        assert_eq!(tree_parent(6), Some(2));
-        assert_eq!(tree_parent(7), Some(3));
-    }
-
-    #[test]
-    fn every_nonroot_has_consistent_parent() {
-        for n in 2..40 {
-            for v in 1..n {
-                let p = tree_parent(v).unwrap();
-                assert!(p < v);
-                assert!(
-                    tree_children(p, n).contains(&v),
-                    "v={v} not a child of its parent {p} (n={n})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn vrank_rotation() {
-        let comm = CollectiveComm {
-            ranks: vec![0, 1, 2, 3],
-            root: 2,
-            port: 0,
-            dtype: smi_wire::Datatype::Float,
-            count: 1,
-        };
-        assert_eq!(vrank(&comm, 2), 0);
-        assert_eq!(vrank(&comm, 3), 1);
-        assert_eq!(vrank(&comm, 0), 2);
-        assert_eq!(vrank(&comm, 1), 3);
-        assert_eq!(rank_of_vrank(&comm, 0), 2);
-        assert_eq!(rank_of_vrank(&comm, 3), 1);
     }
 }

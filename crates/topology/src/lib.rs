@@ -20,6 +20,8 @@
 //!   routing over a BFS spanning tree (a classic deadlock-free oblivious
 //!   scheme for arbitrary topologies), together with the hop count of every
 //!   pair; full paths are rebuilt per source on demand, for analysis.
+//! * [`hop_tree`] — the spanning tree a tree bcast/reduce streams along,
+//!   grown over a plan's hop matrix; both planes derive it here.
 //! * [`deadlock`] — a channel-dependency-graph acyclicity checker used to
 //!   *prove* (per instance) that a routing plan cannot deadlock under
 //!   wormhole/backpressure semantics.
@@ -56,7 +58,7 @@ pub use error::TopologyError;
 pub use graph::{Connection, Endpoint, Topology};
 pub use json::TopologySpec;
 pub use paths::PathStats;
-pub use routing::{NextHop, RankRoutes, RoutingPlan};
+pub use routing::{hop_tree, NextHop, RankRoutes, RoutingPlan};
 
 /// Number of QSFP network ports on the paper's experimental boards
 /// (Nallatech 520N: 4 × 40 Gbit/s).

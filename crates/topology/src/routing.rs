@@ -139,7 +139,8 @@ impl RoutingPlan {
     }
 
     /// Give up the tables and keep the hop matrix (`[src][dst]`, 0 on the
-    /// diagonal): what a launch still needs once the fabric is wired.
+    /// diagonal): what a launch still needs once the fabric is wired, and
+    /// what [`hop_tree`] reads.
     pub fn into_hops(self) -> Vec<Vec<u32>> {
         self.hops
     }
@@ -194,6 +195,39 @@ impl RoutingPlan {
         }
         Ok(())
     }
+}
+
+/// The hop tree of a tree bcast or reduce, on both the functional and the
+/// cycle-level plane: the parent of every member of `members` (world ranks
+/// in communicator order; the result is in communicator indices, the root
+/// its own parent), grown over a plan's hop matrix
+/// ([`RoutingPlan::into_hops`]). Members are placed in order of
+/// `(hops(root, m), m)` and each attaches to the placed member with the
+/// shortest round trip `hops(p, m) + hops(m, p)` — data flows one way,
+/// handshake and credits the other — preferring on a tie the one with the
+/// fewest children so far, then the lowest index. On a full communicator
+/// over `bus`/`ring`/`torus2d`/`star` every edge is one physical link.
+/// O(n²).
+pub fn hop_tree(hops: &[Vec<u32>], members: &[usize], root: usize) -> Vec<usize> {
+    let n = members.len();
+    let mut order: Vec<usize> = (0..n).filter(|&m| m != root).collect();
+    order.sort_by_key(|&m| (hops[members[root]][members[m]], m));
+    let mut parent = vec![root; n];
+    let mut kids = vec![0usize; n];
+    let mut placed = Vec::with_capacity(n);
+    placed.push(root);
+    for m in order {
+        let wm = members[m];
+        let round_trip = |p: usize| hops[members[p]][wm] + hops[wm][members[p]];
+        let p = *placed
+            .iter()
+            .min_by_key(|&&p| (round_trip(p), kids[p], p))
+            .expect("the root is placed");
+        parent[m] = p;
+        kids[p] += 1;
+        placed.push(m);
+    }
+    parent
 }
 
 /// Is the directed traversal `u -> v` an "up" move (toward the root)?
@@ -418,6 +452,16 @@ mod tests {
             to: Endpoint::new(1, 0),
         };
         assert_eq!(plan.paths(&topo).next(), Some(vec![vec![], vec![hop]]));
+    }
+
+    #[test]
+    fn bus_hop_tree_is_the_chains_leaving_the_root() {
+        let hops = RoutingPlan::compute(&Topology::bus(8)).unwrap().into_hops();
+        let members: Vec<usize> = (0..8).collect();
+        assert_eq!(hop_tree(&hops, &members, 0), vec![0, 0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(hop_tree(&hops, &members, 5), vec![1, 2, 3, 4, 5, 5, 5, 6]);
+        // Even ranks only: the nearest member is two links away.
+        assert_eq!(hop_tree(&hops, &[0, 2, 4, 6], 1), vec![1, 1, 1, 2]);
     }
 
     #[test]

@@ -85,7 +85,8 @@ fn all_collectives_verify_on_both_schemes() {
 #[test]
 fn tree_bcast_beats_linear_at_scale() {
     // The paper's motivation for the tree extension: the linear root pushes
-    // every packet N-1 times; the tree's root only log(N) times.
+    // every packet N-1 times; on the hop tree every rank pushes it once per
+    // child, over one physical link each.
     let params = FabricParams::default();
     let topo = Topology::torus2d(2, 4);
     let n = 1 << 14;
@@ -117,6 +118,39 @@ fn tree_bcast_beats_linear_at_scale() {
         tree.cycles,
         lin.cycles
     );
+}
+
+#[test]
+fn hop_tree_relieves_the_root_on_a_long_bus() {
+    // The congestion §5.3.4 concedes, on 32 ranks: the linear root streams
+    // 31 copies (bcast) or folds 31 contributions (reduce) through one
+    // kernel; on the hop tree (the chain on a bus) each rank relays to one
+    // neighbour. Cycle counts repeat exactly: 17 944 / 152 448 (0.118) and
+    // 32 225 / 427 153 (0.075); the highest-bit binomial tree read 0.558 and
+    // 0.543, its long edges sharing links.
+    let params = FabricParams::default();
+    let topo = Topology::bus(32);
+    for kind in [CollectiveKind::Bcast, CollectiveKind::Reduce] {
+        let [lin, tree] = [CollectiveScheme::Linear, CollectiveScheme::Tree].map(|scheme| {
+            let r = collective(
+                &topo,
+                kind,
+                scheme,
+                0,
+                1 << 14,
+                Datatype::Float,
+                ReduceOp::Add,
+                &params,
+            )
+            .unwrap();
+            assert_eq!(r.errors, 0, "{kind:?} {scheme:?}");
+            r.cycles
+        });
+        assert!(
+            tree as f64 <= 0.25 * lin as f64,
+            "{kind:?}: tree {tree} vs linear {lin} cycles"
+        );
+    }
 }
 
 #[test]
