@@ -57,6 +57,8 @@ pub struct SendChannel<T: SmiType> {
     sent: u64,
     framer: Framer,
     res: Option<SendRes>,
+    /// The lane every packet of this channel enters (its destination's).
+    lane: usize,
     table: EndpointTableHandle,
     protocol: Protocol,
     credits: u64,
@@ -91,6 +93,7 @@ impl<T: SmiType> SendChannel<T> {
                 requested: T::DATATYPE,
             });
         }
+        let lane = res.to_cks.lane(dst_wire_rank);
         let port_wire = smi_wire::header::port_to_wire(port)?;
         let credits = match protocol {
             Protocol::Eager => u64::MAX,
@@ -112,6 +115,7 @@ impl<T: SmiType> SendChannel<T> {
                 PacketOp::Send,
             ),
             res: Some(res),
+            lane,
             table,
             protocol,
             credits,
@@ -168,7 +172,7 @@ impl<T: SmiType> SendChannel<T> {
         let burst = std::mem::take(&mut self.staged);
         let res = self.res.as_ref().expect("resource held while open");
         send_burst(
-            &res.to_cks,
+            &res.to_cks.lanes[self.lane],
             burst,
             self.timeout,
             "send-channel backpressure",
@@ -185,7 +189,7 @@ impl<T: SmiType> SendChannel<T> {
         }
         let burst = std::mem::take(&mut self.staged);
         let res = self.res.as_ref().expect("resource held while open");
-        match res.to_cks.try_send(burst) {
+        match res.to_cks.lanes[self.lane].try_send(burst) {
             Ok(()) => Ok(true),
             Err(TrySendError::Full(b)) => {
                 self.staged = b;
@@ -386,7 +390,7 @@ impl<T: SmiType> Drop for SendChannel<T> {
                 self.staged.push(pkt.into());
             }
             if !self.staged.is_empty() {
-                let _ = res.to_cks.try_send(std::mem::take(&mut self.staged));
+                let _ = res.to_cks.lanes[self.lane].try_send(std::mem::take(&mut self.staged));
             }
             self.table.lock().put_send(self.port, res);
         }
@@ -401,6 +405,8 @@ pub struct RecvChannel<T: SmiType> {
     received: u64,
     deframer: Deframer,
     res: Option<RecvRes>,
+    /// The lane credit grants enter (the sender's).
+    grant_lane: usize,
     table: EndpointTableHandle,
     my_wire_rank: u8,
     src_wire_rank: u8,
@@ -434,6 +440,7 @@ impl<T: SmiType> RecvChannel<T> {
                 requested: T::DATATYPE,
             });
         }
+        let grant_lane = res.to_cks.lane(src_wire_rank);
         let (health, copies) = {
             let t = table.lock();
             (t.health.clone(), t.copies.clone())
@@ -444,6 +451,7 @@ impl<T: SmiType> RecvChannel<T> {
             received: 0,
             deframer: Deframer::new(T::DATATYPE),
             res: Some(res),
+            grant_lane,
             table,
             my_wire_rank,
             src_wire_rank,
@@ -498,16 +506,11 @@ impl<T: SmiType> RecvChannel<T> {
             self.ungranted as u32,
         );
         let res = self.res.as_ref().expect("resource held while open");
+        let lane = &res.to_cks.lanes[self.grant_lane];
         if blocking {
-            send_packet(
-                &res.grant_tx,
-                grant,
-                self.timeout,
-                "credit grant path",
-                &self.health,
-            )?;
+            send_packet(lane, grant, self.timeout, "credit grant path", &self.health)?;
         } else {
-            match res.grant_tx.try_send(vec![grant.into()]) {
+            match lane.try_send(vec![grant.into()]) {
                 Ok(()) => {}
                 Err(TrySendError::Full(_)) => return Ok(()), // retry later
                 Err(TrySendError::Disconnected(_)) => return Err(SmiError::TransportClosed),
@@ -640,7 +643,7 @@ impl<T: SmiType> Drop for RecvChannel<T> {
                     PacketOp::Credit,
                     self.ungranted as u32,
                 );
-                let _ = res.grant_tx.try_send(vec![grant.into()]);
+                let _ = res.to_cks.lanes[self.grant_lane].try_send(vec![grant.into()]);
             }
             self.table.lock().put_recv(self.port, res);
         }

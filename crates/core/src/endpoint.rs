@@ -234,27 +234,61 @@ impl PacketRx {
     }
 }
 
-/// Send-side endpoint hardware: the FIFO into the bound CKS (a [`FifoTx`]:
-/// every push, blocking or not, raises that kernel's wake handle), plus the
+/// An endpoint's send path: one FIFO (a *lane*) into every CKS of its rank,
+/// in CK-pair order. A packet enters the lane of the CKS whose port its next
+/// hop leaves by, so its first CK forward puts it on the link; a packet for
+/// the endpoint's own rank enters the lane of the CKS it is bound to. Every
+/// lane is a [`FifoTx`]: each push, blocking or not, raises that kernel's
+/// wake handle.
+#[derive(Debug)]
+pub(crate) struct CksLanes {
+    pub lanes: Vec<FifoTx>,
+    /// The rank's routing table: wire rank → CK pair of the next hop (past
+    /// the last lane for the own rank). Shared with the rank's kernels.
+    pub next_pair: Arc<Vec<usize>>,
+    /// The CK pair the endpoint is bound to.
+    pub bound: usize,
+}
+
+impl CksLanes {
+    /// A single rank's loopback: one lane, which every packet takes.
+    pub fn loopback(tx: FifoTx) -> Self {
+        CksLanes {
+            lanes: vec![tx],
+            next_pair: Arc::default(),
+            bound: 0,
+        }
+    }
+
+    /// The lane a packet to wire rank `dst` enters.
+    pub fn lane(&self, dst: u8) -> usize {
+        match self.next_pair.get(usize::from(dst)) {
+            Some(&pair) if pair < self.lanes.len() => pair,
+            _ => self.bound,
+        }
+    }
+}
+
+/// Send-side endpoint hardware: the lanes into the rank's CKSs, plus the
 /// credit-return path used by the credit-based protocol.
 #[derive(Debug)]
 pub(crate) struct SendRes {
     pub dtype: Datatype,
-    pub to_cks: FifoTx,
+    pub to_cks: CksLanes,
     pub credit_rx: PacketRx,
 }
 
-/// Receive-side endpoint hardware: the FIFO the bound CKR delivers into,
-/// plus a send path into the CKS for credit grants (credit-based protocol).
+/// Receive-side endpoint hardware: the FIFO the rank's CKRs deliver into,
+/// plus lanes into the CKSs for credit grants (credit-based protocol).
 #[derive(Debug)]
 pub(crate) struct RecvRes {
     pub dtype: Datatype,
     pub from_ckr: PacketRx,
-    pub grant_tx: FifoTx,
+    pub to_cks: CksLanes,
 }
 
 /// Collective endpoint hardware (the support-kernel attachment of §4.4):
-/// a send path plus data and credit delivery paths.
+/// lanes into the CKSs plus data and credit delivery paths.
 #[derive(Debug)]
 pub(crate) struct CollRes {
     /// Kept for diagnostics (the declared-kind check happens in the table).
@@ -262,23 +296,24 @@ pub(crate) struct CollRes {
     pub kind: OpKind,
     pub dtype: Datatype,
     pub reduce_op: Option<ReduceOp>,
-    pub to_cks: FifoTx,
+    pub to_cks: CksLanes,
     pub rx: PacketRx,
     pub credit_rx: PacketRx,
 }
 
-/// Poll-mode handle on a port's collective endpoint: the [`CollRes`] plus a
-/// staging buffer for outgoing packets (data, syncs, grants, credits).
+/// Poll-mode handle on a port's collective endpoint: the [`CollRes`] plus
+/// one staging burst per lane for outgoing packets (data, syncs, grants,
+/// credits).
 ///
 /// Every transmit goes through [`CollIo::stage`] + [`CollIo::try_flush`]:
-/// a full transport FIFO leaves the burst staged instead of parking the
-/// calling thread, which is what lets an in-progress collective open (or any
+/// a full lane leaves its burst staged instead of parking the calling
+/// thread, which is what lets an in-progress collective open (or any
 /// collective operation) run on an executor worker without blocking it. The
-/// channel objects re-offer the staged burst on every poll.
+/// channel objects re-offer the staged bursts on every poll.
 ///
 /// Tree-scheme collectives fan windows out to a *set of children* rather
 /// than to the root's peers: [`CollIo::stage_fanout`] stages a packet
-/// window once per child, grouped per destination, so the CKS sees long
+/// window once per child, grouped per destination, so each CKS sees long
 /// same-route runs it can forward as whole bursts (`forward_runs`) instead
 /// of per-packet splits.
 #[derive(Debug)]
@@ -286,7 +321,8 @@ pub(crate) struct CollIo {
     port: usize,
     res: Option<CollRes>,
     table: EndpointTableHandle,
-    staged: Burst,
+    /// `staged[lane]`: frames bound for that lane, in staging order.
+    staged: Vec<Burst>,
     timeout: Duration,
     deadline: Option<Duration>,
     max_burst: usize,
@@ -317,11 +353,12 @@ impl CollIo {
             let t = table.lock();
             (t.health.clone(), t.copies.clone())
         };
+        let staged = vec![Burst::new(); res.to_cks.lanes.len()];
         Ok(CollIo {
             port,
             res: Some(res),
             table,
-            staged: Vec::new(),
+            staged,
             timeout: params.blocking_timeout,
             deadline: params.blocking_deadline,
             max_burst: params.burst_packets.max(1),
@@ -378,21 +415,19 @@ impl CollIo {
 
     /// Queue a frame for transmission (run frames move as handles).
     pub fn stage_frame(&mut self, frame: Frame) {
-        self.staged.push(frame);
+        let lane = self.res().to_cks.lane(frame.header().dst);
+        self.staged[lane].push(frame);
     }
 
     /// Stage a frame window once per destination in `dsts` (wire ranks),
     /// grouped per child: all of child 0's copies, then child 1's, … so
-    /// mixed parent/child bursts reach the CKS as maximal same-route runs.
+    /// mixed parent/child bursts reach each CKS as maximal same-route runs.
     /// Inline packets are duplicated per child (a metered payload copy
     /// each); run frames are re-addressed `Arc` clones — no payload moves,
     /// which is what makes tree fan-out zero-copy. The window is drained.
     pub fn stage_fanout(&mut self, window: &mut Vec<Frame>, dsts: &[u8]) {
-        if dsts.is_empty() {
-            window.clear();
-            return;
-        }
         for &dst in dsts {
+            let lane = self.res().to_cks.lane(dst);
             for f in window.iter() {
                 match f {
                     Frame::Pkt(pkt) => {
@@ -401,10 +436,10 @@ impl CollIo {
                         if copy.header.op.carries_data() {
                             self.copies.add_packets(1);
                         }
-                        self.staged.push(copy.into());
+                        self.staged[lane].push(copy.into());
                     }
                     Frame::Run(run) => {
-                        self.staged.push(Frame::Run(run.with_dst(dst)));
+                        self.staged[lane].push(Frame::Run(run.with_dst(dst)));
                     }
                 }
             }
@@ -412,29 +447,35 @@ impl CollIo {
         window.clear();
     }
 
-    /// Whether the staging buffer reached the configured burst size and
-    /// should be offered to the transport. Counts wire packets, not frames,
-    /// so a staged run the size of a burst flushes like a full packet burst.
+    /// Whether the staged bursts reached the configured burst size between
+    /// them and should be offered to the transport. Counts wire packets, not
+    /// frames, so a staged run the size of a burst flushes like a full
+    /// packet burst.
     pub fn stage_full(&self) -> bool {
-        self.staged.iter().map(|f| f.packet_count()).sum::<usize>() >= self.max_burst
+        let frames = self.staged.iter().flatten();
+        frames.map(|f| f.packet_count()).sum::<usize>() >= self.max_burst
     }
 
-    /// Offer the staged burst to the transport without blocking. `Ok(true)`
-    /// when nothing remains staged; `Ok(false)` when the FIFO is full and
-    /// the burst was retained for the next poll.
+    /// Offer every non-empty staged burst to its lane without blocking.
+    /// `Ok(true)` when nothing remains staged; `Ok(false)` when a lane was
+    /// full and kept its own burst for the next poll (the others moved).
     pub fn try_flush(&mut self) -> Result<bool, SmiError> {
-        if self.staged.is_empty() {
-            return Ok(true);
-        }
-        let burst = std::mem::take(&mut self.staged);
-        match self.res().to_cks.try_send(burst) {
-            Ok(()) => Ok(true),
-            Err(TrySendError::Full(b)) => {
-                self.staged = b;
-                Ok(false)
+        let lanes = &self.res.as_ref().expect("resource held while open").to_cks;
+        let mut flushed = true;
+        for (lane, staged) in lanes.lanes.iter().zip(&mut self.staged) {
+            if staged.is_empty() {
+                continue;
             }
-            Err(TrySendError::Disconnected(_)) => Err(SmiError::TransportClosed),
+            match lane.try_send(std::mem::take(staged)) {
+                Ok(()) => {}
+                Err(TrySendError::Full(b)) => {
+                    *staged = b;
+                    flushed = false;
+                }
+                Err(TrySendError::Disconnected(_)) => return Err(SmiError::TransportClosed),
+            }
         }
+        Ok(flushed)
     }
 
     /// Non-blocking receive from the data/sync delivery path.
@@ -485,8 +526,10 @@ impl Drop for CollIo {
             // Best-effort handover of anything still staged (mirrors
             // `SendChannel::drop`): Drop may run on an executor worker, so
             // blocking here would wedge the thread that drains the FIFO.
-            if !self.staged.is_empty() {
-                let _ = res.to_cks.try_send(std::mem::take(&mut self.staged));
+            for (lane, staged) in res.to_cks.lanes.iter().zip(&mut self.staged) {
+                if !staged.is_empty() {
+                    let _ = lane.try_send(std::mem::take(staged));
+                }
             }
             self.table.lock().put_coll(self.port, res);
         }
@@ -659,9 +702,96 @@ mod tests {
         std::mem::forget(_ctx);
         SendRes {
             dtype: Datatype::Int,
-            to_cks: tx.into(),
+            to_cks: CksLanes::loopback(tx.into()),
             credit_rx: PacketRx::new(crx, CopyMeter::default()),
         }
+    }
+
+    /// Lanes of rank 2 of five over two CK pairs: ranks 0 and 1 are reached
+    /// through pair 0, ranks 3 and 4 through pair 1; bound to pair 1.
+    fn two_lanes(caps: [usize; 2]) -> (CksLanes, [crossbeam::channel::Receiver<Burst>; 2]) {
+        let ((tx0, rx0), (tx1, rx1)) = (bounded(caps[0]), bounded(caps[1]));
+        let lanes = CksLanes {
+            lanes: vec![tx0.into(), tx1.into()],
+            next_pair: Arc::new(vec![0, 0, 2, 1, 1]),
+            bound: 1,
+        };
+        (lanes, [rx0, rx1])
+    }
+
+    /// A bcast `CollIo` on port 0 over `lanes`.
+    fn coll_io(lanes: CksLanes) -> CollIo {
+        let (_data_tx, data_rx) = bounded::<Burst>(1);
+        let (_credit_tx, credit_rx) = bounded::<Burst>(1);
+        let t = new_table();
+        t.lock().declare(0, OpKind::Bcast);
+        t.lock().put_coll(
+            0,
+            CollRes {
+                kind: OpKind::Bcast,
+                dtype: Datatype::Int,
+                reduce_op: None,
+                to_cks: lanes,
+                rx: PacketRx::new(data_rx, CopyMeter::default()),
+                credit_rx: PacketRx::new(credit_rx, CopyMeter::default()),
+            },
+        );
+        let params = crate::params::RuntimeParams::default();
+        CollIo::open(t, 0, OpKind::Bcast, Datatype::Int, &params).unwrap()
+    }
+
+    /// A packet from rank 2 tagged with `seq`.
+    fn data(seq: u32) -> Frame {
+        NetworkPacket::control(2, 0, 0, smi_wire::PacketOp::Sync, seq).into()
+    }
+
+    /// `(dst, seq)` of every frame waiting in `rx`, burst by burst.
+    fn frames(rx: &crossbeam::channel::Receiver<Burst>) -> Vec<Vec<(u8, u32)>> {
+        let tag = |f: &Frame| match f {
+            Frame::Pkt(p) => (p.header.dst, p.control_arg()),
+            Frame::Run(_) => panic!("unexpected run"),
+        };
+        rx.try_iter().map(|b| b.iter().map(tag).collect()).collect()
+    }
+
+    #[test]
+    fn lane_is_the_next_hops_pair_or_the_bound_one() {
+        let (lanes, _rx) = two_lanes([1, 1]);
+        let picked: Vec<usize> = (0..5).map(|dst| lanes.lane(dst)).collect();
+        assert_eq!(picked, [0, 0, 1, 1, 1]); // own rank 2: the bound pair
+        assert_eq!(lanes.lane(9), 1); // off the table: the bound pair
+        let (tx, _rx) = bounded(1);
+        let loopback = CksLanes::loopback(tx.into());
+        assert!((0..=u8::MAX).all(|dst| loopback.lane(dst) == 0));
+    }
+
+    #[test]
+    fn fanout_flushes_one_in_order_burst_per_lane() {
+        let (lanes, rx) = two_lanes([4, 4]);
+        let mut io = coll_io(lanes);
+        let mut window = vec![data(0), data(1), data(2)];
+        io.stage_fanout(&mut window, &[0, 3, 1, 4]);
+        assert!(window.is_empty());
+        assert!(io.try_flush().unwrap());
+        let copies = |dst: u8| (0..3).map(move |seq| (dst, seq));
+        let want = |a, b| vec![copies(a).chain(copies(b)).collect::<Vec<_>>()];
+        assert_eq!(frames(&rx[0]), want(0, 1));
+        assert_eq!(frames(&rx[1]), want(3, 4));
+    }
+
+    #[test]
+    fn a_full_lane_keeps_only_its_own_frames() {
+        let (lanes, rx) = two_lanes([1, 4]);
+        lanes.lanes[0].try_send(vec![data(9)]).unwrap(); // lane 0 now full
+        let mut io = coll_io(lanes);
+        let mut window = vec![data(0)];
+        io.stage_fanout(&mut window, &[1, 3]);
+        assert!(!io.try_flush().unwrap());
+        assert_eq!(frames(&rx[1]), [[(3, 0)]]);
+        assert_eq!(frames(&rx[0]), [[(0, 9)]]);
+        assert!(io.try_flush().unwrap());
+        assert_eq!(frames(&rx[0]), [[(1, 0)]]);
+        assert!(rx[1].is_empty());
     }
 
     #[test]

@@ -95,11 +95,15 @@ impl ReconnectPolicy {
 /// Configuration of the thread-based SMI runtime.
 #[derive(Debug, Clone)]
 pub struct RuntimeParams {
-    /// Capacity (in packets) of the FIFOs between application endpoints and
-    /// CK modules — the asynchronicity degree *k* of §3.3 in packet units.
-    /// Programs must not rely on it for correctness.
+    /// Capacity, in bursts of up to `burst_packets` packets, of the FIFOs
+    /// between application endpoints and CK modules — the asynchronicity
+    /// degree *k* of §3.3 (each op's `buffer_depth` can raise it). An
+    /// endpoint sends through one FIFO (a lane) into every CKS of its rank,
+    /// and the depth holds per lane. Programs must not rely on it for
+    /// correctness.
     pub endpoint_fifo_depth: usize,
-    /// Capacity (in packets) of the inter-CK and link FIFOs.
+    /// Capacity, in bursts of up to `burst_packets` packets, of the inter-CK
+    /// and link FIFOs.
     pub ck_fifo_depth: usize,
     /// CKS/CKR polling persistence `R` (§4.3).
     pub poll_persistence: u32,

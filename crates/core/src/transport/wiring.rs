@@ -21,7 +21,7 @@ use smi_codegen::{ClusterDesign, OpKind};
 use smi_topology::{NextHop, RoutingPlan, Topology};
 use smi_wire::{Header, PacketOp};
 
-use crate::endpoint::{CollRes, EndpointTable, PacketRx, RecvRes, SendRes};
+use crate::endpoint::{CksLanes, CollRes, EndpointTable, PacketRx, RecvRes, SendRes};
 use crate::params::RuntimeParams;
 use crate::transport::ck::{CkMachine, Route};
 use crate::transport::executor::{Pollable, Wake};
@@ -71,6 +71,18 @@ impl FabricLinks {
 fn take_link<T>(links: &mut HashMap<(usize, usize), T>, rank: usize, qsfp: usize) -> T {
     let half = links.remove(&(rank, qsfp));
     half.unwrap_or_else(|| panic!("no link half for endpoint ({rank},{qsfp})"))
+}
+
+/// One FIFO of `depth` into every CKS of a rank, in pair order: the receive
+/// halves join the CKSs' inputs, the send halves are returned.
+fn into_every_cks(depth: usize, cks_wake: &[&Wake], cks_in: &mut [Vec<LinkRx>]) -> Vec<FifoTx> {
+    let pairs = cks_wake.iter().zip(cks_in);
+    let fifos = pairs.map(|(wake, inputs)| {
+        let (tx, rx) = fifo(depth, wake);
+        inputs.push(rx);
+        tx
+    });
+    fifos.collect()
 }
 
 /// Delivery targets of one port at one rank, which every CKR of the rank
@@ -182,12 +194,29 @@ pub(crate) fn build_transport(
             pair_of_qsfp[q] = i;
         }
 
+        // dst rank -> the CK pair whose port the next hop leaves by, `np` for
+        // this rank: the M20K routing table of §4.3, built once per rank and
+        // shared by its endpoints and kernels.
+        let next_pair: Arc<Vec<usize>> = Arc::new(
+            (0..n)
+                .map(|dst| match plan.next_hop(r, dst) {
+                    NextHop::Local => np,
+                    NextHop::Via(q) => pair_of_qsfp[q],
+                })
+                .collect(),
+        );
+
         // Endpoints.
         let mut table = EndpointTable::with_health(health.clone(), meter.clone());
         let (cks_wake, ckr_wake): (Vec<&Wake>, Vec<&Wake>) =
             wakes[r].iter().map(|(cks, ckr)| (cks, ckr)).unzip();
-        // Every CKS's inputs start with its endpoints' FIFOs.
+        // Every CKS's inputs start with one lane from each endpoint.
         let mut cks_in: Vec<Vec<LinkRx>> = (0..np).map(|_| Vec::new()).collect();
+        let mut lanes = |depth: usize, bound: usize| CksLanes {
+            lanes: into_every_cks(depth, &cks_wake, &mut cks_in),
+            next_pair: next_pair.clone(),
+            bound,
+        };
         let mut deliveries: HashMap<usize, PortDelivery> = HashMap::new();
         for b in &rank_design.bindings {
             let op = b.op;
@@ -195,8 +224,7 @@ pub(crate) fn build_transport(
             table.declare(op.port, op.kind);
             match op.kind {
                 OpKind::Send => {
-                    let (app_tx, cks_rx) = fifo(ep_depth(op.buffer_depth), cks_wake[pair]);
-                    cks_in[pair].push(cks_rx);
+                    let to_cks = lanes(ep_depth(op.buffer_depth), pair);
                     let (credit_tx, credit_rx) = bounded(op.buffer_depth.max(4));
                     let d = deliveries.entry(op.port).or_default();
                     assert!(
@@ -207,7 +235,7 @@ pub(crate) fn build_transport(
                     d.credit = Some(credit_tx);
                     table.ports.entry(op.port).or_default().send = Some(SendRes {
                         dtype: op.dtype,
-                        to_cks: app_tx,
+                        to_cks,
                         credit_rx: PacketRx::new(credit_rx, meter.clone()),
                     });
                 }
@@ -220,19 +248,16 @@ pub(crate) fn build_transport(
                         op.port
                     );
                     d.data = Some(data_tx);
-                    // Receive endpoints own a send path into their CKS for
-                    // credit grants (credit-based protocol, §3.3).
-                    let (grant_tx, grant_rx) = fifo(4, cks_wake[pair]);
-                    cks_in[pair].push(grant_rx);
+                    // Receive endpoints own lanes into the CKSs for credit
+                    // grants (credit-based protocol, §3.3).
                     table.ports.entry(op.port).or_default().recv = Some(RecvRes {
                         dtype: op.dtype,
                         from_ckr: PacketRx::new(app_rx, meter.clone()),
-                        grant_tx,
+                        to_cks: lanes(4, pair),
                     });
                 }
                 _ => {
-                    let (sup_tx, cks_rx) = fifo(ep_depth(op.buffer_depth), cks_wake[pair]);
-                    cks_in[pair].push(cks_rx);
+                    let to_cks = lanes(ep_depth(op.buffer_depth), pair);
                     // Collective delivery must hold at least one burst per
                     // peer: every member may send a one-shot control packet
                     // (ready-`Sync`) to a port *before* its owner opens the
@@ -254,7 +279,7 @@ pub(crate) fn build_transport(
                         kind: op.kind,
                         dtype: op.dtype,
                         reduce_op: op.reduce_op,
-                        to_cks: sup_tx,
+                        to_cks,
                         rx: PacketRx::new(data_rx, meter.clone()),
                         credit_rx: PacketRx::new(credit_rx, meter.clone()),
                     });
@@ -263,48 +288,33 @@ pub(crate) fn build_transport(
         }
 
         // Intra-rank CK interconnect, each FIFO moved straight into the two
-        // machines it joins. CKS `p` reads its endpoints, every CKR and every
-        // other CKS, and writes its network port (0), its CKR (1) and every
-        // other CKS in ascending pair order, which is what `mesh_idx` counts
-        // on. CKR `p` reads its network port and its CKS, and writes every
-        // CKS in pair order, then every endpoint: a transit packet crosses
-        // straight to the CKS of its next hop, a local one to its endpoint.
-        // Several CKRs may feed one endpoint FIFO and each stream still
-        // arrives in order: routing is static, so every `(src, dst)` stream
-        // enters the rank through exactly one CKR.
+        // machines it joins. CKS `p` reads its lane of every endpoint and
+        // every CKR, and writes its network port (0) and its CKR (1). CKR `p`
+        // reads its network port and its CKS, and writes every CKS in pair
+        // order, then every endpoint: a transit packet crosses straight to
+        // the CKS of its next hop, a local one to its endpoint. So a packet
+        // is only ever handed to the CKS whose port it leaves by, or — bound
+        // for this rank — to an endpoint's bound CKS. Several producers may
+        // feed one FIFO and each stream still arrives in order: routing is
+        // static, so every `(src, dst)` stream leaves its endpoint by the one
+        // lane `next_pair[dst]` names and enters each rank on its path
+        // through exactly one CKR.
         let mut cks_out: Vec<Vec<LinkTx>> = Vec::with_capacity(np);
         let mut ckr_in: Vec<Vec<LinkRx>> = Vec::with_capacity(np);
-        let mut ckr_out: Vec<Vec<LinkTx>> = (0..np).map(|_| Vec::new()).collect();
         for p in 0..np {
             let (to_ckr, from_cks) = fifo(ck_depth, ckr_wake[p]);
             cks_out.push(vec![take_link(&mut link_tx, r, pairs[p]), Box::new(to_ckr)]);
             ckr_in.push(vec![take_link(&mut link_rx, r, pairs[p]), from_cks]);
         }
-        for i in 0..np {
-            for j in 0..np {
-                let (tx, rx) = fifo(ck_depth, cks_wake[j]);
-                ckr_out[i].push(Box::new(tx));
-                cks_in[j].push(rx);
-                if j != i {
-                    let (tx, rx) = fifo(ck_depth, cks_wake[j]);
-                    cks_out[i].push(Box::new(tx));
-                    cks_in[j].push(rx);
-                }
-            }
-        }
-        // Where CKS `p` finds its output to CKS `j`.
-        let mesh_idx = |p: usize, j: usize| 2 + j - usize::from(j > p);
-        // dst rank -> the CK pair whose port the next hop leaves by, `np` for
-        // this rank: the M20K routing table of §4.3, built once per rank and
-        // shared by its CKS and CKR routes.
-        let next_pair: Arc<Vec<usize>> = Arc::new(
-            (0..n)
-                .map(|dst| match plan.next_hop(r, dst) {
-                    NextHop::Local => np,
-                    NextHop::Via(q) => pair_of_qsfp[q],
-                })
-                .collect(),
-        );
+        let ckr_out: Vec<Vec<LinkTx>> = (0..np)
+            .map(|_| {
+                let to_cks = into_every_cks(ck_depth, &cks_wake, &mut cks_in);
+                to_cks
+                    .into_iter()
+                    .map(|tx| Box::new(tx) as LinkTx)
+                    .collect()
+            })
+            .collect();
         // (port, is_credit) -> CKR output index, after the `np` CKSs.
         let mut delivery_tx: Vec<Sender<Burst>> = Vec::new();
         let mut delivery_idx: HashMap<(usize, bool), usize> = HashMap::new();
@@ -326,11 +336,12 @@ pub(crate) fn build_transport(
                 cks_wake[p].clone(),
                 inputs,
                 outputs,
+                // No producer hands a CKS a packet for another pair's port:
+                // one would be a wiring bug, counted as unroutable.
                 Box::new(move |h: &Header| match next_pair.get(h.dst as usize) {
                     Some(&t) if t == np => Route::Output(1),
                     Some(&t) if t == p => Route::Output(0),
-                    Some(&t) => Route::Output(mesh_idx(p, t)),
-                    None => Route::Drop,
+                    _ => Route::Drop,
                 }),
                 params.poll_persistence,
                 params.burst_packets,
@@ -397,13 +408,13 @@ fn build_single_rank(
                 let slot = table.ports.entry(op.port).or_default();
                 slot.send = Some(SendRes {
                     dtype: op.dtype,
-                    to_cks: FifoTx::from(data_tx),
+                    to_cks: CksLanes::loopback(data_tx.into()),
                     credit_rx: PacketRx::new(credit_rx, meter.clone()),
                 });
                 slot.recv = Some(RecvRes {
                     dtype: op.dtype,
                     from_ckr: PacketRx::new(data_rx, meter.clone()),
-                    grant_tx: FifoTx::from(grant_tx),
+                    to_cks: CksLanes::loopback(grant_tx.into()),
                 });
             }
             OpKind::Recv => {
@@ -419,7 +430,7 @@ fn build_single_rank(
                     slot.recv = Some(RecvRes {
                         dtype: op.dtype,
                         from_ckr: PacketRx::new(data_rx, meter.clone()),
-                        grant_tx: FifoTx::from(grant_tx),
+                        to_cks: CksLanes::loopback(grant_tx.into()),
                     });
                 }
             }
@@ -431,7 +442,7 @@ fn build_single_rank(
                     kind: op.kind,
                     dtype: op.dtype,
                     reduce_op: op.reduce_op,
-                    to_cks: FifoTx::from(tx),
+                    to_cks: CksLanes::loopback(tx.into()),
                     rx: PacketRx::new(rx, meter.clone()),
                     credit_rx: PacketRx::new(crx, meter.clone()),
                 });

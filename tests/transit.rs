@@ -4,7 +4,8 @@
 //! round-robin). Every stream must arrive bit-exact in memory and over
 //! sockets, and the forward *counts* — which a noisy host cannot blur — must
 //! show that a rank a packet enters costs one CKR forward and a rank it
-//! leaves one CKS forward, plus at most one CKS mesh hop at its origin.
+//! leaves one CKS forward — its origin included, since every endpoint
+//! writes the CKS of its next hop.
 
 use std::sync::{Arc, Mutex};
 
@@ -168,7 +169,7 @@ fn transit_costs_one_crossing_per_rank() {
         let routes = RoutingPlan::compute(&topo).unwrap();
         let pairs = (0..n).flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)));
         let hops: u64 = pairs.map(|(s, d)| routes.hops(s, d) as u64).sum();
-        let (link_hops, sent) = (hops * packets, (n * (n - 1)) as u64 * packets);
+        let link_hops = hops * packets;
         let split = |nproc| Some(ProcessPlan::split(&topo, TransportBackend::Uds, nproc));
         for (plan, workers) in [(None, 1), (None, 2), (split(2), 2), (split(4), 2)] {
             let at = match &plan {
@@ -178,10 +179,61 @@ fn transit_costs_one_crossing_per_rank() {
             let (cks, ckr, unroutable) = all_pairs(&topo, plan.as_ref(), workers);
             assert_eq!(unroutable, 0, "{at}");
             assert_eq!(ckr, link_hops, "{at}: one CKR forward per rank entered");
-            assert!(
-                (link_hops..=link_hops + sent).contains(&cks),
-                "{at}: {cks} CKS forwards for {link_hops} link hops of {sent} packets"
-            );
+            assert_eq!(cks, link_hops, "{at}: one CKS forward per rank left");
         }
+    }
+}
+
+/// Linear bcast, then gather, rooted at rank 4 of `torus2d(3,3)`: its eight
+/// peers sit behind all four of its CK pairs, so the root's fan-out and its
+/// serialized gather grants leave by every lane, and each member's packets
+/// by the lane that faces the root. Tight FIFOs (one burst per lane, one
+/// packet per burst) make lanes refuse in turn; both streams must still
+/// arrive bit-exact.
+#[test]
+fn linear_collectives_leave_a_four_pair_root_by_every_lane() {
+    const ROOT: usize = 4;
+    let topo = Topology::torus2d(3, 3);
+    let n = topo.num_ranks();
+    let count = 2 * EPP + 3;
+    let meta = ProgramMeta::new()
+        .with(OpSpec::bcast(0, Datatype::Int))
+        .with(OpSpec::gather(1, Datatype::Int));
+    let sent: Vec<i32> = (0..count).map(|i| value(ROOT, 0, i)).collect();
+    let contribution = move |rank: usize| (0..count).map(move |i| value(rank, ROOT, i));
+    let gathered: Vec<i32> = (0..n).flat_map(contribution).collect();
+    for workers in [1, 2] {
+        let root_data = sent.clone();
+        let program = move |ctx: SmiCtx| {
+            let (world, rank) = (ctx.world(), ctx.rank());
+            let mut bcast = if rank == ROOT {
+                root_data.clone()
+            } else {
+                vec![0; count]
+            };
+            let mut ch = ctx.open_bcast_channel(count as u64, 0, ROOT, &world)?;
+            ch.bcast_slice(&mut bcast)?;
+            drop(ch);
+            let mut ch = ctx.open_gather_channel(count as u64, 1, ROOT, &world)?;
+            ch.push_slice(&contribution(rank).collect::<Vec<i32>>())?;
+            let mut gather = vec![0; if rank == ROOT { count * n } else { 0 }];
+            if rank == ROOT {
+                ch.pop_slice(&mut gather)?;
+            }
+            Ok::<_, SmiError>((bcast, gather))
+        };
+        let params = RuntimeParams {
+            transport_workers: workers,
+            ..RuntimeParams::tight()
+        };
+        let report = run_spmd(&topo, meta.clone(), program, params).unwrap();
+        for (rank, res) in report.results.iter().enumerate() {
+            let (bcast, gather) = res.as_ref().unwrap_or_else(|e| panic!("rank {rank}: {e}"));
+            assert!(*bcast == sent, "bcast at rank {rank}, {workers} worker(s)");
+            if rank == ROOT {
+                assert!(*gather == gathered, "gather, {workers} worker(s)");
+            }
+        }
+        assert_eq!(report.transport.2, 0, "unroutable, {workers} worker(s)");
     }
 }

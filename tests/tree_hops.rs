@@ -204,8 +204,10 @@ fn sub_communicator_tree_matches_linear_and_the_expected_streams() {
 
 /// `bus(32)`, root 0, one worker: along the chain every delivered packet is
 /// handed over by exactly one CKR — its destination's — where the binomial
-/// tree's long edges had transit ranks' CKRs pass 2.59 per delivery. What is
-/// left above 1.0 is the open handshake's 31 ready announcements.
+/// tree's long edges had transit ranks' CKRs pass 2.59 per delivery. It also
+/// leaves by exactly one CKS — its sender's, the one whose port faces the
+/// child — where relaying through the endpoint's bound CKS cost 1.97. What
+/// is left above 1.0 is the open handshake's 31 ready announcements.
 #[test]
 fn bus_broadcast_packets_cross_one_ckr_each() {
     const PACKETS: usize = 400;
@@ -226,5 +228,9 @@ fn bus_broadcast_packets_cross_one_ckr_each() {
     assert!(
         ckr_forwards as f64 <= 1.01 * delivered,
         "{ckr_forwards} CKR forwards for {delivered} delivered packets"
+    );
+    assert!(
+        cks_forwards as f64 <= 1.01 * delivered,
+        "{cks_forwards} CKS forwards for {delivered} delivered packets"
     );
 }
