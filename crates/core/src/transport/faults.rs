@@ -342,6 +342,12 @@ impl Transport for FaultTx {
             other => other,
         }
     }
+
+    /// A share is a fault-free producer into the wrapped link: the fault
+    /// schedule counts the bursts of the one producer it wraps.
+    fn share(&self) -> LinkTx {
+        self.inner.share()
+    }
 }
 
 /// A [`TransportReceiver`] wrapper applying burst-level faults below the

@@ -44,6 +44,10 @@ pub(crate) enum LinkRecv {
 pub(crate) trait Transport: Send {
     /// Offer one burst; a full link returns it via [`LinkSend::Full`].
     fn offer(&mut self, burst: Burst) -> LinkSend;
+
+    /// One more producer into the same link. The link closes only once the
+    /// original and every share are gone.
+    fn share(&self) -> LinkTx;
 }
 
 /// Receive half of an inter-CK link. Implementations must never block.
@@ -66,6 +70,7 @@ pub(crate) type LinkRx = Box<dyn TransportReceiver>;
 /// A consumer's wake handle that is also raised when dropped. A sender
 /// declares it *after* the channel half it guards, so it drops after it:
 /// the consumer woken for a close finds the link closed.
+#[derive(Clone)]
 struct RaiseOnDrop(Option<Wake>);
 
 impl RaiseOnDrop {
@@ -87,6 +92,7 @@ impl Drop for RaiseOnDrop {
 /// machine's wake handle and raises it after every push and when it is
 /// dropped — whether a peer machine feeds it as a [`Transport`] or an
 /// endpoint through the sender-like methods.
+#[derive(Clone)]
 pub(crate) struct FifoTx {
     tx: Sender<Burst>,
     wake: RaiseOnDrop,
@@ -136,6 +142,10 @@ impl Transport for FifoTx {
             Err(TrySendError::Disconnected(_)) => LinkSend::Closed,
         }
     }
+
+    fn share(&self) -> LinkTx {
+        Box::new(self.clone())
+    }
 }
 
 /// Receive half of the in-memory fast path.
@@ -162,7 +172,11 @@ pub(crate) fn fifo(depth: usize, consumer: &Wake) -> (FifoTx, LinkRx) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::executor::{ExecutorConfig, Pollable, ShardedExecutor, Step};
     use smi_wire::{NetworkPacket, PacketOp};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
+    use std::time::Instant;
 
     #[test]
     fn fifo_link_roundtrip_and_backpressure() {
@@ -188,5 +202,81 @@ mod tests {
         let (mut ltx, lrx) = fifo(1, &Wake::default());
         drop(lrx);
         assert!(matches!(ltx.offer(Vec::new()), LinkSend::Closed));
+    }
+
+    /// Counts the bursts of one link and sleeps whenever it reads it empty,
+    /// so only a raise gets it polled again.
+    struct Sink {
+        wake: Wake,
+        rx: LinkRx,
+        bursts: Arc<AtomicU64>,
+    }
+
+    impl Pollable for Sink {
+        fn poll(&mut self) -> Step {
+            match self.rx.try_recv() {
+                LinkRecv::Burst(_) => {
+                    self.bursts.fetch_add(1, Ordering::SeqCst);
+                    Step::Progress
+                }
+                LinkRecv::Empty => Step::Idle,
+                LinkRecv::Closed => Step::Done,
+            }
+        }
+
+        fn wake(&self) -> Option<&Wake> {
+            Some(&self.wake)
+        }
+    }
+
+    /// A share raises the consumer on push like the original, and the link
+    /// reads `Closed` only once the original and every share are gone.
+    #[test]
+    fn shared_fifo_tx_raises_and_closes_last() {
+        let pkt = NetworkPacket::new(0, 1, 0, PacketOp::Send);
+        let (ltx, mut lrx) = fifo(4, &Wake::default());
+        let mut share = ltx.share();
+        drop(ltx);
+        assert!(matches!(share.offer(vec![pkt.into()]), LinkSend::Accepted));
+        assert!(matches!(lrx.try_recv(), LinkRecv::Burst(_)));
+        assert!(matches!(lrx.try_recv(), LinkRecv::Empty));
+        drop(share);
+        assert!(matches!(lrx.try_recv(), LinkRecv::Closed));
+
+        // The consumer asleep on a worker parked for 10 s: only a raise from
+        // the share wakes it in time.
+        let wake = Wake::default();
+        let (ltx, rx) = fifo(4, &wake);
+        let bursts = Arc::new(AtomicU64::new(0));
+        let sink = Sink {
+            wake,
+            rx,
+            bursts: bursts.clone(),
+        };
+        let patient = ExecutorConfig {
+            park_min: Duration::from_secs(10),
+            park_max: Duration::from_secs(10),
+            ..ExecutorConfig::default()
+        };
+        let stop = Arc::new(AtomicBool::new(false));
+        let ex = ShardedExecutor::spawn_with(vec![Box::new(sink)], 1, stop, patient);
+        let eventually = |what: &str, cond: &dyn Fn() -> bool| {
+            let start = Instant::now();
+            while !cond() {
+                assert!(start.elapsed() < Duration::from_secs(5), "never: {what}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        eventually("parked", &|| ex.worker_stats()[0].parks > 0);
+        let mut share = ltx.share();
+        assert!(matches!(share.offer(vec![pkt.into()]), LinkSend::Accepted));
+        eventually("the share's push woke the sink", &|| {
+            bursts.load(Ordering::SeqCst) == 1
+        });
+        drop(ltx);
+        drop(share);
+        let t = Instant::now();
+        ex.join().unwrap(); // the last drop's raise lets the sink read `Closed`
+        assert!(t.elapsed() < Duration::from_secs(5), "{:?}", t.elapsed());
     }
 }

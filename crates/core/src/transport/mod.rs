@@ -156,9 +156,9 @@ impl WireSnapshot {
 /// Transport-wide counters, shared with the CK machines.
 #[derive(Debug, Clone, Default)]
 pub struct TransportStats {
-    /// Packets forwarded by CKS kernels.
+    /// Packets forwarded by CKS kernels: once per packet, at its origin.
     pub cks_forwards: Arc<AtomicU64>,
-    /// Packets forwarded by CKR kernels.
+    /// Packets forwarded by CKR kernels: once per rank a packet enters.
     pub ckr_forwards: Arc<AtomicU64>,
     /// Packets dropped for lack of a route/port binding (always a bug).
     pub unroutable: Arc<AtomicU64>,

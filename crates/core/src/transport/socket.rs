@@ -1090,6 +1090,7 @@ impl SocketConn {
     }
 }
 
+#[derive(Clone)]
 struct SocketLinkTx {
     conn: Arc<ConnShared>,
     src_rank: u16,
@@ -1232,6 +1233,12 @@ impl Transport for SocketLinkTx {
             meter_outbound(&self.conn.copies, chunk);
         }
         LinkSend::Accepted
+    }
+
+    /// Same connection, same frame tag: the ring lock orders the producers'
+    /// offers, and a cork merge never crosses edges.
+    fn share(&self) -> LinkTx {
+        Box::new(self.clone())
     }
 }
 
@@ -2191,6 +2198,41 @@ mod tests {
             }
         }
         assert_eq!(seen, (0..50u8).collect::<Vec<_>>());
+        assert!(health.peer_down().is_none());
+    }
+
+    /// Two producers into one edge, as a CKS and a transit CKR share a link:
+    /// their bursts interleave, some cork-merged into the other's frame, and
+    /// arrive in offer order, each producer's in its own order.
+    #[test]
+    fn shared_link_tx_keeps_each_producers_order() {
+        let (conn_a, mut pump_a, conn_b, mut pump_b, health) = conn_pair();
+        let tx = conn_a.tx(0, 0);
+        let mut producers = [tx.share(), tx.share()];
+        drop(tx);
+        let mut rx = conn_b.rx((0, 0));
+        let mut offered = Vec::new();
+        for i in 0..40u8 {
+            let who = usize::from(i % 3 == 0);
+            offer(&mut producers[who], vec![pkt(1, i).into()]);
+            offered.push(i);
+            if i % 7 == 0 {
+                pump_a.poll(); // some bursts leave alone, the rest corked
+            }
+        }
+        assert!(conn_a.shared.wire.corked_frames.load(Ordering::Relaxed) > 0);
+        let mut seen = Vec::new();
+        for _ in 0..100_000 {
+            pump_a.poll();
+            pump_b.poll();
+            while let LinkRecv::Burst(b) = rx.try_recv() {
+                seen.extend(b.iter().map(tag));
+            }
+            if seen.len() == offered.len() {
+                break;
+            }
+        }
+        assert_eq!(seen, offered);
         assert!(health.peer_down().is_none());
     }
 

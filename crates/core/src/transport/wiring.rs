@@ -73,18 +73,6 @@ fn take_link<T>(links: &mut HashMap<(usize, usize), T>, rank: usize, qsfp: usize
     half.unwrap_or_else(|| panic!("no link half for endpoint ({rank},{qsfp})"))
 }
 
-/// One FIFO of `depth` into every CKS of a rank, in pair order: the receive
-/// halves join the CKSs' inputs, the send halves are returned.
-fn into_every_cks(depth: usize, cks_wake: &[&Wake], cks_in: &mut [Vec<LinkRx>]) -> Vec<FifoTx> {
-    let pairs = cks_wake.iter().zip(cks_in);
-    let fifos = pairs.map(|(wake, inputs)| {
-        let (tx, rx) = fifo(depth, wake);
-        inputs.push(rx);
-        tx
-    });
-    fifos.collect()
-}
-
 /// Delivery targets of one port at one rank, which every CKR of the rank
 /// writes directly.
 #[derive(Default)]
@@ -210,10 +198,17 @@ pub(crate) fn build_transport(
         let mut table = EndpointTable::with_health(health.clone(), meter.clone());
         let (cks_wake, ckr_wake): (Vec<&Wake>, Vec<&Wake>) =
             wakes[r].iter().map(|(cks, ckr)| (cks, ckr)).unzip();
-        // Every CKS's inputs start with one lane from each endpoint.
+        // A CKS's inputs are one lane from each endpoint and nothing else:
+        // an endpoint's lanes are a FIFO into every CKS, in pair order.
         let mut cks_in: Vec<Vec<LinkRx>> = (0..np).map(|_| Vec::new()).collect();
         let mut lanes = |depth: usize, bound: usize| CksLanes {
-            lanes: into_every_cks(depth, &cks_wake, &mut cks_in),
+            lanes: (cks_wake.iter().zip(&mut cks_in))
+                .map(|(wake, inputs)| {
+                    let (tx, rx) = fifo(depth, wake);
+                    inputs.push(rx);
+                    tx
+                })
+                .collect(),
             next_pair: next_pair.clone(),
             bound,
         };
@@ -288,34 +283,33 @@ pub(crate) fn build_transport(
         }
 
         // Intra-rank CK interconnect, each FIFO moved straight into the two
-        // machines it joins. CKS `p` reads its lane of every endpoint and
-        // every CKR, and writes its network port (0) and its CKR (1). CKR `p`
-        // reads its network port and its CKS, and writes every CKS in pair
-        // order, then every endpoint: a transit packet crosses straight to
-        // the CKS of its next hop, a local one to its endpoint. So a packet
-        // is only ever handed to the CKS whose port it leaves by, or — bound
-        // for this rank — to an endpoint's bound CKS. Several producers may
-        // feed one FIFO and each stream still arrives in order: routing is
-        // static, so every `(src, dst)` stream leaves its endpoint by the one
-        // lane `next_pair[dst]` names and enters each rank on its path
-        // through exactly one CKR.
+        // machines it joins. CKS `p` reads its lane of every endpoint, and
+        // writes its network port (0) and its CKR (1). CKR `p` reads its
+        // network port and its CKS, and writes every link of the rank in pair
+        // order, then every endpoint: a transit packet goes straight onto the
+        // link of its next hop, a local one to its endpoint. So a CKS only
+        // carries packets that start at this rank, and a link has up to
+        // `np + 1` producers: its CKS and every CKR. Several producers may
+        // feed one FIFO or link and each stream still arrives in order:
+        // routing is static, so every `(src, dst)` stream has exactly one
+        // producer per FIFO and link it crosses — at its origin the lane
+        // `next_pair[dst]` names, then that lane's CKS; on every rank it
+        // enters, the one CKR it entered by.
+        let links: Vec<LinkTx> = pairs
+            .iter()
+            .map(|&q| take_link(&mut link_tx, r, q))
+            .collect();
+        let ckr_out: Vec<Vec<LinkTx>> = (0..np)
+            .map(|_| links.iter().map(|link| link.share()).collect())
+            .collect();
         let mut cks_out: Vec<Vec<LinkTx>> = Vec::with_capacity(np);
         let mut ckr_in: Vec<Vec<LinkRx>> = Vec::with_capacity(np);
-        for p in 0..np {
+        for (p, link) in links.into_iter().enumerate() {
             let (to_ckr, from_cks) = fifo(ck_depth, ckr_wake[p]);
-            cks_out.push(vec![take_link(&mut link_tx, r, pairs[p]), Box::new(to_ckr)]);
+            cks_out.push(vec![link, Box::new(to_ckr)]);
             ckr_in.push(vec![take_link(&mut link_rx, r, pairs[p]), from_cks]);
         }
-        let ckr_out: Vec<Vec<LinkTx>> = (0..np)
-            .map(|_| {
-                let to_cks = into_every_cks(ck_depth, &cks_wake, &mut cks_in);
-                to_cks
-                    .into_iter()
-                    .map(|tx| Box::new(tx) as LinkTx)
-                    .collect()
-            })
-            .collect();
-        // (port, is_credit) -> CKR output index, after the `np` CKSs.
+        // (port, is_credit) -> CKR output index, after the `np` links.
         let mut delivery_tx: Vec<Sender<Burst>> = Vec::new();
         let mut delivery_idx: HashMap<(usize, bool), usize> = HashMap::new();
         for (port, d) in deliveries {

@@ -3,9 +3,12 @@
 //! arrive at CKRs that do not own their port (ports are dealt to CK pairs
 //! round-robin). Every stream must arrive bit-exact in memory and over
 //! sockets, and the forward *counts* — which a noisy host cannot blur — must
-//! show that a rank a packet enters costs one CKR forward and a rank it
-//! leaves one CKS forward — its origin included, since every endpoint
-//! writes the CKS of its next hop.
+//! show that a rank a packet enters costs one CKR forward, and that a packet
+//! costs one CKS forward in all, at its origin: every endpoint writes the
+//! CKS of its next hop, and a transit CKR writes the link of its next hop.
+//! A link so has up to `np + 1` producers (its CKS and every CKR of the
+//! rank); tight FIFOs make them refuse in turn, and every stream must still
+//! arrive in order.
 
 use std::sync::{Arc, Mutex};
 
@@ -95,7 +98,11 @@ impl RankTask for AllPairs {
 
 /// All-pairs p2p on `topo`, in memory (`plan` = `None`) or over `plan`;
 /// checks every stream and returns the transport counters.
-fn all_pairs(topo: &Topology, plan: Option<&ProcessPlan>, workers: usize) -> (u64, u64, u64) {
+fn all_pairs(
+    topo: &Topology,
+    plan: Option<&ProcessPlan>,
+    params: RuntimeParams,
+) -> (u64, u64, u64) {
     let n = topo.num_ranks();
     let meta = (1..n).fold(ProgramMeta::new(), |m, p| {
         m.with(OpSpec::send(p, Datatype::Int))
@@ -130,10 +137,6 @@ fn all_pairs(topo: &Topology, plan: Option<&ProcessPlan>, workers: usize) -> (u6
             }) as TaskFactory
         })
         .collect();
-    let params = RuntimeParams {
-        transport_workers: workers,
-        ..RuntimeParams::default()
-    };
     let metas = vec![meta; n];
     let report = match plan {
         Some(plan) => run_split_mpmd_tasks(plan, metas, factories, params),
@@ -157,30 +160,70 @@ fn all_pairs(topo: &Topology, plan: Option<&ProcessPlan>, workers: usize) -> (u6
     report.transport
 }
 
+/// Runs [`all_pairs`] on `topo` for every `(processes, workers)` placement
+/// (one process: in memory; more: split over UDS) and checks the forward
+/// counts: one CKR forward per rank a packet enters, one CKS forward per
+/// packet, at its origin.
+fn one_crossing_per_rank(
+    name: &str,
+    topo: &Topology,
+    base: RuntimeParams,
+    placements: &[(usize, usize)],
+) {
+    let n = topo.num_ranks();
+    let packets = COUNT.div_ceil(EPP) as u64;
+    let routes = RoutingPlan::compute(topo).unwrap();
+    let pairs = (0..n).flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)));
+    let hops: u64 = pairs.map(|(s, d)| routes.hops(s, d) as u64).sum();
+    for &(nproc, workers) in placements {
+        let plan = (nproc > 1).then(|| ProcessPlan::split(topo, TransportBackend::Uds, nproc));
+        let at = match nproc {
+            1 => format!("{name}, in memory on {workers} worker(s)"),
+            _ => format!("{name}, uds × {nproc}"),
+        };
+        let params = RuntimeParams {
+            transport_workers: workers,
+            ..base.clone()
+        };
+        let (cks, ckr, unroutable) = all_pairs(topo, plan.as_ref(), params);
+        assert_eq!(unroutable, 0, "{at}");
+        assert_eq!(
+            ckr,
+            hops * packets,
+            "{at}: one CKR forward per rank entered"
+        );
+        let streams = (n * (n - 1)) as u64;
+        assert_eq!(
+            cks,
+            streams * packets,
+            "{at}: one CKS forward, at the origin"
+        );
+    }
+}
+
 #[test]
 fn transit_costs_one_crossing_per_rank() {
-    let packets = COUNT.div_ceil(EPP) as u64;
     for (name, topo) in [
         ("bus(5)", Topology::bus(5)),
         ("ring(6)", Topology::ring(6)),
         ("torus2d(3,3)", Topology::torus2d(3, 3)),
     ] {
-        let n = topo.num_ranks();
-        let routes = RoutingPlan::compute(&topo).unwrap();
-        let pairs = (0..n).flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)));
-        let hops: u64 = pairs.map(|(s, d)| routes.hops(s, d) as u64).sum();
-        let link_hops = hops * packets;
-        let split = |nproc| Some(ProcessPlan::split(&topo, TransportBackend::Uds, nproc));
-        for (plan, workers) in [(None, 1), (None, 2), (split(2), 2), (split(4), 2)] {
-            let at = match &plan {
-                Some(p) => format!("{name}, uds × {}", p.processes.len()),
-                None => format!("{name}, in memory on {workers} worker(s)"),
-            };
-            let (cks, ckr, unroutable) = all_pairs(&topo, plan.as_ref(), workers);
-            assert_eq!(unroutable, 0, "{at}");
-            assert_eq!(ckr, link_hops, "{at}: one CKR forward per rank entered");
-            assert_eq!(cks, link_hops, "{at}: one CKS forward per rank left");
-        }
+        let placements = [(1, 1), (1, 2), (2, 2), (4, 2)];
+        one_crossing_per_rank(name, &topo, RuntimeParams::default(), &placements);
+    }
+}
+
+/// The same exchange under [`RuntimeParams::tight`]: one packet per burst
+/// and links two bursts deep, so the CKS and the transit CKRs that share a
+/// link keep refusing one another. Every stream still arrives bit-exact.
+#[test]
+fn shared_links_keep_every_stream_in_order_under_tight_fifos() {
+    for (name, topo) in [
+        ("bus(5)", Topology::bus(5)),
+        ("torus2d(3,3)", Topology::torus2d(3, 3)),
+    ] {
+        let placements = [(1, 1), (1, 2), (2, 2)];
+        one_crossing_per_rank(name, &topo, RuntimeParams::tight(), &placements);
     }
 }
 
