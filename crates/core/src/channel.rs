@@ -28,9 +28,11 @@ use std::marker::PhantomData;
 use std::time::Duration;
 
 use crossbeam::channel::TrySendError;
-use smi_wire::{Deframer, Frame, Framer, NetworkPacket, PacketOp, PacketRun, SmiType};
+use smi_wire::{Deframer, Frame, Framer, NetworkPacket, PacketOp, SmiType};
 
-use crate::endpoint::{send_burst, send_packet, EndpointTableHandle, RecvRes, SendRes};
+use crate::endpoint::{
+    expect_op, refill, send_burst, send_packet, EndpointTableHandle, RecvRes, SendRes,
+};
 use crate::transport::socket::FabricHealth;
 use crate::transport::{Burst, CopyMeter};
 use crate::SmiError;
@@ -141,11 +143,7 @@ impl<T: SmiType> SendChannel<T> {
                 .recv_packet(self.timeout, "credit grant", &self.health)
         };
         let pkt = got.map_err(|e| self.health.escalate(e))?;
-        if pkt.header.op != PacketOp::Credit {
-            return Err(SmiError::ProtocolViolation {
-                detail: format!("unexpected {:?} on credit path", pkt.header.op),
-            });
-        }
+        expect_op(&pkt.header, PacketOp::Credit)?;
         self.credits += pkt.control_arg() as u64;
         Ok(())
     }
@@ -154,11 +152,7 @@ impl<T: SmiType> SendChannel<T> {
     fn absorb_credits(&mut self) -> Result<(), SmiError> {
         let res = self.res.as_mut().expect("resource held while open");
         while let Some(pkt) = res.credit_rx.try_recv_packet()? {
-            if pkt.header.op != PacketOp::Credit {
-                return Err(SmiError::ProtocolViolation {
-                    detail: format!("unexpected {:?} on credit path", pkt.header.op),
-                });
-            }
+            expect_op(&pkt.header, PacketOp::Credit)?;
             self.credits += pkt.control_arg() as u64;
         }
         Ok(())
@@ -296,55 +290,26 @@ impl<T: SmiType> SendChannel<T> {
         Ok(consumed)
     }
 
-    /// Frame a chunk of `values` (bounded by the credit window), staging
-    /// completed frames. Returns elements consumed.
-    ///
-    /// With no partial packet pending, a whole span of elements (up to
-    /// `max_burst` packets' worth) is wrapped into one refcounted
-    /// [`Frame::Run`] — the single copy the in-memory plane pays for this
-    /// data. Otherwise elements go through the packet framer, one packet
-    /// per call.
+    /// Frame a chunk of `values` (bounded by the credit window) into at
+    /// most one staged frame ([`Framer::frame_slice`]: a run of up to
+    /// `max_burst` packets, or one packet). Returns elements consumed. A
+    /// closing credit window flushes the partial packet too — otherwise a
+    /// window smaller than a packet would strand elements in the framer
+    /// while the receiver, whose grants follow arriving data, waits.
     fn frame_chunk(&mut self, values: &[T]) -> usize {
-        let mut avail = values.len();
-        if self.credits != u64::MAX {
-            avail = avail.min(self.credits as usize);
-        }
-        avail = avail.min((self.count - self.sent) as usize);
-        let epp = T::DATATYPE.elems_per_packet();
-        let taken = if self.framer.pending() == 0 && avail >= epp {
-            let mut take = avail.min(self.max_burst.max(1) * epp);
-            // Keep runs whole-packet aligned except at the message end, so
-            // the materialized packet stream never carries a partial packet
-            // mid-message.
-            if (self.sent + take as u64) < self.count {
-                take -= take % epp;
-            }
-            let h = self.framer.header_template();
-            self.copies.add_bytes(take * T::DATATYPE.size_bytes());
-            self.staged.push(Frame::Run(PacketRun::from_elems(
-                h.src,
-                h.dst,
-                h.port,
-                h.op,
-                &values[..take],
-            )));
-            take
-        } else {
-            let (taken, maybe_pkt) = self.framer.push_slice(&values[..avail]);
-            self.copies.add_bytes(taken * T::DATATYPE.size_bytes());
-            if let Some(pkt) = maybe_pkt {
-                self.staged.push(pkt.into());
-            }
-            taken
-        };
+        let to_end = (self.count - self.sent) as usize;
+        let avail = values.len().min(self.credits.min(to_end as u64) as usize);
+        let (taken, frame) = self
+            .framer
+            .frame_slice(&values[..avail], to_end, self.max_burst);
+        self.copies.add_bytes(taken * T::DATATYPE.size_bytes());
+        self.staged.extend(frame);
         self.sent += taken as u64;
         if self.credits != u64::MAX {
             self.credits -= taken as u64;
         }
-        if self.must_flush_now() {
-            if let Some(pkt) = self.framer.flush() {
-                self.staged.push(pkt.into());
-            }
+        if self.credits == 0 {
+            self.staged.extend(self.framer.flush().map(Frame::Pkt));
         }
         taken
     }
@@ -464,24 +429,6 @@ impl<T: SmiType> RecvChannel<T> {
         })
     }
 
-    /// Stage an arrived frame into the deframer. Inline packets cost a
-    /// payload copy; run frames hand their refcounted buffer over whole.
-    fn refill(&mut self, frame: Frame) -> Result<(), SmiError> {
-        if frame.header().op != PacketOp::Send {
-            return Err(SmiError::ProtocolViolation {
-                detail: format!("unexpected {:?} on p2p recv path", frame.header().op),
-            });
-        }
-        match frame {
-            Frame::Pkt(p) => {
-                self.copies.add_packets(1);
-                self.deframer.refill(p);
-            }
-            Frame::Run(r) => self.deframer.refill_run(r.payload),
-        }
-        Ok(())
-    }
-
     /// Send a coalesced credit grant if enough elements accumulated (or the
     /// message completed). `blocking` selects the transport handover mode;
     /// in non-blocking mode an un-sendable grant stays accumulated and is
@@ -532,7 +479,7 @@ impl<T: SmiType> RecvChannel<T> {
                     .recv_frame(self.timeout, "message data", &self.health)
             };
             let frame = got.map_err(|e| self.health.escalate(e))?;
-            self.refill(frame)?;
+            refill(&mut self.deframer, frame, PacketOp::Send, &self.copies)?;
         }
         let v = self.deframer.pop::<T>().expect("non-empty deframer");
         self.copies.add_bytes(T::DATATYPE.size_bytes());
@@ -561,7 +508,7 @@ impl<T: SmiType> RecvChannel<T> {
                         .recv_frame(self.timeout, "message data", &self.health)
                 };
                 let frame = got.map_err(|e| self.health.escalate(e))?;
-                self.refill(frame)?;
+                refill(&mut self.deframer, frame, PacketOp::Send, &self.copies)?;
             }
             filled += self.drain_deframer(&mut out[filled..]);
             self.maybe_grant(true)?;
@@ -587,7 +534,7 @@ impl<T: SmiType> RecvChannel<T> {
                     res.from_ckr.try_recv_frame()?
                 };
                 match got {
-                    Some(frame) => self.refill(frame)?,
+                    Some(frame) => refill(&mut self.deframer, frame, PacketOp::Send, &self.copies)?,
                     None => break,
                 }
             }

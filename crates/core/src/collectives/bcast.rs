@@ -3,14 +3,14 @@
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 
-use smi_wire::{Deframer, Frame, Framer, NetworkPacket, PacketOp, PacketRun, SmiType};
+use smi_wire::{Deframer, Frame, Framer, NetworkPacket, PacketOp, SmiType};
 
 use crate::collectives::topology::WireEdges;
-use crate::collectives::{expect_op, CollectivePoll, CollectiveState};
+use crate::collectives::{CollectivePoll, CollectiveState};
 use crate::comm::Communicator;
-use crate::endpoint::{CollIo, EndpointTableHandle};
+use crate::endpoint::{expect_op, refill, CollIo, EndpointTableHandle};
 use crate::params::RuntimeParams;
-use crate::transport::executor::{block_on_deadline, BlockingStep};
+use crate::transport::executor::BlockingStep;
 use crate::SmiError;
 
 /// A broadcast channel (`SMI_BChannel`). The root pushes each element to
@@ -129,7 +129,7 @@ impl<T: SmiType> BcastChannel<T> {
                 while self.ready < self.children.len() {
                     match self.io.try_recv_data()? {
                         Some(pkt) => {
-                            expect_op(&pkt, PacketOp::Sync)?;
+                            expect_op(&pkt.header, PacketOp::Sync)?;
                             self.ready += 1;
                         }
                         None => break,
@@ -194,15 +194,7 @@ impl<T: SmiType> BcastChannel<T> {
             }
             match self.io.try_recv_data_frame()? {
                 Some(frame) => {
-                    if frame.header().op != PacketOp::Bcast {
-                        return Err(SmiError::ProtocolViolation {
-                            detail: format!(
-                                "expected {:?}, got {:?}",
-                                PacketOp::Bcast,
-                                frame.header().op
-                            ),
-                        });
-                    }
+                    expect_op(frame.header(), PacketOp::Bcast)?;
                     let k = frame.elems() as u64;
                     if self.fwd_elems + k > self.count {
                         return Err(SmiError::ProtocolViolation {
@@ -255,43 +247,15 @@ impl<T: SmiType> BcastChannel<T> {
                 return Ok(0);
             }
             let mut consumed = 0usize;
-            let epp = T::DATATYPE.elems_per_packet();
-            let sz = T::DATATYPE.size_bytes();
             while consumed < data.len() {
-                let remaining = &data[consumed..];
-                if self.framer.pending() == 0 && remaining.len() >= epp {
-                    // Wrap a whole-packet span into one refcounted run: the
-                    // single copy the in-memory fan-out pays.
-                    let mut take = remaining.len().min(self.io.max_burst().max(1) * epp);
-                    if (self.done + take as u64) < self.count {
-                        take -= take % epp;
-                    }
-                    self.io.meter().add_bytes(take * sz);
-                    self.window.push(Frame::Run(PacketRun::from_elems(
-                        self.my_wire,
-                        0,
-                        self.port_wire,
-                        PacketOp::Bcast,
-                        &remaining[..take],
-                    )));
-                    consumed += take;
-                    self.done += take as u64;
-                } else {
-                    let (take, pkt) = self.framer.push_slice(remaining);
-                    self.io.meter().add_bytes(take * sz);
-                    consumed += take;
-                    self.done += take as u64;
-                    let maybe = pkt.or_else(|| {
-                        if self.done == self.count {
-                            self.framer.flush()
-                        } else {
-                            None
-                        }
-                    });
-                    if let Some(p) = maybe {
-                        self.window.push(p.into());
-                    }
-                }
+                let to_end = (self.count - self.done) as usize;
+                let (take, frame) =
+                    self.framer
+                        .frame_slice(&data[consumed..], to_end, self.io.max_burst());
+                self.io.meter().add_bytes(take * T::DATATYPE.size_bytes());
+                self.window.extend(frame);
+                consumed += take;
+                self.done += take as u64;
                 if self.window_packets() >= self.io.max_burst() || self.done == self.count {
                     self.stage_fanout();
                     if !self.io.try_flush()? {
@@ -305,35 +269,16 @@ impl<T: SmiType> BcastChannel<T> {
             let mut filled = 0usize;
             while filled < data.len() {
                 if self.deframer.is_empty() {
+                    // Interior: the forwarding pump queued the frame.
                     let next = if self.is_interior() {
-                        // Interior: the forwarding pump validated and
-                        // queued the frame already.
                         self.inbox.pop_front()
                     } else {
-                        match self.io.try_recv_data_frame()? {
-                            Some(frame) => {
-                                if frame.header().op != PacketOp::Bcast {
-                                    return Err(SmiError::ProtocolViolation {
-                                        detail: format!(
-                                            "expected {:?}, got {:?}",
-                                            PacketOp::Bcast,
-                                            frame.header().op
-                                        ),
-                                    });
-                                }
-                                Some(frame)
-                            }
-                            None => None,
-                        }
+                        self.io.try_recv_data_frame()?
                     };
-                    match next {
-                        Some(Frame::Pkt(p)) => {
-                            self.io.meter().add_packets(1);
-                            self.deframer.refill(p);
-                        }
-                        Some(Frame::Run(r)) => self.deframer.refill_run(r.payload),
-                        None => break,
-                    }
+                    let Some(frame) = next else {
+                        break;
+                    };
+                    refill(&mut self.deframer, frame, PacketOp::Bcast, self.io.meter())?;
                 }
                 let n = self.deframer.pop_slice(&mut data[filled..]);
                 self.io.meter().add_bytes(n * T::DATATYPE.size_bytes());
@@ -359,11 +304,8 @@ impl<T: SmiType> BcastChannel<T> {
         if data.len() as u64 > self.count - self.done {
             return Err(SmiError::CountExceeded { count: self.count });
         }
-        let timeout = self.io.timeout();
-        let overall = self.io.call_deadline();
-        let health = self.io.health_handle();
         let mut off = 0usize;
-        block_on_deadline(timeout, overall, Some(&health), "bcast progress", || {
+        self.io.wait("bcast progress").on(|| {
             let fwd_before = self.fwd_elems;
             let moved = self.try_bcast_slice(&mut data[off..])?;
             off += moved;
@@ -399,26 +341,17 @@ impl<T: SmiType> BcastChannel<T> {
 
     /// Spin the open handshake to completion (thread-plane blocking open).
     pub(crate) fn wait_open(&mut self) -> Result<(), SmiError> {
-        let timeout = self.io.timeout();
-        let overall = self.io.call_deadline();
-        let health = self.io.health_handle();
-        block_on_deadline(
-            timeout,
-            overall,
-            Some(&health),
-            "bcast open rendezvous",
-            || {
-                let before = self.ready;
-                self.advance()?;
-                if self.state != CollectiveState::Opening {
-                    Ok(BlockingStep::Ready(()))
-                } else if self.ready > before {
-                    Ok(BlockingStep::Progress)
-                } else {
-                    Ok(BlockingStep::Pending)
-                }
-            },
-        )
+        self.io.wait("bcast open rendezvous").on(|| {
+            let before = self.ready;
+            self.advance()?;
+            if self.state != CollectiveState::Opening {
+                Ok(BlockingStep::Ready(()))
+            } else if self.ready > before {
+                Ok(BlockingStep::Progress)
+            } else {
+                Ok(BlockingStep::Pending)
+            }
+        })
     }
 
     /// Elements broadcast so far.

@@ -32,11 +32,11 @@ use std::marker::PhantomData;
 use smi_wire::{Deframer, Framer, NetworkPacket, PacketOp, SmiType};
 
 use crate::collectives::topology::{CollectiveScheme, Run, RunTarget, TreeShape, WireEdges};
-use crate::collectives::{expect_op, CollectivePoll, CollectiveState};
+use crate::collectives::{CollectivePoll, CollectiveState};
 use crate::comm::Communicator;
-use crate::endpoint::{CollIo, EndpointTableHandle};
+use crate::endpoint::{expect_op, refill, CollIo, EndpointTableHandle};
 use crate::params::RuntimeParams;
-use crate::transport::executor::{block_on_deadline, BlockingStep};
+use crate::transport::executor::BlockingStep;
 use crate::SmiError;
 
 /// How many child runs ahead of the in-order merge schedule the tree-gather
@@ -181,7 +181,7 @@ impl<T: SmiType> GatherChannel<T> {
         let mut flushed = self.io.try_flush()?;
         if !self.tree() && !self.is_root && !self.granted {
             if let Some(pkt) = self.io.try_recv_data()? {
-                expect_op(&pkt, PacketOp::Sync)?;
+                expect_op(&pkt.header, PacketOp::Sync)?;
                 self.granted = true;
             }
         }
@@ -216,7 +216,7 @@ impl<T: SmiType> GatherChannel<T> {
     /// Absorb per-edge credit grants (tree non-root).
     fn absorb_credits(&mut self) -> Result<(), SmiError> {
         while let Some(pkt) = self.io.try_recv_credit()? {
-            expect_op(&pkt, PacketOp::Credit)?;
+            expect_op(&pkt.header, PacketOp::Credit)?;
             self.upstream_credits += pkt.control_arg() as u64;
             if self.emitted + self.upstream_credits > self.subtree_elems {
                 return Err(SmiError::ProtocolViolation {
@@ -272,7 +272,7 @@ impl<T: SmiType> GatherChannel<T> {
     /// child). Data from a non-child source is a protocol violation.
     fn drain_into_stash(&mut self) -> Result<(), SmiError> {
         while let Some(pkt) = self.io.try_recv_data()? {
-            expect_op(&pkt, PacketOp::Gather)?;
+            expect_op(&pkt.header, PacketOp::Gather)?;
             let src = pkt.header.src;
             match self.children.iter().position(|&w| w == src) {
                 Some(c) => self.stash[c].push_back(pkt),
@@ -448,11 +448,8 @@ impl<T: SmiType> GatherChannel<T> {
         if values.len() as u64 > self.count - self.pushed {
             return Err(SmiError::CountExceeded { count: self.count });
         }
-        let timeout = self.io.timeout();
-        let overall = self.io.call_deadline();
-        let health = self.io.health_handle();
         let mut off = 0usize;
-        block_on_deadline(timeout, overall, Some(&health), "gather grant", || {
+        self.io.wait("gather grant").on(|| {
             let emitted_before = self.emitted;
             let moved = self.try_push_slice(&values[off..])?;
             off += moved;
@@ -533,22 +530,18 @@ impl<T: SmiType> GatherChannel<T> {
                 self.io.try_flush()?;
             }
             if self.deframer.is_empty() {
-                match self.io.try_recv_data()? {
-                    Some(pkt) => {
-                        expect_op(&pkt, PacketOp::Gather)?;
-                        if pkt.header.src != src_world {
-                            return Err(SmiError::ProtocolViolation {
-                                detail: format!(
-                                    "gather order violated: data from {} while collecting {}",
-                                    pkt.header.src, src_world
-                                ),
-                            });
-                        }
-                        self.io.meter().add_packets(1);
-                        self.deframer.refill(pkt);
-                    }
-                    None => break,
+                let Some(pkt) = self.io.try_recv_data()? else {
+                    break;
+                };
+                if pkt.header.src != src_world {
+                    return Err(SmiError::ProtocolViolation {
+                        detail: format!(
+                            "gather order violated: data from {} while collecting {}",
+                            pkt.header.src, src_world
+                        ),
+                    });
                 }
+                refill(&mut self.deframer, pkt, PacketOp::Gather, self.io.meter())?;
             }
             let cap = slice_left.min(out.len() - filled);
             let n = self.deframer.pop_slice(&mut out[filled..filled + cap]);
@@ -589,13 +582,10 @@ impl<T: SmiType> GatherChannel<T> {
                 }
                 RunTarget::Child(c) => {
                     if self.deframer.is_empty() {
-                        match self.recv_child_packet(c)? {
-                            Some(pkt) => {
-                                self.io.meter().add_packets(1);
-                                self.deframer.refill(pkt);
-                            }
-                            None => break,
-                        }
+                        let Some(pkt) = self.recv_child_packet(c)? else {
+                            break;
+                        };
+                        refill(&mut self.deframer, pkt, PacketOp::Gather, self.io.meter())?;
                     }
                     let cap = ((run_elems - self.run_off) as usize).min(out.len() - filled);
                     let n = self.deframer.pop_slice(&mut out[filled..filled + cap]);
@@ -623,11 +613,8 @@ impl<T: SmiType> GatherChannel<T> {
     /// slice must already have been pushed when its turn comes up (nothing
     /// else can supply it), so a shortfall there is a protocol violation.
     pub fn pop_slice(&mut self, out: &mut [T]) -> Result<(), SmiError> {
-        let timeout = self.io.timeout();
-        let overall = self.io.call_deadline();
-        let health = self.io.health_handle();
         let mut off = 0usize;
-        block_on_deadline(timeout, overall, Some(&health), "gather data", || {
+        self.io.wait("gather data").on(|| {
             let moved = self.try_pop_slice(&mut out[off..])?;
             off += moved;
             if off == out.len() {

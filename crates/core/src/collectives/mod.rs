@@ -20,18 +20,26 @@
 //! an in-progress open never occupies an executor worker.
 //!
 //! The paper-shaped blocking methods (`bcast`, `reduce`, `push`, `pop` and
-//! the `*_slice` bulk forms) are thin wrappers that spin the core with the
-//! runtime's `blocking_timeout`
-//! (`block_on_deadline`); the blocking `open_*` context
-//! methods likewise spin the open handshake, preserving the §3.3 rendezvous
-//! semantics on the thread plane.
+//! the `*_slice` bulk forms) are thin wrappers that spin the core in the
+//! one wait loop of the port's endpoint handle, `CollIo::wait` (the
+//! runtime's `blocking_timeout` stall bound, its `blocking_deadline` and
+//! the fabric-health board); the blocking `open_*` context methods spin the
+//! open handshake the same way, preserving the §3.3 rendezvous semantics on
+//! the thread plane.
+//!
+//! A port hosts one channel at a time, but a member that finished a
+//! message may open the port's next one while others are still in the
+//! last: whatever an open channel reads for a later message (a reduce
+//! contribution past its count, a second ready-`Sync` from one scatter
+//! child) waits in the port's endpoint for the next open, which reads it
+//! first (`CollIo::carry`).
 //!
 //! ## Bulk element APIs
 //!
 //! Mirroring the point-to-point bulk path, every collective moves whole
 //! slices per call (`bcast_slice`, `reduce_slice`, scatter/gather
 //! `push_slice`/`pop_slice`), framing directly into packet bursts via
-//! `Framer::push_slice`/`Deframer::pop_slice`. The broadcast root fans a
+//! `Framer::frame_slice`/`Deframer::pop_slice`. The broadcast root fans a
 //! window of packets out grouped per destination (long same-route runs for
 //! the CKS), and reduce combiners coalesce credit grants per completed
 //! window into one `Credit` packet per contributor, clamped to the message
@@ -87,8 +95,6 @@ pub use reduce::ReduceChannel;
 pub use scatter::ScatterChannel;
 pub use topology::CollectiveScheme;
 
-use smi_wire::{NetworkPacket, PacketOp};
-
 use crate::SmiError;
 
 /// Handshake state of a collective channel's poll-mode core.
@@ -119,15 +125,4 @@ pub trait CollectivePoll {
 pub(crate) fn zero_elem<T: smi_wire::SmiType>() -> T {
     let buf = [0u8; 16];
     T::read_le(&buf[..T::DATATYPE.size_bytes()])
-}
-
-/// Expect a specific op on a control path.
-pub(crate) fn expect_op(pkt: &NetworkPacket, op: PacketOp) -> Result<(), SmiError> {
-    if pkt.header.op == op {
-        Ok(())
-    } else {
-        Err(SmiError::ProtocolViolation {
-            detail: format!("expected {:?}, got {:?}", op, pkt.header.op),
-        })
-    }
 }

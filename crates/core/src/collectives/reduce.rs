@@ -5,11 +5,11 @@ use smi_wire::reduce::SmiNumeric;
 use smi_wire::{Deframer, NetworkPacket, PacketOp, ReduceOp};
 
 use crate::collectives::topology::WireEdges;
-use crate::collectives::{expect_op, CollectivePoll, CollectiveState};
+use crate::collectives::{CollectivePoll, CollectiveState};
 use crate::comm::Communicator;
-use crate::endpoint::{CollIo, CreditLedger, EndpointTableHandle};
+use crate::endpoint::{expect_op, CollIo, CreditLedger, EndpointTableHandle};
 use crate::params::RuntimeParams;
-use crate::transport::executor::{block_on_deadline, BlockingStep};
+use crate::transport::executor::BlockingStep;
 use crate::SmiError;
 
 /// A reduce channel (`SMI_RChannel`). Every member contributes `count`
@@ -234,7 +234,7 @@ impl<T: SmiNumeric> ReduceChannel<T> {
     /// `CreditLedger`).
     fn absorb_credits(&mut self) -> Result<(), SmiError> {
         while let Some(pkt) = self.io.try_recv_credit()? {
-            expect_op(&pkt, PacketOp::Credit)?;
+            expect_op(&pkt.header, PacketOp::Credit)?;
             self.credits += pkt.control_arg() as u64;
             if self.done + self.credits > self.count.max(self.credits_window) {
                 return Err(SmiError::ProtocolViolation {
@@ -249,14 +249,22 @@ impl<T: SmiNumeric> ReduceChannel<T> {
     }
 
     /// Fold network contributions into the ring window (combiner nodes).
+    /// A contributor that completed this message may already stream the
+    /// port's next one under its implicit first window: packets past its
+    /// `count` wait for the next open (senders flush at the message end,
+    /// so no packet straddles two messages).
     fn fold_network(&mut self) -> Result<(), SmiError> {
         let c = self.credits_window;
         while let Some(pkt) = self.io.try_recv_data()? {
-            expect_op(&pkt, PacketOp::Reduce)?;
+            expect_op(&pkt.header, PacketOp::Reduce)?;
             let src = pkt.header.src as usize;
             let slot = self.contrib_slot[src].ok_or_else(|| SmiError::ProtocolViolation {
                 detail: format!("reduce contribution from unexpected world rank {src}"),
             })?;
+            if self.progress[slot] == self.count {
+                self.io.carry(pkt);
+                continue;
+            }
             let mut df = Deframer::new(T::DATATYPE);
             df.refill(pkt);
             while let Some(v) = df.pop::<T>() {
@@ -407,11 +415,8 @@ impl<T: SmiNumeric> ReduceChannel<T> {
                 detail: "reduce_slice at the root needs out.len() >= snd.len()".into(),
             });
         }
-        let timeout = self.io.timeout();
-        let overall = self.io.call_deadline();
-        let health = self.io.health_handle();
         let mut off = 0usize;
-        block_on_deadline(timeout, overall, Some(&health), "reduce progress", || {
+        self.io.wait("reduce progress").on(|| {
             let done_before = self.done;
             let moved = if self.is_root {
                 self.try_reduce_root(&snd[off..], &mut out[off..])?

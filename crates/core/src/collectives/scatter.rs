@@ -17,21 +17,21 @@
 //! flushes its framer at every block), so forwarding is plain counting.
 //!
 //! The root wraps whole-packet spans of each child's blocks into refcounted
-//! [`PacketRun`]s the way bcast's fan-out does: one copy into the run
+//! [`smi_wire::PacketRun`]s the way bcast's fan-out does: one copy into the run
 //! buffer, then `Arc` handles all the way down the tree (interior nodes
 //! re-stamp the route on a cloned header, never the payload).
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 
-use smi_wire::{Deframer, Frame, Framer, NetworkPacket, PacketOp, PacketRun, SmiType};
+use smi_wire::{Deframer, Frame, Framer, NetworkPacket, PacketOp, SmiType};
 
 use crate::collectives::topology::{Run, RunTarget, TreeShape, WireEdges};
-use crate::collectives::{expect_op, CollectivePoll, CollectiveState};
+use crate::collectives::{CollectivePoll, CollectiveState};
 use crate::comm::Communicator;
-use crate::endpoint::{CollIo, EndpointTableHandle};
+use crate::endpoint::{expect_op, refill, CollIo, EndpointTableHandle};
 use crate::params::RuntimeParams;
-use crate::transport::executor::{block_on_deadline, BlockingStep};
+use crate::transport::executor::BlockingStep;
 use crate::SmiError;
 
 /// A scatter channel, as a poll-mode core with bulk `push_slice` /
@@ -156,10 +156,7 @@ impl<T: SmiType> ScatterChannel<T> {
                 // interior), then announce the whole subtree ready.
                 while self.ready < self.children.len() {
                     match self.io.try_recv_data()? {
-                        Some(pkt) => {
-                            expect_op(&pkt, PacketOp::Sync)?;
-                            self.mark_ready(pkt.header.src)?;
-                        }
+                        Some(pkt) => self.mark_ready(pkt)?,
                         None => break,
                     }
                 }
@@ -204,16 +201,22 @@ impl<T: SmiType> ScatterChannel<T> {
         Ok(flushed)
     }
 
-    /// Record a ready announcement from a child.
-    fn mark_ready(&mut self, src_world: u8) -> Result<(), SmiError> {
+    /// Record a ready announcement from a child. A second one from the
+    /// same child is for the port's next message (the child finished this
+    /// one and opened the next at once), so it waits for that open.
+    fn mark_ready(&mut self, sync: NetworkPacket) -> Result<(), SmiError> {
+        expect_op(&sync.header, PacketOp::Sync)?;
+        let src = sync.header.src;
         let idx = self
             .children
             .iter()
-            .position(|&w| w == src_world)
+            .position(|&w| w == src)
             .ok_or_else(|| SmiError::ProtocolViolation {
-                detail: format!("scatter sync from unexpected world rank {src_world}"),
+                detail: format!("scatter sync from unexpected world rank {src}"),
             })?;
-        if !self.child_ready[idx] {
+        if self.child_ready[idx] {
+            self.io.carry(sync);
+        } else {
             self.child_ready[idx] = true;
             self.ready += 1;
         }
@@ -223,8 +226,7 @@ impl<T: SmiType> ScatterChannel<T> {
     /// Root: record any ready announcements already delivered.
     fn absorb_syncs(&mut self) -> Result<(), SmiError> {
         while let Some(pkt) = self.io.try_recv_data()? {
-            expect_op(&pkt, PacketOp::Sync)?;
-            self.mark_ready(pkt.header.src)?;
+            self.mark_ready(pkt)?;
         }
         Ok(())
     }
@@ -241,19 +243,17 @@ impl<T: SmiType> ScatterChannel<T> {
                 break;
             }
             let run = self.schedule[self.run_idx];
-            let frame = match self.io.try_recv_data_frame()? {
+            let mut frame = match self.io.try_recv_data_frame()? {
+                // A child that already has its block announces the next
+                // message.
+                Some(Frame::Pkt(p)) if p.header.op == PacketOp::Sync => {
+                    self.mark_ready(p)?;
+                    continue;
+                }
                 Some(frame) => frame,
                 None => break,
             };
-            if frame.header().op != PacketOp::Scatter {
-                return Err(SmiError::ProtocolViolation {
-                    detail: format!(
-                        "expected {:?}, got {:?}",
-                        PacketOp::Scatter,
-                        frame.header().op
-                    ),
-                });
-            }
+            expect_op(frame.header(), PacketOp::Scatter)?;
             let k = frame.elems() as u64;
             if self.run_off + k > run.elems(self.count) {
                 return Err(SmiError::ProtocolViolation {
@@ -262,18 +262,12 @@ impl<T: SmiType> ScatterChannel<T> {
             }
             match run.target {
                 RunTarget::Own => self.inbox.push_back(frame),
-                RunTarget::Child(c) => match frame {
-                    Frame::Pkt(mut p) => {
-                        p.header.src = self.my_wire;
-                        p.header.dst = self.children[c];
-                        self.io.stage(p);
-                    }
-                    Frame::Run(mut r) => {
-                        r.header.src = self.my_wire;
-                        r.header.dst = self.children[c];
-                        self.io.stage_frame(Frame::Run(r));
-                    }
-                },
+                RunTarget::Child(c) => {
+                    let h = frame.header_mut();
+                    h.src = self.my_wire;
+                    h.dst = self.children[c];
+                    self.io.stage_frame(frame);
+                }
             }
             self.run_off += k;
             self.routed += k;
@@ -303,7 +297,7 @@ impl<T: SmiType> ScatterChannel<T> {
             return Ok(0);
         }
         let mut consumed = 0usize;
-        'outer: while consumed < values.len() {
+        while consumed < values.len() {
             let run = self.schedule[self.run_idx];
             match run.target {
                 RunTarget::Own => {
@@ -320,66 +314,34 @@ impl<T: SmiType> ScatterChannel<T> {
                     if !self.child_ready[c] {
                         self.absorb_syncs()?;
                         if !self.child_ready[c] {
-                            break 'outer;
+                            break;
                         }
                     }
                     // Frame within the current member block so a packet
-                    // never straddles block boundaries.
+                    // never straddles block boundaries (a run may take the
+                    // whole block).
                     let block_left = (self.count - self.pushed % self.count) as usize;
                     let avail = (values.len() - consumed)
                         .min(block_left)
                         .min((run.elems(self.count) - self.run_off) as usize);
-                    let epp = T::DATATYPE.elems_per_packet();
-                    if self.framer.pending() == 0 && avail >= epp {
-                        // Whole-packet span (or a block-completing tail) as
-                        // one refcounted run addressed to this child: the
-                        // single copy the zero-copy fan-out pays.
-                        let take = if avail == block_left {
-                            avail
-                        } else {
-                            avail - avail % epp
-                        };
-                        self.io.meter().add_bytes(take * T::DATATYPE.size_bytes());
-                        let run_frame = PacketRun::from_elems(
-                            self.my_wire,
-                            self.children[c],
-                            self.port_wire,
-                            PacketOp::Scatter,
-                            &values[consumed..consumed + take],
-                        );
-                        self.pushed += take as u64;
-                        self.run_off += take as u64;
-                        consumed += take;
-                        self.io.stage_frame(Frame::Run(run_frame));
+                    let (take, frame) = self.framer.frame_slice(
+                        &values[consumed..consumed + avail],
+                        block_left,
+                        usize::MAX,
+                    );
+                    self.io.meter().add_bytes(take * T::DATATYPE.size_bytes());
+                    self.pushed += take as u64;
+                    self.run_off += take as u64;
+                    consumed += take;
+                    if let Some(mut frame) = frame {
+                        frame.header_mut().dst = self.children[c];
+                        self.io.stage_frame(frame);
                         if self.io.stage_full() && !self.io.try_flush()? {
                             if self.run_off == run.elems(self.count) {
                                 self.run_idx += 1;
                                 self.run_off = 0;
                             }
-                            break 'outer;
-                        }
-                    } else {
-                        let (take, pkt) =
-                            self.framer.push_slice(&values[consumed..consumed + avail]);
-                        self.io.meter().add_bytes(take * T::DATATYPE.size_bytes());
-                        self.pushed += take as u64;
-                        self.run_off += take as u64;
-                        consumed += take;
-                        let maybe = if self.pushed.is_multiple_of(self.count) {
-                            pkt.or_else(|| self.framer.flush())
-                        } else {
-                            pkt
-                        };
-                        if let Some(mut p) = maybe {
-                            p.header.dst = self.children[c];
-                            self.io.stage(p);
-                            if self.io.stage_full() && !self.io.try_flush()? {
-                                if self.run_off == run.elems(self.count) {
-                                    self.run_idx += 1;
-                                    self.run_off = 0;
-                                }
-                                break 'outer;
-                            }
+                            break;
                         }
                     }
                 }
@@ -395,28 +357,19 @@ impl<T: SmiType> ScatterChannel<T> {
 
     /// Bulk push (root only), blocking until the whole slice was accepted.
     pub fn push_slice(&mut self, values: &[T]) -> Result<(), SmiError> {
-        let timeout = self.io.timeout();
-        let overall = self.io.call_deadline();
-        let health = self.io.health_handle();
         let mut off = 0usize;
-        block_on_deadline(
-            timeout,
-            overall,
-            Some(&health),
-            "scatter push progress",
-            || {
-                let moved = self.try_push_slice(&values[off..])?;
-                off += moved;
-                if off == values.len() && self.io.try_flush()? {
-                    return Ok(BlockingStep::Ready(()));
-                }
-                Ok(if moved > 0 {
-                    BlockingStep::Progress
-                } else {
-                    BlockingStep::Pending
-                })
-            },
-        )
+        self.io.wait("scatter push progress").on(|| {
+            let moved = self.try_push_slice(&values[off..])?;
+            off += moved;
+            if off == values.len() && self.io.try_flush()? {
+                return Ok(BlockingStep::Ready(()));
+            }
+            Ok(if moved > 0 {
+                BlockingStep::Progress
+            } else {
+                BlockingStep::Pending
+            })
+        })
     }
 
     /// Root only: feed the next element of the `count × N` source stream.
@@ -448,34 +401,21 @@ impl<T: SmiType> ScatterChannel<T> {
         } else {
             while filled < out.len() {
                 if self.deframer.is_empty() {
+                    // Interior: the forwarding pump queued the frame.
                     let next = if self.is_interior() {
-                        // Validated and queued by the forwarding pump.
                         self.inbox.pop_front()
                     } else {
-                        match self.io.try_recv_data_frame()? {
-                            Some(frame) => {
-                                if frame.header().op != PacketOp::Scatter {
-                                    return Err(SmiError::ProtocolViolation {
-                                        detail: format!(
-                                            "expected {:?}, got {:?}",
-                                            PacketOp::Scatter,
-                                            frame.header().op
-                                        ),
-                                    });
-                                }
-                                Some(frame)
-                            }
-                            None => None,
-                        }
+                        self.io.try_recv_data_frame()?
                     };
-                    match next {
-                        Some(Frame::Pkt(p)) => {
-                            self.io.meter().add_packets(1);
-                            self.deframer.refill(p);
-                        }
-                        Some(Frame::Run(r)) => self.deframer.refill_run(r.payload),
-                        None => break,
-                    }
+                    let Some(frame) = next else {
+                        break;
+                    };
+                    refill(
+                        &mut self.deframer,
+                        frame,
+                        PacketOp::Scatter,
+                        self.io.meter(),
+                    )?;
                 }
                 let n = self.deframer.pop_slice(&mut out[filled..]);
                 self.io.meter().add_bytes(n * T::DATATYPE.size_bytes());
@@ -500,12 +440,9 @@ impl<T: SmiType> ScatterChannel<T> {
         if out.len() as u64 > self.count - self.popped {
             return Err(SmiError::CountExceeded { count: self.count });
         }
-        let timeout = self.io.timeout();
-        let overall = self.io.call_deadline();
-        let health = self.io.health_handle();
         let is_root = self.is_root;
         let mut off = 0usize;
-        block_on_deadline(timeout, overall, Some(&health), "scatter data", || {
+        self.io.wait("scatter data").on(|| {
             let routed_before = self.routed;
             let moved = self.try_pop_slice(&mut out[off..])?;
             off += moved;
@@ -537,10 +474,7 @@ impl<T: SmiType> ScatterChannel<T> {
 
     /// Spin until the open-side handshake traffic left (thread plane).
     pub(crate) fn wait_open(&mut self) -> Result<(), SmiError> {
-        let timeout = self.io.timeout();
-        let overall = self.io.call_deadline();
-        let health = self.io.health_handle();
-        block_on_deadline(timeout, overall, Some(&health), "scatter sync path", || {
+        self.io.wait("scatter sync path").on(|| {
             let before = self.ready;
             self.advance()?;
             if self.state != CollectiveState::Opening {

@@ -19,8 +19,9 @@ use std::time::Duration;
 use crossbeam::channel::{Receiver, TrySendError};
 use parking_lot::Mutex;
 use smi_codegen::OpKind;
-use smi_wire::{Datatype, Frame, NetworkPacket, PacketRun, ReduceOp};
+use smi_wire::{Datatype, Deframer, Frame, Header, NetworkPacket, PacketOp, PacketRun, ReduceOp};
 
+use crate::transport::executor::{block_on_deadline, BlockingStep};
 use crate::transport::link::FifoTx;
 use crate::transport::socket::FabricHealth;
 use crate::transport::{meter_inline_data, Burst, CopyMeter};
@@ -73,6 +74,38 @@ pub(crate) fn send_packet(
     health: &FabricHealth,
 ) -> Result<(), SmiError> {
     send_burst(tx, vec![pkt.into()], timeout, waiting_for, health)
+}
+
+/// Expect a specific op on a receive path.
+pub(crate) fn expect_op(header: &Header, op: PacketOp) -> Result<(), SmiError> {
+    if header.op == op {
+        Ok(())
+    } else {
+        Err(SmiError::ProtocolViolation {
+            detail: format!("expected {:?}, got {:?}", op, header.op),
+        })
+    }
+}
+
+/// Load a received data frame into `deframer` once it proved to carry
+/// `op`: an inline packet's payload is copied in (metered), a run hands
+/// its refcounted buffer over whole.
+pub(crate) fn refill(
+    deframer: &mut Deframer,
+    frame: impl Into<Frame>,
+    op: PacketOp,
+    meter: &CopyMeter,
+) -> Result<(), SmiError> {
+    let frame = frame.into();
+    expect_op(frame.header(), op)?;
+    match frame {
+        Frame::Pkt(p) => {
+            meter.add_packets(1);
+            deframer.refill(p);
+        }
+        Frame::Run(r) => deframer.refill_run(r.payload),
+    }
+    Ok(())
 }
 
 /// Receive side of a burst FIFO, unbatched back into a frame (or packet)
@@ -299,6 +332,10 @@ pub(crate) struct CollRes {
     pub to_cks: CksLanes,
     pub rx: PacketRx,
     pub credit_rx: PacketRx,
+    /// Packets an earlier channel on this port read for a later message
+    /// (a member that finished a message may open the next one at once);
+    /// the next open receives them before anything else.
+    pub carry: VecDeque<NetworkPacket>,
 }
 
 /// Poll-mode handle on a port's collective endpoint: the [`CollRes`] plus
@@ -328,6 +365,30 @@ pub(crate) struct CollIo {
     max_burst: usize,
     health: FabricHealth,
     copies: CopyMeter,
+    /// Packets kept for the port's next open, in arrival order.
+    carry: VecDeque<NetworkPacket>,
+}
+
+/// The stall bounds of one blocking collective call, fixed when the call
+/// starts ([`CollIo::wait`]).
+pub(crate) struct Wait {
+    timeout: Duration,
+    overall: Option<std::time::Instant>,
+    health: FabricHealth,
+    waiting_for: &'static str,
+}
+
+impl Wait {
+    /// Spin a non-blocking `step` until it is ready: the stall bound resets
+    /// on progress and while a socket reconnect is in flight, the overall
+    /// deadline (if any) holds regardless ([`block_on_deadline`]).
+    pub fn on<R>(
+        self,
+        step: impl FnMut() -> Result<BlockingStep<R>, SmiError>,
+    ) -> Result<R, SmiError> {
+        let health = Some(&self.health);
+        block_on_deadline(self.timeout, self.overall, health, self.waiting_for, step)
+    }
 }
 
 impl CollIo {
@@ -364,6 +425,7 @@ impl CollIo {
             max_burst: params.burst_packets.max(1),
             health,
             copies,
+            carry: VecDeque::new(),
         })
     }
 
@@ -380,26 +442,21 @@ impl CollIo {
         self.res().reduce_op
     }
 
-    /// The runtime's blocking-stall bound.
-    pub fn timeout(&self) -> Duration {
-        self.timeout
-    }
-
-    /// Overall deadline for a blocking call starting now (`None` when the
-    /// runtime leaves blocking calls stall-bounded only).
-    pub fn call_deadline(&self) -> Option<std::time::Instant> {
-        self.deadline.map(|d| std::time::Instant::now() + d)
+    /// The wait of a blocking call starting now, on behalf of `waiting_for`:
+    /// the runtime's stall bound, its overall deadline and the fabric-health
+    /// board (the wait keeps polling while a reconnect is in flight).
+    pub fn wait(&self, waiting_for: &'static str) -> Wait {
+        Wait {
+            timeout: self.timeout,
+            overall: self.deadline.map(|d| std::time::Instant::now() + d),
+            health: self.health.clone(),
+            waiting_for,
+        }
     }
 
     /// The configured burst size (packets per transport handover).
     pub fn max_burst(&self) -> usize {
         self.max_burst
-    }
-
-    /// A clone of the fabric-health board, for recovery-aware stall bounds
-    /// (the blocking wrappers keep polling while a reconnect is in flight).
-    pub fn health_handle(&self) -> FabricHealth {
-        self.health.clone()
     }
 
     /// The rank's payload-copy meter: collectives charge their own framing,
@@ -478,14 +535,19 @@ impl CollIo {
         Ok(flushed)
     }
 
-    /// Non-blocking receive from the data/sync delivery path.
+    /// Non-blocking receive from the data/sync delivery path, packets an
+    /// earlier channel on the port carried over first.
     ///
     /// Buffered packets are always delivered; once the path runs empty
     /// *and* a peer process has died, the op fails fast with
     /// [`SmiError::PeerDisconnected`] — a collective spans every member, so
     /// waiting out the stall could only end in a timeout anyway.
     pub fn try_recv_data(&mut self) -> Result<Option<NetworkPacket>, SmiError> {
-        match self.res_mut().rx.try_recv_packet()? {
+        let res = self.res_mut();
+        if let Some(p) = res.carry.pop_front() {
+            return Ok(Some(p));
+        }
+        match res.rx.try_recv_packet()? {
             Some(p) => Ok(Some(p)),
             None => match self.health.error() {
                 Some(e) => Err(e),
@@ -498,13 +560,23 @@ impl CollIo {
     /// frames arrive whole (no payload copy). Same peer-death fail-fast as
     /// [`CollIo::try_recv_data`].
     pub fn try_recv_data_frame(&mut self) -> Result<Option<Frame>, SmiError> {
-        match self.res_mut().rx.try_recv_frame()? {
+        let res = self.res_mut();
+        if let Some(p) = res.carry.pop_front() {
+            return Ok(Some(p.into()));
+        }
+        match res.rx.try_recv_frame()? {
             Some(f) => Ok(Some(f)),
             None => match self.health.error() {
                 Some(e) => Err(e),
                 None => Ok(None),
             },
         }
+    }
+
+    /// Keep a received packet for the port's next open: it belongs to a
+    /// later message than this channel's.
+    pub fn carry(&mut self, pkt: NetworkPacket) {
+        self.carry.push_back(pkt);
     }
 
     /// Non-blocking receive from the credit delivery path (same
@@ -522,7 +594,7 @@ impl CollIo {
 
 impl Drop for CollIo {
     fn drop(&mut self) {
-        if let Some(res) = self.res.take() {
+        if let Some(mut res) = self.res.take() {
             // Best-effort handover of anything still staged (mirrors
             // `SendChannel::drop`): Drop may run on an executor worker, so
             // blocking here would wedge the thread that drains the FIFO.
@@ -531,6 +603,9 @@ impl Drop for CollIo {
                     let _ = lane.try_send(std::mem::take(staged));
                 }
             }
+            // What this channel kept arrived before what it never read.
+            self.carry.append(&mut res.carry);
+            res.carry = std::mem::take(&mut self.carry);
             self.table.lock().put_coll(self.port, res);
         }
     }
@@ -719,9 +794,8 @@ mod tests {
         (lanes, [rx0, rx1])
     }
 
-    /// A bcast `CollIo` on port 0 over `lanes`.
-    fn coll_io(lanes: CksLanes) -> CollIo {
-        let (_data_tx, data_rx) = bounded::<Burst>(1);
+    /// A table declaring a bcast on port 0 over `lanes`, fed by `data_rx`.
+    fn coll_table(lanes: CksLanes, data_rx: Receiver<Burst>) -> EndpointTableHandle {
         let (_credit_tx, credit_rx) = bounded::<Burst>(1);
         let t = new_table();
         t.lock().declare(0, OpKind::Bcast);
@@ -734,10 +808,21 @@ mod tests {
                 to_cks: lanes,
                 rx: PacketRx::new(data_rx, CopyMeter::default()),
                 credit_rx: PacketRx::new(credit_rx, CopyMeter::default()),
+                carry: VecDeque::new(),
             },
         );
+        t
+    }
+
+    fn open_bcast(t: &EndpointTableHandle) -> CollIo {
         let params = crate::params::RuntimeParams::default();
-        CollIo::open(t, 0, OpKind::Bcast, Datatype::Int, &params).unwrap()
+        CollIo::open(t.clone(), 0, OpKind::Bcast, Datatype::Int, &params).unwrap()
+    }
+
+    /// A bcast `CollIo` on port 0 over `lanes`.
+    fn coll_io(lanes: CksLanes) -> CollIo {
+        let (_data_tx, data_rx) = bounded::<Burst>(1);
+        open_bcast(&coll_table(lanes, data_rx))
     }
 
     /// A packet from rank 2 tagged with `seq`.
@@ -777,6 +862,35 @@ mod tests {
         let want = |a, b| vec![copies(a).chain(copies(b)).collect::<Vec<_>>()];
         assert_eq!(frames(&rx[0]), want(0, 1));
         assert_eq!(frames(&rx[1]), want(3, 4));
+    }
+
+    /// What a channel keeps goes to the port's next open first, ahead of
+    /// what it never read, in arrival order — also when that open keeps
+    /// some of it again.
+    #[test]
+    fn carried_packets_reach_the_next_open_first_in_order() {
+        let (lanes, _rx) = two_lanes([1, 1]);
+        let (data_tx, data_rx) = bounded::<Burst>(1);
+        data_tx.send(vec![data(1), data(2), data(3)]).unwrap();
+        let t = coll_table(lanes, data_rx);
+        let seqs = |io: &mut CollIo, n: usize| {
+            let mut next = || io.try_recv_data().unwrap().expect("a packet");
+            (0..n).map(|_| next()).collect::<Vec<_>>()
+        };
+        let mut io = open_bcast(&t);
+        for pkt in seqs(&mut io, 2) {
+            io.carry(pkt);
+        }
+        drop(io);
+        let mut io = open_bcast(&t);
+        let first = seqs(&mut io, 1);
+        assert_eq!(first[0].control_arg(), 1);
+        io.carry(first[0]);
+        drop(io);
+        let mut io = open_bcast(&t);
+        let all: Vec<u32> = seqs(&mut io, 3).iter().map(|p| p.control_arg()).collect();
+        assert_eq!(all, [1, 2, 3]);
+        assert!(io.try_recv_data().unwrap().is_none());
     }
 
     #[test]

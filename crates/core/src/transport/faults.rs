@@ -6,27 +6,19 @@
 //! [`crate::ProcessPlan`] JSON (`"faults"` key) or `smi-launch --fault`
 //! specs, so a chaos schedule is reproducible from a file alone.
 //!
-//! Two consumers:
-//!
-//! * the **wire level** (the real fault surface): each socket pump holds a
-//!   [`FaultInjector`] for its outbound direction and consults it once per
-//!   replay-ring frame entering its write window — the same flush every
-//!   connection uses. Frame indices are 1-based emission ordinals; every action is one-shot, so replayed frames (which consume
-//!   fresh ordinals) are not re-faulted and recovery converges. A dropped
-//!   or delayed frame leaves a sequence gap at the receiver, which treats
-//!   it as a connection fault and heals through the reconnect/replay
-//!   handshake — exactly the path chaos tests need to exercise.
-//! * the **trait seam**: [`FaultTx`]/[`FaultRx`] wrap any
-//!   [`Transport`]/[`TransportReceiver`] and apply burst-level drop /
-//!   duplicate / delay, for deterministic unit tests of components above
-//!   the link without a socket in sight.
+//! The injector acts at the **wire level**, the real fault surface: each
+//! socket pump holds a [`FaultInjector`] for its outbound direction and
+//! consults it once per replay-ring frame entering its write window — the
+//! same flush every connection uses. Frame indices are 1-based emission
+//! ordinals; every action is one-shot, so replayed frames (which consume
+//! fresh ordinals) are not re-faulted and recovery converges. A dropped or
+//! delayed frame leaves a sequence gap at the receiver, which treats it as
+//! a connection fault and heals through the reconnect/replay handshake —
+//! exactly the path chaos tests need to exercise.
 
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
-
-use crate::transport::link::{LinkRecv, LinkSend, LinkTx, Transport, TransportReceiver};
-use crate::transport::Burst;
 
 /// Delay one frame: withhold frame `frame` until `by` further frames have
 /// been emitted (it then arrives out of order, which the session layer
@@ -110,11 +102,6 @@ impl FaultPlan {
     /// Serialize to JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("fault plan serializes")
-    }
-
-    /// Whether any entry exists for the directed link `from → to`.
-    pub fn has_link(&self, from: usize, to: usize) -> bool {
-        self.links.iter().any(|l| l.from == from && l.to == to)
     }
 
     /// Build the runtime injector for the directed link `from → to`, if
@@ -261,197 +248,9 @@ impl FaultInjector {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Trait-seam wrappers
-// ---------------------------------------------------------------------------
-
-/// A [`Transport`] wrapper applying burst-level faults above the link: the
-/// N-th *accepted* burst can be dropped, duplicated or delayed. Unlike the
-/// wire-level injector these faults are **not** healed by the session
-/// layer (they act above it) — use them to unit-test how components react
-/// to lost or reordered bursts, not for end-to-end chaos runs.
-#[allow(dead_code)] // test-harness seam; constructed by unit tests only
-pub(crate) struct FaultTx {
-    inner: LinkTx,
-    drop: Vec<u64>,
-    duplicate: Vec<u64>,
-    delay: Vec<(u64, u64)>,
-    accepted: u64,
-    held: Vec<(u64, Burst)>,
-}
-
-#[allow(dead_code)] // test-harness seam; constructed by unit tests only
-impl FaultTx {
-    /// Wrap `inner` with the burst-level faults of `fault` (its wire-level
-    /// `sever`/`restore` fields are ignored at this seam).
-    pub fn new(inner: LinkTx, fault: &LinkFault) -> FaultTx {
-        FaultTx {
-            inner,
-            drop: fault.drop.clone(),
-            duplicate: fault.duplicate.clone(),
-            delay: fault.delay.iter().map(|d| (d.frame, d.by)).collect(),
-            accepted: 0,
-            held: Vec::new(),
-        }
-    }
-
-    fn flush_due(&mut self) {
-        let n = self.accepted;
-        let mut i = 0;
-        while i < self.held.len() {
-            if self.held[i].0 <= n {
-                let (_, burst) = self.held.swap_remove(i);
-                // Best effort: a Full downstream re-holds for next offer.
-                if let LinkSend::Full(b) = self.inner.offer(burst) {
-                    self.held.push((n, b));
-                    return;
-                }
-            } else {
-                i += 1;
-            }
-        }
-    }
-}
-
-impl Transport for FaultTx {
-    fn offer(&mut self, burst: Burst) -> LinkSend {
-        self.flush_due();
-        let n = self.accepted + 1;
-        if let Some(i) = self.drop.iter().position(|&f| f == n) {
-            self.drop.swap_remove(i);
-            self.accepted = n;
-            return LinkSend::Accepted; // swallowed
-        }
-        if let Some(i) = self.delay.iter().position(|&(f, _)| f == n) {
-            let (_, by) = self.delay.swap_remove(i);
-            self.accepted = n;
-            self.held.push((n + by.max(1), burst));
-            return LinkSend::Accepted; // withheld
-        }
-        let dup_idx = self.duplicate.iter().position(|&f| f == n);
-        let dup = dup_idx.map(|_| burst.clone());
-        match self.inner.offer(burst) {
-            LinkSend::Accepted => {
-                self.accepted = n;
-                if let (Some(i), Some(d)) = (dup_idx, dup) {
-                    self.duplicate.swap_remove(i);
-                    let _ = self.inner.offer(d);
-                }
-                LinkSend::Accepted
-            }
-            other => other,
-        }
-    }
-
-    /// A share is a fault-free producer into the wrapped link: the fault
-    /// schedule counts the bursts of the one producer it wraps.
-    fn share(&self) -> LinkTx {
-        self.inner.share()
-    }
-}
-
-/// A [`TransportReceiver`] wrapper applying burst-level faults below the
-/// consumer: the N-th received burst can be dropped, duplicated or delayed
-/// before the consumer sees it.
-#[allow(dead_code)] // test-harness seam; constructed by unit tests only
-pub(crate) struct FaultRx {
-    inner: Box<dyn TransportReceiver>,
-    drop: Vec<u64>,
-    duplicate: Vec<u64>,
-    delay: Vec<(u64, u64)>,
-    received: u64,
-    held: Vec<(u64, Burst)>,
-    pending: VecDeque<Burst>,
-}
-
-#[allow(dead_code)] // test-harness seam; constructed by unit tests only
-impl FaultRx {
-    /// Wrap `inner` with the burst-level faults of `fault`.
-    pub fn new(inner: Box<dyn TransportReceiver>, fault: &LinkFault) -> FaultRx {
-        FaultRx {
-            inner,
-            drop: fault.drop.clone(),
-            duplicate: fault.duplicate.clone(),
-            delay: fault.delay.iter().map(|d| (d.frame, d.by)).collect(),
-            received: 0,
-            held: Vec::new(),
-            pending: VecDeque::new(),
-        }
-    }
-
-    fn release_due(&mut self) {
-        let n = self.received;
-        let mut i = 0;
-        while i < self.held.len() {
-            if self.held[i].0 <= n {
-                let (_, burst) = self.held.swap_remove(i);
-                self.pending.push_back(burst);
-            } else {
-                i += 1;
-            }
-        }
-    }
-}
-
-impl TransportReceiver for FaultRx {
-    fn try_recv(&mut self) -> LinkRecv {
-        if let Some(b) = self.pending.pop_front() {
-            return LinkRecv::Burst(b);
-        }
-        loop {
-            match self.inner.try_recv() {
-                LinkRecv::Burst(b) => {
-                    let n = self.received + 1;
-                    self.received = n;
-                    self.release_due();
-                    if let Some(i) = self.drop.iter().position(|&f| f == n) {
-                        self.drop.swap_remove(i);
-                        continue; // swallowed; look at the next burst
-                    }
-                    if let Some(i) = self.delay.iter().position(|&(f, _)| f == n) {
-                        let (_, by) = self.delay.swap_remove(i);
-                        self.held.push((n + by.max(1), b));
-                        continue;
-                    }
-                    if let Some(i) = self.duplicate.iter().position(|&f| f == n) {
-                        self.duplicate.swap_remove(i);
-                        self.pending.push_back(b.clone());
-                    }
-                    return LinkRecv::Burst(b);
-                }
-                other => return other,
-            }
-        }
-    }
-
-    fn wake_with(&mut self, wake: &crate::transport::executor::Wake) {
-        self.inner.wake_with(wake);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smi_wire::{NetworkPacket, PacketOp};
-
-    fn pkt(tag: u8) -> smi_wire::Frame {
-        let mut p = NetworkPacket::new(0, 1, 0, PacketOp::Send);
-        p.payload[0] = tag;
-        p.header.count = 1;
-        p.into()
-    }
-
-    fn tag(f: &smi_wire::Frame) -> u8 {
-        match f {
-            smi_wire::Frame::Pkt(p) => p.payload[0],
-            smi_wire::Frame::Run(_) => panic!("fault tests use inline packets"),
-        }
-    }
-
-    fn fifo() -> (LinkTx, Box<dyn TransportReceiver>) {
-        let (tx, rx) = crate::transport::link::fifo(64, &Default::default());
-        (Box::new(tx), rx)
-    }
 
     #[test]
     fn plan_json_roundtrip_with_defaults() {
@@ -532,48 +331,5 @@ mod tests {
         };
         let inj = plan.injector_for(0, 1).unwrap();
         assert!(!inj.allow_restore());
-    }
-
-    #[test]
-    fn fault_tx_drop_dup_delay_at_the_seam() {
-        let (tx, mut rx) = fifo();
-        let fault = LinkFault {
-            drop: vec![2],
-            duplicate: vec![4],
-            delay: vec![DelaySpec { frame: 1, by: 2 }],
-            ..LinkFault::clean(0, 1)
-        };
-        let mut ftx = FaultTx::new(tx, &fault);
-        for i in 1..=5u8 {
-            assert!(matches!(ftx.offer(vec![pkt(i)]), LinkSend::Accepted));
-        }
-        let mut tags = Vec::new();
-        while let LinkRecv::Burst(b) = rx.try_recv() {
-            tags.extend(b.iter().map(tag));
-        }
-        // Burst 1 delayed past 3 (arrives when burst 4 is offered), burst 2
-        // dropped, burst 4 duplicated.
-        assert_eq!(tags, vec![3, 1, 4, 4, 5]);
-    }
-
-    #[test]
-    fn fault_rx_drop_dup_delay_at_the_seam() {
-        let (mut tx, rx) = fifo();
-        for i in 1..=5u8 {
-            assert!(matches!(tx.offer(vec![pkt(i)]), LinkSend::Accepted));
-        }
-        let fault = LinkFault {
-            drop: vec![1],
-            duplicate: vec![3],
-            delay: vec![DelaySpec { frame: 2, by: 1 }],
-            ..LinkFault::clean(0, 1)
-        };
-        let mut frx = FaultRx::new(rx, &fault);
-        let mut tags = Vec::new();
-        while let LinkRecv::Burst(b) = frx.try_recv() {
-            tags.extend(b.iter().map(tag));
-        }
-        // 1 dropped, 2 delayed until after 3, 3 duplicated.
-        assert_eq!(tags, vec![3, 2, 3, 4, 5]);
     }
 }

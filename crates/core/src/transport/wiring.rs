@@ -277,6 +277,7 @@ pub(crate) fn build_transport(
                         to_cks,
                         rx: PacketRx::new(data_rx, meter.clone()),
                         credit_rx: PacketRx::new(credit_rx, meter.clone()),
+                        carry: Default::default(),
                     });
                 }
             }
@@ -439,6 +440,7 @@ fn build_single_rank(
                     to_cks: CksLanes::loopback(tx.into()),
                     rx: PacketRx::new(rx, meter.clone()),
                     credit_rx: PacketRx::new(crx, meter.clone()),
+                    carry: Default::default(),
                 });
             }
         }

@@ -5,8 +5,8 @@
 //! forwarded to CKS […] Pop internally unpacks data returned from CKR, and
 //! transmits it to the application one element at a time."
 
-use crate::run::PayloadRun;
-use crate::{Datatype, Header, NetworkPacket, PacketOp, SmiType};
+use crate::run::{Frame, PacketRun, PayloadRun};
+use crate::{Datatype, NetworkPacket, PacketOp, SmiType};
 
 /// Accumulates pushed elements into outgoing packets.
 ///
@@ -38,14 +38,6 @@ impl Framer {
     #[inline]
     pub fn dtype(&self) -> Datatype {
         self.dtype
-    }
-
-    /// The header template (src/dst/port/op) packets are stamped with.
-    /// Zero-copy senders use this to build [`crate::PacketRun`]s that are
-    /// wire-equivalent to this framer's packets.
-    #[inline]
-    pub fn header_template(&self) -> Header {
-        self.current.header
     }
 
     /// Append one element. Returns a completed packet when the payload fills.
@@ -86,6 +78,46 @@ impl Framer {
             self.filled += 1;
         }
         (take, self.maybe_complete())
+    }
+
+    /// Frame the head of `values` into at most one frame, returning
+    /// `(consumed, frame)` — the one place a sender decides between a run
+    /// and a packet:
+    ///
+    /// * with no packet pending and a packet's worth of elements, a span of
+    ///   up to `max_packets` packets becomes one refcounted [`Frame::Run`]
+    ///   (the single payload copy of the zero-copy plane), trimmed to whole
+    ///   packets unless it reaches the caller's end;
+    /// * otherwise the elements fill the pending packet, returned once full.
+    ///
+    /// `to_end` counts the elements left before the caller's end (a message
+    /// or member-block end; `values.len() <= to_end`). The partial packet is
+    /// flushed there, so a partial packet only ever closes such an end —
+    /// or a span the caller ends itself with [`Framer::flush`].
+    pub fn frame_slice<T: SmiType>(
+        &mut self,
+        values: &[T],
+        to_end: usize,
+        max_packets: usize,
+    ) -> (usize, Option<Frame>) {
+        debug_assert!(values.len() <= to_end, "framing past the caller's end");
+        let epp = self.elems_per_packet;
+        if self.filled == 0 && values.len() >= epp {
+            let mut take = values.len().min(max_packets.max(1).saturating_mul(epp));
+            if take < to_end {
+                take -= take % epp;
+            }
+            let h = self.current.header;
+            let run = PacketRun::from_elems(h.src, h.dst, h.port, h.op, &values[..take]);
+            return (take, Some(Frame::Run(run)));
+        }
+        let (take, full) = self.push_slice(values);
+        let pkt = if take == to_end {
+            full.or_else(|| self.flush())
+        } else {
+            full
+        };
+        (take, pkt.map(Frame::Pkt))
     }
 
     #[inline]

@@ -208,6 +208,16 @@ impl Frame {
         }
     }
 
+    /// The routing header, to re-stamp a route in place (a run's payload
+    /// stays shared).
+    #[inline]
+    pub fn header_mut(&mut self) -> &mut Header {
+        match self {
+            Frame::Pkt(p) => &mut p.header,
+            Frame::Run(r) => &mut r.header,
+        }
+    }
+
     /// Number of wire packets this frame stands for.
     #[inline]
     pub fn packet_count(&self) -> usize {

@@ -1,13 +1,89 @@
 //! Property-based tests for the SMI wire format.
 
 use proptest::prelude::*;
-use smi_wire::{Datatype, Deframer, Framer, Header, NetworkPacket, PacketOp, ReduceOp, SmiType};
+use smi_wire::{
+    Datatype, Deframer, Frame, Framer, Header, NetworkPacket, PacketOp, ReduceOp, SmiType,
+};
 
 fn arb_op() -> impl Strategy<Value = PacketOp> {
     prop::sample::select(PacketOp::ALL.to_vec())
 }
 
+/// Drive [`Framer::frame_slice`] the way a credit-window sender does: calls
+/// of `splits` sizes (cycled), a grant of `window` elements whenever the
+/// window closes (`None`: eager), a flush the caller asks for at every
+/// closed window. Checks the frames deframe to `values`, and that runs and
+/// partial packets only appear where the caller's end or flush allows.
+fn frame_like_a_sender<T: SmiType + PartialEq + std::fmt::Debug>(
+    values: &[T],
+    max_packets: usize,
+    splits: &[usize],
+    window: Option<usize>,
+) -> Result<(), TestCaseError> {
+    let epp = T::DATATYPE.elems_per_packet();
+    let mut fr = Framer::new(T::DATATYPE, 1, 2, 3, PacketOp::Send);
+    let mut df = Deframer::new(T::DATATYPE);
+    let mut out = Vec::with_capacity(values.len());
+    let mut drain = |frame: Frame, out: &mut Vec<T>| {
+        match frame {
+            Frame::Pkt(p) => df.refill(p),
+            Frame::Run(r) => df.refill_run(r.payload),
+        }
+        while let Some(v) = df.pop::<T>() {
+            out.push(v);
+        }
+    };
+    let (mut sent, mut credits, mut call) = (0, window.unwrap_or(usize::MAX), 0);
+    while sent < values.len() {
+        if credits == 0 {
+            credits = window.expect("eager never runs dry");
+        }
+        let to_end = values.len() - sent;
+        let avail = splits[call % splits.len()].min(to_end).min(credits);
+        call += 1;
+        let (take, frame) = fr.frame_slice(&values[sent..sent + avail], to_end, max_packets);
+        prop_assert!(take > 0 || avail == 0, "no headway on {avail} elements");
+        sent += take;
+        credits -= take.min(credits);
+        let at_end = sent == values.len();
+        if let Some(frame) = frame {
+            let elems = frame.elems();
+            if let Frame::Run(r) = &frame {
+                prop_assert!(r.packet_count() <= max_packets, "run of {elems} elements");
+                prop_assert!(at_end || elems % epp == 0, "unaligned run mid-stream");
+            } else {
+                prop_assert!(at_end || elems == epp, "partial packet mid-stream");
+            }
+            drain(frame, &mut out);
+        }
+        if credits == 0 {
+            if let Some(p) = fr.flush() {
+                drain(Frame::Pkt(p), &mut out);
+            }
+        }
+    }
+    prop_assert_eq!(fr.pending(), 0);
+    prop_assert_eq!(out.as_slice(), values);
+    Ok(())
+}
+
 proptest! {
+    /// The one run-or-packet decision, against a credit-window sender's
+    /// calls: bytes (28 per packet) and doubles (3 per packet).
+    #[test]
+    fn frame_slice_splits_like_a_sender(
+        count in 0usize..400,
+        max_packets in 1usize..=16,
+        splits in prop::collection::vec(1usize..80, 1..6),
+        window in 0usize..60,
+    ) {
+        let window = (window > 0).then_some(window);
+        let bytes: Vec<u8> = (0..count).map(|i| (i * 7) as u8).collect();
+        frame_like_a_sender(&bytes, max_packets, &splits, window)?;
+        let doubles: Vec<f64> = (0..count).map(|i| i as f64 * 0.5).collect();
+        frame_like_a_sender(&doubles, max_packets, &splits, window)?;
+    }
+
     /// Header pack/unpack is a bijection on valid headers.
     #[test]
     fn header_roundtrip(src: u8, dst: u8, port: u8, op in arb_op(), count in 0u8..=31) {
