@@ -11,7 +11,11 @@
 //! non-blocking twin (`try_push_slice`, `try_pop_slice`) in the one wait
 //! loop blocking collectives use too (the runtime's `blocking_timeout` stall
 //! bound and the fabric-health board); no call waits on a transport FIFO's
-//! condvar.
+//! condvar. Both ends run on the port's `PortIo` handle
+//! ([`crate::endpoint`]), the one collective channels run on too: it stages
+//! packets onto the lanes into the CKSs, flushes them, receives the
+//! deliveries and returns the endpoint when the channel drops. A channel
+//! keeps only its protocol state — framer or deframer, count and credit.
 //!
 //! Two transmission protocols are provided (§3.3): **eager** (elements enter
 //! the network as soon as buffer space allows; the sender stalls only on
@@ -32,14 +36,11 @@
 
 use std::marker::PhantomData;
 
-use crossbeam::channel::TrySendError;
-use smi_wire::{Deframer, Frame, Framer, NetworkPacket, PacketOp, SmiType};
+use smi_codegen::OpKind;
+use smi_wire::{Deframer, Framer, NetworkPacket, PacketOp, SmiType};
 
 use crate::collectives::zero_elem;
-use crate::endpoint::{
-    expect_op, refill, BlockingStep, EndpointTableHandle, RecvRes, SendRes, Stall,
-};
-use crate::transport::{Burst, CopyMeter};
+use crate::endpoint::{expect_op, refill, BlockingStep, EndpointTableHandle, PortIo};
 use crate::{RuntimeParams, SmiError};
 
 /// Transmission protocol of a point-to-point channel (§3.3).
@@ -59,22 +60,12 @@ pub enum Protocol {
 /// The sending end of a transient channel (`SMI_Channel` from
 /// `SMI_Open_send_channel`).
 pub struct SendChannel<T: SmiType> {
-    port: usize,
     count: u64,
     sent: u64,
     framer: Framer,
-    res: Option<SendRes>,
-    /// The lane every packet of this channel enters (its destination's).
-    lane: usize,
-    table: EndpointTableHandle,
+    io: PortIo,
     protocol: Protocol,
     credits: u64,
-    /// Completed packets not yet handed to the CKS.
-    staged: Burst,
-    /// Burst size cap ([`crate::RuntimeParams::burst_packets`]).
-    max_burst: usize,
-    copies: CopyMeter,
-    stall: Stall,
     _elem: PhantomData<T>,
 }
 
@@ -88,19 +79,13 @@ impl<T: SmiType> SendChannel<T> {
         protocol: Protocol,
         params: &RuntimeParams,
     ) -> Result<Self, SmiError> {
-        let (res, (stall, copies)) = {
-            let mut t = table.lock();
-            let stall = t.blocking(params.blocking_timeout, None);
-            (t.take_send(port, T::DATATYPE)?, stall)
-        };
-        let lane = res.to_cks.lane(dst_wire_rank);
+        let io = PortIo::open(table, port, OpKind::Send, T::DATATYPE, params)?;
         let port_wire = smi_wire::header::port_to_wire(port)?;
         let credits = match protocol {
             Protocol::Eager => u64::MAX,
             Protocol::Credit { window } => window,
         };
         Ok(SendChannel {
-            port,
             count,
             sent: 0,
             framer: Framer::new(
@@ -110,30 +95,18 @@ impl<T: SmiType> SendChannel<T> {
                 port_wire,
                 PacketOp::Send,
             ),
-            res: Some(res),
-            lane,
-            table,
+            io,
             protocol,
             credits,
-            staged: Vec::new(),
-            max_burst: params.burst_packets.max(1),
-            copies,
-            stall,
             _elem: PhantomData,
         })
-    }
-
-    /// Wire packets the staged burst stands for (runs count whole).
-    fn staged_packets(&self) -> usize {
-        self.staged.iter().map(|f| f.packet_count()).sum()
     }
 
     /// Absorb the next grant if one was delivered, without blocking. One
     /// grant per spent window: the window closes at every grant's end, so
     /// the packets a message splits into do not depend on grant timing.
     fn absorb_credit(&mut self) -> Result<(), SmiError> {
-        let res = self.res.as_mut().expect("resource held while open");
-        if let Some(pkt) = res.credit_rx.next_packet()? {
+        if let Some(pkt) = self.io.try_recv_credit()? {
             expect_op(&pkt.header, PacketOp::Credit)?;
             self.credits += pkt.control_arg() as u64;
         }
@@ -144,19 +117,7 @@ impl<T: SmiType> SendChannel<T> {
     /// nothing is left staged, `Ok(false)` (burst retained) when the FIFO is
     /// full.
     pub fn try_flush(&mut self) -> Result<bool, SmiError> {
-        if self.staged.is_empty() {
-            return Ok(true);
-        }
-        let burst = std::mem::take(&mut self.staged);
-        let res = self.res.as_ref().expect("resource held while open");
-        match res.to_cks.lanes[self.lane].try_send(burst) {
-            Ok(()) => Ok(true),
-            Err(TrySendError::Full(b)) => {
-                self.staged = b;
-                Ok(false)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(SmiError::TransportClosed),
-        }
+        self.io.try_flush()
     }
 
     /// `SMI_Push`: append one element to the message. Blocks on backpressure
@@ -177,14 +138,14 @@ impl<T: SmiType> SendChannel<T> {
     /// up front: nothing is consumed.
     pub fn push_slice(&mut self, values: &[T]) -> Result<(), SmiError> {
         let mut off = 0usize;
-        self.stall.clone().on("push progress", || {
-            let staged = self.staged.len();
+        self.io.wait().on("push progress", || {
+            let was_staged = !self.io.flushed();
             let moved = self.try_push_slice(&values[off..])?;
             off += moved;
             if off == values.len() && self.try_flush()? {
                 return Ok(BlockingStep::Ready(()));
             }
-            Ok(if moved > 0 || self.staged.len() < staged {
+            Ok(if moved > 0 || (was_staged && self.io.flushed()) {
                 BlockingStep::Progress
             } else {
                 BlockingStep::Pending
@@ -214,16 +175,14 @@ impl<T: SmiType> SendChannel<T> {
                 }
             }
             consumed += self.frame_chunk(&values[consumed..]);
-            if (self.staged_packets() >= self.max_burst || self.must_flush_now())
-                && !self.try_flush()?
-            {
+            if (self.io.stage_full() || self.must_flush_now()) && !self.try_flush()? {
                 break;
             }
         }
         if consumed == 0 && !values.is_empty() {
             // Making no headway at all while a peer process is dead: fail
             // fast instead of letting the caller poll forever.
-            if let Some(e) = self.stall.health().error() {
+            if let Some(e) = self.io.peer_error() {
                 return Err(e);
             }
         }
@@ -241,17 +200,26 @@ impl<T: SmiType> SendChannel<T> {
         let avail = values.len().min(self.credits.min(to_end as u64) as usize);
         let (taken, frame) = self
             .framer
-            .frame_slice(&values[..avail], to_end, self.max_burst);
-        self.copies.add_bytes(taken * T::DATATYPE.size_bytes());
-        self.staged.extend(frame);
+            .frame_slice(&values[..avail], to_end, self.io.max_burst());
+        self.io.meter().add_bytes(taken * T::DATATYPE.size_bytes());
+        if let Some(frame) = frame {
+            self.io.stage_frame(frame);
+        }
         self.sent += taken as u64;
         if self.credits != u64::MAX {
             self.credits -= taken as u64;
         }
         if self.credits == 0 {
-            self.staged.extend(self.framer.flush().map(Frame::Pkt));
+            self.flush_framer();
         }
         taken
+    }
+
+    /// Stage the framer's partial packet, if any.
+    fn flush_framer(&mut self) {
+        if let Some(pkt) = self.framer.flush() {
+            self.io.stage(pkt);
+        }
     }
 
     /// Whether a partial packet must leave the framer now (message end or
@@ -263,7 +231,7 @@ impl<T: SmiType> SendChannel<T> {
     /// True once all `count` elements have been accepted by the transport
     /// (nothing staged, nothing pending in the framer).
     pub fn fully_sent(&self) -> bool {
-        self.sent == self.count && self.staged.is_empty() && self.framer.pending() == 0
+        self.sent == self.count && self.io.flushed() && self.framer.pending() == 0
     }
 
     /// Elements pushed so far.
@@ -280,33 +248,19 @@ impl<T: SmiType> SendChannel<T> {
 impl<T: SmiType> Drop for SendChannel<T> {
     fn drop(&mut self) {
         // A dropped incomplete channel flushes its partial packet (the
-        // elements were semantically "pushed") and frees the port. The
-        // handover is best-effort (try_send): Drop may run on an executor
-        // worker, and blocking there would wedge the very thread that
-        // drains the FIFO.
-        if let Some(res) = self.res.take() {
-            if let Some(pkt) = self.framer.flush() {
-                self.staged.push(pkt.into());
-            }
-            if !self.staged.is_empty() {
-                let _ = res.to_cks.lanes[self.lane].try_send(std::mem::take(&mut self.staged));
-            }
-            self.table.lock().put_send(self.port, res);
-        }
+        // elements were semantically "pushed"); dropping the port handle
+        // then offers it and frees the port.
+        self.flush_framer();
     }
 }
 
 /// The receiving end of a transient channel (`SMI_Channel` from
 /// `SMI_Open_recv_channel`).
 pub struct RecvChannel<T: SmiType> {
-    port: usize,
     count: u64,
     received: u64,
     deframer: Deframer,
-    res: Option<RecvRes>,
-    /// The lane credit grants enter (the sender's).
-    grant_lane: usize,
-    table: EndpointTableHandle,
+    io: PortIo,
     /// Credit grants: this rank, the sender's and the wire port.
     my_wire_rank: u8,
     src_wire_rank: u8,
@@ -319,8 +273,6 @@ pub struct RecvChannel<T: SmiType> {
     /// port's credit FIFO and, message after message, fill it and stall the
     /// CKR that delivers there.
     granted: u64,
-    copies: CopyMeter,
-    stall: Stall,
     _elem: PhantomData<T>,
 }
 
@@ -334,32 +286,22 @@ impl<T: SmiType> RecvChannel<T> {
         protocol: Protocol,
         params: &RuntimeParams,
     ) -> Result<Self, SmiError> {
-        let (res, (stall, copies)) = {
-            let mut t = table.lock();
-            let stall = t.blocking(params.blocking_timeout, None);
-            (t.take_recv(port, T::DATATYPE)?, stall)
-        };
-        let grant_lane = res.to_cks.lane(src_wire_rank);
+        let io = PortIo::open(table, port, OpKind::Recv, T::DATATYPE, params)?;
         let port_wire = smi_wire::header::port_to_wire(port)?;
         let granted = match protocol {
             Protocol::Eager => 0,
             Protocol::Credit { window } => window,
         };
         Ok(RecvChannel {
-            port,
             count,
             received: 0,
             deframer: Deframer::new(T::DATATYPE),
-            res: Some(res),
-            grant_lane,
-            table,
+            io,
             my_wire_rank,
             src_wire_rank,
             port_wire,
             protocol,
             granted,
-            copies,
-            stall,
             _elem: PhantomData,
         })
     }
@@ -380,9 +322,9 @@ impl<T: SmiType> RecvChannel<T> {
     }
 
     /// A credit grant of `credit` elements, on its way to the sender.
-    fn grant(&self, credit: u64) -> Burst {
+    fn grant(&self, credit: u64) -> NetworkPacket {
         let (me, src, port) = (self.my_wire_rank, self.src_wire_rank, self.port_wire);
-        vec![NetworkPacket::control(me, src, port, PacketOp::Credit, credit as u32).into()]
+        NetworkPacket::control(me, src, port, PacketOp::Credit, credit as u32)
     }
 
     /// Send the coalesced credit grant once it is due, without blocking.
@@ -393,15 +335,11 @@ impl<T: SmiType> RecvChannel<T> {
         if credit == 0 {
             return Ok(true);
         }
-        let res = self.res.as_ref().expect("resource held while open");
-        match res.to_cks.lanes[self.grant_lane].try_send(self.grant(credit)) {
-            Ok(()) => {
-                self.granted += credit;
-                Ok(true)
-            }
-            Err(TrySendError::Full(_)) => Ok(false),
-            Err(TrySendError::Disconnected(_)) => Err(SmiError::TransportClosed),
+        let sent = self.io.try_send(self.grant(credit))?;
+        if sent {
+            self.granted += credit;
         }
+        Ok(sent)
     }
 
     /// `SMI_Pop`: receive the next element, blocking until it arrives.
@@ -420,7 +358,7 @@ impl<T: SmiType> RecvChannel<T> {
     /// up front: nothing is consumed.
     pub fn pop_slice(&mut self, out: &mut [T]) -> Result<(), SmiError> {
         let mut filled = 0usize;
-        self.stall.clone().on("pop progress", || {
+        self.io.wait().on("pop progress", || {
             let moved = self.try_pop_slice(&mut out[filled..])?;
             filled += moved;
             if filled == out.len() && self.maybe_grant()? {
@@ -447,12 +385,10 @@ impl<T: SmiType> RecvChannel<T> {
         let mut filled = 0usize;
         while filled < out.len() {
             if self.deframer.is_empty() {
-                let got = {
-                    let res = self.res.as_mut().expect("resource held while open");
-                    res.from_ckr.next_frame()?
-                };
-                match got {
-                    Some(frame) => refill(&mut self.deframer, frame, PacketOp::Send, &self.copies)?,
+                match self.io.try_recv_data_frame()? {
+                    Some(frame) => {
+                        refill(&mut self.deframer, frame, PacketOp::Send, self.io.meter())?
+                    }
                     None => break,
                 }
             }
@@ -462,7 +398,7 @@ impl<T: SmiType> RecvChannel<T> {
         if filled == 0 && !out.is_empty() {
             // Nothing buffered and nothing can arrive from a dead peer
             // process: fail fast instead of polling forever.
-            if let Some(e) = self.stall.health().error() {
+            if let Some(e) = self.io.peer_error() {
                 return Err(e);
             }
         }
@@ -476,7 +412,7 @@ impl<T: SmiType> RecvChannel<T> {
         let n = self.deframer.pop_slice(&mut out[..cap]);
         // The final, semantically required copy: elements land in the
         // consumer's slice.
-        self.copies.add_bytes(n * T::DATATYPE.size_bytes());
+        self.io.meter().add_bytes(n * T::DATATYPE.size_bytes());
         self.received += n as u64;
         n
     }
@@ -494,14 +430,87 @@ impl<T: SmiType> RecvChannel<T> {
 
 impl<T: SmiType> Drop for RecvChannel<T> {
     fn drop(&mut self) {
-        if let Some(res) = self.res.take() {
-            // Best-effort delivery of a final coalesced grant so a sender
-            // mid-window is not stranded by an early close.
-            let credit = self.grant_due(true);
-            if credit > 0 {
-                let _ = res.to_cks.lanes[self.grant_lane].try_send(self.grant(credit));
-            }
-            self.table.lock().put_recv(self.port, res);
+        // Best-effort delivery of a final coalesced grant so a sender
+        // mid-window is not stranded by an early close.
+        let credit = self.grant_due(true);
+        if credit > 0 {
+            let _ = self.io.try_send(self.grant(credit));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::endpoint::{CksLanes, EndpointTable, PacketRx, PortRes};
+    use crate::transport::socket::{FabricHealth, PeerDown, PeerDownKind};
+    use crate::transport::{Burst, CopyMeter};
+    use crossbeam::channel::{bounded, Receiver, Sender};
+    use smi_codegen::OpSpec;
+    use smi_wire::{Datatype, Frame, PacketRun};
+
+    /// Port 0 of rank 0 with both p2p kinds over loopback FIFOs, on a
+    /// health board the test holds: `(table, health, data in, lane out,
+    /// credit in)`.
+    #[allow(clippy::type_complexity)]
+    fn table() -> (
+        EndpointTableHandle,
+        FabricHealth,
+        Sender<Burst>,
+        Receiver<Burst>,
+        Sender<Burst>,
+    ) {
+        let health = FabricHealth::default();
+        let meter = CopyMeter::default();
+        let mut t = EndpointTable::with_health(health.clone(), meter.clone());
+        let ((data_tx, data_rx), (lane_tx, lane_rx)) = (bounded(4), bounded(64));
+        let (credit_tx, credit_rx) = bounded(4);
+        let half = |rx| Some(PacketRx::new(rx, meter.clone()));
+        for (op, rx, credit_rx) in [
+            (OpSpec::send(0, Datatype::Int), None, half(credit_rx)),
+            (OpSpec::recv(0, Datatype::Int), half(data_rx), None),
+        ] {
+            let lanes = CksLanes::loopback(lane_tx.clone().into());
+            t.put(0, op.kind, PortRes::new(&op, lanes, rx, credit_rx));
+        }
+        let t = std::sync::Arc::new(parking_lot::Mutex::new(t));
+        (t, health, data_tx, lane_rx, credit_tx)
+    }
+
+    fn peer_dies(health: &FabricHealth) {
+        health.mark_down(PeerDown {
+            rank: 1,
+            process: 1,
+            backend: "uds",
+            addr: String::new(),
+            detail: String::new(),
+            kind: PeerDownKind::Link,
+        });
+    }
+
+    /// A call that moved elements returns them although the peer is dead;
+    /// only the next call, which can move nothing, reports the death.
+    #[test]
+    fn p2p_try_calls_fail_fast_only_when_they_move_nothing() {
+        let params = RuntimeParams::default();
+        let (t, health, data_tx, _lane_rx, _credit_tx) = table();
+        let run = PacketRun::from_elems(1, 0, 0, PacketOp::Send, &[4i32, 5, 6]);
+        data_tx.send(vec![Frame::Run(run)]).unwrap();
+        let mut rx = RecvChannel::<i32>::open(t, 0, 1, 0, 8, Protocol::Eager, &params).unwrap();
+        peer_dies(&health);
+        let mut out = [0i32; 8];
+        assert_eq!(rx.try_pop_slice(&mut out).unwrap(), 3);
+        assert_eq!(out[..3], [4, 5, 6]);
+        let err = rx.try_pop_slice(&mut out[3..]);
+        assert!(matches!(err, Err(SmiError::PeerDisconnected { rank: 1 })));
+
+        let (t, health, _data_tx, _lane_rx, _credit_tx) = table();
+        let credit = Protocol::Credit { window: 3 };
+        let mut tx = SendChannel::<i32>::open(t, 0, 1, 0, 8, credit, &params).unwrap();
+        peer_dies(&health);
+        let values = [1i32; 8];
+        assert_eq!(tx.try_push_slice(&values).unwrap(), 3);
+        let err = tx.try_push_slice(&values[3..]);
+        assert!(matches!(err, Err(SmiError::PeerDisconnected { rank: 1 })));
     }
 }

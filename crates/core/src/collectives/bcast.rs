@@ -8,7 +8,7 @@ use smi_wire::{Deframer, Frame, Framer, NetworkPacket, PacketOp, SmiType};
 use crate::collectives::topology::WireEdges;
 use crate::collectives::{CollectivePoll, CollectiveState};
 use crate::comm::Communicator;
-use crate::endpoint::{expect_op, refill, BlockingStep, CollIo, EndpointTableHandle};
+use crate::endpoint::{expect_op, refill, BlockingStep, EndpointTableHandle, PortIo};
 use crate::params::RuntimeParams;
 use crate::SmiError;
 
@@ -63,7 +63,7 @@ pub struct BcastChannel<T: SmiType> {
     state: CollectiveState,
     framer: Framer,
     deframer: Deframer,
-    io: CollIo,
+    io: PortIo,
     _elem: PhantomData<T>,
 }
 
@@ -76,7 +76,7 @@ impl<T: SmiType> BcastChannel<T> {
         edges: WireEdges,
         params: &RuntimeParams,
     ) -> Result<Self, SmiError> {
-        let io = CollIo::open(table, port, smi_codegen::OpKind::Bcast, T::DATATYPE, params)?;
+        let io = PortIo::open(table, port, smi_codegen::OpKind::Bcast, T::DATATYPE, params)?;
         let WireEdges { parent, children } = edges;
         let is_root = parent.is_none();
         let port_wire = smi_wire::header::port_to_wire(port)?;

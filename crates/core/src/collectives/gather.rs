@@ -34,7 +34,7 @@ use smi_wire::{Deframer, Framer, NetworkPacket, PacketOp, SmiType};
 use crate::collectives::topology::{CollectiveScheme, Run, RunTarget, TreeShape, WireEdges};
 use crate::collectives::{CollectivePoll, CollectiveState};
 use crate::comm::Communicator;
-use crate::endpoint::{expect_op, refill, BlockingStep, CollIo, EndpointTableHandle};
+use crate::endpoint::{expect_op, refill, BlockingStep, EndpointTableHandle, PortIo};
 use crate::params::RuntimeParams;
 use crate::SmiError;
 
@@ -93,7 +93,7 @@ pub struct GatherChannel<T: SmiType> {
     state: CollectiveState,
     framer: Framer,
     deframer: Deframer,
-    io: CollIo,
+    io: PortIo,
     _elem: PhantomData<T>,
 }
 
@@ -108,7 +108,7 @@ impl<T: SmiType> GatherChannel<T> {
     ) -> Result<Self, SmiError> {
         let scheme = params.collective_scheme;
         let root_wire = comm.wire_rank(root)?;
-        let io = CollIo::open(
+        let io = PortIo::open(
             table,
             port,
             smi_codegen::OpKind::Gather,

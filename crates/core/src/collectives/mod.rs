@@ -12,17 +12,19 @@
 //! handshake state ([`CollectiveState`]: `Opening → Streaming → Done`),
 //! driven by the shared [`CollectivePoll`] interface plus per-channel
 //! `try_*` operations. Nothing in the core ever parks the calling thread:
-//! outgoing packets (data, syncs, grants, credits) are staged in the port's
-//! [`crate::endpoint`] resource and re-offered to the transport on every
-//! poll, and incoming packets are drained with non-blocking receives. That
-//! is what lets [`crate::RankTask`] programs on
-//! [`crate::env::run_mpmd_tasks`] open and drive collectives cooperatively —
-//! an in-progress open never occupies an executor worker.
+//! every channel does its I/O through the port's `PortIo` handle
+//! ([`crate::endpoint`]), the same handle point-to-point channels run on —
+//! outgoing packets (data, syncs, grants, credits) are staged there and
+//! re-offered to the transport on every poll, and incoming packets are
+//! drained with its non-blocking receives. That is what lets
+//! [`crate::RankTask`] programs on [`crate::env::run_mpmd_tasks`] open and
+//! drive collectives cooperatively — an in-progress open never occupies an
+//! executor worker.
 //!
 //! The paper-shaped blocking methods (`bcast`, `reduce`, `push`, `pop` and
 //! the `*_slice` bulk forms) are thin wrappers that spin the core in the
 //! one wait loop every blocking call of the runtime uses, point-to-point
-//! included: `CollIo::wait().on(..)`, the port's `endpoint::Stall` (the
+//! included: `PortIo::wait().on(..)`, the port's `endpoint::Stall` (the
 //! runtime's `blocking_timeout` stall bound, its `blocking_deadline` and the
 //! fabric-health board); the blocking `open_*` context methods spin the
 //! open handshake the same way, preserving the §3.3 rendezvous semantics on
@@ -33,7 +35,7 @@
 //! last: whatever an open channel reads for a later message (a reduce
 //! contribution past its count, a second ready-`Sync` from one scatter
 //! child) waits in the port's endpoint for the next open, which reads it
-//! first (`CollIo::carry`).
+//! first (`PortIo::carry`).
 //!
 //! ## Bulk element APIs
 //!

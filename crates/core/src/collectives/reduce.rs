@@ -7,7 +7,7 @@ use smi_wire::{Deframer, NetworkPacket, PacketOp, ReduceOp};
 use crate::collectives::topology::WireEdges;
 use crate::collectives::{CollectivePoll, CollectiveState};
 use crate::comm::Communicator;
-use crate::endpoint::{expect_op, BlockingStep, CollIo, CreditLedger, EndpointTableHandle};
+use crate::endpoint::{expect_op, BlockingStep, CreditLedger, EndpointTableHandle, PortIo};
 use crate::params::RuntimeParams;
 use crate::SmiError;
 
@@ -63,7 +63,7 @@ pub struct ReduceChannel<T: SmiNumeric> {
     ledger: CreditLedger,
     framer: smi_wire::Framer,
     state: CollectiveState,
-    io: CollIo,
+    io: PortIo,
 }
 
 impl<T: SmiNumeric> ReduceChannel<T> {
@@ -77,7 +77,7 @@ impl<T: SmiNumeric> ReduceChannel<T> {
     ) -> Result<Self, SmiError> {
         let credits_window = params.reduce_credits;
         assert!(credits_window >= 1, "reduce needs at least one credit");
-        let io = CollIo::open(
+        let io = PortIo::open(
             table,
             port,
             smi_codegen::OpKind::Reduce,

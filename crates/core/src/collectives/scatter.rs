@@ -29,7 +29,7 @@ use smi_wire::{Deframer, Frame, Framer, NetworkPacket, PacketOp, SmiType};
 use crate::collectives::topology::{Run, RunTarget, TreeShape, WireEdges};
 use crate::collectives::{CollectivePoll, CollectiveState};
 use crate::comm::Communicator;
-use crate::endpoint::{expect_op, refill, BlockingStep, CollIo, EndpointTableHandle};
+use crate::endpoint::{expect_op, refill, BlockingStep, EndpointTableHandle, PortIo};
 use crate::params::RuntimeParams;
 use crate::SmiError;
 
@@ -72,7 +72,7 @@ pub struct ScatterChannel<T: SmiType> {
     state: CollectiveState,
     framer: Framer,
     deframer: Deframer,
-    io: CollIo,
+    io: PortIo,
     _elem: PhantomData<T>,
 }
 
@@ -85,7 +85,7 @@ impl<T: SmiType> ScatterChannel<T> {
         root: usize,
         params: &RuntimeParams,
     ) -> Result<Self, SmiError> {
-        let io = CollIo::open(
+        let io = PortIo::open(
             table,
             port,
             smi_codegen::OpKind::Scatter,

@@ -1,14 +1,20 @@
 //! Application-side endpoint resources.
 //!
 //! One SMI port corresponds to fixed hardware laid down at "compile time"
-//! (here: at cluster startup, from the generated design). Opening a transient
-//! channel *takes* the port's endpoint resource; closing the channel (drop)
-//! returns it, so a port can host any number of sequential transient
-//! channels but never two concurrent ones.
+//! (here: at cluster startup, from the generated design). Every declared
+//! `(port, kind)` is one `PortRes`, the same type for a point-to-point
+//! end and a collective: lanes into the rank's CKSs plus a data and a
+//! credit delivery half, either absent when the kind receives no such
+//! packets (a send has no data half, a receive no credit half). Opening a
+//! transient channel *takes* the resource into a `PortIo`, the one I/O
+//! handle every channel stages, flushes and receives through; dropping
+//! the channel returns it, so a port can host any number of sequential
+//! transient channels of one kind but never two concurrent ones. A port
+//! with a send and a receive holds two resources, one per kind.
 //!
 //! All endpoint FIFOs move packet [`Burst`]s: bulk channel operations hand
-//! over many packets per queue operation, and receive-side resources carry a
-//! [`PacketRx`] that unbatches bursts back into a packet stream (buffered
+//! over many packets per queue operation, and delivery halves are
+//! [`PacketRx`]s that unbatch bursts back into a packet stream (buffered
 //! state lives with the resource, so it survives channel reopen cycles).
 //!
 //! Every FIFO operation here is non-blocking. A blocking channel call spins
@@ -22,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, TrySendError};
 use parking_lot::Mutex;
-use smi_codegen::OpKind;
+use smi_codegen::{OpKind, OpSpec};
 use smi_wire::{Datatype, Deframer, Frame, Header, NetworkPacket, PacketOp, PacketRun, ReduceOp};
 
 use crate::transport::link::FifoTx;
@@ -132,25 +138,21 @@ impl PacketRx {
 
     /// Non-blocking packet receive: `Ok(None)` when nothing is buffered.
     pub fn next_packet(&mut self) -> Result<Option<NetworkPacket>, SmiError> {
-        use crossbeam::channel::TryRecvError;
-        loop {
-            if let Some(p) = self.pop_pending_packet() {
-                return Ok(Some(p));
-            }
-            match self.rx.try_recv() {
-                Ok(b) => self.absorb(b),
-                Err(TryRecvError::Empty) => return Ok(None),
-                Err(TryRecvError::Disconnected) => return Err(SmiError::TransportClosed),
-            }
-        }
+        self.next(Self::pop_pending_packet)
     }
 
     /// Non-blocking frame receive: run frames are delivered whole (no
     /// payload copy) — the zero-copy consumer path.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, SmiError> {
+        self.next(Self::pop_pending_frame)
+    }
+
+    /// The next item `pop` takes from the pending queue, refilled from the
+    /// FIFO while it runs dry.
+    fn next<F>(&mut self, pop: impl Fn(&mut Self) -> Option<F>) -> Result<Option<F>, SmiError> {
         use crossbeam::channel::TryRecvError;
         loop {
-            if let Some(f) = self.pop_pending_frame() {
+            if let Some(f) = pop(self) {
                 return Ok(Some(f));
             }
             match self.rx.try_recv() {
@@ -167,7 +169,10 @@ impl PacketRx {
 /// hop leaves by, so its first CK forward puts it on the link; a packet for
 /// the endpoint's own rank enters the lane of the CKS it is bound to. Every
 /// lane is a [`FifoTx`]: each push raises that kernel's wake handle.
-#[derive(Debug)]
+///
+/// A port with nothing to send has no lanes ([`CksLanes::default`]): a lone
+/// receive on a single rank, which never has data to grant credit for.
+#[derive(Debug, Default)]
 pub(crate) struct CksLanes {
     pub lanes: Vec<FifoTx>,
     /// The rank's routing table: wire rank → CK pair of the next hop (past
@@ -196,61 +201,73 @@ impl CksLanes {
     }
 }
 
-/// Send-side endpoint hardware: the lanes into the rank's CKSs, plus the
-/// credit-return path used by the credit-based protocol.
+/// A port's endpoint hardware, one per declared `(port, kind)` and the same
+/// type for every kind: the lanes into the rank's CKSs plus up to two
+/// delivery halves the rank's CKRs write. A kind that receives no data (a
+/// send) or no credit (a receive) has that half absent, and an absent half
+/// reads as empty.
 #[derive(Debug)]
-pub(crate) struct SendRes {
+pub(crate) struct PortRes {
     pub dtype: Datatype,
-    pub to_cks: CksLanes,
-    pub credit_rx: PacketRx,
-}
-
-/// Receive-side endpoint hardware: the FIFO the rank's CKRs deliver into,
-/// plus lanes into the CKSs for credit grants (credit-based protocol).
-#[derive(Debug)]
-pub(crate) struct RecvRes {
-    pub dtype: Datatype,
-    pub from_ckr: PacketRx,
-    pub to_cks: CksLanes,
-}
-
-/// Collective endpoint hardware (the support-kernel attachment of §4.4):
-/// lanes into the CKSs plus data and credit delivery paths.
-#[derive(Debug)]
-pub(crate) struct CollRes {
-    pub dtype: Datatype,
+    /// The operator a reduce binding declares.
     pub reduce_op: Option<ReduceOp>,
     pub to_cks: CksLanes,
-    pub rx: PacketRx,
-    pub credit_rx: PacketRx,
+    /// Data and sync deliveries.
+    pub rx: Option<PacketRx>,
+    /// Credit deliveries.
+    pub credit_rx: Option<PacketRx>,
     /// Packets an earlier channel on this port read for a later message
-    /// (a member that finished a message may open the next one at once);
-    /// the next open receives them before anything else.
+    /// (a collective member that finished a message may open the next one
+    /// at once); the next open receives them before anything else.
     pub carry: VecDeque<NetworkPacket>,
+    /// `staged[lane]`: frames bound for that lane, in staging order. Kept
+    /// with the resource, so opening a channel allocates nothing.
+    staged: Vec<Burst>,
 }
 
-/// Poll-mode handle on a port's collective endpoint: the [`CollRes`] plus
-/// one staging burst per lane for outgoing packets (data, syncs, grants,
+impl PortRes {
+    /// The endpoint `op` declares, over `to_cks` and the given halves.
+    pub fn new(
+        op: &OpSpec,
+        to_cks: CksLanes,
+        rx: Option<PacketRx>,
+        credit_rx: Option<PacketRx>,
+    ) -> Self {
+        PortRes {
+            dtype: op.dtype,
+            reduce_op: op.reduce_op,
+            staged: vec![Burst::new(); to_cks.lanes.len()],
+            to_cks,
+            rx,
+            credit_rx,
+            carry: VecDeque::new(),
+        }
+    }
+}
+
+/// Poll-mode handle on a port's endpoint, the one I/O path of every
+/// channel, point-to-point and collective: the [`PortRes`], whose staging
+/// bursts (one per lane) hold outgoing packets (data, syncs, grants,
 /// credits).
 ///
-/// Every transmit goes through [`CollIo::stage`] + [`CollIo::try_flush`]:
+/// Every transmit goes through [`PortIo::stage`] + [`PortIo::try_flush`]:
 /// a full lane leaves its burst staged instead of parking the calling
-/// thread, which is what lets an in-progress collective open (or any
-/// collective operation) run on an executor worker without blocking it. The
-/// channel objects re-offer the staged bursts on every poll.
+/// thread, which is what lets an in-progress open (or any channel
+/// operation) run on an executor worker without blocking it. The channel
+/// objects re-offer the staged bursts on every poll. Dropping the handle
+/// offers what is still staged once and returns the resource to the table.
 ///
 /// Tree-scheme collectives fan windows out to a *set of children* rather
-/// than to the root's peers: [`CollIo::stage_fanout`] stages a packet
+/// than to the root's peers: [`PortIo::stage_fanout`] stages a packet
 /// window once per child, grouped per destination, so each CKS sees long
 /// same-route runs it can forward as whole bursts (`forward_runs`) instead
 /// of per-packet splits.
 #[derive(Debug)]
-pub(crate) struct CollIo {
+pub(crate) struct PortIo {
     port: usize,
-    res: Option<CollRes>,
+    kind: OpKind,
+    res: Option<PortRes>,
     table: EndpointTableHandle,
-    /// `staged[lane]`: frames bound for that lane, in staging order.
-    staged: Vec<Burst>,
     stall: Stall,
     max_burst: usize,
     copies: CopyMeter,
@@ -343,9 +360,10 @@ impl Stall {
     }
 }
 
-impl CollIo {
-    /// Take the collective resource of `port`, checking kind and datatype.
-    /// Timing/burst limits come from the runtime configuration.
+impl PortIo {
+    /// Take the `kind` resource of `port`, checking the datatype. Timing and
+    /// burst limits come from the runtime configuration; the overall
+    /// deadline binds collective calls only.
     pub fn open(
         table: EndpointTableHandle,
         port: usize,
@@ -353,17 +371,17 @@ impl CollIo {
         dtype: Datatype,
         params: &RuntimeParams,
     ) -> Result<Self, SmiError> {
+        let deadline = params.blocking_deadline.filter(|_| kind.is_collective());
         let (res, (stall, copies)) = {
             let mut t = table.lock();
-            let stall = t.blocking(params.blocking_timeout, params.blocking_deadline);
-            (t.take_coll(port, kind, dtype)?, stall)
+            let stall = t.blocking(params.blocking_timeout, deadline);
+            (t.take(port, kind, dtype)?, stall)
         };
-        let staged = vec![Burst::new(); res.to_cks.lanes.len()];
-        Ok(CollIo {
+        Ok(PortIo {
             port,
+            kind,
             res: Some(res),
             table,
-            staged,
             stall,
             max_burst: params.burst_packets.max(1),
             copies,
@@ -371,11 +389,11 @@ impl CollIo {
         })
     }
 
-    fn res(&self) -> &CollRes {
+    fn res(&self) -> &PortRes {
         self.res.as_ref().expect("resource held while open")
     }
 
-    fn res_mut(&mut self) -> &mut CollRes {
+    fn res_mut(&mut self) -> &mut PortRes {
         self.res.as_mut().expect("resource held while open")
     }
 
@@ -394,7 +412,7 @@ impl CollIo {
         self.max_burst
     }
 
-    /// The rank's payload-copy meter: collectives charge their own framing,
+    /// The rank's payload-copy meter: channels charge their own framing,
     /// refill and drain copies against it.
     pub fn meter(&self) -> &CopyMeter {
         &self.copies
@@ -407,8 +425,9 @@ impl CollIo {
 
     /// Queue a frame for transmission (run frames move as handles).
     pub fn stage_frame(&mut self, frame: Frame) {
-        let lane = self.res().to_cks.lane(frame.header().dst);
-        self.staged[lane].push(frame);
+        let res = self.res_mut();
+        let lane = res.to_cks.lane(frame.header().dst);
+        res.staged[lane].push(frame);
     }
 
     /// Stage a frame window once per destination in `dsts` (wire ranks),
@@ -418,8 +437,9 @@ impl CollIo {
     /// each); run frames are re-addressed `Arc` clones — no payload moves,
     /// which is what makes tree fan-out zero-copy. The window is drained.
     pub fn stage_fanout(&mut self, window: &mut Vec<Frame>, dsts: &[u8]) {
+        let res = self.res.as_mut().expect("resource held while open");
         for &dst in dsts {
-            let lane = self.res().to_cks.lane(dst);
+            let lane = res.to_cks.lane(dst);
             for f in window.iter() {
                 match f {
                     Frame::Pkt(pkt) => {
@@ -428,10 +448,10 @@ impl CollIo {
                         if copy.header.op.carries_data() {
                             self.copies.add_packets(1);
                         }
-                        self.staged[lane].push(copy.into());
+                        res.staged[lane].push(copy.into());
                     }
                     Frame::Run(run) => {
-                        self.staged[lane].push(Frame::Run(run.with_dst(dst)));
+                        res.staged[lane].push(Frame::Run(run.with_dst(dst)));
                     }
                 }
             }
@@ -444,17 +464,22 @@ impl CollIo {
     /// frames, so a staged run the size of a burst flushes like a full
     /// packet burst.
     pub fn stage_full(&self) -> bool {
-        let frames = self.staged.iter().flatten();
+        let frames = self.res().staged.iter().flatten();
         frames.map(|f| f.packet_count()).sum::<usize>() >= self.max_burst
+    }
+
+    /// Whether nothing is staged.
+    pub fn flushed(&self) -> bool {
+        self.res().staged.iter().all(Vec::is_empty)
     }
 
     /// Offer every non-empty staged burst to its lane without blocking.
     /// `Ok(true)` when nothing remains staged; `Ok(false)` when a lane was
     /// full and kept its own burst for the next poll (the others moved).
     pub fn try_flush(&mut self) -> Result<bool, SmiError> {
-        let lanes = &self.res.as_ref().expect("resource held while open").to_cks;
+        let res = self.res_mut();
         let mut flushed = true;
-        for (lane, staged) in lanes.lanes.iter().zip(&mut self.staged) {
+        for (lane, staged) in res.to_cks.lanes.iter().zip(&mut res.staged) {
             if staged.is_empty() {
                 continue;
             }
@@ -470,42 +495,60 @@ impl CollIo {
         Ok(flushed)
     }
 
-    /// Non-blocking receive from the data/sync delivery path, packets an
-    /// earlier channel on the port carried over first.
-    ///
-    /// Buffered packets are always delivered; once the path runs empty
-    /// *and* a peer process has died, the op fails fast with
-    /// [`SmiError::PeerDisconnected`] — a collective spans every member, so
-    /// waiting out the stall could only end in a timeout anyway.
-    pub fn try_recv_data(&mut self) -> Result<Option<NetworkPacket>, SmiError> {
-        let res = self.res_mut();
-        if let Some(p) = res.carry.pop_front() {
-            return Ok(Some(p));
+    /// Offer one packet to its lane now, past the staging bursts: `Ok(false)`
+    /// when the lane is full or still holds staged frames (those go first).
+    /// A refused packet is not kept; the caller offers it again, possibly
+    /// changed (a receiver's credit grant grows while it waits).
+    pub fn try_send(&mut self, pkt: NetworkPacket) -> Result<bool, SmiError> {
+        let res = self.res();
+        let lane = res.to_cks.lane(pkt.header.dst);
+        if !res.staged[lane].is_empty() {
+            return Ok(false);
         }
-        match res.rx.next_packet()? {
-            Some(p) => Ok(Some(p)),
-            None => match self.stall.health().error() {
-                Some(e) => Err(e),
-                None => Ok(None),
-            },
+        match res.to_cks.lanes[lane].try_send(vec![pkt.into()]) {
+            Ok(()) => Ok(true),
+            Err(TrySendError::Full(_)) => Ok(false),
+            Err(TrySendError::Disconnected(_)) => Err(SmiError::TransportClosed),
         }
     }
 
+    /// The recorded death of a peer process, if any.
+    pub fn peer_error(&self) -> Option<SmiError> {
+        self.stall.health().error()
+    }
+
+    /// A receive's outcome. A collective fails fast once its path ran empty
+    /// *and* a peer process has died — it spans every member, so waiting
+    /// out the stall could only end in a timeout anyway. A point-to-point
+    /// channel fails only a call that moved nothing ([`PortIo::peer_error`]).
+    fn delivered<F>(&self, got: Option<F>) -> Result<Option<F>, SmiError> {
+        match (got, self.kind.is_collective()) {
+            (None, true) => self.peer_error().map_or(Ok(None), Err),
+            (got, _) => Ok(got),
+        }
+    }
+
+    /// Non-blocking receive from the data/sync delivery path, packets an
+    /// earlier channel on the port carried over first. Buffered packets
+    /// are always delivered.
+    pub fn try_recv_data(&mut self) -> Result<Option<NetworkPacket>, SmiError> {
+        let res = self.res_mut();
+        let got = match res.carry.pop_front() {
+            Some(p) => Some(p),
+            None => res.rx.as_mut().map_or(Ok(None), PacketRx::next_packet)?,
+        };
+        self.delivered(got)
+    }
+
     /// Non-blocking frame receive from the data/sync delivery path: run
-    /// frames arrive whole (no payload copy). Same peer-death fail-fast as
-    /// [`CollIo::try_recv_data`].
+    /// frames arrive whole (no payload copy).
     pub fn try_recv_data_frame(&mut self) -> Result<Option<Frame>, SmiError> {
         let res = self.res_mut();
-        if let Some(p) = res.carry.pop_front() {
-            return Ok(Some(p.into()));
-        }
-        match res.rx.next_frame()? {
-            Some(f) => Ok(Some(f)),
-            None => match self.stall.health().error() {
-                Some(e) => Err(e),
-                None => Ok(None),
-            },
-        }
+        let got = match res.carry.pop_front() {
+            Some(p) => Some(p.into()),
+            None => res.rx.as_mut().map_or(Ok(None), PacketRx::next_frame)?,
+        };
+        self.delivered(got)
     }
 
     /// Keep a received packet for the port's next open: it belongs to a
@@ -514,26 +557,21 @@ impl CollIo {
         self.carry.push_back(pkt);
     }
 
-    /// Non-blocking receive from the credit delivery path (same
-    /// peer-death fail-fast as [`CollIo::try_recv_data`]).
+    /// Non-blocking receive from the credit delivery path.
     pub fn try_recv_credit(&mut self) -> Result<Option<NetworkPacket>, SmiError> {
-        match self.res_mut().credit_rx.next_packet()? {
-            Some(p) => Ok(Some(p)),
-            None => match self.stall.health().error() {
-                Some(e) => Err(e),
-                None => Ok(None),
-            },
-        }
+        let credit_rx = &mut self.res_mut().credit_rx;
+        let got = credit_rx.as_mut().map_or(Ok(None), PacketRx::next_packet)?;
+        self.delivered(got)
     }
 }
 
-impl Drop for CollIo {
+impl Drop for PortIo {
     fn drop(&mut self) {
         if let Some(mut res) = self.res.take() {
-            // Best-effort handover of anything still staged (mirrors
-            // `SendChannel::drop`): Drop may run on an executor worker, so
-            // blocking here would wedge the thread that drains the FIFO.
-            for (lane, staged) in res.to_cks.lanes.iter().zip(&mut self.staged) {
+            // Best-effort handover of anything still staged: Drop may run
+            // on an executor worker, so blocking here would wedge the
+            // thread that drains the FIFO.
+            for (lane, staged) in res.to_cks.lanes.iter().zip(&mut res.staged) {
                 if !staged.is_empty() {
                     let _ = lane.try_send(std::mem::take(staged));
                 }
@@ -541,7 +579,7 @@ impl Drop for CollIo {
             // What this channel kept arrived before what it never read.
             self.carry.append(&mut res.carry);
             res.carry = std::mem::take(&mut self.carry);
-            self.table.lock().put_coll(self.port, res);
+            self.table.lock().put(self.port, self.kind, res);
         }
     }
 }
@@ -590,31 +628,22 @@ impl CreditLedger {
     }
 }
 
-/// All endpoint resources of one port.
-#[derive(Debug, Default)]
-pub(crate) struct PortEndpoints {
-    pub send: Option<SendRes>,
-    pub recv: Option<RecvRes>,
-    pub coll: Option<CollRes>,
-}
-
 /// The per-rank endpoint table, shared between the context and the channel
 /// objects (which return their resource on drop).
 #[derive(Debug, Default)]
 pub(crate) struct EndpointTable {
-    pub ports: HashMap<usize, PortEndpoints>,
+    /// Every declared endpoint, keyed by `(port, kind)`; `None` while a
+    /// channel holds it.
+    ports: HashMap<(usize, OpKind), Option<PortRes>>,
     /// Fabric-wide peer-liveness board (set by the wiring; the default
     /// never reports down). Channels clone it at open so a dead peer
     /// process surfaces as [`SmiError::PeerDisconnected`] instead of a
     /// generic timeout.
-    pub health: FabricHealth,
+    health: FabricHealth,
     /// Payload-plane copy meter (set by the wiring; shared with every
     /// [`PacketRx`] of the rank). Channels clone it at open to account
     /// their own staging copies.
-    pub copies: CopyMeter,
-    declared_send: Vec<usize>,
-    declared_recv: Vec<usize>,
-    declared_coll: Vec<(usize, OpKind)>,
+    copies: CopyMeter,
 }
 
 /// Shared handle to a rank's endpoint table. Lock traffic is confined to
@@ -633,49 +662,36 @@ impl EndpointTable {
         }
     }
 
-    /// Record a declared endpoint (wiring time).
-    pub fn declare(&mut self, port: usize, kind: OpKind) {
-        match kind {
-            OpKind::Send => self.declared_send.push(port),
-            OpKind::Recv => self.declared_recv.push(port),
-            k => self.declared_coll.push((port, k)),
-        }
-    }
-
-    /// Take the send resource of `port`, declared for `dtype`.
-    pub fn take_send(&mut self, port: usize, dtype: Datatype) -> Result<SendRes, SmiError> {
-        if !self.declared_send.contains(&port) {
-            return Err(SmiError::NoSuchEndpoint { port, kind: "send" });
-        }
-        let slot = self.ports.get_mut(&port).map(|p| &mut p.send);
-        take_typed(slot, port, dtype, |r| r.dtype)
-    }
-
-    /// Take the receive resource of `port`, declared for `dtype`.
-    pub fn take_recv(&mut self, port: usize, dtype: Datatype) -> Result<RecvRes, SmiError> {
-        if !self.declared_recv.contains(&port) {
-            return Err(SmiError::NoSuchEndpoint { port, kind: "recv" });
-        }
-        let slot = self.ports.get_mut(&port).map(|p| &mut p.recv);
-        take_typed(slot, port, dtype, |r| r.dtype)
-    }
-
-    /// Take the collective resource of `port`, declared as `kind` for
-    /// `dtype`.
-    pub fn take_coll(
+    /// Take the `kind` resource of `port` if it is free and was declared
+    /// for `dtype`; a mismatch leaves it in place.
+    pub fn take(
         &mut self,
         port: usize,
         kind: OpKind,
         dtype: Datatype,
-    ) -> Result<CollRes, SmiError> {
-        if !self.declared_coll.contains(&(port, kind)) {
-            return Err(SmiError::NoSuchEndpoint {
-                port,
-                kind: "collective",
-            });
+    ) -> Result<PortRes, SmiError> {
+        let Some(slot) = self.ports.get_mut(&(port, kind)) else {
+            let kind = match kind {
+                OpKind::Send => "send",
+                OpKind::Recv => "recv",
+                _ => "collective",
+            };
+            return Err(SmiError::NoSuchEndpoint { port, kind });
+        };
+        match slot.as_ref().map(|r| r.dtype) {
+            None => Err(SmiError::EndpointBusy { port }),
+            Some(declared) if declared != dtype => Err(SmiError::TypeMismatch {
+                declared,
+                requested: dtype,
+            }),
+            Some(_) => Ok(slot.take().expect("checked free")),
         }
-        let slot = self.ports.get_mut(&port).map(|p| &mut p.coll);
-        take_typed(slot, port, dtype, |r| r.dtype)
+    }
+
+    /// Declare the `kind` endpoint of `port` (wiring), or return it (channel
+    /// drop).
+    pub fn put(&mut self, port: usize, kind: OpKind, res: PortRes) {
+        self.ports.insert((port, kind), Some(res));
     }
 
     /// What a channel opened on this table waits under — the stall bound
@@ -690,40 +706,6 @@ impl EndpointTable {
         };
         (stall, self.copies.clone())
     }
-
-    /// Return a send resource (channel drop).
-    pub fn put_send(&mut self, port: usize, res: SendRes) {
-        self.ports.entry(port).or_default().send = Some(res);
-    }
-
-    /// Return a receive resource (channel drop).
-    pub fn put_recv(&mut self, port: usize, res: RecvRes) {
-        self.ports.entry(port).or_default().recv = Some(res);
-    }
-
-    /// Return a collective resource (channel drop).
-    pub fn put_coll(&mut self, port: usize, res: CollRes) {
-        self.ports.entry(port).or_default().coll = Some(res);
-    }
-}
-
-/// Take a port's resource out of its `slot` if it is free and was declared
-/// for the `requested` datatype; a mismatch leaves it in place.
-fn take_typed<R>(
-    slot: Option<&mut Option<R>>,
-    port: usize,
-    requested: Datatype,
-    dtype: fn(&R) -> Datatype,
-) -> Result<R, SmiError> {
-    let slot = slot.ok_or(SmiError::EndpointBusy { port })?;
-    match slot.as_ref().map(dtype) {
-        None => Err(SmiError::EndpointBusy { port }),
-        Some(declared) if declared != requested => Err(SmiError::TypeMismatch {
-            declared,
-            requested,
-        }),
-        Some(_) => Ok(slot.take().expect("checked free")),
-    }
 }
 
 /// Build a shared handle.
@@ -735,19 +717,6 @@ pub(crate) fn new_table() -> EndpointTableHandle {
 mod tests {
     use super::*;
     use crossbeam::channel::bounded;
-
-    fn send_res() -> SendRes {
-        let (tx, _rx_keep) = bounded(1);
-        let (_ctx, crx) = bounded::<Burst>(1);
-        // Leak the keepers: tests only exercise the table mechanics.
-        std::mem::forget(_rx_keep);
-        std::mem::forget(_ctx);
-        SendRes {
-            dtype: Datatype::Int,
-            to_cks: CksLanes::loopback(tx.into()),
-            credit_rx: PacketRx::new(crx, CopyMeter::default()),
-        }
-    }
 
     /// Lanes of rank 2 of five over two CK pairs: ranks 0 and 1 are reached
     /// through pair 0, ranks 3 and 4 through pair 1; bound to pair 1.
@@ -763,30 +732,21 @@ mod tests {
 
     /// A table declaring a bcast on port 0 over `lanes`, fed by `data_rx`.
     fn coll_table(lanes: CksLanes, data_rx: Receiver<Burst>) -> EndpointTableHandle {
-        let (_credit_tx, credit_rx) = bounded::<Burst>(1);
+        let rx = PacketRx::new(data_rx, CopyMeter::default());
         let t = new_table();
-        t.lock().declare(0, OpKind::Bcast);
-        t.lock().put_coll(
-            0,
-            CollRes {
-                dtype: Datatype::Int,
-                reduce_op: None,
-                to_cks: lanes,
-                rx: PacketRx::new(data_rx, CopyMeter::default()),
-                credit_rx: PacketRx::new(credit_rx, CopyMeter::default()),
-                carry: VecDeque::new(),
-            },
-        );
+        let op = OpSpec::bcast(0, Datatype::Int);
+        t.lock()
+            .put(0, op.kind, PortRes::new(&op, lanes, Some(rx), None));
         t
     }
 
-    fn open_bcast(t: &EndpointTableHandle) -> CollIo {
+    fn open_bcast(t: &EndpointTableHandle) -> PortIo {
         let params = crate::params::RuntimeParams::default();
-        CollIo::open(t.clone(), 0, OpKind::Bcast, Datatype::Int, &params).unwrap()
+        PortIo::open(t.clone(), 0, OpKind::Bcast, Datatype::Int, &params).unwrap()
     }
 
-    /// A bcast `CollIo` on port 0 over `lanes`.
-    fn coll_io(lanes: CksLanes) -> CollIo {
+    /// A bcast `PortIo` on port 0 over `lanes`.
+    fn coll_io(lanes: CksLanes) -> PortIo {
         let (_data_tx, data_rx) = bounded::<Burst>(1);
         open_bcast(&coll_table(lanes, data_rx))
     }
@@ -839,7 +799,7 @@ mod tests {
         let (data_tx, data_rx) = bounded::<Burst>(1);
         data_tx.send(vec![data(1), data(2), data(3)]).unwrap();
         let t = coll_table(lanes, data_rx);
-        let seqs = |io: &mut CollIo, n: usize| {
+        let seqs = |io: &mut PortIo, n: usize| {
             let mut next = || io.try_recv_data().unwrap().expect("a packet");
             (0..n).map(|_| next()).collect::<Vec<_>>()
         };
@@ -874,52 +834,67 @@ mod tests {
         assert!(rx[1].is_empty());
     }
 
+    /// A table declaring every op of `ops`, with no lanes or halves.
+    fn table_of(ops: &[OpSpec]) -> EndpointTableHandle {
+        let t = new_table();
+        for op in ops {
+            let res = PortRes::new(op, CksLanes::default(), None, None);
+            t.lock().put(op.port, op.kind, res);
+        }
+        t
+    }
+
+    /// One resource per `(port, kind)`: port 0 holds a send and a receive,
+    /// and holding one leaves the other free.
     #[test]
     fn take_put_cycle() {
-        let t = new_table();
-        t.lock().declare(0, OpKind::Send);
-        t.lock().put_send(0, send_res());
+        use Datatype::Int;
+        let t = table_of(&[OpSpec::send(0, Int), OpSpec::recv(0, Int)]);
+        let take = |kind| t.lock().take(0, kind, Int);
         assert!(matches!(
-            t.lock().take_send(0, Datatype::Float),
+            t.lock().take(0, OpKind::Send, Datatype::Float),
             Err(SmiError::TypeMismatch { .. })
         ));
-        let res = t.lock().take_send(0, Datatype::Int).unwrap();
+        let send = take(OpKind::Send).unwrap();
         assert!(matches!(
-            t.lock().take_send(0, Datatype::Int),
+            take(OpKind::Send),
             Err(SmiError::EndpointBusy { port: 0 })
         ));
-        t.lock().put_send(0, res);
-        assert!(t.lock().take_send(0, Datatype::Int).is_ok());
+        let recv = take(OpKind::Recv).unwrap();
+        assert!(matches!(
+            take(OpKind::Recv),
+            Err(SmiError::EndpointBusy { port: 0 })
+        ));
+        t.lock().put(0, OpKind::Send, send);
+        assert!(take(OpKind::Send).is_ok());
+        t.lock().put(0, OpKind::Recv, recv);
+        assert!(take(OpKind::Recv).is_ok());
     }
 
     #[test]
     fn undeclared_port_is_missing_not_busy() {
         let t = new_table();
-        assert!(matches!(
-            t.lock().take_send(9, Datatype::Int),
-            Err(SmiError::NoSuchEndpoint {
-                port: 9,
-                kind: "send"
-            })
-        ));
-        assert!(matches!(
-            t.lock().take_recv(9, Datatype::Int),
-            Err(SmiError::NoSuchEndpoint { .. })
-        ));
-        assert!(matches!(
-            t.lock().take_coll(9, OpKind::Bcast, Datatype::Int),
-            Err(SmiError::NoSuchEndpoint { .. })
-        ));
+        for (kind, name) in [
+            (OpKind::Send, "send"),
+            (OpKind::Recv, "recv"),
+            (OpKind::Bcast, "collective"),
+        ] {
+            let missing = t.lock().take(9, kind, Datatype::Int);
+            assert!(
+                matches!(missing, Err(SmiError::NoSuchEndpoint { port: 9, kind: k }) if k == name),
+                "{kind:?}: {missing:?}"
+            );
+        }
     }
 
     #[test]
     fn collective_kind_checked() {
-        let t = new_table();
-        t.lock().declare(1, OpKind::Bcast);
+        let t = table_of(&[OpSpec::bcast(1, Datatype::Int)]);
         assert!(matches!(
-            t.lock().take_coll(1, OpKind::Reduce, Datatype::Int),
+            t.lock().take(1, OpKind::Reduce, Datatype::Int),
             Err(SmiError::NoSuchEndpoint { .. })
         ));
+        assert!(t.lock().take(1, OpKind::Bcast, Datatype::Int).is_ok());
     }
 
     fn stall(timeout_ms: u64, deadline_ms: Option<u64>) -> Stall {

@@ -107,6 +107,19 @@ impl SmiCtx {
         self.trees.edges(comm, root)
     }
 
+    /// The wire ranks of this rank and of point-to-point peer `peer` (a
+    /// world rank, checked against the cluster size).
+    fn wire_ranks(&self, peer: usize) -> Result<(u8, u8), SmiError> {
+        let my = smi_wire::header::rank_to_wire(self.rank)?;
+        if peer >= self.num_ranks {
+            return Err(SmiError::BadRank {
+                rank: peer,
+                size: self.num_ranks,
+            });
+        }
+        Ok((my, smi_wire::header::rank_to_wire(peer)?))
+    }
+
     /// `SMI_Open_send_channel`: a transient channel sending `count` elements
     /// of `T` to world rank `dst` on `port` (eager protocol).
     pub fn open_send_channel<T: SmiType>(
@@ -126,14 +139,7 @@ impl SmiCtx {
         port: usize,
         protocol: Protocol,
     ) -> Result<SendChannel<T>, SmiError> {
-        let my = smi_wire::header::rank_to_wire(self.rank)?;
-        if dst >= self.num_ranks {
-            return Err(SmiError::BadRank {
-                rank: dst,
-                size: self.num_ranks,
-            });
-        }
-        let dstw = smi_wire::header::rank_to_wire(dst)?;
+        let (my, dstw) = self.wire_ranks(dst)?;
         SendChannel::open(
             self.table.clone(),
             my,
@@ -164,14 +170,7 @@ impl SmiCtx {
         port: usize,
         protocol: Protocol,
     ) -> Result<RecvChannel<T>, SmiError> {
-        let my = smi_wire::header::rank_to_wire(self.rank)?;
-        if src >= self.num_ranks {
-            return Err(SmiError::BadRank {
-                rank: src,
-                size: self.num_ranks,
-            });
-        }
-        let srcw = smi_wire::header::rank_to_wire(src)?;
+        let (my, srcw) = self.wire_ranks(src)?;
         RecvChannel::open(
             self.table.clone(),
             my,

@@ -148,6 +148,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// No FIFO half is leaked to keep a path alive: a half an endpoint kind
+// never uses is absent instead.
+#![deny(clippy::mem_forget)]
 
 pub mod channel;
 pub mod collectives;

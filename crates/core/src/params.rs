@@ -193,19 +193,8 @@ impl RuntimeParams {
             ck_fifo_depth: 2,
             poll_persistence: 1,
             reduce_credits: 4,
-            blocking_timeout: Duration::from_secs(10),
-            blocking_deadline: None,
-            collective_scheme: CollectiveScheme::Linear,
             burst_packets: 1,
-            transport_workers: 0,
-            socket_reconnect: ReconnectPolicy::retry_fixed(100, Duration::from_millis(20)),
-            stream_reconnect: ReconnectPolicy::Retry {
-                attempts: 10,
-                backoff: Duration::from_millis(10),
-                max_backoff: Duration::from_millis(500),
-                multiplier: 2.0,
-            },
-            stream_replay_budget: 4 << 20,
+            ..Self::default()
         }
     }
 

@@ -16,12 +16,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crossbeam::channel::{bounded, Sender};
-use smi_codegen::{ClusterDesign, OpKind};
+use crossbeam::channel::{bounded, Receiver, Sender};
+use smi_codegen::{ClusterDesign, OpKind, OpSpec};
 use smi_topology::{NextHop, RoutingPlan, Topology};
 use smi_wire::{Header, PacketOp};
 
-use crate::endpoint::{CksLanes, CollRes, EndpointTable, PacketRx, RecvRes, SendRes};
+use crate::endpoint::{CksLanes, EndpointTable, PacketRx, PortRes};
 use crate::params::RuntimeParams;
 use crate::transport::ck::{CkMachine, Route};
 use crate::transport::executor::{Pollable, Wake};
@@ -214,72 +214,33 @@ pub(crate) fn build_transport(
         };
         let mut deliveries: HashMap<usize, PortDelivery> = HashMap::new();
         for b in &rank_design.bindings {
-            let op = b.op;
-            let pair = b.ck_pair;
-            table.declare(op.port, op.kind);
-            match op.kind {
-                OpKind::Send => {
-                    let to_cks = lanes(ep_depth(op.buffer_depth), pair);
-                    let (credit_tx, credit_rx) = bounded(op.buffer_depth.max(4));
-                    let d = deliveries.entry(op.port).or_default();
-                    assert!(
-                        d.credit.is_none(),
-                        "duplicate credit delivery for port {}",
-                        op.port
-                    );
-                    d.credit = Some(credit_tx);
-                    table.ports.entry(op.port).or_default().send = Some(SendRes {
-                        dtype: op.dtype,
-                        to_cks,
-                        credit_rx: PacketRx::new(credit_rx, meter.clone()),
-                    });
-                }
-                OpKind::Recv => {
-                    let (data_tx, app_rx) = bounded(ep_depth(op.buffer_depth));
-                    let d = deliveries.entry(op.port).or_default();
-                    assert!(
-                        d.data.is_none(),
-                        "duplicate data delivery for port {}",
-                        op.port
-                    );
-                    d.data = Some(data_tx);
-                    // Receive endpoints own lanes into the CKSs for credit
-                    // grants (credit-based protocol, §3.3).
-                    table.ports.entry(op.port).or_default().recv = Some(RecvRes {
-                        dtype: op.dtype,
-                        from_ckr: PacketRx::new(app_rx, meter.clone()),
-                        to_cks: lanes(4, pair),
-                    });
-                }
-                _ => {
-                    let to_cks = lanes(ep_depth(op.buffer_depth), pair);
-                    // Collective delivery must hold at least one burst per
-                    // peer: every member may send a one-shot control packet
-                    // (ready-`Sync`) to a port *before* its owner opens the
-                    // channel, and an undeliverable packet parks the CKR —
-                    // head-of-line blocking all transit traffic behind it.
-                    // Data traffic is bounded by handshakes/credits, so
-                    // `n` extra slots restore liveness for any rank count.
-                    let (data_tx, data_rx) = bounded(ep_depth(op.buffer_depth).max(n));
-                    let (credit_tx, credit_rx) = bounded(op.buffer_depth.max(4).max(n));
-                    let d = deliveries.entry(op.port).or_default();
-                    assert!(
-                        d.data.is_none() && d.credit.is_none(),
-                        "collective port clash on port {}",
-                        op.port
-                    );
-                    d.data = Some(data_tx);
-                    d.credit = Some(credit_tx);
-                    table.ports.entry(op.port).or_default().coll = Some(CollRes {
-                        dtype: op.dtype,
-                        reduce_op: op.reduce_op,
-                        to_cks,
-                        rx: PacketRx::new(data_rx, meter.clone()),
-                        credit_rx: PacketRx::new(credit_rx, meter.clone()),
-                        carry: Default::default(),
-                    });
-                }
-            }
+            let (op, bd) = (b.op, b.op.buffer_depth);
+            // Lane depth and the depths of the data and credit deliveries;
+            // a kind that receives no data or no credit gets no such half.
+            // A receive's lanes carry its credit grants (§3.3). A collective's
+            // deliveries hold at least one burst per peer: every member may
+            // send a one-shot control packet (ready-`Sync`) to a port
+            // *before* its owner opens the channel, and an undeliverable
+            // packet parks the CKR — head-of-line blocking all transit
+            // traffic behind it. Data traffic is bounded by handshakes and
+            // credits, so `n` extra slots restore liveness for any rank
+            // count.
+            let ep = ep_depth(bd);
+            let (lane_depth, data_depth, credit_depth) = match op.kind {
+                OpKind::Send => (ep, None, Some(bd.max(4))),
+                OpKind::Recv => (4, Some(ep), None),
+                _ => (ep, Some(ep.max(n)), Some(bd.max(4).max(n))),
+            };
+            let to_cks = lanes(lane_depth, b.ck_pair);
+            let d = deliveries.entry(op.port).or_default();
+            let half = |slot: &mut Option<Sender<Burst>>, depth: Option<usize>| {
+                let (tx, rx) = bounded(depth?);
+                assert!(slot.replace(tx).is_none(), "a port delivered twice");
+                Some(PacketRx::new(rx, meter.clone()))
+            };
+            let rx = half(&mut d.data, data_depth);
+            let credit_rx = half(&mut d.credit, credit_depth);
+            table.put(op.port, op.kind, PortRes::new(&op, to_cks, rx, credit_rx));
         }
 
         // Intra-rank CK interconnect, each FIFO moved straight into the two
@@ -380,7 +341,9 @@ pub(crate) fn build_transport(
 /// Single-rank cluster: no network — wire each port's send side straight to
 /// its receive side (intra-rank channels on matching ports, §3.1.1). The
 /// recv grant path loops back into the send side's credit input, so even the
-/// credit-based protocol works locally.
+/// credit-based protocol works locally. A collective's lane loops into its
+/// own data delivery; nothing sends it credit. A lone receive has nothing to
+/// feed it and no lanes or halves at all: a pop reports a timeout.
 fn build_single_rank(
     design: &ClusterDesign,
     params: &RuntimeParams,
@@ -388,60 +351,33 @@ fn build_single_rank(
     stats: &TransportStats,
 ) -> TransportHandle {
     let meter = stats.payload_copies.clone();
-    let rank_design = design.rank(0);
     let mut table = EndpointTable::with_health(health.clone(), meter.clone());
-    // First pass: sends establish the data path per port.
-    for b in &rank_design.bindings {
-        let op = b.op;
-        table.declare(op.port, op.kind);
-        match op.kind {
+    let mut ops: Vec<OpSpec> = design.rank(0).bindings.iter().map(|b| b.op).collect();
+    // Sends first: each leaves its port's loop for a receive to join.
+    ops.sort_by_key(|op| op.kind != OpKind::Send);
+    let mut loops = HashMap::new();
+    for op in &ops {
+        let (to_cks, rx, credit_rx) = match op.kind {
             OpKind::Send => {
                 let depth = op.buffer_depth.max(params.endpoint_fifo_depth).max(1);
-                let (data_tx, data_rx) = bounded(depth);
-                let (grant_tx, credit_rx) = bounded(4);
-                let slot = table.ports.entry(op.port).or_default();
-                slot.send = Some(SendRes {
-                    dtype: op.dtype,
-                    to_cks: CksLanes::loopback(data_tx.into()),
-                    credit_rx: PacketRx::new(credit_rx, meter.clone()),
-                });
-                slot.recv = Some(RecvRes {
-                    dtype: op.dtype,
-                    from_ckr: PacketRx::new(data_rx, meter.clone()),
-                    to_cks: CksLanes::loopback(grant_tx.into()),
-                });
+                let ((data_tx, data_rx), (grant_tx, credit_rx)) = (bounded(depth), bounded(4));
+                loops.insert(op.port, (data_rx, grant_tx));
+                (CksLanes::loopback(data_tx.into()), None, Some(credit_rx))
             }
-            OpKind::Recv => {
-                // Paired with the Send arm above when the port has both; a
-                // lone Recv on a single rank can never receive — wire a dead
-                // channel so pops report a timeout instead of panicking.
-                let slot = table.ports.entry(op.port).or_default();
-                if slot.recv.is_none() {
-                    let (_dead_tx, data_rx) = bounded::<Burst>(1);
-                    std::mem::forget(_dead_tx);
-                    let (grant_tx, _dead_rx) = bounded(1);
-                    std::mem::forget(_dead_rx);
-                    slot.recv = Some(RecvRes {
-                        dtype: op.dtype,
-                        from_ckr: PacketRx::new(data_rx, meter.clone()),
-                        to_cks: CksLanes::loopback(grant_tx.into()),
-                    });
+            OpKind::Recv => match loops.remove(&op.port) {
+                Some((data_rx, grant_tx)) => {
+                    (CksLanes::loopback(grant_tx.into()), Some(data_rx), None)
                 }
-            }
+                None => (CksLanes::default(), None, None),
+            },
             _ => {
                 let (tx, rx) = bounded(op.buffer_depth.max(1));
-                let (_ctx, crx) = bounded::<Burst>(4);
-                std::mem::forget(_ctx); // no credits on a single rank
-                table.ports.entry(op.port).or_default().coll = Some(CollRes {
-                    dtype: op.dtype,
-                    reduce_op: op.reduce_op,
-                    to_cks: CksLanes::loopback(tx.into()),
-                    rx: PacketRx::new(rx, meter.clone()),
-                    credit_rx: PacketRx::new(crx, meter.clone()),
-                    carry: Default::default(),
-                });
+                (CksLanes::loopback(tx.into()), Some(rx), None)
             }
-        }
+        };
+        let half = |rx: Option<Receiver<Burst>>| rx.map(|rx| PacketRx::new(rx, meter.clone()));
+        let res = PortRes::new(op, to_cks, half(rx), half(credit_rx));
+        table.put(op.port, op.kind, res);
     }
     TransportHandle {
         tables: vec![(0, table)],

@@ -838,6 +838,95 @@ fn single_rank_cluster_local_channels() {
     assert_eq!(report.results[0], 6);
 }
 
+/// A single rank has no CK kernels: every port's lanes loop straight back
+/// into its own delivery FIFOs. All four collectives on both schemes, a
+/// credit-protocol loopback (grants loop back into the send side) and a
+/// lone receive that nothing can ever feed.
+#[test]
+fn single_rank_cluster_collectives_credit_and_lone_recv() {
+    let meta = ProgramMeta::new()
+        .with(OpSpec::bcast(0, Datatype::Int))
+        .with(OpSpec::reduce(1, Datatype::Int, ReduceOp::Add))
+        .with(OpSpec::scatter(2, Datatype::Int))
+        .with(OpSpec::gather(3, Datatype::Int))
+        .with(OpSpec::send(4, Datatype::Int))
+        .with(OpSpec::recv(4, Datatype::Int))
+        .with(OpSpec::recv(5, Datatype::Int));
+    let credit = Protocol::Credit { window: 3 };
+    for scheme in [CollectiveScheme::Linear, CollectiveScheme::Tree] {
+        for n in [1usize, 64] {
+            let params = RuntimeParams {
+                collective_scheme: scheme,
+                blocking_timeout: std::time::Duration::from_millis(100),
+                ..RuntimeParams::default()
+            };
+            let data: Vec<i32> = (0..n as i32).map(|i| i * 3 - 5).collect();
+            let want = data.clone();
+            let report = run_spmd(
+                &Topology::bus(1),
+                meta.clone(),
+                move |ctx: SmiCtx| {
+                    let comm = ctx.world();
+                    let mut bbuf = data.clone();
+                    let mut b = ctx
+                        .open_bcast_channel::<i32>(n as u64, 0, 0, &comm)
+                        .unwrap();
+                    b.bcast_slice(&mut bbuf).unwrap();
+                    drop(b);
+                    let mut rbuf = vec![0; n];
+                    let mut r = ctx
+                        .open_reduce_channel::<i32>(n as u64, 1, 0, &comm)
+                        .unwrap();
+                    r.reduce_slice(&data, &mut rbuf).unwrap();
+                    drop(r);
+                    let mut sbuf = vec![0; n];
+                    let mut s = ctx
+                        .open_scatter_channel::<i32>(n as u64, 2, 0, &comm)
+                        .unwrap();
+                    s.push_slice(&data).unwrap();
+                    s.pop_slice(&mut sbuf).unwrap();
+                    drop(s);
+                    let mut gbuf = vec![0; n];
+                    let mut g = ctx
+                        .open_gather_channel::<i32>(n as u64, 3, 0, &comm)
+                        .unwrap();
+                    g.push_slice(&data).unwrap();
+                    g.pop_slice(&mut gbuf).unwrap();
+                    drop(g);
+                    // Both ends of the credit channel on one thread: the
+                    // sender stops at every spent window until the
+                    // receiver's grant comes back round.
+                    let src: Vec<i32> = (0..64).map(|i| i * 7).collect();
+                    let mut tx = ctx.open_send_channel_with::<i32>(64, 0, 4, credit).unwrap();
+                    let mut rx = ctx.open_recv_channel_with::<i32>(64, 0, 4, credit).unwrap();
+                    let (mut cbuf, mut sent, mut got) = (vec![0; 64], 0, 0);
+                    let give_up = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                    while got < 64 {
+                        assert!(std::time::Instant::now() < give_up, "credit loopback stuck");
+                        sent += tx.try_push_slice(&src[sent..]).unwrap();
+                        got += rx.try_pop_slice(&mut cbuf[got..]).unwrap();
+                    }
+                    assert!(tx.fully_sent());
+                    let mut lone = ctx.open_recv_channel::<i32>(1, 0, 5).unwrap();
+                    let lone = lone.pop();
+                    let lone_timed_out = matches!(lone, Err(SmiError::Timeout { .. }));
+                    assert!(lone_timed_out, "lone recv: {lone:?}");
+                    (bbuf, rbuf, sbuf, gbuf, cbuf)
+                },
+                params,
+            )
+            .unwrap();
+            let (bbuf, rbuf, sbuf, gbuf, cbuf) = &report.results[0];
+            let what = format!("{scheme:?}, count {n}");
+            assert_eq!(bbuf, &want, "bcast, {what}");
+            assert_eq!(rbuf, &want, "reduce, {what}");
+            assert_eq!(sbuf, &want, "scatter, {what}");
+            assert_eq!(gbuf, &want, "gather, {what}");
+            assert_eq!(cbuf, &(0..64).map(|i| i * 7).collect::<Vec<i32>>());
+        }
+    }
+}
+
 #[test]
 fn zero_count_channels_are_noops() {
     let topo = Topology::bus(2);
