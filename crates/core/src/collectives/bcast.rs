@@ -1,6 +1,13 @@
 //! The broadcast channel (`SMI_Open_bcast_channel` / `SMI_Bcast`).
+//!
+//! As in the paper's design (§4.3–4.4), a broadcast's data moves through
+//! the communication kernels and never through an application's: the root
+//! stages one copy per child, and an interior member of a `Tree` bcast does
+//! not relay. It names its children in its port's fan-out at open, and the
+//! CKR its parent's stream enters by writes a re-addressed copy of every
+//! frame onto each child's link before delivering the frame locally — one
+//! kernel crossing per tree hop. The interior then receives like a leaf.
 
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 
 use smi_wire::{Deframer, Frame, Framer, NetworkPacket, PacketOp, SmiType};
@@ -30,9 +37,9 @@ use crate::SmiError;
 /// ([`crate::collectives::topology`]: every edge as short as the routed
 /// topology allows, one physical link on the regular topologies) in which
 /// interior nodes collect their children's readiness before announcing
-/// their own *subtree* ready, then re-frame every received window to their
-/// children while also delivering it locally — so each packet crosses each
-/// link once, and the root stages one copy per neighbour instead of `N−1`.
+/// their own *subtree* ready, and their CKR hands every received frame to
+/// their children as it delivers it — so each packet crosses each link
+/// once, and the root stages one copy per neighbour instead of `N−1`.
 pub struct BcastChannel<T: SmiType> {
     count: u64,
     done: u64,
@@ -42,24 +49,17 @@ pub struct BcastChannel<T: SmiType> {
     /// Wire rank of the tree parent (None at the root).
     parent: Option<u8>,
     /// Wire ranks of the fan-out targets (linear root: every other
-    /// member; tree: the hop-tree children).
+    /// member; tree: the hop-tree children, which an interior's CKR feeds).
     children: Vec<u8>,
     /// Ready announcements received from children so far.
     ready: usize,
     /// Non-root: whether the own (subtree-)ready announcement is staged.
     sync_staged: bool,
-    /// Completed frames awaiting fan-out: the root's framed app stream,
-    /// or an interior node's received-from-parent window. Staging fans the
+    /// The root's framed app stream awaiting fan-out. Staging fans the
     /// whole window out grouped per destination (one burst-sized window,
     /// so the CKS sees long same-route runs instead of alternating
     /// destinations). Run frames fan out as re-addressed `Arc` clones.
     window: Vec<Frame>,
-    /// Interior: elements received from the parent and queued into the
-    /// fan-out window so far.
-    fwd_elems: u64,
-    /// Interior: received frames pending local deframing (the forwarding
-    /// duty must not wait for the local application to pop).
-    inbox: VecDeque<Frame>,
     state: CollectiveState,
     framer: Framer,
     deframer: Deframer,
@@ -81,6 +81,11 @@ impl<T: SmiType> BcastChannel<T> {
         let is_root = parent.is_none();
         let port_wire = smi_wire::header::port_to_wire(port)?;
         let my_wire = comm.wire_rank(comm.rank())?;
+        if !is_root && !children.is_empty() {
+            // Before the ready-`Sync` leaves: nothing reaches this member's
+            // CKR before its subtree announced itself ready.
+            io.fan_out(&children);
+        }
         let mut chan = BcastChannel {
             count,
             done: 0,
@@ -92,8 +97,6 @@ impl<T: SmiType> BcastChannel<T> {
             ready: 0,
             sync_staged: false,
             window: Vec::new(),
-            fwd_elems: 0,
-            inbox: VecDeque::new(),
             state: CollectiveState::Opening,
             framer: Framer::new(T::DATATYPE, my_wire, 0, port_wire, PacketOp::Bcast),
             deframer: Deframer::new(T::DATATYPE),
@@ -111,16 +114,8 @@ impl<T: SmiType> BcastChannel<T> {
         Ok(chan)
     }
 
-    /// Interior node: has a parent to receive from *and* children to
-    /// forward to (only the tree scheme produces these).
-    #[inline]
-    fn is_interior(&self) -> bool {
-        self.parent.is_some() && !self.children.is_empty()
-    }
-
     /// One non-blocking step: flush staged packets, absorb handshake syncs,
-    /// run the interior forwarding duty, update the state. Returns whether
-    /// the staging buffer is empty.
+    /// update the state. Returns whether the staging buffer is empty.
     fn advance(&mut self) -> Result<bool, SmiError> {
         let mut flushed = self.io.try_flush()?;
         match self.state {
@@ -159,60 +154,13 @@ impl<T: SmiType> BcastChannel<T> {
                 }
             }
             CollectiveState::Streaming => {
-                if self.is_interior() {
-                    self.pump_forward()?;
-                    flushed = self.io.try_flush()?;
-                }
-                let forwarded = !self.is_interior() || self.fwd_elems == self.count;
-                if self.done == self.count && forwarded && self.window.is_empty() && flushed {
+                if self.done == self.count && self.window.is_empty() && flushed {
                     self.state = CollectiveState::Done;
                 }
             }
             CollectiveState::Done => {}
         }
         Ok(flushed)
-    }
-
-    /// Interior forwarding duty: drain packets arriving from the parent
-    /// into the local inbox *and* the fan-out window, staging the window
-    /// to all children at burst boundaries. Gated on staging capacity so
-    /// a congested transport backpressures the parent instead of growing
-    /// the staged burst without bound.
-    fn pump_forward(&mut self) -> Result<(), SmiError> {
-        loop {
-            if self.window_packets() >= self.io.max_burst()
-                || (self.fwd_elems == self.count && !self.window.is_empty())
-            {
-                self.stage_fanout();
-            }
-            if self.fwd_elems == self.count {
-                break;
-            }
-            if self.io.stage_full() && !self.io.try_flush()? {
-                break;
-            }
-            match self.io.try_recv_data_frame()? {
-                Some(frame) => {
-                    expect_op(frame.header(), PacketOp::Bcast)?;
-                    let k = frame.elems() as u64;
-                    if self.fwd_elems + k > self.count {
-                        return Err(SmiError::ProtocolViolation {
-                            detail: "bcast stream overran the channel count".into(),
-                        });
-                    }
-                    self.fwd_elems += k;
-                    // Duplicating an inline packet into the local inbox is
-                    // a payload copy; cloning a run is an `Arc` handle.
-                    if matches!(frame, Frame::Pkt(_)) {
-                        self.io.meter().add_packets(1);
-                    }
-                    self.inbox.push_back(frame.clone());
-                    self.window.push(frame);
-                }
-                None => break,
-            }
-        }
-        Ok(())
     }
 
     /// Wire packets the fan-out window stands for (runs count whole).
@@ -268,16 +216,18 @@ impl<T: SmiType> BcastChannel<T> {
             let mut filled = 0usize;
             while filled < data.len() {
                 if self.deframer.is_empty() {
-                    // Interior: the forwarding pump queued the frame.
-                    let next = if self.is_interior() {
-                        self.inbox.pop_front()
-                    } else {
-                        self.io.try_recv_data_frame()?
-                    };
-                    let Some(frame) = next else {
-                        break;
-                    };
-                    refill(&mut self.deframer, frame, PacketOp::Bcast, self.io.meter())?;
+                    match self.io.try_recv_data_frame()? {
+                        // A member that finished this message announces
+                        // itself ready for the port's next: that open reads it.
+                        Some(Frame::Pkt(sync)) if sync.header.op == PacketOp::Sync => {
+                            self.io.carry(sync);
+                            continue;
+                        }
+                        Some(frame) => {
+                            refill(&mut self.deframer, frame, PacketOp::Bcast, self.io.meter())?
+                        }
+                        None => break,
+                    }
                 }
                 let n = self.deframer.pop_slice(&mut data[filled..]);
                 self.io.meter().add_bytes(n * T::DATATYPE.size_bytes());
@@ -296,16 +246,15 @@ impl<T: SmiType> BcastChannel<T> {
     /// packet is retained until the message completes, as with per-element
     /// pushes); non-roots return once `data` is filled. A call that
     /// completes the channel's whole message additionally drives the
-    /// channel to `Done` — an interior node's forwarding duty may outlast
-    /// its local delivery, and returning earlier would strand the subtree
-    /// when the caller drops the channel.
+    /// channel to `Done`: the root's last staged packets are handed over.
+    /// An interior member has no forwarding duty left to finish — its CKR
+    /// copied every frame to the children before delivering it here.
     pub fn bcast_slice(&mut self, data: &mut [T]) -> Result<(), SmiError> {
         if data.len() as u64 > self.count - self.done {
             return Err(SmiError::CountExceeded { count: self.count });
         }
         let mut off = 0usize;
         self.io.wait().on("bcast progress", || {
-            let fwd_before = self.fwd_elems;
             let moved = self.try_bcast_slice(&mut data[off..])?;
             off += moved;
             if off == data.len()
@@ -314,7 +263,7 @@ impl<T: SmiType> BcastChannel<T> {
             {
                 return Ok(BlockingStep::Ready(()));
             }
-            Ok(if moved > 0 || self.fwd_elems > fwd_before {
+            Ok(if moved > 0 {
                 BlockingStep::Progress
             } else {
                 BlockingStep::Pending

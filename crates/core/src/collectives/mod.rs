@@ -62,9 +62,11 @@
 //! * **Tree** — the same `Opening → Streaming → Done` protocol runs along
 //!   tree edges instead of root spokes, with **no extra handshake rounds**:
 //!   every member derives the identical tree locally ([`topology`]).
-//!   Non-root members become interior *forwarders* (bcast/scatter re-frame
-//!   received windows to their children, grouped per child for long
-//!   same-route CKS runs) or *combiners* (reduce folds child contributions
+//!   Non-root members become interior *forwarders* (a bcast interior names
+//!   its children in its port's fan-out and its CKR copies every frame to
+//!   them before delivering it; scatter re-frames received windows to its
+//!   children, grouped per child for long same-route CKS runs) or
+//!   *combiners* (reduce folds child contributions
 //!   into the credit-window ring before forwarding partial aggregates
 //!   upward; gather merges child subtree streams in deterministic
 //!   block-schedule order under per-edge, element-exact credit grants).

@@ -33,7 +33,7 @@ use smi_wire::{Datatype, Deframer, Frame, Header, NetworkPacket, PacketOp, Packe
 
 use crate::transport::link::FifoTx;
 use crate::transport::socket::FabricHealth;
-use crate::transport::{meter_inline_data, Burst, CopyMeter};
+use crate::transport::{meter_inline_data, readdressed, Burst, Copies, CopyMeter};
 use crate::{RuntimeParams, SmiError};
 
 /// Expect a specific op on a receive path.
@@ -201,6 +201,13 @@ impl CksLanes {
     }
 }
 
+/// A port's tree-bcast fan-out, shared by its endpoint and every CKR of its
+/// rank: `(child, CK pair of the child's next hop)` for each hop-tree child
+/// of the interior member that holds the port open, empty otherwise. A CKR
+/// that routes a `Bcast` data frame to its own rank on the port sends a
+/// copy to each child before it delivers the frame.
+pub(crate) type FanOut = Arc<Mutex<Copies>>;
+
 /// A port's endpoint hardware, one per declared `(port, kind)` and the same
 /// type for every kind: the lanes into the rank's CKSs plus up to two
 /// delivery halves the rank's CKRs write. A kind that receives no data (a
@@ -223,6 +230,8 @@ pub(crate) struct PortRes {
     /// `staged[lane]`: frames bound for that lane, in staging order. Kept
     /// with the resource, so opening a channel allocates nothing.
     staged: Vec<Burst>,
+    /// A bcast port's fan-out, shared with every CKR of the rank.
+    pub fan_out: Option<FanOut>,
 }
 
 impl PortRes {
@@ -241,6 +250,7 @@ impl PortRes {
             rx,
             credit_rx,
             carry: VecDeque::new(),
+            fan_out: (op.kind == OpKind::Bcast).then(|| FanOut::new(Mutex::new(Arc::new([])))),
         }
     }
 }
@@ -439,24 +449,20 @@ impl PortIo {
     pub fn stage_fanout(&mut self, window: &mut Vec<Frame>, dsts: &[u8]) {
         let res = self.res.as_mut().expect("resource held while open");
         for &dst in dsts {
-            let lane = res.to_cks.lane(dst);
-            for f in window.iter() {
-                match f {
-                    Frame::Pkt(pkt) => {
-                        let mut copy = *pkt;
-                        copy.header.dst = dst;
-                        if copy.header.op.carries_data() {
-                            self.copies.add_packets(1);
-                        }
-                        res.staged[lane].push(copy.into());
-                    }
-                    Frame::Run(run) => {
-                        res.staged[lane].push(Frame::Run(run.with_dst(dst)));
-                    }
-                }
-            }
+            let copies = window.iter().map(|f| readdressed(f, dst, &self.copies));
+            res.staged[res.to_cks.lane(dst)].extend(copies);
         }
         window.clear();
+    }
+
+    /// Name `children` as this port's tree-bcast fan-out: from here until
+    /// the handle drops, every CKR of the rank copies the port's `Bcast`
+    /// data frames to them ([`FanOut`]).
+    pub fn fan_out(&self, children: &[u8]) {
+        let res = self.res();
+        if let Some(fan_out) = &res.fan_out {
+            *fan_out.lock() = children.iter().map(|&c| (c, res.to_cks.lane(c))).collect();
+        }
     }
 
     /// Whether the staged bursts reached the configured burst size between
@@ -575,6 +581,9 @@ impl Drop for PortIo {
                 if !staged.is_empty() {
                     let _ = lane.try_send(std::mem::take(staged));
                 }
+            }
+            if let Some(fan_out) = &res.fan_out {
+                *fan_out.lock() = Arc::new([]);
             }
             // What this channel kept arrived before what it never read.
             self.carry.append(&mut res.carry);

@@ -22,6 +22,15 @@
 //! Routing is header-only: a [`Frame::Run`] spanning many packets is routed
 //! once and forwarded as a single refcounted view — the zero-copy payload
 //! plane's fast path through the fabric.
+//!
+//! One verdict writes more than one output: [`Route::Multicast`], which a
+//! CKR gives a tree-bcast frame for an interior member of its rank. The
+//! frame goes to each child's output as a re-addressed copy, then to the
+//! local delivery. Parked bursts wait in an in-order queue whose head alone
+//! is offered, so within each output frames and copies leave in arrival
+//! order and a local delivery never passes its copies. A machine's
+//! `forwards` counts kernel crossings — one per packet it routes, whatever
+//! the fan-out.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,12 +40,17 @@ use smi_wire::{Frame, Header};
 
 use crate::transport::executor::{Pollable, Step, Wake};
 use crate::transport::link::{LinkRecv, LinkRx, LinkSend, LinkTx};
-use crate::transport::Burst;
+use crate::transport::{readdressed, Burst, Copies, CopyMeter};
 
 /// Routing verdict for one frame.
+#[derive(PartialEq)]
 pub(crate) enum Route {
     /// Forward into output `i` of the machine's output list.
     Output(usize),
+    /// Multicast a tree-bcast frame at an interior member: a copy
+    /// re-addressed to each `(child, output)` in turn, then the frame itself
+    /// into output `local`, the member's own delivery.
+    Multicast { copies: Copies, local: usize },
     /// No route — count as unroutable and drop (always a wiring bug).
     Drop,
 }
@@ -54,18 +68,26 @@ pub(crate) struct CkMachine {
     pub persistence: u32,
     /// Maximum packets grouped into one forwarded burst.
     pub max_burst: usize,
-    /// Incremented per forwarded packet (a run counts its packet span).
+    /// Kernel crossings: incremented once per packet this kernel routes (a
+    /// run counts its packet span), whatever a multicast's fan-out — the
+    /// copies are not crossings of their own.
     pub forwards: Arc<AtomicU64>,
     /// Incremented per dropped packet.
     pub unroutable: Arc<AtomicU64>,
+    /// Charged for the inline data packets a multicast copies (the rank's
+    /// payload-copy meter).
+    copies: CopyMeter,
     // --- runtime state ---
     /// Raised by whoever fills or closes an input (the wiring hands every
     /// such producer a clone); this kernel sleeps on it.
     wake: Wake,
     dead: Vec<bool>,
     current: usize,
-    /// A routed burst an output refused; retried before anything else.
-    parked: Option<(usize, Burst)>,
+    /// Routed bursts not yet accepted, in routing order, each with the
+    /// packets it counts as forwards: only the head is offered, so nothing
+    /// passes a refused burst — a multicast's local delivery never passes
+    /// its copies. Retried before anything else.
+    parked: VecDeque<(usize, Burst, u64)>,
     /// Received frames not yet routed (mixed-route bursts).
     stash: VecDeque<Frame>,
 }
@@ -82,6 +104,7 @@ impl CkMachine {
         max_burst: usize,
         forwards: Arc<AtomicU64>,
         unroutable: Arc<AtomicU64>,
+        copies: CopyMeter,
     ) -> Self {
         let n = inputs.len();
         CkMachine {
@@ -93,85 +116,118 @@ impl CkMachine {
             max_burst: max_burst.max(1),
             forwards,
             unroutable,
+            copies,
             wake,
             dead: vec![false; n],
             current: 0,
-            parked: None,
+            parked: VecDeque::new(),
             stash: VecDeque::new(),
         }
     }
 
-    /// Try to push a routed burst; on `Full` the burst is parked for the
-    /// next poll. Returns false when the machine is now blocked.
-    fn offer(&mut self, idx: usize, burst: Burst, progressed: &mut bool) -> bool {
-        let packets: u64 = burst.iter().map(|f| f.packet_count() as u64).sum();
+    /// Offer a routed burst to output `idx` now, counting `counted` forwards
+    /// once accepted; a full output hands it back.
+    fn push(
+        &mut self,
+        idx: usize,
+        burst: Burst,
+        counted: u64,
+        progressed: &mut bool,
+    ) -> Option<Burst> {
         match self.outputs[idx].offer(burst) {
             LinkSend::Accepted => {
-                self.forwards.fetch_add(packets, Ordering::Relaxed);
+                if counted > 0 {
+                    self.forwards.fetch_add(counted, Ordering::Relaxed);
+                }
                 *progressed = true;
-                true
+                None
             }
             LinkSend::Full(b) => {
                 // Room in an output raises nothing: stay runnable.
-                self.parked = Some((idx, b));
                 self.wake.hold();
-                false
+                Some(b)
             }
             LinkSend::Closed => {
                 // Receiver gone: shutdown or a dead peer (reported through
                 // the fabric health board); treat the burst as drained.
                 *progressed = true;
+                None
+            }
+        }
+    }
+
+    /// Hand a routed burst to output `idx` behind anything parked; a refused
+    /// burst parks. Returns false when the machine is now blocked.
+    fn offer(&mut self, idx: usize, burst: Burst, counted: u64, progressed: &mut bool) -> bool {
+        let refused = if self.parked.is_empty() {
+            self.push(idx, burst, counted, progressed)
+        } else {
+            Some(burst)
+        };
+        let Some(b) = refused else {
+            return true;
+        };
+        self.parked.push_back((idx, b, counted));
+        false
+    }
+
+    /// Send one run of same-verdict frames on its way. Returns false when
+    /// the machine is now blocked.
+    fn dispatch(&mut self, route: Route, burst: Burst, progressed: &mut bool) -> bool {
+        let packets: u64 = burst.iter().map(|f| f.packet_count() as u64).sum();
+        match route {
+            Route::Output(idx) => self.offer(idx, burst, packets, progressed),
+            Route::Multicast { copies, local } => {
+                for &(dst, idx) in copies.iter() {
+                    let copy = burst.iter().map(|f| readdressed(f, dst, &self.copies));
+                    self.offer(idx, copy.collect(), 0, progressed);
+                }
+                self.offer(local, burst, packets, progressed)
+            }
+            Route::Drop => {
+                self.unroutable.fetch_add(packets, Ordering::Relaxed);
+                *progressed = true;
                 true
             }
         }
     }
 
-    /// Drain the parked burst and the stash into outputs. Returns false when
+    /// The verdict on the first of `frames` and how many leading frames
+    /// share it, capped at `max_burst` packets (a lone frame always moves).
+    fn run_of<'a>(&self, mut frames: impl Iterator<Item = &'a Frame>) -> (Route, usize) {
+        let head = frames.next().expect("a frame to route");
+        let route = (self.route)(head.header());
+        let (mut len, mut packets) = (1, head.packet_count());
+        for f in frames {
+            if packets >= self.max_burst || (self.route)(f.header()) != route {
+                break;
+            }
+            len += 1;
+            packets += f.packet_count();
+        }
+        (route, len)
+    }
+
+    /// Drain the parked bursts and the stash into outputs. Returns false when
     /// blocked on a full output.
     fn drain(&mut self, progressed: &mut bool) -> bool {
-        if let Some((idx, b)) = self.parked.take() {
-            if !self.offer(idx, b, progressed) {
+        while let Some((idx, b, counted)) = self.parked.pop_front() {
+            if let Some(b) = self.push(idx, b, counted, progressed) {
+                self.parked.push_front((idx, b, counted));
                 return false;
             }
         }
-        while let Some(head) = self.stash.front() {
-            let idx = match (self.route)(head.header()) {
-                Route::Output(i) => i,
-                Route::Drop => {
-                    let f = self.stash.pop_front().expect("head");
-                    self.unroutable
-                        .fetch_add(f.packet_count() as u64, Ordering::Relaxed);
-                    *progressed = true;
-                    continue;
-                }
-            };
-            // Group the run of consecutive same-output frames into a burst,
-            // capped at `max_burst` packets (a single frame always moves).
-            let mut burst: Burst = Vec::new();
-            let head = self.stash.pop_front().expect("head");
-            let mut packets = head.packet_count();
-            burst.push(head);
-            while packets < self.max_burst {
-                match self.stash.front() {
-                    Some(f) => match (self.route)(f.header()) {
-                        Route::Output(i) if i == idx => {
-                            let f = self.stash.pop_front().expect("next");
-                            packets += f.packet_count();
-                            burst.push(f);
-                        }
-                        _ => break,
-                    },
-                    None => break,
-                }
-            }
-            if !self.offer(idx, burst, progressed) {
+        while !self.stash.is_empty() {
+            let (route, len) = self.run_of(self.stash.iter());
+            let burst = self.stash.drain(..len).collect();
+            if !self.dispatch(route, burst, progressed) {
                 return false;
             }
         }
         true
     }
 
-    /// Forward a received burst by carving maximal same-output runs off its
+    /// Forward a received burst by carving maximal same-verdict runs off its
     /// front, without restaging through the stash. A burst whose frames all
     /// share one route (the p2p bulk path) moves as-is, zero-copy; a
     /// mixed-destination burst — the collective fan-out pattern — is split
@@ -182,50 +238,18 @@ impl CkMachine {
     /// parked. Returns false when now blocked.
     fn forward_runs(&mut self, mut burst: Burst, progressed: &mut bool) -> bool {
         while !burst.is_empty() {
-            match (self.route)(burst[0].header()) {
-                Route::Output(idx) => {
-                    // Extend the run while the route stays the same, capped
-                    // at `max_burst` packets (a lone frame always moves).
-                    let mut packets = burst[0].packet_count();
-                    let mut j = 1;
-                    while j < burst.len() && packets < self.max_burst {
-                        match (self.route)(burst[j].header()) {
-                            Route::Output(k) if k == idx => {
-                                packets += burst[j].packet_count();
-                                j += 1;
-                            }
-                            _ => break,
-                        }
-                    }
-                    let rest = if j == burst.len() {
-                        Burst::new() // whole burst is one run: move it as-is
-                    } else {
-                        burst.split_off(j)
-                    };
-                    if !self.offer(idx, burst, progressed) {
-                        // The run is parked; keep everything after it in order.
-                        self.stash.extend(rest);
-                        return false;
-                    }
-                    burst = rest;
-                }
-                Route::Drop => {
-                    // Group consecutive unroutable frames into one drain.
-                    let mut j = 1;
-                    while j < burst.len() && matches!((self.route)(burst[j].header()), Route::Drop)
-                    {
-                        j += 1;
-                    }
-                    let dropped: u64 = burst[..j].iter().map(|f| f.packet_count() as u64).sum();
-                    self.unroutable.fetch_add(dropped, Ordering::Relaxed);
-                    *progressed = true;
-                    burst = if j == burst.len() {
-                        Burst::new()
-                    } else {
-                        burst.split_off(j)
-                    };
-                }
+            let (route, len) = self.run_of(burst.iter());
+            let rest = if len == burst.len() {
+                Burst::new() // whole burst is one run: move it as-is
+            } else {
+                burst.split_off(len)
+            };
+            if !self.dispatch(route, burst, progressed) {
+                // Keep everything after the parked run in order.
+                self.stash.extend(rest);
+                return false;
             }
+            burst = rest;
         }
         true
     }
@@ -266,7 +290,7 @@ impl Pollable for CkMachine {
                     LinkRecv::Burst(burst) => {
                         streak += 1;
                         progressed = true;
-                        if self.stash.is_empty() && self.parked.is_none() {
+                        if self.stash.is_empty() && self.parked.is_empty() {
                             if !self.forward_runs(burst, &mut progressed) {
                                 break 'rotate;
                             }
@@ -286,7 +310,7 @@ impl Pollable for CkMachine {
             }
             capped |= streak == self.persistence;
         }
-        let held = !self.stash.is_empty() || self.parked.is_some();
+        let held = !self.stash.is_empty() || !self.parked.is_empty();
         if self.dead.iter().all(|&d| d) && !held {
             return Step::Done;
         }
@@ -337,6 +361,7 @@ mod tests {
             4,
             fwd.clone(),
             unr,
+            CopyMeter::default(),
         );
         // Mixed-route burst: must be split per output.
         in_tx.try_send((0..10u8).map(pkt).collect()).unwrap();
@@ -366,6 +391,7 @@ mod tests {
             64,
             fwd,
             unr,
+            CopyMeter::default(),
         );
         in_tx.try_send(vec![pkt(0); 7]).unwrap();
         drop(in_tx);
@@ -397,6 +423,7 @@ mod tests {
             16,
             fwd.clone(),
             unr,
+            CopyMeter::default(),
         );
         let run = PacketRun::from_elems(0, 0, 0, PacketOp::Send, &[7u8; 57]);
         in_tx.try_send(vec![Frame::Run(run)]).unwrap();
@@ -431,6 +458,7 @@ mod tests {
             16,
             fwd.clone(),
             unr,
+            CopyMeter::default(),
         );
         let mut burst: Burst = Vec::new();
         for (dst, copies) in [(0u8, 4), (1, 4), (2, 2)] {
@@ -472,6 +500,7 @@ mod tests {
             8,
             fwd,
             unr.clone(),
+            CopyMeter::default(),
         );
         in_tx.try_send(vec![pkt(0), pkt(3), pkt(0)]).unwrap();
         drop(in_tx);
@@ -502,6 +531,7 @@ mod tests {
             1,
             fwd,
             unr,
+            CopyMeter::default(),
         );
         in_tx.try_send(vec![pkt(0)]).unwrap();
         in_tx.try_send(vec![pkt(0)]).unwrap();
@@ -511,6 +541,87 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         stop.store(true, Ordering::SeqCst);
         ex.join().unwrap(); // must terminate
+    }
+
+    /// A multicast into a child output that is full (depth 1): the refused
+    /// copy parks, nothing for any output passes it, and the local delivery
+    /// never goes before its copies. Every frame reaches every output once,
+    /// in order, re-addressed for the children; `forwards` counts each
+    /// packet once, and each copy of an inline packet is a metered copy.
+    #[test]
+    fn multicast_parks_behind_a_full_child_and_delivers_locally_last() {
+        const FRAMES: i32 = 12;
+        let wake = Wake::default();
+        let (in_tx, in_rx) = fifo(FRAMES as usize, &wake);
+        let (child_a, a_rx) = bounded::<Burst>(1);
+        let (child_b, b_rx) = bounded::<Burst>(4);
+        let (local, local_rx) = bounded::<Burst>(4);
+        let (fwd, unr) = counters();
+        let copies: Copies = Arc::new([(1, 0), (2, 1)]);
+        let route = move |_: &Header| Route::Multicast {
+            copies: copies.clone(),
+            local: 2,
+        };
+        let outputs = vec![fifo_tx(child_a.clone()), fifo_tx(child_b), fifo_tx(local)];
+        let mut m = CkMachine::new(
+            0,
+            wake,
+            vec![in_rx],
+            outputs,
+            Box::new(route),
+            4,
+            8,
+            fwd.clone(),
+            unr,
+            CopyMeter::default(),
+        );
+        let meter = m.copies.clone();
+        // Even frames are inline packets, odd ones single-packet runs.
+        for seq in 0..FRAMES {
+            let frame = if seq % 2 == 0 {
+                let mut pkt = NetworkPacket::new(0, 0, 0, PacketOp::Bcast);
+                pkt.write_elem(0, &seq);
+                pkt.into()
+            } else {
+                Frame::Run(PacketRun::from_elems(0, 0, 0, PacketOp::Bcast, &[seq]))
+            };
+            in_tx.try_send(vec![frame]).unwrap();
+        }
+        child_a.try_send(Burst::new()).unwrap();
+        assert_eq!(m.poll(), Step::Progress, "parked, so still runnable");
+        assert!(
+            b_rx.is_empty() && local_rx.is_empty(),
+            "a frame passed the parked copy"
+        );
+        assert!(a_rx.try_recv().unwrap().is_empty()); // room for one copy
+        let tag = |f: Frame| {
+            let seq = match &f {
+                Frame::Pkt(p) => p.read_elem::<i32>(0),
+                Frame::Run(r) => r.packet(0).read_elem::<i32>(0),
+            };
+            (f.header().dst, seq)
+        };
+        let mut got: [Vec<(u8, i32)>; 3] = Default::default();
+        for _ in 0..4 * FRAMES {
+            m.poll();
+            for (out, rx) in got.iter_mut().zip([&a_rx, &b_rx, &local_rx]) {
+                out.extend(rx.try_iter().flatten().map(tag));
+            }
+            let copied = got[0].len().min(got[1].len());
+            assert!(got[2].len() <= copied, "a local delivery passed its copies");
+        }
+        let want = |dst: u8| Vec::from_iter((0..FRAMES).map(|seq| (dst, seq)));
+        assert_eq!(got, [want(1), want(2), want(0)]);
+        assert_eq!(
+            fwd.load(Ordering::Relaxed),
+            FRAMES as u64,
+            "one crossing per packet"
+        );
+        let inline_copies = (FRAMES as u64 / 2) * 2;
+        assert_eq!(
+            meter.count(),
+            inline_copies * smi_wire::PAYLOAD_BYTES as u64
+        );
     }
 
     /// One output of depth `out_depth`, `inputs` inputs, persistence `r`.
@@ -524,7 +635,9 @@ mod tests {
         let (out_tx, out_rx) = bounded::<Burst>(out_depth);
         let (fwd, unr) = counters();
         let route = Box::new(|_: &Header| Route::Output(0));
-        let m = CkMachine::new(0, wake, rxs, vec![fifo_tx(out_tx)], route, r, 8, fwd, unr);
+        let outputs = vec![fifo_tx(out_tx)];
+        let meter = CopyMeter::default();
+        let m = CkMachine::new(0, wake, rxs, outputs, route, r, 8, fwd, unr, meter);
         (feeds, m, out_rx)
     }
 
@@ -577,6 +690,7 @@ mod tests {
             2,
             fwd,
             unr,
+            CopyMeter::default(),
         );
         for i in 0..50u8 {
             in_tx.try_send(vec![pkt(i)]).unwrap();

@@ -1087,6 +1087,7 @@ mod tests {
             8,
             Arc::default(),
             Arc::default(),
+            Default::default(),
         )
     }
 

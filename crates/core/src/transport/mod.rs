@@ -70,6 +70,26 @@ pub(crate) fn meter_inline_data(meter: &CopyMeter, burst: &[Frame]) {
     }
 }
 
+/// A multicast's copies: `(child's wire rank, CK pair of its next hop)` per
+/// child of an interior tree-bcast member, in child order.
+pub(crate) type Copies = Arc<[(u8, usize)]>;
+
+/// `frame` re-addressed to wire rank `dst`: a run is an `Arc` clone, an
+/// inline data packet a payload copy charged to `meter`.
+pub(crate) fn readdressed(frame: &Frame, dst: u8, meter: &CopyMeter) -> Frame {
+    match frame {
+        Frame::Pkt(pkt) => {
+            let mut copy = *pkt;
+            copy.header.dst = dst;
+            if copy.header.op.carries_data() {
+                meter.add_packets(1);
+            }
+            copy.into()
+        }
+        Frame::Run(run) => Frame::Run(run.with_dst(dst)),
+    }
+}
+
 /// Shared wire-level counters for the socket plane: syscalls and bytes on
 /// both directions plus buffer-pool and cork effectiveness. One instance is
 /// shared by every socket connection of a run (the `Arc`ed counters clone

@@ -21,7 +21,7 @@ use smi_codegen::{ClusterDesign, OpKind, OpSpec};
 use smi_topology::{NextHop, RoutingPlan, Topology};
 use smi_wire::{Header, PacketOp};
 
-use crate::endpoint::{CksLanes, EndpointTable, PacketRx, PortRes};
+use crate::endpoint::{CksLanes, EndpointTable, FanOut, PacketRx, PortRes};
 use crate::params::RuntimeParams;
 use crate::transport::ck::{CkMachine, Route};
 use crate::transport::executor::{Pollable, Wake};
@@ -81,6 +81,8 @@ struct PortDelivery {
     data: Option<Sender<Burst>>,
     /// Sender for credit packets.
     credit: Option<Sender<Burst>>,
+    /// A bcast port's fan-out.
+    fan_out: Option<FanOut>,
 }
 
 /// Build channels and CK machines for the ranks this process hosts, wiring
@@ -240,7 +242,11 @@ pub(crate) fn build_transport(
             };
             let rx = half(&mut d.data, data_depth);
             let credit_rx = half(&mut d.credit, credit_depth);
-            table.put(op.port, op.kind, PortRes::new(&op, to_cks, rx, credit_rx));
+            let res = PortRes::new(&op, to_cks, rx, credit_rx);
+            if let Some(fan_out) = &res.fan_out {
+                d.fan_out = Some(fan_out.clone());
+            }
+            table.put(op.port, op.kind, res);
         }
 
         // Intra-rank CK interconnect, each FIFO moved straight into the two
@@ -255,7 +261,10 @@ pub(crate) fn build_transport(
         // routing is static, so every `(src, dst)` stream has exactly one
         // producer per FIFO and link it crosses — at its origin the lane
         // `next_pair[dst]` names, then that lane's CKS; on every rank it
-        // enters, the one CKR it entered by.
+        // enters, the one CKR it entered by. A tree bcast's copy keeps that
+        // rule: its stream (root → child) is written only by the CKR the
+        // parent's stream enters by, which puts each copy on the link of
+        // the child's next hop before it delivers the frame itself.
         let links: Vec<LinkTx> = pairs
             .iter()
             .map(|&q| take_link(&mut link_tx, r, q))
@@ -270,13 +279,15 @@ pub(crate) fn build_transport(
             cks_out.push(vec![link, Box::new(to_ckr)]);
             ckr_in.push(vec![take_link(&mut link_rx, r, pairs[p]), from_cks]);
         }
-        // (port, is_credit) -> CKR output index, after the `np` links.
+        // (port, is_credit) -> CKR output index, after the `np` links, and
+        // the port's fan-out.
         let mut delivery_tx: Vec<Sender<Burst>> = Vec::new();
-        let mut delivery_idx: HashMap<(usize, bool), usize> = HashMap::new();
+        let mut delivery_idx: HashMap<(usize, bool), (usize, Option<FanOut>)> = HashMap::new();
         for (port, d) in deliveries {
             for (is_credit, tx) in [(false, d.data), (true, d.credit)] {
                 if let Some(tx) = tx {
-                    delivery_idx.insert((port, is_credit), np + delivery_tx.len());
+                    let out = (np + delivery_tx.len(), d.fan_out.clone());
+                    delivery_idx.insert((port, is_credit), out);
                     delivery_tx.push(tx);
                 }
             }
@@ -302,6 +313,7 @@ pub(crate) fn build_transport(
                 params.burst_packets,
                 stats.cks_forwards.clone(),
                 stats.unroutable.clone(),
+                meter.clone(),
             )));
         }
 
@@ -319,9 +331,19 @@ pub(crate) fn build_transport(
                     Some(&t) if t < np => Route::Output(t),
                     Some(_) => {
                         let key = (h.port as usize, h.op == PacketOp::Credit);
-                        delivery_idx
-                            .get(&key)
-                            .map_or(Route::Drop, |&i| Route::Output(i))
+                        let Some((local, fan_out)) = delivery_idx.get(&key) else {
+                            return Route::Drop;
+                        };
+                        // An interior tree-bcast member's children get their
+                        // copies first; a child's pair is its link's output.
+                        let bcast = fan_out.as_ref().filter(|_| h.op == PacketOp::Bcast);
+                        match bcast.map(|f| f.lock().clone()) {
+                            Some(copies) if !copies.is_empty() => Route::Multicast {
+                                copies,
+                                local: *local,
+                            },
+                            _ => Route::Output(*local),
+                        }
                     }
                     None => Route::Drop,
                 }),
@@ -329,6 +351,7 @@ pub(crate) fn build_transport(
                 params.burst_packets,
                 stats.ckr_forwards.clone(),
                 stats.unroutable.clone(),
+                meter.clone(),
             )));
         }
 

@@ -201,12 +201,12 @@ struct SweepTask {
 
 enum SweepPhase {
     Bcast {
-        ch: BcastChannel<i32>,
+        ch: Box<BcastChannel<i32>>,
         buf: Vec<i32>,
         off: usize,
     },
     Gather {
-        ch: GatherChannel<i32>,
+        ch: Box<GatherChannel<i32>>,
         own: Vec<i32>,
         push_off: usize,
         all: Vec<i32>,
@@ -241,7 +241,7 @@ impl RankTask for SweepTask {
                         Vec::new()
                     };
                     self.phase = SweepPhase::Gather {
-                        ch,
+                        ch: Box::new(ch),
                         own,
                         push_off: 0,
                         all,
@@ -331,7 +331,11 @@ fn task_plane_run(ranks: usize, n: u64, workers: usize) -> Vec<(Vec<i32>, Vec<i3
                     ctx,
                     n,
                     root,
-                    phase: SweepPhase::Bcast { ch, buf, off: 0 },
+                    phase: SweepPhase::Bcast {
+                        ch: Box::new(ch),
+                        buf,
+                        off: 0,
+                    },
                     out,
                 }) as Box<dyn RankTask>)
             });
