@@ -25,29 +25,30 @@
 //!   home), so an empty run queue means "out of hot work", which is what
 //!   allows a steal. How it gets back depends on who can tell that it has
 //!   work again:
-//!   * *CK machines are woken.* Every FIFO, link and socket queue a CK
-//!     machine drains carries that machine's [`Wake`], and every producer —
-//!     an endpoint's push (poll-mode or blocking), a peer machine's
-//!     forward, the socket pump's demux, the drop of a sender, the close of
-//!     a connection — raises it afterwards. At home the machine goes to
-//!     sleep on its first poll that leaves the handle down and either
-//!     moved nothing (`Idle`) or moved data and then found every input empty
-//!     (`Drained`: no confirming idle poll follows a draining one): the
-//!     worker lowers it before the poll reads any input and files the
-//!     machine with a compare-and-swap that a raise since then fails, so a
-//!     push racing the poll is never lost. It is not polled again until a
-//!     raise finds it asleep and names it in its home's wake list: a
-//!     sleeping kernel costs no polls and a sweep costs O(woken). The home
-//!     worker drains that list after its hot batch and again after each
-//!     round of woken machines — they run once the poll that woke them has
-//!     returned, never nested in it — until nobody was woken or the sweep
-//!     has issued a batch's worth of polls, so a packet crosses a chain of
-//!     idle kernels in one sweep, not one sweep of the aged machines (a
-//!     pump's poll is a syscall) per hop. A machine holding a burst its
-//!     output refused keeps its own handle up — room in an output raises
-//!     nothing — and stays runnable. A stolen one is aged like the rest
-//!     while it is away (its thief keeps polling it, or the steal would buy
-//!     nothing) and sleeps once it is handed home.
+//!   * *CK machines are woken.* Every input a CK machine drains — an
+//!     endpoint lane, or a CKR's burst queues, which keep no condvar —
+//!     carries that machine's [`Wake`], and every producer — an endpoint's
+//!     push (poll-mode or blocking), a peer machine's forward, the socket
+//!     pump's demux, the drop of a sender, the close of a connection —
+//!     raises it afterwards. At home the machine goes to sleep on its first
+//!     poll that leaves the handle down and either moved nothing (`Idle`)
+//!     or moved data and then found every input empty (`Drained`: no
+//!     confirming idle poll follows a draining one): the worker lowers it
+//!     before the poll reads any input and files the machine with a
+//!     compare-and-swap that a raise since then fails, so a push racing the
+//!     poll is never lost. It is not polled again until a raise finds it
+//!     asleep and names it in its home's wake list: a sleeping kernel costs
+//!     no polls and a sweep costs O(woken). The home worker drains that
+//!     list after its hot batch and again after each round of woken
+//!     machines — they run once the poll that woke them has returned, never
+//!     nested in it — until nobody was woken or the sweep has issued a
+//!     batch's worth of polls, so a packet crosses a chain of idle kernels
+//!     in one sweep, not one sweep of the aged machines (a pump's poll is a
+//!     syscall) per hop. A machine holding a burst its output refused keeps
+//!     its own handle up — room in an output raises nothing — and stays
+//!     runnable. A stolen one is aged like the rest while it is away (its
+//!     thief keeps polling it, or the steal would buy nothing) and sleeps
+//!     once it is handed home.
 //!   * *Rank tasks and socket pumps are aged.* Their readiness is user
 //!     code's or the kernel's: one without progress for
 //!     [`ExecutorConfig::cold_after`] passes of its worker goes cold and is

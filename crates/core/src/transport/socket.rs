@@ -55,16 +55,16 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use smi_wire::{Datatype, Frame, Header, NetworkPacket, PacketRun, PayloadRun, PACKET_BYTES};
 
 use crate::error::SmiError;
 use crate::params::ReconnectPolicy;
-use crate::transport::executor::{Pollable, Step, Wake};
+use crate::transport::executor::{Pollable, Step};
 use crate::transport::faults::{FaultAction, FaultInjector};
-use crate::transport::link::{LinkRecv, LinkRx, LinkSend, LinkTx, Transport, TransportReceiver};
+use crate::transport::link::{burst_queue, LinkRx, LinkSend, LinkTx, QueueTx, Transport};
 use crate::transport::{meter_inline_data, Burst, CopyMeter, WireStats};
 
 /// Bytes of the frame header:
@@ -789,23 +789,6 @@ impl ReconnectHub {
 // Connection: replay ring + link handles + pump
 // ---------------------------------------------------------------------------
 
-/// One per-link inbound demux queue, and the handle of the CKR draining it
-/// once the wiring has named it: the pump raises it after every push,
-/// [`ConnShared::close`] after closing.
-#[derive(Default)]
-struct InQueue {
-    bursts: Mutex<VecDeque<Burst>>,
-    wake: OnceLock<Wake>,
-}
-
-impl InQueue {
-    fn raise(&self) {
-        if let Some(wake) = self.wake.get() {
-            wake.raise();
-        }
-    }
-}
-
 /// The transmit source of truth: every offered burst is encoded once into
 /// this ring and stays there until the peer's cumulative ack covers it.
 /// `cursor` separates frames the flush is done with (`< cursor`) from
@@ -888,15 +871,16 @@ struct ConnShared {
     /// Free list of recycled encode buffers: refilled by acks, drained by
     /// `offer`.
     enc_pool: Mutex<Vec<Vec<u8>>>,
-    /// Inbound demux queues, by sender-side endpoint.
-    queues: HashMap<(usize, usize), Arc<InQueue>>,
+    /// Inbound demux queues, by sender-side endpoint: the pump is each
+    /// one's sole producer.
+    queues: HashMap<(usize, usize), QueueTx>,
 }
 
 impl ConnShared {
     /// Close every link of the connection and wake their consumers for it.
     fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
-        self.queues.values().for_each(|q| q.raise());
+        self.queues.values().for_each(QueueTx::close);
     }
 
     fn apply_ack(&self, acked: u64) {
@@ -1012,6 +996,8 @@ impl ConnConfig {
 /// executor for any byte to move.
 pub(crate) struct SocketConn {
     shared: Arc<ConnShared>,
+    /// Consumer halves of the demux queues, until the wiring takes them.
+    rx: Mutex<HashMap<(usize, usize), LinkRx>>,
 }
 
 impl SocketConn {
@@ -1022,7 +1008,11 @@ impl SocketConn {
         health: FabricHealth,
     ) -> io::Result<(SocketConn, SocketPump)> {
         stream.set_nonblocking(true)?;
-        let queues = cfg.recv_keys.iter().map(|&k| (k, Arc::default()));
+        let halves = cfg.recv_keys.iter().map(|&key| {
+            let (tx, rx) = burst_queue(INBOUND_QUEUE_CAP);
+            ((key, tx), (key, rx))
+        });
+        let (queues, rx): (HashMap<_, _>, _) = halves.unzip();
         let shared = Arc::new(ConnShared {
             closed: AtomicBool::new(false),
             ring: Mutex::new(ReplayRing::new(cfg.replay_budget.max(1))),
@@ -1031,10 +1021,11 @@ impl SocketConn {
             copies: cfg.copies.clone(),
             wire: cfg.wire.clone(),
             enc_pool: Mutex::new(Vec::new()),
-            queues: queues.collect(),
+            queues,
         });
         let conn = SocketConn {
             shared: shared.clone(),
+            rx: Mutex::new(rx),
         };
         let slot = match &cfg.role {
             ReconnectRole::Listener { hub } => Some(hub.register(cfg.peer.process, cfg.session)),
@@ -1080,13 +1071,11 @@ impl SocketConn {
         })
     }
 
-    /// Receive half for traffic sent by the peer endpoint `key`. Panics if
-    /// `key` was not in `recv_keys` — a wiring bug.
+    /// Receive half for traffic sent by the peer endpoint `key`, taken
+    /// once. Panics if `key` was not in `recv_keys` — a wiring bug.
     pub fn rx(&self, key: (usize, usize)) -> LinkRx {
-        Box::new(SocketLinkRx {
-            conn: self.shared.clone(),
-            queue: self.shared.queues[&key].clone(),
-        })
+        let rx = self.rx.lock().expect("rx lock").remove(&key);
+        rx.unwrap_or_else(|| panic!("no receive half for endpoint {key:?}"))
     }
 }
 
@@ -1260,36 +1249,6 @@ impl SocketLinkTx {
         });
         self.conn.close();
         LinkSend::Closed
-    }
-}
-
-struct SocketLinkRx {
-    conn: Arc<ConnShared>,
-    queue: Arc<InQueue>,
-}
-
-impl TransportReceiver for SocketLinkRx {
-    fn try_recv(&mut self) -> LinkRecv {
-        let pop = |q: &InQueue| q.bursts.lock().expect("in queue lock").pop_front();
-        if let Some(b) = pop(&self.queue) {
-            return LinkRecv::Burst(b);
-        }
-        // `SeqCst` pairs with [`ConnShared::close`]: the consumer lowered
-        // its wake handle before this look, the closer raises it after.
-        if !self.conn.closed.load(Ordering::SeqCst) {
-            return LinkRecv::Empty;
-        }
-        // The pump finishes demuxing before setting `closed`; one re-check
-        // after observing the flag drains the race window.
-        match pop(&self.queue) {
-            Some(b) => LinkRecv::Burst(b),
-            None => LinkRecv::Closed,
-        }
-    }
-
-    fn wake_with(&mut self, wake: &Wake) {
-        let fresh = self.queue.wake.set(wake.clone()).is_ok();
-        assert!(fresh, "a link has one consumer");
     }
 }
 
@@ -1652,17 +1611,13 @@ impl SocketPump {
                     "frame from unknown endpoint (rank {src_rank}, qsfp {src_qsfp})"
                 ));
             };
-            let mut q = queue.bursts.lock().expect("in queue lock");
-            if q.len() >= INBOUND_QUEUE_CAP {
-                // Head-of-line backpressure: stop parsing until the slow
-                // CKR input drains its queue.
-                break;
-            }
             let burst = decode_body(&block, self.rpos + FRAME_HEADER_BYTES, body)?;
             meter_inline_data(&self.shared.copies, &burst);
-            q.push_back(burst);
-            drop(q);
-            queue.raise();
+            if let LinkSend::Full(_) = queue.push(burst) {
+                // Head-of-line backpressure: stop parsing until the slow
+                // CKR input drains its queue (the frame decodes again then).
+                break;
+            }
             self.rpos += need;
             self.last_recv = seq;
             *progressed = true;
@@ -2072,6 +2027,7 @@ impl Pollable for AcceptorPump {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::link::LinkRecv;
     use smi_wire::PacketOp;
 
     fn pair() -> (SocketStream, SocketStream) {

@@ -7,11 +7,12 @@
 //!
 //! Inter-CK edges are wired as [`LinkTx`]/[`LinkRx`] trait objects rather
 //! than concrete FIFOs. When the whole cluster lives in one process
-//! ([`FabricLinks::all_local`]) every edge is the burst-batched in-memory
-//! FIFO fast path; when the cluster is split across OS processes
+//! ([`FabricLinks::all_local`]) every edge is an in-memory `burst_queue`,
+//! as is each CKS→CKR FIFO; when the cluster is split across OS processes
 //! ([`crate::proc`]), the edges crossing a process boundary are handed in
 //! as socket-backed links ([`crate::transport::socket`]) and only the ranks
-//! marked local are instantiated here.
+//! marked local are instantiated here. Endpoint lanes and deliveries stay
+//! crossbeam FIFOs.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -25,7 +26,7 @@ use crate::endpoint::{CksLanes, EndpointTable, FanOut, PacketRx, PortRes};
 use crate::params::RuntimeParams;
 use crate::transport::ck::{CkMachine, Route};
 use crate::transport::executor::{Pollable, Wake};
-use crate::transport::link::{fifo, FifoTx, LinkRx, LinkTx};
+use crate::transport::link::{burst_queue, fifo, FifoTx, LinkRx, LinkTx};
 use crate::transport::socket::FabricHealth;
 use crate::transport::{Burst, TransportStats};
 
@@ -107,18 +108,13 @@ pub(crate) fn build_transport(
     } = links;
     assert_eq!(local.len(), n, "one locality flag per rank");
 
-    // FIFO depths are performance knobs, never correctness knobs: clamp to
-    // >= 1 so a zero depth cannot turn a transport FIFO into a rendezvous
-    // channel, which the poll-mode machines (try_send/try_recv only, never
-    // parked in recv) could not hand packets through.
-    let ck_depth = params.ck_fifo_depth.max(1);
     // Endpoint FIFO sizing: the per-op buffer depth, floored by the global
     // asynchronicity knob (same rule as the single-rank wiring).
     let ep_depth = |op_depth: usize| op_depth.max(params.endpoint_fifo_depth).max(1);
 
     // One wake handle per CK machine, `wakes[rank][pair]` = (CKS's, CKR's),
-    // made before any FIFO: every producer into a machine's inputs carries
-    // that machine's handle from the start.
+    // made before any FIFO: every input of a machine names its handle before
+    // any producer runs.
     let wakes: Vec<Vec<(Wake, Wake)>> = (0..n)
         .map(|r| {
             let pairs = design.rank(r).ck_qsfps.iter().filter(|_| local[r]);
@@ -138,33 +134,22 @@ pub(crate) fn build_transport(
     let mut link_rx: HashMap<(usize, usize), LinkRx> = HashMap::new();
     for c in topo.connections() {
         for (from, to) in [(c.a, c.b), (c.b, c.a)] {
-            match (local[from.rank], local[to.rank]) {
+            let mut rx = match (local[from.rank], local[to.rank]) {
                 (true, true) => {
-                    let (tx, rx) = fifo(ck_depth, ckr_wake_at(to.rank, to.qsfp));
+                    let (tx, rx) = burst_queue(params.ck_fifo_depth);
                     link_tx.insert((from.rank, from.qsfp), Box::new(tx));
-                    link_rx.insert((to.rank, to.qsfp), rx);
+                    rx
                 }
                 (true, false) => {
-                    let tx = ext_tx.remove(&(from.rank, from.qsfp)).unwrap_or_else(|| {
-                        panic!(
-                            "missing external link tx for edge ({},{})",
-                            from.rank, from.qsfp
-                        )
-                    });
+                    let tx = take_link(&mut ext_tx, from.rank, from.qsfp);
                     link_tx.insert((from.rank, from.qsfp), tx);
+                    continue;
                 }
-                (false, true) => {
-                    let mut rx = ext_rx.remove(&(from.rank, from.qsfp)).unwrap_or_else(|| {
-                        panic!(
-                            "missing external link rx for edge ({},{})",
-                            from.rank, from.qsfp
-                        )
-                    });
-                    rx.wake_with(ckr_wake_at(to.rank, to.qsfp));
-                    link_rx.insert((to.rank, to.qsfp), rx);
-                }
-                (false, false) => {}
-            }
+                (false, true) => take_link(&mut ext_rx, from.rank, from.qsfp),
+                (false, false) => continue,
+            };
+            rx.wake_with(ckr_wake_at(to.rank, to.qsfp));
+            link_rx.insert((to.rank, to.qsfp), rx);
         }
     }
 
@@ -275,7 +260,8 @@ pub(crate) fn build_transport(
         let mut cks_out: Vec<Vec<LinkTx>> = Vec::with_capacity(np);
         let mut ckr_in: Vec<Vec<LinkRx>> = Vec::with_capacity(np);
         for (p, link) in links.into_iter().enumerate() {
-            let (to_ckr, from_cks) = fifo(ck_depth, ckr_wake[p]);
+            let (to_ckr, mut from_cks) = burst_queue(params.ck_fifo_depth);
+            from_cks.wake_with(ckr_wake[p]);
             cks_out.push(vec![link, Box::new(to_ckr)]);
             ckr_in.push(vec![take_link(&mut link_rx, r, pairs[p]), from_cks]);
         }

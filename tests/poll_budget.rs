@@ -156,7 +156,7 @@ fn pingpong_polls_per_round_trip_stay_within_budget() {
     let useful = stats.progress as f64 / stats.polls as f64;
     // `-- --nocapture` shows the reading the docs quote.
     println!("{per_trip:.1} polls per round trip, progress/polls = {useful:.3}");
-    assert!(per_trip <= 24.0, "{per_trip:.1} polls per round trip");
+    assert!(per_trip <= 21.0, "{per_trip:.1} polls per round trip");
     assert!(useful >= 0.85, "progress/polls = {useful:.3}");
     let (cks_forwards, ckr_forwards, unroutable) = report.transport;
     let delivered = 2 * TRIPS as u64;
