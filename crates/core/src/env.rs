@@ -33,7 +33,7 @@
 //!   variants.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -887,13 +887,20 @@ pub(crate) fn launch<T: Send + 'static>(
     let outcomes = match (plan, backend) {
         (Some(plan), Some(backend)) if backend != TransportBackend::InMem => {
             let procs = plan.rank_sets();
-            let wirings = setup_groups(topo, &procs, backend, plan.faults.as_ref())?;
+            let run_complete = Arc::new(AtomicBool::new(false));
+            let wirings = setup_groups(topo, &procs, backend, plan.faults.as_ref(), &run_complete)?;
             let barrier = std::sync::Barrier::new(procs.len());
+            let arrived = AtomicUsize::new(0);
             let groups = wirings.into_iter().zip(bodies.split(&procs));
             std::thread::scope(|scope| {
                 let handles: Vec<_> = groups
                     .map(|(wiring, bodies)| {
                         let wait = || {
+                            // The last group raises it before anyone leaves
+                            // the barrier to close a stream.
+                            if arrived.fetch_add(1, Ordering::SeqCst) + 1 == procs.len() {
+                                run_complete.store(true, Ordering::SeqCst);
+                            }
                             barrier.wait();
                         };
                         std::thread::Builder::new()

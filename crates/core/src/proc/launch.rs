@@ -55,8 +55,7 @@ use crate::env::{run_group, Bodies, SmiCtx};
 use crate::params::{ReconnectPolicy, RuntimeParams};
 use crate::transport::faults::{DelaySpec, FaultPlan, LinkFault, SeverSpec};
 use crate::transport::socket::{
-    fresh_session_id, recv_hello, send_hello, Hello, ReconnectHub, Redial, SocketListener,
-    SocketStream,
+    fresh_session_id, recv_hello, send_hello, Hello, Redial, SocketListener, SocketStream,
 };
 use crate::transport::TransportStats;
 
@@ -499,7 +498,7 @@ fn child_run(o: &Opts) -> Result<i32, String> {
     // Data mesh: for each crossing process pair, the higher index dials the
     // lower index's listener and identifies itself — and names the session —
     // with a hello frame. The same orientation is reused by mid-stream
-    // recovery: the dialer re-dials, the acceptor's listener stays open.
+    // recovery: the dialer re-dials, the lower index's listener stays open.
     let deadline = Instant::now() + timeout;
     let pairs = crossing_pairs(&topo, &procs);
     let mut streams: Vec<PeerStream> = Vec::new();
@@ -546,16 +545,18 @@ fn child_run(o: &Opts) -> Result<i32, String> {
         return Err(format!("expected go, got '{line}'"));
     }
 
-    // The data listener stays open for the whole run (inside an acceptor
-    // pump) so faulted peers can re-dial mid-stream.
+    // The data listener stays open for the whole run (inside the group's
+    // reconnect hub) so faulted peers can re-dial mid-stream.
     let wiring = GroupWiring {
         procs: &procs,
         idx: me,
         backend,
         streams,
         listener: Some(listener),
-        hub: ReconnectHub::new(),
         faults: plan.faults.as_ref(),
+        // Never raised here: `halt` reaches the children one at a time, so
+        // a peer may close its streams before this child has heard it.
+        run_complete: Default::default(),
     };
     let metas = vec![workload_meta(); topo.num_ranks()];
     let kill_at = (o.kill == Some((me, KillPhase::Stream))).then(|| (o.count / 4).max(1));

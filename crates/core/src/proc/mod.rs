@@ -28,7 +28,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -40,8 +40,8 @@ use crate::params::RuntimeParams;
 use crate::transport::executor::Pollable;
 use crate::transport::faults::FaultPlan;
 use crate::transport::socket::{
-    fresh_session_id, AcceptorPump, ConnConfig, FabricHealth, PeerInfo, ReconnectHub,
-    ReconnectRole, Redial, SocketConn, SocketListener, SocketStream,
+    fresh_session_id, ConnConfig, FabricHealth, PeerInfo, ReconnectHub, ReconnectRole, Redial,
+    SocketConn, SocketListener, SocketStream,
 };
 use crate::transport::wiring::FabricLinks;
 use crate::transport::TransportStats;
@@ -276,8 +276,9 @@ pub(crate) enum StreamRole {
         /// The peer listener's address.
         redial: Redial,
     },
-    /// This process waits (through its [`ReconnectHub`]) for the peer to
-    /// re-dial its data listener.
+    /// This process waits for the peer to re-dial its data listener, and
+    /// accepts the re-dial (through its [`ReconnectHub`]) once it sees the
+    /// fault itself.
     Accept,
 }
 
@@ -295,8 +296,8 @@ pub(crate) struct PeerStream {
 
 /// One group's share of a cluster that spans sockets — everything
 /// [`build_group_fabric`] wires: where the group sits in the partition, its
-/// established peer streams, the persistent data listener and reconnect hub
-/// for mid-stream recovery, and the faults to inject.
+/// established peer streams, the persistent data listener for mid-stream
+/// recovery, and the faults to inject.
 pub(crate) struct GroupWiring<'a> {
     /// The rank set of every group, indexed by process.
     pub procs: &'a [Vec<usize>],
@@ -304,12 +305,13 @@ pub(crate) struct GroupWiring<'a> {
     pub idx: usize,
     pub backend: TransportBackend,
     pub streams: Vec<PeerStream>,
-    /// The listener the peer-dialed streams came in on, kept open so faulted
-    /// peers can re-dial mid-run. `None` when no peer dials this process.
+    /// The listener the peer-dialed streams came in on, kept open (inside
+    /// the group's [`ReconnectHub`]) so faulted peers can re-dial mid-run.
+    /// `None` when no peer dials this process.
     pub listener: Option<SocketListener>,
-    /// Routes resumed streams from the acceptor to the owning pump.
-    pub hub: Arc<ReconnectHub>,
     pub faults: Option<&'a FaultPlan>,
+    /// See [`ConnConfig::run_complete`]; shared by every group of a run.
+    pub run_complete: Arc<AtomicBool>,
 }
 
 /// Wire one group's share of the fabric from its established streams, one
@@ -332,6 +334,7 @@ pub(crate) fn build_group_fabric(
     let mut pumps: Vec<Box<dyn Pollable>> = Vec::new();
     let mut peer_addr: HashMap<usize, String> = HashMap::new();
     let backend = wiring.backend;
+    let hub = ReconnectHub::new(wiring.listener)?;
 
     for ps in wiring.streams {
         let peer = ps.proc;
@@ -362,9 +365,7 @@ pub(crate) fn build_group_fabric(
         };
         let role = match ps.role {
             StreamRole::Dial { redial } => ReconnectRole::Dialer { redial },
-            StreamRole::Accept => ReconnectRole::Listener {
-                hub: wiring.hub.clone(),
-            },
+            StreamRole::Accept => ReconnectRole::Listener { hub: hub.clone() },
         };
         let cfg = ConnConfig {
             peer: info,
@@ -377,6 +378,7 @@ pub(crate) fn build_group_fabric(
             faults: faults.and_then(|fp| fp.injector_for(me, peer)),
             copies: stats.payload_copies.clone(),
             wire: stats.wire.clone(),
+            run_complete: wiring.run_complete.clone(),
         };
         let (conn, pump) = SocketConn::new(ps.stream, cfg, health.clone())?;
         for key in tx_keys {
@@ -386,9 +388,6 @@ pub(crate) fn build_group_fabric(
             ext_rx.insert(key, conn.rx(key));
         }
         pumps.push(Box::new(pump));
-    }
-    if let Some(listener) = wiring.listener {
-        pumps.push(Box::new(AcceptorPump::new(listener, wiring.hub.clone())?));
     }
 
     let remote: HashMap<usize, (usize, String)> = (0..n)
@@ -451,11 +450,13 @@ pub(crate) fn bind_data_listener(
 /// `(lo, hi)` the lower-indexed group listens and the higher dials — the
 /// same orientation mid-stream recovery re-dials with — and the listener
 /// stays open inside the lo group's wiring so faulted peers can come back.
+/// Every group's pumps watch `run_complete`.
 pub(crate) fn setup_groups<'a>(
     topo: &Topology,
     procs: &'a [Vec<usize>],
     backend: TransportBackend,
     faults: Option<&'a FaultPlan>,
+    run_complete: &Arc<AtomicBool>,
 ) -> Result<Vec<GroupWiring<'a>>, LaunchError> {
     let mut groups: Vec<GroupWiring> = (0..procs.len())
         .map(|idx| GroupWiring {
@@ -464,8 +465,8 @@ pub(crate) fn setup_groups<'a>(
             backend,
             streams: Vec::new(),
             listener: None,
-            hub: ReconnectHub::new(),
             faults,
+            run_complete: run_complete.clone(),
         })
         .collect();
     let mut redials: HashMap<usize, Redial> = HashMap::new();

@@ -9,8 +9,9 @@
 //!   Worker `w` of `W` is seeded with the contiguous block
 //!   `[w·L/W, (w+1)·L/W)` of the `L` local ranks, a rank's task and all its
 //!   CK machines together, so a rank's FIFOs are touched by one thread and
-//!   only block-boundary links cross workers. Machines without a rank
-//!   (socket pumps) are dealt round-robin.
+//!   only block-boundary links cross workers. Machines without a rank —
+//!   socket pumps, one per connection — are dealt round-robin. A process's
+//!   data listener is not a machine: nothing polls it (`socket.rs`).
 //! * **Run queues** — a worker takes batches of at most
 //!   [`ExecutorConfig::batch`] machines from its queue, and never more than
 //!   half of it while a sibling could steal: the rest stays visible to
@@ -50,7 +51,8 @@
 //!     thief keeps polling it, or the steal would buy nothing) and sleeps
 //!     once it is handed home.
 //!   * *Rank tasks and socket pumps are aged.* Their readiness is user
-//!     code's or the kernel's: one without progress for
+//!     code's or the kernel's (`std` has no readiness API, so a pump learns
+//!     that bytes arrived only by calling `recv`): one without progress for
 //!     [`ExecutorConfig::cold_after`] passes of its worker goes cold and is
 //!     re-polled where it lies — a batch when the worker has nothing hot or
 //!     nothing progressing, two per sweep otherwise — rejoining the run
@@ -99,7 +101,8 @@ pub(crate) trait Pollable: Send {
 
     /// The world rank this machine belongs to — a rank's task and its
     /// CKS/CKR kernels — which the executor places on one worker. `None`
-    /// for machines that serve no single rank (socket pumps).
+    /// for machines that serve no single rank: the socket pumps, which are
+    /// dealt round-robin.
     fn home_rank(&self) -> Option<usize> {
         None
     }

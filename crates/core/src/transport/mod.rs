@@ -56,15 +56,21 @@ impl CopyMeter {
     }
 }
 
-/// Count the inline data packets of a burst into a meter: the cost of
-/// copying (rather than moving) these frames into another buffer. Run
-/// frames cost nothing — only their `Arc` handle moves.
+/// The inline data packets of a burst: what copying (rather than moving)
+/// these frames into another buffer costs, in packets. Run frames cost
+/// nothing — only their `Arc` handle moves.
 #[inline]
-pub(crate) fn meter_inline_data(meter: &CopyMeter, burst: &[Frame]) {
-    let inline_data = burst
+pub(crate) fn inline_data_packets(burst: &[Frame]) -> usize {
+    burst
         .iter()
         .filter(|f| matches!(f, Frame::Pkt(p) if p.header.op.carries_data()))
-        .count();
+        .count()
+}
+
+/// Count the inline data packets of a burst into a meter.
+#[inline]
+pub(crate) fn meter_inline_data(meter: &CopyMeter, burst: &[Frame]) {
+    let inline_data = inline_data_packets(burst);
     if inline_data > 0 {
         meter.add_packets(inline_data);
     }
@@ -112,6 +118,9 @@ pub struct WireStats {
     /// Offered bursts merged into a not-yet-transmitted ring frame by the
     /// adaptive cork instead of paying their own frame header.
     pub corked_frames: Arc<AtomicU64>,
+    /// `accept` calls on a data listener (each re-dial costs one, and each
+    /// drained listener one more); zero on a run without a fault.
+    pub accepts: Arc<AtomicU64>,
 }
 
 impl WireStats {
@@ -137,6 +146,7 @@ impl WireStats {
             pool_hits: self.pool_hits.load(Ordering::Relaxed),
             pool_misses: self.pool_misses.load(Ordering::Relaxed),
             corked_frames: self.corked_frames.load(Ordering::Relaxed),
+            accepts: self.accepts.load(Ordering::Relaxed),
         }
     }
 }
@@ -160,6 +170,8 @@ pub struct WireSnapshot {
     pub pool_misses: u64,
     /// Bursts merged into an untransmitted ring frame by the cork.
     pub corked_frames: u64,
+    /// `accept` calls on a data listener.
+    pub accepts: u64,
 }
 
 impl WireSnapshot {

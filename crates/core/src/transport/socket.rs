@@ -45,9 +45,10 @@
 //! registered with the same sharded executor that drives the CK machines.
 //! CK machines themselves only touch lock-guarded queues via
 //! [`super::link::Transport`] handles, so they never block on a syscall.
-//! Re-dials arriving at a process are routed by an [`AcceptorPump`] (which
-//! owns the long-lived data listener) through a [`ReconnectHub`] to the
-//! pump that lost its stream.
+//! The process's data listener lives in its [`ReconnectHub`] and nothing
+//! polls it: only a listener-role pump that is already reconnecting
+//! accepts the re-dials queued on it and routes each, through the hub, to
+//! the pump that lost that stream.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -65,7 +66,7 @@ use crate::params::ReconnectPolicy;
 use crate::transport::executor::{Pollable, Step};
 use crate::transport::faults::{FaultAction, FaultInjector};
 use crate::transport::link::{burst_queue, LinkRx, LinkSend, LinkTx, QueueTx, Transport};
-use crate::transport::{meter_inline_data, Burst, CopyMeter, WireStats};
+use crate::transport::{inline_data_packets, Burst, CopyMeter, WireStats};
 
 /// Bytes of the frame header:
 /// `[src_rank u16 LE][src_qsfp u16 LE][len u32 LE][seq u64 LE]`.
@@ -97,9 +98,10 @@ const READ_CHUNK: usize = 16 * 1024;
 /// cumulative, so skipped acks are subsumed by the next one).
 const CTRL_CAP: usize = 64 * 1024;
 
-/// Read timeout of the blocking resume-hello exchange; a failed exchange
-/// costs one reconnect attempt, so this also bounds how long one attempt
-/// can occupy an executor worker.
+/// Read timeout of the blocking resume-hello exchange, on both sides: the
+/// dialer's wait for the reply and the listening side's read of each
+/// accepted re-dial's hello. A failed exchange costs one reconnect attempt,
+/// so this also bounds how long one attempt can occupy an executor worker.
 const RESUME_IO_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Extra per-attempt patience of the listening side of a broken connection:
@@ -722,11 +724,11 @@ pub(crate) fn fresh_session_id() -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Reconnect hub (routes incoming re-dials to the pump that lost its stream)
+// Reconnect hub (owns the data listener; routes re-dials to their pumps)
 // ---------------------------------------------------------------------------
 
-/// Mailbox where the [`AcceptorPump`] deposits an accepted resume stream
-/// for one `(peer process, session)`; the owning [`SocketPump`] polls it.
+/// Mailbox where a re-dial accepted for one `(peer process, session)` waits
+/// for the [`SocketPump`] that lost that stream.
 #[derive(Default)]
 pub(crate) struct ReconnectSlot {
     offer: Mutex<Option<(SocketStream, Hello)>>,
@@ -736,23 +738,28 @@ impl ReconnectSlot {
     fn take(&self) -> Option<(SocketStream, Hello)> {
         self.offer.lock().expect("slot lock").take()
     }
-
-    fn has_offer(&self) -> bool {
-        self.offer.lock().expect("slot lock").is_some()
-    }
 }
 
-/// Registry of reconnect slots keyed by `(peer process, session)`, shared
-/// between the process's [`AcceptorPump`] and its listener-role pumps.
-#[derive(Default)]
+/// One process's re-dial endpoint: the long-lived data listener, plus the
+/// reconnect slots of its listener-role pumps keyed by `(peer process,
+/// session)`. Nothing accepts on the listener until one of those pumps is
+/// reconnecting (see [`ReconnectHub::accept_redials`]).
 pub(crate) struct ReconnectHub {
     slots: Mutex<HashMap<(usize, u64), Arc<ReconnectSlot>>>,
+    listener: Option<SocketListener>,
 }
 
 impl ReconnectHub {
-    /// A fresh, empty hub.
-    pub fn new() -> Arc<ReconnectHub> {
-        Arc::new(ReconnectHub::default())
+    /// A hub with no slots over the group's data listener (switched to
+    /// nonblocking), if any peer dials this process.
+    pub fn new(listener: Option<SocketListener>) -> io::Result<Arc<ReconnectHub>> {
+        if let Some(l) = &listener {
+            l.set_nonblocking(true)?;
+        }
+        Ok(Arc::new(ReconnectHub {
+            slots: Mutex::default(),
+            listener,
+        }))
     }
 
     fn register(&self, peer_proc: usize, session: u64) -> Arc<ReconnectSlot> {
@@ -771,16 +778,40 @@ impl ReconnectHub {
             .remove(&(peer_proc, session));
     }
 
-    /// Route an accepted resume stream to its pump's slot. Returns false
-    /// (dropping the stream) when no pump owns that `(process, session)`.
-    pub fn deposit(&self, stream: SocketStream, hello: Hello) -> bool {
+    /// Route an accepted resume stream to its pump's slot, or drop it when
+    /// no pump owns that `(process, session)`.
+    fn deposit(&self, stream: SocketStream, hello: Hello) {
         let slots = self.slots.lock().expect("hub lock");
-        match slots.get(&(hello.proc, hello.session)) {
-            Some(slot) => {
-                *slot.offer.lock().expect("slot lock") = Some((stream, hello));
-                true
+        if let Some(slot) = slots.get(&(hello.proc, hello.session)) {
+            *slot.offer.lock().expect("slot lock") = Some((stream, hello));
+        }
+    }
+
+    /// Accept every re-dial queued on the data listener: a nonblocking
+    /// `accept`, a hello read bounded by [`RESUME_IO_TIMEOUT`], then
+    /// [`ReconnectHub::deposit`] into whichever slot it names (possibly
+    /// another connection's). Only a listener-role pump that is already
+    /// reconnecting calls this. That is enough because a re-dial only
+    /// follows a fault, and every fault path shuts the old stream down, so
+    /// the listening side sees the fault too; until then the kernel's
+    /// backlog holds the re-dial.
+    fn accept_redials(&self, wire: &WireStats) {
+        let Some(listener) = &self.listener else {
+            return;
+        };
+        loop {
+            wire.accepts.fetch_add(1, Ordering::Relaxed);
+            let Ok(mut s) = listener.accept() else {
+                return; // drained (WouldBlock), or nothing usable
+            };
+            let hello = s
+                .set_nonblocking(false)
+                .and_then(|()| s.set_read_timeout(Some(RESUME_IO_TIMEOUT)))
+                .and_then(|()| recv_hello(&mut s));
+            // Bootstrap hellos and unknown sessions are dropped.
+            if let Ok(hello @ Hello { resume: true, .. }) = hello {
+                self.deposit(s, hello);
             }
-            None => false,
         }
     }
 }
@@ -930,7 +961,7 @@ pub(crate) enum ReconnectRole {
     },
     /// This side waits for the peer's re-dial, routed through the hub.
     Listener {
-        /// The process-wide hub its acceptor deposits streams into.
+        /// The process-wide hub that owns the data listener.
         hub: Arc<ReconnectHub>,
     },
     /// No recovery possible (raw stream pairs in unit tests).
@@ -968,6 +999,10 @@ pub(crate) struct ConnConfig {
     /// Wire-level counters (syscalls, bytes, pool and cork effectiveness;
     /// [`crate::transport::TransportStats::wire`]).
     pub wire: WireStats,
+    /// Raised once every rank of every group has finished: from then on
+    /// the peer may close the stream at teardown, so a fault ends the pump
+    /// quietly instead of reconnecting.
+    pub run_complete: Arc<AtomicBool>,
 }
 
 impl ConnConfig {
@@ -986,6 +1021,7 @@ impl ConnConfig {
             faults: None,
             copies: CopyMeter::default(),
             wire: WireStats::default(),
+            run_complete: Arc::default(),
         }
     }
 }
@@ -1057,6 +1093,7 @@ impl SocketConn {
             last_acked: 0,
             probe_oldest: 0,
             probe_deadline: None,
+            run_complete: cfg.run_complete,
             done: false,
         };
         Ok((conn, pump))
@@ -1315,6 +1352,8 @@ pub(crate) struct SocketPump {
     /// past it (see [`ACK_PROBE_TIMEOUT`]).
     probe_oldest: u64,
     probe_deadline: Option<Instant>,
+    /// See [`ConnConfig::run_complete`].
+    run_complete: Arc<AtomicBool>,
     done: bool,
 }
 
@@ -1612,11 +1651,15 @@ impl SocketPump {
                 ));
             };
             let burst = decode_body(&block, self.rpos + FRAME_HEADER_BYTES, body)?;
-            meter_inline_data(&self.shared.copies, &burst);
+            let inline = inline_data_packets(&burst);
             if let LinkSend::Full(_) = queue.push(burst) {
                 // Head-of-line backpressure: stop parsing until the slow
-                // CKR input drains its queue (the frame decodes again then).
+                // CKR input drains its queue (the frame decodes again then,
+                // so only an accepted decode is charged).
                 break;
+            }
+            if inline > 0 {
+                self.shared.copies.add_packets(inline);
             }
             self.rpos += need;
             self.last_recv = seq;
@@ -1666,9 +1709,14 @@ impl SocketPump {
     }
 
     /// Handle a connection fault: reset stream-scoped state and either die
-    /// (no recovery) or enter `Reconnecting`.
+    /// (no recovery) or enter `Reconnecting` — or, once the run is complete
+    /// and the peer's teardown closed the stream, just finish.
     fn on_fault(&mut self, detail: String) -> Step {
         let _ = self.stream.shutdown();
+        if self.run_complete.load(Ordering::SeqCst) {
+            self.done = true;
+            return Step::Done;
+        }
         self.ctrl.clear();
         self.admitted = 0;
         self.pending_sever = None;
@@ -1816,12 +1864,6 @@ impl SocketPump {
     }
 
     fn poll_streaming(&mut self) -> Step {
-        // The peer may detect a fault first and re-dial while our side of
-        // the old stream still looks healthy; an offer in the slot is that
-        // signal.
-        if self.slot.as_ref().is_some_and(|s| s.has_offer()) {
-            return self.on_fault("peer initiated mid-stream resume".into());
-        }
         let mut progressed = false;
         let r = self
             .flush(&mut progressed)
@@ -1899,17 +1941,17 @@ impl SocketPump {
                     Err(e) => self.bump_attempt(attempt, e),
                 }
             }
-            ReconnectRole::Listener { .. } => match self.try_take_offer() {
-                Ok(true) => Step::Progress,
-                Ok(false) => {
-                    if Instant::now() >= next_try {
+            ReconnectRole::Listener { hub } => {
+                hub.accept_redials(&self.shared.wire);
+                match self.try_take_offer() {
+                    Ok(true) => Step::Progress,
+                    Ok(false) if Instant::now() < next_try => Step::Idle,
+                    Ok(false) => {
                         self.bump_attempt(attempt, format!("waiting for peer re-dial ({last_err})"))
-                    } else {
-                        Step::Idle
                     }
+                    Err(e) => self.bump_attempt(attempt, e),
                 }
-                Err(e) => self.bump_attempt(attempt, e),
-            },
+            }
             ReconnectRole::None => unreachable!("Reconnecting with no role"),
         }
     }
@@ -1931,95 +1973,6 @@ impl Drop for SocketPump {
     fn drop(&mut self) {
         if let ReconnectRole::Listener { hub } = &self.role {
             hub.unregister(self.peer.process, self.session);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Acceptor pump
-// ---------------------------------------------------------------------------
-
-/// How long an accepted stream may dribble its hello before being dropped.
-const ACCEPT_HELLO_DEADLINE: Duration = Duration::from_secs(5);
-
-/// The process-wide re-dial acceptor: owns the long-lived data listener
-/// (nonblocking), completes hello handshakes on accepted streams and routes
-/// resume hellos through the [`ReconnectHub`] to the pump that lost its
-/// stream. Non-resume hellos and unknown sessions are dropped. Runs until
-/// the executor's stop flag ends the run (never reports `Done`).
-pub(crate) struct AcceptorPump {
-    listener: SocketListener,
-    hub: Arc<ReconnectHub>,
-    pending: Vec<(SocketStream, Vec<u8>, Instant)>,
-}
-
-impl AcceptorPump {
-    /// Wrap the group's data listener (switched to nonblocking).
-    pub fn new(listener: SocketListener, hub: Arc<ReconnectHub>) -> io::Result<AcceptorPump> {
-        listener.set_nonblocking(true)?;
-        Ok(AcceptorPump {
-            listener,
-            hub,
-            pending: Vec::new(),
-        })
-    }
-}
-
-impl Pollable for AcceptorPump {
-    fn poll(&mut self) -> Step {
-        let mut progressed = false;
-        for _ in 0..8 {
-            match self.listener.accept() {
-                Ok(s) => {
-                    if s.set_nonblocking(true).is_ok() {
-                        self.pending
-                            .push((s, Vec::with_capacity(HELLO_BYTES), Instant::now()));
-                        progressed = true;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-        let mut i = 0;
-        while i < self.pending.len() {
-            let (s, buf, since) = &mut self.pending[i];
-            let mut chunk = [0u8; HELLO_BYTES];
-            let mut dead = since.elapsed() > ACCEPT_HELLO_DEADLINE;
-            while !dead && buf.len() < HELLO_BYTES {
-                match s.read(&mut chunk[..HELLO_BYTES - buf.len()]) {
-                    Ok(0) => dead = true,
-                    Ok(n) => {
-                        buf.extend_from_slice(&chunk[..n]);
-                        progressed = true;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => dead = true,
-                }
-            }
-            if dead {
-                self.pending.swap_remove(i);
-                continue;
-            }
-            if buf.len() == HELLO_BYTES {
-                let (s, buf, _) = self.pending.swap_remove(i);
-                let bytes: [u8; HELLO_BYTES] = buf.as_slice().try_into().expect("hello size");
-                if let Ok(hello) = Hello::parse(&bytes) {
-                    if hello.resume {
-                        // Unknown (process, session) pairs are dropped.
-                        let _ = self.hub.deposit(s, hello);
-                        progressed = true;
-                    }
-                }
-                continue;
-            }
-            i += 1;
-        }
-        if progressed {
-            Step::Progress
-        } else {
-            Step::Idle
         }
     }
 }
@@ -2839,5 +2792,37 @@ mod tests {
         // 2 dropped, 3 twice, 4 held back past 5 and what was admitted with it.
         assert_eq!(seqs, [1, 3, 3, 5, 6, 4]);
         assert_eq!(wire.len(), 6 * frame);
+    }
+
+    /// A frame the full demux queue refuses decodes again on every retry;
+    /// its inline data packets are charged once, when the queue takes it.
+    #[test]
+    fn refused_frames_meter_their_inline_packets_once() {
+        let (conn, mut pump, mut raw, health) =
+            conn_to_raw(ConnConfig::basic(peer("uds"), &[(0, 0)]));
+        let frames = INBOUND_QUEUE_CAP + 10;
+        let mut bytes = Vec::new();
+        for seq in 1..=frames as u64 {
+            encode_frame_into(&mut bytes, 0, 0, seq, &[pkt(1, seq as u8).into()]);
+        }
+        raw.write_all(&bytes).unwrap();
+        let mut rx = conn.rx((0, 0));
+        let mut delivered = 0;
+        for round in 0..100_000 {
+            pump.poll();
+            // Let the queue sit full for a while before draining it.
+            if round >= 100 {
+                while let LinkRecv::Burst(b) = rx.try_recv() {
+                    delivered += b.len();
+                }
+            }
+            if delivered == frames {
+                break;
+            }
+        }
+        assert_eq!(delivered, frames);
+        assert!(health.peer_down().is_none());
+        let copies = conn.shared.copies.count();
+        assert_eq!(copies, (frames * smi_wire::PAYLOAD_BYTES) as u64);
     }
 }

@@ -178,6 +178,37 @@ fn sever_heals_identically_to_fault_free() {
     assert!(healed.reconnects_healed >= 1, "severed run must heal");
 }
 
+/// One process listens for two peers and both of its connections heal at
+/// once: `ring(6)` over three processes makes process 0 the listening side
+/// for processes 1 and 2, and a restorable sever on each of `1→0` and
+/// `2→0` sends both to re-dial the one data listener. Whichever of process
+/// 0's reconnecting connections accepts a re-dial routes it to its owner.
+#[test]
+fn one_listener_heals_two_connections_at_once() {
+    let mut plan = ProcessPlan::split(&Topology::ring(6), TransportBackend::Uds, 3);
+    let clean = faulty_collectives(&plan, 0, 256, CollectiveScheme::Tree, default_retry());
+    plan.faults = Some(FaultPlan {
+        links: [1, 2]
+            .map(|from| LinkFault {
+                sever: vec![SeverSpec { after_frame: 1 }],
+                ..LinkFault::clean(from, 0)
+            })
+            .to_vec(),
+    });
+    let healed = faulty_collectives(&plan, 0, 256, CollectiveScheme::Tree, default_retry());
+    assert_healed_results(&clean.results, 0, 256);
+    assert_eq!(
+        healed.results, clean.results,
+        "healing must be result-invariant"
+    );
+    assert_eq!(clean.reconnects_healed, 0, "fault-free run healed");
+    assert!(
+        healed.reconnects_healed >= 2,
+        "both severed connections must heal (healed={})",
+        healed.reconnects_healed
+    );
+}
+
 /// Every fault kind on one link while both directions hold 2 MB queued, so
 /// the flush is deciding drops, copies and the sever between short writes
 /// of multi-frame windows — the send path every connection ships with.
