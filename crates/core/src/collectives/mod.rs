@@ -51,42 +51,35 @@
 //! ## Routing schemes: linear vs. tree
 //!
 //! Every collective supports two [`CollectiveScheme`]s, selected for the
-//! whole run through [`crate::RuntimeParams::collective_scheme`]:
+//! whole run through [`crate::RuntimeParams::collective_scheme`]. The
+//! scheme decides the data path of bcast and reduce, whose every tree edge
+//! carries the whole stream, and only the control plane of scatter and
+//! gather, whose blocks are personalised:
 //!
 //! * **Linear** (default) — the paper's root-centric shape: every element
 //!   moves directly between the root and each member. Internally this is
-//!   the *star tree* (the root parents everyone), which keeps the wire
-//!   protocol bit-identical to the pre-tree implementation; it remains the
+//!   the *star tree* (the root parents everyone); it remains the
 //!   regression baseline and wins on latency at small rank counts, where
 //!   an extra store-and-forward hop costs more than root serialization.
-//! * **Tree** — the same `Opening → Streaming → Done` protocol runs along
-//!   tree edges instead of root spokes, with **no extra handshake rounds**:
-//!   every member derives the identical tree locally ([`topology`]).
-//!   Non-root members become interior *forwarders* (a bcast interior names
-//!   its children in its port's fan-out and its CKR copies every frame to
-//!   them before delivering it; scatter re-frames received windows to its
-//!   children, grouped per child for long same-route CKS runs) or
-//!   *combiners* (reduce folds child contributions
+//! * **Tree** — bcast and reduce run the same `Opening → Streaming → Done`
+//!   protocol along the hop tree ([`topology`]) instead of root spokes,
+//!   with **no extra handshake rounds**: every member derives the
+//!   identical tree locally. A bcast interior names its children in its
+//!   port's fan-out and its CKR copies every frame to them before
+//!   delivering it; a reduce interior folds its children's contributions
 //!   into the credit-window ring before forwarding partial aggregates
-//!   upward; gather merges child subtree streams in deterministic
-//!   block-schedule order under per-edge, element-exact credit grants).
-//!   Which tree depends on what an edge carries:
-//!   * **bcast, reduce** — every edge carries the whole stream, so the tree
-//!     is grown over the launch's routed hop matrix (members join nearest
-//!     the root first and attach to the nearest member already placed). On
-//!     a full communicator over `bus`/`ring`/`torus2d`/`star` every edge is
-//!     one physical link: a packet crosses each link once and no transit
-//!     rank's CK kernels relay another edge's traffic. The tree is as deep
-//!     as the topology is wide, which the per-message subtree-ready
-//!     handshake pays for (serial over depth).
-//!   * **scatter, gather** — blocks are personalised: each travels root ↔
-//!     owner over the same physical hops under any tree, so these keep the
-//!     shallow lowest-bit binomial tree over virtual ranks (the parent of
-//!     `v` is `v` with its lowest set bit cleared), from `(root, rank,
-//!     num_ranks)` alone. That orientation makes every subtree a contiguous
-//!     virtual-rank range, so whole `count`-element member blocks route
-//!     through interior nodes by counting alone — packets never straddle
-//!     block boundaries and carry no extra routing metadata.
+//!   upward. On a full communicator over `bus`/`ring`/`torus2d`/`star`
+//!   every edge is one physical link, so a packet crosses each link once.
+//!   The tree is as deep as the topology is wide, which the per-message
+//!   subtree-ready handshake pays for (serial over depth).
+//!
+//! Scatter and gather route under both schemes: each block travels root ↔
+//! owner as its own `(src, dst)` stream on the point-to-point data path,
+//! framed as one run, and no other member touches it. Scatter's readiness
+//! takes the star under both schemes. A gather root grants members in
+//! communicator order: one at a time under `Linear`, under `Tree` as many
+//! ahead of the member it pops as fit `max(count, burst_packets ×
+//! elems_per_packet)` elements.
 
 mod bcast;
 mod gather;

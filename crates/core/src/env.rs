@@ -43,7 +43,7 @@ use smi_wire::reduce::SmiNumeric;
 use smi_wire::SmiType;
 
 use crate::channel::{Protocol, RecvChannel, SendChannel};
-use crate::collectives::topology::{HopTable, HopTrees, TreeShape, WireEdges};
+use crate::collectives::topology::{HopTable, HopTrees, WireEdges};
 use crate::collectives::{
     BcastChannel, CollectiveScheme, GatherChannel, ReduceChannel, ScatterChannel,
 };
@@ -101,8 +101,7 @@ impl SmiCtx {
     fn stream_edges(&self, comm: &Communicator, root: usize) -> Result<WireEdges, SmiError> {
         comm.world_rank(root)?;
         if self.params.collective_scheme == CollectiveScheme::Linear {
-            let star = TreeShape::new(CollectiveScheme::Linear, comm.size(), root, comm.rank());
-            return star.resolve_world(comm);
+            return WireEdges::star(comm, root);
         }
         self.trees.edges(comm, root)
     }
@@ -273,7 +272,10 @@ impl SmiCtx {
         root: usize,
         comm: &Communicator,
     ) -> Result<ScatterChannel<T>, SmiError> {
-        ScatterChannel::open(self.table.clone(), comm, count, port, root, &self.params)
+        // Blocks go root → owner whatever the scheme, and readiness takes
+        // the star under both: the hop tree's serial climb lost to it.
+        let edges = WireEdges::star(comm, root)?;
+        ScatterChannel::open(self.table.clone(), comm, count, port, edges, &self.params)
     }
 
     /// Open a gather channel: every member pushes `count` elements, the root

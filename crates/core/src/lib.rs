@@ -96,12 +96,13 @@
 //! [`CollectivePoll::poll`]/`try_*`), so a poll-mode [`RankTask`] can drive
 //! them on the executor's worker pool — no OS thread per rank. Every
 //! collective also supports tree routing ([`CollectiveScheme::Tree`] via
-//! [`RuntimeParams::collective_scheme`]): non-root ranks forward/combine
-//! for their subtree, so the root touches a few streams instead of `N − 1`
-//! — the scaling scheme past ~16 ranks. Bcast and reduce stream along a
-//! tree grown over the routed hop matrix (every edge one physical link on
-//! the regular topologies), scatter and gather along a binomial block tree
-//! (see [`collectives`] for both derivations and why they differ):
+//! [`RuntimeParams::collective_scheme`]): bcast and reduce fan out and
+//! combine along a tree grown over the routed hop matrix (every edge one
+//! physical link on the regular topologies), so the root touches a few
+//! streams instead of `N − 1` — the scaling scheme past ~16 ranks. Scatter
+//! and gather blocks travel root ↔ owner as their own streams under either
+//! scheme; `Tree` lets a gather root grant several members ahead (see
+//! [`collectives`]):
 //!
 //! ```
 //! use smi::prelude::*;

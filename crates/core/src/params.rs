@@ -123,11 +123,11 @@ pub struct RuntimeParams {
     pub blocking_deadline: Option<Duration>,
     /// How collectives route traffic between members
     /// ([`CollectiveScheme`]): `Linear` (the paper's root-centric shape,
-    /// the regression baseline) or `Tree` (interior forwarding/combining,
-    /// the scaling scheme past ~16 ranks: the hop tree for bcast and
-    /// reduce, the binomial block tree for scatter and gather). One scheme
-    /// holds for the whole run, so every member of a collective derives
-    /// the same shape.
+    /// the regression baseline) or `Tree` (the scaling scheme past ~16
+    /// ranks: bcast and reduce fan out and combine along the hop tree, and
+    /// a gather root grants several members ahead; scatter and gather
+    /// blocks go root ↔ owner under both). One scheme holds for the whole
+    /// run, so every member of a collective derives the same shape.
     pub collective_scheme: CollectiveScheme,
     /// Maximum packets moved per burst on the hot path: bulk channel
     /// operations (`push_slice`/`pop_slice`) and CK forwarding hand over up

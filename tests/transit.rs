@@ -227,14 +227,16 @@ fn shared_links_keep_every_stream_in_order_under_tight_fifos() {
     }
 }
 
-/// Linear bcast, then gather, rooted at rank 4 of `torus2d(3,3)`: its eight
-/// peers sit behind all four of its CK pairs, so the root's fan-out and its
-/// serialized gather grants leave by every lane, and each member's packets
-/// by the lane that faces the root. Tight FIFOs (one burst per lane, one
+/// Bcast, then gather, rooted at rank 4 of `torus2d(3,3)`, under both
+/// schemes: its eight peers sit behind all four of its CK pairs, so the
+/// root's fan-out and its gather grants leave by every lane, and each
+/// member's packets by the lane that faces the root. Under `Tree` the root
+/// grants members ahead of the one it pops, whose blocks wait in its stash
+/// while it drains its delivery. Tight FIFOs (one burst per lane, one
 /// packet per burst) make lanes refuse in turn; both streams must still
 /// arrive bit-exact.
 #[test]
-fn linear_collectives_leave_a_four_pair_root_by_every_lane() {
+fn collectives_leave_a_four_pair_root_by_every_lane() {
     const ROOT: usize = 4;
     let topo = Topology::torus2d(3, 3);
     let n = topo.num_ranks();
@@ -245,7 +247,8 @@ fn linear_collectives_leave_a_four_pair_root_by_every_lane() {
     let sent: Vec<i32> = (0..count).map(|i| value(ROOT, 0, i)).collect();
     let contribution = move |rank: usize| (0..count).map(move |i| value(rank, ROOT, i));
     let gathered: Vec<i32> = (0..n).flat_map(contribution).collect();
-    for workers in [1, 2] {
+    let schemes = [CollectiveScheme::Linear, CollectiveScheme::Tree];
+    for (scheme, workers) in schemes.into_iter().flat_map(|s| [(s, 1), (s, 2)]) {
         let root_data = sent.clone();
         let program = move |ctx: SmiCtx| {
             let (world, rank) = (ctx.world(), ctx.rank());
@@ -267,16 +270,18 @@ fn linear_collectives_leave_a_four_pair_root_by_every_lane() {
         };
         let params = RuntimeParams {
             transport_workers: workers,
+            collective_scheme: scheme,
             ..RuntimeParams::tight()
         };
+        let at = format!("{scheme:?}, {workers} worker(s)");
         let report = run_spmd(&topo, meta.clone(), program, params).unwrap();
         for (rank, res) in report.results.iter().enumerate() {
             let (bcast, gather) = res.as_ref().unwrap_or_else(|e| panic!("rank {rank}: {e}"));
-            assert!(*bcast == sent, "bcast at rank {rank}, {workers} worker(s)");
+            assert!(*bcast == sent, "bcast at rank {rank}, {at}");
             if rank == ROOT {
-                assert!(*gather == gathered, "gather, {workers} worker(s)");
+                assert!(*gather == gathered, "gather, {at}");
             }
         }
-        assert_eq!(report.transport.2, 0, "unroutable, {workers} worker(s)");
+        assert_eq!(report.transport.2, 0, "unroutable, {at}");
     }
 }

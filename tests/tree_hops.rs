@@ -12,16 +12,28 @@
 //! the member from message to message — roots that rotate on one port
 //! leave no stale tree behind — and an interior that takes one element per
 //! call under tight FIFOs must stall its subtree, not reorder or lose it.
+//!
+//! Scatter and gather have no interiors at all: every block travels root ↔
+//! owner as its own stream, under either scheme, so each packet — block,
+//! ready-`Sync` or grant — costs one CKS forward at its origin and one CKR
+//! forward per routed hop, and a block is copied twice, once into its
+//! frames and once out of them.
 
 use std::sync::{Arc, Mutex};
 
 use smi::prelude::*;
+use smi_topology::RoutingPlan;
 
 const EPP: usize = Datatype::Int.elems_per_packet();
 
 /// Element `i` of broadcast message `m`.
 fn bcast_value(m: usize, i: usize) -> i32 {
     (m * 1_000_000 + i * 3 + 1) as i32
+}
+
+/// Element `i` of world rank `r`'s block in scatter or gather message `m`.
+fn block_value(m: usize, r: usize, i: usize) -> i32 {
+    bcast_value(m, i) + (r * 20_000) as i32
 }
 
 fn contribution(world_rank: usize, i: usize) -> i32 {
@@ -34,10 +46,22 @@ fn reduced(members: &[usize], count: usize) -> Vec<i32> {
     (0..count).map(fold).collect()
 }
 
-fn meta() -> ProgramMeta {
-    ProgramMeta::new()
-        .with(OpSpec::bcast(0, Datatype::Int))
-        .with(OpSpec::reduce(1, Datatype::Int, ReduceOp::Add))
+/// The collective a [`Job`]'s messages run on port 0.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Kind {
+    Bcast,
+    Scatter,
+    Gather,
+}
+
+fn meta(kind: Kind) -> ProgramMeta {
+    let first = match kind {
+        Kind::Bcast => OpSpec::bcast(0, Datatype::Int),
+        Kind::Scatter => OpSpec::scatter(0, Datatype::Int),
+        Kind::Gather => OpSpec::gather(0, Datatype::Int),
+    };
+    let reduce = OpSpec::reduce(1, Datatype::Int, ReduceOp::Add);
+    ProgramMeta::new().with(first).with(reduce)
 }
 
 fn params(scheme: CollectiveScheme, workers: usize) -> RuntimeParams {
@@ -48,10 +72,11 @@ fn params(scheme: CollectiveScheme, workers: usize) -> RuntimeParams {
     }
 }
 
-/// What every member runs: one broadcast per entry of `roots`, back to
-/// back on port 0, then (optionally) an `Add` reduce to the first root.
+/// What every member runs: one `kind` message per entry of `roots`, back
+/// to back on port 0, then (optionally) an `Add` reduce to the first root.
 #[derive(Clone)]
 struct Job {
+    kind: Kind,
     roots: Vec<usize>,
     count: usize,
     then_reduce: bool,
@@ -62,6 +87,7 @@ struct Job {
 impl Job {
     fn new(roots: Vec<usize>, count: usize, then_reduce: bool) -> Job {
         Job {
+            kind: Kind::Bcast,
             roots,
             count,
             then_reduce,
@@ -69,19 +95,34 @@ impl Job {
         }
     }
 
-    /// Every message's broadcast stream, back to back.
+    /// Every broadcast's stream, back to back.
     fn want(&self) -> Vec<i32> {
         let message = |m| (0..self.count).map(move |i| bcast_value(m, i));
         (0..self.roots.len()).flat_map(message).collect()
+    }
+
+    /// What world rank `rank` of `n` receives in message `m`: the stream a
+    /// bcast root sends, a scatter member's own block, a gather root's
+    /// every block.
+    fn message(&self, m: usize, rank: usize, n: usize) -> Vec<i32> {
+        let block = |r| (0..self.count).map(move |i| block_value(m, r, i));
+        match self.kind {
+            Kind::Bcast => (0..self.count).map(|i| bcast_value(m, i)).collect(),
+            Kind::Scatter => block(rank).collect(),
+            Kind::Gather if rank == self.roots[m] => (0..n).flat_map(block).collect(),
+            Kind::Gather => Vec::new(),
+        }
     }
 }
 
 enum Phase {
     Bcast(BcastChannel<i32>),
+    Scatter(ScatterChannel<i32>),
+    Gather(GatherChannel<i32>),
     Reduce(ReduceChannel<i32>),
 }
 
-/// `(every broadcast as received, back to back; the reduced stream as the
+/// `(every message as received, back to back; the reduced stream as the
 /// root popped it)`.
 type Streams = (Vec<i32>, Vec<i32>);
 
@@ -89,11 +130,18 @@ type Streams = (Vec<i32>, Vec<i32>);
 struct Member {
     ctx: SmiCtx,
     job: Arc<Job>,
-    /// The broadcast message in progress.
+    /// The message in progress.
     m: usize,
     /// `None` only between dropping one channel and opening the next: a
     /// port hosts one channel at a time.
     phase: Option<Phase>,
+    /// What this rank feeds into message `m` (a scatter root's every
+    /// block, a gather member's own).
+    send: Vec<i32>,
+    /// What this rank receives in message `m` (a bcast root's holds what it
+    /// sends).
+    recv: Vec<i32>,
+    sent: usize,
     off: usize,
     contrib: Vec<i32>,
     streams: Streams,
@@ -101,17 +149,49 @@ struct Member {
 }
 
 impl Member {
-    fn open_bcast(ctx: &SmiCtx, job: &Job, m: usize) -> Result<Phase, SmiError> {
-        let (count, root) = (job.count as u64, job.roots[m]);
-        let ch = ctx.open_bcast_channel_poll(count, 0, root, &ctx.world())?;
-        Ok(Phase::Bcast(ch))
+    /// Open message `m` and set up its buffers.
+    fn open(&mut self, m: usize) -> Result<(), SmiError> {
+        let (ctx, job) = (&self.ctx, &self.job);
+        let (count, root, world) = (job.count as u64, job.roots[m], ctx.world());
+        let (rank, n) = (ctx.rank(), ctx.num_ranks());
+        let is_root = rank == root;
+        let (phase, send, recv) = match job.kind {
+            Kind::Bcast => {
+                let ch = ctx.open_bcast_channel_poll(count, 0, root, &world)?;
+                let recv = if is_root {
+                    job.message(m, rank, n)
+                } else {
+                    vec![0; job.count]
+                };
+                (Phase::Bcast(ch), Vec::new(), recv)
+            }
+            Kind::Scatter => {
+                let ch = ctx.open_scatter_channel_poll(count, 0, root, &world)?;
+                let send = if is_root {
+                    (0..n).flat_map(|r| job.message(m, r, n)).collect()
+                } else {
+                    Vec::new()
+                };
+                (Phase::Scatter(ch), send, vec![0; job.count])
+            }
+            Kind::Gather => {
+                let ch = ctx.open_gather_channel_poll(count, 0, root, &world)?;
+                let own = (0..job.count).map(|i| block_value(m, rank, i)).collect();
+                let recv = vec![0; if is_root { job.count * n } else { 0 }];
+                (Phase::Gather(ch), own, recv)
+            }
+        };
+        (self.m, self.phase, self.send, self.recv) = (m, Some(phase), send, recv);
+        (self.sent, self.off) = (0, 0);
+        Ok(())
     }
 }
 
 impl RankTask for Member {
     fn poll(&mut self) -> Result<TaskStatus, SmiError> {
         let (rank, count) = (self.ctx.rank(), self.job.count);
-        let (moved, done) = match self.phase.as_mut().expect("open between messages") {
+        let (sent, off) = (self.sent, self.off);
+        let state = match self.phase.as_mut().expect("open between messages") {
             Phase::Bcast(ch) => {
                 let left = count - self.off;
                 let take = if self.job.sipper == Some(rank) {
@@ -119,32 +199,47 @@ impl RankTask for Member {
                 } else {
                     left
                 };
-                let at = self.m * count + self.off;
-                let moved = ch.try_bcast_slice(&mut self.streams.0[at..at + take])?;
-                let done = self.off + moved == count && ch.poll()? == CollectiveState::Done;
-                (moved, done)
+                self.off += ch.try_bcast_slice(&mut self.recv[off..off + take])?;
+                ch.poll()?
+            }
+            Phase::Scatter(ch) => {
+                if !self.send.is_empty() {
+                    self.sent += ch.try_push_slice(&self.send[sent..])?;
+                }
+                self.off += ch.try_pop_slice(&mut self.recv[off..])?;
+                ch.poll()?
+            }
+            Phase::Gather(ch) => {
+                self.sent += ch.try_push_slice(&self.send[sent..])?;
+                if !self.recv.is_empty() {
+                    self.off += ch.try_pop_slice(&mut self.recv[off..])?;
+                }
+                ch.poll()?
             }
             Phase::Reduce(ch) => {
-                let contrib = &self.contrib[self.off..];
-                let moved = ch.try_reduce_slice(contrib, &mut self.streams.1[self.off..])?;
-                let done = self.off + moved == count && ch.poll()? == CollectiveState::Done;
-                (moved, done)
+                let contrib = &self.contrib[off..];
+                self.off += ch.try_reduce_slice(contrib, &mut self.streams.1[off..])?;
+                ch.poll()?
             }
         };
-        self.off += moved;
-        if !done {
+        let moved = self.sent + self.off - sent - off;
+        let recv_len = match self.phase {
+            Some(Phase::Reduce(_)) => count,
+            _ => self.recv.len(),
+        };
+        let fed = self.sent == self.send.len() && self.off == recv_len;
+        if !(fed && state == CollectiveState::Done) {
             return Ok(if moved > 0 {
                 TaskStatus::Progress
             } else {
                 TaskStatus::Pending
             });
         }
-        self.off = 0;
         // Dropping the finished channel sends its endpoint home.
-        if matches!(self.phase.take(), Some(Phase::Bcast(_))) {
-            self.m += 1;
-            if self.m < self.job.roots.len() {
-                self.phase = Some(Member::open_bcast(&self.ctx, &self.job, self.m)?);
+        if !matches!(self.phase.take(), Some(Phase::Reduce(_))) {
+            self.streams.0.append(&mut self.recv);
+            if self.m + 1 < self.job.roots.len() {
+                self.open(self.m + 1)?;
                 return Ok(TaskStatus::Progress);
             }
             if self.job.then_reduce {
@@ -152,7 +247,8 @@ impl RankTask for Member {
                 let ch = self
                     .ctx
                     .open_reduce_channel_poll(count as u64, 1, root, &world)?;
-                self.phase = Some(Phase::Reduce(ch));
+                (self.phase, self.send, self.sent, self.off) =
+                    (Some(Phase::Reduce(ch)), Vec::new(), 0, 0);
                 return Ok(TaskStatus::Progress);
             }
         }
@@ -179,29 +275,25 @@ fn run_tasks(
             let (job, out) = (job.clone(), out.clone());
             Box::new(move |ctx: SmiCtx| {
                 let count = job.count;
-                // The root's slots hold what it sends, every other slot is
-                // filled by the broadcast.
-                let mine = |m: usize| job.roots[m] == rank;
-                let sent = (0..job.roots.len())
-                    .flat_map(|m| {
-                        (0..count).map(move |i| if mine(m) { bcast_value(m, i) } else { 0 })
-                    })
-                    .collect();
-                let phase = Member::open_bcast(&ctx, &job, 0)?;
-                Ok(Box::new(Member {
+                let mut member = Member {
                     ctx,
                     m: 0,
-                    phase: Some(phase),
+                    phase: None,
+                    send: Vec::new(),
+                    recv: Vec::new(),
+                    sent: 0,
                     off: 0,
                     contrib: (0..count).map(|i| contribution(rank, i)).collect(),
-                    streams: (sent, vec![0; count]),
+                    streams: (Vec::new(), vec![0; count]),
                     out,
                     job,
-                }) as Box<dyn RankTask>)
+                };
+                member.open(0)?;
+                Ok(Box::new(member) as Box<dyn RankTask>)
             }) as TaskFactory
         })
         .collect();
-    let metas = vec![meta(); n];
+    let metas = vec![meta(job.kind); n];
     let report = match nproc {
         1 => run_mpmd_tasks(topo, metas, factories, params),
         _ => {
@@ -274,7 +366,7 @@ fn sub_communicator_tree_matches_linear_and_the_expected_streams() {
             collective_scheme: scheme,
             ..RuntimeParams::default()
         };
-        run_spmd(&Topology::bus(8), meta(), program, params)
+        run_spmd(&Topology::bus(8), meta(Kind::Bcast), program, params)
             .unwrap()
             .results
     };
@@ -416,5 +508,93 @@ fn an_interior_that_sips_stalls_its_subtree_in_order() {
             }
             assert_eq!(report.transport.2, 0, "{name}: unroutable");
         }
+    }
+}
+
+/// Run `kind` messages from each of `roots` in turn on one port, under both
+/// schemes, on `bus(8)` and `torus2d(3,3)`, in memory on one and two
+/// workers and split over UDS. Every member must receive exactly its
+/// messages, and every packet the collective sends — each block's packets
+/// (a block goes out as one run), each ready-`Sync` or grant — must cost
+/// one CKS forward at its origin and one CKR forward per routed hop: a
+/// block that an interior relayed would cost more of both. In memory each
+/// element is copied exactly twice when `copies` is set (a packet-aligned
+/// `count`): framed at its source, drained at its owner, the root's own
+/// block included.
+fn blocks_route_root_to_owner(
+    kind: Kind,
+    roots: fn(usize) -> Vec<usize>,
+    count: usize,
+    copies: bool,
+) {
+    let packets = count.div_ceil(EPP) as u64;
+    for (name, topo) in [
+        ("bus(8)", Topology::bus(8)),
+        ("torus2d(3,3)", Topology::torus2d(3, 3)),
+    ] {
+        let n = topo.num_ranks();
+        let roots = roots(n);
+        let job = Job {
+            kind,
+            ..Job::new(roots.clone(), count, false)
+        };
+        let routes = RoutingPlan::compute(&topo).unwrap();
+        let hops = |src, dst| routes.hops(src, dst) as u64;
+        // Root → member and member → root: a scatter's blocks go out, its
+        // ready-`Sync`s come in; a gather's grants go out, its blocks in.
+        let (mut out_hops, mut in_hops) = (0, 0);
+        for &root in &roots {
+            out_hops += (0..n).map(|m| hops(root, m)).sum::<u64>();
+            in_hops += (0..n).map(|m| hops(m, root)).sum::<u64>();
+        }
+        let ckr = match kind {
+            Kind::Scatter => out_hops * packets + in_hops,
+            _ => out_hops + in_hops * packets,
+        };
+        let cks = (roots.len() * (n - 1)) as u64 * (packets + 1);
+        let payload = (roots.len() * n * count * std::mem::size_of::<i32>()) as u64;
+        for (nproc, workers) in [(1, 1), (1, 2), (2, 2)] {
+            for scheme in [CollectiveScheme::Linear, CollectiveScheme::Tree] {
+                let at =
+                    format!("{kind:?} {scheme:?} {name}, {nproc} process(es), {workers} worker(s)");
+                let (streams, report) = run_tasks(&topo, nproc, &job, params(scheme, workers));
+                for (rank, (got, _)) in streams.iter().enumerate() {
+                    let want: Vec<i32> = (0..roots.len())
+                        .flat_map(|m| job.message(m, rank, n))
+                        .collect();
+                    assert!(*got == want, "{at}: rank {rank} received other data");
+                }
+                let (cks_forwards, ckr_forwards, unroutable) = report.transport;
+                assert_eq!(unroutable, 0, "{at}");
+                assert_eq!(ckr_forwards, ckr, "{at}: one CKR forward per routed hop");
+                assert_eq!(cks_forwards, cks, "{at}: one CKS forward per packet");
+                if copies && nproc == 1 {
+                    let copied = report.payload_copies;
+                    assert_eq!(copied, 2 * payload, "{at}: two copies per payload byte");
+                }
+            }
+        }
+    }
+}
+
+/// Scatter and gather from roots 0 and n/2, packet-aligned: the exact
+/// count gates, copies included.
+#[test]
+fn scatter_and_gather_blocks_cross_no_interior() {
+    for kind in [Kind::Scatter, Kind::Gather] {
+        blocks_route_root_to_owner(kind, |n| vec![0, n / 2], 3 * EPP * 16, true);
+    }
+}
+
+/// Roots 0, n − 1, n/2, 1, n − 2, 2 in turn on one port, every message with
+/// its own values and a partial last packet. A member that finished a
+/// message opens the next at once: its ready-`Sync` or its grant can reach
+/// a member still in this message, even one that is no child or no root
+/// in it, and must wait there for the next open.
+#[test]
+fn rotating_roots_on_one_port_route_every_block_to_its_owner() {
+    let roots = |n| vec![0, n - 1, n / 2, 1, n - 2, 2];
+    for kind in [Kind::Scatter, Kind::Gather] {
+        blocks_route_root_to_owner(kind, roots, 3 * EPP * 16 + 5, false);
     }
 }
