@@ -2,9 +2,10 @@
 //!
 //! Each collective owns a dedicated port and implements the §4.4
 //! synchronization protocol of the reference implementation: ready-`Sync`s
-//! for the one-to-all collectives (Bcast, Scatter), serialized `Sync` grants
-//! for Gather, and credit-based flow control for Reduce — exchanging exactly
-//! the packets the fabric's support kernels exchange.
+//! for Bcast, one `Sync` grant per block for Scatter and Gather (a scatter
+//! member's is its ready-`Sync`, a gather root's are serialized), and
+//! credit-based flow control for Reduce — exchanging exactly the packets
+//! the fabric's support kernels exchange.
 //!
 //! ## Poll-mode cores
 //!
@@ -34,8 +35,8 @@
 //! message may open the port's next one while others are still in the
 //! last: whatever an open channel reads for a later message (a reduce
 //! contribution past its count, a second ready-`Sync` from one scatter
-//! child) waits in the port's endpoint for the next open, which reads it
-//! first (`PortIo::carry`).
+//! member, a grant from the root of the next gather) waits in the port's
+//! endpoint for the next open, which reads it first (`PortIo::carry`).
 //!
 //! ## Bulk element APIs
 //!
@@ -73,15 +74,18 @@
 //!   The tree is as deep as the topology is wide, which the per-message
 //!   subtree-ready handshake pays for (serial over depth).
 //!
-//! Scatter and gather route under both schemes: each block travels root ↔
-//! owner as its own `(src, dst)` stream on the point-to-point data path,
-//! framed as one run, and no other member touches it. Scatter's readiness
-//! takes the star under both schemes. A gather root grants members in
-//! communicator order: one at a time under `Linear`, under `Tree` as many
-//! ahead of the member it pops as fit `max(count, burst_packets ×
-//! elems_per_packet)` elements.
+//! Scatter and gather take no tree under either scheme. They are one block
+//! protocol run in opposite directions (`blocks.rs`): the rank that
+//! receives a block grants it with one `Sync`, and the sender then streams
+//! it root ↔ owner as its own `(src, dst)` stream on the point-to-point
+//! data path, framed as one run; no other member touches it. A scatter
+//! member grants its block at open (the paper's ready-`Sync`). A gather
+//! root grants members in communicator order: one at a time under
+//! `Linear`, under `Tree` as many ahead of the member it pops as fit
+//! `max(count, burst_packets × elems_per_packet)` elements.
 
 mod bcast;
+mod blocks;
 mod gather;
 mod reduce;
 mod scatter;
@@ -98,7 +102,9 @@ use crate::SmiError;
 /// Handshake state of a collective channel's poll-mode core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectiveState {
-    /// The open handshake has not completed (ready-`Sync`s outstanding).
+    /// The open handshake has not completed: a bcast member's subtree is
+    /// not ready, a scatter member's ready-`Sync` has not left, or a gather
+    /// member's grant has not arrived (scatter and gather roots never wait).
     Opening,
     /// Handshake complete (or not required); elements are moving.
     Streaming,
@@ -123,4 +129,229 @@ pub trait CollectivePoll {
 pub(crate) fn zero_elem<T: smi_wire::SmiType>() -> T {
     let buf = [0u8; 16];
     T::read_le(&buf[..T::DATATYPE.size_bytes()])
+}
+
+#[cfg(test)]
+mod tests {
+    use crossbeam::channel::{bounded, Receiver, Sender};
+    use smi_codegen::OpSpec;
+    use smi_wire::{Datatype, Frame, Framer, NetworkPacket, PacketOp};
+
+    use super::*;
+    use crate::comm::Communicator;
+    use crate::endpoint::{new_table, CksLanes, PacketRx, PortRes};
+    use crate::transport::{Burst, CopyMeter};
+    use crate::RuntimeParams;
+
+    use CollectiveState::{Done, Opening, Streaming};
+
+    /// Communicator (and wire) rank of the root, of three members.
+    const ROOT: usize = 1;
+
+    const SCHEMES: [CollectiveScheme; 2] = [CollectiveScheme::Linear, CollectiveScheme::Tree];
+
+    /// Member `me` of three holding a scatter or gather port 0: what it
+    /// sends waits in a one-burst lane the test reads (a burst left there
+    /// makes the next flush fail), and the test writes its delivery.
+    struct Rank {
+        lane: (Sender<Burst>, Receiver<Burst>),
+        deliver: Sender<Burst>,
+        me: u8,
+    }
+
+    /// Open `open` as member `me` of three under `scheme`, blocking the
+    /// lane first if `blocked`.
+    fn rank<C>(
+        op: OpSpec,
+        me: usize,
+        scheme: CollectiveScheme,
+        blocked: bool,
+        open: impl FnOnce(crate::endpoint::EndpointTableHandle, &Communicator, &RuntimeParams) -> C,
+    ) -> (Rank, C) {
+        let lane = bounded(1);
+        let (deliver, data_rx) = bounded(64);
+        let rx = PacketRx::new(data_rx, CopyMeter::default());
+        let res = PortRes::new(
+            &op,
+            CksLanes::loopback(lane.0.clone().into()),
+            Some(rx),
+            None,
+        );
+        let table = new_table();
+        table.lock().put(0, op.kind, res);
+        let rank = Rank {
+            lane,
+            deliver,
+            me: me as u8,
+        };
+        if blocked {
+            rank.block_lane();
+        }
+        let params = RuntimeParams {
+            collective_scheme: scheme,
+            ..RuntimeParams::default()
+        };
+        let ch = open(table, &Communicator::of_members(vec![0, 1, 2], me), &params);
+        (rank, ch)
+    }
+
+    fn scatter(
+        me: usize,
+        count: u64,
+        scheme: CollectiveScheme,
+        blocked: bool,
+    ) -> (Rank, ScatterChannel<i32>) {
+        let op = OpSpec::scatter(0, Datatype::Int);
+        rank(op, me, scheme, blocked, |table, comm, params| {
+            ScatterChannel::open(table, comm, count, 0, ROOT, params).unwrap()
+        })
+    }
+
+    fn gather(me: usize, count: u64, scheme: CollectiveScheme) -> (Rank, GatherChannel<i32>) {
+        let op = OpSpec::gather(0, Datatype::Int);
+        rank(op, me, scheme, false, |table, comm, params| {
+            GatherChannel::open(table, comm, count, 0, ROOT, params).unwrap()
+        })
+    }
+
+    impl Rank {
+        /// Fill the lane with a stray burst: flushes fail until [`Rank::sent`].
+        fn block_lane(&self) {
+            let stray = NetworkPacket::control(9, 9, 0, PacketOp::Sync, 0);
+            self.lane.0.try_send(vec![stray.into()]).unwrap();
+        }
+
+        /// `(op, src, dst)` of every frame in the lane, strays left out.
+        fn sent(&self) -> Vec<(PacketOp, u8, u8)> {
+            let tag = |f: Frame| (f.header().op, f.header().src, f.header().dst);
+            let frames = self.lane.1.try_iter().flatten().map(tag);
+            frames.filter(|&(_, src, _)| src != 9).collect()
+        }
+
+        /// Deliver a `Sync` from `src`.
+        fn sync_from(&self, src: u8) {
+            let sync = NetworkPacket::control(src, self.me, 0, PacketOp::Sync, 0);
+            self.deliver.send(vec![sync.into()]).unwrap();
+        }
+
+        /// Deliver `values` as one frame of `op` data from `src`.
+        fn data_from(&self, src: u8, op: PacketOp, values: &[i32]) {
+            let mut framer = Framer::new(Datatype::Int, src, self.me, 0, op);
+            let (_, frame) = framer.frame_slice(values, values.len(), usize::MAX);
+            self.deliver.send(vec![frame.unwrap()]).unwrap();
+        }
+    }
+
+    /// A scatter member is `Opening` until its ready-`Sync` left, and `Done`
+    /// once its block was popped.
+    #[test]
+    fn scatter_member_opens_once_its_ready_sync_left() {
+        for scheme in SCHEMES {
+            let (rank, mut ch) = scatter(0, 3, scheme, true);
+            assert_eq!(ch.state(), Opening);
+            assert_eq!(ch.poll().unwrap(), Opening);
+            assert_eq!(rank.sent(), []);
+            assert_eq!(ch.poll().unwrap(), Streaming);
+            assert_eq!(rank.sent(), [(PacketOp::Sync, 0, 1)]);
+            rank.data_from(1, PacketOp::Scatter, &[4, 5, 6]);
+            let mut out = [0; 3];
+            assert_eq!(ch.try_pop_slice(&mut out).unwrap(), 3);
+            assert_eq!(out, [4, 5, 6]);
+            assert_eq!(ch.poll().unwrap(), Done);
+        }
+    }
+
+    /// A scatter root streams from open, sends each block once its owner's
+    /// ready-`Sync` arrived, and is not `Done` while a block is staged.
+    #[test]
+    fn scatter_root_is_done_once_its_blocks_left() {
+        for scheme in SCHEMES {
+            let (rank, mut ch) = scatter(ROOT, 3, scheme, false);
+            assert_eq!(ch.state(), Streaming);
+            let values: Vec<i32> = (0..9).collect();
+            // Block 0 waits for member 0's ready-`Sync`.
+            assert_eq!(ch.try_push_slice(&values).unwrap(), 0);
+            rank.sync_from(0);
+            rank.sync_from(2);
+            rank.block_lane();
+            assert_eq!(ch.try_push_slice(&values).unwrap(), 9);
+            let mut out = [0; 3];
+            assert_eq!(ch.try_pop_slice(&mut out).unwrap(), 3);
+            assert_eq!(out, [3, 4, 5]);
+            assert_eq!(ch.poll().unwrap(), Streaming);
+            assert_eq!(rank.sent(), []);
+            assert_eq!(ch.poll().unwrap(), Done);
+            let to = |dst| (PacketOp::Scatter, 1, dst);
+            assert_eq!(rank.sent(), [to(0), to(2)]);
+        }
+    }
+
+    /// A gather member is `Opening` until the root's grant arrived, and not
+    /// `Done` while its block is staged.
+    #[test]
+    fn gather_member_opens_on_its_grant() {
+        for scheme in SCHEMES {
+            let (rank, mut ch) = gather(2, 3, scheme);
+            assert_eq!(ch.state(), Opening);
+            assert_eq!(ch.try_push_slice(&[7, 8, 9]).unwrap(), 0);
+            assert_eq!(ch.poll().unwrap(), Opening);
+            rank.sync_from(ROOT as u8);
+            assert_eq!(ch.poll().unwrap(), Streaming);
+            rank.block_lane();
+            assert_eq!(ch.try_push_slice(&[7, 8, 9]).unwrap(), 3);
+            assert_eq!(ch.poll().unwrap(), Streaming);
+            assert_eq!(rank.sent(), []);
+            assert_eq!(ch.poll().unwrap(), Done);
+            assert_eq!(rank.sent(), [(PacketOp::Gather, 2, 1)]);
+        }
+    }
+
+    /// A gather root streams from open, grants members in order, and is
+    /// not `Done` while a grant is staged. The lane stays blocked, so the
+    /// test hands over each member's block once the root granted it.
+    #[test]
+    fn gather_root_is_done_once_its_last_grant_left() {
+        for scheme in SCHEMES {
+            let (rank, mut ch) = gather(ROOT, 3, scheme);
+            assert_eq!(ch.state(), Streaming);
+            rank.block_lane();
+            assert_eq!(ch.try_push_slice(&[4, 5, 6]).unwrap(), 3);
+            rank.data_from(0, PacketOp::Gather, &[1, 2, 3]);
+            let mut out = [0; 9];
+            assert_eq!(ch.try_pop_slice(&mut out[..6]).unwrap(), 6);
+            rank.data_from(2, PacketOp::Gather, &[7, 8, 9]);
+            assert_eq!(ch.try_pop_slice(&mut out[6..]).unwrap(), 3);
+            assert_eq!(out, [1, 2, 3, 4, 5, 6, 7, 8, 9]);
+            assert_eq!(ch.poll().unwrap(), Streaming);
+            assert_eq!(rank.sent(), []);
+            assert_eq!(ch.poll().unwrap(), Done);
+            let grant = |dst| (PacketOp::Sync, 1, dst);
+            assert_eq!(rank.sent(), [grant(0), grant(2)]);
+        }
+    }
+
+    /// An empty message is `Done` at open, in every role, and sends nothing.
+    #[test]
+    fn count_zero_is_done_at_open() {
+        for (scheme, me) in SCHEMES
+            .into_iter()
+            .flat_map(|s| (0..3).map(move |me| (s, me)))
+        {
+            let (rank, ch) = scatter(me, 0, scheme, false);
+            assert_eq!((ch.state(), rank.sent()), (Done, vec![]), "scatter {me}");
+            let (rank, ch) = gather(me, 0, scheme);
+            assert_eq!((ch.state(), rank.sent()), (Done, vec![]), "gather {me}");
+        }
+    }
+
+    /// A scatter member takes its block from the root only: data from a
+    /// rank it granted nothing is a protocol violation.
+    #[test]
+    fn scatter_member_rejects_a_block_from_another_member() {
+        let (rank, mut ch) = scatter(0, 3, CollectiveScheme::Linear, false);
+        assert_eq!(rank.sent(), [(PacketOp::Sync, 0, 1)]);
+        rank.data_from(2, PacketOp::Scatter, &[4, 5, 6]);
+        let err = ch.try_pop_slice(&mut [0; 3]).unwrap_err();
+        assert!(matches!(err, SmiError::ProtocolViolation { .. }), "{err:?}");
+    }
 }

@@ -1,5 +1,5 @@
-//! Collective communication shapes: which tree a collective's control and
-//! data follow between the members of a communicator.
+//! Collective communication shapes: which tree a bcast's or a reduce's
+//! control and data follow between the members of a communicator.
 //!
 //! The paper's reference implementation routes every element through the
 //! root's communication kernel ("it does not yet implement tree-based
@@ -7,12 +7,12 @@
 //! but names tree schemes as the natural extension the support-kernel
 //! architecture enables (§4.4). Every tree here is derived **locally** —
 //! no wire traffic, no extra handshake rounds — from inputs all members
-//! hold identically, so every member computes the same one. A channel
-//! takes its tree as `WireEdges`: its parent and children as the wire
-//! ranks its packets are addressed to.
+//! hold identically, so every member computes the same one. A bcast or
+//! reduce channel takes its tree as `WireEdges`: its parent and children as
+//! the wire ranks its packets are addressed to.
 //!
 //! * **The star** (`WireEdges::star`) — the paper's shape: the root is
-//!   the parent of every other member. Every collective takes it under
+//!   the parent of every other member. Bcast and reduce take it under
 //!   [`CollectiveScheme::Linear`].
 //! * **The hop tree** ([`hop_tree`], shared with the cycle-level fabric
 //!   through `smi_topology`) — what bcast and reduce take under
@@ -30,12 +30,11 @@
 //!   `bus(32)` — which the per-message subtree-ready handshake climbs
 //!   serially.
 //!
-//! Scatter and gather blocks are personalised: each travels root ↔ owner
-//! as its own point-to-point stream, over the same physical hops whatever
-//! the tree, so no tree carries their data. Scatter's readiness takes the
-//! star under both schemes; gather needs no tree at all — its root grants
-//! members directly, one at a time under `Linear` and several blocks ahead
-//! under `Tree`.
+//! Scatter and gather take no tree. Their blocks are personalised: each
+//! travels root ↔ owner as its own point-to-point stream, over the same
+//! physical hops whatever the tree, and the receiver of each block grants
+//! it directly — a scatter member at open, a gather root one member at a
+//! time under `Linear` and several blocks ahead under `Tree`.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -272,10 +272,7 @@ impl SmiCtx {
         root: usize,
         comm: &Communicator,
     ) -> Result<ScatterChannel<T>, SmiError> {
-        // Blocks go root → owner whatever the scheme, and readiness takes
-        // the star under both: the hop tree's serial climb lost to it.
-        let edges = WireEdges::star(comm, root)?;
-        ScatterChannel::open(self.table.clone(), comm, count, port, edges, &self.params)
+        ScatterChannel::open(self.table.clone(), comm, count, port, root, &self.params)
     }
 
     /// Open a gather channel: every member pushes `count` elements, the root

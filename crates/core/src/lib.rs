@@ -100,9 +100,10 @@
 //! combine along a tree grown over the routed hop matrix (every edge one
 //! physical link on the regular topologies), so the root touches a few
 //! streams instead of `N − 1` — the scaling scheme past ~16 ranks. Scatter
-//! and gather blocks travel root ↔ owner as their own streams under either
-//! scheme; `Tree` lets a gather root grant several members ahead (see
-//! [`collectives`]):
+//! and gather are one protocol run in opposite directions under either
+//! scheme — a block's receiver grants it, and its sender streams it root ↔
+//! owner as its own stream; `Tree` lets a gather root grant several members
+//! ahead (see [`collectives`]):
 //!
 //! ```
 //! use smi::prelude::*;

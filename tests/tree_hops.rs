@@ -17,7 +17,10 @@
 //! owner as its own stream, under either scheme, so each packet — block,
 //! ready-`Sync` or grant — costs one CKS forward at its origin and one CKR
 //! forward per routed hop, and a block is copied twice, once into its
-//! frames and once out of them.
+//! frames and once out of them. On one worker the executor's polls per
+//! scatter or gather message repeat exactly, and `bus(32)` holds them to
+//! what they read before the two collectives shared one block sender and
+//! one block receiver.
 
 use std::sync::{Arc, Mutex};
 
@@ -596,5 +599,55 @@ fn rotating_roots_on_one_port_route_every_block_to_its_owner() {
     let roots = |n| vec![0, n - 1, n / 2, 1, n - 2, 2];
     for kind in [Kind::Scatter, Kind::Gather] {
         blocks_route_root_to_owner(kind, roots, 3 * EPP * 16 + 5, false);
+    }
+}
+
+/// Executor polls per message on `bus(32)`, root 0, one worker, in memory,
+/// four messages back to back, as they read while scatter and gather still
+/// had a protocol core each: `(kind, scheme, count, polls per message)`.
+/// Sharing one block sender and one block receiver left the schedule as it
+/// was, so the gate allows 1 % over these readings.
+const POLLS_PER_MESSAGE: [(Kind, CollectiveScheme, usize, f64); 8] = [
+    (Kind::Scatter, CollectiveScheme::Linear, 1, 1647.0),
+    (Kind::Scatter, CollectiveScheme::Linear, 4096, 1693.0),
+    (Kind::Scatter, CollectiveScheme::Tree, 1, 1647.0),
+    (Kind::Scatter, CollectiveScheme::Tree, 4096, 1693.0),
+    (Kind::Gather, CollectiveScheme::Linear, 1, 15533.75),
+    (Kind::Gather, CollectiveScheme::Linear, 4096, 15533.75),
+    (Kind::Gather, CollectiveScheme::Tree, 1, 1566.5),
+    (Kind::Gather, CollectiveScheme::Tree, 4096, 9758.75),
+];
+
+/// The executor's schedule for scatter and gather, by count: on one worker
+/// the polls repeat exactly, so a protocol change that costs the executor
+/// more polls shows here whatever the host's clock does.
+#[test]
+fn scatter_and_gather_polls_per_message_hold() {
+    const MESSAGES: usize = 4;
+    let topo = Topology::bus(32);
+    for (kind, scheme, count, budget) in POLLS_PER_MESSAGE {
+        let job = Job {
+            kind,
+            ..Job::new(vec![0; MESSAGES], count, false)
+        };
+        let (_, report) = run_tasks(&topo, 1, &job, params(scheme, 1));
+        let [stats] = report.worker_stats[..] else {
+            panic!("one worker: {:?}", report.worker_stats);
+        };
+        let (cks, ckr, _) = report.transport;
+        let per = |v: u64| v as f64 / MESSAGES as f64;
+        let polls = per(stats.polls);
+        // `-- --nocapture` shows the readings.
+        println!(
+            "{kind:?} {scheme:?} count {count}: per message {polls:.2} polls, {:.2} progress, \
+             {:.2} CKS and {:.2} CKR forwards",
+            per(stats.progress),
+            per(cks),
+            per(ckr)
+        );
+        assert!(
+            polls <= 1.01 * budget,
+            "{kind:?} {scheme:?} count {count}: {polls:.2} polls per message"
+        );
     }
 }
