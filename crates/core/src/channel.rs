@@ -443,9 +443,10 @@ impl<T: SmiType> Drop for RecvChannel<T> {
 mod tests {
     use super::*;
     use crate::endpoint::{CksLanes, EndpointTable, PacketRx, PortRes};
+    use crate::transport::link::{burst_queue, LinkSend, QueueTx};
     use crate::transport::socket::{FabricHealth, PeerDown, PeerDownKind};
     use crate::transport::{Burst, CopyMeter};
-    use crossbeam::channel::{bounded, Receiver, Sender};
+    use crossbeam::channel::{bounded, Receiver};
     use smi_codegen::OpSpec;
     use smi_wire::{Datatype, Frame, PacketRun};
 
@@ -456,21 +457,21 @@ mod tests {
     fn table() -> (
         EndpointTableHandle,
         FabricHealth,
-        Sender<Burst>,
+        QueueTx,
         Receiver<Burst>,
-        Sender<Burst>,
+        QueueTx,
     ) {
         let health = FabricHealth::default();
         let meter = CopyMeter::default();
         let mut t = EndpointTable::with_health(health.clone(), meter.clone());
-        let ((data_tx, data_rx), (lane_tx, lane_rx)) = (bounded(4), bounded(64));
-        let (credit_tx, credit_rx) = bounded(4);
+        let ((data_tx, data_rx), (lane_tx, lane_rx)) = (burst_queue(4), bounded(64));
+        let (credit_tx, credit_rx) = burst_queue(4);
         let half = |rx| Some(PacketRx::new(rx, meter.clone()));
         for (op, rx, credit_rx) in [
             (OpSpec::send(0, Datatype::Int), None, half(credit_rx)),
             (OpSpec::recv(0, Datatype::Int), half(data_rx), None),
         ] {
-            let lanes = CksLanes::loopback(lane_tx.clone().into());
+            let lanes = CksLanes::loopback(Box::new(lane_tx.clone()));
             t.put(0, op.kind, PortRes::new(&op, lanes, rx, credit_rx));
         }
         let t = std::sync::Arc::new(parking_lot::Mutex::new(t));
@@ -495,7 +496,10 @@ mod tests {
         let params = RuntimeParams::default();
         let (t, health, data_tx, _lane_rx, _credit_tx) = table();
         let run = PacketRun::from_elems(1, 0, 0, PacketOp::Send, &[4i32, 5, 6]);
-        data_tx.send(vec![Frame::Run(run)]).unwrap();
+        assert!(matches!(
+            data_tx.push(vec![Frame::Run(run)]),
+            LinkSend::Accepted
+        ));
         let mut rx = RecvChannel::<i32>::open(t, 0, 1, 0, 8, Protocol::Eager, &params).unwrap();
         peer_dies(&health);
         let mut out = [0i32; 8];

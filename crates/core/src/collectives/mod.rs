@@ -140,6 +140,7 @@ mod tests {
     use super::*;
     use crate::comm::Communicator;
     use crate::endpoint::{new_table, CksLanes, PacketRx, PortRes};
+    use crate::transport::link::{burst_queue, LinkSend, QueueTx};
     use crate::transport::{Burst, CopyMeter};
     use crate::RuntimeParams;
 
@@ -155,7 +156,7 @@ mod tests {
     /// makes the next flush fail), and the test writes its delivery.
     struct Rank {
         lane: (Sender<Burst>, Receiver<Burst>),
-        deliver: Sender<Burst>,
+        deliver: QueueTx,
         me: u8,
     }
 
@@ -169,11 +170,11 @@ mod tests {
         open: impl FnOnce(crate::endpoint::EndpointTableHandle, &Communicator, &RuntimeParams) -> C,
     ) -> (Rank, C) {
         let lane = bounded(1);
-        let (deliver, data_rx) = bounded(64);
+        let (deliver, data_rx) = burst_queue(64);
         let rx = PacketRx::new(data_rx, CopyMeter::default());
         let res = PortRes::new(
             &op,
-            CksLanes::loopback(lane.0.clone().into()),
+            CksLanes::loopback(Box::new(lane.0.clone())),
             Some(rx),
             None,
         );
@@ -231,14 +232,18 @@ mod tests {
         /// Deliver a `Sync` from `src`.
         fn sync_from(&self, src: u8) {
             let sync = NetworkPacket::control(src, self.me, 0, PacketOp::Sync, 0);
-            self.deliver.send(vec![sync.into()]).unwrap();
+            self.deliver(vec![sync.into()]);
         }
 
         /// Deliver `values` as one frame of `op` data from `src`.
         fn data_from(&self, src: u8, op: PacketOp, values: &[i32]) {
             let mut framer = Framer::new(Datatype::Int, src, self.me, 0, op);
             let (_, frame) = framer.frame_slice(values, values.len(), usize::MAX);
-            self.deliver.send(vec![frame.unwrap()]).unwrap();
+            self.deliver(vec![frame.unwrap()]);
+        }
+
+        fn deliver(&self, burst: Burst) {
+            assert!(matches!(self.deliver.push(burst), LinkSend::Accepted));
         }
     }
 

@@ -26,12 +26,11 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, TrySendError};
 use parking_lot::Mutex;
 use smi_codegen::{OpKind, OpSpec};
 use smi_wire::{Datatype, Deframer, Frame, Header, NetworkPacket, PacketOp, PacketRun, ReduceOp};
 
-use crate::transport::link::FifoTx;
+use crate::transport::link::{LinkRecv, LinkRx, LinkSend, LinkTx};
 use crate::transport::socket::FabricHealth;
 use crate::transport::{meter_inline_data, readdressed, Burst, Copies, CopyMeter};
 use crate::{RuntimeParams, SmiError};
@@ -68,17 +67,19 @@ pub(crate) fn refill(
     Ok(())
 }
 
-/// Receive side of a burst FIFO, unbatched back into a frame (or packet)
-/// stream. The pending queue holds the tail of the last burst.
+/// Receive side of a delivery, unbatched back into a frame (or packet)
+/// stream. The pending queue holds the tail of the last burst. A delivery is
+/// a [`burst_queue`](crate::transport::link::burst_queue) the rank's CKRs
+/// fill; its consumer is rank code and names no wake, so a push raises
+/// nothing and costs no syscall.
 ///
 /// Frame-aware consumers ([`PacketRx::next_frame`]) receive
 /// [`Frame::Run`]s whole — an `Arc` handle move, no payload copy. The
 /// packet-oriented receives materialize runs one packet at a time (a
 /// metered copy per packet), so protocol paths that reason packet-wise
 /// keep working whatever the sender staged.
-#[derive(Debug)]
 pub(crate) struct PacketRx {
-    rx: Receiver<Burst>,
+    rx: LinkRx,
     pending: VecDeque<Frame>,
     /// A run being materialized packet-by-packet: `(run, next packet idx)`.
     partial: Option<(PacketRun, usize)>,
@@ -86,7 +87,7 @@ pub(crate) struct PacketRx {
 }
 
 impl PacketRx {
-    pub fn new(rx: Receiver<Burst>, meter: CopyMeter) -> Self {
+    pub fn new(rx: LinkRx, meter: CopyMeter) -> Self {
         PacketRx {
             rx,
             pending: VecDeque::new(),
@@ -148,17 +149,16 @@ impl PacketRx {
     }
 
     /// The next item `pop` takes from the pending queue, refilled from the
-    /// FIFO while it runs dry.
+    /// delivery while it runs dry.
     fn next<F>(&mut self, pop: impl Fn(&mut Self) -> Option<F>) -> Result<Option<F>, SmiError> {
-        use crossbeam::channel::TryRecvError;
         loop {
             if let Some(f) = pop(self) {
                 return Ok(Some(f));
             }
             match self.rx.try_recv() {
-                Ok(b) => self.absorb(b),
-                Err(TryRecvError::Empty) => return Ok(None),
-                Err(TryRecvError::Disconnected) => return Err(SmiError::TransportClosed),
+                LinkRecv::Burst(b) => self.absorb(b),
+                LinkRecv::Empty => return Ok(None),
+                LinkRecv::Closed => return Err(SmiError::TransportClosed),
             }
         }
     }
@@ -168,13 +168,14 @@ impl PacketRx {
 /// in CK-pair order. A packet enters the lane of the CKS whose port its next
 /// hop leaves by, so its first CK forward puts it on the link; a packet for
 /// the endpoint's own rank enters the lane of the CKS it is bound to. Every
-/// lane is a [`FifoTx`]: each push raises that kernel's wake handle.
+/// lane is a [`fifo`](crate::transport::link::fifo): each push raises that
+/// kernel's wake handle.
 ///
 /// A port with nothing to send has no lanes ([`CksLanes::default`]): a lone
 /// receive on a single rank, which never has data to grant credit for.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub(crate) struct CksLanes {
-    pub lanes: Vec<FifoTx>,
+    pub lanes: Vec<LinkTx>,
     /// The rank's routing table: wire rank → CK pair of the next hop (past
     /// the last lane for the own rank). Shared with the rank's kernels.
     pub next_pair: Arc<Vec<usize>>,
@@ -184,7 +185,7 @@ pub(crate) struct CksLanes {
 
 impl CksLanes {
     /// A single rank's loopback: one lane, which every packet takes.
-    pub fn loopback(tx: FifoTx) -> Self {
+    pub fn loopback(tx: LinkTx) -> Self {
         CksLanes {
             lanes: vec![tx],
             next_pair: Arc::default(),
@@ -213,7 +214,6 @@ pub(crate) type FanOut = Arc<Mutex<Copies>>;
 /// delivery halves the rank's CKRs write. A kind that receives no data (a
 /// send) or no credit (a receive) has that half absent, and an absent half
 /// reads as empty.
-#[derive(Debug)]
 pub(crate) struct PortRes {
     pub dtype: Datatype,
     /// The operator a reduce binding declares.
@@ -272,7 +272,6 @@ impl PortRes {
 /// window once per child, grouped per destination, so each CKS sees long
 /// same-route runs it can forward as whole bursts (`forward_runs`) instead
 /// of per-packet splits.
-#[derive(Debug)]
 pub(crate) struct PortIo {
     port: usize,
     kind: OpKind,
@@ -485,17 +484,17 @@ impl PortIo {
     pub fn try_flush(&mut self) -> Result<bool, SmiError> {
         let res = self.res_mut();
         let mut flushed = true;
-        for (lane, staged) in res.to_cks.lanes.iter().zip(&mut res.staged) {
+        for (lane, staged) in res.to_cks.lanes.iter_mut().zip(&mut res.staged) {
             if staged.is_empty() {
                 continue;
             }
-            match lane.try_send(std::mem::take(staged)) {
-                Ok(()) => {}
-                Err(TrySendError::Full(b)) => {
+            match lane.offer(std::mem::take(staged)) {
+                LinkSend::Accepted => {}
+                LinkSend::Full(b) => {
                     *staged = b;
                     flushed = false;
                 }
-                Err(TrySendError::Disconnected(_)) => return Err(SmiError::TransportClosed),
+                LinkSend::Closed => return Err(SmiError::TransportClosed),
             }
         }
         Ok(flushed)
@@ -506,15 +505,15 @@ impl PortIo {
     /// A refused packet is not kept; the caller offers it again, possibly
     /// changed (a receiver's credit grant grows while it waits).
     pub fn try_send(&mut self, pkt: NetworkPacket) -> Result<bool, SmiError> {
-        let res = self.res();
+        let res = self.res_mut();
         let lane = res.to_cks.lane(pkt.header.dst);
         if !res.staged[lane].is_empty() {
             return Ok(false);
         }
-        match res.to_cks.lanes[lane].try_send(vec![pkt.into()]) {
-            Ok(()) => Ok(true),
-            Err(TrySendError::Full(_)) => Ok(false),
-            Err(TrySendError::Disconnected(_)) => Err(SmiError::TransportClosed),
+        match res.to_cks.lanes[lane].offer(vec![pkt.into()]) {
+            LinkSend::Accepted => Ok(true),
+            LinkSend::Full(_) => Ok(false),
+            LinkSend::Closed => Err(SmiError::TransportClosed),
         }
     }
 
@@ -577,9 +576,9 @@ impl Drop for PortIo {
             // Best-effort handover of anything still staged: Drop may run
             // on an executor worker, so blocking here would wedge the
             // thread that drains the FIFO.
-            for (lane, staged) in res.to_cks.lanes.iter().zip(&mut res.staged) {
+            for (lane, staged) in res.to_cks.lanes.iter_mut().zip(&mut res.staged) {
                 if !staged.is_empty() {
-                    let _ = lane.try_send(std::mem::take(staged));
+                    let _ = lane.offer(std::mem::take(staged));
                 }
             }
             if let Some(fan_out) = &res.fan_out {
@@ -639,7 +638,7 @@ impl CreditLedger {
 
 /// The per-rank endpoint table, shared between the context and the channel
 /// objects (which return their resource on drop).
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub(crate) struct EndpointTable {
     /// Every declared endpoint, keyed by `(port, kind)`; `None` while a
     /// channel holds it.
@@ -725,6 +724,8 @@ pub(crate) fn new_table() -> EndpointTableHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::link::tests::accept;
+    use crate::transport::link::{burst_queue, QueueTx};
     use crossbeam::channel::bounded;
 
     /// Lanes of rank 2 of five over two CK pairs: ranks 0 and 1 are reached
@@ -732,7 +733,7 @@ mod tests {
     fn two_lanes(caps: [usize; 2]) -> (CksLanes, [crossbeam::channel::Receiver<Burst>; 2]) {
         let ((tx0, rx0), (tx1, rx1)) = (bounded(caps[0]), bounded(caps[1]));
         let lanes = CksLanes {
-            lanes: vec![tx0.into(), tx1.into()],
+            lanes: vec![Box::new(tx0), Box::new(tx1)],
             next_pair: Arc::new(vec![0, 0, 2, 1, 1]),
             bound: 1,
         };
@@ -740,7 +741,7 @@ mod tests {
     }
 
     /// A table declaring a bcast on port 0 over `lanes`, fed by `data_rx`.
-    fn coll_table(lanes: CksLanes, data_rx: Receiver<Burst>) -> EndpointTableHandle {
+    fn coll_table(lanes: CksLanes, data_rx: LinkRx) -> EndpointTableHandle {
         let rx = PacketRx::new(data_rx, CopyMeter::default());
         let t = new_table();
         let op = OpSpec::bcast(0, Datatype::Int);
@@ -756,13 +757,18 @@ mod tests {
 
     /// A bcast `PortIo` on port 0 over `lanes`.
     fn coll_io(lanes: CksLanes) -> PortIo {
-        let (_data_tx, data_rx) = bounded::<Burst>(1);
+        let (_data_tx, data_rx) = burst_queue(1);
         open_bcast(&coll_table(lanes, data_rx))
     }
 
     /// A packet from rank 2 tagged with `seq`.
     fn data(seq: u32) -> Frame {
         NetworkPacket::control(2, 0, 0, smi_wire::PacketOp::Sync, seq).into()
+    }
+
+    /// Push `burst` into a delivery that has room for it.
+    fn deliver(tx: &QueueTx, burst: Burst) {
+        assert!(matches!(tx.push(burst), LinkSend::Accepted));
     }
 
     /// `(dst, seq)` of every frame waiting in `rx`, burst by burst.
@@ -781,7 +787,7 @@ mod tests {
         assert_eq!(picked, [0, 0, 1, 1, 1]); // own rank 2: the bound pair
         assert_eq!(lanes.lane(9), 1); // off the table: the bound pair
         let (tx, _rx) = bounded(1);
-        let loopback = CksLanes::loopback(tx.into());
+        let loopback = CksLanes::loopback(Box::new(tx));
         assert!((0..=u8::MAX).all(|dst| loopback.lane(dst) == 0));
     }
 
@@ -805,8 +811,8 @@ mod tests {
     #[test]
     fn carried_packets_reach_the_next_open_first_in_order() {
         let (lanes, _rx) = two_lanes([1, 1]);
-        let (data_tx, data_rx) = bounded::<Burst>(1);
-        data_tx.send(vec![data(1), data(2), data(3)]).unwrap();
+        let (data_tx, data_rx) = burst_queue(1);
+        deliver(&data_tx, vec![data(1), data(2), data(3)]);
         let t = coll_table(lanes, data_rx);
         let seqs = |io: &mut PortIo, n: usize| {
             let mut next = || io.try_recv_data().unwrap().expect("a packet");
@@ -830,8 +836,8 @@ mod tests {
 
     #[test]
     fn a_full_lane_keeps_only_its_own_frames() {
-        let (lanes, rx) = two_lanes([1, 4]);
-        lanes.lanes[0].try_send(vec![data(9)]).unwrap(); // lane 0 now full
+        let (mut lanes, rx) = two_lanes([1, 4]);
+        accept(&mut lanes.lanes[0], vec![data(9)]); // lane 0 now full
         let mut io = coll_io(lanes);
         let mut window = vec![data(0)];
         io.stage_fanout(&mut window, &[1, 3]);
@@ -891,7 +897,8 @@ mod tests {
             let missing = t.lock().take(9, kind, Datatype::Int);
             assert!(
                 matches!(missing, Err(SmiError::NoSuchEndpoint { port: 9, kind: k }) if k == name),
-                "{kind:?}: {missing:?}"
+                "{kind:?}: {:?}",
+                missing.err()
             );
         }
     }
@@ -978,11 +985,11 @@ mod tests {
     #[test]
     fn packet_rx_unbatches_bursts() {
         use smi_wire::PacketOp;
-        let (tx, rx) = bounded::<Burst>(4);
+        let (tx, rx) = burst_queue(4);
         let mut prx = PacketRx::new(rx, CopyMeter::default());
         let pkt = |d: u8| NetworkPacket::new(0, d, 0, PacketOp::Send);
-        tx.send(vec![pkt(1).into(), pkt(2).into()]).unwrap();
-        tx.send(vec![pkt(3).into()]).unwrap();
+        deliver(&tx, vec![pkt(1).into(), pkt(2).into()]);
+        deliver(&tx, vec![pkt(3).into()]);
         assert_eq!(prx.next_packet().unwrap().unwrap().header.dst, 1);
         assert_eq!(prx.next_packet().unwrap().unwrap().header.dst, 2);
         assert_eq!(prx.next_packet().unwrap().unwrap().header.dst, 3);
@@ -994,12 +1001,12 @@ mod tests {
     #[test]
     fn packet_rx_materializes_runs_for_packet_consumers() {
         use smi_wire::PacketOp;
-        let (tx, rx) = bounded::<Burst>(4);
+        let (tx, rx) = burst_queue(4);
         let meter = CopyMeter::default();
         let mut prx = PacketRx::new(rx, meter.clone());
         let elems: Vec<i32> = (0..16).collect();
         let run = PacketRun::from_elems(0, 1, 0, PacketOp::Send, &elems);
-        tx.send(vec![Frame::Run(run)]).unwrap();
+        deliver(&tx, vec![Frame::Run(run)]);
         // 16 ints -> 7 + 7 + 2 packets, materialized lazily and metered.
         let mut got = Vec::new();
         while let Some(p) = prx.next_packet().unwrap() {
@@ -1014,11 +1021,11 @@ mod tests {
     #[test]
     fn packet_rx_delivers_runs_whole_to_frame_consumers() {
         use smi_wire::PacketOp;
-        let (tx, rx) = bounded::<Burst>(4);
+        let (tx, rx) = burst_queue(4);
         let meter = CopyMeter::default();
         let mut prx = PacketRx::new(rx, meter.clone());
         let run = PacketRun::from_elems(0, 1, 0, PacketOp::Send, &[1.5f32; 20]);
-        tx.send(vec![Frame::Run(run)]).unwrap();
+        deliver(&tx, vec![Frame::Run(run)]);
         match prx.next_frame().unwrap() {
             Some(Frame::Run(r)) => assert_eq!(r.elems(), 20),
             other => panic!("expected a whole run, got {other:?}"),

@@ -327,7 +327,8 @@ impl Pollable for CkMachine {
 mod tests {
     use super::*;
     use crate::transport::executor::ShardedExecutor;
-    use crate::transport::link::{fifo, FifoTx};
+    use crate::transport::link::fifo;
+    use crate::transport::link::tests::accept;
     use crossbeam::channel::{bounded, Receiver, Sender};
     use smi_wire::{NetworkPacket, PacketOp, PacketRun};
     use std::sync::atomic::AtomicBool;
@@ -337,7 +338,7 @@ mod tests {
     }
 
     fn fifo_tx(tx: Sender<Burst>) -> LinkTx {
-        Box::new(FifoTx::from(tx))
+        Box::new(tx)
     }
 
     fn counters() -> (Arc<AtomicU64>, Arc<AtomicU64>) {
@@ -347,7 +348,7 @@ mod tests {
     #[test]
     fn forwards_by_route_and_finishes_on_disconnect() {
         let wake = Wake::default();
-        let (in_tx, in_rx) = fifo(16, &wake);
+        let (mut in_tx, in_rx) = fifo(16, &wake);
         let (out0_tx, out0_rx) = bounded::<Burst>(16);
         let (out1_tx, out1_rx) = bounded::<Burst>(16);
         let (fwd, unr) = counters();
@@ -364,7 +365,7 @@ mod tests {
             CopyMeter::default(),
         );
         // Mixed-route burst: must be split per output.
-        in_tx.try_send((0..10u8).map(pkt).collect()).unwrap();
+        accept(&mut in_tx, (0..10u8).map(pkt).collect());
         drop(in_tx); // machine drains then finishes
         let stop = Arc::new(AtomicBool::new(false));
         let ex = ShardedExecutor::spawn(vec![Box::new(m)], 1, stop);
@@ -378,7 +379,7 @@ mod tests {
     #[test]
     fn uniform_burst_forwarded_whole() {
         let wake = Wake::default();
-        let (in_tx, in_rx) = fifo(4, &wake);
+        let (mut in_tx, in_rx) = fifo(4, &wake);
         let (out_tx, out_rx) = bounded::<Burst>(4);
         let (fwd, unr) = counters();
         let m = CkMachine::new(
@@ -393,7 +394,7 @@ mod tests {
             unr,
             CopyMeter::default(),
         );
-        in_tx.try_send(vec![pkt(0); 7]).unwrap();
+        accept(&mut in_tx, vec![pkt(0); 7]);
         drop(in_tx);
         let stop = Arc::new(AtomicBool::new(false));
         ShardedExecutor::spawn(vec![Box::new(m)], 1, stop)
@@ -410,7 +411,7 @@ mod tests {
         // A 57-element char run spans 3 packets but moves as one frame:
         // forwards counts the packet span, the output sees one frame.
         let wake = Wake::default();
-        let (in_tx, in_rx) = fifo(4, &wake);
+        let (mut in_tx, in_rx) = fifo(4, &wake);
         let (out_tx, out_rx) = bounded::<Burst>(4);
         let (fwd, unr) = counters();
         let m = CkMachine::new(
@@ -426,7 +427,7 @@ mod tests {
             CopyMeter::default(),
         );
         let run = PacketRun::from_elems(0, 0, 0, PacketOp::Send, &[7u8; 57]);
-        in_tx.try_send(vec![Frame::Run(run)]).unwrap();
+        accept(&mut in_tx, vec![Frame::Run(run)]);
         drop(in_tx);
         let stop = Arc::new(AtomicBool::new(false));
         ShardedExecutor::spawn(vec![Box::new(m)], 1, stop)
@@ -445,7 +446,7 @@ mod tests {
         // machine must carve it into one whole burst per run — no
         // per-packet splits, no restaging through the stash.
         let wake = Wake::default();
-        let (in_tx, in_rx) = fifo(4, &wake);
+        let (mut in_tx, in_rx) = fifo(4, &wake);
         let outs: Vec<_> = (0..3).map(|_| bounded::<Burst>(8)).collect();
         let (fwd, unr) = counters();
         let m = CkMachine::new(
@@ -464,7 +465,7 @@ mod tests {
         for (dst, copies) in [(0u8, 4), (1, 4), (2, 2)] {
             burst.extend(std::iter::repeat_n(pkt(dst), copies));
         }
-        in_tx.try_send(burst).unwrap();
+        accept(&mut in_tx, burst);
         drop(in_tx);
         let stop = Arc::new(AtomicBool::new(false));
         ShardedExecutor::spawn(vec![Box::new(m)], 1, stop)
@@ -481,7 +482,7 @@ mod tests {
     #[test]
     fn unroutable_counted_and_dropped() {
         let wake = Wake::default();
-        let (in_tx, in_rx) = fifo(4, &wake);
+        let (mut in_tx, in_rx) = fifo(4, &wake);
         let (out_tx, out_rx) = bounded::<Burst>(4);
         let (fwd, unr) = counters();
         let m = CkMachine::new(
@@ -502,7 +503,7 @@ mod tests {
             unr.clone(),
             CopyMeter::default(),
         );
-        in_tx.try_send(vec![pkt(0), pkt(3), pkt(0)]).unwrap();
+        accept(&mut in_tx, vec![pkt(0), pkt(3), pkt(0)]);
         drop(in_tx);
         let stop = Arc::new(AtomicBool::new(false));
         ShardedExecutor::spawn(vec![Box::new(m)], 1, stop)
@@ -518,7 +519,7 @@ mod tests {
         // Output capacity 1, no consumer: the machine parks the burst and
         // reports Idle; the stop flag releases the executor.
         let wake = Wake::default();
-        let (in_tx, in_rx) = fifo(8, &wake);
+        let (mut in_tx, in_rx) = fifo(8, &wake);
         let (out_tx, _out_rx) = bounded::<Burst>(1);
         let (fwd, unr) = counters();
         let m = CkMachine::new(
@@ -533,9 +534,9 @@ mod tests {
             unr,
             CopyMeter::default(),
         );
-        in_tx.try_send(vec![pkt(0)]).unwrap();
-        in_tx.try_send(vec![pkt(0)]).unwrap();
-        in_tx.try_send(vec![pkt(0)]).unwrap();
+        accept(&mut in_tx, vec![pkt(0)]);
+        accept(&mut in_tx, vec![pkt(0)]);
+        accept(&mut in_tx, vec![pkt(0)]);
         let stop = Arc::new(AtomicBool::new(false));
         let ex = ShardedExecutor::spawn(vec![Box::new(m)], 1, stop.clone());
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -552,7 +553,7 @@ mod tests {
     fn multicast_parks_behind_a_full_child_and_delivers_locally_last() {
         const FRAMES: i32 = 12;
         let wake = Wake::default();
-        let (in_tx, in_rx) = fifo(FRAMES as usize, &wake);
+        let (mut in_tx, in_rx) = fifo(FRAMES as usize, &wake);
         let (child_a, a_rx) = bounded::<Burst>(1);
         let (child_b, b_rx) = bounded::<Burst>(4);
         let (local, local_rx) = bounded::<Burst>(4);
@@ -585,7 +586,7 @@ mod tests {
             } else {
                 Frame::Run(PacketRun::from_elems(0, 0, 0, PacketOp::Bcast, &[seq]))
             };
-            in_tx.try_send(vec![frame]).unwrap();
+            accept(&mut in_tx, vec![frame]);
         }
         child_a.try_send(Burst::new()).unwrap();
         assert_eq!(m.poll(), Step::Progress, "parked, so still runnable");
@@ -629,9 +630,9 @@ mod tests {
         inputs: usize,
         out_depth: usize,
         r: u32,
-    ) -> (Vec<FifoTx>, CkMachine, Receiver<Burst>) {
+    ) -> (Vec<LinkTx>, CkMachine, Receiver<Burst>) {
         let wake = Wake::default();
-        let (feeds, rxs): (Vec<FifoTx>, Vec<LinkRx>) = (0..inputs).map(|_| fifo(8, &wake)).unzip();
+        let (feeds, rxs): (Vec<LinkTx>, Vec<LinkRx>) = (0..inputs).map(|_| fifo(8, &wake)).unzip();
         let (out_tx, out_rx) = bounded::<Burst>(out_depth);
         let (fwd, unr) = counters();
         let route = Box::new(|_: &Header| Route::Output(0));
@@ -643,9 +644,9 @@ mod tests {
 
     #[test]
     fn poll_that_empties_every_input_is_drained() {
-        let (feeds, mut m, out) = polled(2, 8, 4);
-        feeds[1].try_send(vec![pkt(0)]).unwrap();
-        feeds[1].try_send(vec![pkt(1)]).unwrap();
+        let (mut feeds, mut m, out) = polled(2, 8, 4);
+        accept(&mut feeds[1], vec![pkt(0)]);
+        accept(&mut feeds[1], vec![pkt(1)]);
         assert_eq!(m.poll(), Step::Drained);
         assert_eq!(out.try_iter().count(), 2);
         assert_eq!(m.poll(), Step::Idle);
@@ -653,9 +654,9 @@ mod tests {
 
     #[test]
     fn poll_cut_short_by_persistence_is_progress() {
-        let (feeds, mut m, _out) = polled(1, 8, 2);
+        let (mut feeds, mut m, _out) = polled(1, 8, 2);
         for dst in 0..3 {
-            feeds[0].try_send(vec![pkt(dst)]).unwrap();
+            accept(&mut feeds[0], vec![pkt(dst)]);
         }
         // Two bursts, then the streak is capped with the third unread.
         assert_eq!(m.poll(), Step::Progress);
@@ -664,9 +665,9 @@ mod tests {
 
     #[test]
     fn poll_stopped_by_a_full_output_is_progress() {
-        let (feeds, mut m, out) = polled(1, 1, 4);
-        feeds[0].try_send(vec![pkt(0)]).unwrap();
-        feeds[0].try_send(vec![pkt(1)]).unwrap();
+        let (mut feeds, mut m, out) = polled(1, 1, 4);
+        accept(&mut feeds[0], vec![pkt(0)]);
+        accept(&mut feeds[0], vec![pkt(1)]);
         // The second burst is parked: the machine holds its handle.
         assert_eq!(m.poll(), Step::Progress);
         assert_eq!(out.try_iter().count(), 1);
@@ -677,7 +678,7 @@ mod tests {
     #[test]
     fn order_within_input_preserved_under_backpressure() {
         let wake = Wake::default();
-        let (in_tx, in_rx) = fifo(64, &wake);
+        let (mut in_tx, in_rx) = fifo(64, &wake);
         let (out_tx, out_rx) = bounded::<Burst>(1);
         let (fwd, unr) = counters();
         let m = CkMachine::new(
@@ -693,7 +694,7 @@ mod tests {
             CopyMeter::default(),
         );
         for i in 0..50u8 {
-            in_tx.try_send(vec![pkt(i)]).unwrap();
+            accept(&mut in_tx, vec![pkt(i)]);
         }
         drop(in_tx);
         let stop = Arc::new(AtomicBool::new(false));

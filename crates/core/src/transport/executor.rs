@@ -27,29 +27,30 @@
 //!   allows a steal. How it gets back depends on who can tell that it has
 //!   work again:
 //!   * *CK machines are woken.* Every input a CK machine drains — an
-//!     endpoint lane, or a CKR's burst queues, which keep no condvar —
-//!     carries that machine's [`Wake`], and every producer — an endpoint's
-//!     push (poll-mode or blocking), a peer machine's forward, the socket
-//!     pump's demux, the drop of a sender, the close of a connection —
-//!     raises it afterwards. At home the machine goes to sleep on its first
-//!     poll that leaves the handle down and either moved nothing (`Idle`)
-//!     or moved data and then found every input empty (`Drained`: no
-//!     confirming idle poll follows a draining one): the worker lowers it
-//!     before the poll reads any input and files the machine with a
-//!     compare-and-swap that a raise since then fails, so a push racing the
-//!     poll is never lost. It is not polled again until a raise finds it
-//!     asleep and names it in its home's wake list: a sleeping kernel costs
-//!     no polls and a sweep costs O(woken). The home worker drains that
-//!     list after its hot batch and again after each round of woken
-//!     machines — they run once the poll that woke them has returned, never
-//!     nested in it — until nobody was woken or the sweep has issued a
-//!     batch's worth of polls, so a packet crosses a chain of idle kernels
-//!     in one sweep, not one sweep of the aged machines (a pump's poll is a
-//!     syscall) per hop. A machine holding a burst its output refused keeps
-//!     its own handle up — room in an output raises nothing — and stays
-//!     runnable. A stolen one is aged like the rest while it is away (its
-//!     thief keeps polling it, or the steal would buy nothing) and sleeps
-//!     once it is handed home.
+//!     endpoint lane (a crossbeam FIFO), or a CKR's burst queues, which
+//!     keep no condvar — carries that machine's [`Wake`]; the deliveries a
+//!     CKR writes are burst queues too, read by rank code that names no
+//!     wake. Every producer — an endpoint's push (poll-mode or blocking), a
+//!     peer machine's forward, the socket pump's demux, the drop of a
+//!     sender, the close of a connection — raises it afterwards. At home
+//!     the machine goes to sleep on its first poll that leaves the handle
+//!     down and either moved nothing (`Idle`) or moved data and then found
+//!     every input empty (`Drained`: no confirming idle poll follows a
+//!     draining one): the worker lowers it before the poll reads any input
+//!     and files the machine with a compare-and-swap that a raise since
+//!     then fails, so a push racing the poll is never lost. It is not
+//!     polled again until a raise finds it asleep and names it in its
+//!     home's wake list: a sleeping kernel costs no polls and a sweep costs
+//!     O(woken). The home worker drains that list after its hot batch and
+//!     again after each round of woken machines — they run once the poll
+//!     that woke them has returned, never nested in it — until nobody was
+//!     woken or the sweep has issued a batch's worth of polls, so a packet
+//!     crosses a chain of idle kernels in one sweep, not one sweep of the
+//!     aged machines (a pump's poll is a syscall) per hop. A machine
+//!     holding a burst its output refused keeps its own handle up — room in
+//!     an output raises nothing — and stays runnable. A stolen one is aged
+//!     like the rest while it is away (its thief keeps polling it, or the
+//!     steal would buy nothing) and sleeps once it is handed home.
 //!   * *Rank tasks and socket pumps are aged.* Their readiness is user
 //!     code's or the kernel's (`std` has no readiness API, so a pump learns
 //!     that bytes arrived only by calling `recv`): one without progress for
@@ -1057,7 +1058,8 @@ mod tests {
     // below parks for 10 s, so no pass can lean on the park timeout. ---
 
     use crate::transport::ck::{CkMachine, Route};
-    use crate::transport::link::{fifo, FifoTx};
+    use crate::transport::link::tests::accept;
+    use crate::transport::link::{fifo, LinkSend, LinkTx};
     use crate::transport::Burst;
     use crossbeam::channel::{bounded, Receiver};
     use smi_wire::{NetworkPacket, PacketOp};
@@ -1079,13 +1081,13 @@ mod tests {
         rank: usize,
         wake: Wake,
         input: crate::transport::link::LinkRx,
-        output: FifoTx,
+        output: LinkTx,
     ) -> CkMachine {
         CkMachine::new(
             rank,
             wake,
             vec![input],
-            vec![Box::new(output)],
+            vec![output],
             Box::new(|_| Route::Output(0)),
             8,
             8,
@@ -1097,23 +1099,24 @@ mod tests {
 
     /// feed → machine of rank 0 → machine of rank 1 → `out`: on two workers
     /// the middle FIFO crosses them.
-    fn chain(out_depth: usize) -> (FifoTx, Vec<Box<dyn Pollable>>, Receiver<Burst>) {
+    fn chain(out_depth: usize) -> (LinkTx, Vec<Box<dyn Pollable>>, Receiver<Burst>) {
         let (w0, w1) = (Wake::default(), Wake::default());
         let (feed, in0) = fifo(4, &w0);
         let (mid, in1) = fifo(4, &w1);
         let (out_tx, out_rx) = bounded(out_depth);
         let m0 = forwarder(0, w0, in0, mid);
-        let m1 = forwarder(1, w1, in1, FifoTx::from(out_tx));
+        let m1 = forwarder(1, w1, in1, Box::new(out_tx));
         (feed, vec![Box::new(m0), Box::new(m1)], out_rx)
     }
 
-    fn feed_all(feed: &FifoTx, tags: std::ops::Range<u8>, mut pause: impl FnMut()) {
+    fn feed_all(feed: &mut LinkTx, tags: std::ops::Range<u8>, mut pause: impl FnMut()) {
         for tag in tags {
             let mut burst = tagged(tag);
-            while let Err(e) = feed.try_send(burst) {
-                burst = match e {
-                    crossbeam::channel::TrySendError::Full(b) => b,
-                    _ => panic!("machine gone"),
+            loop {
+                burst = match feed.offer(burst) {
+                    LinkSend::Accepted => break,
+                    LinkSend::Full(b) => b,
+                    LinkSend::Closed => panic!("machine gone"),
                 };
                 std::thread::yield_now();
             }
@@ -1148,12 +1151,12 @@ mod tests {
         const N: u8 = 8;
         for round in 0..200u64 {
             for workers in [1, 2] {
-                let (feed, items, out) = chain(N as usize);
+                let (mut feed, items, out) = chain(N as usize);
                 let stop = Arc::new(AtomicBool::new(false));
                 let ex = ShardedExecutor::spawn_with(items, workers, stop, patient());
                 let producer = std::thread::spawn(move || {
                     let mut rng = rand::rngs::SmallRng::seed_from_u64(round * 2 + workers as u64);
-                    feed_all(&feed, 0..N, || match rng.gen_range(0..8u32) {
+                    feed_all(&mut feed, 0..N, || match rng.gen_range(0..8u32) {
                         0 => std::thread::sleep(Duration::from_millis(1)),
                         1..=3 => {
                             let until =
@@ -1196,16 +1199,16 @@ mod tests {
     #[test]
     fn drained_machine_sleeps_without_another_poll() {
         let wake = Wake::default();
-        let (feed, input) = fifo(4, &wake);
+        let (mut feed, input) = fifo(4, &wake);
         let (out_tx, out) = bounded(4);
         let items: Vec<Box<dyn Pollable>> =
-            vec![Box::new(forwarder(0, wake, input, FifoTx::from(out_tx)))];
-        feed.try_send(tagged(0)).unwrap();
+            vec![Box::new(forwarder(0, wake, input, Box::new(out_tx)))];
+        accept(&mut feed, tagged(0));
         let stop = Arc::new(AtomicBool::new(false));
         let ex = ShardedExecutor::spawn_with(items, 1, stop, patient());
         for tag in 0..2u8 {
             if tag > 0 {
-                feed.try_send(tagged(tag)).unwrap();
+                accept(&mut feed, tagged(tag));
             }
             expect_tags(&out, tag..tag + 1, "drained");
             eventually("parked", || ex.worker_stats()[0].parks > tag as u64);
@@ -1225,10 +1228,10 @@ mod tests {
     fn back_pressured_machine_does_not_sleep() {
         const N: u8 = 20;
         for workers in [1, 2] {
-            let (feed, items, out) = chain(1);
+            let (mut feed, items, out) = chain(1);
             let stop = Arc::new(AtomicBool::new(false));
             let ex = ShardedExecutor::spawn_with(items, workers, stop, patient());
-            let producer = std::thread::spawn(move || feed_all(&feed, 0..N, || {}));
+            let producer = std::thread::spawn(move || feed_all(&mut feed, 0..N, || {}));
             for tag in 0..N {
                 std::thread::sleep(Duration::from_millis(1)); // the slow consumer
                 expect_tags(&out, tag..tag + 1, &format!("{workers} worker(s)"));
@@ -1277,9 +1280,9 @@ mod tests {
         }
         let log = Arc::new(Mutex::new(Vec::new()));
         let wake = Wake::default();
-        let (feed, input) = fifo(4, &wake);
+        let (mut feed, input) = fifo(4, &wake);
         let (out_tx, out) = bounded(4);
-        let spy = Spy(forwarder(0, wake, input, FifoTx::from(out_tx)), log.clone());
+        let spy = Spy(forwarder(0, wake, input, Box::new(out_tx)), log.clone());
         // Worker 0 is seeded [hostage, spy] and, with a thief about, takes
         // only the hostage; worker 1's own machine finishes at once, so it
         // steals the spy, which has a burst waiting.
@@ -1294,7 +1297,7 @@ mod tests {
                 },
             )),
         ];
-        feed.try_send(tagged(0)).unwrap();
+        accept(&mut feed, tagged(0));
         let stop = Arc::new(AtomicBool::new(false));
         let ex = ShardedExecutor::spawn_with(items, 2, stop, patient());
         expect_tags(&out, 0..1, "stolen");
@@ -1308,7 +1311,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(30));
             polls() == before && ex.worker_stats().iter().all(|s| s.parks > 0)
         });
-        feed.try_send(tagged(1)).unwrap();
+        accept(&mut feed, tagged(1));
         expect_tags(&out, 1..2, "woken at home");
         eventually("home moves the second burst", || *log.lock() == [1, 0]);
         drop(feed);

@@ -1,10 +1,12 @@
 //! Engine-agnostic inter-CK links: the [`Transport`]/[`TransportReceiver`]
 //! trait pair the CK state machines poll instead of concrete FIFOs. Every
 //! CKR input — a link from a peer rank, the FIFO from its own CKS, the demux
-//! queue a socket pump fills — is one [`burst_queue`]; edges that cross a
-//! process boundary are sent over framed TCP / Unix-domain sockets
-//! ([`crate::transport::socket`]). `offer`/`try_recv` never block, and
-//! backpressure is reported, not waited out.
+//! queue a socket pump fills — is one [`burst_queue`], and so is every
+//! endpoint delivery the CKRs write; edges that cross a process boundary are
+//! sent over framed TCP / Unix-domain sockets
+//! ([`crate::transport::socket`]). The endpoint lanes into the CKSs are the
+//! last crossbeam FIFOs on the data path ([`fifo`]). `offer`/`try_recv`
+//! never block, and backpressure is reported, not waited out.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
@@ -60,7 +62,8 @@ pub(crate) trait TransportReceiver: Send {
     fn wake_with(&mut self, _wake: &Wake) {}
 }
 
-/// Boxed send half — what the wiring hands a CK machine per output edge.
+/// Boxed send half — what the wiring hands a CK machine per output edge,
+/// and an endpoint per lane.
 pub(crate) type LinkTx = Box<dyn Transport>;
 /// Boxed receive half — what the wiring hands a CK machine per input edge.
 pub(crate) type LinkRx = Box<dyn TransportReceiver>;
@@ -69,61 +72,31 @@ pub(crate) type LinkRx = Box<dyn TransportReceiver>;
 /// declares it *after* the channel half it guards, so it drops after it:
 /// the consumer woken for a close finds the link closed.
 #[derive(Clone)]
-struct RaiseOnDrop(Option<Wake>);
-
-impl RaiseOnDrop {
-    fn raise(&self) {
-        if let Some(wake) = &self.0 {
-            wake.raise();
-        }
-    }
-}
+struct RaiseOnDrop(Wake);
 
 impl Drop for RaiseOnDrop {
     fn drop(&mut self) {
-        self.raise();
+        self.0.raise();
     }
 }
 
-/// The send half of a bounded crossbeam FIFO of bursts: an endpoint lane,
-/// or a delivery. A lane carries its CK machine's wake handle ([`fifo`]) and
-/// raises it after every push and when it is dropped. Nothing ever waits on
-/// it: a full FIFO hands the burst back, blocking callers included.
+/// The send half of an endpoint lane: a bounded crossbeam FIFO of bursts
+/// that raises its CK machine's wake handle after every push and when it is
+/// dropped. Nothing ever waits on it: a full FIFO hands the burst back,
+/// blocking callers included.
 #[derive(Clone)]
-pub(crate) struct FifoTx {
+struct FifoTx {
     tx: Sender<Burst>,
     wake: RaiseOnDrop,
 }
 
-impl std::fmt::Debug for FifoTx {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("FifoTx { .. }")
-    }
-}
-
-/// A send half nobody is woken by: the consumer is rank code.
-impl From<Sender<Burst>> for FifoTx {
-    fn from(tx: Sender<Burst>) -> Self {
-        FifoTx {
-            tx,
-            wake: RaiseOnDrop(None),
-        }
-    }
-}
-
-impl FifoTx {
-    /// [`Sender::try_send`], then the raise.
-    pub fn try_send(&self, burst: Burst) -> Result<(), TrySendError<Burst>> {
-        self.tx.try_send(burst)?;
-        self.wake.raise();
-        Ok(())
-    }
-}
-
 impl Transport for FifoTx {
     fn offer(&mut self, burst: Burst) -> LinkSend {
-        match self.try_send(burst) {
-            Ok(()) => LinkSend::Accepted,
+        match self.tx.try_send(burst) {
+            Ok(()) => {
+                self.wake.0.raise();
+                LinkSend::Accepted
+            }
             Err(TrySendError::Full(b)) => LinkSend::Full(b),
             Err(TrySendError::Disconnected(_)) => LinkSend::Closed,
         }
@@ -146,17 +119,20 @@ impl TransportReceiver for Receiver<Burst> {
 }
 
 /// An endpoint's lane into a CKS: a FIFO drained by the machine that sleeps
-/// on `consumer`. Every CKR input is a [`burst_queue`] instead.
-pub(crate) fn fifo(depth: usize, consumer: &Wake) -> (FifoTx, LinkRx) {
+/// on `consumer`. Lanes are the last crossbeam FIFOs on the data path, whose
+/// every push notifies a condvar nobody waits on; every CKR input and every
+/// endpoint delivery is a [`burst_queue`] instead.
+pub(crate) fn fifo(depth: usize, consumer: &Wake) -> (LinkTx, LinkRx) {
     let (tx, rx) = bounded(depth);
-    let wake = RaiseOnDrop(Some(consumer.clone()));
-    (FifoTx { tx, wake }, Box::new(rx))
+    let wake = RaiseOnDrop(consumer.clone());
+    (Box::new(FifoTx { tx, wake }), Box::new(rx))
 }
 
-/// Every CKR input's queue: bursts, capacity, producers and consumer flag
-/// under one lock, and no condvar — its consumer sleeps on the [`Wake`] it
-/// names once ([`TransportReceiver::wake_with`]) — so a push costs a lock
-/// and a raise, no syscall. Zero producers (after the last drop or a
+/// Every CKR input's and every delivery's queue: bursts, capacity, producers
+/// and consumer flag under one lock, and no condvar — a CKR sleeps on the
+/// [`Wake`] it names once ([`TransportReceiver::wake_with`]), and a
+/// delivery's consumer, rank code, names none — so a push costs a lock and
+/// at most a raise, no syscall. Zero producers (after the last drop or a
 /// [`QueueTx::close`]) is final.
 struct Queue {
     state: Mutex<QueueState>,
@@ -275,20 +251,43 @@ impl Drop for QueueRx {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::transport::executor::{ExecutorConfig, Pollable, ShardedExecutor, Step};
     use smi_wire::{Frame, NetworkPacket, PacketOp};
     use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
     use std::time::{Duration, Instant};
 
+    /// A bare crossbeam sender as a link nobody is woken by: a test reads
+    /// what was sent with the receiver's own API.
+    impl Transport for Sender<Burst> {
+        fn offer(&mut self, burst: Burst) -> LinkSend {
+            match self.try_send(burst) {
+                Ok(()) => LinkSend::Accepted,
+                Err(TrySendError::Full(b)) => LinkSend::Full(b),
+                Err(TrySendError::Disconnected(_)) => LinkSend::Closed,
+            }
+        }
+
+        fn share(&self) -> LinkTx {
+            Box::new(self.clone())
+        }
+    }
+
+    /// Offer `burst` to a link that must take it.
+    pub(crate) fn accept(tx: &mut LinkTx, burst: Burst) {
+        assert!(
+            matches!(tx.offer(burst), LinkSend::Accepted),
+            "link refused"
+        );
+    }
+
     /// Both kinds of CK input — an endpoint lane and a burst queue — of
     /// `depth` bursts, drained by the machine that sleeps on `wake`.
     fn links(depth: usize, wake: &Wake) -> [(LinkTx, LinkRx); 2] {
-        let (lane, lane_rx) = fifo(depth, wake);
         let (tx, mut rx) = burst_queue(depth);
         rx.wake_with(wake);
-        [(Box::new(lane), lane_rx), (Box::new(tx), rx)]
+        [fifo(depth, wake), (Box::new(tx), rx)]
     }
 
     #[test]
@@ -505,6 +504,91 @@ mod tests {
                     });
                 });
             }
+        }
+    }
+
+    /// The delivery contract: three producers (one per CKR) feed a consumer
+    /// that names no wake, as rank code does. One thread pushes through the
+    /// three in a seeded interleaving while another reads. Every producer's
+    /// bursts arrive in its own order; `Full` hands back the burst offered;
+    /// `Closed` is read only once the queue is drained and the last producer
+    /// gone; once the consumer is gone every push reads `Closed`; and no push
+    /// raised anything, because there was never a wake to raise.
+    #[test]
+    fn a_delivery_without_a_wake_keeps_the_contract() {
+        const CAP: usize = 2;
+        const BURSTS: u32 = 500;
+        for seed in 1..=4u64 {
+            let (tx, rx) = burst_queue(CAP);
+            let queue = tx.0.clone();
+            let mut producers = [Some(tx.clone()), Some(tx.clone()), Some(tx)];
+            // Filled before the consumer runs: the next push must bounce.
+            for seq in 0..CAP as u32 {
+                let p = producers[0].as_ref().unwrap();
+                assert!(matches!(p.push(tagged(0, seq)), LinkSend::Accepted));
+            }
+            match producers[1].as_ref().unwrap().push(tagged(1, 0)) {
+                LinkSend::Full(back) => assert_eq!(tags(&back), tags(&tagged(1, 0))),
+                _ => panic!("a full delivery took a burst"),
+            }
+            let live = AtomicUsize::new(producers.len());
+            std::thread::scope(|s| {
+                let live = &live;
+                s.spawn(move || {
+                    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let mut sent = [CAP as u32, 0, 0];
+                    while producers.iter().any(Option::is_some) {
+                        let p = (next(&mut x) % 3) as usize;
+                        let Some(tx) = &producers[p] else { continue };
+                        match tx.push(tagged(p as u8, sent[p])) {
+                            LinkSend::Accepted => sent[p] += 1,
+                            LinkSend::Full(back) => {
+                                assert_eq!(tags(&back), tags(&tagged(p as u8, sent[p])));
+                                std::thread::yield_now();
+                            }
+                            LinkSend::Closed => panic!("closed under a producer"),
+                        }
+                        if sent[p] == BURSTS {
+                            live.fetch_sub(1, Ordering::SeqCst);
+                            producers[p] = None;
+                        }
+                    }
+                });
+                s.spawn(move || {
+                    let mut rx = rx;
+                    let mut want = [0u32; 3];
+                    loop {
+                        match rx.try_recv() {
+                            LinkRecv::Burst(b) => {
+                                let p = tags(&b)[0].0;
+                                let seq = &mut want[p as usize];
+                                assert_eq!(tags(&b), tags(&tagged(p, *seq)), "seed {seed}");
+                                *seq += 1;
+                            }
+                            LinkRecv::Empty => std::thread::yield_now(),
+                            LinkRecv::Closed => break,
+                        }
+                    }
+                    assert_eq!(live.load(Ordering::SeqCst), 0, "closed early, seed {seed}");
+                    assert_eq!(want, [BURSTS; 3], "seed {seed}");
+                    assert!(matches!(rx.try_recv(), LinkRecv::Closed));
+                });
+            });
+            assert!(
+                queue.wake.get().is_none(),
+                "a delivery's push raised a wake"
+            );
+        }
+
+        let (tx, rx) = burst_queue(CAP);
+        let producers = [tx.clone(), tx.clone(), tx];
+        assert!(matches!(
+            producers[2].push(tagged(2, 0)),
+            LinkSend::Accepted
+        ));
+        drop(rx);
+        for (p, tx) in (0..).zip(&producers) {
+            assert!(matches!(tx.push(tagged(p, 1)), LinkSend::Closed));
         }
     }
 

@@ -11,13 +11,13 @@
 //! as is each CKS→CKR FIFO; when the cluster is split across OS processes
 //! ([`crate::proc`]), the edges crossing a process boundary are handed in
 //! as socket-backed links ([`crate::transport::socket`]) and only the ranks
-//! marked local are instantiated here. Endpoint lanes and deliveries stay
-//! crossbeam FIFOs.
+//! marked local are instantiated here. Every endpoint delivery is a
+//! `burst_queue` too; the endpoint lanes into the CKSs are the last
+//! crossbeam FIFOs on the data path.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use smi_codegen::{ClusterDesign, OpKind, OpSpec};
 use smi_topology::{NextHop, RoutingPlan, Topology};
 use smi_wire::{Header, PacketOp};
@@ -26,9 +26,9 @@ use crate::endpoint::{CksLanes, EndpointTable, FanOut, PacketRx, PortRes};
 use crate::params::RuntimeParams;
 use crate::transport::ck::{CkMachine, Route};
 use crate::transport::executor::{Pollable, Wake};
-use crate::transport::link::{burst_queue, fifo, FifoTx, LinkRx, LinkTx};
+use crate::transport::link::{burst_queue, fifo, LinkRx, LinkTx, QueueTx, Transport};
 use crate::transport::socket::FabricHealth;
-use crate::transport::{Burst, TransportStats};
+use crate::transport::TransportStats;
 
 /// Everything the env needs back from wiring: endpoint tables for the
 /// *local* ranks (tagged with their world rank) and the CK machines to hand
@@ -78,10 +78,10 @@ fn take_link<T>(links: &mut HashMap<(usize, usize), T>, rank: usize, qsfp: usize
 /// writes directly.
 #[derive(Default)]
 struct PortDelivery {
-    /// Sender for data/sync packets.
-    data: Option<Sender<Burst>>,
-    /// Sender for credit packets.
-    credit: Option<Sender<Burst>>,
+    /// Producer into the data/sync delivery.
+    data: Option<QueueTx>,
+    /// Producer into the credit delivery.
+    credit: Option<QueueTx>,
     /// A bcast port's fan-out.
     fan_out: Option<FanOut>,
 }
@@ -220,8 +220,8 @@ pub(crate) fn build_transport(
             };
             let to_cks = lanes(lane_depth, b.ck_pair);
             let d = deliveries.entry(op.port).or_default();
-            let half = |slot: &mut Option<Sender<Burst>>, depth: Option<usize>| {
-                let (tx, rx) = bounded(depth?);
+            let half = |slot: &mut Option<QueueTx>, depth: Option<usize>| {
+                let (tx, rx) = burst_queue(depth?);
                 assert!(slot.replace(tx).is_none(), "a port delivered twice");
                 Some(PacketRx::new(rx, meter.clone()))
             };
@@ -267,7 +267,7 @@ pub(crate) fn build_transport(
         }
         // (port, is_credit) -> CKR output index, after the `np` links, and
         // the port's fan-out.
-        let mut delivery_tx: Vec<Sender<Burst>> = Vec::new();
+        let mut delivery_tx: Vec<QueueTx> = Vec::new();
         let mut delivery_idx: HashMap<(usize, bool), (usize, Option<FanOut>)> = HashMap::new();
         for (port, d) in deliveries {
             for (is_credit, tx) in [(false, d.data), (true, d.credit)] {
@@ -304,9 +304,10 @@ pub(crate) fn build_transport(
         }
 
         // --- CKR machines ---
+        // Each CKR holds its own producer of every delivery; the originals
+        // drop with `delivery_tx`, so a delivery closes with its last CKR.
         for (p, (inputs, mut outputs)) in ckr_in.into_iter().zip(ckr_out).enumerate() {
-            let delivery = delivery_tx.iter().map(|tx| FifoTx::from(tx.clone()));
-            outputs.extend(delivery.map(|tx| Box::new(tx) as LinkTx));
+            outputs.extend(delivery_tx.iter().map(|tx| tx.share()));
             let (next_pair, delivery_idx) = (next_pair.clone(), delivery_idx.clone());
             machines.push(Box::new(CkMachine::new(
                 r,
@@ -352,7 +353,8 @@ pub(crate) fn build_transport(
 /// recv grant path loops back into the send side's credit input, so even the
 /// credit-based protocol works locally. A collective's lane loops into its
 /// own data delivery; nothing sends it credit. A lone receive has nothing to
-/// feed it and no lanes or halves at all: a pop reports a timeout.
+/// feed it and no lanes or halves at all: a pop reports a timeout. Each loop
+/// is one `burst_queue`, a lane and a delivery at once.
 fn build_single_rank(
     design: &ClusterDesign,
     params: &RuntimeParams,
@@ -369,22 +371,23 @@ fn build_single_rank(
         let (to_cks, rx, credit_rx) = match op.kind {
             OpKind::Send => {
                 let depth = op.buffer_depth.max(params.endpoint_fifo_depth).max(1);
-                let ((data_tx, data_rx), (grant_tx, credit_rx)) = (bounded(depth), bounded(4));
+                let ((data_tx, data_rx), (grant_tx, credit_rx)) =
+                    (burst_queue(depth), burst_queue(4));
                 loops.insert(op.port, (data_rx, grant_tx));
-                (CksLanes::loopback(data_tx.into()), None, Some(credit_rx))
+                (CksLanes::loopback(Box::new(data_tx)), None, Some(credit_rx))
             }
             OpKind::Recv => match loops.remove(&op.port) {
                 Some((data_rx, grant_tx)) => {
-                    (CksLanes::loopback(grant_tx.into()), Some(data_rx), None)
+                    (CksLanes::loopback(Box::new(grant_tx)), Some(data_rx), None)
                 }
                 None => (CksLanes::default(), None, None),
             },
             _ => {
-                let (tx, rx) = bounded(op.buffer_depth.max(1));
-                (CksLanes::loopback(tx.into()), Some(rx), None)
+                let (tx, rx) = burst_queue(op.buffer_depth.max(1));
+                (CksLanes::loopback(Box::new(tx)), Some(rx), None)
             }
         };
-        let half = |rx: Option<Receiver<Burst>>| rx.map(|rx| PacketRx::new(rx, meter.clone()));
+        let half = |rx: Option<LinkRx>| rx.map(|rx| PacketRx::new(rx, meter.clone()));
         let res = PortRes::new(op, to_cks, half(rx), half(credit_rx));
         table.put(op.port, op.kind, res);
     }
