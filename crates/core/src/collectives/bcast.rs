@@ -7,6 +7,16 @@
 //! CKR its parent's stream enters by writes a re-addressed copy of every
 //! frame onto each child's link before delivering the frame locally — one
 //! kernel crossing per tree hop. The interior then receives like a leaf.
+//!
+//! Its readiness does not pass through the rank task either. At open the
+//! interior arms its port's fold with its own ready-`Sync`
+//! (`PortIo::arm`); each child's ready-`Sync` is counted by whoever meets
+//! it — a CKR of the rank as it routes it, or the endpoint as it reads it
+//! (`PortIo::fold_ready`) — and the one that counts the last child sends
+//! the interior's own on toward its parent: a CKR straight onto the
+//! parent's link, the endpoint through its lane. So the subtree's
+//! readiness climbs the tree at kernel speed; only the root's endpoint
+//! reads every announcement addressed to it.
 
 use std::marker::PhantomData;
 
@@ -36,25 +46,21 @@ use crate::SmiError;
 /// pre-tree protocol), `Tree` is the hop tree
 /// ([`crate::collectives::topology`]: every edge as short as the routed
 /// topology allows, one physical link on the regular topologies) in which
-/// interior nodes collect their children's readiness before announcing
-/// their own *subtree* ready, and their CKR hands every received frame to
-/// their children as it delivers it — so each packet crosses each link
-/// once, and the root stages one copy per neighbour instead of `N−1`.
+/// an interior node's *subtree* is announced ready once its children are —
+/// by the CKR or the endpoint that counts the last of them — and its CKR
+/// hands every received frame to its children as it delivers it — so each
+/// packet crosses each link once, and the root stages one copy per
+/// neighbour instead of `N−1`.
 pub struct BcastChannel<T: SmiType> {
     count: u64,
     done: u64,
     is_root: bool,
-    my_wire: u8,
-    port_wire: u8,
-    /// Wire rank of the tree parent (None at the root).
-    parent: Option<u8>,
     /// Wire ranks of the fan-out targets (linear root: every other
     /// member; tree: the hop-tree children, which an interior's CKR feeds).
     children: Vec<u8>,
-    /// Ready announcements received from children so far.
+    /// Ready announcements this endpoint read (a CKR may count the rest of
+    /// a non-root's).
     ready: usize,
-    /// Non-root: whether the own (subtree-)ready announcement is staged.
-    sync_staged: bool,
     /// The root's framed app stream awaiting fan-out. Staging fans the
     /// whole window out grouped per destination (one burst-sized window,
     /// so the CKS sees long same-route runs instead of alternating
@@ -76,26 +82,24 @@ impl<T: SmiType> BcastChannel<T> {
         edges: WireEdges,
         params: &RuntimeParams,
     ) -> Result<Self, SmiError> {
-        let io = PortIo::open(table, port, smi_codegen::OpKind::Bcast, T::DATATYPE, params)?;
+        let mut io = PortIo::open(table, port, smi_codegen::OpKind::Bcast, T::DATATYPE, params)?;
         let WireEdges { parent, children } = edges;
         let is_root = parent.is_none();
         let port_wire = smi_wire::header::port_to_wire(port)?;
         let my_wire = comm.wire_rank(comm.rank())?;
-        if !is_root && !children.is_empty() {
-            // Before the ready-`Sync` leaves: nothing reaches this member's
-            // CKR before its subtree announced itself ready.
-            io.fan_out(&children);
+        if let Some(parent) = parent.filter(|_| count > 0) {
+            // The fan-out is named before the ready-`Sync` can leave: nothing
+            // reaches this member's CKR before its subtree announced itself
+            // ready. A leaf's announcement is staged here.
+            let sync = NetworkPacket::control(my_wire, parent, port_wire, PacketOp::Sync, 0);
+            io.arm(&children, sync);
         }
         let mut chan = BcastChannel {
             count,
             done: 0,
             is_root,
-            my_wire,
-            port_wire,
-            parent,
             children,
             ready: 0,
-            sync_staged: false,
             window: Vec::new(),
             state: CollectiveState::Opening,
             framer: Framer::new(T::DATATYPE, my_wire, 0, port_wire, PacketOp::Bcast),
@@ -107,9 +111,9 @@ impl<T: SmiType> BcastChannel<T> {
             // Zero-length message: no handshake, nothing will ever move.
             chan.state = CollectiveState::Done;
         }
-        // A leaf's readiness announcement is staged by this first advance
-        // (an interior node's only once its children announced), so open
-        // itself never blocks.
+        // A leaf's readiness announcement is offered by this first advance
+        // (an interior node's goes with its last child's), so open itself
+        // never blocks.
         chan.advance()?;
         Ok(chan)
     }
@@ -120,37 +124,26 @@ impl<T: SmiType> BcastChannel<T> {
         let mut flushed = self.io.try_flush()?;
         match self.state {
             CollectiveState::Opening => {
-                while self.ready < self.children.len() {
-                    match self.io.try_recv_data()? {
-                        Some(pkt) => {
-                            expect_op(&pkt.header, PacketOp::Sync)?;
-                            self.ready += 1;
-                        }
-                        None => break,
-                    }
-                }
-                if self.ready == self.children.len() {
-                    if self.is_root {
-                        self.state = CollectiveState::Streaming;
-                    } else {
-                        if !self.sync_staged {
-                            // Announce (subtree) readiness up the tree.
-                            let parent = self.parent.expect("non-root has a parent");
-                            let sync = NetworkPacket::control(
-                                self.my_wire,
-                                parent,
-                                self.port_wire,
-                                PacketOp::Sync,
-                                0,
-                            );
-                            self.io.stage(sync);
-                            self.sync_staged = true;
-                            flushed = self.io.try_flush()?;
-                        }
-                        if flushed {
-                            self.state = CollectiveState::Streaming;
+                let ready = if self.is_root {
+                    while self.ready < self.children.len() {
+                        match self.io.try_recv_data()? {
+                            Some(pkt) => {
+                                expect_op(&pkt.header, PacketOp::Sync)?;
+                                self.ready += 1;
+                            }
+                            None => break,
                         }
                     }
+                    self.ready == self.children.len()
+                } else {
+                    // The subtree's readiness, and the own announcement
+                    // staged if this endpoint counted the last child.
+                    let ready = self.io.fold_ready(&mut self.ready)?;
+                    flushed = self.io.try_flush()?;
+                    ready
+                };
+                if ready && flushed {
+                    self.state = CollectiveState::Streaming;
                 }
             }
             CollectiveState::Streaming => {

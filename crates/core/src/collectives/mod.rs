@@ -71,8 +71,10 @@
 //!   into the credit-window ring before forwarding partial aggregates
 //!   upward. On a full communicator over `bus`/`ring`/`torus2d`/`star`
 //!   every edge is one physical link, so a packet crosses each link once.
-//!   The tree is as deep as the topology is wide, which the per-message
-//!   subtree-ready handshake pays for (serial over depth).
+//!   The tree is as deep as the topology is wide, and the per-message
+//!   subtree-ready handshake climbs it serially; but an interior's CKRs
+//!   count its children's ready-`Sync`s and send its own on, so the climb
+//!   costs one kernel crossing per level, not a rank task's poll.
 //!
 //! Scatter and gather take no tree under either scheme. They are one block
 //! protocol run in opposite directions (`blocks.rs`): the rank that

@@ -28,7 +28,8 @@
 //!   `(hop matrix, member list, root)`; O(n²), so a context caches it per
 //!   `(communicator, root)` (`HopTrees`). The price is depth — 31 on
 //!   `bus(32)` — which the per-message subtree-ready handshake climbs
-//!   serially.
+//!   serially, one CKR crossing per level: an interior's CKR counts its
+//!   children's ready-`Sync`s and sends the interior's own on.
 //!
 //! Scatter and gather take no tree. Their blocks are personalised: each
 //! travels root ↔ owner as its own point-to-point stream, over the same

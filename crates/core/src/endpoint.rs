@@ -30,9 +30,10 @@ use parking_lot::Mutex;
 use smi_codegen::{OpKind, OpSpec};
 use smi_wire::{Datatype, Deframer, Frame, Header, NetworkPacket, PacketOp, PacketRun, ReduceOp};
 
+use crate::transport::ck::PortTree;
 use crate::transport::link::{LinkRecv, LinkRx, LinkSend, LinkTx};
 use crate::transport::socket::FabricHealth;
-use crate::transport::{meter_inline_data, readdressed, Burst, Copies, CopyMeter};
+use crate::transport::{meter_inline_data, readdressed, Burst, CopyMeter};
 use crate::{RuntimeParams, SmiError};
 
 /// Expect a specific op on a receive path.
@@ -202,13 +203,6 @@ impl CksLanes {
     }
 }
 
-/// A port's tree-bcast fan-out, shared by its endpoint and every CKR of its
-/// rank: `(child, CK pair of the child's next hop)` for each hop-tree child
-/// of the interior member that holds the port open, empty otherwise. A CKR
-/// that routes a `Bcast` data frame to its own rank on the port sends a
-/// copy to each child before it delivers the frame.
-pub(crate) type FanOut = Arc<Mutex<Copies>>;
-
 /// A port's endpoint hardware, one per declared `(port, kind)` and the same
 /// type for every kind: the lanes into the rank's CKSs plus up to two
 /// delivery halves the rank's CKRs write. A kind that receives no data (a
@@ -230,8 +224,9 @@ pub(crate) struct PortRes {
     /// `staged[lane]`: frames bound for that lane, in staging order. Kept
     /// with the resource, so opening a channel allocates nothing.
     staged: Vec<Burst>,
-    /// A bcast port's fan-out, shared with every CKR of the rank.
-    pub fan_out: Option<FanOut>,
+    /// A bcast port's fan-out and readiness fold, shared with every CKR of
+    /// the rank.
+    pub tree: Option<PortTree>,
 }
 
 impl PortRes {
@@ -250,7 +245,7 @@ impl PortRes {
             rx,
             credit_rx,
             carry: VecDeque::new(),
-            fan_out: (op.kind == OpKind::Bcast).then(|| FanOut::new(Mutex::new(Arc::new([])))),
+            tree: (op.kind == OpKind::Bcast).then(PortTree::default),
         }
     }
 }
@@ -454,14 +449,42 @@ impl PortIo {
         window.clear();
     }
 
-    /// Name `children` as this port's tree-bcast fan-out: from here until
-    /// the handle drops, every CKR of the rank copies the port's `Bcast`
-    /// data frames to them ([`FanOut`]).
-    pub fn fan_out(&self, children: &[u8]) {
+    /// Arm this port's tree ([`PortTree`]) for a non-root bcast member
+    /// with these hop-tree `children`: from here until the handle drops,
+    /// every CKR of the rank copies the port's `Bcast` data frames to them,
+    /// and whoever counts the last child's ready-`Sync` — this endpoint in
+    /// [`PortIo::fold_ready`] or a CKR — sends `up`, the member's own. With
+    /// no child to wait for, `up` is staged at once.
+    pub fn arm(&mut self, children: &[u8], up: NetworkPacket) {
         let res = self.res();
-        if let Some(fan_out) = &res.fan_out {
-            *fan_out.lock() = children.iter().map(|&c| (c, res.to_cks.lane(c))).collect();
+        let tree = res.tree.as_ref().expect("a bcast port");
+        let copies = children.iter().map(|&c| (c, res.to_cks.lane(c))).collect();
+        if let Some(up) = tree.arm(copies, (up, res.to_cks.lane(up.header.dst))) {
+            self.stage(up);
         }
+    }
+
+    /// Count the children's ready-`Sync`s this endpoint reads (carried ones
+    /// first) into the port's armed fold, adding each to `read`, and stage
+    /// the member's announcement if the last child is among them. The fold
+    /// is held while reading, so no CKR completes it meanwhile and whatever
+    /// is read belongs to this message. Returns whether the fold completed:
+    /// every child announced, and the announcement is staged here or sent
+    /// by a CKR.
+    pub fn fold_ready(&mut self, read: &mut usize) -> Result<bool, SmiError> {
+        let tree = self.res().tree.clone().expect("a bcast port");
+        let mut fold = tree.lock();
+        while fold.armed() {
+            let Some(sync) = self.try_recv_data()? else {
+                return Ok(false);
+            };
+            expect_op(&sync.header, PacketOp::Sync)?;
+            *read += 1;
+            if let Some((up, _)) = fold.count() {
+                self.stage(up);
+            }
+        }
+        Ok(true)
     }
 
     /// Whether the staged bursts reached the configured burst size between
@@ -581,8 +604,8 @@ impl Drop for PortIo {
                     let _ = lane.offer(std::mem::take(staged));
                 }
             }
-            if let Some(fan_out) = &res.fan_out {
-                *fan_out.lock() = Arc::new([]);
+            if let Some(tree) = &res.tree {
+                tree.disarm();
             }
             // What this channel kept arrived before what it never read.
             self.carry.append(&mut res.carry);

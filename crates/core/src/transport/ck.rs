@@ -31,12 +31,21 @@
 //! order and a local delivery never passes its copies. A machine's
 //! `forwards` counts kernel crossings — one per packet it routes, whatever
 //! the fan-out.
+//!
+//! [`Route::Fold`] is the verdict on a child's ready-`Sync` while the
+//! interior member it is addressed to waits for its subtree ([`PortTree`]):
+//! the CKR counts it (one forward, as delivering it was), and the CKR that
+//! counts the last child sends the member's own announcement onto the link
+//! toward its parent — parked in order and, like a copy, no forward. So
+//! §3.3's readiness climbs the tree through the CKRs, as through the
+//! paper's support kernels (§4.4), and no rank task relays it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use smi_wire::{Frame, Header};
+use parking_lot::{Mutex, MutexGuard};
+use smi_wire::{Frame, Header, NetworkPacket, PacketOp};
 
 use crate::transport::executor::{Pollable, Step, Wake};
 use crate::transport::link::{LinkRecv, LinkRx, LinkSend, LinkTx};
@@ -51,8 +60,98 @@ pub(crate) enum Route {
     /// re-addressed to each `(child, output)` in turn, then the frame itself
     /// into output `local`, the member's own delivery.
     Multicast { copies: Copies, local: usize },
+    /// Count a child's ready-`Sync` into an interior member's fold; one
+    /// that finds the fold disarmed goes into output `local` instead.
+    Fold { tree: PortTree, local: usize },
     /// No route — count as unroutable and drop (always a wiring bug).
     Drop,
+}
+
+/// A bcast port's tree state, shared by its endpoint and every CKR of its
+/// rank while an interior member of a hop tree holds the port open: the
+/// fan-out its CKRs copy every `Bcast` frame to, and the fold that counts
+/// its children's ready-`Sync`s. The endpoint arms both at open, before
+/// its own announcement can leave, and dropping the channel disarms them.
+#[derive(Clone, Default)]
+pub(crate) struct PortTree(Arc<Mutex<TreeState>>);
+
+impl PartialEq for PortTree {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+/// What a [`PortTree`] holds.
+#[derive(Default)]
+pub(crate) struct TreeState {
+    /// `(child, CK pair of its next hop)` per hop-tree child.
+    copies: Copies,
+    /// Children whose ready-`Sync` is still to be counted: the fold is
+    /// armed while this is not 0.
+    need: usize,
+    /// The member's own ready-`Sync` and the CK pair its next hop leaves
+    /// by, taken by whoever counts the last child.
+    up: Option<(NetworkPacket, usize)>,
+}
+
+impl TreeState {
+    /// Whether children are still to announce.
+    pub fn armed(&self) -> bool {
+        self.need > 0
+    }
+
+    /// Count one child of an armed fold; the last returns the member's
+    /// announcement and disarms it.
+    pub fn count(&mut self) -> Option<(NetworkPacket, usize)> {
+        self.need -= 1;
+        if self.need > 0 {
+            return None;
+        }
+        self.up.take()
+    }
+}
+
+impl PortTree {
+    /// Hold the state: an endpoint reads and counts under one hold, so no
+    /// CKR counts the last child meanwhile.
+    pub fn lock(&self) -> MutexGuard<'_, TreeState> {
+        self.0.lock()
+    }
+
+    /// Arm the fan-out and the fold of a member with these `copies`
+    /// (children): `up` goes to whoever counts the last child. With no
+    /// child to wait for, `up` comes back at once.
+    pub fn arm(&self, copies: Copies, up: (NetworkPacket, usize)) -> Option<NetworkPacket> {
+        let mut state = self.lock();
+        state.need = copies.len();
+        state.copies = copies;
+        if state.need == 0 {
+            return Some(up.0);
+        }
+        state.up = Some(up);
+        None
+    }
+
+    /// Clear the fan-out and disarm the fold.
+    pub fn disarm(&self) {
+        *self.lock() = TreeState::default();
+    }
+
+    /// The verdict on a frame of `op` that a CKR delivers to output `local`.
+    pub fn route(&self, op: PacketOp, local: usize) -> Route {
+        let state = self.lock();
+        match op {
+            PacketOp::Bcast if !state.copies.is_empty() => Route::Multicast {
+                copies: state.copies.clone(),
+                local,
+            },
+            PacketOp::Sync if state.armed() => Route::Fold {
+                tree: self.clone(),
+                local,
+            },
+            _ => Route::Output(local),
+        }
+    }
 }
 
 /// A CKS or CKR kernel body in poll mode.
@@ -183,6 +282,30 @@ impl CkMachine {
                     self.offer(idx, copy.collect(), 0, progressed);
                 }
                 self.offer(local, burst, packets, progressed)
+            }
+            Route::Fold { tree, local } => {
+                let (mut up, mut late) = (None, Burst::new());
+                let mut fold = tree.lock();
+                for sync in burst {
+                    if fold.armed() {
+                        up = up.or(fold.count());
+                    } else {
+                        // The fold completed: a later message's `Sync`.
+                        late.push(sync);
+                    }
+                }
+                drop(fold);
+                let late_n = late.len() as u64;
+                self.forwards.fetch_add(packets - late_n, Ordering::Relaxed);
+                *progressed = true;
+                let mut open = true;
+                if let Some((up, link)) = up {
+                    open = self.offer(link, vec![up.into()], 0, progressed);
+                }
+                if late_n > 0 {
+                    open = self.offer(local, late, late_n, progressed);
+                }
+                open
             }
             Route::Drop => {
                 self.unroutable.fetch_add(packets, Ordering::Relaxed);
@@ -623,6 +746,235 @@ mod tests {
             meter.count(),
             inline_copies * smi_wire::PAYLOAD_BYTES as u64
         );
+    }
+
+    /// A ready-`Sync` from wire rank `child` to rank 1 on port 0, tagged.
+    fn sync(child: u8, tag: u32) -> Frame {
+        NetworkPacket::control(child, 1, 0, PacketOp::Sync, tag).into()
+    }
+
+    /// Rank 1's announcement to its parent, rank 0, leaving by pair 0.
+    fn up(tag: u32) -> (NetworkPacket, usize) {
+        (NetworkPacket::control(1, 0, 0, PacketOp::Sync, tag), 0)
+    }
+
+    /// `(src, dst, tag)` of every frame waiting in `rx`.
+    fn tags(rx: &Receiver<Burst>) -> Vec<(u8, u8, u32)> {
+        let tag = |f: Frame| match f {
+            Frame::Pkt(p) => (p.header.src, p.header.dst, p.control_arg()),
+            Frame::Run(_) => panic!("a run"),
+        };
+        rx.try_iter().flatten().map(tag).collect()
+    }
+
+    /// A CKR of rank 1 whose output 0 is the link toward the parent (depth
+    /// `link_depth`) and output 1 the port's delivery; `route` decides.
+    fn folding_ckr(
+        link_depth: usize,
+        route: impl Fn(&Header) -> Route + Send + 'static,
+    ) -> (LinkTx, CkMachine, Sender<Burst>, [Receiver<Burst>; 2]) {
+        let wake = Wake::default();
+        let (in_tx, in_rx) = fifo(16, &wake);
+        let (link, link_rx) = bounded::<Burst>(link_depth);
+        let (local, local_rx) = bounded::<Burst>(16);
+        let outputs = vec![fifo_tx(link.clone()), fifo_tx(local)];
+        let (fwd, unr) = counters();
+        let route = Box::new(route);
+        let meter = CopyMeter::default();
+        let m = CkMachine::new(1, wake, vec![in_rx], outputs, route, 8, 8, fwd, unr, meter);
+        (in_tx, m, link, [link_rx, local_rx])
+    }
+
+    /// Three children: the first two `Sync`s are counted and go nowhere,
+    /// the third sends the member's announcement onto the parent's link —
+    /// once — and disarms the fold, so a fourth (a later message's) is
+    /// delivered. Every `Sync` is one forward; the announcement none.
+    #[test]
+    fn an_armed_fold_announces_once_after_its_last_child() {
+        let tree = PortTree::default();
+        assert!(tree
+            .arm(Arc::new([(2, 0), (3, 0), (4, 0)]), up(7))
+            .is_none());
+        let fold = tree.clone();
+        let (mut in_tx, mut m, _link, [link_rx, local_rx]) =
+            folding_ckr(4, move |h| fold.route(h.op, 1));
+        for child in 2..4 {
+            accept(&mut in_tx, vec![sync(child, 0)]);
+            m.poll();
+            assert!(link_rx.is_empty() && local_rx.is_empty(), "child {child}");
+        }
+        accept(&mut in_tx, vec![sync(4, 0)]);
+        m.poll();
+        assert_eq!(tags(&link_rx), [(1, 0, 7)], "one announcement");
+        assert!(local_rx.is_empty() && !tree.lock().armed());
+        assert_eq!(m.forwards.load(Ordering::Relaxed), 3);
+        accept(&mut in_tx, vec![sync(2, 1)]);
+        m.poll();
+        assert_eq!(tags(&local_rx), [(2, 1, 1)], "a later message's Sync");
+        assert!(link_rx.is_empty());
+        assert_eq!(m.forwards.load(Ordering::Relaxed), 4);
+    }
+
+    /// The parent's link is full: a frame routed onto it parks, the
+    /// children's `Sync`s wait behind it, and the announcement they
+    /// complete parks behind that frame and ahead of the one after them.
+    /// The link carries all three in routing order.
+    #[test]
+    fn a_refused_announcement_parks_in_order() {
+        let tree = PortTree::default();
+        assert!(tree.arm(Arc::new([(2, 0), (3, 0)]), up(7)).is_none());
+        let fold = tree.clone();
+        let route = move |h: &Header| match h.op {
+            PacketOp::Sync => fold.route(h.op, 1),
+            _ => Route::Output(0),
+        };
+        let (mut in_tx, mut m, link, [link_rx, local_rx]) = folding_ckr(1, route);
+        let pkt = |tag: u32| Frame::from(NetworkPacket::control(1, 0, 0, PacketOp::Send, tag));
+        link.try_send(vec![pkt(0)]).unwrap(); // the link is full
+        accept(&mut in_tx, vec![pkt(1)]);
+        accept(&mut in_tx, vec![sync(2, 0), sync(3, 0), pkt(2)]);
+        let mut got = Vec::new();
+        for _ in 0..8 {
+            m.poll();
+            got.extend(tags(&link_rx));
+        }
+        assert_eq!(got, [(1, 0, 0), (1, 0, 1), (1, 0, 7), (1, 0, 2)]);
+        assert!(local_rx.is_empty());
+        assert_eq!(
+            m.forwards.load(Ordering::Relaxed),
+            4,
+            "two Syncs, two frames"
+        );
+    }
+
+    /// A `Sync` whose fold was disarmed between its verdict and its
+    /// dispatch (the channel dropped) is delivered, and counted as one.
+    #[test]
+    fn a_disarmed_fold_delivers_into_local() {
+        let tree = PortTree::default();
+        let fold = tree.clone();
+        let route = move |_: &Header| Route::Fold {
+            tree: fold.clone(),
+            local: 1,
+        };
+        let (mut in_tx, mut m, _link, [link_rx, local_rx]) = folding_ckr(4, route);
+        accept(&mut in_tx, vec![sync(2, 5), sync(3, 6)]);
+        m.poll();
+        assert_eq!(tags(&local_rx), [(2, 1, 5), (3, 1, 6)]);
+        assert!(link_rx.is_empty());
+        assert_eq!(m.forwards.load(Ordering::Relaxed), 2);
+    }
+
+    /// The endpoint of an interior member with three children and one CKR
+    /// of its rank count the children's ready-`Sync`s at once, at every
+    /// split between the two, over back-to-back messages on one port: each
+    /// side feeds its own children one at a time and yields at seeded
+    /// points. Exactly one announcement per message leaves — through the
+    /// endpoint's lane or onto the CKR's link — and whichever side sends it
+    /// has seen every child fed. Each side counts exactly its own children.
+    #[test]
+    fn endpoint_and_ckr_race_to_one_announcement_per_message() {
+        use crate::endpoint::{new_table, CksLanes, PacketRx, PortIo, PortRes};
+        use crate::transport::link::burst_queue;
+        use crate::RuntimeParams;
+        use smi_codegen::{OpKind, OpSpec};
+        use smi_wire::Datatype;
+        use std::sync::atomic::AtomicUsize;
+        const CHILDREN: usize = 3;
+        const MESSAGES: u32 = 20;
+        let next = |x: &mut u64| {
+            *x ^= *x << 13;
+            *x ^= *x >> 7;
+            *x ^= *x << 17;
+            *x
+        };
+        let op = OpSpec::bcast(0, Datatype::Int);
+        let (lane, lane_rx) = bounded::<Burst>(64);
+        let (delivery, data_rx) = burst_queue(64);
+        let res = PortRes::new(
+            &op,
+            CksLanes::loopback(fifo_tx(lane)),
+            Some(PacketRx::new(data_rx, CopyMeter::default())),
+            None,
+        );
+        let tree = res.tree.clone().expect("a bcast port");
+        let table = new_table();
+        table.lock().put(0, op.kind, res);
+        let params = RuntimeParams::default();
+        let children: Vec<u8> = (2..2 + CHILDREN as u8).collect();
+        for seed in 1..=4u64 {
+            for split in 0..=CHILDREN {
+                let (mut in_tx, mut m, _link, [link_rx, _]) = folding_ckr(64, {
+                    let tree = tree.clone();
+                    move |h| tree.route(h.op, 1)
+                });
+                for msg in 0..MESSAGES {
+                    let mut io =
+                        PortIo::open(table.clone(), 0, OpKind::Bcast, Datatype::Int, &params)
+                            .unwrap();
+                    io.arm(&children, up(msg).0);
+                    let fed = AtomicUsize::new(0);
+                    // Set by the side that sent an announcement before every
+                    // child was fed; checked once both sides are done, so a
+                    // failure cannot leave the other side spinning.
+                    let early = AtomicBool::new(false);
+                    let (ours, theirs) = children.split_at(split);
+                    let before = m.forwards.load(Ordering::Relaxed);
+                    std::thread::scope(|s| {
+                        let (fed, early, delivery) = (&fed, &early, &delivery);
+                        s.spawn(move || {
+                            let mut x = seed ^ (u64::from(msg + 1) << 8);
+                            let (mut read, mut left) = (0, ours.iter());
+                            loop {
+                                if let Some(&child) = left.next() {
+                                    fed.fetch_add(1, Ordering::SeqCst);
+                                    let sent = delivery.push(vec![sync(child, msg)]);
+                                    assert!(matches!(sent, LinkSend::Accepted));
+                                }
+                                let ready = io.fold_ready(&mut read).unwrap();
+                                if !io.flushed() {
+                                    early.fetch_or(
+                                        fed.load(Ordering::SeqCst) < CHILDREN,
+                                        Ordering::SeqCst,
+                                    );
+                                    assert!(io.try_flush().unwrap());
+                                }
+                                if ready {
+                                    break;
+                                }
+                                if next(&mut x).is_multiple_of(2) {
+                                    std::thread::yield_now();
+                                }
+                            }
+                            assert_eq!(read, ours.len(), "the endpoint read another's");
+                        });
+                        s.spawn(|| {
+                            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(msg);
+                            for &child in theirs {
+                                fed.fetch_add(1, Ordering::SeqCst);
+                                accept(&mut in_tx, vec![sync(child, msg)]);
+                                if next(&mut x).is_multiple_of(2) {
+                                    std::thread::yield_now();
+                                }
+                                m.poll();
+                                if !link_rx.is_empty() {
+                                    early.fetch_or(
+                                        fed.load(Ordering::SeqCst) < CHILDREN,
+                                        Ordering::SeqCst,
+                                    );
+                                }
+                            }
+                        });
+                    });
+                    let sent: Vec<_> = tags(&lane_rx).into_iter().chain(tags(&link_rx)).collect();
+                    let at = format!("seed {seed}, split {split}, message {msg}");
+                    assert!(!early.load(Ordering::SeqCst), "{at}: announced early");
+                    assert_eq!(sent, [(1, 0, msg)], "{at}");
+                    let counted = m.forwards.load(Ordering::Relaxed) - before;
+                    assert_eq!(counted, theirs.len() as u64, "{at}");
+                }
+            }
+        }
     }
 
     /// One output of depth `out_depth`, `inputs` inputs, persistence `r`.

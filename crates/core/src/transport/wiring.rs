@@ -22,9 +22,9 @@ use smi_codegen::{ClusterDesign, OpKind, OpSpec};
 use smi_topology::{NextHop, RoutingPlan, Topology};
 use smi_wire::{Header, PacketOp};
 
-use crate::endpoint::{CksLanes, EndpointTable, FanOut, PacketRx, PortRes};
+use crate::endpoint::{CksLanes, EndpointTable, PacketRx, PortRes};
 use crate::params::RuntimeParams;
-use crate::transport::ck::{CkMachine, Route};
+use crate::transport::ck::{CkMachine, PortTree, Route};
 use crate::transport::executor::{Pollable, Wake};
 use crate::transport::link::{burst_queue, fifo, LinkRx, LinkTx, QueueTx, Transport};
 use crate::transport::socket::FabricHealth;
@@ -74,16 +74,31 @@ fn take_link<T>(links: &mut HashMap<(usize, usize), T>, rank: usize, qsfp: usize
     half.unwrap_or_else(|| panic!("no link half for endpoint ({rank},{qsfp})"))
 }
 
-/// Delivery targets of one port at one rank, which every CKR of the rank
-/// writes directly.
+/// Where every CKR of a rank delivers one port's packets: one entry of the
+/// rank's dense route table, indexed by port.
 #[derive(Default)]
-struct PortDelivery {
-    /// Producer into the data/sync delivery.
-    data: Option<QueueTx>,
-    /// Producer into the credit delivery.
-    credit: Option<QueueTx>,
-    /// A bcast port's fan-out.
-    fan_out: Option<FanOut>,
+struct PortRoute {
+    /// CKR output of the data/sync delivery.
+    data: Option<usize>,
+    /// CKR output of the credit delivery.
+    credit: Option<usize>,
+    /// A bcast port's fan-out and readiness fold.
+    tree: Option<PortTree>,
+}
+
+impl PortRoute {
+    /// The verdict on a packet of `op` that reached its destination rank.
+    fn route(&self, op: PacketOp) -> Route {
+        let local = if op == PacketOp::Credit {
+            self.credit
+        } else {
+            self.data
+        };
+        let Some(local) = local else {
+            return Route::Drop;
+        };
+        (self.tree.as_ref()).map_or(Route::Output(local), |tree| tree.route(op, local))
+    }
 }
 
 /// Build channels and CK machines for the ranks this process hosts, wiring
@@ -199,7 +214,10 @@ pub(crate) fn build_transport(
             next_pair: next_pair.clone(),
             bound,
         };
-        let mut deliveries: HashMap<usize, PortDelivery> = HashMap::new();
+        // The dense route table: port -> its CKR outputs, after the `np`
+        // links, and its tree. `delivery_tx[i]` feeds output `np + i`.
+        let mut delivery_tx: Vec<QueueTx> = Vec::new();
+        let mut routes: Vec<PortRoute> = Vec::new();
         for b in &rank_design.bindings {
             let (op, bd) = (b.op, b.op.buffer_depth);
             // Lane depth and the depths of the data and credit deliveries;
@@ -219,17 +237,22 @@ pub(crate) fn build_transport(
                 _ => (ep, Some(ep.max(n)), Some(bd.max(4).max(n))),
             };
             let to_cks = lanes(lane_depth, b.ck_pair);
-            let d = deliveries.entry(op.port).or_default();
-            let half = |slot: &mut Option<QueueTx>, depth: Option<usize>| {
+            if routes.len() <= op.port {
+                routes.resize_with(op.port + 1, PortRoute::default);
+            }
+            let route = &mut routes[op.port];
+            let mut half = |slot: &mut Option<usize>, depth: Option<usize>| {
                 let (tx, rx) = burst_queue(depth?);
-                assert!(slot.replace(tx).is_none(), "a port delivered twice");
+                let out = np + delivery_tx.len();
+                assert!(slot.replace(out).is_none(), "a port delivered twice");
+                delivery_tx.push(tx);
                 Some(PacketRx::new(rx, meter.clone()))
             };
-            let rx = half(&mut d.data, data_depth);
-            let credit_rx = half(&mut d.credit, credit_depth);
+            let rx = half(&mut route.data, data_depth);
+            let credit_rx = half(&mut route.credit, credit_depth);
             let res = PortRes::new(&op, to_cks, rx, credit_rx);
-            if let Some(fan_out) = &res.fan_out {
-                d.fan_out = Some(fan_out.clone());
+            if let Some(tree) = &res.tree {
+                route.tree = Some(tree.clone());
             }
             table.put(op.port, op.kind, res);
         }
@@ -249,7 +272,13 @@ pub(crate) fn build_transport(
         // enters, the one CKR it entered by. A tree bcast's copy keeps that
         // rule: its stream (root → child) is written only by the CKR the
         // parent's stream enters by, which puts each copy on the link of
-        // the child's next hop before it delivers the frame itself.
+        // the child's next hop before it delivers the frame itself. An
+        // interior's ready announcement (interior → parent) has exactly one
+        // producer per message: its CKS, when the endpoint counted the last
+        // child, or the CKR that did, which writes the parent's link itself.
+        // Consecutive messages' announcements cannot pass each other: the
+        // next is armed only after this message's data, which the root sent
+        // only once this announcement had arrived.
         let links: Vec<LinkTx> = pairs
             .iter()
             .map(|&q| take_link(&mut link_tx, r, q))
@@ -265,20 +294,7 @@ pub(crate) fn build_transport(
             cks_out.push(vec![link, Box::new(to_ckr)]);
             ckr_in.push(vec![take_link(&mut link_rx, r, pairs[p]), from_cks]);
         }
-        // (port, is_credit) -> CKR output index, after the `np` links, and
-        // the port's fan-out.
-        let mut delivery_tx: Vec<QueueTx> = Vec::new();
-        let mut delivery_idx: HashMap<(usize, bool), (usize, Option<FanOut>)> = HashMap::new();
-        for (port, d) in deliveries {
-            for (is_credit, tx) in [(false, d.data), (true, d.credit)] {
-                if let Some(tx) = tx {
-                    let out = (np + delivery_tx.len(), d.fan_out.clone());
-                    delivery_idx.insert((port, is_credit), out);
-                    delivery_tx.push(tx);
-                }
-            }
-        }
-        let delivery_idx = Arc::new(delivery_idx);
+        let routes = Arc::new(routes);
 
         // --- CKS machines ---
         for (p, (inputs, outputs)) in cks_in.into_iter().zip(cks_out).enumerate() {
@@ -308,30 +324,20 @@ pub(crate) fn build_transport(
         // drop with `delivery_tx`, so a delivery closes with its last CKR.
         for (p, (inputs, mut outputs)) in ckr_in.into_iter().zip(ckr_out).enumerate() {
             outputs.extend(delivery_tx.iter().map(|tx| tx.share()));
-            let (next_pair, delivery_idx) = (next_pair.clone(), delivery_idx.clone());
+            let (next_pair, routes) = (next_pair.clone(), routes.clone());
             machines.push(Box::new(CkMachine::new(
                 r,
                 ckr_wake[p].clone(),
                 inputs,
                 outputs,
+                // A pair is its link's output: an interior tree-bcast
+                // member's copies and announcement go straight onto links.
                 Box::new(move |h: &Header| match next_pair.get(h.dst as usize) {
                     Some(&t) if t < np => Route::Output(t),
-                    Some(_) => {
-                        let key = (h.port as usize, h.op == PacketOp::Credit);
-                        let Some((local, fan_out)) = delivery_idx.get(&key) else {
-                            return Route::Drop;
-                        };
-                        // An interior tree-bcast member's children get their
-                        // copies first; a child's pair is its link's output.
-                        let bcast = fan_out.as_ref().filter(|_| h.op == PacketOp::Bcast);
-                        match bcast.map(|f| f.lock().clone()) {
-                            Some(copies) if !copies.is_empty() => Route::Multicast {
-                                copies,
-                                local: *local,
-                            },
-                            _ => Route::Output(*local),
-                        }
-                    }
+                    Some(_) => match routes.get(h.port as usize) {
+                        Some(port) => port.route(h.op),
+                        None => Route::Drop,
+                    },
                     None => Route::Drop,
                 }),
                 params.poll_persistence,
