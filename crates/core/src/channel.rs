@@ -444,7 +444,7 @@ mod tests {
     use super::*;
     use crate::endpoint::{CksLanes, EndpointTable, PacketRx, PortRes};
     use crate::transport::link::{burst_queue, LinkSend, QueueTx};
-    use crate::transport::socket::{FabricHealth, PeerDown, PeerDownKind};
+    use crate::transport::socket::{FabricHealth, PeerDown, PeerDownKind, PeerInfo};
     use crate::transport::{Burst, CopyMeter};
     use crossbeam::channel::{bounded, Receiver};
     use smi_codegen::OpSpec;
@@ -480,10 +480,12 @@ mod tests {
 
     fn peer_dies(health: &FabricHealth) {
         health.mark_down(PeerDown {
-            rank: 1,
-            process: 1,
-            backend: "uds",
-            addr: String::new(),
+            peer: PeerInfo {
+                rank: 1,
+                process: 1,
+                backend: "uds",
+                addr: String::new(),
+            },
             detail: String::new(),
             kind: PeerDownKind::Link,
         });

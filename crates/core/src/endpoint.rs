@@ -976,13 +976,15 @@ mod tests {
     /// A stall that a recorded peer death explains ends as that death.
     #[test]
     fn a_stall_a_dead_peer_explains_ends_as_its_error() {
-        use crate::transport::socket::{PeerDown, PeerDownKind};
+        use crate::transport::socket::{PeerDown, PeerDownKind, PeerInfo};
         let s = stall(10, None);
         s.health().mark_down(PeerDown {
-            rank: 3,
-            process: 1,
-            backend: "uds",
-            addr: String::new(),
+            peer: PeerInfo {
+                rank: 3,
+                process: 1,
+                backend: "uds",
+                addr: String::new(),
+            },
             detail: String::new(),
             kind: PeerDownKind::Link,
         });

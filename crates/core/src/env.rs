@@ -416,7 +416,7 @@ pub(crate) fn stall_message(stalled: &[usize], diag: &FabricDiag) -> String {
     if let Some(pd) = diag.health.peer_down() {
         msg.push_str(&format!(
             "; peer rank {} is down (process {}, {} {}): {}",
-            pd.rank, pd.process, pd.backend, pd.addr, pd.detail
+            pd.peer.rank, pd.peer.process, pd.peer.backend, pd.peer.addr, pd.detail
         ));
     } else if diag.health.any_reconnecting() {
         let peers: Vec<String> = diag
@@ -1038,7 +1038,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::socket::{FabricHealth, PeerDown, PeerDownKind, ReconnectInfo};
+    use crate::transport::socket::{FabricHealth, PeerDown, PeerDownKind, PeerInfo, ReconnectInfo};
 
     /// The unit-level twin of `rank_task_panic_propagates_like_a_rank_thread_panic`
     /// (`tests/split.rs`): a *machine* panics on a worker that holds no rank
@@ -1113,10 +1113,12 @@ mod tests {
     fn stall_message_prefers_peer_down_details() {
         let health = FabricHealth::default();
         health.mark_down(PeerDown {
-            rank: 2,
-            process: 1,
-            backend: "tcp",
-            addr: "tcp://127.0.0.1:4444".to_string(),
+            peer: PeerInfo {
+                rank: 2,
+                process: 1,
+                backend: "tcp",
+                addr: "tcp://127.0.0.1:4444".to_string(),
+            },
             detail: "connection reset by peer".to_string(),
             kind: PeerDownKind::Link,
         });

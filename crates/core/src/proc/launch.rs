@@ -409,6 +409,39 @@ fn accept_data(listener: &SocketListener, deadline: Instant) -> io::Result<Socke
     }
 }
 
+/// Accept one bootstrap stream from each process in `expected` (the `hi` of
+/// every crossing pair this process listens for) before `deadline`. A hello
+/// that resumes, or names a process not (or no longer) expected, is
+/// `InvalidData`: the group wiring indexes the plan by it.
+fn accept_peers(
+    listener: &SocketListener,
+    mut expected: Vec<usize>,
+    deadline: Instant,
+    timeout: Duration,
+) -> io::Result<Vec<PeerStream>> {
+    let mut streams = Vec::new();
+    while !expected.is_empty() {
+        let mut s = accept_data(listener, deadline)?;
+        s.set_read_timeout(Some(timeout))?;
+        let hello = recv_hello(&mut s)?;
+        let at = expected
+            .iter()
+            .position(|&p| p == hello.proc && !hello.resume);
+        let Some(at) = at else {
+            let msg = format!("bootstrap {hello:?} is from none of the peers {expected:?}");
+            return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+        };
+        expected.swap_remove(at);
+        streams.push(PeerStream {
+            proc: hello.proc,
+            stream: s,
+            session: hello.session,
+            role: StreamRole::Accept,
+        });
+    }
+    Ok(streams)
+}
+
 /// The [`Redial`] for a peer's advertised data-listener address.
 fn redial_for(backend: TransportBackend, addr: &str) -> io::Result<Redial> {
     match backend {
@@ -518,25 +551,9 @@ fn child_run(o: &Opts) -> Result<i32, String> {
             });
         }
     }
-    let accepts = pairs.iter().filter(|&&(lo, _)| lo == me).count();
-    for _ in 0..accepts {
-        let mut s = accept_data(&listener, deadline).map_err(|e| e.to_string())?;
-        s.set_read_timeout(Some(timeout))
-            .map_err(|e| e.to_string())?;
-        let hello = recv_hello(&mut s).map_err(|e| format!("peer hello: {e}"))?;
-        if hello.resume {
-            return Err(format!(
-                "process {} sent a resume hello during bootstrap",
-                hello.proc
-            ));
-        }
-        streams.push(PeerStream {
-            proc: hello.proc,
-            stream: s,
-            session: hello.session,
-            role: StreamRole::Accept,
-        });
-    }
+    let expected = pairs.iter().filter(|&&(lo, _)| lo == me).map(|&(_, hi)| hi);
+    let accepted = accept_peers(&listener, expected.collect(), deadline, timeout);
+    streams.extend(accepted.map_err(|e| format!("peer hello: {e}"))?);
 
     boot.send_line(&format!("wired {me}"))
         .map_err(|e| format!("bootstrap wired: {e}"))?;
@@ -955,5 +972,58 @@ mod tests {
         let s = connect_with_retry(&redial, &policy, 9).unwrap();
         drop(s);
         let _ = binder.join();
+    }
+
+    /// A bootstrap dial whose hello names a process this one does not
+    /// expect (out of the plan's range, or one already wired) is a typed
+    /// error, never a stream the wiring would index the plan by.
+    #[test]
+    fn bootstrap_accepts_only_expected_peers_once() {
+        let deadline = || Instant::now() + Duration::from_secs(10);
+        let timeout = Duration::from_secs(10);
+        for (tag, hellos, expected) in [
+            ("bad-proc", vec![Hello::initial(1 << 20, 7)], vec![1]),
+            (
+                "twice",
+                vec![Hello::initial(1, 7), Hello::initial(1, 8)],
+                vec![1, 2],
+            ),
+            (
+                "resume",
+                vec![Hello {
+                    resume: true,
+                    ..Hello::initial(1, 7)
+                }],
+                vec![1],
+            ),
+        ] {
+            let (listener, redial) = bind_data_listener(TransportBackend::Uds, tag).unwrap();
+            let dials: Vec<SocketStream> = hellos
+                .iter()
+                .map(|h| {
+                    let mut s = redial.connect().unwrap();
+                    send_hello(&mut s, h).unwrap();
+                    s
+                })
+                .collect();
+            let err = accept_peers(&listener, expected, deadline(), timeout)
+                .err()
+                .unwrap_or_else(|| panic!("{tag}: a bad hello was accepted"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{tag}: {err}");
+            drop(dials);
+        }
+        // The expected peers, each once and in any order, are accepted.
+        let (listener, redial) = bind_data_listener(TransportBackend::Uds, "good").unwrap();
+        let _dials: Vec<SocketStream> = [2, 1]
+            .into_iter()
+            .map(|p| {
+                let mut s = redial.connect().unwrap();
+                send_hello(&mut s, &Hello::initial(p, 40 + p as u64)).unwrap();
+                s
+            })
+            .collect();
+        let streams = accept_peers(&listener, vec![1, 2], deadline(), timeout).unwrap();
+        let got: Vec<(usize, u64)> = streams.iter().map(|p| (p.proc, p.session)).collect();
+        assert_eq!(got, [(2, 42), (1, 41)]);
     }
 }

@@ -41,7 +41,7 @@ use crate::transport::executor::Pollable;
 use crate::transport::faults::FaultPlan;
 use crate::transport::socket::{
     fresh_session_id, ConnConfig, FabricHealth, PeerInfo, ReconnectHub, ReconnectRole, Redial,
-    SocketConn, SocketListener, SocketStream,
+    Session, SocketConn, SocketListener, SocketStream,
 };
 use crate::transport::wiring::FabricLinks;
 use crate::transport::TransportStats;
@@ -371,16 +371,14 @@ pub(crate) fn build_group_fabric(
             peer: info,
             recv_keys: recv_keys.clone(),
             replay_budget: params.stream_replay_budget,
-            policy: params.stream_reconnect,
+            session: Session::new(ps.session, me, peer, params.stream_reconnect),
             role,
-            session: ps.session,
-            local_proc: me,
             faults: faults.and_then(|fp| fp.injector_for(me, peer)),
-            copies: stats.payload_copies.clone(),
-            wire: stats.wire.clone(),
+            stats: stats.clone(),
             run_complete: wiring.run_complete.clone(),
         };
-        let (conn, pump) = SocketConn::new(ps.stream, cfg, health.clone())?;
+        ps.stream.set_nonblocking(true)?;
+        let (conn, pump) = SocketConn::new(ps.stream, cfg, health.clone());
         for key in tx_keys {
             ext_tx.insert(key, conn.tx(key.0, key.1));
         }

@@ -11,7 +11,7 @@
 //!   CK machines together, so a rank's FIFOs are touched by one thread and
 //!   only block-boundary links cross workers. Machines without a rank —
 //!   socket pumps, one per connection — are dealt round-robin. A process's
-//!   data listener is not a machine: nothing polls it (`socket.rs`).
+//!   data listener is not a machine: nothing polls it (`transport::socket`).
 //! * **Run queues** — a worker takes batches of at most
 //!   [`ExecutorConfig::batch`] machines from its queue, and never more than
 //!   half of it while a sibling could steal: the rest stays visible to
