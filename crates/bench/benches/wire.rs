@@ -2,7 +2,7 @@
 //! framing throughput (the per-element cost inside SMI_Push/SMI_Pop).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use smi_wire::{Datatype, Deframer, Framer, Header, NetworkPacket, PacketOp};
+use smi_wire::{Datatype, Deframer, Framer, Header, NetworkPacket, PacketOp, PacketRun};
 
 fn bench_header(c: &mut Criterion) {
     let mut g = c.benchmark_group("header");
@@ -67,6 +67,25 @@ fn bench_framing(c: &mut Criterion) {
                 }
             }
             black_box(sum)
+        })
+    });
+    // The path receivers ship: the same stream drained by span pops, once
+    // from the packets and once from one run of the whole message.
+    let elems: Vec<f32> = (0..N).map(|i| i as f32).collect();
+    let run = PacketRun::from_elems(0, 1, 0, PacketOp::Send, &elems).payload;
+    let mut out = vec![0.0f32; N];
+    g.throughput(Throughput::Elements(2 * N as u64));
+    g.bench_function("deframe_f32_stream_slice", |b| {
+        b.iter(|| {
+            let mut df = Deframer::new(Datatype::Float);
+            let mut filled = 0;
+            for p in &pkts {
+                df.refill(*p);
+                filled += df.pop_slice(&mut out[filled..]);
+            }
+            df.refill_run(run.clone());
+            filled += df.pop_slice(&mut out[..]);
+            black_box((filled, out[N - 1]))
         })
     });
     g.finish();

@@ -392,9 +392,14 @@ impl<T: SmiType> RecvChannel<T> {
                     None => break,
                 }
             }
-            filled += self.drain_deframer(&mut out[filled..]);
+            // The entry check bounds `out` by the channel count.
+            let n = self.deframer.pop_slice(&mut out[filled..]);
+            filled += n;
+            self.received += n as u64;
             self.maybe_grant()?;
         }
+        // The final copy, into the consumer's slice: one charge per call.
+        self.io.meter().add_bytes(filled * T::DATATYPE.size_bytes());
         if filled == 0 && !out.is_empty() {
             // Nothing buffered and nothing can arrive from a dead peer
             // process: fail fast instead of polling forever.
@@ -403,18 +408,6 @@ impl<T: SmiType> RecvChannel<T> {
             }
         }
         Ok(filled)
-    }
-
-    /// Move elements from the deframer into `out`, bounded by the channel
-    /// count; updates progress.
-    fn drain_deframer(&mut self, out: &mut [T]) -> usize {
-        let cap = out.len().min((self.count - self.received) as usize);
-        let n = self.deframer.pop_slice(&mut out[..cap]);
-        // The final, semantically required copy: elements land in the
-        // consumer's slice.
-        self.io.meter().add_bytes(n * T::DATATYPE.size_bytes());
-        self.received += n as u64;
-        n
     }
 
     /// Elements popped so far.

@@ -223,10 +223,11 @@ impl<T: SmiType> BcastChannel<T> {
                     }
                 }
                 let n = self.deframer.pop_slice(&mut data[filled..]);
-                self.io.meter().add_bytes(n * T::DATATYPE.size_bytes());
                 filled += n;
                 self.done += n as u64;
             }
+            // The final copy, into the member's slice: one charge per call.
+            self.io.meter().add_bytes(filled * T::DATATYPE.size_bytes());
             if self.done == self.count {
                 self.advance()?;
             }

@@ -51,7 +51,7 @@ use crate::comm::{Communicator, SplitBoard};
 use crate::endpoint::{new_table, EndpointTableHandle};
 use crate::params::RuntimeParams;
 use crate::proc::{
-    build_group_fabric, proc_of, setup_groups, GroupFabric, GroupWiring, ProcessPlan,
+    build_group_fabric, eprint_line, proc_of, setup_groups, GroupFabric, GroupWiring, ProcessPlan,
     TransportBackend,
 };
 pub use crate::transport::executor::WorkerStats;
@@ -845,7 +845,7 @@ fn await_tasks(
                     .collect();
                 if stalled.len() == remaining {
                     let ranks: Vec<usize> = stalled.iter().map(|&i| world[i]).collect();
-                    eprintln!("{}", stall_message(&ranks, diag));
+                    eprint_line(&stall_message(&ranks, diag));
                     let peer_down = diag.health.error();
                     for i in stalled {
                         results[i] = match &peer_down {

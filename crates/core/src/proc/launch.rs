@@ -47,8 +47,8 @@ use smi_codegen::{OpSpec, ProgramMeta};
 use smi_wire::{Datatype, ReduceOp};
 
 use super::{
-    bind_data_listener, crossing_pairs, GroupWiring, PeerStream, ProcessPlan, StreamRole,
-    TransportBackend,
+    bind_data_listener, crossing_pairs, eprint_line, GroupWiring, PeerStream, ProcessPlan,
+    StreamRole, TransportBackend,
 };
 use crate::collectives::CollectiveScheme;
 use crate::env::{run_group, Bodies, SmiCtx};
@@ -230,7 +230,7 @@ pub fn launch_cli(args: Vec<String>) -> i32 {
     let opts = match Opts::parse(args) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("smi-launch: {e}\n{USAGE}");
+            eprint_line(&format!("smi-launch: {e}\n{USAGE}"));
             return 2;
         }
     };
@@ -238,7 +238,7 @@ pub fn launch_cli(args: Vec<String>) -> i32 {
         match child_run(&opts) {
             Ok(code) => code,
             Err(e) => {
-                eprintln!("smi-launch[child {}]: {e}", opts.proc_idx);
+                eprint_line(&format!("smi-launch[child {}]: {e}", opts.proc_idx));
                 4
             }
         }
@@ -246,7 +246,7 @@ pub fn launch_cli(args: Vec<String>) -> i32 {
         match launcher_run(&opts) {
             Ok(code) => code,
             Err(e) => {
-                eprintln!("smi-launch: {e}");
+                eprint_line(&format!("smi-launch: {e}"));
                 2
             }
         }
@@ -597,16 +597,16 @@ fn child_run(o: &Opts) -> Result<i32, String> {
     )
     .map_err(|e| e.to_string())?;
     if outcome.reconnects_healed > 0 {
-        eprintln!(
+        eprint_line(&format!(
             "smi-launch[child {me}]: healed {} mid-stream reconnect(s)",
             outcome.reconnects_healed
-        );
+        ));
     }
 
     let mut failed = false;
     for (rank, res) in outcome.results {
         if let Err(e) = res {
-            eprintln!("smi-launch[child {me}]: rank {rank} failed: {e}");
+            eprint_line(&format!("smi-launch[child {me}]: rank {rank} failed: {e}"));
             failed = true;
         }
     }
@@ -887,7 +887,7 @@ fn launcher_run(o: &Opts) -> Result<i32, String> {
     }
 
     if let Some(msg) = failure {
-        eprintln!("smi-launch: {msg}");
+        eprint_line(&format!("smi-launch: {msg}"));
         return Ok(1);
     }
     println!(

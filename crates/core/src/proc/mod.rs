@@ -51,6 +51,13 @@ mod launch;
 
 pub use launch::launch_cli;
 
+/// Print `line` and a newline to stderr in one `write(2)`. The processes of
+/// a launch share one stderr, and `eprintln!` writes a line in pieces that
+/// a sibling's line can split.
+pub(crate) fn eprint_line(line: &str) {
+    let _ = io::Write::write_all(&mut io::stderr().lock(), format!("{line}\n").as_bytes());
+}
+
 /// Which carrier moves bursts between processes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportBackend {

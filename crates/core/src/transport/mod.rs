@@ -36,10 +36,13 @@ pub struct CopyMeter {
 }
 
 impl CopyMeter {
-    /// Record `n` payload bytes copied.
+    /// Record `n` payload bytes copied. A zero charge (an empty poll)
+    /// touches no shared cache line.
     #[inline]
     pub fn add_bytes(&self, n: usize) {
-        self.bytes.fetch_add(n as u64, Ordering::Relaxed);
+        if n > 0 {
+            self.bytes.fetch_add(n as u64, Ordering::Relaxed);
+        }
     }
 
     /// Record the payload area of `n` inline data packets copied (a packet
@@ -70,10 +73,7 @@ pub(crate) fn inline_data_packets(burst: &[Frame]) -> usize {
 /// Count the inline data packets of a burst into a meter.
 #[inline]
 pub(crate) fn meter_inline_data(meter: &CopyMeter, burst: &[Frame]) {
-    let inline_data = inline_data_packets(burst);
-    if inline_data > 0 {
-        meter.add_packets(inline_data);
-    }
+    meter.add_packets(inline_data_packets(burst));
 }
 
 /// A multicast's copies: `(child's wire rank, CK pair of its next hop)` per

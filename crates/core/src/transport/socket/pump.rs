@@ -263,10 +263,7 @@ fn meter_outbound(copies: &CopyMeter, burst: &[Frame]) {
         Frame::Run(r) => Some(r.payload.len()),
         Frame::Pkt(_) => None,
     });
-    let bytes: usize = runs.sum();
-    if bytes > 0 {
-        copies.add_bytes(bytes);
-    }
+    copies.add_bytes(runs.sum());
     meter_inline_data(copies, burst);
 }
 
@@ -607,9 +604,7 @@ impl<S: Stream> SocketPump<S> {
                     // then, so only an accepted decode is charged).
                     break;
                 }
-                if inline > 0 {
-                    self.shared.copies.add_packets(inline);
-                }
+                self.shared.copies.add_packets(inline);
                 self.session.delivered(h.seq);
             } // else: already delivered (replay overlap, injected duplicate)
             self.rpos += need;

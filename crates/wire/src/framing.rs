@@ -4,6 +4,10 @@
 //! accumulates data items until a network packet is full. The packet is then
 //! forwarded to CKS […] Pop internally unpacks data returned from CKR, and
 //! transmits it to the application one element at a time."
+//!
+//! That is the width of [`Deframer::pop`]. The bulk [`Deframer::pop_slice`]
+//! moves a span instead: one bounds-checked byte range per call, converted
+//! in a single loop the compiler can vectorise.
 
 use crate::run::{Frame, PacketRun, PayloadRun};
 use crate::{Datatype, NetworkPacket, PacketOp, SmiType};
@@ -250,15 +254,22 @@ impl Deframer {
 
     /// Pop up to `out.len()` elements into `out`, returning how many were
     /// written (bounded by the valid remainder of the current segment). The
-    /// bulk analogue of [`Deframer::pop`].
+    /// bulk analogue of [`Deframer::pop`]: the segment is matched and its
+    /// byte span sliced once per call, then converted in one loop.
     #[inline]
     pub fn pop_slice<T: SmiType>(&mut self, out: &mut [T]) -> usize {
         debug_assert_eq!(T::DATATYPE.size_bytes(), self.dtype.size_bytes());
+        let sz = T::DATATYPE.size_bytes();
         let n = (self.valid - self.next).min(out.len());
-        for slot in out[..n].iter_mut() {
-            *slot = self.read_elem::<T>(self.next);
-            self.next += 1;
+        let bytes = match &self.seg {
+            Segment::Inline(p) => &p.payload[..],
+            Segment::Run(r) => r.as_slice(),
+        };
+        let span = &bytes[self.next * sz..(self.next + n) * sz];
+        for (slot, src) in out[..n].iter_mut().zip(span.chunks_exact(sz)) {
+            *slot = T::read_le(src);
         }
+        self.next += n;
         n
     }
 

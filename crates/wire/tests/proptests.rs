@@ -1,8 +1,11 @@
 //! Property-based tests for the SMI wire format.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use smi_wire::{
-    Datatype, Deframer, Frame, Framer, Header, NetworkPacket, PacketOp, ReduceOp, SmiType,
+    Datatype, Deframer, Frame, Framer, Header, NetworkPacket, PacketOp, PayloadRun, ReduceOp,
+    SmiType,
 };
 
 fn arb_op() -> impl Strategy<Value = PacketOp> {
@@ -67,7 +70,84 @@ fn frame_like_a_sender<T: SmiType + PartialEq + std::fmt::Debug>(
     Ok(())
 }
 
+/// Elements as their little-endian bytes: a bit-exact comparison that
+/// NaNs pass too.
+fn le<T: SmiType>(values: &[T]) -> Vec<u8> {
+    let sz = T::DATATYPE.size_bytes();
+    let mut bytes = vec![0; values.len() * sz];
+    for (v, dst) in values.iter().zip(bytes.chunks_exact_mut(sz)) {
+        v.write_le(dst);
+    }
+    bytes
+}
+
+/// Feed two deframers the same segments: `(inline, elems, off, pre)` is an
+/// inline packet of `elems % (epp + 1)` elements, or a run of `elems`
+/// elements viewed `off` bytes into a shared buffer (the socket receive
+/// path), with `pre` elements popped singly from both first. One drains by
+/// `pop_slice` calls of the `outs` lengths and then one longer than the
+/// segment, the other by `pop`: outputs, counts and `is_empty` must agree
+/// after every call, and `pop_slice` must leave `out` past its count alone.
+fn span_pop_matches_pop<T: SmiType>(
+    noise: &[u8],
+    segments: &[(bool, usize, usize, usize)],
+    outs: &[usize],
+) -> Result<(), TestCaseError> {
+    let (sz, epp) = (T::DATATYPE.size_bytes(), T::DATATYPE.elems_per_packet());
+    let byte = |i: usize| noise[i % noise.len()];
+    let sentinel = T::read_le(&[0xa5; 8][..sz]);
+    let mut span = Deframer::new(T::DATATYPE);
+    let mut single = Deframer::new(T::DATATYPE);
+    for (at, &(inline, elems, off, pre)) in segments.iter().enumerate() {
+        if inline {
+            let mut p = NetworkPacket::new(0, 1, 0, PacketOp::Send);
+            for (i, b) in p.payload.iter_mut().enumerate() {
+                *b = byte(at + i);
+            }
+            p.header.count = (elems % (epp + 1)) as u8;
+            span.refill(p);
+            single.refill(p);
+        } else {
+            let buf: Arc<[u8]> = (0..off + elems * sz + 3).map(|i| byte(at + i)).collect();
+            let run = PayloadRun::from_shared(buf, off, elems * sz);
+            span.refill_run(run.clone());
+            single.refill_run(run);
+        }
+        for _ in 0..pre {
+            let (a, b) = (span.pop::<T>(), single.pop::<T>());
+            prop_assert_eq!(le(a.as_slice()), le(b.as_slice()));
+        }
+        for &len in outs.iter().chain([elems + 1].iter()) {
+            let mut out = vec![sentinel; len];
+            let n = span.pop_slice(&mut out);
+            let want: Vec<T> = (0..len).map_while(|_| single.pop::<T>()).collect();
+            prop_assert_eq!(n, want.len());
+            prop_assert_eq!(le(&out[..n]), le(&want));
+            prop_assert_eq!(le(&out[n..]), le(&vec![sentinel; len - n]));
+            prop_assert_eq!(span.is_empty(), single.is_empty());
+        }
+        prop_assert!(span.is_empty(), "a longer-than-segment call drains it");
+    }
+    Ok(())
+}
+
 proptest! {
+    /// The span pop is the element-wise pop, for every datatype, on inline
+    /// packets and on run views at any offset, after any partial drain and
+    /// for any `out` length.
+    #[test]
+    fn pop_slice_matches_elementwise_pop(
+        noise in prop::collection::vec(any::<u8>(), 1..64),
+        segments in prop::collection::vec((any::<bool>(), 0usize..40, 0usize..33, 0usize..8), 1..6),
+        outs in prop::collection::vec(0usize..50, 0..6),
+    ) {
+        span_pop_matches_pop::<u8>(&noise, &segments, &outs)?;
+        span_pop_matches_pop::<i16>(&noise, &segments, &outs)?;
+        span_pop_matches_pop::<i32>(&noise, &segments, &outs)?;
+        span_pop_matches_pop::<f32>(&noise, &segments, &outs)?;
+        span_pop_matches_pop::<f64>(&noise, &segments, &outs)?;
+    }
+
     /// The one run-or-packet decision, against a credit-window sender's
     /// calls: bytes (28 per packet) and doubles (3 per packet).
     #[test]

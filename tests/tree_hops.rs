@@ -402,7 +402,9 @@ const POLLS: f64 = 1.01 * 1409.0;
 /// writes its child's link itself, and so does the CKR that counts an
 /// interior's last child with the interior's announcement. While the
 /// interiors' rank tasks sent those, the CKSs read 431 (30 more); while
-/// they relayed the data too, 1.002 per delivered packet.
+/// they relayed the data too, 1.002 per delivered packet. The payload is
+/// copied 32 times: framed once at the root (a run a CKR's multicast only
+/// re-addresses) and deframed once into each receiver's slice.
 #[test]
 fn bus_broadcast_packets_cross_one_ckr_each() {
     const PACKETS: usize = 400;
@@ -420,13 +422,20 @@ fn bus_broadcast_packets_cross_one_ckr_each() {
     // `-- --nocapture` shows the reading the docs quote.
     println!(
         "per delivered packet: {:.3} CKR forwards, {:.3} CKS forwards, {:.3} polls \
-         ({ckr_forwards} CKR, {cks_forwards} CKS forwards, {} polls)",
+         ({ckr_forwards} CKR, {cks_forwards} CKS forwards, {} polls, {} payload bytes copied)",
         per_delivered(ckr_forwards),
         per_delivered(cks_forwards),
         per_delivered(stats.polls),
-        stats.polls
+        stats.polls,
+        report.payload_copies
     );
     assert_eq!(unroutable, 0);
+    let message_bytes = PACKETS * EPP * Datatype::Int.size_bytes();
+    assert_eq!(
+        report.payload_copies,
+        (32 * message_bytes) as u64,
+        "one framing copy at the root, one deframe copy per receiver"
+    );
     assert_eq!(
         ckr_forwards,
         (delivered + 31) as u64,
