@@ -8,15 +8,16 @@
 //! frame onto each child's link before delivering the frame locally — one
 //! kernel crossing per tree hop. The interior then receives like a leaf.
 //!
-//! Its readiness does not pass through the rank task either. At open the
-//! interior arms its port's fold with its own ready-`Sync`
-//! (`PortIo::arm`); each child's ready-`Sync` is counted by whoever meets
-//! it — a CKR of the rank as it routes it, or the endpoint as it reads it
-//! (`PortIo::fold_ready`) — and the one that counts the last child sends
-//! the interior's own on toward its parent: a CKR straight onto the
-//! parent's link, the endpoint through its lane. So the subtree's
-//! readiness climbs the tree at kernel speed; only the root's endpoint
-//! reads every announcement addressed to it.
+//! Readiness does not pass through a rank task either. A CKR of the rank
+//! counts every ready-`Sync` into the port's tally, per sender. At open a
+//! member arms the port with the children it waits for (`PortIo::arm`),
+//! claiming those already tallied, and a non-root with its own ready-`Sync`
+//! too; a CKR claims each later child as it routes its `Sync`. Whoever
+//! claims the last child sends the member's own on toward its parent: the
+//! open through the endpoint's lane, a CKR straight onto the parent's link.
+//! So the subtree's readiness climbs the tree at kernel speed, and no
+//! member — the root included — reads a `Sync`: its `Opening` state is one
+//! check that no child is still awaited.
 
 use std::marker::PhantomData;
 
@@ -25,7 +26,7 @@ use smi_wire::{Deframer, Frame, Framer, NetworkPacket, PacketOp, SmiType};
 use crate::collectives::topology::WireEdges;
 use crate::collectives::{CollectivePoll, CollectiveState};
 use crate::comm::Communicator;
-use crate::endpoint::{expect_op, refill, BlockingStep, EndpointTableHandle, PortIo};
+use crate::endpoint::{refill, BlockingStep, EndpointTableHandle, PortIo};
 use crate::params::RuntimeParams;
 use crate::SmiError;
 
@@ -47,7 +48,7 @@ use crate::SmiError;
 /// ([`crate::collectives::topology`]: every edge as short as the routed
 /// topology allows, one physical link on the regular topologies) in which
 /// an interior node's *subtree* is announced ready once its children are —
-/// by the CKR or the endpoint that counts the last of them — and its CKR
+/// by the CKR or the open that claims the last of them — and its CKR
 /// hands every received frame to its children as it delivers it — so each
 /// packet crosses each link once, and the root stages one copy per
 /// neighbour instead of `N−1`.
@@ -58,9 +59,6 @@ pub struct BcastChannel<T: SmiType> {
     /// Wire ranks of the fan-out targets (linear root: every other
     /// member; tree: the hop-tree children, which an interior's CKR feeds).
     children: Vec<u8>,
-    /// Ready announcements this endpoint read (a CKR may count the rest of
-    /// a non-root's).
-    ready: usize,
     /// The root's framed app stream awaiting fan-out. Staging fans the
     /// whole window out grouped per destination (one burst-sized window,
     /// so the CKS sees long same-route runs instead of alternating
@@ -87,62 +85,49 @@ impl<T: SmiType> BcastChannel<T> {
         let is_root = parent.is_none();
         let port_wire = smi_wire::header::port_to_wire(port)?;
         let my_wire = comm.wire_rank(comm.rank())?;
-        if let Some(parent) = parent.filter(|_| count > 0) {
+        if count > 0 {
             // The fan-out is named before the ready-`Sync` can leave: nothing
             // reaches this member's CKR before its subtree announced itself
-            // ready. A leaf's announcement is staged here.
-            let sync = NetworkPacket::control(my_wire, parent, port_wire, PacketOp::Sync, 0);
-            io.arm(&children, sync);
+            // ready. An announcement this arm completes — a leaf's, or an
+            // interior's whose children were all tallied — is staged here.
+            let up = parent.map(|parent| {
+                NetworkPacket::control(my_wire, parent, port_wire, PacketOp::Sync, 0)
+            });
+            io.arm(&children, up);
         }
         let mut chan = BcastChannel {
             count,
             done: 0,
             is_root,
             children,
-            ready: 0,
             window: Vec::new(),
-            state: CollectiveState::Opening,
+            // Zero-length message: no handshake, nothing will ever move.
+            state: if count == 0 {
+                CollectiveState::Done
+            } else {
+                CollectiveState::Opening
+            },
             framer: Framer::new(T::DATATYPE, my_wire, 0, port_wire, PacketOp::Bcast),
             deframer: Deframer::new(T::DATATYPE),
             io,
             _elem: PhantomData,
         };
-        if count == 0 {
-            // Zero-length message: no handshake, nothing will ever move.
-            chan.state = CollectiveState::Done;
-        }
-        // A leaf's readiness announcement is offered by this first advance
-        // (an interior node's goes with its last child's), so open itself
-        // never blocks.
+        // An announcement staged at arm is offered by this first advance
+        // (else it goes with the last child's claim), so open itself never
+        // blocks.
         chan.advance()?;
         Ok(chan)
     }
 
-    /// One non-blocking step: flush staged packets, absorb handshake syncs,
-    /// update the state. Returns whether the staging buffer is empty.
+    /// One non-blocking step: flush staged packets, update the state.
+    /// Returns whether the staging buffer is empty.
     fn advance(&mut self) -> Result<bool, SmiError> {
-        let mut flushed = self.io.try_flush()?;
+        let flushed = self.io.try_flush()?;
         match self.state {
             CollectiveState::Opening => {
-                let ready = if self.is_root {
-                    while self.ready < self.children.len() {
-                        match self.io.try_recv_data()? {
-                            Some(pkt) => {
-                                expect_op(&pkt.header, PacketOp::Sync)?;
-                                self.ready += 1;
-                            }
-                            None => break,
-                        }
-                    }
-                    self.ready == self.children.len()
-                } else {
-                    // The subtree's readiness, and the own announcement
-                    // staged if this endpoint counted the last child.
-                    let ready = self.io.fold_ready(&mut self.ready)?;
-                    flushed = self.io.try_flush()?;
-                    ready
-                };
-                if ready && flushed {
+                // The subtree is ready once no child is awaited; a member's
+                // own announcement left with the last child's claim.
+                if flushed && self.io.sync().awaited() == 0 {
                     self.state = CollectiveState::Streaming;
                 }
             }
@@ -209,18 +194,10 @@ impl<T: SmiType> BcastChannel<T> {
             let mut filled = 0usize;
             while filled < data.len() {
                 if self.deframer.is_empty() {
-                    match self.io.try_recv_data_frame()? {
-                        // A member that finished this message announces
-                        // itself ready for the port's next: that open reads it.
-                        Some(Frame::Pkt(sync)) if sync.header.op == PacketOp::Sync => {
-                            self.io.carry(sync);
-                            continue;
-                        }
-                        Some(frame) => {
-                            refill(&mut self.deframer, frame, PacketOp::Bcast, self.io.meter())?
-                        }
-                        None => break,
-                    }
+                    let Some(frame) = self.io.try_recv_data_frame()? else {
+                        break;
+                    };
+                    refill(&mut self.deframer, frame, PacketOp::Bcast, self.io.meter())?;
                 }
                 let n = self.deframer.pop_slice(&mut data[filled..]);
                 filled += n;
@@ -281,18 +258,21 @@ impl<T: SmiType> BcastChannel<T> {
         self.bcast_slice(std::slice::from_mut(data))
     }
 
-    /// Spin the open handshake to completion (thread-plane blocking open).
+    /// Spin the open handshake to completion (thread-plane blocking open):
+    /// a child claimed since the last spin counts as progress.
     pub(crate) fn wait_open(&mut self) -> Result<(), SmiError> {
+        let mut awaited = usize::MAX;
         self.io.wait().on("bcast open rendezvous", || {
-            let before = self.ready;
             self.advance()?;
             if self.state != CollectiveState::Opening {
-                Ok(BlockingStep::Ready(()))
-            } else if self.ready > before {
-                Ok(BlockingStep::Progress)
-            } else {
-                Ok(BlockingStep::Pending)
+                return Ok(BlockingStep::Ready(()));
             }
+            let before = std::mem::replace(&mut awaited, self.io.sync().awaited());
+            Ok(if awaited < before {
+                BlockingStep::Progress
+            } else {
+                BlockingStep::Pending
+            })
         })
     }
 

@@ -12,13 +12,17 @@
 //!
 //! The sender streams its blocks in communicator order, each once its
 //! receiver's grant arrived, and frames each as one run that ends at the
-//! block boundary. The receiver pops blocks in the same order: it grants
-//! the block at its pop cursor, and further blocks while those granted past
-//! the cursor fit `ahead` elements, sorts what arrives into per-block
-//! stashes and rejects a frame from a rank that holds no grant. A root's
-//! own block needs no grant: it waits in a local buffer between the root's
-//! push and its pop. Nothing here parks a thread; grants are absorbed
-//! non-blockingly.
+//! block boundary. A grant never reaches the sender's data delivery: a CKR
+//! of its rank tallies it per sender in the port's `Sync` state, and the
+//! sender claims one per ungranted block from there, so a grant for a
+//! later message (its receiver finished this one and opened the next at
+//! once) simply stays tallied for that open. The receiver pops blocks in
+//! the same order: it grants the block at its pop cursor, and further
+//! blocks while those granted past the cursor fit `ahead` elements, sorts
+//! what arrives into per-block stashes and rejects a frame from a rank that
+//! holds no grant. A root's own block needs no grant: it waits in a local
+//! buffer between the root's push and its pop. Nothing here parks a
+//! thread.
 
 use std::collections::VecDeque;
 
@@ -169,7 +173,7 @@ impl<T: SmiType> Blocks<T> {
         self.count * self.recv.peers.len() as u64
     }
 
-    /// One non-blocking step: absorb grants, stage the receiver's grants,
+    /// One non-blocking step: claim grants, stage the receiver's grants,
     /// flush, update the state. While blocks past the cursor hold grants,
     /// it also stashes what arrived: their frames could otherwise fill the
     /// delivery ahead of the cursor block's and park the CKR that feeds it
@@ -178,7 +182,7 @@ impl<T: SmiType> Blocks<T> {
     /// root's grant arrived; as receiver, until its own grant left.
     fn advance(&mut self) -> Result<bool, SmiError> {
         if self.state != CollectiveState::Done {
-            self.absorb()?;
+            self.claim();
             self.grant();
             if self.recv.granted > self.recv.cursor + 1 {
                 self.drain()?;
@@ -202,26 +206,21 @@ impl<T: SmiType> Blocks<T> {
         Ok(flushed)
     }
 
-    /// Sender: record the grants delivered so far, until every block holds
-    /// one. Any other `Sync` — a second one from a receiver, or one from a
-    /// rank that receives nothing from this one — is for the port's next
-    /// message (its sender finished this one and opened the next at once),
-    /// so it waits for that open.
-    fn absorb(&mut self) -> Result<(), SmiError> {
-        while self.send.ungranted > 0 {
-            let Some(sync) = self.io.try_recv_data()? else {
-                break;
-            };
-            expect_op(&sync.header, PacketOp::Sync)?;
-            match self.send.peers.iter().position(|&w| w == sync.header.src) {
-                Some(b) if !self.send.granted[b] => {
-                    self.send.granted[b] = true;
-                    self.send.ungranted -= 1;
-                }
-                _ => self.io.carry(sync),
+    /// Sender: claim each ungranted block's grant from the port's tally.
+    /// Any other tallied `Sync` — a second one from a receiver, or one from
+    /// a rank that receives nothing from this one — is for the port's next
+    /// message and stays for that open.
+    fn claim(&mut self) {
+        if self.send.ungranted == 0 {
+            return;
+        }
+        let mut tally = self.io.sync().lock();
+        for (granted, &peer) in self.send.granted.iter_mut().zip(&self.send.peers) {
+            if !*granted && tally.claim(peer) {
+                *granted = true;
+                self.send.ungranted -= 1;
             }
         }
-        Ok(())
     }
 
     /// Receiver: stage grants in block order — the cursor block's, and
@@ -251,18 +250,10 @@ impl<T: SmiType> Blocks<T> {
     }
 
     /// Receiver: sort every delivered frame into its block's stash. A
-    /// `Sync` belongs to the port's next message and waits for that open;
-    /// a frame from a rank that holds no grant from this one is a protocol
+    /// frame from a rank that holds no grant from this one is a protocol
     /// violation.
     fn drain(&mut self) -> Result<(), SmiError> {
         while let Some(frame) = self.io.try_recv_data_frame()? {
-            let frame = match frame {
-                Frame::Pkt(sync) if sync.header.op == PacketOp::Sync => {
-                    self.io.carry(sync);
-                    continue;
-                }
-                frame => frame,
-            };
             expect_op(frame.header(), self.op)?;
             let src = frame.header().src;
             let peers = &self.recv.peers;

@@ -33,10 +33,15 @@
 //!
 //! A port hosts one channel at a time, but a member that finished a
 //! message may open the port's next one while others are still in the
-//! last: whatever an open channel reads for a later message (a reduce
-//! contribution past its count, a second ready-`Sync` from one scatter
-//! member, a grant from the root of the next gather) waits in the port's
-//! endpoint for the next open, which reads it first (`PortIo::carry`).
+//! last, so packets for a later message can reach a port early. No channel
+//! reads a ready-`Sync` or a grant: a CKR of the rank counts each into the
+//! port's tally per sender (`transport::ck::PortSync`), and the open it
+//! belongs to claims it there — a second ready-`Sync` from one scatter
+//! member, or a grant from the root of the next gather, simply stays
+//! tallied until then. Collective data deliveries carry data only. The one
+//! packet a channel reads for a later message is a reduce contribution
+//! past its count, which waits in the port's endpoint for the next open
+//! and is read first there (`PortIo::carry`).
 //!
 //! ## Bulk element APIs
 //!
@@ -142,6 +147,7 @@ mod tests {
     use super::*;
     use crate::comm::Communicator;
     use crate::endpoint::{new_table, CksLanes, PacketRx, PortRes};
+    use crate::transport::ck::PortSync;
     use crate::transport::link::{burst_queue, LinkSend, QueueTx};
     use crate::transport::{Burst, CopyMeter};
     use crate::RuntimeParams;
@@ -155,10 +161,12 @@ mod tests {
 
     /// Member `me` of three holding a scatter or gather port 0: what it
     /// sends waits in a one-burst lane the test reads (a burst left there
-    /// makes the next flush fail), and the test writes its delivery.
+    /// makes the next flush fail), and the test writes its delivery and
+    /// counts its `Sync`s, as the rank's CKRs would.
     struct Rank {
         lane: (Sender<Burst>, Receiver<Burst>),
         deliver: QueueTx,
+        sync: PortSync,
         me: u8,
     }
 
@@ -180,11 +188,13 @@ mod tests {
             Some(rx),
             None,
         );
+        let sync = res.sync.clone().expect("a scatter or gather port");
         let table = new_table();
         table.lock().put(0, op.kind, res);
         let rank = Rank {
             lane,
             deliver,
+            sync,
             me: me as u8,
         };
         if blocked {
@@ -231,10 +241,9 @@ mod tests {
             frames.filter(|&(_, src, _)| src != 9).collect()
         }
 
-        /// Deliver a `Sync` from `src`.
+        /// Count a `Sync` from `src` into the port's tally.
         fn sync_from(&self, src: u8) {
-            let sync = NetworkPacket::control(src, self.me, 0, PacketOp::Sync, 0);
-            self.deliver(vec![sync.into()]);
+            assert!(self.sync.lock().count(src).is_none());
         }
 
         /// Deliver `values` as one frame of `op` data from `src`.

@@ -28,9 +28,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use smi_codegen::{OpKind, OpSpec};
-use smi_wire::{Datatype, Deframer, Frame, Header, NetworkPacket, PacketOp, PacketRun, ReduceOp};
+use smi_wire::{Datatype, Deframer, Frame, Header, NetworkPacket, PacketOp, ReduceOp};
 
-use crate::transport::ck::PortTree;
+use crate::transport::ck::PortSync;
 use crate::transport::link::{LinkRecv, LinkRx, LinkSend, LinkTx};
 use crate::transport::socket::FabricHealth;
 use crate::transport::{meter_inline_data, readdressed, Burst, CopyMeter};
@@ -76,14 +76,12 @@ pub(crate) fn refill(
 ///
 /// Frame-aware consumers ([`PacketRx::next_frame`]) receive
 /// [`Frame::Run`]s whole — an `Arc` handle move, no payload copy. The
-/// packet-oriented receives materialize runs one packet at a time (a
-/// metered copy per packet), so protocol paths that reason packet-wise
-/// keep working whatever the sender staged.
+/// packet-oriented receive serves reduce contributions, which their senders
+/// stage as inline packets, and credits, which are control packets: a run
+/// there is a protocol violation.
 pub(crate) struct PacketRx {
     rx: LinkRx,
     pending: VecDeque<Frame>,
-    /// A run being materialized packet-by-packet: `(run, next packet idx)`.
-    partial: Option<(PacketRun, usize)>,
     meter: CopyMeter,
 }
 
@@ -92,7 +90,6 @@ impl PacketRx {
         PacketRx {
             rx,
             pending: VecDeque::new(),
-            partial: None,
             meter,
         }
     }
@@ -105,55 +102,24 @@ impl PacketRx {
         self.pending.extend(b);
     }
 
-    /// Next buffered packet, materializing runs packet-by-packet (metered).
-    fn pop_pending_packet(&mut self) -> Option<NetworkPacket> {
-        loop {
-            if let Some((run, idx)) = &mut self.partial {
-                let pkt = run.packet(*idx);
-                *idx += 1;
-                if *idx == run.packet_count() {
-                    self.partial = None;
-                }
-                self.meter.add_packets(1);
-                return Some(pkt);
-            }
-            match self.pending.pop_front() {
-                Some(Frame::Pkt(p)) => return Some(p),
-                Some(Frame::Run(r)) => {
-                    if r.packet_count() > 0 {
-                        self.partial = Some((r, 0));
-                    }
-                }
-                None => return None,
-            }
-        }
-    }
-
-    /// Next buffered frame. A half-materialized run resumes as packets so
-    /// mixed packet/frame consumption never reorders elements.
-    fn pop_pending_frame(&mut self) -> Option<Frame> {
-        if self.partial.is_some() {
-            return self.pop_pending_packet().map(Frame::Pkt);
-        }
-        self.pending.pop_front()
-    }
-
-    /// Non-blocking packet receive: `Ok(None)` when nothing is buffered.
+    /// Non-blocking packet receive: `Ok(None)` when nothing is buffered. A
+    /// run is a protocol violation.
     pub fn next_packet(&mut self) -> Result<Option<NetworkPacket>, SmiError> {
-        self.next(Self::pop_pending_packet)
+        match self.next_frame()? {
+            Some(Frame::Pkt(p)) => Ok(Some(p)),
+            Some(run) => Err(SmiError::ProtocolViolation {
+                detail: format!("a {:?} run at a packet receive", run.header().op),
+            }),
+            None => Ok(None),
+        }
     }
 
     /// Non-blocking frame receive: run frames are delivered whole (no
-    /// payload copy) — the zero-copy consumer path.
+    /// payload copy) — the zero-copy consumer path. The pending queue is
+    /// refilled from the delivery while it runs dry.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, SmiError> {
-        self.next(Self::pop_pending_frame)
-    }
-
-    /// The next item `pop` takes from the pending queue, refilled from the
-    /// delivery while it runs dry.
-    fn next<F>(&mut self, pop: impl Fn(&mut Self) -> Option<F>) -> Result<Option<F>, SmiError> {
         loop {
-            if let Some(f) = pop(self) {
+            if let Some(f) = self.pending.pop_front() {
                 return Ok(Some(f));
             }
             match self.rx.try_recv() {
@@ -213,20 +179,21 @@ pub(crate) struct PortRes {
     /// The operator a reduce binding declares.
     pub reduce_op: Option<ReduceOp>,
     pub to_cks: CksLanes,
-    /// Data and sync deliveries.
+    /// Data deliveries.
     pub rx: Option<PacketRx>,
     /// Credit deliveries.
     pub credit_rx: Option<PacketRx>,
-    /// Packets an earlier channel on this port read for a later message
-    /// (a collective member that finished a message may open the next one
-    /// at once); the next open receives them before anything else.
+    /// Reduce contributions an earlier channel on this port read for a
+    /// later message (a member that finished a message may open the next
+    /// one at once); the next open receives them before anything else.
     pub carry: VecDeque<NetworkPacket>,
     /// `staged[lane]`: frames bound for that lane, in staging order. Kept
     /// with the resource, so opening a channel allocates nothing.
     staged: Vec<Burst>,
-    /// A bcast port's fan-out and readiness fold, shared with every CKR of
-    /// the rank.
-    pub tree: Option<PortTree>,
+    /// A bcast, scatter or gather port's `Sync` tally, and a bcast
+    /// member's fan-out and readiness fold, shared with every CKR of the
+    /// rank.
+    pub sync: Option<PortSync>,
 }
 
 impl PortRes {
@@ -245,7 +212,8 @@ impl PortRes {
             rx,
             credit_rx,
             carry: VecDeque::new(),
-            tree: (op.kind == OpKind::Bcast).then(PortTree::default),
+            sync: matches!(op.kind, OpKind::Bcast | OpKind::Scatter | OpKind::Gather)
+                .then(PortSync::default),
         }
     }
 }
@@ -449,42 +417,31 @@ impl PortIo {
         window.clear();
     }
 
-    /// Arm this port's tree ([`PortTree`]) for a non-root bcast member
-    /// with these hop-tree `children`: from here until the handle drops,
-    /// every CKR of the rank copies the port's `Bcast` data frames to them,
-    /// and whoever counts the last child's ready-`Sync` — this endpoint in
-    /// [`PortIo::fold_ready`] or a CKR — sends `up`, the member's own. With
-    /// no child to wait for, `up` is staged at once.
-    pub fn arm(&mut self, children: &[u8], up: NetworkPacket) {
-        let res = self.res();
-        let tree = res.tree.as_ref().expect("a bcast port");
-        let copies = children.iter().map(|&c| (c, res.to_cks.lane(c))).collect();
-        if let Some(up) = tree.arm(copies, (up, res.to_cks.lane(up.header.dst))) {
-            self.stage(up);
-        }
+    /// This port's `Sync` state ([`PortSync`]; bcast, scatter and gather
+    /// ports only).
+    pub fn sync(&self) -> &PortSync {
+        let sync = self.res().sync.as_ref();
+        sync.expect("a bcast, scatter or gather port")
     }
 
-    /// Count the children's ready-`Sync`s this endpoint reads (carried ones
-    /// first) into the port's armed fold, adding each to `read`, and stage
-    /// the member's announcement if the last child is among them. The fold
-    /// is held while reading, so no CKR completes it meanwhile and whatever
-    /// is read belongs to this message. Returns whether the fold completed:
-    /// every child announced, and the announcement is staged here or sent
-    /// by a CKR.
-    pub fn fold_ready(&mut self, read: &mut usize) -> Result<bool, SmiError> {
-        let tree = self.res().tree.clone().expect("a bcast port");
-        let mut fold = tree.lock();
-        while fold.armed() {
-            let Some(sync) = self.try_recv_data()? else {
-                return Ok(false);
-            };
-            expect_op(&sync.header, PacketOp::Sync)?;
-            *read += 1;
-            if let Some((up, _)) = fold.count() {
-                self.stage(up);
-            }
+    /// Arm this port's `Sync` state for a bcast member with these hop-tree
+    /// `children`, claiming their `Sync`s tallied so far. A non-root member
+    /// also names `up`, its own announcement: from here until the handle
+    /// drops, every CKR of the rank copies the port's `Bcast` data frames
+    /// to the children, and whoever claims the last child's `Sync` — this
+    /// open or a CKR — sends `up`. With no child left to wait for, `up` is
+    /// staged at once.
+    pub fn arm(&mut self, children: &[u8], up: Option<NetworkPacket>) {
+        let res = self.res();
+        let lane = |dst: u8| res.to_cks.lane(dst);
+        let copies = match up {
+            Some(_) => children.iter().map(|&c| (c, lane(c))).collect(),
+            None => Default::default(),
+        };
+        let up = up.map(|up| (up, lane(up.header.dst)));
+        if let Some(up) = self.sync().arm(copies, children, up) {
+            self.stage(up);
         }
-        Ok(true)
     }
 
     /// Whether the staged bursts reached the configured burst size between
@@ -556,9 +513,9 @@ impl PortIo {
         }
     }
 
-    /// Non-blocking receive from the data/sync delivery path, packets an
-    /// earlier channel on the port carried over first. Buffered packets
-    /// are always delivered.
+    /// Non-blocking packet receive from the data delivery path (reduce),
+    /// packets an earlier channel on the port carried over first. Buffered
+    /// packets are always delivered.
     pub fn try_recv_data(&mut self) -> Result<Option<NetworkPacket>, SmiError> {
         let res = self.res_mut();
         let got = match res.carry.pop_front() {
@@ -568,19 +525,16 @@ impl PortIo {
         self.delivered(got)
     }
 
-    /// Non-blocking frame receive from the data/sync delivery path: run
-    /// frames arrive whole (no payload copy).
+    /// Non-blocking frame receive from the data delivery path: run frames
+    /// arrive whole (no payload copy).
     pub fn try_recv_data_frame(&mut self) -> Result<Option<Frame>, SmiError> {
-        let res = self.res_mut();
-        let got = match res.carry.pop_front() {
-            Some(p) => Some(p.into()),
-            None => res.rx.as_mut().map_or(Ok(None), PacketRx::next_frame)?,
-        };
+        let rx = &mut self.res_mut().rx;
+        let got = rx.as_mut().map_or(Ok(None), PacketRx::next_frame)?;
         self.delivered(got)
     }
 
-    /// Keep a received packet for the port's next open: it belongs to a
-    /// later message than this channel's.
+    /// Keep a received reduce contribution for the port's next open: it
+    /// belongs to a later message than this channel's.
     pub fn carry(&mut self, pkt: NetworkPacket) {
         self.carry.push_back(pkt);
     }
@@ -604,8 +558,8 @@ impl Drop for PortIo {
                     let _ = lane.offer(std::mem::take(staged));
                 }
             }
-            if let Some(tree) = &res.tree {
-                tree.disarm();
+            if let Some(sync) = &res.sync {
+                sync.disarm();
             }
             // What this channel kept arrived before what it never read.
             self.carry.append(&mut res.carry);
@@ -763,25 +717,25 @@ mod tests {
         (lanes, [rx0, rx1])
     }
 
-    /// A table declaring a bcast on port 0 over `lanes`, fed by `data_rx`.
-    fn coll_table(lanes: CksLanes, data_rx: LinkRx) -> EndpointTableHandle {
+    /// A table declaring `op` on port 0 over `lanes`, fed by `data_rx`.
+    fn coll_table(op: OpSpec, lanes: CksLanes, data_rx: LinkRx) -> EndpointTableHandle {
         let rx = PacketRx::new(data_rx, CopyMeter::default());
         let t = new_table();
-        let op = OpSpec::bcast(0, Datatype::Int);
         t.lock()
             .put(0, op.kind, PortRes::new(&op, lanes, Some(rx), None));
         t
     }
 
-    fn open_bcast(t: &EndpointTableHandle) -> PortIo {
+    fn open_coll(t: &EndpointTableHandle, kind: OpKind) -> PortIo {
         let params = crate::params::RuntimeParams::default();
-        PortIo::open(t.clone(), 0, OpKind::Bcast, Datatype::Int, &params).unwrap()
+        PortIo::open(t.clone(), 0, kind, Datatype::Int, &params).unwrap()
     }
 
     /// A bcast `PortIo` on port 0 over `lanes`.
     fn coll_io(lanes: CksLanes) -> PortIo {
         let (_data_tx, data_rx) = burst_queue(1);
-        open_bcast(&coll_table(lanes, data_rx))
+        let op = OpSpec::bcast(0, Datatype::Int);
+        open_coll(&coll_table(op, lanes, data_rx), OpKind::Bcast)
     }
 
     /// A packet from rank 2 tagged with `seq`.
@@ -828,30 +782,31 @@ mod tests {
         assert_eq!(frames(&rx[1]), want(3, 4));
     }
 
-    /// What a channel keeps goes to the port's next open first, ahead of
-    /// what it never read, in arrival order — also when that open keeps
-    /// some of it again.
+    /// What a reduce channel keeps goes to the port's next open first,
+    /// ahead of what it never read, in arrival order — also when that open
+    /// keeps some of it again.
     #[test]
     fn carried_packets_reach_the_next_open_first_in_order() {
         let (lanes, _rx) = two_lanes([1, 1]);
         let (data_tx, data_rx) = burst_queue(1);
         deliver(&data_tx, vec![data(1), data(2), data(3)]);
-        let t = coll_table(lanes, data_rx);
+        let op = OpSpec::reduce(0, Datatype::Int, ReduceOp::Add);
+        let t = coll_table(op, lanes, data_rx);
         let seqs = |io: &mut PortIo, n: usize| {
             let mut next = || io.try_recv_data().unwrap().expect("a packet");
             (0..n).map(|_| next()).collect::<Vec<_>>()
         };
-        let mut io = open_bcast(&t);
+        let mut io = open_coll(&t, OpKind::Reduce);
         for pkt in seqs(&mut io, 2) {
             io.carry(pkt);
         }
         drop(io);
-        let mut io = open_bcast(&t);
+        let mut io = open_coll(&t, OpKind::Reduce);
         let first = seqs(&mut io, 1);
         assert_eq!(first[0].control_arg(), 1);
         io.carry(first[0]);
         drop(io);
-        let mut io = open_bcast(&t);
+        let mut io = open_coll(&t, OpKind::Reduce);
         let all: Vec<u32> = seqs(&mut io, 3).iter().map(|p| p.control_arg()).collect();
         assert_eq!(all, [1, 2, 3]);
         assert!(io.try_recv_data().unwrap().is_none());
@@ -1023,29 +978,24 @@ mod tests {
         assert!(matches!(prx.next_packet(), Err(SmiError::TransportClosed)));
     }
 
+    /// Packet receives take inline packets only: a run there is a typed
+    /// protocol violation, and nothing of it is copied.
     #[test]
-    fn packet_rx_materializes_runs_for_packet_consumers() {
-        use smi_wire::PacketOp;
+    fn packet_rx_rejects_a_run_at_a_packet_receive() {
+        use smi_wire::{PacketOp, PacketRun};
         let (tx, rx) = burst_queue(4);
         let meter = CopyMeter::default();
         let mut prx = PacketRx::new(rx, meter.clone());
-        let elems: Vec<i32> = (0..16).collect();
-        let run = PacketRun::from_elems(0, 1, 0, PacketOp::Send, &elems);
+        let run = PacketRun::from_elems(0, 1, 0, PacketOp::Reduce, &[1i32; 16]);
         deliver(&tx, vec![Frame::Run(run)]);
-        // 16 ints -> 7 + 7 + 2 packets, materialized lazily and metered.
-        let mut got = Vec::new();
-        while let Some(p) = prx.next_packet().unwrap() {
-            for i in 0..p.header.count as usize {
-                got.push(p.read_elem::<i32>(i));
-            }
-        }
-        assert_eq!(got, elems);
-        assert_eq!(meter.count(), 3 * smi_wire::PAYLOAD_BYTES as u64);
+        let err = prx.next_packet().unwrap_err();
+        assert!(matches!(err, SmiError::ProtocolViolation { .. }), "{err:?}");
+        assert_eq!(meter.count(), 0);
     }
 
     #[test]
     fn packet_rx_delivers_runs_whole_to_frame_consumers() {
-        use smi_wire::PacketOp;
+        use smi_wire::{PacketOp, PacketRun};
         let (tx, rx) = burst_queue(4);
         let meter = CopyMeter::default();
         let mut prx = PacketRx::new(rx, meter.clone());

@@ -87,7 +87,7 @@ pub enum SmiError {
         detail: String,
     },
     /// A single encoded frame exceeded the whole replay-ring byte budget
-    /// ([`crate::RuntimeParams::stream_replay_budget`]), so mid-stream
+    /// (4 MiB per connection), so mid-stream
     /// recovery could never replay it. A merely *full* ring is ordinary
     /// backpressure; this fires only when the budget is smaller than one
     /// frame — a configuration error, reported instead of growing memory

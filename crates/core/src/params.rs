@@ -6,8 +6,8 @@ use crate::collectives::CollectiveScheme;
 
 /// What a socket transport backend does when a peer connection cannot be
 /// established or breaks. Used in two places: connect-time dialing during
-/// bootstrap ([`crate::RuntimeParams::socket_reconnect`]) and mid-stream
-/// recovery after an established data connection fails
+/// an `smi-launch` child's bootstrap (a fixed 100 × 20 ms retry) and
+/// mid-stream recovery after an established data connection fails
 /// ([`crate::RuntimeParams::stream_reconnect`]). Mid-stream recovery is
 /// lossless: the session/replay layer of the socket transport re-handshakes
 /// with the last acknowledged sequence number and replays unacked frames,
@@ -39,7 +39,7 @@ pub enum ReconnectPolicy {
 impl ReconnectPolicy {
     /// A fixed-sleep retry policy (no exponential growth): the historical
     /// shape, still what bootstrap dialing wants.
-    pub fn retry_fixed(attempts: u32, backoff: Duration) -> Self {
+    pub const fn retry_fixed(attempts: u32, backoff: Duration) -> Self {
         ReconnectPolicy::Retry {
             attempts,
             backoff,
@@ -139,10 +139,6 @@ pub struct RuntimeParams {
     /// `std::thread::available_parallelism()`. Each worker is seeded with a
     /// contiguous block of ranks, so only block-boundary links cross threads.
     pub transport_workers: usize,
-    /// Connect-time behavior of socket transport backends
-    /// ([`ReconnectPolicy`]): retry-with-backoff or fail on the first
-    /// refused connection. Ignored by the in-memory backend.
-    pub socket_reconnect: ReconnectPolicy,
     /// Mid-stream recovery policy of socket transport backends: what a
     /// process-pair connection does when an *established* data stream
     /// suffers an I/O fault. `Retry` re-dials with jittered exponential
@@ -152,12 +148,6 @@ pub struct RuntimeParams {
     /// [`crate::SmiError::PeerDisconnected`]. Ignored by the in-memory
     /// backend.
     pub stream_reconnect: ReconnectPolicy,
-    /// Byte budget of the per-connection replay ring that holds encoded,
-    /// not-yet-acknowledged frames for mid-stream replay. A full ring is
-    /// ordinary backpressure (sends report `Full`); a single frame larger
-    /// than the whole budget is a configuration error surfaced as
-    /// [`crate::SmiError::ReplayOverflow`].
-    pub stream_replay_budget: usize,
 }
 
 impl Default for RuntimeParams {
@@ -172,14 +162,12 @@ impl Default for RuntimeParams {
             collective_scheme: CollectiveScheme::Linear,
             burst_packets: 16,
             transport_workers: 0,
-            socket_reconnect: ReconnectPolicy::retry_fixed(100, Duration::from_millis(20)),
             stream_reconnect: ReconnectPolicy::Retry {
                 attempts: 10,
                 backoff: Duration::from_millis(10),
                 max_backoff: Duration::from_millis(500),
                 multiplier: 2.0,
             },
-            stream_replay_budget: 4 << 20,
         }
     }
 }
@@ -220,7 +208,6 @@ mod tests {
         let p = RuntimeParams::default();
         assert!(p.endpoint_fifo_depth >= 1);
         assert!(p.reduce_credits >= 1);
-        assert!(p.stream_replay_budget > 0);
         let t = RuntimeParams::tight();
         assert_eq!(t.endpoint_fifo_depth, 1);
     }

@@ -482,6 +482,10 @@ pub(crate) fn connect_with_retry(
 // Child mode
 // ---------------------------------------------------------------------------
 
+/// How a child dials its peers' data listeners: the peers bind them while
+/// every process races through bootstrap, so the first dials may find none.
+const DIAL_RETRY: ReconnectPolicy = ReconnectPolicy::retry_fixed(100, Duration::from_millis(20));
+
 fn child_run(o: &Opts) -> Result<i32, String> {
     let timeout = Duration::from_secs(o.timeout_secs);
     let plan_json =
@@ -538,7 +542,7 @@ fn child_run(o: &Opts) -> Result<i32, String> {
     for &(lo, hi) in &pairs {
         if hi == me {
             let redial = redial_for(backend, &addrs[lo]).map_err(|e| e.to_string())?;
-            let mut s = connect_with_retry(&redial, &params.socket_reconnect, lo as u64)
+            let mut s = connect_with_retry(&redial, &DIAL_RETRY, lo as u64)
                 .map_err(|e| format!("dial process {lo} at {}: {e}", addrs[lo]))?;
             let session = fresh_session_id();
             send_hello(&mut s, &Hello::initial(me, session))

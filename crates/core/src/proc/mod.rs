@@ -321,6 +321,12 @@ pub(crate) struct GroupWiring<'a> {
     pub run_complete: Arc<AtomicBool>,
 }
 
+/// Byte budget of each connection's replay ring, which holds encoded,
+/// not-yet-acknowledged frames for mid-stream replay. A full ring is
+/// ordinary backpressure (sends report `Full`); a single frame larger than
+/// the whole budget is [`crate::SmiError::ReplayOverflow`].
+const REPLAY_BUDGET: usize = 4 << 20;
+
 /// Wire one group's share of the fabric from its established streams, one
 /// per peer process it shares a topology edge with. Each stream carries
 /// every edge between the two processes, demuxed by the sender-side
@@ -377,7 +383,7 @@ pub(crate) fn build_group_fabric(
         let cfg = ConnConfig {
             peer: info,
             recv_keys: recv_keys.clone(),
-            replay_budget: params.stream_replay_budget,
+            replay_budget: REPLAY_BUDGET,
             session: Session::new(ps.session, me, peer, params.stream_reconnect),
             role,
             faults: faults.and_then(|fp| fp.injector_for(me, peer)),

@@ -32,13 +32,16 @@
 //! `forwards` counts kernel crossings — one per packet it routes, whatever
 //! the fan-out.
 //!
-//! [`Route::Fold`] is the verdict on a child's ready-`Sync` while the
-//! interior member it is addressed to waits for its subtree ([`PortTree`]):
-//! the CKR counts it (one forward, as delivering it was), and the CKR that
-//! counts the last child sends the member's own announcement onto the link
-//! toward its parent — parked in order and, like a copy, no forward. So
-//! §3.3's readiness climbs the tree through the CKRs, as through the
-//! paper's support kernels (§4.4), and no rank task relays it.
+//! [`Route::Count`] is the verdict on every ready-`Sync` or grant for a
+//! bcast, scatter or gather port ([`PortSync`]): the CKR counts it (one
+//! forward, as delivering it was) and nothing reaches the port's delivery.
+//! A `Sync` from a child an armed bcast member waits for is claimed at
+//! once, and the CKR that claims the last child sends the member's own
+//! announcement onto the link toward its parent — parked in order and,
+//! like a copy, no forward. Any other `Sync` is tallied per sender for a
+//! later open to claim. So §3.3's readiness climbs the tree through the
+//! CKRs, as through the paper's support kernels (§4.4), and no rank task
+//! reads a `Sync`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,94 +63,119 @@ pub(crate) enum Route {
     /// re-addressed to each `(child, output)` in turn, then the frame itself
     /// into output `local`, the member's own delivery.
     Multicast { copies: Copies, local: usize },
-    /// Count a child's ready-`Sync` into an interior member's fold; one
-    /// that finds the fold disarmed goes into output `local` instead.
-    Fold { tree: PortTree, local: usize },
+    /// Count a `Sync` into its port's state.
+    Count(PortSync),
     /// No route — count as unroutable and drop (always a wiring bug).
     Drop,
 }
 
-/// A bcast port's tree state, shared by its endpoint and every CKR of its
-/// rank while an interior member of a hop tree holds the port open: the
-/// fan-out its CKRs copy every `Bcast` frame to, and the fold that counts
-/// its children's ready-`Sync`s. The endpoint arms both at open, before
-/// its own announcement can leave, and dropping the channel disarms them.
+/// A bcast, scatter or gather port's `Sync` state, shared by its endpoint
+/// and every CKR of its rank: the `Sync`s counted and not yet claimed, and
+/// while a bcast member holds the port its fan-out, the children it still
+/// waits for and its own announcement. The endpoint arms it at open,
+/// before its own announcement can leave, and dropping the channel disarms
+/// it; the tally outlives both.
 #[derive(Clone, Default)]
-pub(crate) struct PortTree(Arc<Mutex<TreeState>>);
+pub(crate) struct PortSync(Arc<Mutex<SyncState>>);
 
-impl PartialEq for PortTree {
+impl PartialEq for PortSync {
     fn eq(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
     }
 }
 
-/// What a [`PortTree`] holds.
+/// What a [`PortSync`] holds.
 #[derive(Default)]
-pub(crate) struct TreeState {
+pub(crate) struct SyncState {
+    /// `tally[src]`: `Sync`s from wire rank `src` not yet claimed.
+    tally: Vec<u32>,
     /// `(child, CK pair of its next hop)` per hop-tree child.
     copies: Copies,
-    /// Children whose ready-`Sync` is still to be counted: the fold is
-    /// armed while this is not 0.
-    need: usize,
+    /// Children whose `Sync` the armed member still waits for.
+    wait: Vec<u8>,
     /// The member's own ready-`Sync` and the CK pair its next hop leaves
-    /// by, taken by whoever counts the last child.
+    /// by, taken by whoever claims the last child.
     up: Option<(NetworkPacket, usize)>,
 }
 
-impl TreeState {
-    /// Whether children are still to announce.
-    pub fn armed(&self) -> bool {
-        self.need > 0
+impl SyncState {
+    /// Claim one tallied `Sync` from `src`, if there is one.
+    pub fn claim(&mut self, src: u8) -> bool {
+        match self.tally.get_mut(usize::from(src)) {
+            Some(n) if *n > 0 => {
+                *n -= 1;
+                true
+            }
+            _ => false,
+        }
     }
 
-    /// Count one child of an armed fold; the last returns the member's
-    /// announcement and disarms it.
-    pub fn count(&mut self) -> Option<(NetworkPacket, usize)> {
-        self.need -= 1;
-        if self.need > 0 {
-            return None;
+    /// Count a `Sync` from `src`: one from an awaited child is claimed at
+    /// once, and the last returns the member's announcement; any other is
+    /// tallied.
+    pub fn count(&mut self, src: u8) -> Option<(NetworkPacket, usize)> {
+        if let Some(at) = self.wait.iter().position(|&c| c == src) {
+            self.wait.swap_remove(at);
+            return self.up.take_if(|_| self.wait.is_empty());
         }
-        self.up.take()
+        let at = usize::from(src);
+        if self.tally.len() <= at {
+            self.tally.resize(at + 1, 0);
+        }
+        self.tally[at] += 1;
+        None
     }
 }
 
-impl PortTree {
-    /// Hold the state: an endpoint reads and counts under one hold, so no
-    /// CKR counts the last child meanwhile.
-    pub fn lock(&self) -> MutexGuard<'_, TreeState> {
+impl PortSync {
+    /// Hold the state: whatever is claimed under one hold, no CKR claims.
+    pub fn lock(&self) -> MutexGuard<'_, SyncState> {
         self.0.lock()
     }
 
-    /// Arm the fan-out and the fold of a member with these `copies`
-    /// (children): `up` goes to whoever counts the last child. With no
-    /// child to wait for, `up` comes back at once.
-    pub fn arm(&self, copies: Copies, up: (NetworkPacket, usize)) -> Option<NetworkPacket> {
+    /// Arm a bcast member with its fan-out `copies`, waiting for the
+    /// `Sync`s of `children` (a tallied one is claimed here): `up`, the
+    /// member's own announcement, goes to whoever claims the last child.
+    /// With no child left to wait for, `up` comes back at once.
+    pub fn arm(
+        &self,
+        copies: Copies,
+        children: &[u8],
+        up: Option<(NetworkPacket, usize)>,
+    ) -> Option<NetworkPacket> {
         let mut state = self.lock();
-        state.need = copies.len();
-        state.copies = copies;
-        if state.need == 0 {
-            return Some(up.0);
+        let mut wait = children.to_vec();
+        wait.retain(|&child| !state.claim(child));
+        (state.copies, state.wait) = (copies, wait);
+        if state.wait.is_empty() {
+            return up.map(|(up, _)| up);
         }
-        state.up = Some(up);
+        state.up = up;
         None
     }
 
-    /// Clear the fan-out and disarm the fold.
+    /// How many children the armed member still waits for.
+    pub fn awaited(&self) -> usize {
+        self.lock().wait.len()
+    }
+
+    /// Clear the fan-out, the wait and the announcement; the tally stays.
     pub fn disarm(&self) {
-        *self.lock() = TreeState::default();
+        let mut state = self.lock();
+        (state.copies, state.up) = (Copies::default(), None);
+        state.wait.clear();
     }
 
     /// The verdict on a frame of `op` that a CKR delivers to output `local`.
     pub fn route(&self, op: PacketOp, local: usize) -> Route {
-        let state = self.lock();
         match op {
-            PacketOp::Bcast if !state.copies.is_empty() => Route::Multicast {
-                copies: state.copies.clone(),
-                local,
-            },
-            PacketOp::Sync if state.armed() => Route::Fold {
-                tree: self.clone(),
-                local,
+            PacketOp::Sync => Route::Count(self.clone()),
+            PacketOp::Bcast => match &self.lock().copies {
+                copies if copies.is_empty() => Route::Output(local),
+                copies => Route::Multicast {
+                    copies: copies.clone(),
+                    local,
+                },
             },
             _ => Route::Output(local),
         }
@@ -283,29 +311,20 @@ impl CkMachine {
                 }
                 self.offer(local, burst, packets, progressed)
             }
-            Route::Fold { tree, local } => {
-                let (mut up, mut late) = (None, Burst::new());
-                let mut fold = tree.lock();
-                for sync in burst {
-                    if fold.armed() {
-                        up = up.or(fold.count());
-                    } else {
-                        // The fold completed: a later message's `Sync`.
-                        late.push(sync);
+            Route::Count(sync) => {
+                let (mut up, mut state) = (None, sync.lock());
+                for f in &burst {
+                    if let Some(last) = state.count(f.header().src) {
+                        up = Some(last);
                     }
                 }
-                drop(fold);
-                let late_n = late.len() as u64;
-                self.forwards.fetch_add(packets - late_n, Ordering::Relaxed);
+                drop(state);
+                self.forwards.fetch_add(packets, Ordering::Relaxed);
                 *progressed = true;
-                let mut open = true;
-                if let Some((up, link)) = up {
-                    open = self.offer(link, vec![up.into()], 0, progressed);
+                match up {
+                    Some((up, link)) => self.offer(link, vec![up.into()], 0, progressed),
+                    None => true,
                 }
-                if late_n > 0 {
-                    open = self.offer(local, late, late_n, progressed);
-                }
-                open
             }
             Route::Drop => {
                 self.unroutable.fetch_add(packets, Ordering::Relaxed);
@@ -749,7 +768,7 @@ mod tests {
     }
 
     /// A ready-`Sync` from wire rank `child` to rank 1 on port 0, tagged.
-    fn sync(child: u8, tag: u32) -> Frame {
+    fn sync_pkt(child: u8, tag: u32) -> Frame {
         NetworkPacket::control(child, 1, 0, PacketOp::Sync, tag).into()
     }
 
@@ -785,34 +804,83 @@ mod tests {
         (in_tx, m, link, [link_rx, local_rx])
     }
 
-    /// Three children: the first two `Sync`s are counted and go nowhere,
-    /// the third sends the member's announcement onto the parent's link —
-    /// once — and disarms the fold, so a fourth (a later message's) is
-    /// delivered. Every `Sync` is one forward; the announcement none.
+    /// Children 2, 3 and 4 of rank 1, re-addressed through pair 0.
+    fn copies() -> Copies {
+        Arc::new([(2, 0), (3, 0), (4, 0)])
+    }
+
+    /// Whether every `Sync` the port counted was claimed.
+    fn all_claimed(sync: &PortSync) -> bool {
+        sync.lock().tally.iter().all(|&n| n == 0)
+    }
+
+    /// Over back-to-back messages on one port, at every split: the first
+    /// `split` children's `Sync`s reach the CKR before the member arms and
+    /// are tallied, the open claims them, and the CKR claims the rest as
+    /// they come. The member announces exactly once per message — from the
+    /// open when every child was tallied, else onto the parent's link from
+    /// the CKR that claimed the last — and never before its last child.
+    /// Every `Sync` is one forward, the announcement none, and none reaches
+    /// the delivery.
     #[test]
-    fn an_armed_fold_announces_once_after_its_last_child() {
-        let tree = PortTree::default();
-        assert!(tree
-            .arm(Arc::new([(2, 0), (3, 0), (4, 0)]), up(7))
-            .is_none());
-        let fold = tree.clone();
+    fn tallied_before_arm_and_claimed_after_arm_announce_once() {
+        let sync = PortSync::default();
+        let port = sync.clone();
         let (mut in_tx, mut m, _link, [link_rx, local_rx]) =
-            folding_ckr(4, move |h| fold.route(h.op, 1));
-        for child in 2..4 {
-            accept(&mut in_tx, vec![sync(child, 0)]);
-            m.poll();
-            assert!(link_rx.is_empty() && local_rx.is_empty(), "child {child}");
+            folding_ckr(4, move |h| port.route(h.op, 1));
+        let mut msg = 0;
+        for _ in 0..3 {
+            for split in 0..=3u8 {
+                for child in 2..2 + split {
+                    accept(&mut in_tx, vec![sync_pkt(child, msg)]);
+                    m.poll();
+                }
+                let armed = sync.arm(copies(), &[2, 3, 4], Some(up(msg)));
+                let mut sent: Vec<_> = armed.iter().map(|p| (1, 0, p.control_arg())).collect();
+                assert_eq!(sync.awaited(), usize::from(3 - split), "split {split}");
+                for child in 2 + split..5 {
+                    assert!(
+                        sent.is_empty() && link_rx.is_empty(),
+                        "split {split}: early"
+                    );
+                    accept(&mut in_tx, vec![sync_pkt(child, msg)]);
+                    m.poll();
+                    sent.extend(tags(&link_rx));
+                }
+                assert_eq!(sent, [(1, 0, msg)], "split {split}: one announcement");
+                assert!(local_rx.is_empty() && all_claimed(&sync), "split {split}");
+                sync.disarm();
+                msg += 1;
+            }
         }
-        accept(&mut in_tx, vec![sync(4, 0)]);
+        assert_eq!(m.forwards.load(Ordering::Relaxed), 3 * u64::from(msg));
+    }
+
+    /// A fold armed for children 2 and 3 meets a `Sync` from 4, which is
+    /// no child of this message (a later message's announcement under a
+    /// rotating root, or another communicator's on the same port): it
+    /// stays armed and announces only after 2 and 3, and the next open,
+    /// which has 4 as a child, claims the tallied `Sync` at once.
+    #[test]
+    fn a_non_childs_sync_waits_in_the_tally_for_a_later_open() {
+        let sync = PortSync::default();
+        let port = sync.clone();
+        let (mut in_tx, mut m, _link, [link_rx, local_rx]) =
+            folding_ckr(4, move |h| port.route(h.op, 1));
+        assert!(sync.arm(copies(), &[2, 3], Some(up(0))).is_none());
+        for (child, awaited) in [(4, 2), (2, 1)] {
+            accept(&mut in_tx, vec![sync_pkt(child, 0)]);
+            m.poll();
+            assert!(link_rx.is_empty(), "announced after a Sync from {child}");
+            assert_eq!(sync.awaited(), awaited);
+        }
+        accept(&mut in_tx, vec![sync_pkt(3, 0)]);
         m.poll();
-        assert_eq!(tags(&link_rx), [(1, 0, 7)], "one announcement");
-        assert!(local_rx.is_empty() && !tree.lock().armed());
-        assert_eq!(m.forwards.load(Ordering::Relaxed), 3);
-        accept(&mut in_tx, vec![sync(2, 1)]);
-        m.poll();
-        assert_eq!(tags(&local_rx), [(2, 1, 1)], "a later message's Sync");
-        assert!(link_rx.is_empty());
-        assert_eq!(m.forwards.load(Ordering::Relaxed), 4);
+        assert_eq!(tags(&link_rx), [(1, 0, 0)]);
+        sync.disarm();
+        let next = sync.arm(Arc::new([(4, 0)]), &[4], Some(up(1)));
+        assert_eq!(next.map(|p| p.control_arg()), Some(1), "4's Sync claimed");
+        assert!(all_claimed(&sync) && local_rx.is_empty());
     }
 
     /// The parent's link is full: a frame routed onto it parks, the
@@ -821,18 +889,18 @@ mod tests {
     /// The link carries all three in routing order.
     #[test]
     fn a_refused_announcement_parks_in_order() {
-        let tree = PortTree::default();
-        assert!(tree.arm(Arc::new([(2, 0), (3, 0)]), up(7)).is_none());
-        let fold = tree.clone();
+        let sync = PortSync::default();
+        assert!(sync.arm(copies(), &[2, 3], Some(up(7))).is_none());
+        let port = sync.clone();
         let route = move |h: &Header| match h.op {
-            PacketOp::Sync => fold.route(h.op, 1),
+            PacketOp::Sync => port.route(h.op, 1),
             _ => Route::Output(0),
         };
         let (mut in_tx, mut m, link, [link_rx, local_rx]) = folding_ckr(1, route);
-        let pkt = |tag: u32| Frame::from(NetworkPacket::control(1, 0, 0, PacketOp::Send, tag));
+        let pkt = |tag: u32| Frame::from(NetworkPacket::control(1, 0, 0, PacketOp::Credit, tag));
         link.try_send(vec![pkt(0)]).unwrap(); // the link is full
         accept(&mut in_tx, vec![pkt(1)]);
-        accept(&mut in_tx, vec![sync(2, 0), sync(3, 0), pkt(2)]);
+        accept(&mut in_tx, vec![sync_pkt(2, 0), sync_pkt(3, 0), pkt(2)]);
         let mut got = Vec::new();
         for _ in 0..8 {
             m.poll();
@@ -847,39 +915,41 @@ mod tests {
         );
     }
 
-    /// A `Sync` whose fold was disarmed between its verdict and its
-    /// dispatch (the channel dropped) is delivered, and counted as one.
+    /// On a port no member holds, every `Sync` is tallied under its sender
+    /// and counted as one forward; none is delivered.
     #[test]
-    fn a_disarmed_fold_delivers_into_local() {
-        let tree = PortTree::default();
-        let fold = tree.clone();
-        let route = move |_: &Header| Route::Fold {
-            tree: fold.clone(),
-            local: 1,
-        };
-        let (mut in_tx, mut m, _link, [link_rx, local_rx]) = folding_ckr(4, route);
-        accept(&mut in_tx, vec![sync(2, 5), sync(3, 6)]);
+    fn a_disarmed_port_tallies_every_sync_and_delivers_none() {
+        let sync = PortSync::default();
+        let port = sync.clone();
+        let (mut in_tx, mut m, _link, [link_rx, local_rx]) =
+            folding_ckr(4, move |h| port.route(h.op, 1));
+        accept(
+            &mut in_tx,
+            vec![sync_pkt(2, 5), sync_pkt(3, 6), sync_pkt(2, 7)],
+        );
         m.poll();
-        assert_eq!(tags(&local_rx), [(2, 1, 5), (3, 1, 6)]);
-        assert!(link_rx.is_empty());
-        assert_eq!(m.forwards.load(Ordering::Relaxed), 2);
+        assert!(local_rx.is_empty() && link_rx.is_empty());
+        assert_eq!(m.forwards.load(Ordering::Relaxed), 3);
+        assert_eq!(sync.lock().tally, [0, 0, 2, 1]);
     }
 
-    /// The endpoint of an interior member with three children and one CKR
-    /// of its rank count the children's ready-`Sync`s at once, at every
-    /// split between the two, over back-to-back messages on one port: each
-    /// side feeds its own children one at a time and yields at seeded
-    /// points. Exactly one announcement per message leaves — through the
-    /// endpoint's lane or onto the CKR's link — and whichever side sends it
-    /// has seen every child fed. Each side counts exactly its own children.
+    /// The endpoint of an interior member with three children opens while
+    /// one CKR of its rank counts the children's `Sync`s, at every split
+    /// between those counted before the open and after it, over
+    /// back-to-back messages on one port: the CKR side feeds its children
+    /// one at a time and the open comes at a seeded point. Exactly one
+    /// announcement per message leaves — staged by the open through the
+    /// endpoint's lane, or onto the CKR's link — and whichever side sends
+    /// it has seen every child fed. The CKR counts every `Sync`.
     #[test]
-    fn endpoint_and_ckr_race_to_one_announcement_per_message() {
+    fn an_open_racing_the_ckr_announces_once_per_message() {
         use crate::endpoint::{new_table, CksLanes, PacketRx, PortIo, PortRes};
         use crate::transport::link::burst_queue;
         use crate::RuntimeParams;
         use smi_codegen::{OpKind, OpSpec};
         use smi_wire::Datatype;
         use std::sync::atomic::AtomicUsize;
+        use std::time::{Duration, Instant};
         const CHILDREN: usize = 3;
         const MESSAGES: u32 = 20;
         let next = |x: &mut u64| {
@@ -890,78 +960,76 @@ mod tests {
         };
         let op = OpSpec::bcast(0, Datatype::Int);
         let (lane, lane_rx) = bounded::<Burst>(64);
-        let (delivery, data_rx) = burst_queue(64);
+        let (_delivery, data_rx) = burst_queue(64);
         let res = PortRes::new(
             &op,
             CksLanes::loopback(fifo_tx(lane)),
             Some(PacketRx::new(data_rx, CopyMeter::default())),
             None,
         );
-        let tree = res.tree.clone().expect("a bcast port");
+        let sync = res.sync.clone().expect("a bcast port");
         let table = new_table();
         table.lock().put(0, op.kind, res);
         let params = RuntimeParams::default();
         let children: Vec<u8> = (2..2 + CHILDREN as u8).collect();
         for seed in 1..=4u64 {
             for split in 0..=CHILDREN {
-                let (mut in_tx, mut m, _link, [link_rx, _]) = folding_ckr(64, {
-                    let tree = tree.clone();
-                    move |h| tree.route(h.op, 1)
+                let (mut in_tx, mut m, _link, [link_rx, local_rx]) = folding_ckr(64, {
+                    let sync = sync.clone();
+                    move |h| sync.route(h.op, 1)
                 });
                 for msg in 0..MESSAGES {
-                    let mut io =
-                        PortIo::open(table.clone(), 0, OpKind::Bcast, Datatype::Int, &params)
-                            .unwrap();
-                    io.arm(&children, up(msg).0);
-                    let fed = AtomicUsize::new(0);
+                    let (before, after) = children.split_at(split);
+                    for &child in before {
+                        accept(&mut in_tx, vec![sync_pkt(child, msg)]);
+                        m.poll();
+                    }
+                    let fed = AtomicUsize::new(split);
                     // Set by the side that sent an announcement before every
                     // child was fed; checked once both sides are done, so a
                     // failure cannot leave the other side spinning.
                     let early = AtomicBool::new(false);
-                    let (ours, theirs) = children.split_at(split);
-                    let before = m.forwards.load(Ordering::Relaxed);
                     std::thread::scope(|s| {
-                        let (fed, early, delivery) = (&fed, &early, &delivery);
+                        let (fed, early, table, params) = (&fed, &early, &table, &params);
+                        let children = &children;
                         s.spawn(move || {
                             let mut x = seed ^ (u64::from(msg + 1) << 8);
-                            let (mut read, mut left) = (0, ours.iter());
-                            loop {
-                                if let Some(&child) = left.next() {
-                                    fed.fetch_add(1, Ordering::SeqCst);
-                                    let sent = delivery.push(vec![sync(child, msg)]);
-                                    assert!(matches!(sent, LinkSend::Accepted));
-                                }
-                                let ready = io.fold_ready(&mut read).unwrap();
-                                if !io.flushed() {
-                                    early.fetch_or(
-                                        fed.load(Ordering::SeqCst) < CHILDREN,
-                                        Ordering::SeqCst,
-                                    );
-                                    assert!(io.try_flush().unwrap());
-                                }
-                                if ready {
-                                    break;
-                                }
-                                if next(&mut x).is_multiple_of(2) {
-                                    std::thread::yield_now();
-                                }
+                            while next(&mut x) % 4 != 0 {
+                                std::thread::yield_now();
                             }
-                            assert_eq!(read, ours.len(), "the endpoint read another's");
+                            let mut io = PortIo::open(
+                                table.clone(),
+                                0,
+                                OpKind::Bcast,
+                                Datatype::Int,
+                                params,
+                            )
+                            .unwrap();
+                            io.arm(children, Some(up(msg).0));
+                            if !io.flushed() {
+                                let all = fed.load(Ordering::SeqCst) == CHILDREN;
+                                early.fetch_or(!all, Ordering::SeqCst);
+                                assert!(io.try_flush().unwrap());
+                            }
+                            // Hold the port until the CKR claimed every
+                            // child; a claim that never comes fails below.
+                            let until = Instant::now() + Duration::from_secs(5);
+                            while io.sync().awaited() > 0 && Instant::now() < until {
+                                std::thread::yield_now();
+                            }
                         });
                         s.spawn(|| {
                             let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(msg);
-                            for &child in theirs {
+                            for &child in after {
                                 fed.fetch_add(1, Ordering::SeqCst);
-                                accept(&mut in_tx, vec![sync(child, msg)]);
+                                accept(&mut in_tx, vec![sync_pkt(child, msg)]);
                                 if next(&mut x).is_multiple_of(2) {
                                     std::thread::yield_now();
                                 }
                                 m.poll();
                                 if !link_rx.is_empty() {
-                                    early.fetch_or(
-                                        fed.load(Ordering::SeqCst) < CHILDREN,
-                                        Ordering::SeqCst,
-                                    );
+                                    let all = fed.load(Ordering::SeqCst) == CHILDREN;
+                                    early.fetch_or(!all, Ordering::SeqCst);
                                 }
                             }
                         });
@@ -970,9 +1038,10 @@ mod tests {
                     let at = format!("seed {seed}, split {split}, message {msg}");
                     assert!(!early.load(Ordering::SeqCst), "{at}: announced early");
                     assert_eq!(sent, [(1, 0, msg)], "{at}");
-                    let counted = m.forwards.load(Ordering::Relaxed) - before;
-                    assert_eq!(counted, theirs.len() as u64, "{at}");
+                    assert!(local_rx.is_empty() && all_claimed(&sync), "{at}");
                 }
+                let counted = m.forwards.load(Ordering::Relaxed);
+                assert_eq!(counted, u64::from(MESSAGES) * CHILDREN as u64);
             }
         }
     }

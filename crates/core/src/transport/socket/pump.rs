@@ -151,8 +151,8 @@ pub(crate) struct ConnConfig {
     /// *Sender-side* endpoints `(rank, qsfp)` whose traffic this process
     /// expects over this connection; each gets a demux queue.
     pub recv_keys: Vec<(usize, usize)>,
-    /// Replay-ring byte budget
-    /// ([`crate::RuntimeParams::stream_replay_budget`]).
+    /// Replay-ring byte budget (4 MiB in a split run; the pump's own tests
+    /// set others).
     pub replay_budget: usize,
     /// The session negotiated at hello time.
     pub session: Session,

@@ -24,7 +24,7 @@ use smi_wire::{Header, PacketOp};
 
 use crate::endpoint::{CksLanes, EndpointTable, PacketRx, PortRes};
 use crate::params::RuntimeParams;
-use crate::transport::ck::{CkMachine, PortTree, Route};
+use crate::transport::ck::{CkMachine, PortSync, Route};
 use crate::transport::executor::{Pollable, Wake};
 use crate::transport::link::{burst_queue, fifo, LinkRx, LinkTx, QueueTx, Transport};
 use crate::transport::socket::FabricHealth;
@@ -78,12 +78,13 @@ fn take_link<T>(links: &mut HashMap<(usize, usize), T>, rank: usize, qsfp: usize
 /// rank's dense route table, indexed by port.
 #[derive(Default)]
 struct PortRoute {
-    /// CKR output of the data/sync delivery.
+    /// CKR output of the data delivery.
     data: Option<usize>,
     /// CKR output of the credit delivery.
     credit: Option<usize>,
-    /// A bcast port's fan-out and readiness fold.
-    tree: Option<PortTree>,
+    /// A bcast, scatter or gather port's `Sync` state: its `Sync`s are
+    /// counted there, never delivered.
+    sync: Option<PortSync>,
 }
 
 impl PortRoute {
@@ -97,7 +98,7 @@ impl PortRoute {
         let Some(local) = local else {
             return Route::Drop;
         };
-        (self.tree.as_ref()).map_or(Route::Output(local), |tree| tree.route(op, local))
+        (self.sync.as_ref()).map_or(Route::Output(local), |sync| sync.route(op, local))
     }
 }
 
@@ -224,12 +225,14 @@ pub(crate) fn build_transport(
             // a kind that receives no data or no credit gets no such half.
             // A receive's lanes carry its credit grants (§3.3). A collective's
             // deliveries hold at least one burst per peer: every member may
-            // send a one-shot control packet (ready-`Sync`) to a port
-            // *before* its owner opens the channel, and an undeliverable
-            // packet parks the CKR — head-of-line blocking all transit
-            // traffic behind it. Data traffic is bounded by handshakes and
-            // credits, so `n` extra slots restore liveness for any rank
-            // count.
+            // send a one-shot control packet to a port *before* its owner
+            // opens the channel, and an undeliverable packet parks the CKR
+            // — head-of-line blocking all transit traffic behind it. Data
+            // traffic is bounded by handshakes and credits, so `n` extra
+            // slots restore liveness for any rank count. A ready-`Sync` no
+            // longer reaches a data delivery (a CKR counts it into the
+            // port's `PortSync`), so that reason no longer applies to data
+            // deliveries; their sizes are unchanged.
             let ep = ep_depth(bd);
             let (lane_depth, data_depth, credit_depth) = match op.kind {
                 OpKind::Send => (ep, None, Some(bd.max(4))),
@@ -251,9 +254,7 @@ pub(crate) fn build_transport(
             let rx = half(&mut route.data, data_depth);
             let credit_rx = half(&mut route.credit, credit_depth);
             let res = PortRes::new(&op, to_cks, rx, credit_rx);
-            if let Some(tree) = &res.tree {
-                route.tree = Some(tree.clone());
-            }
+            route.sync = res.sync.clone();
             table.put(op.port, op.kind, res);
         }
 
@@ -274,11 +275,12 @@ pub(crate) fn build_transport(
         // parent's stream enters by, which puts each copy on the link of
         // the child's next hop before it delivers the frame itself. An
         // interior's ready announcement (interior → parent) has exactly one
-        // producer per message: its CKS, when the endpoint counted the last
-        // child, or the CKR that did, which writes the parent's link itself.
-        // Consecutive messages' announcements cannot pass each other: the
-        // next is armed only after this message's data, which the root sent
-        // only once this announcement had arrived.
+        // producer per message: its CKS, when the open claimed every child
+        // from the port's tally, or the CKR that claimed the last child,
+        // which writes the parent's link itself. Consecutive messages'
+        // announcements cannot pass each other: the next is armed only
+        // after this message's data, which the root sent only once this
+        // announcement had arrived.
         let links: Vec<LinkTx> = pairs
             .iter()
             .map(|&q| take_link(&mut link_tx, r, q))
@@ -400,5 +402,43 @@ fn build_single_rank(
     TransportHandle {
         tables: vec![(0, table)],
         machines: Vec::new(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smi_wire::{Datatype, NetworkPacket, ReduceOp};
+
+    /// A `Sync` for a bcast, scatter or gather port is counted into the
+    /// port's state, armed or not, and never routed to a delivery; a
+    /// reduce port has no such state.
+    #[test]
+    fn a_collective_ports_sync_never_routes_to_a_delivery() {
+        let ops = [
+            OpSpec::bcast(0, Datatype::Int),
+            OpSpec::scatter(0, Datatype::Int),
+            OpSpec::gather(0, Datatype::Int),
+        ];
+        for op in ops {
+            let res = PortRes::new(&op, CksLanes::default(), None, None);
+            let route = PortRoute {
+                data: Some(2),
+                credit: Some(3),
+                sync: res.sync.clone(),
+            };
+            let sync = res.sync.expect("a Sync state");
+            for armed in [false, true] {
+                if armed {
+                    let up = NetworkPacket::control(1, 0, 0, PacketOp::Sync, 0);
+                    sync.arm(Arc::new([(2, 0)]), &[2], Some((up, 0)));
+                }
+                let verdict = route.route(PacketOp::Sync);
+                assert!(verdict == Route::Count(sync.clone()), "{:?}", op.kind);
+            }
+        }
+        let reduce = OpSpec::reduce(0, Datatype::Int, ReduceOp::Add);
+        let res = PortRes::new(&reduce, CksLanes::default(), None, None);
+        assert!(res.sync.is_none());
     }
 }
