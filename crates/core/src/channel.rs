@@ -13,9 +13,10 @@
 //! bound and the fabric-health board); no call waits on a transport FIFO's
 //! condvar. Both ends run on the port's `PortIo` handle
 //! ([`crate::endpoint`]), the one collective channels run on too: it stages
-//! packets onto the lanes into the CKSs, flushes them, receives the
-//! deliveries and returns the endpoint when the channel drops. A channel
-//! keeps only its protocol state — framer or deframer, count and credit.
+//! packets onto the lanes into the CKSs, flushes them, receives the data
+//! delivery, claims the credit grants the rank's CKRs counted, and returns
+//! the endpoint when the channel drops. A channel keeps only its protocol
+//! state — framer or deframer, count and credit.
 //!
 //! Two transmission protocols are provided (§3.3): **eager** (elements enter
 //! the network as soon as buffer space allows; the sender stalls only on
@@ -40,7 +41,7 @@ use smi_codegen::OpKind;
 use smi_wire::{Deframer, Framer, NetworkPacket, PacketOp, SmiType};
 
 use crate::collectives::zero_elem;
-use crate::endpoint::{expect_op, refill, BlockingStep, EndpointTableHandle, PortIo};
+use crate::endpoint::{refill, BlockingStep, EndpointTableHandle, PortIo};
 use crate::{RuntimeParams, SmiError};
 
 /// Transmission protocol of a point-to-point channel (§3.3).
@@ -52,9 +53,27 @@ pub enum Protocol {
     /// Credit-based flow control with the given element window; both ends of
     /// the channel must use the same protocol and window.
     Credit {
-        /// Window size in elements.
+        /// Window size in elements, at least 1 and at most `u32::MAX` (a
+        /// grant's wire argument).
         window: u64,
     },
+}
+
+impl Protocol {
+    /// The credit window, `None` for eager; a window outside
+    /// `1..=u32::MAX` fails the open.
+    fn window(self) -> Result<Option<u64>, SmiError> {
+        const MAX: u64 = u32::MAX as u64;
+        match self {
+            Protocol::Eager => Ok(None),
+            Protocol::Credit {
+                window: w @ 1..=MAX,
+            } => Ok(Some(w)),
+            Protocol::Credit { window } => Err(SmiError::ProtocolViolation {
+                detail: format!("credit window {window} outside 1..=u32::MAX"),
+            }),
+        }
+    }
 }
 
 /// The sending end of a transient channel (`SMI_Channel` from
@@ -79,12 +98,9 @@ impl<T: SmiType> SendChannel<T> {
         protocol: Protocol,
         params: &RuntimeParams,
     ) -> Result<Self, SmiError> {
+        let credits = protocol.window()?.unwrap_or(u64::MAX);
         let io = PortIo::open(table, port, OpKind::Send, T::DATATYPE, params)?;
         let port_wire = smi_wire::header::port_to_wire(port)?;
-        let credits = match protocol {
-            Protocol::Eager => u64::MAX,
-            Protocol::Credit { window } => window,
-        };
         Ok(SendChannel {
             count,
             sent: 0,
@@ -100,17 +116,6 @@ impl<T: SmiType> SendChannel<T> {
             credits,
             _elem: PhantomData,
         })
-    }
-
-    /// Absorb the next grant if one was delivered, without blocking. One
-    /// grant per spent window: the window closes at every grant's end, so
-    /// the packets a message splits into do not depend on grant timing.
-    fn absorb_credit(&mut self) -> Result<(), SmiError> {
-        if let Some(pkt) = self.io.try_recv_credit()? {
-            expect_op(&pkt.header, PacketOp::Credit)?;
-            self.credits += pkt.control_arg() as u64;
-        }
-        Ok(())
     }
 
     /// Hand the staged burst to the CKS without blocking: `Ok(true)` when
@@ -168,8 +173,11 @@ impl<T: SmiType> SendChannel<T> {
         }
         let mut consumed = 0usize;
         while consumed < values.len() {
-            if matches!(self.protocol, Protocol::Credit { .. }) && self.credits == 0 {
-                self.absorb_credit()?;
+            if self.credits == 0 {
+                // One grant per spent window (eager never spends it): the
+                // window closes at every grant's end, so the packets a
+                // message splits into do not depend on grant timing.
+                self.credits = self.io.claim_grants(1)?.unwrap_or(0);
                 if self.credits == 0 {
                     break;
                 }
@@ -251,6 +259,8 @@ impl<T: SmiType> Drop for SendChannel<T> {
         // elements were semantically "pushed"); dropping the port handle
         // then offers it and frees the port.
         self.flush_framer();
+        let completed = self.protocol != Protocol::Eager && self.sent == self.count;
+        self.io.check_grants_claimed(completed);
     }
 }
 
@@ -269,9 +279,9 @@ pub struct RecvChannel<T: SmiType> {
     /// Credit granted for this message so far, the implicit first window
     /// included (credit protocol). Grants are coalesced to one packet per
     /// half-window, checked at packet boundaries, and stop once they cover
-    /// `count`: a grant the sender does not need would wait unread in its
-    /// port's credit FIFO and, message after message, fill it and stall the
-    /// CKR that delivers there.
+    /// `count`: a grant the sender does not need would wait unclaimed in
+    /// its port's grant FIFO and hand the port's next message credit its
+    /// receiver never gave.
     granted: u64,
     _elem: PhantomData<T>,
 }
@@ -286,12 +296,9 @@ impl<T: SmiType> RecvChannel<T> {
         protocol: Protocol,
         params: &RuntimeParams,
     ) -> Result<Self, SmiError> {
+        let granted = protocol.window()?.unwrap_or(0);
         let io = PortIo::open(table, port, OpKind::Recv, T::DATATYPE, params)?;
         let port_wire = smi_wire::header::port_to_wire(port)?;
-        let granted = match protocol {
-            Protocol::Eager => 0,
-            Protocol::Credit { window } => window,
-        };
         Ok(RecvChannel {
             count,
             received: 0,
@@ -321,21 +328,17 @@ impl<T: SmiType> RecvChannel<T> {
         consumed.min(self.count.saturating_sub(self.granted))
     }
 
-    /// A credit grant of `credit` elements, on its way to the sender.
-    fn grant(&self, credit: u64) -> NetworkPacket {
-        let (me, src, port) = (self.my_wire_rank, self.src_wire_rank, self.port_wire);
-        NetworkPacket::control(me, src, port, PacketOp::Credit, credit as u32)
-    }
-
-    /// Send the coalesced credit grant once it is due, without blocking.
-    /// `Ok(true)` when no grant is owed; a grant a full lane refuses stays
-    /// accumulated for the next call.
-    fn maybe_grant(&mut self) -> Result<bool, SmiError> {
-        let credit = self.grant_due(false);
+    /// Send the coalesced credit grant once it is due (whatever is owed if
+    /// `closing`), without blocking. `Ok(true)` when no grant is owed; a
+    /// grant a full lane refuses stays accumulated for the next call.
+    fn maybe_grant(&mut self, closing: bool) -> Result<bool, SmiError> {
+        let credit = self.grant_due(closing);
         if credit == 0 {
             return Ok(true);
         }
-        let sent = self.io.try_send(self.grant(credit))?;
+        let (me, src, port) = (self.my_wire_rank, self.src_wire_rank, self.port_wire);
+        let grant = NetworkPacket::control(me, src, port, PacketOp::Credit, credit as u32);
+        let sent = self.io.try_send(grant)?;
         if sent {
             self.granted += credit;
         }
@@ -361,7 +364,7 @@ impl<T: SmiType> RecvChannel<T> {
         self.io.wait().on("pop progress", || {
             let moved = self.try_pop_slice(&mut out[filled..])?;
             filled += moved;
-            if filled == out.len() && self.maybe_grant()? {
+            if filled == out.len() && self.maybe_grant(false)? {
                 return Ok(BlockingStep::Ready(()));
             }
             Ok(if moved > 0 {
@@ -381,7 +384,7 @@ impl<T: SmiType> RecvChannel<T> {
         // Retry a grant deferred by a full FIFO even when no data is
         // buffered — with the sender's window exhausted, this grant is the
         // only thing that can make new data arrive.
-        self.maybe_grant()?;
+        self.maybe_grant(false)?;
         let mut filled = 0usize;
         while filled < out.len() {
             if self.deframer.is_empty() {
@@ -396,7 +399,7 @@ impl<T: SmiType> RecvChannel<T> {
             let n = self.deframer.pop_slice(&mut out[filled..]);
             filled += n;
             self.received += n as u64;
-            self.maybe_grant()?;
+            self.maybe_grant(false)?;
         }
         // The final copy, into the consumer's slice: one charge per call.
         self.io.meter().add_bytes(filled * T::DATATYPE.size_bytes());
@@ -425,10 +428,7 @@ impl<T: SmiType> Drop for RecvChannel<T> {
     fn drop(&mut self) {
         // Best-effort delivery of a final coalesced grant so a sender
         // mid-window is not stranded by an early close.
-        let credit = self.grant_due(true);
-        if credit > 0 {
-            let _ = self.io.try_send(self.grant(credit));
-        }
+        let _ = self.maybe_grant(true);
     }
 }
 
@@ -443,32 +443,26 @@ mod tests {
     use smi_codegen::OpSpec;
     use smi_wire::{Datatype, Frame, PacketRun};
 
-    /// Port 0 of rank 0 with both p2p kinds over loopback FIFOs, on a
-    /// health board the test holds: `(table, health, data in, lane out,
-    /// credit in)`.
-    #[allow(clippy::type_complexity)]
-    fn table() -> (
-        EndpointTableHandle,
-        FabricHealth,
-        QueueTx,
-        Receiver<Burst>,
-        QueueTx,
-    ) {
+    /// Port 0 of rank 0 with both p2p kinds and port 1 with a reduce, over
+    /// loopback FIFOs, on a health board the test holds: `(table, health,
+    /// data in, lane out)`.
+    fn table() -> (EndpointTableHandle, FabricHealth, QueueTx, Receiver<Burst>) {
         let health = FabricHealth::default();
         let meter = CopyMeter::default();
         let mut t = EndpointTable::with_health(health.clone(), meter.clone());
         let ((data_tx, data_rx), (lane_tx, lane_rx)) = (burst_queue(4), bounded(64));
-        let (credit_tx, credit_rx) = burst_queue(4);
-        let half = |rx| Some(PacketRx::new(rx, meter.clone()));
-        for (op, rx, credit_rx) in [
-            (OpSpec::send(0, Datatype::Int), None, half(credit_rx)),
-            (OpSpec::recv(0, Datatype::Int), half(data_rx), None),
+        let reduce = OpSpec::reduce(1, Datatype::Int, smi_wire::ReduceOp::Add);
+        for (op, rx) in [
+            (OpSpec::send(0, Datatype::Int), None),
+            (OpSpec::recv(0, Datatype::Int), Some(data_rx)),
+            (reduce, None),
         ] {
             let lanes = CksLanes::loopback(Box::new(lane_tx.clone()));
-            t.put(0, op.kind, PortRes::new(&op, lanes, rx, credit_rx));
+            let rx = rx.map(|rx| PacketRx::new(rx, meter.clone()));
+            t.put(op.port, op.kind, PortRes::new(&op, lanes, rx));
         }
         let t = std::sync::Arc::new(parking_lot::Mutex::new(t));
-        (t, health, data_tx, lane_rx, credit_tx)
+        (t, health, data_tx, lane_rx)
     }
 
     fn peer_dies(health: &FabricHealth) {
@@ -489,7 +483,7 @@ mod tests {
     #[test]
     fn p2p_try_calls_fail_fast_only_when_they_move_nothing() {
         let params = RuntimeParams::default();
-        let (t, health, data_tx, _lane_rx, _credit_tx) = table();
+        let (t, health, data_tx, _lane_rx) = table();
         let run = PacketRun::from_elems(1, 0, 0, PacketOp::Send, &[4i32, 5, 6]);
         assert!(matches!(
             data_tx.push(vec![Frame::Run(run)]),
@@ -503,13 +497,86 @@ mod tests {
         let err = rx.try_pop_slice(&mut out[3..]);
         assert!(matches!(err, Err(SmiError::PeerDisconnected { rank: 1 })));
 
-        let (t, health, _data_tx, _lane_rx, _credit_tx) = table();
+        let (t, health, _data_tx, _lane_rx) = table();
         let credit = Protocol::Credit { window: 3 };
         let mut tx = SendChannel::<i32>::open(t, 0, 1, 0, 8, credit, &params).unwrap();
         peer_dies(&health);
         let values = [1i32; 8];
         assert_eq!(tx.try_push_slice(&values).unwrap(), 3);
         let err = tx.try_push_slice(&values[3..]);
+        assert!(matches!(err, Err(SmiError::PeerDisconnected { rank: 1 })));
+    }
+
+    /// A credit window outside `1..=u32::MAX` fails either end's open with
+    /// a typed error and leaves the port free: a window of 0 would leave
+    /// both ends waiting out the stall bound, and a larger one would not fit
+    /// a grant.
+    #[test]
+    fn a_window_outside_one_to_u32_max_fails_the_open() {
+        let params = RuntimeParams::default();
+        let (t, ..) = table();
+        for window in [0, u64::from(u32::MAX) + 1, u64::MAX] {
+            let credit = Protocol::Credit { window };
+            let tx = SendChannel::<i32>::open(t.clone(), 0, 1, 0, 8, credit, &params);
+            let rx = RecvChannel::<i32>::open(t.clone(), 0, 1, 0, 8, credit, &params);
+            let bad = |e: &SmiError| matches!(e, SmiError::ProtocolViolation { .. });
+            assert!(tx.err().is_some_and(|e| bad(&e)), "send, window {window}");
+            assert!(rx.err().is_some_and(|e| bad(&e)), "recv, window {window}");
+        }
+        let credit = Protocol::Credit {
+            window: u64::from(u32::MAX),
+        };
+        assert!(SendChannel::<i32>::open(t.clone(), 0, 1, 0, 8, credit, &params).is_ok());
+        assert!(RecvChannel::<i32>::open(t, 0, 1, 0, 8, credit, &params).is_ok());
+    }
+
+    /// A credit-mode sender claims one grant per spent window, so its
+    /// window closes at every grant's end whatever queued: two grants
+    /// counted at once still frame as two 3-element packets, not one of 6.
+    #[test]
+    fn a_sender_closes_its_window_at_every_grant() {
+        let params = RuntimeParams::default();
+        let (t, _health, _data_tx, lane_rx) = table();
+        let credit = Protocol::Credit { window: 3 };
+        let mut tx = SendChannel::<i32>::open(t, 0, 1, 0, 9, credit, &params).unwrap();
+        let values = [1i32; 9];
+        assert_eq!(tx.try_push_slice(&values).unwrap(), 3);
+        tx.io.ctl().lock().grants.extend([3, 3]);
+        assert_eq!(tx.try_push_slice(&values[3..]).unwrap(), 6);
+        let elems: Vec<usize> = lane_rx.try_iter().flatten().map(|f| f.elems()).collect();
+        assert_eq!(elems, [3, 3, 3]);
+    }
+
+    /// A member waiting for credit fails fast once a peer process is dead:
+    /// a credit-mode sender and a reduce leaf that spent their windows get
+    /// `PeerDisconnected` from the next call, not a stall.
+    #[test]
+    fn credit_waits_fail_fast_when_the_peer_dies() {
+        use crate::collectives::topology::WireEdges;
+        use crate::collectives::ReduceChannel;
+        use crate::comm::Communicator;
+        let params = RuntimeParams {
+            reduce_credits: 4,
+            ..RuntimeParams::default()
+        };
+        let (t, health, _data_tx, _lane_rx) = table();
+        let credit = Protocol::Credit { window: 3 };
+        let mut tx = SendChannel::<i32>::open(t.clone(), 0, 1, 0, 8, credit, &params).unwrap();
+        let edges = WireEdges {
+            parent: Some(1),
+            children: Vec::new(),
+        };
+        let comm = Communicator::of_members(vec![0, 1], 0);
+        let mut leaf = ReduceChannel::<i32>::open(t, &comm, 8, 1, edges, &params).unwrap();
+        let values = [1i32; 8];
+        assert_eq!(tx.try_push_slice(&values).unwrap(), 3);
+        assert_eq!(leaf.try_reduce_slice(&values, &mut []).unwrap(), 4);
+        assert_eq!(tx.try_push_slice(&values[3..]).unwrap(), 0, "no grant yet");
+        assert_eq!(leaf.try_reduce_slice(&values[4..], &mut []).unwrap(), 0);
+        peer_dies(&health);
+        let err = tx.try_push_slice(&values[3..]);
+        assert!(matches!(err, Err(SmiError::PeerDisconnected { rank: 1 })));
+        let err = leaf.try_reduce_slice(&values[4..], &mut []);
         assert!(matches!(err, Err(SmiError::PeerDisconnected { rank: 1 })));
     }
 }

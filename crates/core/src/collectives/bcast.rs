@@ -127,7 +127,7 @@ impl<T: SmiType> BcastChannel<T> {
             CollectiveState::Opening => {
                 // The subtree is ready once no child is awaited; a member's
                 // own announcement left with the last child's claim.
-                if flushed && self.io.sync().awaited() == 0 {
+                if flushed && self.io.ctl().awaited() == 0 {
                     self.state = CollectiveState::Streaming;
                 }
             }
@@ -267,7 +267,7 @@ impl<T: SmiType> BcastChannel<T> {
             if self.state != CollectiveState::Opening {
                 return Ok(BlockingStep::Ready(()));
             }
-            let before = std::mem::replace(&mut awaited, self.io.sync().awaited());
+            let before = std::mem::replace(&mut awaited, self.io.ctl().awaited());
             Ok(if awaited < before {
                 BlockingStep::Progress
             } else {

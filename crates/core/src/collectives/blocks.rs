@@ -214,7 +214,7 @@ impl<T: SmiType> Blocks<T> {
         if self.send.ungranted == 0 {
             return;
         }
-        let mut tally = self.io.sync().lock();
+        let mut tally = self.io.ctl().lock();
         for (granted, &peer) in self.send.granted.iter_mut().zip(&self.send.peers) {
             if !*granted && tally.claim(peer) {
                 *granted = true;

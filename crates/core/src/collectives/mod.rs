@@ -34,11 +34,11 @@
 //! A port hosts one channel at a time, but a member that finished a
 //! message may open the port's next one while others are still in the
 //! last, so packets for a later message can reach a port early. No channel
-//! reads a ready-`Sync` or a grant: a CKR of the rank counts each into the
-//! port's tally per sender (`transport::ck::PortSync`), and the open it
-//! belongs to claims it there — a second ready-`Sync` from one scatter
+//! reads a control packet: a CKR of the rank counts each `Sync` per sender
+//! and each credit into the port's `transport::ck::PortCtl`, and the open
+//! it belongs to claims it there — a second ready-`Sync` from one scatter
 //! member, or a grant from the root of the next gather, simply stays
-//! tallied until then. Collective data deliveries carry data only. The one
+//! tallied until then. Collective deliveries carry data only. The one
 //! packet a channel reads for a later message is a reduce contribution
 //! past its count, which waits in the port's endpoint for the next open
 //! and is read first there (`PortIo::carry`).
@@ -147,7 +147,7 @@ mod tests {
     use super::*;
     use crate::comm::Communicator;
     use crate::endpoint::{new_table, CksLanes, PacketRx, PortRes};
-    use crate::transport::ck::PortSync;
+    use crate::transport::ck::PortCtl;
     use crate::transport::link::{burst_queue, LinkSend, QueueTx};
     use crate::transport::{Burst, CopyMeter};
     use crate::RuntimeParams;
@@ -166,7 +166,7 @@ mod tests {
     struct Rank {
         lane: (Sender<Burst>, Receiver<Burst>),
         deliver: QueueTx,
-        sync: PortSync,
+        sync: PortCtl,
         me: u8,
     }
 
@@ -182,13 +182,8 @@ mod tests {
         let lane = bounded(1);
         let (deliver, data_rx) = burst_queue(64);
         let rx = PacketRx::new(data_rx, CopyMeter::default());
-        let res = PortRes::new(
-            &op,
-            CksLanes::loopback(Box::new(lane.0.clone())),
-            Some(rx),
-            None,
-        );
-        let sync = res.sync.clone().expect("a scatter or gather port");
+        let res = PortRes::new(&op, CksLanes::loopback(Box::new(lane.0.clone())), Some(rx));
+        let sync = res.ctl.clone().expect("a scatter or gather port");
         let table = new_table();
         table.lock().put(0, op.kind, res);
         let rank = Rank {
@@ -243,7 +238,8 @@ mod tests {
 
         /// Count a `Sync` from `src` into the port's tally.
         fn sync_from(&self, src: u8) {
-            assert!(self.sync.lock().count(src).is_none());
+            let sync = NetworkPacket::control(src, self.me, 0, PacketOp::Sync, 0);
+            assert!(self.sync.count(&[sync.into()]).is_none());
         }
 
         /// Deliver `values` as one frame of `op` data from `src`.

@@ -7,7 +7,7 @@ use smi_wire::{Deframer, NetworkPacket, PacketOp, ReduceOp};
 use crate::collectives::topology::WireEdges;
 use crate::collectives::{CollectivePoll, CollectiveState};
 use crate::comm::Communicator;
-use crate::endpoint::{expect_op, BlockingStep, CreditLedger, EndpointTableHandle, PortIo};
+use crate::endpoint::{expect_op, BlockingStep, EndpointTableHandle, PortIo};
 use crate::params::RuntimeParams;
 use crate::SmiError;
 
@@ -31,7 +31,7 @@ use crate::SmiError;
 ///   into a `C`-slot ring window, emits each completed element — to the
 ///   caller at the root, or framed upward within the *upstream* credit
 ///   window at an interior node — and grants its children coalesced,
-///   tail-clamped credits (`CreditLedger`) at window boundaries.
+///   tail-clamped credits (`window_grant`) at window boundaries.
 pub struct ReduceChannel<T: SmiNumeric> {
     count: u64,
     port_wire: u8,
@@ -59,8 +59,9 @@ pub struct ReduceChannel<T: SmiNumeric> {
     /// Non-root: remaining upstream credits (elements this node may still
     /// emit toward its parent).
     credits: u64,
-    /// Combiner: downstream grant accounting, tail-clamped.
-    ledger: CreditLedger,
+    /// Combiner: credit granted downstream so far, the implicit first
+    /// window included; tail-clamped, so it ends at `max(window, count)`.
+    granted: u64,
     framer: smi_wire::Framer,
     state: CollectiveState,
     io: PortIo,
@@ -115,7 +116,7 @@ impl<T: SmiNumeric> ReduceChannel<T> {
             done: 0,
             credits_window,
             credits: credits_window,
-            ledger: CreditLedger::new(credits_window, count),
+            granted: credits_window,
             framer: smi_wire::Framer::new(
                 T::DATATYPE,
                 my_wire,
@@ -209,14 +210,7 @@ impl<T: SmiNumeric> ReduceChannel<T> {
             consumed += take;
             self.done += take as u64;
             self.credits -= take as u64;
-            // Flush at credit-window and message boundaries so no packet
-            // straddles a window tile (matching the fabric support kernel).
-            let maybe = if self.credits == 0 || self.done == self.count {
-                pkt.or_else(|| self.framer.flush())
-            } else {
-                pkt
-            };
-            if let Some(p) = maybe {
+            if let Some(p) = self.upstream(pkt) {
                 self.io.stage(p);
                 if self.io.stage_full() && !self.io.try_flush()? {
                     break;
@@ -227,22 +221,31 @@ impl<T: SmiNumeric> ReduceChannel<T> {
         Ok(consumed)
     }
 
-    /// Absorb any credit grants already delivered, without blocking. A
-    /// grant pushing the total allowance past the message tail is a
-    /// protocol violation (a correct granter clamps the last window — see
-    /// `CreditLedger`).
+    /// A packet bound upstream, with the framer's partial one at a credit
+    /// window's or the message's end: upstream grants are window-aligned,
+    /// so no packet straddles the parent's window tile (matching the
+    /// fabric support kernel).
+    fn upstream(&mut self, pkt: Option<NetworkPacket>) -> Option<NetworkPacket> {
+        if self.credits == 0 || self.done == self.count {
+            pkt.or_else(|| self.framer.flush())
+        } else {
+            pkt
+        }
+    }
+
+    /// Claim every credit grant counted so far, without blocking. A grant
+    /// pushing the total allowance past the message tail is a protocol
+    /// violation (a correct granter clamps the last window — see
+    /// `window_grant`).
     fn absorb_credits(&mut self) -> Result<(), SmiError> {
-        while let Some(pkt) = self.io.try_recv_credit()? {
-            expect_op(&pkt.header, PacketOp::Credit)?;
-            self.credits += pkt.control_arg() as u64;
-            if self.done + self.credits > self.count.max(self.credits_window) {
-                return Err(SmiError::ProtocolViolation {
-                    detail: format!(
-                        "reduce credit over-grant: {} done + {} credits exceeds count {}",
-                        self.done, self.credits, self.count
-                    ),
-                });
-            }
+        self.credits += self.io.claim_grants(usize::MAX)?.unwrap_or(0);
+        if self.done + self.credits > self.count.max(self.credits_window) {
+            return Err(SmiError::ProtocolViolation {
+                detail: format!(
+                    "reduce credit over-grant: {} done + {} credits exceeds count {}",
+                    self.done, self.credits, self.count
+                ),
+            });
         }
         Ok(())
     }
@@ -268,13 +271,26 @@ impl<T: SmiNumeric> ReduceChannel<T> {
             df.refill(pkt);
             while let Some(v) = df.pop::<T>() {
                 let at = self.progress[slot];
-                debug_assert!(at < self.ledger.granted(), "credit window violated");
+                debug_assert!(at < self.granted, "credit window violated");
                 let s = (at % c) as usize;
                 self.window[s] = self.op.apply(self.window[s], v);
                 self.progress[slot] = at + 1;
             }
         }
         Ok(())
+    }
+
+    /// The grant due once `done` elements completed: a window at each
+    /// window boundary, clamped so the total granted never exceeds the
+    /// message count — the tail-window rule.
+    fn window_grant(&mut self) -> u64 {
+        if !self.done.is_multiple_of(self.credits_window) {
+            return 0;
+        }
+        let left = self.count.saturating_sub(self.granted);
+        let grant = self.credits_window.min(left);
+        self.granted += grant;
+        grant
     }
 
     /// Stage coalesced, tail-clamped credit grants accrued since the last
@@ -331,8 +347,8 @@ impl<T: SmiNumeric> ReduceChannel<T> {
             self.done = i + 1;
             completed += 1;
             // Window boundary: coalesce the grant (§4.4), clamped to the
-            // message tail by the ledger, staged below.
-            pending_grant += self.ledger.window_grant(self.done);
+            // message tail, staged below.
+            pending_grant += self.window_grant();
         }
         self.stage_grants(pending_grant);
         self.advance()?;
@@ -380,18 +396,10 @@ impl<T: SmiNumeric> ReduceChannel<T> {
             let pkt = self.framer.push(&v);
             self.done = i + 1;
             self.credits -= 1;
-            // Flush at credit-window and message boundaries: upstream
-            // grants are window-aligned, so a packet never straddles the
-            // parent's window tile.
-            let maybe = if self.credits == 0 || self.done == self.count {
-                pkt.or_else(|| self.framer.flush())
-            } else {
-                pkt
-            };
-            if let Some(p) = maybe {
+            if let Some(p) = self.upstream(pkt) {
                 self.io.stage(p);
             }
-            pending_grant += self.ledger.window_grant(self.done);
+            pending_grant += self.window_grant();
         }
         self.stage_grants(pending_grant);
         Ok(())
@@ -454,6 +462,13 @@ impl<T: SmiNumeric> ReduceChannel<T> {
     }
 }
 
+impl<T: SmiNumeric> Drop for ReduceChannel<T> {
+    fn drop(&mut self) {
+        let completed = self.state == CollectiveState::Done;
+        self.io.check_grants_claimed(completed);
+    }
+}
+
 impl<T: SmiNumeric> CollectivePoll for ReduceChannel<T> {
     fn poll(&mut self) -> Result<CollectiveState, SmiError> {
         self.advance()?;
@@ -470,5 +485,48 @@ fn identity_of<T: SmiNumeric>(op: ReduceOp) -> T {
         ReduceOp::Add => T::ZERO,
         ReduceOp::Max => T::MIN_VALUE,
         ReduceOp::Min => T::MAX_VALUE,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::endpoint::{new_table, CksLanes, PortRes};
+    use smi_codegen::OpSpec;
+    use smi_wire::Datatype;
+
+    /// The grants a lone root with window `window` makes over a
+    /// `count`-element message as its completed elements reach `upto`.
+    fn grants(window: u64, count: u64, upto: u64) -> Vec<u64> {
+        let op = OpSpec::reduce(0, Datatype::Int, ReduceOp::Add);
+        let table = new_table();
+        table
+            .lock()
+            .put(0, op.kind, PortRes::new(&op, CksLanes::default(), None));
+        let params = RuntimeParams {
+            reduce_credits: window,
+            ..RuntimeParams::default()
+        };
+        let comm = Communicator::of_members(vec![0], 0);
+        let edges = WireEdges {
+            parent: None,
+            children: Vec::new(),
+        };
+        let mut ch = ReduceChannel::<i32>::open(table, &comm, count, 0, edges, &params).unwrap();
+        let mut grant = |done| {
+            ch.done = done;
+            ch.window_grant()
+        };
+        (1..=upto).map(&mut grant).filter(|&g| g > 0).collect()
+    }
+
+    /// Grants come at window boundaries only and are clamped to the
+    /// message tail, so the total granted is `max(window, count)` exactly:
+    /// 4-element windows over 10 elements grant 4, then 2, then nothing,
+    /// and a count below one window never puts a grant on the wire.
+    #[test]
+    fn grants_clamp_to_the_message_tail() {
+        assert_eq!(grants(4, 10, 12), [4, 2]);
+        assert_eq!(grants(8, 3, 8), [0u64; 0]);
     }
 }

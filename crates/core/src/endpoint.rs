@@ -3,9 +3,10 @@
 //! One SMI port corresponds to fixed hardware laid down at "compile time"
 //! (here: at cluster startup, from the generated design). Every declared
 //! `(port, kind)` is one `PortRes`, the same type for a point-to-point
-//! end and a collective: lanes into the rank's CKSs plus a data and a
-//! credit delivery half, either absent when the kind receives no such
-//! packets (a send has no data half, a receive no credit half). Opening a
+//! end and a collective: lanes into the rank's CKSs, a data delivery half
+//! (absent for a send, which receives no data) and the port's control
+//! state (absent for a receive, which receives no control packet), where
+//! the rank's CKRs count every `Sync` and credit grant. Opening a
 //! transient channel *takes* the resource into a `PortIo`, the one I/O
 //! handle every channel stages, flushes and receives through; dropping
 //! the channel returns it, so a port can host any number of sequential
@@ -30,7 +31,7 @@ use parking_lot::Mutex;
 use smi_codegen::{OpKind, OpSpec};
 use smi_wire::{Datatype, Deframer, Frame, Header, NetworkPacket, PacketOp, ReduceOp};
 
-use crate::transport::ck::PortSync;
+use crate::transport::ck::PortCtl;
 use crate::transport::link::{LinkRecv, LinkRx, LinkSend, LinkTx};
 use crate::transport::socket::FabricHealth;
 use crate::transport::{meter_inline_data, readdressed, Burst, CopyMeter};
@@ -77,8 +78,7 @@ pub(crate) fn refill(
 /// Frame-aware consumers ([`PacketRx::next_frame`]) receive
 /// [`Frame::Run`]s whole — an `Arc` handle move, no payload copy. The
 /// packet-oriented receive serves reduce contributions, which their senders
-/// stage as inline packets, and credits, which are control packets: a run
-/// there is a protocol violation.
+/// stage as inline packets: a run there is a protocol violation.
 pub(crate) struct PacketRx {
     rx: LinkRx,
     pending: VecDeque<Frame>,
@@ -170,10 +170,10 @@ impl CksLanes {
 }
 
 /// A port's endpoint hardware, one per declared `(port, kind)` and the same
-/// type for every kind: the lanes into the rank's CKSs plus up to two
-/// delivery halves the rank's CKRs write. A kind that receives no data (a
-/// send) or no credit (a receive) has that half absent, and an absent half
-/// reads as empty.
+/// type for every kind: the lanes into the rank's CKSs, the data delivery
+/// half the rank's CKRs write and the control state they count into. A
+/// send has no data half, and an absent half reads as empty; a receive has
+/// no control state.
 pub(crate) struct PortRes {
     pub dtype: Datatype,
     /// The operator a reduce binding declares.
@@ -181,8 +181,6 @@ pub(crate) struct PortRes {
     pub to_cks: CksLanes,
     /// Data deliveries.
     pub rx: Option<PacketRx>,
-    /// Credit deliveries.
-    pub credit_rx: Option<PacketRx>,
     /// Reduce contributions an earlier channel on this port read for a
     /// later message (a member that finished a message may open the next
     /// one at once); the next open receives them before anything else.
@@ -190,30 +188,23 @@ pub(crate) struct PortRes {
     /// `staged[lane]`: frames bound for that lane, in staging order. Kept
     /// with the resource, so opening a channel allocates nothing.
     staged: Vec<Burst>,
-    /// A bcast, scatter or gather port's `Sync` tally, and a bcast
-    /// member's fan-out and readiness fold, shared with every CKR of the
-    /// rank.
-    pub sync: Option<PortSync>,
+    /// The port's `Sync` tally and grant FIFO, and a bcast member's fan-out
+    /// and readiness fold, shared with every CKR of the rank; every kind
+    /// but a receive has one.
+    pub ctl: Option<PortCtl>,
 }
 
 impl PortRes {
-    /// The endpoint `op` declares, over `to_cks` and the given halves.
-    pub fn new(
-        op: &OpSpec,
-        to_cks: CksLanes,
-        rx: Option<PacketRx>,
-        credit_rx: Option<PacketRx>,
-    ) -> Self {
+    /// The endpoint `op` declares, over `to_cks` and the data half `rx`.
+    pub fn new(op: &OpSpec, to_cks: CksLanes, rx: Option<PacketRx>) -> Self {
         PortRes {
             dtype: op.dtype,
             reduce_op: op.reduce_op,
             staged: vec![Burst::new(); to_cks.lanes.len()],
             to_cks,
             rx,
-            credit_rx,
             carry: VecDeque::new(),
-            sync: matches!(op.kind, OpKind::Bcast | OpKind::Scatter | OpKind::Gather)
-                .then(PortSync::default),
+            ctl: (op.kind != OpKind::Recv).then(PortCtl::default),
         }
     }
 }
@@ -417,14 +408,12 @@ impl PortIo {
         window.clear();
     }
 
-    /// This port's `Sync` state ([`PortSync`]; bcast, scatter and gather
-    /// ports only).
-    pub fn sync(&self) -> &PortSync {
-        let sync = self.res().sync.as_ref();
-        sync.expect("a bcast, scatter or gather port")
+    /// This port's control state ([`PortCtl`]; every kind but a receive).
+    pub fn ctl(&self) -> &PortCtl {
+        self.res().ctl.as_ref().expect("a port with control state")
     }
 
-    /// Arm this port's `Sync` state for a bcast member with these hop-tree
+    /// Arm this port's control state for a bcast member with these hop-tree
     /// `children`, claiming their `Sync`s tallied so far. A non-root member
     /// also names `up`, its own announcement: from here until the handle
     /// drops, every CKR of the rank copies the port's `Bcast` data frames
@@ -439,7 +428,7 @@ impl PortIo {
             None => Default::default(),
         };
         let up = up.map(|up| (up, lane(up.header.dst)));
-        if let Some(up) = self.sync().arm(copies, children, up) {
+        if let Some(up) = self.ctl().arm(copies, children, up) {
             self.stage(up);
         }
     }
@@ -502,10 +491,11 @@ impl PortIo {
         self.stall.health().error()
     }
 
-    /// A receive's outcome. A collective fails fast once its path ran empty
-    /// *and* a peer process has died — it spans every member, so waiting
-    /// out the stall could only end in a timeout anyway. A point-to-point
-    /// channel fails only a call that moved nothing ([`PortIo::peer_error`]).
+    /// A receive's or a grant claim's outcome. A collective fails fast once
+    /// its path ran empty *and* a peer process has died — it spans every
+    /// member, so waiting out the stall could only end in a timeout anyway.
+    /// A point-to-point channel fails only a call that moved nothing
+    /// ([`PortIo::peer_error`]).
     fn delivered<F>(&self, got: Option<F>) -> Result<Option<F>, SmiError> {
         match (got, self.kind.is_collective()) {
             (None, true) => self.peer_error().map_or(Ok(None), Err),
@@ -539,11 +529,25 @@ impl PortIo {
         self.carry.push_back(pkt);
     }
 
-    /// Non-blocking receive from the credit delivery path.
-    pub fn try_recv_credit(&mut self) -> Result<Option<NetworkPacket>, SmiError> {
-        let credit_rx = &mut self.res_mut().credit_rx;
-        let got = credit_rx.as_mut().map_or(Ok(None), PacketRx::next_packet)?;
+    /// Claim up to `most` credit grants the rank's CKRs counted, oldest
+    /// first, summed: `None` when none is queued.
+    pub fn claim_grants(&self, most: usize) -> Result<Option<u64>, SmiError> {
+        let mut ctl = self.ctl().lock();
+        let n = most.min(ctl.grants.len());
+        let got = (n > 0).then(|| ctl.grants.drain(..n).map(u64::from).sum());
+        drop(ctl);
         self.delivered(got)
+    }
+
+    /// Check (debug builds) that a channel that `completed` its message
+    /// claimed every grant counted for its port: a correct granter's total
+    /// is exactly what the message needed beyond its first window.
+    pub fn check_grants_claimed(&self, completed: bool) {
+        let claimed = || self.ctl().lock().grants.is_empty();
+        debug_assert!(
+            !completed || claimed(),
+            "a completed channel left grants unclaimed"
+        );
     }
 }
 
@@ -558,58 +562,14 @@ impl Drop for PortIo {
                     let _ = lane.offer(std::mem::take(staged));
                 }
             }
-            if let Some(sync) = &res.sync {
-                sync.disarm();
+            if let Some(ctl) = &res.ctl {
+                ctl.disarm();
             }
             // What this channel kept arrived before what it never read.
             self.carry.append(&mut res.carry);
             res.carry = std::mem::take(&mut self.carry);
             self.table.lock().put(self.port, self.kind, res);
         }
-    }
-}
-
-/// Downstream credit accounting for the contributors feeding one node of a
-/// reduce (the root in the linear scheme, any combiner node in the tree
-/// scheme). Tracks the total credit granted — including the protocol's
-/// *implicit* first window — and clamps every subsequent wire grant to the
-/// message tail, so a message whose count is not a multiple of the window
-/// size can never be over-granted: the total ever granted is
-/// `max(window, count)`, reached exactly.
-#[derive(Debug, Clone)]
-pub(crate) struct CreditLedger {
-    window: u64,
-    count: u64,
-    granted: u64,
-}
-
-impl CreditLedger {
-    /// New ledger for a `count`-element message with window size `window`
-    /// (the first window is implicitly granted and never on the wire).
-    pub fn new(window: u64, count: u64) -> Self {
-        debug_assert!(window >= 1);
-        CreditLedger {
-            window,
-            count,
-            granted: window,
-        }
-    }
-
-    /// Called when `emitted` elements have completed: returns the credit
-    /// to grant (0 when not at a window boundary, and clamped so the total
-    /// granted never exceeds the message count — the tail-window rule).
-    pub fn window_grant(&mut self, emitted: u64) -> u64 {
-        if emitted == 0 || !emitted.is_multiple_of(self.window) {
-            return 0;
-        }
-        let g = self.window.min(self.count.saturating_sub(self.granted));
-        self.granted += g;
-        g
-    }
-
-    /// Total credit granted so far (implicit first window included).
-    pub fn granted(&self) -> u64 {
-        self.granted
     }
 }
 
@@ -721,8 +681,7 @@ mod tests {
     fn coll_table(op: OpSpec, lanes: CksLanes, data_rx: LinkRx) -> EndpointTableHandle {
         let rx = PacketRx::new(data_rx, CopyMeter::default());
         let t = new_table();
-        t.lock()
-            .put(0, op.kind, PortRes::new(&op, lanes, Some(rx), None));
+        t.lock().put(0, op.kind, PortRes::new(&op, lanes, Some(rx)));
         t
     }
 
@@ -827,11 +786,24 @@ mod tests {
         assert!(rx[1].is_empty());
     }
 
+    /// A grant claim takes the oldest grants first: one at a time for a
+    /// p2p sender, every queued one for a reduce member.
+    #[test]
+    fn grants_are_claimed_oldest_first() {
+        let t = table_of(&[OpSpec::send(0, Datatype::Int)]);
+        let params = crate::params::RuntimeParams::default();
+        let io = PortIo::open(t, 0, OpKind::Send, Datatype::Int, &params).unwrap();
+        io.ctl().lock().grants.extend([5, 7, 9]);
+        assert_eq!(io.claim_grants(1).unwrap(), Some(5));
+        assert_eq!(io.claim_grants(usize::MAX).unwrap(), Some(16));
+        assert_eq!(io.claim_grants(1).unwrap(), None);
+    }
+
     /// A table declaring every op of `ops`, with no lanes or halves.
     fn table_of(ops: &[OpSpec]) -> EndpointTableHandle {
         let t = new_table();
         for op in ops {
-            let res = PortRes::new(op, CksLanes::default(), None, None);
+            let res = PortRes::new(op, CksLanes::default(), None);
             t.lock().put(op.port, op.kind, res);
         }
         t
@@ -945,21 +917,6 @@ mod tests {
         });
         let err = s.on::<()>("never", || Ok(BlockingStep::Pending));
         assert!(matches!(err, Err(SmiError::PeerDisconnected { rank: 3 })));
-    }
-
-    #[test]
-    fn credit_ledger_clamps_tail_window() {
-        let mut l = CreditLedger::new(4, 10);
-        assert_eq!(l.granted(), 4); // implicit first window
-        assert_eq!(l.window_grant(3), 0); // not a window boundary
-        assert_eq!(l.window_grant(4), 4); // full interior window
-        assert_eq!(l.window_grant(8), 2); // tail window: clamped to 10
-        assert_eq!(l.window_grant(12), 0); // nothing left to grant
-        assert_eq!(l.granted(), 10);
-        // A count below one window never puts a grant on the wire.
-        let mut s = CreditLedger::new(8, 3);
-        assert_eq!(s.window_grant(8), 0);
-        assert_eq!(s.granted(), 8);
     }
 
     #[test]

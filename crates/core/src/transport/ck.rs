@@ -32,16 +32,17 @@
 //! `forwards` counts kernel crossings — one per packet it routes, whatever
 //! the fan-out.
 //!
-//! [`Route::Count`] is the verdict on every ready-`Sync` or grant for a
-//! bcast, scatter or gather port ([`PortSync`]): the CKR counts it (one
-//! forward, as delivering it was) and nothing reaches the port's delivery.
-//! A `Sync` from a child an armed bcast member waits for is claimed at
-//! once, and the CKR that claims the last child sends the member's own
-//! announcement onto the link toward its parent — parked in order and,
-//! like a copy, no forward. Any other `Sync` is tallied per sender for a
-//! later open to claim. So §3.3's readiness climbs the tree through the
-//! CKRs, as through the paper's support kernels (§4.4), and no rank task
-//! reads a `Sync`.
+//! [`Route::Count`] is the verdict on every control packet — a ready-`Sync`,
+//! a grant or a credit — for any port but a receive: the CKR counts it into
+//! the port's [`PortCtl`] (one forward, as delivering it was), and no
+//! control packet reaches a delivery.
+//! A credit joins the port's grant FIFO. A `Sync` from a child an armed
+//! bcast member waits for is claimed at once, and the CKR that claims the
+//! last child sends the member's own announcement onto the link toward its
+//! parent — parked in order and, like a copy, no forward. Any other `Sync`
+//! is tallied per sender for a later open to claim. So readiness and
+//! credits stay in the kernels, as in the paper's support kernels (§4.4),
+//! and no rank task reads a control packet.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,7 +52,7 @@ use parking_lot::{Mutex, MutexGuard};
 use smi_wire::{Frame, Header, NetworkPacket, PacketOp};
 
 use crate::transport::executor::{Pollable, Step, Wake};
-use crate::transport::link::{LinkRecv, LinkRx, LinkSend, LinkTx};
+use crate::transport::link::{LinkRecv, LinkRx, LinkSend, LinkTx, Transport};
 use crate::transport::{readdressed, Burst, Copies, CopyMeter};
 
 /// Routing verdict for one frame.
@@ -63,32 +64,34 @@ pub(crate) enum Route {
     /// re-addressed to each `(child, output)` in turn, then the frame itself
     /// into output `local`, the member's own delivery.
     Multicast { copies: Copies, local: usize },
-    /// Count a `Sync` into its port's state.
-    Count(PortSync),
+    /// Count a `Sync` or a credit into its port's control state.
+    Count(PortCtl),
     /// No route — count as unroutable and drop (always a wiring bug).
     Drop,
 }
 
-/// A bcast, scatter or gather port's `Sync` state, shared by its endpoint
-/// and every CKR of its rank: the `Sync`s counted and not yet claimed, and
+/// A port's control state, shared by its endpoint and every CKR of its
+/// rank: the `Sync`s and credit grants counted and not yet claimed, and
 /// while a bcast member holds the port its fan-out, the children it still
-/// waits for and its own announcement. The endpoint arms it at open,
-/// before its own announcement can leave, and dropping the channel disarms
-/// it; the tally outlives both.
+/// waits for and its own announcement. Every kind but a receive has one.
+/// A bcast endpoint arms it at open, before its own announcement can
+/// leave, and dropping the channel disarms it; the counts outlive both.
 #[derive(Clone, Default)]
-pub(crate) struct PortSync(Arc<Mutex<SyncState>>);
+pub(crate) struct PortCtl(Arc<Mutex<CtlState>>);
 
-impl PartialEq for PortSync {
+impl PartialEq for PortCtl {
     fn eq(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
     }
 }
 
-/// What a [`PortSync`] holds.
+/// What a [`PortCtl`] holds.
 #[derive(Default)]
-pub(crate) struct SyncState {
+pub(crate) struct CtlState {
     /// `tally[src]`: `Sync`s from wire rank `src` not yet claimed.
     tally: Vec<u32>,
+    /// Credit grants not yet claimed, oldest first, in elements each.
+    pub grants: VecDeque<u32>,
     /// `(child, CK pair of its next hop)` per hop-tree child.
     copies: Copies,
     /// Children whose `Sync` the armed member still waits for.
@@ -98,7 +101,7 @@ pub(crate) struct SyncState {
     up: Option<(NetworkPacket, usize)>,
 }
 
-impl SyncState {
+impl CtlState {
     /// Claim one tallied `Sync` from `src`, if there is one.
     pub fn claim(&mut self, src: u8) -> bool {
         match self.tally.get_mut(usize::from(src)) {
@@ -109,27 +112,11 @@ impl SyncState {
             _ => false,
         }
     }
-
-    /// Count a `Sync` from `src`: one from an awaited child is claimed at
-    /// once, and the last returns the member's announcement; any other is
-    /// tallied.
-    pub fn count(&mut self, src: u8) -> Option<(NetworkPacket, usize)> {
-        if let Some(at) = self.wait.iter().position(|&c| c == src) {
-            self.wait.swap_remove(at);
-            return self.up.take_if(|_| self.wait.is_empty());
-        }
-        let at = usize::from(src);
-        if self.tally.len() <= at {
-            self.tally.resize(at + 1, 0);
-        }
-        self.tally[at] += 1;
-        None
-    }
 }
 
-impl PortSync {
+impl PortCtl {
     /// Hold the state: whatever is claimed under one hold, no CKR claims.
-    pub fn lock(&self) -> MutexGuard<'_, SyncState> {
+    pub fn lock(&self) -> MutexGuard<'_, CtlState> {
         self.0.lock()
     }
 
@@ -166,19 +153,57 @@ impl PortSync {
         state.wait.clear();
     }
 
-    /// The verdict on a frame of `op` that a CKR delivers to output `local`.
-    pub fn route(&self, op: PacketOp, local: usize) -> Route {
-        match op {
-            PacketOp::Sync => Route::Count(self.clone()),
-            PacketOp::Bcast => match &self.lock().copies {
-                copies if copies.is_empty() => Route::Output(local),
-                copies => Route::Multicast {
-                    copies: copies.clone(),
-                    local,
-                },
-            },
-            _ => Route::Output(local),
+    /// Count a burst of control frames under one hold. A credit joins the
+    /// grant FIFO. A `Sync` from an awaited child is claimed at once, and
+    /// the last returns the member's announcement; any other `Sync` is
+    /// tallied.
+    pub fn count(&self, burst: &[Frame]) -> Option<(NetworkPacket, usize)> {
+        let (mut guard, mut up) = (self.lock(), None);
+        let state = &mut *guard;
+        for frame in burst {
+            let src = frame.header().src;
+            if frame.header().op == PacketOp::Credit {
+                state.grants.push_back(match frame {
+                    Frame::Pkt(p) => p.control_arg(),
+                    Frame::Run(r) => r.packet(0).control_arg(),
+                });
+            } else if let Some(at) = state.wait.iter().position(|&c| c == src) {
+                state.wait.swap_remove(at);
+                up = up.or(state.up.take_if(|_| state.wait.is_empty()));
+            } else {
+                let at = usize::from(src);
+                if state.tally.len() <= at {
+                    state.tally.resize(at + 1, 0);
+                }
+                state.tally[at] += 1;
+            }
         }
+        up
+    }
+
+    /// The verdict on a bcast data frame a CKR delivers to output `local`:
+    /// a multicast while a member's fan-out is armed.
+    pub fn fan_out(&self, local: usize) -> Route {
+        match &self.lock().copies {
+            copies if copies.is_empty() => Route::Output(local),
+            copies => Route::Multicast {
+                copies: copies.clone(),
+                local,
+            },
+        }
+    }
+}
+
+/// A single rank's grant loop: a receive's lane counts its grants straight
+/// into the send port's state, as a CKR would, and never fills.
+impl Transport for PortCtl {
+    fn offer(&mut self, burst: Burst) -> LinkSend {
+        self.count(&burst);
+        LinkSend::Accepted
+    }
+
+    fn share(&self) -> LinkTx {
+        Box::new(self.clone())
     }
 }
 
@@ -311,14 +336,8 @@ impl CkMachine {
                 }
                 self.offer(local, burst, packets, progressed)
             }
-            Route::Count(sync) => {
-                let (mut up, mut state) = (None, sync.lock());
-                for f in &burst {
-                    if let Some(last) = state.count(f.header().src) {
-                        up = Some(last);
-                    }
-                }
-                drop(state);
+            Route::Count(ctl) => {
+                let up = ctl.count(&burst);
                 self.forwards.fetch_add(packets, Ordering::Relaxed);
                 *progressed = true;
                 match up {
@@ -810,7 +829,7 @@ mod tests {
     }
 
     /// Whether every `Sync` the port counted was claimed.
-    fn all_claimed(sync: &PortSync) -> bool {
+    fn all_claimed(sync: &PortCtl) -> bool {
         sync.lock().tally.iter().all(|&n| n == 0)
     }
 
@@ -824,10 +843,10 @@ mod tests {
     /// the delivery.
     #[test]
     fn tallied_before_arm_and_claimed_after_arm_announce_once() {
-        let sync = PortSync::default();
+        let sync = PortCtl::default();
         let port = sync.clone();
         let (mut in_tx, mut m, _link, [link_rx, local_rx]) =
-            folding_ckr(4, move |h| port.route(h.op, 1));
+            folding_ckr(4, move |_| Route::Count(port.clone()));
         let mut msg = 0;
         for _ in 0..3 {
             for split in 0..=3u8 {
@@ -863,10 +882,10 @@ mod tests {
     /// which has 4 as a child, claims the tallied `Sync` at once.
     #[test]
     fn a_non_childs_sync_waits_in_the_tally_for_a_later_open() {
-        let sync = PortSync::default();
+        let sync = PortCtl::default();
         let port = sync.clone();
         let (mut in_tx, mut m, _link, [link_rx, local_rx]) =
-            folding_ckr(4, move |h| port.route(h.op, 1));
+            folding_ckr(4, move |_| Route::Count(port.clone()));
         assert!(sync.arm(copies(), &[2, 3], Some(up(0))).is_none());
         for (child, awaited) in [(4, 2), (2, 1)] {
             accept(&mut in_tx, vec![sync_pkt(child, 0)]);
@@ -889,11 +908,11 @@ mod tests {
     /// The link carries all three in routing order.
     #[test]
     fn a_refused_announcement_parks_in_order() {
-        let sync = PortSync::default();
+        let sync = PortCtl::default();
         assert!(sync.arm(copies(), &[2, 3], Some(up(7))).is_none());
         let port = sync.clone();
         let route = move |h: &Header| match h.op {
-            PacketOp::Sync => port.route(h.op, 1),
+            PacketOp::Sync => Route::Count(port.clone()),
             _ => Route::Output(0),
         };
         let (mut in_tx, mut m, link, [link_rx, local_rx]) = folding_ckr(1, route);
@@ -919,10 +938,10 @@ mod tests {
     /// and counted as one forward; none is delivered.
     #[test]
     fn a_disarmed_port_tallies_every_sync_and_delivers_none() {
-        let sync = PortSync::default();
+        let sync = PortCtl::default();
         let port = sync.clone();
         let (mut in_tx, mut m, _link, [link_rx, local_rx]) =
-            folding_ckr(4, move |h| port.route(h.op, 1));
+            folding_ckr(4, move |_| Route::Count(port.clone()));
         accept(
             &mut in_tx,
             vec![sync_pkt(2, 5), sync_pkt(3, 6), sync_pkt(2, 7)],
@@ -931,6 +950,27 @@ mod tests {
         assert!(local_rx.is_empty() && link_rx.is_empty());
         assert_eq!(m.forwards.load(Ordering::Relaxed), 3);
         assert_eq!(sync.lock().tally, [0, 0, 2, 1]);
+    }
+
+    /// Credits join the port's grant FIFO in arrival order, a `Sync` among
+    /// them its tally; each is one forward and none is delivered.
+    #[test]
+    fn credits_join_the_grant_fifo_in_arrival_order() {
+        let ctl = PortCtl::default();
+        let port = ctl.clone();
+        let (mut in_tx, mut m, _link, [link_rx, local_rx]) =
+            folding_ckr(4, move |_| Route::Count(port.clone()));
+        let credit = |arg| Frame::from(NetworkPacket::control(2, 1, 0, PacketOp::Credit, arg));
+        accept(&mut in_tx, vec![credit(5), sync_pkt(3, 0), credit(7)]);
+        accept(&mut in_tx, vec![credit(9)]);
+        m.poll();
+        assert!(local_rx.is_empty() && link_rx.is_empty());
+        assert_eq!(m.forwards.load(Ordering::Relaxed), 4);
+        let state = ctl.lock();
+        assert_eq!(
+            (&state.tally[..], &state.grants),
+            (&[0, 0, 0, 1][..], &[5, 7, 9].into())
+        );
     }
 
     /// The endpoint of an interior member with three children opens while
@@ -965,9 +1005,8 @@ mod tests {
             &op,
             CksLanes::loopback(fifo_tx(lane)),
             Some(PacketRx::new(data_rx, CopyMeter::default())),
-            None,
         );
-        let sync = res.sync.clone().expect("a bcast port");
+        let sync = res.ctl.clone().expect("a bcast port");
         let table = new_table();
         table.lock().put(0, op.kind, res);
         let params = RuntimeParams::default();
@@ -976,7 +1015,7 @@ mod tests {
             for split in 0..=CHILDREN {
                 let (mut in_tx, mut m, _link, [link_rx, local_rx]) = folding_ckr(64, {
                     let sync = sync.clone();
-                    move |h| sync.route(h.op, 1)
+                    move |_| Route::Count(sync.clone())
                 });
                 for msg in 0..MESSAGES {
                     let (before, after) = children.split_at(split);
@@ -1014,7 +1053,7 @@ mod tests {
                             // Hold the port until the CKR claimed every
                             // child; a claim that never comes fails below.
                             let until = Instant::now() + Duration::from_secs(5);
-                            while io.sync().awaited() > 0 && Instant::now() < until {
+                            while io.ctl().awaited() > 0 && Instant::now() < until {
                                 std::thread::yield_now();
                             }
                         });

@@ -12,8 +12,9 @@
 //! ([`crate::proc`]), the edges crossing a process boundary are handed in
 //! as socket-backed links ([`crate::transport::socket`]) and only the ranks
 //! marked local are instantiated here. Every endpoint delivery is a
-//! `burst_queue` too; the endpoint lanes into the CKSs are the last
-//! crossbeam FIFOs on the data path.
+//! `burst_queue` too, and carries data only: a CKR counts every control
+//! packet into its port's `PortCtl`. The endpoint lanes into the CKSs
+//! are the last crossbeam FIFOs on the data path.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -24,7 +25,7 @@ use smi_wire::{Header, PacketOp};
 
 use crate::endpoint::{CksLanes, EndpointTable, PacketRx, PortRes};
 use crate::params::RuntimeParams;
-use crate::transport::ck::{CkMachine, PortSync, Route};
+use crate::transport::ck::{CkMachine, PortCtl, Route};
 use crate::transport::executor::{Pollable, Wake};
 use crate::transport::link::{burst_queue, fifo, LinkRx, LinkTx, QueueTx, Transport};
 use crate::transport::socket::FabricHealth;
@@ -80,25 +81,23 @@ fn take_link<T>(links: &mut HashMap<(usize, usize), T>, rank: usize, qsfp: usize
 struct PortRoute {
     /// CKR output of the data delivery.
     data: Option<usize>,
-    /// CKR output of the credit delivery.
-    credit: Option<usize>,
-    /// A bcast, scatter or gather port's `Sync` state: its `Sync`s are
-    /// counted there, never delivered.
-    sync: Option<PortSync>,
+    /// The port's control state: its `Sync`s and credits are counted
+    /// there, never delivered.
+    ctl: Option<PortCtl>,
 }
 
 impl PortRoute {
-    /// The verdict on a packet of `op` that reached its destination rank.
+    /// The verdict on a packet of `op` that reached its destination rank: a
+    /// control packet is counted if the port has control state, and a data
+    /// packet delivered if it has a data delivery; anything else is
+    /// unroutable.
     fn route(&self, op: PacketOp) -> Route {
-        let local = if op == PacketOp::Credit {
-            self.credit
-        } else {
-            self.data
-        };
-        let Some(local) = local else {
-            return Route::Drop;
-        };
-        (self.sync.as_ref()).map_or(Route::Output(local), |sync| sync.route(op, local))
+        match (op, &self.ctl, self.data) {
+            (PacketOp::Sync | PacketOp::Credit, Some(ctl), _) => Route::Count(ctl.clone()),
+            (PacketOp::Sync | PacketOp::Credit, None, _) | (_, _, None) => Route::Drop,
+            (PacketOp::Bcast, Some(ctl), Some(local)) => ctl.fan_out(local),
+            (_, _, Some(local)) => Route::Output(local),
+        }
     }
 }
 
@@ -221,40 +220,36 @@ pub(crate) fn build_transport(
         let mut routes: Vec<PortRoute> = Vec::new();
         for b in &rank_design.bindings {
             let (op, bd) = (b.op, b.op.buffer_depth);
-            // Lane depth and the depths of the data and credit deliveries;
-            // a kind that receives no data or no credit gets no such half.
-            // A receive's lanes carry its credit grants (§3.3). A collective's
-            // deliveries hold at least one burst per peer: every member may
-            // send a one-shot control packet to a port *before* its owner
-            // opens the channel, and an undeliverable packet parks the CKR
-            // — head-of-line blocking all transit traffic behind it. Data
-            // traffic is bounded by handshakes and credits, so `n` extra
-            // slots restore liveness for any rank count. A ready-`Sync` no
-            // longer reaches a data delivery (a CKR counts it into the
-            // port's `PortSync`), so that reason no longer applies to data
-            // deliveries; their sizes are unchanged.
+            // Lane depth and the depth of the data delivery; a send, which
+            // receives no data, gets none. A receive's lanes carry its
+            // credit grants (§3.3). A collective's delivery holds at least
+            // one burst per peer: that once kept a control packet sent
+            // before its port's owner opened from parking the CKR. No
+            // control packet reaches a delivery now (a CKR counts it into
+            // the port's `PortCtl`), but a depth sets the schedule, so the
+            // sizes stay as they were.
             let ep = ep_depth(bd);
-            let (lane_depth, data_depth, credit_depth) = match op.kind {
-                OpKind::Send => (ep, None, Some(bd.max(4))),
-                OpKind::Recv => (4, Some(ep), None),
-                _ => (ep, Some(ep.max(n)), Some(bd.max(4).max(n))),
+            let (lane_depth, data_depth) = match op.kind {
+                OpKind::Send => (ep, None),
+                OpKind::Recv => (4, Some(ep)),
+                _ => (ep, Some(ep.max(n))),
             };
             let to_cks = lanes(lane_depth, b.ck_pair);
             if routes.len() <= op.port {
                 routes.resize_with(op.port + 1, PortRoute::default);
             }
             let route = &mut routes[op.port];
-            let mut half = |slot: &mut Option<usize>, depth: Option<usize>| {
-                let (tx, rx) = burst_queue(depth?);
+            let rx = data_depth.map(|depth| {
+                let (tx, rx) = burst_queue(depth);
                 let out = np + delivery_tx.len();
-                assert!(slot.replace(out).is_none(), "a port delivered twice");
+                assert!(route.data.replace(out).is_none(), "a port delivered twice");
                 delivery_tx.push(tx);
-                Some(PacketRx::new(rx, meter.clone()))
-            };
-            let rx = half(&mut route.data, data_depth);
-            let credit_rx = half(&mut route.credit, credit_depth);
-            let res = PortRes::new(&op, to_cks, rx, credit_rx);
-            route.sync = res.sync.clone();
+                PacketRx::new(rx, meter.clone())
+            });
+            let res = PortRes::new(&op, to_cks, rx);
+            // Only a send and a receive share a port, and a receive has no
+            // control state.
+            route.ctl = route.ctl.take().or(res.ctl.clone());
             table.put(op.port, op.kind, res);
         }
 
@@ -357,12 +352,13 @@ pub(crate) fn build_transport(
 }
 
 /// Single-rank cluster: no network — wire each port's send side straight to
-/// its receive side (intra-rank channels on matching ports, §3.1.1). The
-/// recv grant path loops back into the send side's credit input, so even the
-/// credit-based protocol works locally. A collective's lane loops into its
-/// own data delivery; nothing sends it credit. A lone receive has nothing to
-/// feed it and no lanes or halves at all: a pop reports a timeout. Each loop
-/// is one `burst_queue`, a lane and a delivery at once.
+/// its receive side (intra-rank channels on matching ports, §3.1.1). A
+/// receive's lane counts its grants straight into the send port's control
+/// state, with no queue, so even the credit-based protocol works locally. A
+/// collective's lane loops into its own data delivery; nothing sends it
+/// credit. A lone receive has nothing to feed it and no lanes or half at
+/// all: a pop reports a timeout. Each data loop is one `burst_queue`, a
+/// lane and a delivery at once.
 fn build_single_rank(
     design: &ClusterDesign,
     params: &RuntimeParams,
@@ -376,18 +372,14 @@ fn build_single_rank(
     ops.sort_by_key(|op| op.kind != OpKind::Send);
     let mut loops = HashMap::new();
     for op in &ops {
-        let (to_cks, rx, credit_rx) = match op.kind {
+        let (to_cks, rx, send_rx) = match op.kind {
             OpKind::Send => {
                 let depth = op.buffer_depth.max(params.endpoint_fifo_depth).max(1);
-                let ((data_tx, data_rx), (grant_tx, credit_rx)) =
-                    (burst_queue(depth), burst_queue(4));
-                loops.insert(op.port, (data_rx, grant_tx));
-                (CksLanes::loopback(Box::new(data_tx)), None, Some(credit_rx))
+                let (tx, rx) = burst_queue(depth);
+                (CksLanes::loopback(Box::new(tx)), None, Some(rx))
             }
             OpKind::Recv => match loops.remove(&op.port) {
-                Some((data_rx, grant_tx)) => {
-                    (CksLanes::loopback(Box::new(grant_tx)), Some(data_rx), None)
-                }
+                Some((rx, grants)) => (CksLanes::loopback(grants), Some(rx), None),
                 None => (CksLanes::default(), None, None),
             },
             _ => {
@@ -395,8 +387,10 @@ fn build_single_rank(
                 (CksLanes::loopback(Box::new(tx)), Some(rx), None)
             }
         };
-        let half = |rx: Option<LinkRx>| rx.map(|rx| PacketRx::new(rx, meter.clone()));
-        let res = PortRes::new(op, to_cks, half(rx), half(credit_rx));
+        let res = PortRes::new(op, to_cks, rx.map(|rx| PacketRx::new(rx, meter.clone())));
+        if let (Some(rx), Some(ctl)) = (send_rx, &res.ctl) {
+            loops.insert(op.port, (rx, ctl.share()));
+        }
         table.put(op.port, op.kind, res);
     }
     TransportHandle {
@@ -410,35 +404,35 @@ mod tests {
     use super::*;
     use smi_wire::{Datatype, NetworkPacket, ReduceOp};
 
-    /// A `Sync` for a bcast, scatter or gather port is counted into the
-    /// port's state, armed or not, and never routed to a delivery; a
-    /// reduce port has no such state.
+    /// A `Sync` or a credit for a port with control state — every kind but
+    /// a receive — is counted into that state, armed or not, and never
+    /// routed to a delivery; a receive, which has none, drops both as
+    /// unroutable.
     #[test]
-    fn a_collective_ports_sync_never_routes_to_a_delivery() {
-        let ops = [
-            OpSpec::bcast(0, Datatype::Int),
-            OpSpec::scatter(0, Datatype::Int),
-            OpSpec::gather(0, Datatype::Int),
-        ];
-        for op in ops {
-            let res = PortRes::new(&op, CksLanes::default(), None, None);
-            let route = PortRoute {
-                data: Some(2),
-                credit: Some(3),
-                sync: res.sync.clone(),
+    fn a_control_packet_never_routes_to_a_delivery() {
+        for kind in OpKind::ALL {
+            let op = OpSpec {
+                kind,
+                reduce_op: (kind == OpKind::Reduce).then_some(ReduceOp::Add),
+                ..OpSpec::send(0, Datatype::Int)
             };
-            let sync = res.sync.expect("a Sync state");
+            let res = PortRes::new(&op, CksLanes::default(), None);
+            let route = PortRoute {
+                data: (kind != OpKind::Send).then_some(2),
+                ctl: res.ctl.clone(),
+            };
+            assert_eq!(res.ctl.is_none(), kind == OpKind::Recv, "{kind:?}");
             for armed in [false, true] {
-                if armed {
+                if let (true, Some(ctl)) = (armed, &res.ctl) {
                     let up = NetworkPacket::control(1, 0, 0, PacketOp::Sync, 0);
-                    sync.arm(Arc::new([(2, 0)]), &[2], Some((up, 0)));
+                    ctl.arm(Arc::new([(2, 0)]), &[2], Some((up, 0)));
                 }
-                let verdict = route.route(PacketOp::Sync);
-                assert!(verdict == Route::Count(sync.clone()), "{:?}", op.kind);
+                for control in [PacketOp::Sync, PacketOp::Credit] {
+                    let want = res.ctl.clone().map_or(Route::Drop, Route::Count);
+                    let at = format!("{control:?} to {kind:?}, armed {armed}");
+                    assert!(route.route(control) == want, "{at}");
+                }
             }
         }
-        let reduce = OpSpec::reduce(0, Datatype::Int, ReduceOp::Add);
-        let res = PortRes::new(&reduce, CksLanes::default(), None, None);
-        assert!(res.sync.is_none());
     }
 }

@@ -14,10 +14,10 @@
 //! announcement cannot pass unseen.
 //!
 //! Point-to-point channels reopen back to back too: a credit-protocol
-//! receiver must not grant credit its sender never reads, or the grants
-//! pile up in the sender port's credit FIFO across reopens until the CKR
-//! that delivers there blocks — and with it every stream entering that
-//! rank.
+//! receiver must not grant credit its sender never claims, or the grants
+//! pile up in the sender port's grant FIFO across reopens and hand later
+//! messages credit their receivers never gave. A completed sender checks
+//! (in debug builds) that it claimed every grant.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -292,9 +292,9 @@ fn back_to_back_blocking_reduces_on_one_port() {
     assert!(results[1].is_ok(), "rank 1: {:?}", results[1]);
 }
 
-/// Messages per direction in the point-to-point runs: more than the 16
-/// bursts a sender port's credit FIFO holds, so grants a sender never reads
-/// would fill it.
+/// Messages per direction in the point-to-point runs: enough reopens that
+/// grants a sender never claims would pile up in its port's grant FIFO
+/// (once 16 would have filled the credit delivery and stalled its CKR).
 const P2P_MSGS: usize = 20;
 
 /// Back-to-back point-to-point channels in both directions at once: rank 0

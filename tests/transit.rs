@@ -96,13 +96,15 @@ impl RankTask for AllPairs {
     }
 }
 
-/// All-pairs p2p on `topo`, in memory (`plan` = `None`) or over `plan`;
-/// checks every stream and returns the transport counters.
+/// All-pairs p2p under `protocol` on `topo`, in memory (`plan` = `None`)
+/// or over `plan`; checks every stream and returns the transport counters
+/// and the executor's polls.
 fn all_pairs(
     topo: &Topology,
     plan: Option<&ProcessPlan>,
     params: RuntimeParams,
-) -> (u64, u64, u64) {
+    protocol: Protocol,
+) -> ((u64, u64, u64), u64) {
     let n = topo.num_ranks();
     let meta = (1..n).fold(ProgramMeta::new(), |m, p| {
         m.with(OpSpec::send(p, Datatype::Int))
@@ -121,14 +123,16 @@ fn all_pairs(
                     out,
                 };
                 for peer in (0..n).filter(|&p| p != rank) {
+                    let (count, out, inn) =
+                        (COUNT as u64, port(rank, peer, n), port(peer, rank, n));
                     task.sends.push(Outbound {
-                        ch: ctx.open_send_channel(COUNT as u64, peer, port(rank, peer, n))?,
+                        ch: ctx.open_send_channel_with(count, peer, out, protocol)?,
                         data: (0..COUNT).map(|i| value(rank, peer, i)).collect(),
                         off: 0,
                     });
                     task.recvs.push(Inbound {
                         src: peer,
-                        ch: ctx.open_recv_channel(COUNT as u64, peer, port(peer, rank, n))?,
+                        ch: ctx.open_recv_channel_with(count, peer, inn, protocol)?,
                         buf: vec![0; COUNT],
                         filled: 0,
                     });
@@ -157,7 +161,8 @@ fn all_pairs(
             assert!(*stream == want, "stream {src} → {dst} corrupted");
         }
     }
-    report.transport
+    let polls = report.worker_stats.iter().map(|w| w.polls).sum();
+    (report.transport, polls)
 }
 
 /// Runs [`all_pairs`] on `topo` for every `(processes, workers)` placement
@@ -185,7 +190,7 @@ fn one_crossing_per_rank(
             transport_workers: workers,
             ..base.clone()
         };
-        let (cks, ckr, unroutable) = all_pairs(topo, plan.as_ref(), params);
+        let ((cks, ckr, unroutable), _) = all_pairs(topo, plan.as_ref(), params, Protocol::Eager);
         assert_eq!(unroutable, 0, "{at}");
         assert_eq!(
             ckr,
@@ -225,6 +230,32 @@ fn shared_links_keep_every_stream_in_order_under_tight_fifos() {
         let placements = [(1, 1), (1, 2), (2, 2)];
         one_crossing_per_rank(name, &topo, RuntimeParams::tight(), &placements);
     }
+}
+
+/// The p2p half of the credit plane's count gate: all-pairs on `bus(5)`
+/// under a one-packet credit window, in memory on one worker, where the
+/// counts repeat exactly. A grant is one more packet from the receiver,
+/// so it costs what a data packet costs: one CKS forward at its origin and
+/// one CKR forward per rank it enters. Each stream's 4 data packets take 3
+/// grants, so the readings `(cks, ckr, polls)` are 20 streams × 7 packets,
+/// Σ hops (40) × 7 packets, and the executor's polls.
+const CREDIT_P2P: (u64, u64, u64) = (140, 280, 316);
+
+#[test]
+fn credit_grants_cost_one_crossing_per_rank_too() {
+    let topo = Topology::bus(5);
+    let params = RuntimeParams {
+        transport_workers: 1,
+        ..RuntimeParams::default()
+    };
+    let window = Protocol::Credit { window: EPP as u64 };
+    let ((cks, ckr, unroutable), polls) = all_pairs(&topo, None, params, window);
+    // `-- --nocapture` shows the reading.
+    println!("credit p2p on bus(5): {cks} CKS, {ckr} CKR forwards, {polls} polls");
+    assert_eq!(unroutable, 0);
+    let (want_cks, want_ckr, want_polls) = CREDIT_P2P;
+    assert_eq!((cks, ckr), (want_cks, want_ckr), "CKS and CKR forwards");
+    assert!(polls as f64 <= 1.01 * want_polls as f64, "{polls} polls");
 }
 
 /// Bcast, then gather, rooted at rank 4 of `torus2d(3,3)`, under both

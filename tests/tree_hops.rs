@@ -449,6 +449,35 @@ fn bus_broadcast_packets_cross_one_ckr_each() {
     assert!(stats.polls as f64 <= POLLS, "{} polls", stats.polls);
 }
 
+/// The reduce half of the credit plane's count gate: on `bus(32)`, root 0,
+/// `Tree`, one worker, a broadcast and then a reduce of five credit windows
+/// and 3 elements (`reduce_credits` 512). Every tree edge is one link, so
+/// each reduce packet and each grant crosses one CKS at its origin and one
+/// CKR. The readings `(cks, ckr, polls)`: the broadcast's 367 packets
+/// cost 368 CKS and 11 408 CKR forwards (as in
+/// [`bus_broadcast_packets_cross_one_ckr_each`]), and each of the 31 edges
+/// carries 371 reduce packets (74 per window, one for the tail) and 5
+/// grants, 11 656 of each; then the executor's polls.
+const CREDIT_REDUCE: (u64, u64, u64) = (12_024, 23_064, 3_952);
+
+#[test]
+fn bus_reduce_grants_cross_one_link_each() {
+    let topo = Topology::bus(32);
+    let count = 5 * 512 + 3;
+    let job = Job::new(vec![0], count, true);
+    let (streams, report) = run_tasks(&topo, 1, &job, params(CollectiveScheme::Tree, 1));
+    let world: Vec<usize> = (0..32).collect();
+    assert_eq!(streams[0].1, reduced(&world, count));
+    let (cks, ckr, unroutable) = report.transport;
+    let polls: u64 = report.worker_stats.iter().map(|w| w.polls).sum();
+    // `-- --nocapture` shows the reading.
+    println!("bcast then Tree reduce on bus(32): {cks} CKS, {ckr} CKR forwards, {polls} polls");
+    assert_eq!(unroutable, 0);
+    let (want_cks, want_ckr, want_polls) = CREDIT_REDUCE;
+    assert_eq!((cks, ckr), (want_cks, want_ckr), "CKS and CKR forwards");
+    assert!(polls as f64 <= 1.01 * want_polls as f64, "{polls} polls");
+}
+
 /// Roots 0, n − 1, n/2, 1, n − 2, 2 in turn on one port, on `bus(8)` and
 /// `torus2d(3,3)`, in memory on one and two workers and split over UDS. On
 /// the torus some members are interior for one root and leaves for the
