@@ -61,8 +61,8 @@ pub enum Protocol {
 
 impl Protocol {
     /// The credit window, `None` for eager; a window outside
-    /// `1..=u32::MAX` fails the open.
-    fn window(self) -> Result<Option<u64>, SmiError> {
+    /// `1..=u32::MAX` fails the open (a reduce's too).
+    pub(crate) fn window(self) -> Result<Option<u64>, SmiError> {
         const MAX: u64 = u32::MAX as u64;
         match self {
             Protocol::Eager => Ok(None),
@@ -507,14 +507,29 @@ mod tests {
         assert!(matches!(err, Err(SmiError::PeerDisconnected { rank: 1 })));
     }
 
-    /// A credit window outside `1..=u32::MAX` fails either end's open with
-    /// a typed error and leaves the port free: a window of 0 would leave
-    /// both ends waiting out the stall bound, and a larger one would not fit
-    /// a grant.
+    /// A credit window outside `1..=u32::MAX` fails either end's open, and
+    /// a reduce member's, with a typed error and leaves the port free: a
+    /// window of 0 would leave both ends waiting out the stall bound (and
+    /// panicked a reduce), and a larger one would not fit a grant.
     #[test]
     fn a_window_outside_one_to_u32_max_fails_the_open() {
-        let params = RuntimeParams::default();
+        use crate::collectives::topology::WireEdges;
+        use crate::collectives::ReduceChannel;
+        use crate::comm::Communicator;
         let (t, ..) = table();
+        let comm = Communicator::of_members(vec![0, 1], 0);
+        let reduce = |window| {
+            let params = RuntimeParams {
+                reduce_credits: window,
+                ..RuntimeParams::default()
+            };
+            let edges = WireEdges {
+                parent: Some(1),
+                children: Vec::new(),
+            };
+            ReduceChannel::<i32>::open(t.clone(), &comm, 8, 1, edges, &params)
+        };
+        let params = RuntimeParams::default();
         for window in [0, u64::from(u32::MAX) + 1, u64::MAX] {
             let credit = Protocol::Credit { window };
             let tx = SendChannel::<i32>::open(t.clone(), 0, 1, 0, 8, credit, &params);
@@ -522,12 +537,18 @@ mod tests {
             let bad = |e: &SmiError| matches!(e, SmiError::ProtocolViolation { .. });
             assert!(tx.err().is_some_and(|e| bad(&e)), "send, window {window}");
             assert!(rx.err().is_some_and(|e| bad(&e)), "recv, window {window}");
+            let leaf = reduce(window);
+            assert!(
+                leaf.err().is_some_and(|e| bad(&e)),
+                "reduce, window {window}"
+            );
         }
         let credit = Protocol::Credit {
             window: u64::from(u32::MAX),
         };
         assert!(SendChannel::<i32>::open(t.clone(), 0, 1, 0, 8, credit, &params).is_ok());
-        assert!(RecvChannel::<i32>::open(t, 0, 1, 0, 8, credit, &params).is_ok());
+        assert!(RecvChannel::<i32>::open(t.clone(), 0, 1, 0, 8, credit, &params).is_ok());
+        assert!(reduce(u64::from(u32::MAX)).is_ok());
     }
 
     /// A credit-mode sender claims one grant per spent window, so its

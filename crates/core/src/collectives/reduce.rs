@@ -9,7 +9,7 @@ use crate::collectives::{CollectivePoll, CollectiveState};
 use crate::comm::Communicator;
 use crate::endpoint::{expect_op, BlockingStep, EndpointTableHandle, PortIo};
 use crate::params::RuntimeParams;
-use crate::SmiError;
+use crate::{Protocol, SmiError};
 
 /// A reduce channel (`SMI_RChannel`). Every member contributes `count`
 /// elements; the reduced stream is produced at the root, exactly like the
@@ -76,8 +76,10 @@ impl<T: SmiNumeric> ReduceChannel<T> {
         edges: WireEdges,
         params: &RuntimeParams,
     ) -> Result<Self, SmiError> {
-        let credits_window = params.reduce_credits;
-        assert!(credits_window >= 1, "reduce needs at least one credit");
+        let credit = Protocol::Credit {
+            window: params.reduce_credits,
+        };
+        let credits_window = credit.window()?.expect("a credit protocol has a window");
         let io = PortIo::open(
             table,
             port,

@@ -32,6 +32,7 @@ use smi_codegen::{OpKind, OpSpec};
 use smi_wire::{Datatype, Deframer, Frame, Header, NetworkPacket, PacketOp, ReduceOp};
 
 use crate::transport::ck::PortCtl;
+use crate::transport::executor::back_off;
 use crate::transport::link::{LinkRecv, LinkRx, LinkSend, LinkTx};
 use crate::transport::socket::FabricHealth;
 use crate::transport::{meter_inline_data, readdressed, Burst, CopyMeter};
@@ -279,8 +280,8 @@ impl Stall {
     /// extend the call indefinitely ([`SmiError::DeadlineExceeded`]). A
     /// stall a dead peer explains ends as that peer's error. The backoff
     /// mirrors the executor worker loop — spin briefly, then yield, then
-    /// nap — so a rank thread spinning here cannot starve the workers that
-    /// move its packets.
+    /// nap ([`back_off`]) — so a rank thread spinning here cannot starve the
+    /// workers that move its packets.
     pub fn on<R>(
         self,
         waiting_for: &'static str,
@@ -311,13 +312,7 @@ impl Stall {
                 stall_end = now + self.timeout;
             }
             idle += 1;
-            if idle < 16 {
-                std::hint::spin_loop();
-            } else if idle < 128 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(50));
-            }
+            back_off(idle);
         };
         Err(self.health.escalate(err))
     }

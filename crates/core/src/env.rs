@@ -33,7 +33,7 @@
 //!   variants.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -55,7 +55,7 @@ use crate::proc::{
     TransportBackend,
 };
 pub use crate::transport::executor::WorkerStats;
-use crate::transport::executor::{Pollable, ShardedExecutor, Step};
+use crate::transport::executor::{back_off, Pollable, ShardedExecutor, Step};
 use crate::transport::socket::FabricHealth;
 use crate::transport::wiring::{build_transport, FabricLinks, TransportHandle};
 use crate::transport::{TransportStats, WireSnapshot};
@@ -652,15 +652,19 @@ enum Started<T> {
 /// transport, start the executor on the machines (CK kernels, socket
 /// pumps and, in task mode, the rank tasks), run the rank bodies (aligned
 /// with the group's ranks in world-rank order) to completion, and only
-/// tear the executor down after `on_complete` returns.
+/// tear the executor down after `on_complete` returns and the group's
+/// streams have ended.
 ///
 /// `on_complete` is the fabric-wide completion barrier: when the cluster
 /// spans groups it must not return until *every* rank of *every* group
-/// finished, so a peer still draining its final bursts never observes this
-/// group's sockets closing early. A rank finishing proves all data it
-/// needed arrived, so once all ranks everywhere are done, anything still
-/// in flight is protocol residue and the sockets can drop. A one-group run
-/// passes a no-op. The barrier is waited on every way out — a failed
+/// finished. A rank finishing proves all data it needed arrived, so once
+/// all ranks everywhere are done, anything still in flight is protocol
+/// residue. The group then ends its streams in-band
+/// ([`FabricHealth::finish`](crate::transport::socket::FabricHealth::finish)):
+/// every pump writes a fin and reads on to its peer's, so neither side reads
+/// the other's close as a fault. The executor runs until every pump has
+/// ended, at most `blocking_timeout`. A one-group run passes a no-op and
+/// has no pumps to wait for. The barrier is waited on every way out — a failed
 /// preparation, a panicking rank thread, a worker a panicking task or
 /// machine unwound — because peers must not hang on a barrier this group
 /// abandoned; a panic is resumed after teardown, whichever mode raised it.
@@ -767,6 +771,19 @@ pub(crate) fn run_group<T: Send + 'static>(
         }
     };
     on_complete();
+    // End the streams in-band, and keep the workers awake for the pumps
+    // until they are gone (at most a stall window; a stopped executor
+    // polls nothing).
+    diag.health.finish();
+    let (deadline, mut idle) = (Instant::now() + params.blocking_timeout, 0);
+    while diag.health.streams_open() > 0
+        && !stop.load(Ordering::SeqCst)
+        && Instant::now() < deadline
+    {
+        executor.kick();
+        idle += 1;
+        back_off(idle);
+    }
     stop.store(true, Ordering::SeqCst);
     match (rank_panic, executor.join()) {
         (Some(p), _) | (None, Err(p)) => std::panic::resume_unwind(p),
@@ -886,20 +903,13 @@ pub(crate) fn launch<T: Send + 'static>(
     let outcomes = match (plan, backend) {
         (Some(plan), Some(backend)) if backend != TransportBackend::InMem => {
             let procs = plan.rank_sets();
-            let run_complete = Arc::new(AtomicBool::new(false));
-            let wirings = setup_groups(topo, &procs, backend, plan.faults.as_ref(), &run_complete)?;
+            let wirings = setup_groups(topo, &procs, backend, plan.faults.as_ref())?;
             let barrier = std::sync::Barrier::new(procs.len());
-            let arrived = AtomicUsize::new(0);
             let groups = wirings.into_iter().zip(bodies.split(&procs));
             std::thread::scope(|scope| {
                 let handles: Vec<_> = groups
                     .map(|(wiring, bodies)| {
                         let wait = || {
-                            // The last group raises it before anyone leaves
-                            // the barrier to close a stream.
-                            if arrived.fetch_add(1, Ordering::SeqCst) + 1 == procs.len() {
-                                run_complete.store(true, Ordering::SeqCst);
-                            }
                             barrier.wait();
                         };
                         std::thread::Builder::new()

@@ -20,9 +20,14 @@
 //! ```
 //!
 //! The `done`/`halt` exchange is the cross-process completion barrier (see
-//! [`crate::env::run_group`]): no child drops its data sockets
-//! until the launcher has heard `done` from every process, so a peer still
-//! draining its final bursts never sees a false disconnect. Fault injection
+//! [`crate::env::run_group`]): no child starts to end its data streams
+//! until the launcher has heard `done` from every process. `halt` reaches
+//! the children one at a time, so the streams end in-band, not on it: each
+//! child's pumps write a fin once it has heard `halt`, and close only after
+//! reading the peer's, so a child that leaves first is never read as a
+//! disconnect. A child that counted a stream fault says so
+//! (`smi-launch[child k]: N stream fault(s)`); a fault-free run prints no
+//! such line. Fault injection
 //! comes in two flavours: `--kill <proc>:<bootstrap|stream>` makes the
 //! named child exit abruptly at that phase (survivors report
 //! [`SmiError::PeerDisconnected`] within the blocking deadline and the
@@ -575,9 +580,6 @@ fn child_run(o: &Opts) -> Result<i32, String> {
         streams,
         listener: Some(listener),
         faults: plan.faults.as_ref(),
-        // Never raised here: `halt` reaches the children one at a time, so
-        // a peer may close its streams before this child has heard it.
-        run_complete: Default::default(),
     };
     let metas = vec![workload_meta(); topo.num_ranks()];
     let kill_at = (o.kill == Some((me, KillPhase::Stream))).then(|| (o.count / 4).max(1));
@@ -605,6 +607,10 @@ fn child_run(o: &Opts) -> Result<i32, String> {
             "smi-launch[child {me}]: healed {} mid-stream reconnect(s)",
             outcome.reconnects_healed
         ));
+    }
+    let faults = stats.wire.snapshot().stream_faults;
+    if faults > 0 {
+        eprint_line(&format!("smi-launch[child {me}]: {faults} stream fault(s)"));
     }
 
     let mut failed = false;

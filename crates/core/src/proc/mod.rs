@@ -28,8 +28,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 use smi_codegen::ProgramMeta;
@@ -317,8 +316,6 @@ pub(crate) struct GroupWiring<'a> {
     /// `None` when no peer dials this process.
     pub listener: Option<SocketListener>,
     pub faults: Option<&'a FaultPlan>,
-    /// See [`ConnConfig::run_complete`]; shared by every group of a run.
-    pub run_complete: Arc<AtomicBool>,
 }
 
 /// Byte budget of each connection's replay ring, which holds encoded,
@@ -388,7 +385,6 @@ pub(crate) fn build_group_fabric(
             role,
             faults: faults.and_then(|fp| fp.injector_for(me, peer)),
             stats: stats.clone(),
-            run_complete: wiring.run_complete.clone(),
         };
         ps.stream.set_nonblocking(true)?;
         let (conn, pump) = SocketConn::new(ps.stream, cfg, health.clone());
@@ -461,13 +457,11 @@ pub(crate) fn bind_data_listener(
 /// `(lo, hi)` the lower-indexed group listens and the higher dials — the
 /// same orientation mid-stream recovery re-dials with — and the listener
 /// stays open inside the lo group's wiring so faulted peers can come back.
-/// Every group's pumps watch `run_complete`.
 pub(crate) fn setup_groups<'a>(
     topo: &Topology,
     procs: &'a [Vec<usize>],
     backend: TransportBackend,
     faults: Option<&'a FaultPlan>,
-    run_complete: &Arc<AtomicBool>,
 ) -> Result<Vec<GroupWiring<'a>>, LaunchError> {
     let mut groups: Vec<GroupWiring> = (0..procs.len())
         .map(|idx| GroupWiring {
@@ -477,7 +471,6 @@ pub(crate) fn setup_groups<'a>(
             streams: Vec::new(),
             listener: None,
             faults,
-            run_complete: run_complete.clone(),
         })
         .collect();
     let mut redials: HashMap<usize, Redial> = HashMap::new();
@@ -621,5 +614,81 @@ mod tests {
             assert_eq!(format!("{b}"), b.name());
         }
         assert_eq!(TransportBackend::parse("quic"), None);
+    }
+
+    /// The plan file the launcher smokes run.
+    const PLAN_2PROC: &str = include_str!("../../../../examples/topology_2proc.json");
+
+    /// A port count one past the bound is refused as a typed topology error
+    /// before anything is sized by it.
+    #[test]
+    fn a_plan_past_the_port_bound_is_a_typed_error() {
+        use smi_topology::{TopologyError, MAX_PORTS_PER_RANK};
+        let over = MAX_PORTS_PER_RANK + 1;
+        let json = PLAN_2PROC.replace(
+            "\"ports_per_rank\": 4",
+            &format!("\"ports_per_rank\": {over}"),
+        );
+        let plan = ProcessPlan::from_json(&json).expect("well-formed JSON");
+        let err = plan.build_topology().expect_err("past the bound");
+        assert!(
+            matches!(err, LaunchError::Topology(TopologyError::TooManyPorts(n)) if n == over),
+            "{err}"
+        );
+    }
+
+    /// Everything the launcher makes of a plan file's bytes: parsed, its
+    /// backend read and its topology built, or a typed error on the way —
+    /// never a panic, and never an allocation a claimed count sizes.
+    fn plan_outcome(bytes: &[u8]) -> Result<(), String> {
+        let text = String::from_utf8_lossy(bytes);
+        let _ = FaultPlan::from_json(&text);
+        let plan = ProcessPlan::from_json(&text).map_err(|e| e.to_string())?;
+        plan.parse_backend().map_err(|e| e.to_string())?;
+        plan.build_topology().map_err(|e| e.to_string())?;
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        /// Arbitrary bytes, as a plan and as a fault plan.
+        #[test]
+        fn plan_decoders_survive_arbitrary_bytes(
+            bytes in proptest::prop::collection::vec(proptest::any::<u8>(), 0..200),
+        ) {
+            if let Err(e) = plan_outcome(&bytes) {
+                proptest::prop_assert!(!e.is_empty());
+            }
+        }
+
+        /// The shipped plan, with its faults section filled in, with a few
+        /// bytes overwritten and a run of digits spliced in anywhere (the
+        /// way a count grows past its bound), cut short at any offset.
+        #[test]
+        fn plan_decoders_survive_mutated_plans(
+            hits in proptest::prop::collection::vec(
+                (proptest::any::<usize>(), proptest::any::<u8>()), 0..4),
+            digits in proptest::prop::collection::vec(0u8..10, 0..12),
+            splice_at in proptest::any::<usize>(),
+            keep in proptest::any::<usize>(),
+        ) {
+            let mut plan = ProcessPlan::from_json(PLAN_2PROC).expect("the shipped plan parses");
+            plan.faults = Some(FaultPlan::from_json(
+                r#"{"links":[{"from":0,"to":1,"drop":[2],"duplicate":[3],
+                "delay":[{"frame":4,"by":1}],"sever":[{"after_frame":5}],"restore":false}]}"#,
+            ).expect("the fault plan parses"));
+            let mut bytes = plan.to_json().into_bytes();
+            for &(at, byte) in &hits {
+                let at = at % bytes.len();
+                bytes[at] = byte;
+            }
+            let at = splice_at % (bytes.len() + 1);
+            bytes.splice(at..at, digits.iter().map(|d| b'0' + d));
+            bytes.truncate(bytes.len() - keep % (bytes.len() / 8 + 1));
+            if let Err(e) = plan_outcome(&bytes) {
+                proptest::prop_assert!(!e.is_empty());
+            }
+        }
     }
 }

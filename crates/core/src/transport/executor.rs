@@ -426,6 +426,12 @@ impl ShardedExecutor {
         ShardedExecutor { threads, pool }
     }
 
+    /// Unpark every parked worker, so the aged machines are polled now,
+    /// not at the end of a park timeout.
+    pub fn kick(&self) {
+        self.pool.wake(true);
+    }
+
     /// Number of worker threads backing the pool.
     pub fn num_workers(&self) -> usize {
         self.threads.len()
@@ -468,6 +474,19 @@ const COLD_TRICKLE: usize = 2;
 
 /// Fruitless sweeps in a row after which a worker stops yielding and parks.
 const PARK_AFTER_ROUNDS: u32 = 64;
+
+/// The `idle`-th fruitless round of a thread that waits for the workers:
+/// spin briefly, then yield, then nap, so the wait cannot starve them and
+/// a short one never pays a sleep.
+pub(crate) fn back_off(idle: u32) {
+    if idle < 16 {
+        std::hint::spin_loop();
+    } else if idle < 128 {
+        std::thread::yield_now();
+    } else {
+        std::thread::sleep(Duration::from_micros(50));
+    }
+}
 
 fn worker_loop(w: usize, pool: &Pool) {
     let nw = pool.shards.len();

@@ -121,6 +121,9 @@ pub struct WireStats {
     /// `accept` calls on a data listener (each re-dial costs one, and each
     /// drained listener one more); zero on a run without a fault.
     pub accepts: Arc<AtomicU64>,
+    /// Pump faults: every stream that broke other than by a clean close
+    /// after the peer's fin; zero on a run without a fault.
+    pub stream_faults: Arc<AtomicU64>,
 }
 
 impl WireStats {
@@ -147,6 +150,7 @@ impl WireStats {
             pool_misses: self.pool_misses.load(Ordering::Relaxed),
             corked_frames: self.corked_frames.load(Ordering::Relaxed),
             accepts: self.accepts.load(Ordering::Relaxed),
+            stream_faults: self.stream_faults.load(Ordering::Relaxed),
         }
     }
 }
@@ -172,6 +176,8 @@ pub struct WireSnapshot {
     pub corked_frames: u64,
     /// `accept` calls on a data listener.
     pub accepts: u64,
+    /// Pump faults other than a clean close after the peer's fin.
+    pub stream_faults: u64,
 }
 
 impl WireSnapshot {

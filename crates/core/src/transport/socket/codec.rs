@@ -20,6 +20,8 @@
 //!   body carrying the sender's last contiguously received seq).
 //! * [`ACK_RANK`] in `src_rank` — cumulative ack (`seq` = highest
 //!   contiguous seq received, no body).
+//! * [`FIN_RANK`] in `src_rank` — end of stream: its sender writes nothing
+//!   after it (no body; every other field 0).
 
 use std::io;
 use std::sync::Arc;
@@ -36,6 +38,9 @@ pub(crate) const HELLO_RANK: u16 = u16::MAX;
 
 /// `src_rank` sentinel marking a cumulative-ack frame.
 pub(crate) const ACK_RANK: u16 = u16::MAX - 1;
+
+/// `src_rank` sentinel marking the end-of-stream frame.
+pub(crate) const FIN_RANK: u16 = u16::MAX - 2;
 
 /// Total bytes of a hello frame (header + 8-byte `last_recv` body).
 pub(crate) const HELLO_BYTES: usize = FRAME_HEADER_BYTES + 8;
@@ -113,8 +118,9 @@ impl FrameHeader {
 }
 
 /// The frame at the front of `buf`: its header and total bytes once all of
-/// it has arrived, `Ok(None)` before. An ack is its header alone; a hello,
-/// a data frame without [`V3_FLAG`] or an oversized body is corruption.
+/// it has arrived, `Ok(None)` before. An ack or a fin is its header alone;
+/// a hello, a fin with a body, a data frame without [`V3_FLAG`] or an
+/// oversized body is corruption.
 pub(crate) fn whole_frame(buf: &[u8]) -> Result<Option<(FrameHeader, usize)>, String> {
     let Some(h) = FrameHeader::parse(buf) else {
         return Ok(None);
@@ -122,6 +128,8 @@ pub(crate) fn whole_frame(buf: &[u8]) -> Result<Option<(FrameHeader, usize)>, St
     let body = match h.tag.0 {
         HELLO_RANK => return Err("unexpected hello frame mid-stream".into()),
         ACK_RANK => 0,
+        FIN_RANK if h.flags | h.len != 0 => return Err("corrupt frame: a fin with a body".into()),
+        FIN_RANK => 0,
         _ if h.flags == 0 => {
             return Err(format!(
                 "corrupt frame: data frame without the body-length flag (len field {:#x})",
@@ -280,14 +288,15 @@ pub(crate) fn decode_body(block: &Arc<[u8]>, mut off: usize, body: usize) -> Res
     Ok(burst)
 }
 
-/// Append one cumulative-ack frame (`acked` = highest contiguous seq
-/// received) to a serialization buffer.
-pub(crate) fn encode_ack_into(out: &mut Vec<u8>, acked: u64) {
+/// Append one bodiless control frame to a serialization buffer: a
+/// cumulative ack ([`ACK_RANK`], `seq` = highest contiguous seq received)
+/// or a fin ([`FIN_RANK`], `seq` 0).
+pub(crate) fn encode_control_into(out: &mut Vec<u8>, rank: u16, seq: u64) {
     FrameHeader {
-        tag: (ACK_RANK, 0),
+        tag: (rank, 0),
         flags: 0,
         len: 0,
-        seq: acked,
+        seq,
     }
     .push(out);
 }
@@ -371,13 +380,21 @@ mod tests {
     #[test]
     fn frame_encode_shape() {
         let mut ack = Vec::new();
-        encode_ack_into(&mut ack, 123);
+        encode_control_into(&mut ack, ACK_RANK, 123);
         assert_eq!(ack.len(), FRAME_HEADER_BYTES);
         assert_eq!(u16::from_le_bytes(ack[..2].try_into().unwrap()), ACK_RANK);
         assert_eq!(u64::from_le_bytes(ack[8..16].try_into().unwrap()), 123);
         assert_eq!(
             whole_frame(&ack),
             Ok(Some((FrameHeader::parse(&ack).unwrap(), 16)))
+        );
+        let mut fin = Vec::new();
+        encode_control_into(&mut fin, FIN_RANK, 0);
+        assert_eq!(fin.len(), FRAME_HEADER_BYTES);
+        assert_eq!(u16::from_le_bytes(fin[..2].try_into().unwrap()), FIN_RANK);
+        assert_eq!(
+            whole_frame(&fin),
+            Ok(Some((FrameHeader::parse(&fin).unwrap(), 16)))
         );
     }
 
@@ -397,6 +414,12 @@ mod tests {
                 flags: 0,
                 len: 0,
                 seq: u64::MAX,
+            },
+            FrameHeader {
+                tag: (FIN_RANK, 0),
+                flags: 0,
+                len: 0,
+                seq: 0,
             },
             FrameHeader {
                 tag: (HELLO_RANK, 1),
@@ -501,7 +524,7 @@ mod tests {
     /// oversized run split across frames, an ack, a bootstrap and a resume
     /// hello — equal the bytes the single-file socket layer produced for
     /// the same list (length, frame sizes and FNV-1a digest captured from
-    /// it).
+    /// it); a fin appended to them reads one more digest.
     #[test]
     fn wire_bytes_match_the_reference_encoding() {
         let mut ring = ReplayRing::new(1 << 20);
@@ -519,7 +542,7 @@ mod tests {
         let sizes: Vec<usize> = ring.frames.iter().map(|(_, f)| f.len()).collect();
         assert_eq!(sizes, [115, 259, 65_546, 65_546, 18_986]);
         let mut out: Vec<u8> = ring.frames.iter().flat_map(|(_, f)| f.clone()).collect();
-        encode_ack_into(&mut out, 123_456_789);
+        encode_control_into(&mut out, ACK_RANK, 123_456_789);
         out.extend_from_slice(&Hello::initial(7, 0xDEAD_BEEF_0BAD_F00D).encode());
         let resume = Hello {
             proc: 3,
@@ -530,15 +553,21 @@ mod tests {
         out.extend_from_slice(&resume.encode());
         assert_eq!(out.len(), 150_516);
         assert_eq!(fnv(&out), 0x70d1_b682_b4ce_94ea);
+        encode_control_into(&mut out, FIN_RANK, 0);
+        assert_eq!(out.len(), 150_532);
+        assert_eq!(fnv(&out), 0x5294_bea3_d40e_1eee);
     }
 
     /// Everything a decoder makes of `bytes`: a typed error or a bounded
     /// result, never a panic. Nothing is sized by a claimed length: a
-    /// whole frame fits one receive block, and a decoded body holds at most
-    /// one item per run-item header's worth of bytes, its runs whole-element
-    /// views of it.
+    /// whole frame fits one receive block, a fin with a body is an error,
+    /// and a decoded body holds at most one item per run-item header's
+    /// worth of bytes, its runs whole-element views of it.
     fn decode_anything(bytes: &[u8]) -> Result<(), TestCaseError> {
-        let _ = FrameHeader::parse(bytes);
+        if let Some(h) = FrameHeader::parse(bytes) {
+            let fin_with_body = h.tag.0 == FIN_RANK && h.flags | h.len != 0;
+            prop_assert!(!fin_with_body || whole_frame(bytes).is_err());
+        }
         let mut hello = [0u8; HELLO_BYTES];
         let n = bytes.len().min(HELLO_BYTES);
         hello[..n].copy_from_slice(&bytes[..n]);
@@ -566,18 +595,26 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2000))]
 
-        /// Arbitrary bytes into every decoder.
+        /// Arbitrary bytes into every decoder, half of them under a fin tag.
         #[test]
-        fn decoders_survive_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..160)) {
+        fn decoders_survive_arbitrary_bytes(
+            mut bytes in prop::collection::vec(any::<u8>(), 0..160),
+            fin in any::<bool>(),
+        ) {
+            if fin && bytes.len() >= 2 {
+                bytes[..2].copy_from_slice(&FIN_RANK.to_le_bytes());
+            }
             decode_anything(&bytes)?;
         }
 
         /// Valid frames of packets and runs of any dtype, with a few bytes
-        /// overwritten anywhere: header, item kinds, dtype codes, lengths.
+        /// overwritten anywhere: header, item kinds, dtype codes, lengths;
+        /// half of them retagged as a fin that carries the body.
         #[test]
         fn decoders_survive_corrupted_frames(
             items in prop::collection::vec((any::<u8>(), 0usize..100), 0..6),
             hits in prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+            fin in any::<bool>(),
         ) {
             let burst: Burst = items
                 .iter()
@@ -589,6 +626,9 @@ mod tests {
                 .collect();
             let mut out = Vec::new();
             encode_frame_into(&mut out, (2, 1), 9, &burst);
+            if fin {
+                out[..2].copy_from_slice(&FIN_RANK.to_le_bytes());
+            }
             for &(at, byte) in &hits {
                 let at = at % out.len();
                 out[at] = byte;

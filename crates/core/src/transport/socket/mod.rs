@@ -113,13 +113,18 @@ struct HealthInner {
     reconnecting: Mutex<HashMap<usize, ReconnectInfo>>,
     nrecon: AtomicUsize,
     healed: AtomicUsize,
+    /// Raised when the group leaves its completion barrier.
+    finishing: AtomicBool,
+    /// Pumps not yet dropped.
+    streams: AtomicUsize,
 }
 
 /// Fabric-wide peer-liveness board, shared between socket pumps, endpoint
 /// tables and the task watchdog. Peers move `Healthy → Reconnecting
 /// {attempt} → Healthy | Dead`; only `Dead` surfaces an error to channel
 /// ops (they keep polling through `Reconnecting`). The default (in-memory
-/// fabric) never reports anything.
+/// fabric) never reports anything. It also carries the end of the run to
+/// the group's pumps ([`FabricHealth::finish`]).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FabricHealth {
     inner: Arc<HealthInner>,
@@ -174,6 +179,32 @@ impl FabricHealth {
     /// Number of successful mid-stream recoveries so far.
     pub fn healed(&self) -> usize {
         self.inner.healed.load(Ordering::Relaxed)
+    }
+
+    /// Count one more pump; its drop counts it out.
+    fn stream_opened(&self) {
+        self.inner.streams.fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn stream_dropped(&self) {
+        self.inner.streams.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Whether the group has left its completion barrier.
+    pub fn finishing(&self) -> bool {
+        self.inner.finishing.load(Ordering::SeqCst)
+    }
+
+    /// Raise the end of the run: every pump finishes the frame it is
+    /// writing, writes its fin, reads on to the peer's and ends; a faulted
+    /// or reconnecting one ends at once.
+    pub fn finish(&self) {
+        self.inner.finishing.store(true, Ordering::SeqCst);
+    }
+
+    /// Pumps not yet ended (and dropped).
+    pub fn streams_open(&self) -> usize {
+        self.inner.streams.load(Ordering::SeqCst)
     }
 
     /// The first recorded peer death, if any.

@@ -9,6 +9,16 @@
 //! backoff), and the listening side takes the re-dial its
 //! [`ReconnectHub`] routes to it. Only a budget-exhausted reconnect (or
 //! [`crate::params::ReconnectPolicy::Fail`]) marks the peer dead.
+//!
+//! A stream ends in-band, the same way under every launcher. Once its group
+//! leaves the completion barrier ([`FabricHealth::finish`]) a pump finishes
+//! the frame it is writing, writes a fin and then nothing else, and reads
+//! (dropping data: nobody is left to take it) until the peer's fin; with
+//! both fins out it ends. Neither side closes with unread bytes, which could
+//! reset the connection under the peer's last reads. An EOF or failed write
+//! after the peer's fin is a clean close; before it, a fault, counted in
+//! [`WireStats::stream_faults`]. A finishing pump that faults, or is
+//! reconnecting, ends instead of healing.
 
 use std::collections::HashMap;
 use std::io::{self, IoSlice, Read, Write};
@@ -19,7 +29,7 @@ use std::time::Instant;
 use smi_wire::Frame;
 
 use super::codec::{
-    chunk, decode_body, encode_ack_into, whole_frame, ACK_RANK, FRAME_HEADER_BYTES,
+    chunk, decode_body, encode_control_into, whole_frame, ACK_RANK, FIN_RANK, FRAME_HEADER_BYTES,
     FRAME_SPLIT_BYTES, RECV_BLOCK_CAP,
 };
 use super::session::{Pushed, ReplayRing, Session};
@@ -144,7 +154,10 @@ pub(crate) enum ReconnectRole {
     },
 }
 
-/// Everything needed to wrap one established, hello-exchanged stream.
+/// Everything needed to wrap one established, hello-exchanged stream. How
+/// the stream ends is not configured: the group's [`FabricHealth`], shared
+/// by every pump, carries the end of the run the same way under every
+/// launcher.
 pub(crate) struct ConnConfig {
     /// Identity of the peer process.
     pub peer: PeerInfo,
@@ -162,12 +175,8 @@ pub(crate) struct ConnConfig {
     /// direction, if the plan configures one.
     pub faults: Option<FaultInjector>,
     /// The counters the connection charges: payload copies of the codec,
-    /// and the wire's syscalls, bytes, pools and cork.
+    /// and the wire's syscalls, bytes, pools, cork and faults.
     pub stats: TransportStats,
-    /// Raised once every rank of every group has finished: from then on
-    /// the peer may close the stream at teardown, so a fault ends the pump
-    /// quietly instead of reconnecting.
-    pub run_complete: Arc<AtomicBool>,
 }
 
 /// Handle side of one process-pair connection: mints [`LinkTx`]/[`LinkRx`]
@@ -181,7 +190,8 @@ pub(crate) struct SocketConn {
 }
 
 impl SocketConn {
-    /// Wrap an established, hello-exchanged, non-blocking stream.
+    /// Wrap an established, hello-exchanged, non-blocking stream; the pump
+    /// ends its stream when `health` finishes.
     pub fn new<S: Stream>(
         stream: S,
         cfg: ConnConfig,
@@ -196,6 +206,7 @@ impl SocketConn {
             ReconnectRole::Listener { hub } => Some(hub.register(cfg.peer.process, cfg.session.id)),
             ReconnectRole::Dialer { .. } => None,
         };
+        health.stream_opened();
         let shared = Arc::new(ConnShared {
             closed: AtomicBool::new(false),
             ring: Mutex::new(ReplayRing::new(cfg.replay_budget.max(1))),
@@ -223,7 +234,6 @@ impl SocketConn {
             rfilled: 0,
             rblocks: Vec::new(),
             eof: false,
-            run_complete: cfg.run_complete,
         };
         let conn = SocketConn {
             shared,
@@ -323,7 +333,7 @@ enum Phase {
         /// Most recent failure, for diagnostics.
         last_err: String,
     },
-    /// The peer is dead, or the run completed; the executor drops the pump.
+    /// The peer is dead, or the stream ended; the executor drops the pump.
     Done,
 }
 
@@ -360,14 +370,18 @@ pub(crate) struct SocketPump<S: Stream> {
     rfilled: usize,
     rblocks: Vec<Arc<[u8]>>,
     eof: bool,
-    /// See [`ConnConfig::run_complete`].
-    run_complete: Arc<AtomicBool>,
 }
 
 impl<S: Stream> SocketPump<S> {
     fn fail(&mut self, detail: String) {
         self.shared.down(detail, PeerDownKind::Link);
         self.phase = Phase::Done;
+    }
+
+    /// End the stream (the executor drops the pump, which closes it).
+    fn end(&mut self) -> Step {
+        self.phase = Phase::Done;
+        Step::Done
     }
 
     /// Outbound fault injection, asked once per emission as frames enter
@@ -422,30 +436,42 @@ impl<S: Stream> SocketPump<S> {
     /// (piggybacked acks), which never land inside a half-written frame.
     /// The adaptive cork defers small writes a few polls so bursts
     /// coalesce (and small same-tag bursts merge under one header).
-    fn flush(&mut self, progressed: &mut bool) -> Result<(), String> {
+    /// While `finishing`, no cork or fault applies: the window is the frame
+    /// half on the wire, then the fin, and nothing follows the fin.
+    fn flush(&mut self, finishing: bool, progressed: &mut bool) -> Result<(), String> {
         let shared = self.shared.clone();
         let mut ring = shared.ring.lock().expect("ring lock");
-        // Pending bytes (summed only until the flush threshold is known).
-        let mut pending = self.ctrl.len();
-        let mut off = ring.wire_off;
-        for (_, buf) in ring.frames.iter().skip(ring.cursor) {
-            if pending >= CORK_FLUSH_BYTES {
-                break;
+        if !finishing {
+            // Pending bytes (summed only until the flush threshold is known).
+            let mut pending = self.ctrl.len();
+            let mut off = ring.wire_off;
+            for (_, buf) in ring.frames.iter().skip(ring.cursor) {
+                if pending >= CORK_FLUSH_BYTES {
+                    break;
+                }
+                pending += buf.len() - off;
+                off = 0;
             }
-            pending += buf.len() - off;
-            off = 0;
-        }
-        if pending == 0 {
-            self.cork_defers = 0;
-            return Ok(());
-        }
-        if pending < CORK_FLUSH_BYTES && self.cork_defers < CORK_MAX_DEFERS {
-            self.cork_defers += 1;
-            return Ok(());
+            if pending == 0 {
+                self.cork_defers = 0;
+                return Ok(());
+            }
+            if pending < CORK_FLUSH_BYTES && self.cork_defers < CORK_MAX_DEFERS {
+                self.cork_defers += 1;
+                return Ok(());
+            }
         }
         self.cork_defers = 0;
         loop {
-            let window = self.admit(&mut ring);
+            if finishing && ring.wire_off == 0 && !self.session.fin_sent {
+                encode_control_into(&mut self.ctrl, FIN_RANK, 0);
+                self.session.fin_sent = true;
+            }
+            let window = if finishing {
+                usize::from(ring.wire_off > 0)
+            } else {
+                self.admit(&mut ring)
+            };
             let mut frames = ring.frames.iter().skip(ring.cursor).take(window);
             let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_IOV);
             // `ctrl` must not land inside a half-written frame: the peer
@@ -494,7 +520,7 @@ impl<S: Stream> SocketPump<S> {
                 Err(e) => return Err(format!("write failed: {e}")),
             }
         }
-        if self.admitted == 0 && self.ctrl.is_empty() {
+        if self.admitted == 0 && self.ctrl.is_empty() && !finishing {
             if let Some(n) = self.pending_sever.take() {
                 let _ = self.stream.shutdown();
                 return Err(format!("injected sever after frame {n}"));
@@ -576,7 +602,9 @@ impl<S: Stream> SocketPump<S> {
 
     /// Parse whole frames out of the current receive block, decoding run
     /// items into zero-copy views of it, then stage the cumulative ack.
-    fn deframe(&mut self, progressed: &mut bool) -> Result<(), String> {
+    /// While `finishing`, data frames are dropped unread; after our fin, no
+    /// ack is staged.
+    fn deframe(&mut self, finishing: bool, progressed: &mut bool) -> Result<(), String> {
         let Some(block) = self.rblock.clone() else {
             return Ok(());
         };
@@ -584,6 +612,10 @@ impl<S: Stream> SocketPump<S> {
             if h.tag.0 == ACK_RANK {
                 let recycled = self.shared.ring.lock().expect("ring lock").apply_ack(h.seq);
                 self.shared.recycle(recycled);
+            } else if h.tag.0 == FIN_RANK {
+                self.session.peer_fin = true;
+            } else if finishing {
+                // Residue of a finished run: nobody is left to read it.
             } else if self.session.admit(h.seq)? {
                 let key = (h.tag.0 as usize, h.tag.1 as usize);
                 let Some(queue) = self.shared.queues.get(&key) else {
@@ -612,9 +644,9 @@ impl<S: Stream> SocketPump<S> {
         }
         // Skipped when the boundary buffer is backed up: acks are
         // cumulative, the next one covers this one.
-        if self.ctrl.len() < CTRL_CAP {
+        if self.ctrl.len() < CTRL_CAP && !self.session.fin_sent {
             if let Some(acked) = self.session.take_ack() {
-                encode_ack_into(&mut self.ctrl, acked);
+                encode_control_into(&mut self.ctrl, ACK_RANK, acked);
             }
         }
         Ok(())
@@ -632,14 +664,15 @@ impl<S: Stream> SocketPump<S> {
         }
     }
 
-    /// Handle a connection fault: reset stream-scoped state and either die
-    /// (no recovery) or enter `Reconnecting` — or, once the run is complete
-    /// and the peer's teardown closed the stream, just finish.
+    /// Handle a connection fault: count it, reset stream-scoped state and
+    /// either die (no recovery) or enter `Reconnecting` — or, while the
+    /// group is finishing, end.
     fn on_fault(&mut self, detail: String) -> Step {
         let _ = self.stream.shutdown();
-        if self.run_complete.load(Ordering::SeqCst) {
-            self.phase = Phase::Done;
-            return Step::Done;
+        let faults = &self.shared.wire.stream_faults;
+        faults.fetch_add(1, Ordering::Relaxed);
+        if self.shared.health.finishing() {
+            return self.end();
         }
         self.ctrl.clear();
         self.admitted = 0;
@@ -751,20 +784,27 @@ impl<S: Stream> SocketPump<S> {
     }
 
     fn poll_streaming(&mut self) -> Step {
+        let finishing = self.shared.health.finishing();
         let mut progressed = false;
         let r = self
-            .flush(&mut progressed)
+            .flush(finishing, &mut progressed)
             .and_then(|()| self.fill_rblock(&mut progressed))
-            .and_then(|()| self.deframe(&mut progressed));
-        if let Err(detail) = r {
+            .and_then(|()| self.deframe(finishing, &mut progressed));
+        let closed = match r {
+            Err(detail) => Some(detail),
+            Ok(()) if self.eof => self.eof_verdict(),
+            Ok(()) => None,
+        };
+        if self.session.fin_sent && self.session.peer_fin && self.ctrl.is_empty() {
+            return self.end();
+        }
+        if let Some(detail) = closed {
+            if self.session.peer_fin {
+                return self.end();
+            }
             return self.on_fault(detail);
         }
-        if self.eof {
-            if let Some(detail) = self.eof_verdict() {
-                return self.on_fault(detail);
-            }
-        }
-        if self.session.recoverable() {
+        if self.session.recoverable() && !finishing {
             let oldest = self.shared.ring.lock().expect("ring lock").oldest_sent();
             if let Some(detail) = self.session.probe(oldest, Instant::now()) {
                 return self.on_fault(detail);
@@ -778,6 +818,9 @@ impl<S: Stream> SocketPump<S> {
     }
 
     fn poll_reconnecting(&mut self, attempt: u32, next_try: Instant, last_err: String) -> Step {
+        if self.shared.health.finishing() {
+            return self.end();
+        }
         match &self.role {
             ReconnectRole::Dialer { redial } => {
                 if Instant::now() < next_try {
@@ -822,6 +865,7 @@ impl<S: Stream> Drop for SocketPump<S> {
         if let ReconnectRole::Listener { hub } = &self.role {
             hub.unregister(self.shared.peer.process, self.session.id);
         }
+        self.shared.health.stream_dropped();
     }
 }
 
@@ -884,7 +928,6 @@ mod tests {
             },
             faults: None,
             stats: TransportStats::default(),
-            run_complete: Arc::default(),
         }
     }
 
@@ -1466,17 +1509,19 @@ mod tests {
     }
 
     /// One direction of a scripted pipe: every byte ever written (kept for
-    /// inspection), how far the reader got, and both ends' cuts.
+    /// inspection), how far the reader got, both ends' cuts, and whether
+    /// the writer closed it.
     #[derive(Default)]
     struct Pipe {
         bytes: Vec<u8>,
         read: usize,
         wcuts: Cuts,
         rcuts: Cuts,
+        eof: bool,
     }
 
     /// A scripted non-blocking stream: writes land in `tx`, reads come from
-    /// `rx`; an empty `rx` is `WouldBlock`.
+    /// `rx`; an empty `rx` is `WouldBlock`, or EOF once closed.
     struct Scripted {
         tx: Arc<Mutex<Pipe>>,
         rx: Arc<Mutex<Pipe>>,
@@ -1487,7 +1532,11 @@ mod tests {
             let mut p = self.rx.lock().unwrap();
             let (at, avail) = (p.read, p.bytes.len() - p.read);
             if avail == 0 {
-                return Err(io::ErrorKind::WouldBlock.into());
+                return if p.eof {
+                    Ok(0)
+                } else {
+                    Err(io::ErrorKind::WouldBlock.into())
+                };
             }
             let n = cut(&mut p.rcuts, at, avail.min(buf.len()))?;
             buf[..n].copy_from_slice(&p.bytes[at..at + n]);
@@ -1642,6 +1691,170 @@ mod tests {
             acks > 0 && cut_mid_frame,
             "the script must cut frames while acks flow"
         );
+    }
+
+    /// The bytes of a peer that sent data frames `1..=n`, one packet each,
+    /// and then, with `fin`, its fin.
+    fn peer_bytes(n: u64, fin: bool) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for seq in 1..=n {
+            encode_frame_into(&mut bytes, (0, 0), seq, &[pkt(1, seq as u8).into()]);
+        }
+        if fin {
+            encode_control_into(&mut bytes, FIN_RANK, 0);
+        }
+        bytes
+    }
+
+    /// A pump over a scripted stream whose inbound side holds `inbound`,
+    /// with the pipes both ways to script and inspect.
+    fn scripted_pump(
+        cfg: ConnConfig,
+        inbound: Pipe,
+    ) -> (
+        SocketConn,
+        ScriptedPump,
+        [Arc<Mutex<Pipe>>; 2],
+        FabricHealth,
+    ) {
+        let (sa, sb, out) = scripted_pair(Pipe::default(), inbound);
+        let health = FabricHealth::default();
+        let (conn, pump) = SocketConn::new(sa, cfg, health.clone());
+        (conn, pump, [out, sb.tx], health)
+    }
+
+    type ScriptedPump = SocketPump<Scripted>;
+
+    /// Poll until the pump ends; its step count, or `None` if it did not.
+    fn poll_to_end(pump: &mut ScriptedPump, polls: usize) -> Option<usize> {
+        (1..=polls).find(|_| pump.poll() == Step::Done)
+    }
+
+    /// An EOF after the peer's fin is a clean close: every frame before the
+    /// fin is delivered, the pump ends, and nothing counts as a fault.
+    #[test]
+    fn fin_then_eof_is_a_clean_close() {
+        let inbound = Pipe {
+            bytes: peer_bytes(3, true),
+            eof: true,
+            ..Pipe::default()
+        };
+        let (conn, mut pump, _, health) = scripted_pump(basic(&[(0, 0)]), inbound);
+        let mut rx = conn.rx((0, 0));
+        assert!(poll_to_end(&mut pump, 100).is_some(), "the pump must end");
+        let mut got = Vec::new();
+        while let LinkRecv::Burst(b) = rx.try_recv() {
+            got.extend(b.iter().map(tag));
+        }
+        assert_eq!(got, [1, 2, 3]);
+        assert!(health.peer_down().is_none(), "{:?}", health.peer_down());
+        assert_eq!(conn.shared.wire.snapshot().stream_faults, 0);
+    }
+
+    /// An EOF without the peer's fin is a fault: counted, and (recovery off)
+    /// the peer is down and the links close.
+    #[test]
+    fn eof_without_fin_is_a_counted_fault() {
+        let inbound = Pipe {
+            bytes: peer_bytes(3, false),
+            eof: true,
+            ..Pipe::default()
+        };
+        let (conn, mut pump, _, health) = scripted_pump(basic(&[(0, 0)]), inbound);
+        let mut rx = conn.rx((0, 0));
+        poll_to_end(&mut pump, 100);
+        let pd = health
+            .peer_down()
+            .expect("an EOF before the fin is a fault");
+        assert!(pd.detail.contains("EOF"), "{}", pd.detail);
+        assert_eq!(conn.shared.wire.snapshot().stream_faults, 1);
+        let mut delivered = 0;
+        while let LinkRecv::Burst(b) = rx.try_recv() {
+            delivered += b.len();
+        }
+        assert_eq!(delivered, 3);
+        assert!(matches!(rx.try_recv(), LinkRecv::Closed));
+    }
+
+    /// A pump whose group finishes while a frame is half on the wire writes
+    /// the rest of that frame, then its fin; the frame offered behind it is
+    /// never written.
+    #[test]
+    fn a_finishing_pump_completes_a_partly_written_frame_before_its_fin() {
+        let (conn, mut pump, [out, _], health) = scripted_pump(basic(&[]), Pipe::default());
+        out.lock().unwrap().wcuts = [(100, Some(io::ErrorKind::WouldBlock))].into();
+        let mut tx = conn.tx(0, 0);
+        let big = vec![0x5Au8; CORK_FLUSH_BYTES];
+        offer(&mut tx, vec![run_of(&big)]);
+        pump.poll();
+        assert_eq!(out.lock().unwrap().bytes.len(), 100, "cut mid-frame");
+        offer(&mut tx, vec![run_of(&[1, 2, 3])]);
+        health.finish();
+        for _ in 0..10 {
+            pump.poll();
+        }
+        let bytes = out.lock().unwrap().bytes.clone();
+        let (h, need) = whole_frame(&bytes).unwrap().expect("the frame is whole");
+        assert_eq!(
+            (h.seq, need),
+            (1, FRAME_HEADER_BYTES + V3_RUN_ITEM_HEADER + big.len())
+        );
+        let mut fin = Vec::new();
+        encode_control_into(&mut fin, FIN_RANK, 0);
+        assert_eq!(&bytes[need..], &fin[..], "the fin, and nothing after it");
+        assert_eq!(conn.shared.wire.snapshot().stream_faults, 0);
+    }
+
+    /// After its fin a pump writes nothing, not even the acks the peer's
+    /// last data frames would earn or the bursts still offered to it; it
+    /// reads on to the peer's fin and then ends.
+    #[test]
+    fn nothing_is_written_after_the_fin() {
+        let (conn, mut pump, [out, inbound], health) =
+            scripted_pump(basic(&[(0, 0)]), Pipe::default());
+        health.finish();
+        assert_eq!(pump.poll(), Step::Progress);
+        let mut fin = Vec::new();
+        encode_control_into(&mut fin, FIN_RANK, 0);
+        assert_eq!(out.lock().unwrap().bytes, fin);
+        inbound.lock().unwrap().bytes = peer_bytes(5, false);
+        offer(&mut conn.tx(0, 0), vec![pkt(1, 9).into()]);
+        assert_eq!(poll_to_end(&mut pump, 50), None, "no fin from the peer yet");
+        assert_eq!(out.lock().unwrap().bytes, fin, "written after the fin");
+        let mut rest = peer_bytes(0, true);
+        inbound.lock().unwrap().bytes.append(&mut rest);
+        assert!(poll_to_end(&mut pump, 50).is_some(), "both fins are out");
+        assert_eq!(out.lock().unwrap().bytes, fin);
+        assert_eq!(conn.shared.wire.snapshot().stream_faults, 0);
+    }
+
+    /// A pump that is reconnecting when its group finishes ends at once,
+    /// although its next re-dial is a minute away.
+    #[test]
+    fn a_finishing_pump_in_reconnecting_ends() {
+        let cfg = ConnConfig {
+            session: Session::new(
+                1,
+                0,
+                1,
+                ReconnectPolicy::retry_fixed(5, Duration::from_secs(60)),
+            ),
+            role: ReconnectRole::Dialer {
+                redial: Redial::Uds("/nonexistent/smi-no-such-listener.sock".into()),
+            },
+            ..basic(&[])
+        };
+        let inbound = Pipe {
+            eof: true,
+            ..Pipe::default()
+        };
+        let (conn, mut pump, _, health) = scripted_pump(cfg, inbound);
+        assert_eq!(poll_to_end(&mut pump, 5), None);
+        assert!(health.any_reconnecting(), "the EOF starts a reconnect");
+        assert_eq!(conn.shared.wire.snapshot().stream_faults, 1);
+        health.finish();
+        assert_eq!(pump.poll(), Step::Done);
+        assert!(health.peer_down().is_none());
     }
 
     proptest::proptest! {

@@ -9,6 +9,10 @@
 //! rewound to the peer's ack point and unacked frames are replayed.
 //! Receivers discard duplicate seqs and treat a gap as a fault, so recovery
 //! is exactly-once and in-order.
+//!
+//! A stream ends in-band: each side writes a fin and nothing after it, and
+//! reads on until the peer's. A close after the peer's fin is clean; one
+//! before it is a fault, whether or not the run is ending.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -207,6 +211,11 @@ pub(crate) struct Session {
     /// Oldest sent-but-unacked seq at the last probe, and the deadline by
     /// which the peer's cumulative ack must move past it.
     probe: Option<(u64, Instant)>,
+    /// This side's fin is queued: nothing may be written after it.
+    pub fin_sent: bool,
+    /// The peer's fin has arrived: it writes nothing more, so the stream
+    /// closing under us from here on is clean, not a fault.
+    pub peer_fin: bool,
 }
 
 impl Session {
@@ -220,6 +229,8 @@ impl Session {
             last_recv: 0,
             last_acked: 0,
             probe: None,
+            fin_sent: false,
+            peer_fin: false,
         }
     }
 
@@ -257,9 +268,10 @@ impl Session {
     /// Sender-side liveness probe over the ring's oldest sent frame: if the
     /// peer's cumulative ack has not moved past it within
     /// [`ACK_PROBE_TIMEOUT`] of `now`, the stall is a stream fault, so the
-    /// resume handshake retransmits it. Returns the fault detail.
+    /// resume handshake retransmits it. Returns the fault detail. A peer
+    /// that sent its fin acks nothing more, so its fin disarms the probe.
     pub fn probe(&mut self, oldest: Option<u64>, now: Instant) -> Option<String> {
-        let Some(seq) = oldest else {
+        let Some(seq) = oldest.filter(|_| !self.peer_fin) else {
             self.probe = None;
             return None;
         };
@@ -545,6 +557,23 @@ mod tests {
         );
         assert!(!unsent.wrote(&mut 1));
         assert_eq!(unsent.oldest_sent(), Some(1), "a partly written one can");
+    }
+
+    /// A session starts with neither fin, and the peer's fin disarms the
+    /// ack probe: a peer that sent it acks nothing more, so an unacked
+    /// frame after it is no fault.
+    #[test]
+    fn the_peers_fin_disarms_the_ack_probe() {
+        let mut s = session(retry(3));
+        assert!(!s.fin_sent && !s.peer_fin);
+        let t0 = Instant::now();
+        let ring = written_frames(1);
+        assert_eq!(s.probe(ring.oldest_sent(), t0), None);
+        let late = t0 + ACK_PROBE_TIMEOUT * 2;
+        assert!(s.probe(ring.oldest_sent(), late).is_some(), "stalled");
+        s.peer_fin = true;
+        let later = late + ACK_PROBE_TIMEOUT;
+        assert_eq!(s.probe(ring.oldest_sent(), later), None, "no ack is due");
     }
 
     /// The backoff schedule: attempt `k` waits its jittered delay, the

@@ -175,6 +175,7 @@ fn sever_heals_identically_to_fault_free() {
         "healing must be result-invariant"
     );
     assert_eq!(clean.reconnects_healed, 0, "fault-free run healed");
+    assert_eq!(clean.wire_stats.stream_faults, 0, "fault-free run faulted");
     assert!(healed.reconnects_healed >= 1, "severed run must heal");
 }
 
@@ -202,6 +203,7 @@ fn one_listener_heals_two_connections_at_once() {
         "healing must be result-invariant"
     );
     assert_eq!(clean.reconnects_healed, 0, "fault-free run healed");
+    assert_eq!(clean.wire_stats.stream_faults, 0, "fault-free run faulted");
     assert!(
         healed.reconnects_healed >= 2,
         "both severed connections must heal (healed={})",

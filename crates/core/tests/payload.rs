@@ -107,6 +107,7 @@ fn run_bulk_p2p_uds(n: u64) -> (Vec<i32>, u64) {
     ];
     let report = run_split_mpmd(&plan, metas, programs, RuntimeParams::default()).unwrap();
     assert_eq!(report.reconnects_healed, 0, "fault-free run healed");
+    assert_eq!(report.wire_stats.stream_faults, 0, "fault-free run faulted");
     let got = report.results.into_iter().nth(1).unwrap();
     (got, report.payload_copies)
 }

@@ -109,6 +109,7 @@ fn collective_suite_report(
     }
     .unwrap();
     assert_eq!(report.reconnects_healed, 0, "fault-free run healed");
+    assert_eq!(report.wire_stats.stream_faults, 0, "fault-free run faulted");
     report
 }
 
@@ -265,6 +266,7 @@ fn split_mpmd_point_to_point_crosses_boundary() {
     let plan = ProcessPlan::split(&topo, TransportBackend::Uds, 2);
     let report = run_split_mpmd(&plan, metas, programs, RuntimeParams::default()).unwrap();
     assert_eq!(report.reconnects_healed, 0, "fault-free run healed");
+    assert_eq!(report.wire_stats.stream_faults, 0, "fault-free run faulted");
     for r in [2usize, 3] {
         let want: Vec<i32> = (0..n as i32).map(|i| i * 3 + (r - 2) as i32).collect();
         assert_eq!(report.results[r], want, "rank {r}");
@@ -364,6 +366,10 @@ fn bidirectional_bulk_exchange_is_exact_and_never_heals() {
                 report.reconnects_healed, 0,
                 "{stream_reconnect:?} round {round}: fault-free run healed"
             );
+            assert_eq!(
+                report.wire_stats.stream_faults, 0,
+                "{stream_reconnect:?} round {round}: fault-free run faulted"
+            );
             for rank in 0..2 {
                 assert!(
                     report.results[rank] == data(1 - rank),
@@ -431,6 +437,10 @@ fn split_task_plane_streams_across_sockets() {
         }
         .unwrap();
         assert_eq!(report.reconnects_healed, 0, "{at}: fault-free run healed");
+        assert_eq!(
+            report.wire_stats.stream_faults, 0,
+            "{at}: fault-free run faulted"
+        );
         assert_eq!(report.threads_spawned, groups * WORKERS, "{at}");
         for (r, res) in report.results.iter().enumerate() {
             assert!(res.is_ok(), "{at}: rank {r}: {res:?}");

@@ -46,6 +46,8 @@ pub enum TopologyError {
     },
     /// More ranks than the 8-bit wire rank field can address.
     TooManyRanks(usize),
+    /// More QSFP ports per rank than [`crate::MAX_PORTS_PER_RANK`].
+    TooManyPorts(usize),
     /// A malformed topology description (JSON or text) or routing plan.
     BadSpec(String),
 }
@@ -83,6 +85,11 @@ impl fmt::Display for TopologyError {
             TopologyError::TooManyRanks(n) => {
                 write!(f, "{n} ranks exceed the 8-bit wire rank field (max 256)")
             }
+            TopologyError::TooManyPorts(n) => write!(
+                f,
+                "{n} QSFP ports per rank exceed the maximum of {}",
+                crate::MAX_PORTS_PER_RANK
+            ),
             TopologyError::BadSpec(msg) => write!(f, "bad topology or routing description: {msg}"),
         }
     }

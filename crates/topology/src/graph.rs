@@ -67,7 +67,9 @@ impl Connection {
 /// * no physical port has two cables,
 /// * no device is cabled to itself,
 /// * the graph is connected (every rank reachable from rank 0),
-/// * at most 256 ranks (the wire header's 8-bit rank field).
+/// * at most 256 ranks (the wire header's 8-bit rank field),
+/// * at most [`crate::MAX_PORTS_PER_RANK`] ports per rank, checked before
+///   the per-port table is allocated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     num_ranks: usize,
@@ -86,6 +88,9 @@ impl Topology {
     ) -> Result<Self, TopologyError> {
         if num_ranks > smi_wire::MAX_RANKS {
             return Err(TopologyError::TooManyRanks(num_ranks));
+        }
+        if ports_per_rank > crate::MAX_PORTS_PER_RANK {
+            return Err(TopologyError::TooManyPorts(ports_per_rank));
         }
         let mut adj = vec![vec![None; ports_per_rank]; num_ranks];
         for c in &connections {
@@ -265,6 +270,22 @@ mod tests {
     fn too_many_ranks_rejected() {
         let err = Topology::new(300, 4, vec![]).unwrap_err();
         assert_eq!(err, TopologyError::TooManyRanks(300));
+    }
+
+    /// A port count past the bound is refused before the per-port table is
+    /// sized by it; the largest in-tree port counts (a 256-rank star and
+    /// clique) stay within it.
+    #[test]
+    fn too_many_ports_rejected() {
+        let over = crate::MAX_PORTS_PER_RANK + 1;
+        let err = Topology::new(2, over, vec![Connection::new(0, 0, 1, 0)]).unwrap_err();
+        assert_eq!(err, TopologyError::TooManyPorts(over));
+        assert!(crate::MAX_PORTS_PER_RANK <= usize::from(u16::MAX));
+        let star = Topology::star(smi_wire::MAX_RANKS);
+        let clique = Topology::fully_connected(smi_wire::MAX_RANKS);
+        for t in [star, clique] {
+            assert!(t.ports_per_rank() <= crate::MAX_PORTS_PER_RANK);
+        }
     }
 
     #[test]

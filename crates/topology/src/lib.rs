@@ -63,3 +63,11 @@ pub use routing::{hop_tree, NextHop, RankRoutes, RoutingPlan};
 /// Number of QSFP network ports on the paper's experimental boards
 /// (Nallatech 520N: 4 × 40 Gbit/s).
 pub const DEFAULT_PORTS_PER_RANK: usize = 4;
+
+/// Most QSFP ports a rank may have: one per wire-addressable rank, which a
+/// clique or a star of `smi_wire::MAX_RANKS` ranks stays under. A
+/// topology is built before anything else checks it, and its adjacency
+/// table is sized by this count, so a bound is what keeps a description
+/// from claiming gigabytes; it also keeps every port in the `u16` a socket
+/// frame tags it with.
+pub const MAX_PORTS_PER_RANK: usize = smi_wire::MAX_RANKS;

@@ -2,7 +2,9 @@
 //! listener a group keeps open for mid-stream recovery is only ever
 //! `accept`ed on by a connection that is already reconnecting, so a
 //! fault-free run never calls `accept` after bootstrap, and a severed one
-//! does. Counts do not depend on the host's speed, so they gate where a
+//! does. A fault-free run also ends every stream with a fin exchange, so no
+//! pump counts a fault, and a severed one counts at least one per healed
+//! reconnect. Counts do not depend on the host's speed, so they gate where a
 //! clock cannot.
 
 use smi::prelude::*;
@@ -51,11 +53,12 @@ fn a_fault_free_run_never_accepts() {
     assert_delivered(&report);
     let wire = report.wire_stats;
     println!(
-        "fault-free: accepts {} send syscalls {} recv syscalls {}",
-        wire.accepts, wire.send_syscalls, wire.recv_syscalls
+        "fault-free: accepts {} stream faults {} send syscalls {} recv syscalls {}",
+        wire.accepts, wire.stream_faults, wire.send_syscalls, wire.recv_syscalls
     );
     assert!(wire.send_syscalls > 0, "bytes must cross the socket");
     assert_eq!(report.reconnects_healed, 0, "fault-free run healed");
+    assert_eq!(wire.stream_faults, 0, "fault-free run faulted");
     assert_eq!(wire.accepts, 0, "nothing accepts without a fault");
 }
 
@@ -71,9 +74,13 @@ fn a_severed_run_accepts_its_redial() {
     assert_delivered(&report);
     let wire = report.wire_stats;
     println!(
-        "severed: accepts {} healed {}",
-        wire.accepts, report.reconnects_healed
+        "severed: accepts {} healed {} stream faults {}",
+        wire.accepts, report.reconnects_healed, wire.stream_faults
     );
     assert!(report.reconnects_healed >= 1, "the sever must heal");
     assert!(wire.accepts >= 1, "the re-dial must be accepted");
+    assert!(
+        wire.stream_faults >= report.reconnects_healed as u64,
+        "every heal follows a counted fault"
+    );
 }

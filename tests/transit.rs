@@ -151,6 +151,7 @@ fn all_pairs(
         assert!(res.is_ok(), "rank {r}: {res:?}");
     }
     assert_eq!(report.reconnects_healed, 0, "fault-free run healed");
+    assert_eq!(report.wire_stats.stream_faults, 0, "fault-free run faulted");
     let mut received = std::mem::take(&mut *out.lock().unwrap());
     for (dst, streams) in received.iter_mut().enumerate() {
         streams.sort_by_key(|(src, _)| *src);

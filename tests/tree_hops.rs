@@ -311,6 +311,7 @@ fn run_tasks(
         assert!(res.is_ok(), "rank {r}: {res:?}");
     }
     assert_eq!(report.reconnects_healed, 0, "fault-free run healed");
+    assert_eq!(report.wire_stats.stream_faults, 0, "fault-free run faulted");
     let streams = std::mem::take(&mut *out.lock().unwrap());
     (streams, report)
 }
