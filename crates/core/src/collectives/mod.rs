@@ -39,9 +39,10 @@
 //! it belongs to claims it there — a second ready-`Sync` from one scatter
 //! member, or a grant from the root of the next gather, simply stays
 //! tallied until then. Collective deliveries carry data only. The one
-//! packet a channel reads for a later message is a reduce contribution
-//! past its count, which waits in the port's endpoint for the next open
-//! and is read first there (`PortIo::carry`).
+//! frame a channel reads for a later message is a reduce contribution past
+//! its sender's count: the channel holds it (`PortIo::hold`), and when the
+//! channel drops it goes back to the front of the port's delivery, where
+//! the next open reads it first.
 //!
 //! ## Bulk element APIs
 //!

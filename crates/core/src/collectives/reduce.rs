@@ -2,7 +2,7 @@
 //! credit-based flow control (§4.4).
 
 use smi_wire::reduce::SmiNumeric;
-use smi_wire::{Deframer, NetworkPacket, PacketOp, ReduceOp};
+use smi_wire::{Frame, NetworkPacket, PacketOp, ReduceOp};
 
 use crate::collectives::topology::WireEdges;
 use crate::collectives::{CollectivePoll, CollectiveState};
@@ -18,49 +18,44 @@ use crate::{Protocol, SmiError};
 /// Reduce needs no open handshake (the first credit window is implicitly
 /// granted), so the poll-mode core starts in `Streaming`.
 ///
-/// Both [`crate::CollectiveScheme`]s share one code path, parameterized by the
-/// shape's parent/children relations (`Tree` is the hop tree of
-/// [`crate::collectives::topology`], so a partial aggregate crosses one
-/// physical link per level on the regular topologies):
-///
-/// * a **leaf** (no children) frames contributions within its granted
-///   window and stages packet bursts toward its parent — in the linear
-///   scheme that parent is the root, preserving the pre-tree protocol;
-/// * a **combiner** (any node with children: the linear/tree root, or a
-///   tree interior node) folds its own and its children's contributions
-///   into a `C`-slot ring window, emits each completed element — to the
-///   caller at the root, or framed upward within the *upstream* credit
-///   window at an interior node — and grants its children coalesced,
-///   tail-clamped credits (`window_grant`) at window boundaries.
+/// Every member is one combiner, like the fabric's reduce support kernel,
+/// under both [`crate::CollectiveScheme`]s: the shape only names its parent
+/// and children (`Linear`: the root parents every other member; `Tree`: the
+/// hop tree of [`crate::collectives::topology`], so a partial aggregate
+/// crosses one physical link per level on the regular topologies). One step
+/// folds the member's own and its children's contributions into a `C`-slot
+/// ring window, emits each element complete at all of them — into the
+/// caller's `out` at the root, framed toward the parent within the upstream
+/// credit window elsewhere — and grants the children (a leaf has none)
+/// coalesced, tail-clamped credits (`window_grant`) at window boundaries.
 pub struct ReduceChannel<T: SmiNumeric> {
     count: u64,
     port_wire: u8,
     op: ReduceOp,
     my_wire: u8,
-    is_root: bool,
     /// Wire rank of the tree parent (None at the root).
     parent: Option<u8>,
     /// Wire ranks of the direct contributors (linear root: every other
     /// member; tree: the hop-tree children; leaf: empty).
     children: Vec<u8>,
-    /// Combiner: ring window of `credits_window` accumulation slots.
+    /// Ring window of `credits_window` accumulation slots (`count`, if
+    /// fewer).
     window: Vec<T>,
-    /// Combiner: per-contributor element progress — slot 0 is the own
-    /// stream, slot `1 + i` is `children[i]`.
+    /// Per-contributor element progress — slot 0 is the own stream, slot
+    /// `1 + i` is `children[i]`.
     progress: Vec<u64>,
     /// Wire rank → contributor slot (1-based; children only).
     contrib_slot: Vec<Option<usize>>,
-    /// Elements completed at this node: results returned to the caller
-    /// (root), elements framed upward (interior), contributions consumed
-    /// (leaf).
+    /// Elements emitted: results returned to the caller (root), elements
+    /// framed toward the parent (elsewhere).
     done: u64,
     /// Credit window size `C`.
     credits_window: u64,
-    /// Non-root: remaining upstream credits (elements this node may still
-    /// emit toward its parent).
+    /// Elements this member may still emit: the upstream credits, or a
+    /// window at the root, whose sink (the caller) never runs out.
     credits: u64,
-    /// Combiner: credit granted downstream so far, the implicit first
-    /// window included; tail-clamped, so it ends at `max(window, count)`.
+    /// Credit granted to the children so far, the implicit first window
+    /// included; tail-clamped, so it ends at `max(window, count)`.
     granted: u64,
     framer: smi_wire::Framer,
     state: CollectiveState,
@@ -89,29 +84,20 @@ impl<T: SmiNumeric> ReduceChannel<T> {
         )?;
         let op = io.reduce_op().expect("reduce binding carries an operator");
         let WireEdges { parent, children } = edges;
-        let is_root = parent.is_none();
         let mut contrib_slot = vec![None; smi_wire::MAX_RANKS];
         for (i, &w) in children.iter().enumerate() {
             contrib_slot[usize::from(w)] = Some(1 + i);
         }
         let port_wire = smi_wire::header::port_to_wire(port)?;
         let my_wire = comm.wire_rank(comm.rank())?;
-        let ident = identity_of::<T>(op);
-        // The root always runs the windowed combiner path, even for a
-        // single-member communicator with no children.
-        let is_combiner = is_root || !children.is_empty();
         Ok(ReduceChannel {
             count,
             port_wire,
             op,
             my_wire,
-            is_root,
             parent,
-            window: if is_combiner {
-                vec![ident; credits_window as usize]
-            } else {
-                Vec::new()
-            },
+            // A message shorter than a window needs a slot per element only.
+            window: vec![identity_of::<T>(op); credits_window.min(count) as usize],
             progress: vec![0; 1 + children.len()],
             contrib_slot,
             children,
@@ -135,30 +121,6 @@ impl<T: SmiNumeric> ReduceChannel<T> {
         })
     }
 
-    /// Interior combiner: folds children *and* forwards upward.
-    #[inline]
-    fn is_interior(&self) -> bool {
-        self.parent.is_some() && !self.children.is_empty()
-    }
-
-    /// One non-blocking step: retry staged packets, run the interior
-    /// combine-and-forward duty, and update the state.
-    fn advance(&mut self) -> Result<bool, SmiError> {
-        let mut flushed = self.io.try_flush()?;
-        if self.is_interior() && self.state == CollectiveState::Streaming {
-            self.pump_interior()?;
-            flushed = self.io.try_flush()?;
-        }
-        if self.state == CollectiveState::Streaming
-            && self.done == self.count
-            && flushed
-            && self.framer.pending() == 0
-        {
-            self.state = CollectiveState::Done;
-        }
-        Ok(flushed)
-    }
-
     /// Non-blocking bulk `SMI_Reduce`.
     ///
     /// `snd` and `out` are parallel views of the *remaining* message: `snd`
@@ -174,65 +136,153 @@ impl<T: SmiNumeric> ReduceChannel<T> {
         if snd.len() as u64 > self.count - self.consumed() {
             return Err(SmiError::CountExceeded { count: self.count });
         }
-        if self.is_root {
-            self.try_reduce_root(snd, out)
-        } else if self.is_interior() {
-            self.try_reduce_interior(snd)
-        } else {
-            self.try_reduce_leaf(snd)
+        self.step(snd, out)
+    }
+
+    /// The combiner's one step, run by every call and poll: fold the head
+    /// of `snd` (this member's contributions from the caller's cursor on)
+    /// and every child contribution that arrived, emit what is complete,
+    /// flush, and update the state. `out` is the root's sink: its head
+    /// receives the results from the cursor on. Returns how far the cursor
+    /// moved ([`ReduceChannel::progressed`]).
+    fn step(&mut self, snd: &[T], out: &mut [T]) -> Result<usize, SmiError> {
+        let base = self.consumed();
+        if self.state == CollectiveState::Streaming {
+            if self.credits == 0 {
+                self.absorb_credits()?;
+            }
+            self.fold_own(snd, base);
+            self.fold_network()?;
+            self.emit(out, base)?;
         }
+        let flushed = self.io.try_flush()?;
+        if self.state == CollectiveState::Streaming
+            && self.done == self.count
+            && flushed
+            && self.framer.pending() == 0
+        {
+            self.state = CollectiveState::Done;
+        }
+        Ok((self.consumed() - base) as usize)
     }
 
     /// How far the caller-facing cursor has advanced — results at the
-    /// root, own contributions elsewhere. This is what bounds further
+    /// root, own contributions folded elsewhere. This is what bounds further
     /// `snd` slices (the root's own-fold cursor may run ahead of the
     /// results by up to a window, but the caller's slices track results).
     fn consumed(&self) -> u64 {
-        if self.is_interior() {
-            self.progress[0]
-        } else {
-            self.done
+        match self.parent {
+            None => self.done,
+            Some(_) => self.progress[0],
         }
     }
 
-    fn try_reduce_leaf(&mut self, snd: &[T]) -> Result<usize, SmiError> {
-        if !self.advance()? {
-            return Ok(0);
+    /// Fold own contributions, `snd[0]` being element `base`, no further
+    /// than this member may emit (the cursor `progress[0]` survives across
+    /// calls, so re-passed elements are never folded twice).
+    fn fold_own(&mut self, snd: &[T], base: u64) {
+        let c = self.credits_window;
+        let end = (self.done + self.credits).min(base + snd.len() as u64);
+        for at in self.progress[0]..end {
+            let s = (at % c) as usize;
+            self.window[s] = self.op.apply(self.window[s], snd[(at - base) as usize]);
         }
-        let mut consumed = 0usize;
-        while consumed < snd.len() {
-            if self.credits == 0 {
-                self.absorb_credits()?;
-                if self.credits == 0 {
+        self.progress[0] = self.progress[0].max(end);
+    }
+
+    /// Fold the children's contributions that arrived into the window. A
+    /// member that completed this message may already stream the port's
+    /// next one under its implicit first window, to this member even if it
+    /// is not a child here (the next message may have another root): a
+    /// packet from a non-child, or from a child past its `count`, is held
+    /// for the next open (senders flush at the message end, so no packet
+    /// straddles two messages). A packet that runs past the credit granted
+    /// or past `count` is a protocol violation, found before any of it is
+    /// folded: its slots may still belong to other elements.
+    fn fold_network(&mut self) -> Result<(), SmiError> {
+        let c = self.credits_window;
+        while let Some(frame) = self.io.try_recv_data_frame()? {
+            let pkt = match frame {
+                Frame::Pkt(p) => p,
+                Frame::Run(r) => {
+                    return Err(SmiError::ProtocolViolation {
+                        detail: format!("a {:?} run at a reduce member", r.header.op),
+                    })
+                }
+            };
+            expect_op(&pkt.header, PacketOp::Reduce)?;
+            let src = pkt.header.src;
+            let slot = self.contrib_slot[usize::from(src)];
+            let Some(slot) = slot.filter(|&s| self.progress[s] < self.count) else {
+                self.io.hold(pkt.into());
+                continue;
+            };
+            let at = self.progress[slot];
+            let end = at + u64::from(pkt.header.count);
+            if end > self.granted.min(self.count) {
+                return Err(SmiError::ProtocolViolation {
+                    detail: format!(
+                        "reduce contribution from world rank {src} runs to element {end}, \
+                         past the {} granted of count {}",
+                        self.granted, self.count
+                    ),
+                });
+            }
+            for (i, at) in (at..end).enumerate() {
+                let s = (at % c) as usize;
+                self.window[s] = self.op.apply(self.window[s], pkt.read_elem::<T>(i));
+            }
+            self.progress[slot] = end;
+        }
+        Ok(())
+    }
+
+    /// Emit the elements complete at every contributor, a ring span at a
+    /// time, into the one sink the member has: the head of `out` from the
+    /// cursor `base` on at the root, the framer toward the parent within
+    /// the upstream credits elsewhere. Each emitted slot is reset for the
+    /// element a window later, and every window boundary crossed grants
+    /// the children (§4.4).
+    fn emit(&mut self, out: &mut [T], base: u64) -> Result<(), SmiError> {
+        let c = self.credits_window;
+        let ready = *self.progress.iter().min().expect("the own stream");
+        let mut grant = 0u64;
+        while self.done < ready {
+            let s = (self.done % c) as usize;
+            let mut k = (ready - self.done).min(c - s as u64) as usize;
+            if self.parent.is_none() {
+                let to = &mut out[(self.done - base) as usize..];
+                k = k.min(to.len());
+                if k == 0 {
                     break;
                 }
-            }
-            let avail = (snd.len() - consumed).min(self.credits as usize);
-            let (take, pkt) = self.framer.push_slice(&snd[consumed..consumed + avail]);
-            consumed += take;
-            self.done += take as u64;
-            self.credits -= take as u64;
-            if let Some(p) = self.upstream(pkt) {
-                self.io.stage(p);
+                to[..k].copy_from_slice(&self.window[s..s + k]);
+            } else {
                 if self.io.stage_full() && !self.io.try_flush()? {
                     break;
                 }
+                // The own fold ran no further than the credits allow, so
+                // the span fits them.
+                let (take, mut pkt) = self.framer.push_slice(&self.window[s..s + k]);
+                k = take;
+                self.credits -= k as u64;
+                // A packet ends at an upstream window's end or the
+                // message's: upstream grants are window-aligned, so no
+                // packet straddles the parent's window tile (matching the
+                // fabric support kernel).
+                if self.credits == 0 || self.done + k as u64 == self.count {
+                    pkt = pkt.or_else(|| self.framer.flush());
+                }
+                if let Some(p) = pkt {
+                    self.io.stage(p);
+                }
             }
+            self.window[s..s + k].fill(identity_of::<T>(self.op));
+            self.done += k as u64;
+            grant += self.window_grant();
         }
-        self.advance()?;
-        Ok(consumed)
-    }
-
-    /// A packet bound upstream, with the framer's partial one at a credit
-    /// window's or the message's end: upstream grants are window-aligned,
-    /// so no packet straddles the parent's window tile (matching the
-    /// fabric support kernel).
-    fn upstream(&mut self, pkt: Option<NetworkPacket>) -> Option<NetworkPacket> {
-        if self.credits == 0 || self.done == self.count {
-            pkt.or_else(|| self.framer.flush())
-        } else {
-            pkt
-        }
+        self.stage_grants(grant);
+        Ok(())
     }
 
     /// Claim every credit grant counted so far, without blocking. A grant
@@ -248,36 +298,6 @@ impl<T: SmiNumeric> ReduceChannel<T> {
                     self.done, self.credits, self.count
                 ),
             });
-        }
-        Ok(())
-    }
-
-    /// Fold network contributions into the ring window (combiner nodes).
-    /// A contributor that completed this message may already stream the
-    /// port's next one under its implicit first window: packets past its
-    /// `count` wait for the next open (senders flush at the message end,
-    /// so no packet straddles two messages).
-    fn fold_network(&mut self) -> Result<(), SmiError> {
-        let c = self.credits_window;
-        while let Some(pkt) = self.io.try_recv_data()? {
-            expect_op(&pkt.header, PacketOp::Reduce)?;
-            let src = pkt.header.src as usize;
-            let slot = self.contrib_slot[src].ok_or_else(|| SmiError::ProtocolViolation {
-                detail: format!("reduce contribution from unexpected world rank {src}"),
-            })?;
-            if self.progress[slot] == self.count {
-                self.io.carry(pkt);
-                continue;
-            }
-            let mut df = Deframer::new(T::DATATYPE);
-            df.refill(pkt);
-            while let Some(v) = df.pop::<T>() {
-                let at = self.progress[slot];
-                debug_assert!(at < self.granted, "credit window violated");
-                let s = (at % c) as usize;
-                self.window[s] = self.op.apply(self.window[s], v);
-                self.progress[slot] = at + 1;
-            }
         }
         Ok(())
     }
@@ -317,109 +337,19 @@ impl<T: SmiNumeric> ReduceChannel<T> {
         }
     }
 
-    fn try_reduce_root(&mut self, snd: &[T], out: &mut [T]) -> Result<usize, SmiError> {
-        self.advance()?;
-        let base = self.done;
-        let n = snd.len().min(out.len());
-        let c = self.credits_window;
-        // Fold own contributions, up to a window ahead of completed results
-        // (the cursor `progress[0]` survives across calls, so re-passed
-        // elements are never folded twice).
-        while self.progress[0] < base + c && self.progress[0] - base < n as u64 {
-            let idx = (self.progress[0] - base) as usize;
-            let slot = (self.progress[0] % c) as usize;
-            self.window[slot] = self.op.apply(self.window[slot], snd[idx]);
-            self.progress[0] += 1;
-        }
-        // Drain network contributions (bounded by the credit window).
-        self.fold_network()?;
-        // Emit every element that is now complete at all contributors.
-        let mut completed = 0usize;
-        let mut pending_grant = 0u64;
-        loop {
-            let i = self.done;
-            if (i - base) as usize >= n || self.progress.iter().any(|&p| p <= i) {
-                break;
-            }
-            let slot = (i % c) as usize;
-            out[(i - base) as usize] = self.window[slot];
-            // The slot is consumed: reset it for element i + C
-            // (contributions for which arrive only after the next grant).
-            self.window[slot] = identity_of::<T>(self.op);
-            self.done = i + 1;
-            completed += 1;
-            // Window boundary: coalesce the grant (§4.4), clamped to the
-            // message tail, staged below.
-            pending_grant += self.window_grant();
-        }
-        self.stage_grants(pending_grant);
-        self.advance()?;
-        Ok(completed)
-    }
-
-    /// Interior node, own-contribution side: fold `snd` into the window up
-    /// to one credit window ahead of the emitted stream.
-    fn try_reduce_interior(&mut self, snd: &[T]) -> Result<usize, SmiError> {
-        self.advance()?; // runs the combine-and-forward pump
-        let c = self.credits_window;
-        let mut consumed = 0usize;
-        while consumed < snd.len() && self.progress[0] < self.done + c {
-            let slot = (self.progress[0] % c) as usize;
-            self.window[slot] = self.op.apply(self.window[slot], snd[consumed]);
-            self.progress[0] += 1;
-            consumed += 1;
-        }
-        if consumed > 0 {
-            self.advance()?;
-        }
-        Ok(consumed)
-    }
-
-    /// Interior combine-and-forward duty (runs on every poll): absorb
-    /// upstream credits, fold children, emit completed elements toward the
-    /// parent within the upstream window, and grant children at window
-    /// boundaries.
-    fn pump_interior(&mut self) -> Result<(), SmiError> {
-        self.absorb_credits()?;
-        self.fold_network()?;
-        let c = self.credits_window;
-        let mut pending_grant = 0u64;
-        while self.done < self.count {
-            let i = self.done;
-            if self.progress.iter().any(|&p| p <= i) || self.credits == 0 {
-                break;
-            }
-            if self.io.stage_full() && !self.io.try_flush()? {
-                break;
-            }
-            let slot = (i % c) as usize;
-            let v = self.window[slot];
-            self.window[slot] = identity_of::<T>(self.op);
-            let pkt = self.framer.push(&v);
-            self.done = i + 1;
-            self.credits -= 1;
-            if let Some(p) = self.upstream(pkt) {
-                self.io.stage(p);
-            }
-            pending_grant += self.window_grant();
-        }
-        self.stage_grants(pending_grant);
-        Ok(())
-    }
-
     /// Bulk `SMI_Reduce`, blocking until every element of `snd` completed.
     /// At the root, `out` must be the same length as `snd` and receives the
     /// reduced stream; elsewhere `out` is ignored (may be empty). A call
     /// that completes this member's whole contribution additionally drives
-    /// the channel to `Done` — an interior combiner keeps folding and
-    /// forwarding its children's streams after its own contribution is
+    /// the channel to `Done` — a member keeps emitting (and an interior one
+    /// folding its children's streams) after its own contribution is
     /// consumed, and returning earlier would strand the subtree when the
     /// caller drops the channel.
     pub fn reduce_slice(&mut self, snd: &[T], out: &mut [T]) -> Result<(), SmiError> {
         if snd.len() as u64 > self.count - self.consumed() {
             return Err(SmiError::CountExceeded { count: self.count });
         }
-        if self.is_root && out.len() < snd.len() {
+        if self.parent.is_none() && out.len() < snd.len() {
             return Err(SmiError::ProtocolViolation {
                 detail: "reduce_slice at the root needs out.len() >= snd.len()".into(),
             });
@@ -427,19 +357,15 @@ impl<T: SmiNumeric> ReduceChannel<T> {
         let mut off = 0usize;
         self.io.wait().on("reduce progress", || {
             let done_before = self.done;
-            let moved = if self.is_root {
-                self.try_reduce_root(&snd[off..], &mut out[off..])?
-            } else if self.is_interior() {
-                self.try_reduce_interior(&snd[off..])?
-            } else {
-                self.try_reduce_leaf(&snd[off..])?
-            };
+            let moved = self.step(&snd[off..], out.get_mut(off..).unwrap_or_default())?;
             off += moved;
-            if off == snd.len() && self.io.try_flush()? {
-                let full = self.consumed() == self.count;
-                if !full || self.poll()? == CollectiveState::Done {
-                    return Ok(BlockingStep::Ready(()));
-                }
+            let finished = if self.consumed() < self.count {
+                self.io.flushed()
+            } else {
+                self.state == CollectiveState::Done
+            };
+            if off == snd.len() && finished {
+                return Ok(BlockingStep::Ready(()));
             }
             Ok(if moved > 0 || self.done > done_before {
                 BlockingStep::Progress
@@ -455,7 +381,7 @@ impl<T: SmiNumeric> ReduceChannel<T> {
         let contrib = [*snd];
         let mut out = [*snd];
         self.reduce_slice(&contrib, &mut out)?;
-        Ok(if self.is_root { Some(out[0]) } else { None })
+        Ok(self.parent.is_none().then_some(out[0]))
     }
 
     /// Elements reduced (root) or contributed (non-root) so far.
@@ -473,7 +399,7 @@ impl<T: SmiNumeric> Drop for ReduceChannel<T> {
 
 impl<T: SmiNumeric> CollectivePoll for ReduceChannel<T> {
     fn poll(&mut self) -> Result<CollectiveState, SmiError> {
-        self.advance()?;
+        self.step(&[], &mut [])?;
         Ok(self.state)
     }
 
@@ -493,28 +419,130 @@ fn identity_of<T: SmiNumeric>(op: ReduceOp) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::{new_table, CksLanes, PortRes};
+    use crate::endpoint::{CksLanes, EndpointTable, EndpointTableHandle, PacketRx, PortRes};
+    use crate::transport::link::{burst_queue, LinkSend, QueueTx};
+    use crate::transport::socket::FabricHealth;
+    use crate::transport::CopyMeter;
+    use parking_lot::Mutex;
     use smi_codegen::OpSpec;
-    use smi_wire::Datatype;
+    use smi_wire::{Datatype, Framer, PacketRun};
+    use std::sync::Arc;
 
-    /// The grants a lone root with window `window` makes over a
-    /// `count`-element message as its completed elements reach `upto`.
-    fn grants(window: u64, count: u64, upto: u64) -> Vec<u64> {
+    /// A rank's table holding one reduce port whose delivery the test
+    /// fills; `meter` counts every payload copy of the rank.
+    fn port(meter: &CopyMeter) -> (QueueTx, EndpointTableHandle) {
         let op = OpSpec::reduce(0, Datatype::Int, ReduceOp::Add);
-        let table = new_table();
-        table
-            .lock()
-            .put(0, op.kind, PortRes::new(&op, CksLanes::default(), None));
+        let (deliver, data_rx) = burst_queue(4);
+        let (lane, _) = crossbeam::channel::bounded(4);
+        let rx = PacketRx::new(data_rx, meter.clone());
+        let res = PortRes::new(&op, CksLanes::loopback(Box::new(lane)), Some(rx));
+        let mut table = EndpointTable::with_health(FabricHealth::default(), meter.clone());
+        table.put(0, op.kind, res);
+        (deliver, Arc::new(Mutex::new(table)))
+    }
+
+    /// Member `me` of `[0, 1, 2]` with `edges` on `table`, with window
+    /// `window` over a `count`-element `Add` message.
+    fn open(
+        table: &EndpointTableHandle,
+        me: usize,
+        edges: WireEdges,
+        window: u64,
+        count: u64,
+    ) -> ReduceChannel<i32> {
         let params = RuntimeParams {
             reduce_credits: window,
             ..RuntimeParams::default()
         };
-        let comm = Communicator::of_members(vec![0], 0);
+        let comm = Communicator::of_members(vec![0, 1, 2], me);
+        ReduceChannel::open(table.clone(), &comm, count, 0, edges, &params).unwrap()
+    }
+
+    /// The root (wire rank 0) of a message whose one child is wire rank 1.
+    fn root(window: u64, count: u64, meter: &CopyMeter) -> (QueueTx, ReduceChannel<i32>) {
+        let (deliver, table) = port(meter);
         let edges = WireEdges {
             parent: None,
-            children: Vec::new(),
+            children: vec![1],
         };
-        let mut ch = ReduceChannel::<i32>::open(table, &comm, count, 0, edges, &params).unwrap();
+        (deliver, open(&table, 0, edges, window, count))
+    }
+
+    fn push(deliver: &QueueTx, burst: Vec<Frame>) {
+        assert!(matches!(deliver.push(burst), LinkSend::Accepted));
+    }
+
+    /// Deliver `frame` to the channel and run one call: it must fail with a
+    /// protocol violation.
+    fn rejects(deliver: &QueueTx, ch: &mut ReduceChannel<i32>, frame: Frame) {
+        push(deliver, vec![frame]);
+        let err = ch.try_reduce_slice(&[1], &mut [0]).unwrap_err();
+        assert!(matches!(err, SmiError::ProtocolViolation { .. }), "{err:?}");
+    }
+
+    /// `src`'s contribution to `dst` of `n` elements from its first, as
+    /// one packet.
+    fn contribution(src: u8, dst: u8, n: usize) -> Frame {
+        let mut framer = Framer::new(Datatype::Int, src, dst, 0, PacketOp::Reduce);
+        let values: Vec<i32> = (0..n as i32).collect();
+        let (_, full) = framer.push_slice(&values);
+        full.or_else(|| framer.flush()).expect("a packet").into()
+    }
+
+    /// A packet past the window granted, or past the message's count, fails
+    /// the call before anything of it is folded: its slots may still
+    /// belong to other elements.
+    #[test]
+    fn a_contribution_past_its_credit_window_is_a_protocol_violation() {
+        let meter = CopyMeter::default();
+        let (deliver, mut ch) = root(4, 16, &meter);
+        rejects(&deliver, &mut ch, contribution(1, 0, 7));
+        assert_eq!(ch.window, [1, 0, 0, 0], "only the own element was folded");
+        let (deliver, mut ch) = root(8, 3, &meter);
+        rejects(&deliver, &mut ch, contribution(1, 0, 5));
+    }
+
+    /// A member reads its children's contributions as inline packets: a
+    /// `Reduce` run fails the call, and nothing of it is copied.
+    #[test]
+    fn a_reduce_run_at_a_member_is_a_protocol_violation() {
+        let meter = CopyMeter::default();
+        let (deliver, mut ch) = root(4, 16, &meter);
+        let run = PacketRun::from_elems(1, 0, 0, PacketOp::Reduce, &[1i32; 16]);
+        rejects(&deliver, &mut ch, Frame::Run(run));
+        assert_eq!(meter.count(), 0);
+    }
+
+    /// A member may receive the port's next message while it still runs
+    /// this one, from a rank that is only its child there (the next
+    /// message has another root): the member holds it, and the next open
+    /// folds it. Member 1 is the root of both messages here, with child 0
+    /// and then child 2.
+    #[test]
+    fn a_non_childs_contribution_waits_for_the_next_open() {
+        let (deliver, table) = port(&CopyMeter::default());
+        let root_of = |child| WireEdges {
+            parent: None,
+            children: vec![child],
+        };
+        let mut ch = open(&table, 1, root_of(0), 4, 3);
+        push(&deliver, vec![contribution(2, 1, 3), contribution(0, 1, 3)]);
+        let mut out = [0; 3];
+        assert_eq!(ch.try_reduce_slice(&[1; 3], &mut out).unwrap(), 3);
+        assert_eq!(
+            (out, ch.poll().unwrap()),
+            ([1, 2, 3], CollectiveState::Done)
+        );
+        drop(ch);
+        let mut ch = open(&table, 1, root_of(2), 4, 3);
+        assert_eq!(ch.try_reduce_slice(&[10; 3], &mut out).unwrap(), 3);
+        assert_eq!(out, [10, 11, 12]);
+    }
+
+    /// The grants a root with window `window` makes over a `count`-element
+    /// message as its completed elements reach `upto`.
+    fn grants(window: u64, count: u64, upto: u64) -> Vec<u64> {
+        let (_, mut ch) = root(window, count, &CopyMeter::default());
         let mut grant = |done| {
             ch.done = done;
             ch.window_grant()

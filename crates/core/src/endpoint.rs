@@ -15,7 +15,7 @@
 //!
 //! All endpoint FIFOs move packet [`Burst`]s: bulk channel operations hand
 //! over many packets per queue operation, and delivery halves are
-//! [`PacketRx`]s that unbatch bursts back into a packet stream (buffered
+//! [`PacketRx`]s that unbatch bursts back into a frame stream (buffered
 //! state lives with the resource, so it survives channel reopen cycles).
 //!
 //! Every FIFO operation here is non-blocking. A blocking channel call spins
@@ -70,16 +70,15 @@ pub(crate) fn refill(
     Ok(())
 }
 
-/// Receive side of a delivery, unbatched back into a frame (or packet)
-/// stream. The pending queue holds the tail of the last burst. A delivery is
-/// a [`burst_queue`](crate::transport::link::burst_queue) the rank's CKRs
+/// Receive side of a delivery, unbatched back into a frame stream. The
+/// pending queue holds the tail of the last burst, and ahead of it what a
+/// closed channel held for the port's next open. A delivery is a
+/// [`burst_queue`](crate::transport::link::burst_queue) the rank's CKRs
 /// fill; its consumer is rank code and names no wake, so a push raises
 /// nothing and costs no syscall.
 ///
-/// Frame-aware consumers ([`PacketRx::next_frame`]) receive
-/// [`Frame::Run`]s whole — an `Arc` handle move, no payload copy. The
-/// packet-oriented receive serves reduce contributions, which their senders
-/// stage as inline packets: a run there is a protocol violation.
+/// [`PacketRx::next_frame`] hands [`Frame::Run`]s over whole — an `Arc`
+/// handle move, no payload copy.
 pub(crate) struct PacketRx {
     rx: LinkRx,
     pending: VecDeque<Frame>,
@@ -101,18 +100,6 @@ impl PacketRx {
     fn absorb(&mut self, b: Burst) {
         meter_inline_data(&self.meter, &b);
         self.pending.extend(b);
-    }
-
-    /// Non-blocking packet receive: `Ok(None)` when nothing is buffered. A
-    /// run is a protocol violation.
-    pub fn next_packet(&mut self) -> Result<Option<NetworkPacket>, SmiError> {
-        match self.next_frame()? {
-            Some(Frame::Pkt(p)) => Ok(Some(p)),
-            Some(run) => Err(SmiError::ProtocolViolation {
-                detail: format!("a {:?} run at a packet receive", run.header().op),
-            }),
-            None => Ok(None),
-        }
     }
 
     /// Non-blocking frame receive: run frames are delivered whole (no
@@ -182,10 +169,6 @@ pub(crate) struct PortRes {
     pub to_cks: CksLanes,
     /// Data deliveries.
     pub rx: Option<PacketRx>,
-    /// Reduce contributions an earlier channel on this port read for a
-    /// later message (a member that finished a message may open the next
-    /// one at once); the next open receives them before anything else.
-    pub carry: VecDeque<NetworkPacket>,
     /// `staged[lane]`: frames bound for that lane, in staging order. Kept
     /// with the resource, so opening a channel allocates nothing.
     staged: Vec<Burst>,
@@ -204,7 +187,6 @@ impl PortRes {
             staged: vec![Burst::new(); to_cks.lanes.len()],
             to_cks,
             rx,
-            carry: VecDeque::new(),
             ctl: (op.kind != OpKind::Recv).then(PortCtl::default),
         }
     }
@@ -235,8 +217,8 @@ pub(crate) struct PortIo {
     stall: Stall,
     max_burst: usize,
     copies: CopyMeter,
-    /// Packets kept for the port's next open, in arrival order.
-    carry: VecDeque<NetworkPacket>,
+    /// Frames read for the port's next open, in arrival order.
+    hold: Vec<Frame>,
 }
 
 /// Outcome of one iteration of a [`Stall::on`] step.
@@ -343,7 +325,7 @@ impl PortIo {
             stall,
             max_burst: params.burst_packets.max(1),
             copies,
-            carry: VecDeque::new(),
+            hold: Vec::new(),
         })
     }
 
@@ -498,18 +480,6 @@ impl PortIo {
         }
     }
 
-    /// Non-blocking packet receive from the data delivery path (reduce),
-    /// packets an earlier channel on the port carried over first. Buffered
-    /// packets are always delivered.
-    pub fn try_recv_data(&mut self) -> Result<Option<NetworkPacket>, SmiError> {
-        let res = self.res_mut();
-        let got = match res.carry.pop_front() {
-            Some(p) => Some(p),
-            None => res.rx.as_mut().map_or(Ok(None), PacketRx::next_packet)?,
-        };
-        self.delivered(got)
-    }
-
     /// Non-blocking frame receive from the data delivery path: run frames
     /// arrive whole (no payload copy).
     pub fn try_recv_data_frame(&mut self) -> Result<Option<Frame>, SmiError> {
@@ -518,10 +488,12 @@ impl PortIo {
         self.delivered(got)
     }
 
-    /// Keep a received reduce contribution for the port's next open: it
-    /// belongs to a later message than this channel's.
-    pub fn carry(&mut self, pkt: NetworkPacket) {
-        self.carry.push_back(pkt);
+    /// Keep a received frame for the port's next open: it belongs to a
+    /// later message than this channel's (a reduce contribution past its
+    /// sender's count). The frames go back to the front of the delivery
+    /// when the handle drops.
+    pub fn hold(&mut self, frame: Frame) {
+        self.hold.push(frame);
     }
 
     /// Claim up to `most` credit grants the rank's CKRs counted, oldest
@@ -560,9 +532,12 @@ impl Drop for PortIo {
             if let Some(ctl) = &res.ctl {
                 ctl.disarm();
             }
-            // What this channel kept arrived before what it never read.
-            self.carry.append(&mut res.carry);
-            res.carry = std::mem::take(&mut self.carry);
+            // What this channel held arrived before what it never read.
+            if let Some(rx) = &mut res.rx {
+                for frame in self.hold.drain(..).rev() {
+                    rx.pending.push_front(frame);
+                }
+            }
             self.table.lock().put(self.port, self.kind, res);
         }
     }
@@ -736,9 +711,9 @@ mod tests {
         assert_eq!(frames(&rx[1]), want(3, 4));
     }
 
-    /// What a reduce channel keeps goes to the port's next open first,
+    /// What a reduce channel holds goes to the port's next open first,
     /// ahead of what it never read, in arrival order — also when that open
-    /// keeps some of it again.
+    /// holds some of it again.
     #[test]
     fn carried_packets_reach_the_next_open_first_in_order() {
         let (lanes, _rx) = two_lanes([1, 1]);
@@ -747,23 +722,27 @@ mod tests {
         let op = OpSpec::reduce(0, Datatype::Int, ReduceOp::Add);
         let t = coll_table(op, lanes, data_rx);
         let seqs = |io: &mut PortIo, n: usize| {
-            let mut next = || io.try_recv_data().unwrap().expect("a packet");
+            let mut next = || io.try_recv_data_frame().unwrap().expect("a frame");
             (0..n).map(|_| next()).collect::<Vec<_>>()
         };
+        let seq = |f: &Frame| match f {
+            Frame::Pkt(p) => p.control_arg(),
+            Frame::Run(_) => panic!("unexpected run"),
+        };
         let mut io = open_coll(&t, OpKind::Reduce);
-        for pkt in seqs(&mut io, 2) {
-            io.carry(pkt);
+        for frame in seqs(&mut io, 2) {
+            io.hold(frame);
         }
         drop(io);
         let mut io = open_coll(&t, OpKind::Reduce);
-        let first = seqs(&mut io, 1);
-        assert_eq!(first[0].control_arg(), 1);
-        io.carry(first[0]);
+        let first = seqs(&mut io, 1).pop().unwrap();
+        assert_eq!(seq(&first), 1);
+        io.hold(first);
         drop(io);
         let mut io = open_coll(&t, OpKind::Reduce);
-        let all: Vec<u32> = seqs(&mut io, 3).iter().map(|p| p.control_arg()).collect();
+        let all: Vec<u32> = seqs(&mut io, 3).iter().map(seq).collect();
         assert_eq!(all, [1, 2, 3]);
-        assert!(io.try_recv_data().unwrap().is_none());
+        assert!(io.try_recv_data_frame().unwrap().is_none());
     }
 
     #[test]
@@ -922,27 +901,13 @@ mod tests {
         let pkt = |d: u8| NetworkPacket::new(0, d, 0, PacketOp::Send);
         deliver(&tx, vec![pkt(1).into(), pkt(2).into()]);
         deliver(&tx, vec![pkt(3).into()]);
-        assert_eq!(prx.next_packet().unwrap().unwrap().header.dst, 1);
-        assert_eq!(prx.next_packet().unwrap().unwrap().header.dst, 2);
-        assert_eq!(prx.next_packet().unwrap().unwrap().header.dst, 3);
-        assert!(prx.next_packet().unwrap().is_none());
+        let mut dst = || prx.next_frame().unwrap().map(|f| f.header().dst);
+        assert_eq!(
+            [dst(), dst(), dst(), dst()],
+            [Some(1), Some(2), Some(3), None]
+        );
         drop(tx);
-        assert!(matches!(prx.next_packet(), Err(SmiError::TransportClosed)));
-    }
-
-    /// Packet receives take inline packets only: a run there is a typed
-    /// protocol violation, and nothing of it is copied.
-    #[test]
-    fn packet_rx_rejects_a_run_at_a_packet_receive() {
-        use smi_wire::{PacketOp, PacketRun};
-        let (tx, rx) = burst_queue(4);
-        let meter = CopyMeter::default();
-        let mut prx = PacketRx::new(rx, meter.clone());
-        let run = PacketRun::from_elems(0, 1, 0, PacketOp::Reduce, &[1i32; 16]);
-        deliver(&tx, vec![Frame::Run(run)]);
-        let err = prx.next_packet().unwrap_err();
-        assert!(matches!(err, SmiError::ProtocolViolation { .. }), "{err:?}");
-        assert_eq!(meter.count(), 0);
+        assert!(matches!(prx.next_frame(), Err(SmiError::TransportClosed)));
     }
 
     #[test]

@@ -292,6 +292,53 @@ fn back_to_back_blocking_reduces_on_one_port() {
     assert!(results[1].is_ok(), "rank 1: {:?}", results[1]);
 }
 
+/// Blocking reduces whose root moves every message, on one port, `bus(8)`,
+/// both schemes: a member that finished message `m` streams `m + 1` under
+/// its implicit first window to its parent there, which may still run `m`
+/// with no such child — as a leaf, or as a combiner of other children.
+/// That contribution must wait for the parent's next open.
+#[test]
+fn back_to_back_blocking_reduces_with_rotating_roots() {
+    const COUNT: usize = 64;
+    const RANKS: usize = 8;
+    const ROOTS: [usize; MSGS] = [0, 7, 4, 1, 6, 2, 5, 3, 0, 7];
+    for scheme in [CollectiveScheme::Linear, CollectiveScheme::Tree] {
+        let program = |ctx: SmiCtx| {
+            let world = ctx.world();
+            let reduce = |m: usize| {
+                let snd: Vec<i32> = (0..COUNT).map(|i| value(m, ctx.rank(), i)).collect();
+                let mut out = vec![0; COUNT];
+                let mut ch = ctx.open_reduce_channel(COUNT as u64, 0, ROOTS[m], &world)?;
+                ch.reduce_slice(&snd, &mut out).map(|()| out)
+            };
+            (0..MSGS).map(reduce).collect::<Result<Vec<_>, SmiError>>()
+        };
+        let meta = ProgramMeta::new().with(OpSpec::reduce(0, Datatype::Int, ReduceOp::Add));
+        let params = RuntimeParams {
+            collective_scheme: scheme,
+            blocking_timeout: Duration::from_secs(3),
+            ..RuntimeParams::default()
+        };
+        let results = run_spmd(&Topology::bus(RANKS), meta, program, params)
+            .unwrap()
+            .results;
+        for (r, res) in results.iter().enumerate() {
+            let got = res
+                .as_ref()
+                .unwrap_or_else(|e| panic!("{scheme:?}: rank {r}: {e:?}"));
+            for (m, out) in got.iter().enumerate() {
+                let sum = |i| (0..RANKS).map(|r| value(m, r, i)).sum();
+                let want: Vec<i32> = if r == ROOTS[m] {
+                    (0..COUNT).map(sum).collect()
+                } else {
+                    vec![0; COUNT]
+                };
+                assert_eq!(*out, want, "{scheme:?}: rank {r}, message {m}");
+            }
+        }
+    }
+}
+
 /// Messages per direction in the point-to-point runs: enough reopens that
 /// grants a sender never claims would pile up in its port's grant FIFO
 /// (once 16 would have filled the credit delivery and stalled its CKR).

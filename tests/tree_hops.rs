@@ -463,18 +463,42 @@ const CREDIT_REDUCE: (u64, u64, u64) = (12_024, 23_064, 3_952);
 
 #[test]
 fn bus_reduce_grants_cross_one_link_each() {
+    credit_reduce_gate(CollectiveScheme::Tree, CREDIT_REDUCE);
+}
+
+/// The same job under `Linear`: the root grants its 31 leaves every window
+/// and each leaf streams straight to the root, across as many links as it
+/// is ranks away. Per leaf, 744 packets cross one CKS at their origin:
+/// the broadcast's 367 and its ready `Sync`, 371 reduce packets and 5
+/// grants — 23 064 in all; and each crosses one CKR per rank it enters, so
+/// leaf `d` costs 744 × `d` and the 31 leaves 744 × 496 = 369 024. Then
+/// the executor's polls.
+const CREDIT_REDUCE_LINEAR: (u64, u64, u64) = (23_064, 369_024, 15_354);
+
+#[test]
+fn bus_linear_reduce_streams_every_leaf_to_the_root() {
+    credit_reduce_gate(CollectiveScheme::Linear, CREDIT_REDUCE_LINEAR);
+}
+
+/// A broadcast then an `Add` reduce of 5 × 512 + 3 elements on `bus(32)`,
+/// root 0, one worker, under `scheme`: the reduced stream must be exact,
+/// the forwards must read `want` exactly and the polls at most 1.01 × its
+/// reading.
+fn credit_reduce_gate(scheme: CollectiveScheme, want: (u64, u64, u64)) {
     let topo = Topology::bus(32);
     let count = 5 * 512 + 3;
     let job = Job::new(vec![0], count, true);
-    let (streams, report) = run_tasks(&topo, 1, &job, params(CollectiveScheme::Tree, 1));
+    let (streams, report) = run_tasks(&topo, 1, &job, params(scheme, 1));
     let world: Vec<usize> = (0..32).collect();
     assert_eq!(streams[0].1, reduced(&world, count));
     let (cks, ckr, unroutable) = report.transport;
     let polls: u64 = report.worker_stats.iter().map(|w| w.polls).sum();
     // `-- --nocapture` shows the reading.
-    println!("bcast then Tree reduce on bus(32): {cks} CKS, {ckr} CKR forwards, {polls} polls");
+    println!(
+        "bcast then {scheme:?} reduce on bus(32): {cks} CKS, {ckr} CKR forwards, {polls} polls"
+    );
     assert_eq!(unroutable, 0);
-    let (want_cks, want_ckr, want_polls) = CREDIT_REDUCE;
+    let (want_cks, want_ckr, want_polls) = want;
     assert_eq!((cks, ckr), (want_cks, want_ckr), "CKS and CKR forwards");
     assert!(polls as f64 <= 1.01 * want_polls as f64, "{polls} polls");
 }
