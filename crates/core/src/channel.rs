@@ -486,7 +486,7 @@ mod tests {
         let (t, health, data_tx, _lane_rx) = table();
         let run = PacketRun::from_elems(1, 0, 0, PacketOp::Send, &[4i32, 5, 6]);
         assert!(matches!(
-            data_tx.push(vec![Frame::Run(run)]),
+            data_tx.push(&mut vec![Frame::Run(run)]),
             LinkSend::Accepted
         ));
         let mut rx = RecvChannel::<i32>::open(t, 0, 1, 0, 8, Protocol::Eager, &params).unwrap();

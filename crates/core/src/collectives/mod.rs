@@ -250,8 +250,8 @@ mod tests {
             self.deliver(vec![frame.unwrap()]);
         }
 
-        fn deliver(&self, burst: Burst) {
-            assert!(matches!(self.deliver.push(burst), LinkSend::Accepted));
+        fn deliver(&self, mut burst: Burst) {
+            assert!(matches!(self.deliver.push(&mut burst), LinkSend::Accepted));
         }
     }
 

@@ -468,8 +468,8 @@ mod tests {
         (deliver, open(&table, 0, edges, window, count))
     }
 
-    fn push(deliver: &QueueTx, burst: Vec<Frame>) {
-        assert!(matches!(deliver.push(burst), LinkSend::Accepted));
+    fn push(deliver: &QueueTx, mut burst: Vec<Frame>) {
+        assert!(matches!(deliver.push(&mut burst), LinkSend::Accepted));
     }
 
     /// Deliver `frame` to the channel and run one call: it must fail with a

@@ -17,13 +17,15 @@
 //! over many packets per queue operation, and delivery halves are
 //! [`PacketRx`]s that unbatch bursts back into a frame stream (buffered
 //! state lives with the resource, so it survives channel reopen cycles).
+//! The staging bursts and the receive buffer are the resource's own and
+//! are reused from burst to burst; a delivery trades buffers, it does not
+//! allocate them.
 //!
 //! Every FIFO operation here is non-blocking. A blocking channel call spins
 //! its non-blocking twin in `Stall::on`, the one wait loop of the
 //! runtime.
 
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -70,18 +72,20 @@ pub(crate) fn refill(
     Ok(())
 }
 
-/// Receive side of a delivery, unbatched back into a frame stream. The
-/// pending queue holds the tail of the last burst, and ahead of it what a
-/// closed channel held for the port's next open. A delivery is a
-/// [`burst_queue`](crate::transport::link::burst_queue) the rank's CKRs
-/// fill; its consumer is rank code and names no wake, so a push raises
-/// nothing and costs no syscall.
+/// Receive side of a delivery, unbatched back into a frame stream. A
+/// delivery is a [`burst_queue`](crate::transport::link::burst_queue) the
+/// rank's CKRs fill; its consumer is rank code and names no wake, so a push
+/// raises nothing and costs no syscall, and a poll of an empty delivery
+/// takes no lock.
 ///
-/// [`PacketRx::next_frame`] hands [`Frame::Run`]s over whole — an `Arc`
-/// handle move, no payload copy.
+/// `pending` is read from its back: it holds the rest of the last burst
+/// taken (the delivery trades that burst's buffer for the emptied one),
+/// last frame first, and on top of it what a closed channel held for the
+/// port's next open. [`PacketRx::next_frame`] hands [`Frame::Run`]s over
+/// whole — an `Arc` handle move, no payload copy.
 pub(crate) struct PacketRx {
     rx: LinkRx,
-    pending: VecDeque<Frame>,
+    pending: Burst,
     meter: CopyMeter,
 }
 
@@ -89,32 +93,28 @@ impl PacketRx {
     pub fn new(rx: LinkRx, meter: CopyMeter) -> Self {
         PacketRx {
             rx,
-            pending: VecDeque::new(),
+            pending: Burst::new(),
             meter,
         }
     }
 
-    /// Stage an arrived burst into the pending queue. Copying inline data
-    /// packets into the queue is a real payload-plane copy and is metered;
-    /// run frames move as handles.
-    fn absorb(&mut self, b: Burst) {
-        meter_inline_data(&self.meter, &b);
-        self.pending.extend(b);
-    }
-
     /// Non-blocking frame receive: run frames are delivered whole (no
-    /// payload copy) — the zero-copy consumer path. The pending queue is
-    /// refilled from the delivery while it runs dry.
+    /// payload copy) — the zero-copy consumer path. Once the pending frames
+    /// ran out, the next burst is taken: taking inline data packets out of
+    /// the delivery is a real payload-plane copy and is metered; run frames
+    /// move as handles.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, SmiError> {
-        loop {
-            if let Some(f) = self.pending.pop_front() {
-                return Ok(Some(f));
+        if let Some(f) = self.pending.pop() {
+            return Ok(Some(f));
+        }
+        match self.rx.try_recv(&mut self.pending) {
+            LinkRecv::Burst => {
+                meter_inline_data(&self.meter, &self.pending);
+                self.pending.reverse();
+                Ok(self.pending.pop())
             }
-            match self.rx.try_recv() {
-                LinkRecv::Burst(b) => self.absorb(b),
-                LinkRecv::Empty => return Ok(None),
-                LinkRecv::Closed => return Err(SmiError::TransportClosed),
-            }
+            LinkRecv::Empty => Ok(None),
+            LinkRecv::Closed => Err(SmiError::TransportClosed),
         }
     }
 }
@@ -434,12 +434,9 @@ impl PortIo {
             if staged.is_empty() {
                 continue;
             }
-            match lane.offer(std::mem::take(staged)) {
+            match lane.offer(staged) {
                 LinkSend::Accepted => {}
-                LinkSend::Full(b) => {
-                    *staged = b;
-                    flushed = false;
-                }
+                LinkSend::Full => flushed = false,
                 LinkSend::Closed => return Err(SmiError::TransportClosed),
             }
         }
@@ -456,9 +453,9 @@ impl PortIo {
         if !res.staged[lane].is_empty() {
             return Ok(false);
         }
-        match res.to_cks.lanes[lane].offer(vec![pkt.into()]) {
+        match res.to_cks.lanes[lane].offer(&mut vec![pkt.into()]) {
             LinkSend::Accepted => Ok(true),
-            LinkSend::Full(_) => Ok(false),
+            LinkSend::Full => Ok(false),
             LinkSend::Closed => Err(SmiError::TransportClosed),
         }
     }
@@ -526,17 +523,16 @@ impl Drop for PortIo {
             // thread that drains the FIFO.
             for (lane, staged) in res.to_cks.lanes.iter_mut().zip(&mut res.staged) {
                 if !staged.is_empty() {
-                    let _ = lane.offer(std::mem::take(staged));
+                    let _ = lane.offer(staged);
                 }
             }
             if let Some(ctl) = &res.ctl {
                 ctl.disarm();
             }
-            // What this channel held arrived before what it never read.
+            // What this channel held arrived before what it never read:
+            // it goes on top, first frame last.
             if let Some(rx) = &mut res.rx {
-                for frame in self.hold.drain(..).rev() {
-                    rx.pending.push_front(frame);
-                }
+                rx.pending.extend(self.hold.drain(..).rev());
             }
             self.table.lock().put(self.port, self.kind, res);
         }
@@ -673,8 +669,8 @@ mod tests {
     }
 
     /// Push `burst` into a delivery that has room for it.
-    fn deliver(tx: &QueueTx, burst: Burst) {
-        assert!(matches!(tx.push(burst), LinkSend::Accepted));
+    fn deliver(tx: &QueueTx, mut burst: Burst) {
+        assert_eq!(tx.push(&mut burst), LinkSend::Accepted);
     }
 
     /// `(dst, seq)` of every frame waiting in `rx`, burst by burst.

@@ -45,7 +45,7 @@
 //! and no rank task reads a control packet.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
@@ -77,7 +77,21 @@ pub(crate) enum Route {
 /// A bcast endpoint arms it at open, before its own announcement can
 /// leave, and dropping the channel disarms it; the counts outlive both.
 #[derive(Clone, Default)]
-pub(crate) struct PortCtl(Arc<Mutex<CtlState>>);
+pub(crate) struct PortCtl(Arc<Ctl>);
+
+#[derive(Default)]
+struct Ctl {
+    state: Mutex<CtlState>,
+    /// Bumped under the lock by every arm and disarm, so a CKR re-reads the
+    /// fan-out only when it moved ([`FanOut`]). A data frame of an armed
+    /// message is causally after its arm (the root sends only once the
+    /// member's subtree announced itself, and every queue on the way hands
+    /// over under a lock), so the CKR that routes it sees the bump.
+    generation: AtomicU64,
+    /// `state.wait.len()`, written under the lock: an opening member reads
+    /// it without one.
+    awaited: AtomicUsize,
+}
 
 impl PartialEq for PortCtl {
     fn eq(&self, other: &Self) -> bool {
@@ -114,10 +128,23 @@ impl CtlState {
     }
 }
 
+/// A CKR's copy of one port's fan-out and the generation it was read at.
+#[derive(Default)]
+pub(crate) struct FanOut {
+    generation: u64,
+    copies: Copies,
+}
+
 impl PortCtl {
     /// Hold the state: whatever is claimed under one hold, no CKR claims.
     pub fn lock(&self) -> MutexGuard<'_, CtlState> {
-        self.0.lock()
+        self.0.state.lock()
+    }
+
+    /// A new fan-out or wait in `state`, published under its lock.
+    fn rearmed(&self, state: &CtlState) {
+        self.0.awaited.store(state.wait.len(), Ordering::Release);
+        self.0.generation.fetch_add(1, Ordering::Release);
     }
 
     /// Arm a bcast member with its fan-out `copies`, waiting for the
@@ -134,6 +161,7 @@ impl PortCtl {
         let mut wait = children.to_vec();
         wait.retain(|&child| !state.claim(child));
         (state.copies, state.wait) = (copies, wait);
+        self.rearmed(&state);
         if state.wait.is_empty() {
             return up.map(|(up, _)| up);
         }
@@ -141,9 +169,9 @@ impl PortCtl {
         None
     }
 
-    /// How many children the armed member still waits for.
+    /// How many children the armed member still waits for; takes no lock.
     pub fn awaited(&self) -> usize {
-        self.lock().wait.len()
+        self.0.awaited.load(Ordering::Acquire)
     }
 
     /// Clear the fan-out, the wait and the announcement; the tally stays.
@@ -151,6 +179,7 @@ impl PortCtl {
         let mut state = self.lock();
         (state.copies, state.up) = (Copies::default(), None);
         state.wait.clear();
+        self.rearmed(&state);
     }
 
     /// Count a burst of control frames under one hold. A credit joins the
@@ -169,6 +198,7 @@ impl PortCtl {
                 });
             } else if let Some(at) = state.wait.iter().position(|&c| c == src) {
                 state.wait.swap_remove(at);
+                self.0.awaited.store(state.wait.len(), Ordering::Release);
                 up = up.or(state.up.take_if(|_| state.wait.is_empty()));
             } else {
                 let at = usize::from(src);
@@ -182,9 +212,17 @@ impl PortCtl {
     }
 
     /// The verdict on a bcast data frame a CKR delivers to output `local`:
-    /// a multicast while a member's fan-out is armed.
-    pub fn fan_out(&self, local: usize) -> Route {
-        match &self.lock().copies {
+    /// a multicast while a member's fan-out is armed. `seen` is the CKR's
+    /// own copy of the fan-out, re-read under the lock only when the
+    /// generation moved since.
+    pub fn fan_out(&self, local: usize, seen: &mut FanOut) -> Route {
+        let generation = self.0.generation.load(Ordering::Acquire);
+        if seen.generation != generation {
+            let state = self.lock();
+            seen.generation = self.0.generation.load(Ordering::Relaxed);
+            seen.copies = state.copies.clone();
+        }
+        match &seen.copies {
             copies if copies.is_empty() => Route::Output(local),
             copies => Route::Multicast {
                 copies: copies.clone(),
@@ -197,8 +235,9 @@ impl PortCtl {
 /// A single rank's grant loop: a receive's lane counts its grants straight
 /// into the send port's state, as a CKR would, and never fills.
 impl Transport for PortCtl {
-    fn offer(&mut self, burst: Burst) -> LinkSend {
-        self.count(&burst);
+    fn offer(&mut self, burst: &mut Burst) -> LinkSend {
+        self.count(burst);
+        burst.clear();
         LinkSend::Accepted
     }
 
@@ -207,6 +246,10 @@ impl Transport for PortCtl {
     }
 }
 
+/// A kernel's routing function: frame header → verdict. A CKR's keeps a
+/// [`FanOut`] per port, so it is `FnMut`.
+pub(crate) type RouteFn = Box<dyn FnMut(&Header) -> Route + Send>;
+
 /// A CKS or CKR kernel body in poll mode.
 pub(crate) struct CkMachine {
     /// The rank this kernel belongs to ([`Pollable::home_rank`]).
@@ -214,7 +257,7 @@ pub(crate) struct CkMachine {
     pub inputs: Vec<LinkRx>,
     pub outputs: Vec<LinkTx>,
     /// Frame header → output index.
-    pub route: Box<dyn Fn(&Header) -> Route + Send>,
+    pub route: RouteFn,
     /// Polling persistence `R` (bursts drained from one input before
     /// rotating).
     pub persistence: u32,
@@ -238,10 +281,35 @@ pub(crate) struct CkMachine {
     /// Routed bursts not yet accepted, in routing order, each with the
     /// packets it counts as forwards: only the head is offered, so nothing
     /// passes a refused burst — a multicast's local delivery never passes
-    /// its copies. Retried before anything else.
+    /// its copies. Retried before anything else. A parked burst takes its
+    /// buffer along: it is the one burst a CKR allocates for.
     parked: VecDeque<(usize, Burst, u64)>,
     /// Received frames not yet routed (mixed-route bursts).
     stash: VecDeque<Frame>,
+    /// The burst just received, or a run carved off the stash.
+    inbuf: Burst,
+    /// A multicast copy, reused for every child.
+    copy: Burst,
+}
+
+/// The verdict on the first of `frames` and how many leading frames share
+/// it, capped at `max_burst` packets (a lone frame always moves).
+fn run_of<'a>(
+    route: &mut RouteFn,
+    max_burst: usize,
+    mut frames: impl Iterator<Item = &'a Frame>,
+) -> (Route, usize) {
+    let head = frames.next().expect("a frame to route");
+    let verdict = route(head.header());
+    let (mut len, mut packets) = (1, head.packet_count());
+    for f in frames {
+        if packets >= max_burst || route(f.header()) != verdict {
+            break;
+        }
+        len += 1;
+        packets += f.packet_count();
+    }
+    (verdict, len)
 }
 
 impl CkMachine {
@@ -251,7 +319,7 @@ impl CkMachine {
         wake: Wake,
         inputs: Vec<LinkRx>,
         outputs: Vec<LinkTx>,
-        route: Box<dyn Fn(&Header) -> Route + Send>,
+        route: RouteFn,
         persistence: u32,
         max_burst: usize,
         forwards: Arc<AtomicU64>,
@@ -274,78 +342,81 @@ impl CkMachine {
             current: 0,
             parked: VecDeque::new(),
             stash: VecDeque::new(),
+            inbuf: Burst::new(),
+            copy: Burst::new(),
         }
     }
 
     /// Offer a routed burst to output `idx` now, counting `counted` forwards
-    /// once accepted; a full output hands it back.
-    fn push(
-        &mut self,
-        idx: usize,
-        burst: Burst,
-        counted: u64,
-        progressed: &mut bool,
-    ) -> Option<Burst> {
+    /// once accepted. Returns false when the output is full and left the
+    /// burst as it was.
+    fn push(&mut self, idx: usize, burst: &mut Burst, counted: u64, progressed: &mut bool) -> bool {
         match self.outputs[idx].offer(burst) {
             LinkSend::Accepted => {
                 if counted > 0 {
                     self.forwards.fetch_add(counted, Ordering::Relaxed);
                 }
                 *progressed = true;
-                None
+                true
             }
-            LinkSend::Full(b) => {
+            LinkSend::Full => {
                 // Room in an output raises nothing: stay runnable.
                 self.wake.hold();
-                Some(b)
+                false
             }
             LinkSend::Closed => {
                 // Receiver gone: shutdown or a dead peer (reported through
                 // the fabric health board); treat the burst as drained.
                 *progressed = true;
-                None
+                true
             }
         }
     }
 
     /// Hand a routed burst to output `idx` behind anything parked; a refused
-    /// burst parks. Returns false when the machine is now blocked.
-    fn offer(&mut self, idx: usize, burst: Burst, counted: u64, progressed: &mut bool) -> bool {
-        let refused = if self.parked.is_empty() {
-            self.push(idx, burst, counted, progressed)
-        } else {
-            Some(burst)
-        };
-        let Some(b) = refused else {
+    /// burst parks, taking its buffer along. Either way `burst` is left
+    /// empty. Returns false when the machine is now blocked.
+    fn offer(
+        &mut self,
+        idx: usize,
+        burst: &mut Burst,
+        counted: u64,
+        progressed: &mut bool,
+    ) -> bool {
+        if self.parked.is_empty() && self.push(idx, burst, counted, progressed) {
             return true;
-        };
-        self.parked.push_back((idx, b, counted));
+        }
+        self.parked.push_back((idx, std::mem::take(burst), counted));
         false
     }
 
-    /// Send one run of same-verdict frames on its way. Returns false when
-    /// the machine is now blocked.
-    fn dispatch(&mut self, route: Route, burst: Burst, progressed: &mut bool) -> bool {
+    /// Send one run of same-verdict frames on its way, leaving `burst`
+    /// empty. Returns false when the machine is now blocked.
+    fn dispatch(&mut self, route: Route, burst: &mut Burst, progressed: &mut bool) -> bool {
         let packets: u64 = burst.iter().map(|f| f.packet_count() as u64).sum();
         match route {
             Route::Output(idx) => self.offer(idx, burst, packets, progressed),
             Route::Multicast { copies, local } => {
+                let mut copy = std::mem::take(&mut self.copy);
                 for &(dst, idx) in copies.iter() {
-                    let copy = burst.iter().map(|f| readdressed(f, dst, &self.copies));
-                    self.offer(idx, copy.collect(), 0, progressed);
+                    copy.extend(burst.iter().map(|f| readdressed(f, dst, &self.copies)));
+                    self.offer(idx, &mut copy, 0, progressed);
                 }
+                self.copy = copy;
                 self.offer(local, burst, packets, progressed)
             }
             Route::Count(ctl) => {
-                let up = ctl.count(&burst);
+                let up = ctl.count(burst);
+                burst.clear();
                 self.forwards.fetch_add(packets, Ordering::Relaxed);
                 *progressed = true;
                 match up {
-                    Some((up, link)) => self.offer(link, vec![up.into()], 0, progressed),
+                    Some((up, link)) => self.offer(link, &mut vec![up.into()], 0, progressed),
                     None => true,
                 }
             }
             Route::Drop => {
+                burst.clear();
                 self.unroutable.fetch_add(packets, Ordering::Relaxed);
                 *progressed = true;
                 true
@@ -353,66 +424,46 @@ impl CkMachine {
         }
     }
 
-    /// The verdict on the first of `frames` and how many leading frames
-    /// share it, capped at `max_burst` packets (a lone frame always moves).
-    fn run_of<'a>(&self, mut frames: impl Iterator<Item = &'a Frame>) -> (Route, usize) {
-        let head = frames.next().expect("a frame to route");
-        let route = (self.route)(head.header());
-        let (mut len, mut packets) = (1, head.packet_count());
-        for f in frames {
-            if packets >= self.max_burst || (self.route)(f.header()) != route {
-                break;
-            }
-            len += 1;
-            packets += f.packet_count();
-        }
-        (route, len)
-    }
-
-    /// Drain the parked bursts and the stash into outputs. Returns false when
-    /// blocked on a full output.
+    /// Drain the parked bursts and the stash into outputs, each stashed run
+    /// through `inbuf`, which is free while the machine drains. Returns
+    /// false when blocked on a full output.
     fn drain(&mut self, progressed: &mut bool) -> bool {
-        while let Some((idx, b, counted)) = self.parked.pop_front() {
-            if let Some(b) = self.push(idx, b, counted, progressed) {
+        while let Some((idx, mut b, counted)) = self.parked.pop_front() {
+            if !self.push(idx, &mut b, counted, progressed) {
                 self.parked.push_front((idx, b, counted));
                 return false;
             }
         }
         while !self.stash.is_empty() {
-            let (route, len) = self.run_of(self.stash.iter());
-            let burst = self.stash.drain(..len).collect();
-            if !self.dispatch(route, burst, progressed) {
+            let (route, len) = run_of(&mut self.route, self.max_burst, self.stash.iter());
+            let mut run = std::mem::take(&mut self.inbuf);
+            run.extend(self.stash.drain(..len));
+            let sent = self.dispatch(route, &mut run, progressed);
+            self.inbuf = run;
+            if !sent {
                 return false;
             }
         }
         true
     }
 
-    /// Forward a received burst by carving maximal same-verdict runs off its
-    /// front, without restaging through the stash. A burst whose frames all
-    /// share one route (the p2p bulk path) moves as-is, zero-copy; a
-    /// mixed-destination burst — the collective fan-out pattern — is split
-    /// with `split_off`, *moving* each run out instead of cloning it
-    /// packet-by-packet. On backpressure the refused run is parked and the
-    /// unrouted tail is stashed for the next poll (order within the input is
-    /// preserved). Callers must ensure the stash is empty and nothing is
-    /// parked. Returns false when now blocked.
-    fn forward_runs(&mut self, mut burst: Burst, progressed: &mut bool) -> bool {
-        while !burst.is_empty() {
-            let (route, len) = self.run_of(burst.iter());
-            let rest = if len == burst.len() {
-                Burst::new() // whole burst is one run: move it as-is
-            } else {
-                burst.split_off(len)
-            };
-            if !self.dispatch(route, burst, progressed) {
-                // Keep everything after the parked run in order.
-                self.stash.extend(rest);
-                return false;
+    /// Forward the burst just received into `inbuf`. One whose frames all
+    /// share a verdict (the bulk path) moves as-is when nothing waits ahead
+    /// of it; otherwise it joins the stash, which is carved into maximal
+    /// same-verdict runs (order within the input is preserved). Returns
+    /// false when now blocked.
+    fn forward(&mut self, progressed: &mut bool) -> bool {
+        if self.stash.is_empty() && self.parked.is_empty() {
+            let (route, len) = run_of(&mut self.route, self.max_burst, self.inbuf.iter());
+            if len == self.inbuf.len() {
+                let mut burst = std::mem::take(&mut self.inbuf);
+                let sent = self.dispatch(route, &mut burst, progressed);
+                self.inbuf = burst;
+                return sent;
             }
-            burst = rest;
         }
-        true
+        self.stash.extend(self.inbuf.drain(..));
+        self.drain(progressed)
     }
 }
 
@@ -447,19 +498,12 @@ impl Pollable for CkMachine {
             }
             let mut streak = 0u32;
             while streak < self.persistence {
-                match self.inputs[at].try_recv() {
-                    LinkRecv::Burst(burst) => {
+                match self.inputs[at].try_recv(&mut self.inbuf) {
+                    LinkRecv::Burst => {
                         streak += 1;
                         progressed = true;
-                        if self.stash.is_empty() && self.parked.is_empty() {
-                            if !self.forward_runs(burst, &mut progressed) {
-                                break 'rotate;
-                            }
-                        } else {
-                            self.stash.extend(burst);
-                            if !self.drain(&mut progressed) {
-                                break 'rotate;
-                            }
+                        if !self.forward(&mut progressed) {
+                            break 'rotate;
                         }
                     }
                     LinkRecv::Empty => break,

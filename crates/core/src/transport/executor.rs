@@ -1132,11 +1132,11 @@ mod tests {
         for tag in tags {
             let mut burst = tagged(tag);
             loop {
-                burst = match feed.offer(burst) {
+                match feed.offer(&mut burst) {
                     LinkSend::Accepted => break,
-                    LinkSend::Full(b) => b,
+                    LinkSend::Full => {}
                     LinkSend::Closed => panic!("machine gone"),
-                };
+                }
                 std::thread::yield_now();
             }
             pause();

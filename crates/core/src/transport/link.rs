@@ -7,8 +7,14 @@
 //! ([`crate::transport::socket`]). The endpoint lanes into the CKSs are the
 //! last crossbeam FIFOs on the data path ([`fifo`]). `offer`/`try_recv`
 //! never block, and backpressure is reported, not waited out.
+//!
+//! `offer` empties the caller's own burst buffer and `try_recv` fills it. A
+//! burst queue trades every buffer it takes for a spare its consumer handed
+//! back, so in steady state no hop allocates; a lane still takes its
+//! producer's `Vec` for good.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
@@ -18,22 +24,24 @@ use crate::transport::executor::Wake;
 use crate::transport::Burst;
 
 /// Outcome of offering a burst to a link's send half.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) enum LinkSend {
-    /// The link accepted the burst.
+    /// The link took the frames; the burst is left empty.
     Accepted,
-    /// The link is full; the burst is handed back for the caller to park.
-    Full(Burst),
-    /// The far side is gone (teardown, or a dead peer process). The burst is
-    /// dropped; peer-death diagnostics travel through the fabric health
-    /// board, not through the link.
+    /// The link is full; the burst is left as it was, for the caller to
+    /// park.
+    Full,
+    /// The far side is gone (teardown, or a dead peer process). The frames
+    /// are dropped and the burst left empty; peer-death diagnostics travel
+    /// through the fabric health board, not through the link.
     Closed,
 }
 
 /// Outcome of polling a link's receive half.
+#[derive(Debug, PartialEq)]
 pub(crate) enum LinkRecv {
-    /// A burst arrived.
-    Burst(Burst),
+    /// A burst arrived: its frames follow the caller's.
+    Burst,
     /// Nothing available right now.
     Empty,
     /// The link is drained and will never produce again.
@@ -42,8 +50,8 @@ pub(crate) enum LinkRecv {
 
 /// Send half of an inter-CK link. Implementations must never block.
 pub(crate) trait Transport: Send {
-    /// Offer one burst; a full link returns it via [`LinkSend::Full`].
-    fn offer(&mut self, burst: Burst) -> LinkSend;
+    /// Offer the frames of `burst` as one burst (see [`LinkSend`]).
+    fn offer(&mut self, burst: &mut Burst) -> LinkSend;
 
     /// One more producer into the same link. The link closes only once the
     /// original and every share are gone.
@@ -52,8 +60,9 @@ pub(crate) trait Transport: Send {
 
 /// Receive half of an inter-CK link. Implementations must never block.
 pub(crate) trait TransportReceiver: Send {
-    /// Poll for the next burst.
-    fn try_recv(&mut self) -> LinkRecv;
+    /// Poll for the next burst, appending its frames to `into`; an empty
+    /// `into` may be traded for the burst's own buffer.
+    fn try_recv(&mut self, into: &mut Burst) -> LinkRecv;
 
     /// Name the consumer's wake handle, for a link made before its consumer
     /// (every [`burst_queue`]): from here on whoever fills or closes the
@@ -91,13 +100,17 @@ struct FifoTx {
 }
 
 impl Transport for FifoTx {
-    fn offer(&mut self, burst: Burst) -> LinkSend {
-        match self.tx.try_send(burst) {
+    /// The lane keeps moving `Vec`s: the burst's buffer goes with it.
+    fn offer(&mut self, burst: &mut Burst) -> LinkSend {
+        match self.tx.try_send(std::mem::take(burst)) {
             Ok(()) => {
                 self.wake.0.raise();
                 LinkSend::Accepted
             }
-            Err(TrySendError::Full(b)) => LinkSend::Full(b),
+            Err(TrySendError::Full(b)) => {
+                *burst = b;
+                LinkSend::Full
+            }
             Err(TrySendError::Disconnected(_)) => LinkSend::Closed,
         }
     }
@@ -107,14 +120,17 @@ impl Transport for FifoTx {
     }
 }
 
-/// Receive half of an endpoint lane.
+/// Receive half of an endpoint lane: an empty `into` takes the lane's
+/// buffer whole.
 impl TransportReceiver for Receiver<Burst> {
-    fn try_recv(&mut self) -> LinkRecv {
+    fn try_recv(&mut self, into: &mut Burst) -> LinkRecv {
         match Receiver::try_recv(self) {
-            Ok(b) => LinkRecv::Burst(b),
-            Err(TryRecvError::Empty) => LinkRecv::Empty,
-            Err(TryRecvError::Disconnected) => LinkRecv::Closed,
+            Ok(b) if into.is_empty() => *into = b,
+            Ok(mut b) => into.append(&mut b),
+            Err(TryRecvError::Empty) => return LinkRecv::Empty,
+            Err(TryRecvError::Disconnected) => return LinkRecv::Closed,
         }
+        LinkRecv::Burst
     }
 }
 
@@ -128,19 +144,41 @@ pub(crate) fn fifo(depth: usize, consumer: &Wake) -> (LinkTx, LinkRx) {
     (Box::new(FifoTx { tx, wake }), Box::new(rx))
 }
 
-/// Every CKR input's and every delivery's queue: bursts, capacity, producers
-/// and consumer flag under one lock, and no condvar — a CKR sleeps on the
-/// [`Wake`] it names once ([`TransportReceiver::wake_with`]), and a
-/// delivery's consumer, rank code, names none — so a push costs a lock and
-/// at most a raise, no syscall. Zero producers (after the last drop or a
-/// [`QueueTx::close`]) is final.
+/// Every CKR input's and every delivery's queue: bursts, spare buffers,
+/// capacity, producers and consumer flag under one lock, and no condvar — a
+/// CKR sleeps on the [`Wake`] it names once
+/// ([`TransportReceiver::wake_with`]), and a delivery's consumer, rank code,
+/// names none — so a push costs a lock and at most a raise, no syscall.
+/// Zero producers (after the last drop or a [`QueueTx::close`]) is final.
+///
+/// `ready` publishes, under the lock, the queued bursts plus [`CLOSED`]
+/// once no producer is left, so a poll of an empty open queue is one atomic
+/// load and takes no lock. A producer publishes before it raises, and a
+/// consumer's worker lowers its wake before the poll reads `ready` (both
+/// `SeqCst`), so a poll that read an empty queue either sees the push or is
+/// raised by it. Only the consumer reads `ready`, so its own take publishes
+/// `Relaxed`.
 struct Queue {
     state: Mutex<QueueState>,
+    ready: AtomicUsize,
     wake: OnceLock<Wake>,
 }
 
+/// The flag [`Queue::ready`] carries once the last producer is gone.
+const CLOSED: usize = 1 << (usize::BITS - 1);
+
+/// Emptied buffers a [`burst_queue`] keeps for its producers: enough for
+/// the backlog a tree broadcast's hops build, so that a multicast hop on
+/// `bus(32)` allocates nothing (`tests/alloc_budget.rs`; 4 read 6 × the
+/// allocations of 8). The list is allocated with the queue, so a queue's
+/// first spare costs nothing mid-stream.
+const SPARES: usize = 8;
+
 struct QueueState {
     bursts: VecDeque<Burst>,
+    /// Emptied buffers the consumer handed back, at most [`SPARES`]: a push
+    /// trades the burst it takes for one.
+    spares: Vec<Burst>,
     cap: usize,
     producers: usize,
     consumer: bool,
@@ -152,6 +190,12 @@ impl Queue {
             wake.raise();
         }
     }
+
+    /// Publish what `s` holds; call under the lock, after every change.
+    fn publish(&self, s: &QueueState, order: Ordering) {
+        let closed = if s.producers == 0 { CLOSED } else { 0 };
+        self.ready.store(s.bursts.len() | closed, order);
+    }
 }
 
 /// A producer into a [`burst_queue`]; a clone is one more producer.
@@ -160,34 +204,42 @@ pub(crate) struct QueueTx(Arc<Queue>);
 /// The consumer of a [`burst_queue`]; dropping it closes every offer.
 struct QueueRx(Arc<Queue>);
 
-/// A queue of at most `cap` (≥ 1) bursts with one producer. It reads
-/// `Closed` once it is empty and its last producer gone, both seen under the
-/// lock, so a close racing a push strands no burst.
+/// A queue of at most `cap` (≥ 1) bursts, counted in bursts whatever their
+/// length, with any number of producers: a delivery has one per CKR of its
+/// rank, a link up to `np + 1`. It reads `Closed` once it is empty and its
+/// last producer gone, both seen under the lock, so a close racing a push
+/// strands no burst.
 pub(crate) fn burst_queue(cap: usize) -> (QueueTx, LinkRx) {
     let state = QueueState {
         bursts: VecDeque::new(),
+        spares: Vec::with_capacity(SPARES),
         cap: cap.max(1),
         producers: 1,
         consumer: true,
     };
     let queue = Arc::new(Queue {
         state: Mutex::new(state),
+        ready: AtomicUsize::new(0),
         wake: OnceLock::new(),
     });
     (QueueTx(queue.clone()), Box::new(QueueRx(queue)))
 }
 
 impl QueueTx {
-    /// [`Transport::offer`] for a shared producer: push, then raise.
-    pub fn push(&self, burst: Burst) -> LinkSend {
+    /// [`Transport::offer`] for a shared producer: queue `burst`'s buffer,
+    /// leave a spare (or a new empty one) in its place, then raise.
+    pub fn push(&self, burst: &mut Burst) -> LinkSend {
         let mut s = self.0.state.lock();
         if !s.consumer || s.producers == 0 {
+            burst.clear();
             return LinkSend::Closed;
         }
         if s.bursts.len() >= s.cap {
-            return LinkSend::Full(burst);
+            return LinkSend::Full;
         }
-        s.bursts.push_back(burst);
+        let spare = s.spares.pop().unwrap_or_default();
+        s.bursts.push_back(std::mem::replace(burst, spare));
+        self.0.publish(&s, Ordering::SeqCst);
         drop(s);
         self.0.raise();
         LinkSend::Accepted
@@ -195,7 +247,10 @@ impl QueueTx {
 
     /// End every producer at once, and raise the consumer for it.
     pub fn close(&self) {
-        self.0.state.lock().producers = 0;
+        let mut s = self.0.state.lock();
+        s.producers = 0;
+        self.0.publish(&s, Ordering::SeqCst);
+        drop(s);
         self.0.raise();
     }
 }
@@ -213,13 +268,14 @@ impl Drop for QueueTx {
     fn drop(&mut self) {
         let mut s = self.0.state.lock();
         s.producers = s.producers.saturating_sub(1);
+        self.0.publish(&s, Ordering::SeqCst);
         drop(s);
         self.0.raise();
     }
 }
 
 impl Transport for QueueTx {
-    fn offer(&mut self, burst: Burst) -> LinkSend {
+    fn offer(&mut self, burst: &mut Burst) -> LinkSend {
         self.push(burst)
     }
 
@@ -229,13 +285,24 @@ impl Transport for QueueTx {
 }
 
 impl TransportReceiver for QueueRx {
-    fn try_recv(&mut self) -> LinkRecv {
-        let mut s = self.0.state.lock();
-        match s.bursts.pop_front() {
-            Some(b) => LinkRecv::Burst(b),
-            None if s.producers == 0 => LinkRecv::Closed,
-            None => LinkRecv::Empty,
+    fn try_recv(&mut self, into: &mut Burst) -> LinkRecv {
+        if self.0.ready.load(Ordering::SeqCst) == 0 {
+            return LinkRecv::Empty;
         }
+        let mut s = self.0.state.lock();
+        let Some(mut burst) = s.bursts.pop_front() else {
+            return LinkRecv::Closed; // `ready` read nonzero: closed
+        };
+        if into.is_empty() {
+            std::mem::swap(into, &mut burst);
+        } else {
+            into.append(&mut burst);
+        }
+        if burst.capacity() > 0 && s.spares.len() < SPARES {
+            s.spares.push(burst);
+        }
+        self.0.publish(&s, Ordering::Relaxed);
+        LinkRecv::Burst
     }
 
     fn wake_with(&mut self, wake: &Wake) {
@@ -261,10 +328,13 @@ pub(crate) mod tests {
     /// A bare crossbeam sender as a link nobody is woken by: a test reads
     /// what was sent with the receiver's own API.
     impl Transport for Sender<Burst> {
-        fn offer(&mut self, burst: Burst) -> LinkSend {
-            match self.try_send(burst) {
+        fn offer(&mut self, burst: &mut Burst) -> LinkSend {
+            match self.try_send(std::mem::take(burst)) {
                 Ok(()) => LinkSend::Accepted,
-                Err(TrySendError::Full(b)) => LinkSend::Full(b),
+                Err(TrySendError::Full(b)) => {
+                    *burst = b;
+                    LinkSend::Full
+                }
                 Err(TrySendError::Disconnected(_)) => LinkSend::Closed,
             }
         }
@@ -275,11 +345,17 @@ pub(crate) mod tests {
     }
 
     /// Offer `burst` to a link that must take it.
-    pub(crate) fn accept(tx: &mut LinkTx, burst: Burst) {
-        assert!(
-            matches!(tx.offer(burst), LinkSend::Accepted),
-            "link refused"
-        );
+    pub(crate) fn accept(tx: &mut LinkTx, mut burst: Burst) {
+        assert_eq!(tx.offer(&mut burst), LinkSend::Accepted, "link refused");
+    }
+
+    /// The next burst of `rx` in a buffer of its own, or how the poll ended.
+    pub(crate) fn next_burst(rx: &mut LinkRx) -> Result<Burst, LinkRecv> {
+        let mut burst = Burst::new();
+        match rx.try_recv(&mut burst) {
+            LinkRecv::Burst => Ok(burst),
+            ended => Err(ended),
+        }
     }
 
     /// Both kinds of CK input — an endpoint lane and a burst queue — of
@@ -294,19 +370,15 @@ pub(crate) mod tests {
     fn link_roundtrip_and_backpressure() {
         let pkt = NetworkPacket::new(0, 1, 0, PacketOp::Send);
         for (mut ltx, mut lrx) in links(1, &Wake::default()) {
-            assert!(matches!(ltx.offer(vec![pkt.into()]), LinkSend::Accepted));
-            // Capacity 1: the second burst bounces back intact.
-            match ltx.offer(vec![pkt.into(), pkt.into()]) {
-                LinkSend::Full(b) => assert_eq!(b.len(), 2),
-                _ => panic!("expected Full"),
-            }
-            match lrx.try_recv() {
-                LinkRecv::Burst(b) => assert_eq!(b.len(), 1),
-                _ => panic!("expected burst"),
-            }
-            assert!(matches!(lrx.try_recv(), LinkRecv::Empty));
+            accept(&mut ltx, vec![pkt.into()]);
+            // Capacity 1: the second burst stays intact with its producer.
+            let mut second = vec![pkt.into(), pkt.into()];
+            assert_eq!(ltx.offer(&mut second), LinkSend::Full);
+            assert_eq!(second.len(), 2);
+            assert_eq!(next_burst(&mut lrx).map(|b| b.len()), Ok(1));
+            assert!(matches!(next_burst(&mut lrx), Err(LinkRecv::Empty)));
             drop(ltx);
-            assert!(matches!(lrx.try_recv(), LinkRecv::Closed));
+            assert!(matches!(next_burst(&mut lrx), Err(LinkRecv::Closed)));
         }
     }
 
@@ -314,7 +386,7 @@ pub(crate) mod tests {
     fn link_tx_reports_closed_receiver() {
         for (mut ltx, lrx) in links(1, &Wake::default()) {
             drop(lrx);
-            assert!(matches!(ltx.offer(Vec::new()), LinkSend::Closed));
+            assert_eq!(ltx.offer(&mut Vec::new()), LinkSend::Closed);
         }
     }
 
@@ -328,13 +400,13 @@ pub(crate) mod tests {
 
     impl Pollable for Sink {
         fn poll(&mut self) -> Step {
-            match self.rx.try_recv() {
-                LinkRecv::Burst(_) => {
+            match next_burst(&mut self.rx) {
+                Ok(_) => {
                     self.bursts.fetch_add(1, Ordering::SeqCst);
                     Step::Progress
                 }
-                LinkRecv::Empty => Step::Idle,
-                LinkRecv::Closed => Step::Done,
+                Err(LinkRecv::Closed) => Step::Done,
+                Err(_) => Step::Idle,
             }
         }
 
@@ -351,11 +423,11 @@ pub(crate) mod tests {
         for (ltx, mut lrx) in links(4, &Wake::default()) {
             let mut share = ltx.share();
             drop(ltx);
-            assert!(matches!(share.offer(vec![pkt.into()]), LinkSend::Accepted));
-            assert!(matches!(lrx.try_recv(), LinkRecv::Burst(_)));
-            assert!(matches!(lrx.try_recv(), LinkRecv::Empty));
+            accept(&mut share, vec![pkt.into()]);
+            assert!(next_burst(&mut lrx).is_ok());
+            assert!(matches!(next_burst(&mut lrx), Err(LinkRecv::Empty)));
             drop(share);
-            assert!(matches!(lrx.try_recv(), LinkRecv::Closed));
+            assert!(matches!(next_burst(&mut lrx), Err(LinkRecv::Closed)));
         }
 
         // The consumer asleep on a worker parked for 10 s: only a raise from
@@ -386,7 +458,7 @@ pub(crate) mod tests {
             };
             eventually("parked", &|| ex.worker_stats()[0].parks > 0);
             let mut share = ltx.share();
-            assert!(matches!(share.offer(vec![pkt.into()]), LinkSend::Accepted));
+            accept(&mut share, vec![pkt.into()]);
             eventually("the share's push woke the sink", &|| {
                 bursts.load(Ordering::SeqCst) == 1
             });
@@ -454,11 +526,10 @@ pub(crate) mod tests {
                             for seq in 0..BURSTS {
                                 let mut burst = tagged(p, seq);
                                 loop {
-                                    match share.offer(burst) {
+                                    match share.offer(&mut burst) {
                                         LinkSend::Accepted => break,
-                                        LinkSend::Full(back) => {
-                                            assert_eq!(tags(&back), tags(&tagged(p, seq)));
-                                            burst = back;
+                                        LinkSend::Full => {
+                                            assert_eq!(tags(&burst), tags(&tagged(p, seq)));
                                         }
                                         LinkSend::Closed => panic!("closed under a producer"),
                                     }
@@ -484,23 +555,23 @@ pub(crate) mod tests {
                         let mut x = seed;
                         let mut want = [0u32; PRODUCERS as usize];
                         loop {
-                            match rx.try_recv() {
-                                LinkRecv::Burst(b) => {
+                            match next_burst(&mut rx) {
+                                Ok(b) => {
                                     let p = tags(&b)[0].0;
                                     let seq = &mut want[p as usize];
                                     assert_eq!(tags(&b), tags(&tagged(p, *seq)), "cap {cap}");
                                     *seq += 1;
                                 }
-                                LinkRecv::Empty if next(&mut x).is_multiple_of(2) => {
+                                Err(LinkRecv::Empty) if next(&mut x).is_multiple_of(2) => {
                                     std::thread::yield_now()
                                 }
-                                LinkRecv::Empty => {}
-                                LinkRecv::Closed => break,
+                                Err(LinkRecv::Empty) => {}
+                                Err(_) => break,
                             }
                         }
                         assert_eq!(live.load(Ordering::SeqCst), 0, "closed early, cap {cap}");
                         assert_eq!(want, [BURSTS; PRODUCERS as usize], "cap {cap} seed {seed}");
-                        assert!(matches!(rx.try_recv(), LinkRecv::Closed));
+                        assert!(matches!(next_burst(&mut rx), Err(LinkRecv::Closed)));
                     });
                 });
             }
@@ -525,12 +596,12 @@ pub(crate) mod tests {
             // Filled before the consumer runs: the next push must bounce.
             for seq in 0..CAP as u32 {
                 let p = producers[0].as_ref().unwrap();
-                assert!(matches!(p.push(tagged(0, seq)), LinkSend::Accepted));
+                assert_eq!(p.push(&mut tagged(0, seq)), LinkSend::Accepted);
             }
-            match producers[1].as_ref().unwrap().push(tagged(1, 0)) {
-                LinkSend::Full(back) => assert_eq!(tags(&back), tags(&tagged(1, 0))),
-                _ => panic!("a full delivery took a burst"),
-            }
+            let mut bounced = tagged(1, 0);
+            let full = producers[1].as_ref().unwrap().push(&mut bounced);
+            assert_eq!(full, LinkSend::Full, "a full delivery took a burst");
+            assert_eq!(tags(&bounced), tags(&tagged(1, 0)));
             let live = AtomicUsize::new(producers.len());
             std::thread::scope(|s| {
                 let live = &live;
@@ -540,10 +611,11 @@ pub(crate) mod tests {
                     while producers.iter().any(Option::is_some) {
                         let p = (next(&mut x) % 3) as usize;
                         let Some(tx) = &producers[p] else { continue };
-                        match tx.push(tagged(p as u8, sent[p])) {
+                        let mut burst = tagged(p as u8, sent[p]);
+                        match tx.push(&mut burst) {
                             LinkSend::Accepted => sent[p] += 1,
-                            LinkSend::Full(back) => {
-                                assert_eq!(tags(&back), tags(&tagged(p as u8, sent[p])));
+                            LinkSend::Full => {
+                                assert_eq!(tags(&burst), tags(&tagged(p as u8, sent[p])));
                                 std::thread::yield_now();
                             }
                             LinkSend::Closed => panic!("closed under a producer"),
@@ -558,20 +630,20 @@ pub(crate) mod tests {
                     let mut rx = rx;
                     let mut want = [0u32; 3];
                     loop {
-                        match rx.try_recv() {
-                            LinkRecv::Burst(b) => {
+                        match next_burst(&mut rx) {
+                            Ok(b) => {
                                 let p = tags(&b)[0].0;
                                 let seq = &mut want[p as usize];
                                 assert_eq!(tags(&b), tags(&tagged(p, *seq)), "seed {seed}");
                                 *seq += 1;
                             }
-                            LinkRecv::Empty => std::thread::yield_now(),
-                            LinkRecv::Closed => break,
+                            Err(LinkRecv::Empty) => std::thread::yield_now(),
+                            Err(_) => break,
                         }
                     }
                     assert_eq!(live.load(Ordering::SeqCst), 0, "closed early, seed {seed}");
                     assert_eq!(want, [BURSTS; 3], "seed {seed}");
-                    assert!(matches!(rx.try_recv(), LinkRecv::Closed));
+                    assert!(matches!(next_burst(&mut rx), Err(LinkRecv::Closed)));
                 });
             });
             assert!(
@@ -582,13 +654,10 @@ pub(crate) mod tests {
 
         let (tx, rx) = burst_queue(CAP);
         let producers = [tx.clone(), tx.clone(), tx];
-        assert!(matches!(
-            producers[2].push(tagged(2, 0)),
-            LinkSend::Accepted
-        ));
+        assert_eq!(producers[2].push(&mut tagged(2, 0)), LinkSend::Accepted);
         drop(rx);
         for (p, tx) in (0..).zip(&producers) {
-            assert!(matches!(tx.push(tagged(p, 1)), LinkSend::Closed));
+            assert_eq!(tx.push(&mut tagged(p, 1)), LinkSend::Closed);
         }
     }
 
@@ -600,12 +669,126 @@ pub(crate) mod tests {
             let (mut tx, rx) = burst_queue(2);
             let mut share = tx.share();
             for seq in 0..fill {
-                assert!(matches!(tx.offer(tagged(0, seq)), LinkSend::Accepted));
+                assert_eq!(tx.offer(&mut tagged(0, seq)), LinkSend::Accepted);
             }
             drop(rx);
             for seq in 0..4 {
-                assert!(matches!(tx.offer(tagged(0, seq)), LinkSend::Closed));
-                assert!(matches!(share.offer(tagged(1, seq)), LinkSend::Closed));
+                assert_eq!(tx.offer(&mut tagged(0, seq)), LinkSend::Closed);
+                assert_eq!(share.offer(&mut tagged(1, seq)), LinkSend::Closed);
+            }
+        }
+    }
+
+    /// A consumer that read `Empty` without the lock and went to sleep on
+    /// its wake, with its worker parked for 10 s, is raised for every burst
+    /// pushed afterwards. Each round waits until the worker parked, then
+    /// three producers, released together, push one to three bursts each
+    /// (seeded; some find the queue full and retry), and the sink must
+    /// count them all well before a park would time out.
+    #[test]
+    fn a_consumer_asleep_on_empty_is_raised_for_every_burst() {
+        const ROUNDS: u32 = 12;
+        let patient = ExecutorConfig {
+            park_min: Duration::from_secs(10),
+            park_max: Duration::from_secs(10),
+            ..ExecutorConfig::default()
+        };
+        let eventually = |what: &str, cond: &dyn Fn() -> bool| {
+            let start = Instant::now();
+            while !cond() {
+                assert!(start.elapsed() < Duration::from_secs(5), "never: {what}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        for seed in 1..=4u64 {
+            let wake = Wake::default();
+            let (tx, mut rx) = burst_queue(2);
+            rx.wake_with(&wake);
+            let bursts = Arc::new(AtomicU64::new(0));
+            let sink = Sink {
+                wake,
+                rx,
+                bursts: bursts.clone(),
+            };
+            let stop = Arc::new(AtomicBool::new(false));
+            let ex = ShardedExecutor::spawn_with(vec![Box::new(sink)], 1, stop, patient.clone());
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut pushed = 0;
+            let parks = || ex.worker_stats()[0].parks;
+            eventually("asleep", &|| parks() > 0);
+            for round in 0..ROUNDS {
+                let before = parks();
+                let counts: Vec<u32> = (0..3).map(|_| 1 + (next(&mut x) % 3) as u32).collect();
+                let go = std::sync::Barrier::new(3);
+                std::thread::scope(|s| {
+                    for (p, &n) in (0..3u8).zip(&counts) {
+                        let (tx, go) = (tx.clone(), &go);
+                        s.spawn(move || {
+                            go.wait();
+                            let start = Instant::now();
+                            for seq in 0..n {
+                                let mut burst = tagged(p, round * 3 + seq);
+                                while tx.push(&mut burst) == LinkSend::Full {
+                                    let waited = start.elapsed();
+                                    assert!(waited < Duration::from_secs(5), "stranded full");
+                                    std::thread::yield_now();
+                                }
+                            }
+                        });
+                    }
+                });
+                pushed += u64::from(counts.iter().sum::<u32>());
+                let at = format!("round {round} seed {seed}: all {pushed} bursts counted");
+                eventually(&at, &|| bursts.load(Ordering::SeqCst) == pushed);
+                eventually("asleep again", &|| parks() > before);
+            }
+            drop(tx);
+            ex.join().unwrap();
+        }
+    }
+
+    /// An empty queue reads `Empty` while another thread holds its lock: the
+    /// poll reads the published count and never waits for the lock.
+    #[test]
+    fn an_empty_poll_takes_no_lock() {
+        let (tx, mut rx) = burst_queue(4);
+        let (done, got) = std::sync::mpsc::channel();
+        let got = std::thread::scope(|s| {
+            let held = tx.0.state.lock();
+            s.spawn(move || done.send(next_burst(&mut rx).err()).unwrap());
+            let got = got.recv_timeout(Duration::from_secs(5));
+            drop(held);
+            got
+        });
+        assert_eq!(got, Ok(Some(LinkRecv::Empty)));
+    }
+
+    /// A queue of `cap` k holds exactly k bursts, whatever their lengths:
+    /// with t of them taken into the consumer's own buffers and not read
+    /// yet, it accepts exactly t more, so the consumer's buffers add no room
+    /// and take none.
+    #[test]
+    fn a_queue_of_cap_k_holds_exactly_k_bursts() {
+        for k in 1..=4u32 {
+            for taken in 0..=k {
+                let (tx, mut rx) = burst_queue(k as usize);
+                for seq in 0..k {
+                    assert_eq!(tx.push(&mut tagged(0, seq)), LinkSend::Accepted);
+                }
+                let held: Vec<Burst> = (0..taken).map(|_| next_burst(&mut rx).unwrap()).collect();
+                for seq in 0..taken {
+                    assert_eq!(tx.push(&mut tagged(1, seq)), LinkSend::Accepted);
+                }
+                let mut refused = tagged(1, taken);
+                assert_eq!(
+                    tx.push(&mut refused),
+                    LinkSend::Full,
+                    "cap {k}, {taken} taken"
+                );
+                assert_eq!(tags(&refused), tags(&tagged(1, taken)));
+                for (seq, burst) in (0..).zip(&held) {
+                    assert_eq!(tags(burst), tags(&tagged(0, seq)));
+                }
             }
         }
     }

@@ -156,8 +156,9 @@ fn item_bytes(f: &Frame) -> usize {
 /// Split a burst into frame bodies of at most [`FRAME_SPLIT_BYTES`], each
 /// with its byte length: an oversized run is cut at packet-aligned element
 /// boundaries, then items are packed greedily. An empty burst is one empty
-/// chunk — it still frames.
-pub(crate) fn chunk(burst: Burst) -> Vec<(Burst, usize)> {
+/// chunk — it still frames. The burst is drained; its buffer stays with the
+/// caller.
+pub(crate) fn chunk(burst: &mut Burst) -> Vec<(Burst, usize)> {
     let mut chunks = vec![(Vec::new(), 0)];
     let mut put = |f: Frame| {
         let b = item_bytes(&f);
@@ -169,7 +170,7 @@ pub(crate) fn chunk(burst: Burst) -> Vec<(Burst, usize)> {
             *bytes += b;
         }
     };
-    for f in burst {
+    for f in burst.drain(..) {
         match f {
             Frame::Run(r) if V3_RUN_ITEM_HEADER + r.payload.len() > FRAME_SPLIT_BYTES => {
                 let (sz, epp) = (r.dtype.size_bytes(), r.dtype.elems_per_packet());
@@ -528,7 +529,8 @@ mod tests {
     #[test]
     fn wire_bytes_match_the_reference_encoding() {
         let mut ring = ReplayRing::new(1 << 20);
-        let mut push = |tag, burst: Burst| ring.push(tag, &chunk(burst), Vec::with_capacity);
+        let mut push =
+            |tag, mut burst: Burst| ring.push(tag, &chunk(&mut burst), Vec::with_capacity);
         assert_eq!(push((0, 0), vec![pkt(1, 7), pkt(1, 8)]), Pushed::Framed);
         assert_eq!(push((0, 0), vec![pkt(1, 9)]), Pushed::Corked);
         let small: Vec<u8> = (0..200).map(|i| (i * 3) as u8).collect();

@@ -281,8 +281,9 @@ impl Transport for SocketLinkTx {
     /// Encode into recycled buffers: small bursts cork-merged into the
     /// newest untransmitted ring frame, large bursts split so every frame
     /// fits one receive block.
-    fn offer(&mut self, burst: Burst) -> LinkSend {
+    fn offer(&mut self, burst: &mut Burst) -> LinkSend {
         if self.conn.closed.load(Ordering::Relaxed) {
+            burst.clear();
             return LinkSend::Closed;
         }
         let chunks = chunk(burst);
@@ -294,9 +295,12 @@ impl Transport for SocketLinkTx {
                 self.conn.wire.corked_frames.fetch_add(1, Ordering::Relaxed);
             }
             Pushed::Framed => {}
-            // Backpressure: hand the burst back (as split items — content
+            // Backpressure: put the burst back (as split items — content
             // identical, re-offered by the CK machine later).
-            Pushed::Full => return LinkSend::Full(chunks.into_iter().flat_map(|c| c.0).collect()),
+            Pushed::Full => {
+                burst.extend(chunks.into_iter().flat_map(|c| c.0));
+                return LinkSend::Full;
+            }
             Pushed::Overflow { needed, budget } => {
                 let detail = format!(
                     "one frame needs {needed} bytes but the replay budget is {budget} bytes"
@@ -624,13 +628,13 @@ impl<S: Stream> SocketPump<S> {
                         "frame from unknown endpoint (rank {rank}, qsfp {qsfp})"
                     ));
                 };
-                let burst = decode_body(
+                let mut burst = decode_body(
                     &block,
                     self.rpos + FRAME_HEADER_BYTES,
                     need - FRAME_HEADER_BYTES,
                 )?;
                 let inline = inline_data_packets(&burst);
-                if let LinkSend::Full(_) = queue.push(burst) {
+                if queue.push(&mut burst) == LinkSend::Full {
                     // Head-of-line backpressure: stop parsing until the slow
                     // CKR input drains its queue (the frame decodes again
                     // then, so only an accepted decode is charged).
@@ -878,6 +882,7 @@ mod tests {
     use super::*;
     use crate::error::SmiError;
     use crate::params::ReconnectPolicy;
+    use crate::transport::link::tests::{accept, next_burst};
     use crate::transport::link::LinkRecv;
     use crate::transport::socket::codec::{
         encode_frame_into, FrameHeader, V3_FLAG, V3_RUN_ITEM_HEADER,
@@ -959,7 +964,7 @@ mod tests {
     }
 
     fn offer(tx: &mut LinkTx, burst: Burst) {
-        assert!(matches!(tx.offer(burst), LinkSend::Accepted));
+        accept(tx, burst);
     }
 
     fn run_of(elems: &[u8]) -> Frame {
@@ -994,7 +999,7 @@ mod tests {
         while seen.len() < 50 {
             pump_a.poll();
             pump_b.poll();
-            while let LinkRecv::Burst(b) = rx.try_recv() {
+            while let Ok(b) = next_burst(&mut rx) {
                 seen.extend(b.iter().map(tag));
             }
         }
@@ -1026,7 +1031,7 @@ mod tests {
         for _ in 0..100_000 {
             pump_a.poll();
             pump_b.poll();
-            while let LinkRecv::Burst(b) = rx.try_recv() {
+            while let Ok(b) = next_burst(&mut rx) {
                 seen.extend(b.iter().map(tag));
             }
             if seen.len() == offered.len() {
@@ -1053,13 +1058,13 @@ mod tests {
         let mut closed = false;
         for _ in 0..10_000 {
             pump_a.poll();
-            match rx.try_recv() {
-                LinkRecv::Burst(b) => got = Some(b),
-                LinkRecv::Closed => {
+            match next_burst(&mut rx) {
+                Ok(b) => got = Some(b),
+                Err(LinkRecv::Closed) => {
                     closed = true;
                     break;
                 }
-                LinkRecv::Empty => std::thread::yield_now(),
+                Err(_) => std::thread::yield_now(),
             }
         }
         assert_eq!(tag(&got.expect("in-flight burst delivered")[0]), 7);
@@ -1069,7 +1074,10 @@ mod tests {
         assert_eq!(pd.peer.backend, "uds");
         // Sends toward the dead peer report Closed, not Full.
         let mut tx = conn_a.tx(0, 0);
-        assert!(matches!(tx.offer(vec![pkt(1, 0).into()]), LinkSend::Closed));
+        assert!(matches!(
+            tx.offer(&mut vec![pkt(1, 0).into()]),
+            LinkSend::Closed
+        ));
         assert_eq!(
             health_a.error(),
             Some(SmiError::PeerDisconnected { rank: 1 })
@@ -1223,7 +1231,7 @@ mod tests {
         for _ in 0..100_000 {
             pump_a.poll();
             pump_b.poll();
-            while let LinkRecv::Burst(b) = rx.try_recv() {
+            while let Ok(b) = next_burst(&mut rx) {
                 run_bytes(&b, &mut got);
             }
             if got.len() == elems.len() {
@@ -1262,7 +1270,7 @@ mod tests {
         for _ in 0..100_000 {
             pump_a.poll();
             pump_b.poll();
-            while let LinkRecv::Burst(b) = rx.try_recv() {
+            while let Ok(b) = next_burst(&mut rx) {
                 seen.extend(b.iter().map(tag));
             }
             if seen.len() == 16 {
@@ -1297,7 +1305,7 @@ mod tests {
         for _ in 0..1_000_000 {
             pump_a.poll();
             pump_b.poll();
-            while let LinkRecv::Burst(b) = rx.try_recv() {
+            while let Ok(b) = next_burst(&mut rx) {
                 packets += b.iter().map(Frame::packet_count).sum::<usize>();
                 run_bytes(&b, &mut got);
             }
@@ -1358,13 +1366,13 @@ mod tests {
             let mut closed = false;
             for _ in 0..100_000 {
                 pump.poll();
-                match rx.try_recv() {
-                    LinkRecv::Closed => {
+                match next_burst(&mut rx) {
+                    Err(LinkRecv::Closed) => {
                         closed = true;
                         break;
                     }
-                    LinkRecv::Burst(b) => panic!("malformed frame delivered: {b:?}"),
-                    LinkRecv::Empty => {}
+                    Ok(b) => panic!("malformed frame delivered: {b:?}"),
+                    Err(_) => {}
                 }
             }
             assert!(closed, "link must close on {want}");
@@ -1393,13 +1401,13 @@ mod tests {
         let mut got: Vec<u8> = Vec::with_capacity(total);
         let mut trickled = 0u32;
         for round in 0..200_000u32 {
-            if let LinkSend::Accepted = tx_b.offer(vec![pkt(0, round as u8).into()]) {
+            if let LinkSend::Accepted = tx_b.offer(&mut vec![pkt(0, round as u8).into()]) {
                 trickled += 1;
             }
             pump_a.poll();
             pump_b.poll();
-            while let LinkRecv::Burst(_) = rx_a.try_recv() {}
-            while let LinkRecv::Burst(b) = rx_b.try_recv() {
+            while next_burst(&mut rx_a).is_ok() {}
+            while let Ok(b) = next_burst(&mut rx_b) {
                 run_bytes(&b, &mut got);
             }
             if got.len() >= total || health.peer_down().is_some() {
@@ -1474,7 +1482,7 @@ mod tests {
             pump.poll();
             // Let the queue sit full for a while before draining it.
             if round >= 100 {
-                while let LinkRecv::Burst(b) = rx.try_recv() {
+                while let Ok(b) = next_burst(&mut rx) {
                     delivered += b.len();
                 }
             }
@@ -1642,13 +1650,13 @@ mod tests {
         for _ in 0..1_000_000 {
             if let Some(elems) = runs.get(next_run) {
                 next_run += usize::from(matches!(
-                    tx_a.offer(vec![run_of(elems)]),
+                    tx_a.offer(&mut vec![run_of(elems)]),
                     LinkSend::Accepted
                 ));
             }
             if sent_back < 200
                 && matches!(
-                    tx_b.offer(vec![pkt(0, sent_back).into()]),
+                    tx_b.offer(&mut vec![pkt(0, sent_back).into()]),
                     LinkSend::Accepted
                 )
             {
@@ -1656,10 +1664,10 @@ mod tests {
             }
             pump_a.poll();
             pump_b.poll();
-            while let LinkRecv::Burst(b) = rx_a.try_recv() {
+            while let Ok(b) = next_burst(&mut rx_a) {
                 back.extend(b.iter().map(tag));
             }
-            while let LinkRecv::Burst(b) = rx_b.try_recv() {
+            while let Ok(b) = next_burst(&mut rx_b) {
                 run_bytes(&b, &mut got);
             }
             if got.len() == total && back.len() == 200 {
@@ -1743,7 +1751,7 @@ mod tests {
         let mut rx = conn.rx((0, 0));
         assert!(poll_to_end(&mut pump, 100).is_some(), "the pump must end");
         let mut got = Vec::new();
-        while let LinkRecv::Burst(b) = rx.try_recv() {
+        while let Ok(b) = next_burst(&mut rx) {
             got.extend(b.iter().map(tag));
         }
         assert_eq!(got, [1, 2, 3]);
@@ -1769,11 +1777,11 @@ mod tests {
         assert!(pd.detail.contains("EOF"), "{}", pd.detail);
         assert_eq!(conn.shared.wire.snapshot().stream_faults, 1);
         let mut delivered = 0;
-        while let LinkRecv::Burst(b) = rx.try_recv() {
+        while let Ok(b) = next_burst(&mut rx) {
             delivered += b.len();
         }
         assert_eq!(delivered, 3);
-        assert!(matches!(rx.try_recv(), LinkRecv::Closed));
+        assert!(matches!(next_burst(&mut rx), Err(LinkRecv::Closed)));
     }
 
     /// A pump whose group finishes while a frame is half on the wire writes
@@ -1887,7 +1895,7 @@ mod tests {
             let mut delivered = 0;
             for _ in 0..64 {
                 pump.poll();
-                while let LinkRecv::Burst(b) = rx.try_recv() {
+                while let Ok(b) = next_burst(&mut rx) {
                     delivered += b.len();
                 }
             }
@@ -1910,8 +1918,8 @@ mod tests {
         };
         let (conn_a, _pump_a) = SocketConn::new(sa, cfg, health.clone());
         let mut tx = conn_a.tx(0, 0);
-        let burst = vec![pkt(1, 0).into(), pkt(1, 1).into()];
-        assert!(matches!(tx.offer(burst), LinkSend::Closed));
+        let mut burst = vec![pkt(1, 0).into(), pkt(1, 1).into()];
+        assert!(matches!(tx.offer(&mut burst), LinkSend::Closed));
         match health.error() {
             Some(SmiError::ReplayOverflow { needed, budget }) => {
                 assert_eq!(needed, FRAME_HEADER_BYTES + 2 * (1 + PACKET_BYTES));
@@ -1919,7 +1927,10 @@ mod tests {
             }
             other => panic!("expected ReplayOverflow, got {other:?}"),
         }
-        assert!(matches!(tx.offer(vec![pkt(1, 2).into()]), LinkSend::Closed));
+        assert!(matches!(
+            tx.offer(&mut vec![pkt(1, 2).into()]),
+            LinkSend::Closed
+        ));
     }
 
     /// A full ring hands the burst back to the CK machine untouched.
@@ -1935,10 +1946,9 @@ mod tests {
         let mut tx = conn_a.tx(0, 0);
         offer(&mut tx, vec![pkt(1, 0).into()]);
         offer(&mut tx, vec![pkt(1, 1).into()]);
-        match tx.offer(vec![pkt(1, 2).into()]) {
-            LinkSend::Full(b) => assert_eq!(tag(&b[0]), 2),
-            other => panic!("expected Full, got {other:?}"),
-        }
+        let mut burst = vec![pkt(1, 2).into()];
+        assert_eq!(tx.offer(&mut burst), LinkSend::Full);
+        assert_eq!(tag(&burst[0]), 2);
         assert!(health.peer_down().is_none());
     }
 }

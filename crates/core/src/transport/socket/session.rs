@@ -340,8 +340,8 @@ mod tests {
         p.into()
     }
 
-    fn push(ring: &mut ReplayRing, tag: (u16, u16), burst: Burst) -> Pushed {
-        ring.push(tag, &chunk(burst), Vec::with_capacity)
+    fn push(ring: &mut ReplayRing, tag: (u16, u16), mut burst: Burst) -> Pushed {
+        ring.push(tag, &chunk(&mut burst), Vec::with_capacity)
     }
 
     /// Push `n` one-packet frames and write each out whole before the next

@@ -14,7 +14,11 @@
 //! marked local are instantiated here. Every endpoint delivery is a
 //! `burst_queue` too, and carries data only: a CKR counts every control
 //! packet into its port's `PortCtl`. The endpoint lanes into the CKSs
-//! are the last crossbeam FIFOs on the data path.
+//! are the last crossbeam FIFOs on the data path, and the last edges that
+//! take a burst's buffer for good: a burst queue trades it for a spare its
+//! consumer handed back, so no hop allocates. A CKR's route keeps its own
+//! copy of every bcast port's fan-out, re-read only when the port's
+//! generation moved.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -25,7 +29,7 @@ use smi_wire::{Header, PacketOp};
 
 use crate::endpoint::{CksLanes, EndpointTable, PacketRx, PortRes};
 use crate::params::RuntimeParams;
-use crate::transport::ck::{CkMachine, PortCtl, Route};
+use crate::transport::ck::{CkMachine, FanOut, PortCtl, Route};
 use crate::transport::executor::{Pollable, Wake};
 use crate::transport::link::{burst_queue, fifo, LinkRx, LinkTx, QueueTx, Transport};
 use crate::transport::socket::FabricHealth;
@@ -90,12 +94,12 @@ impl PortRoute {
     /// The verdict on a packet of `op` that reached its destination rank: a
     /// control packet is counted if the port has control state, and a data
     /// packet delivered if it has a data delivery; anything else is
-    /// unroutable.
-    fn route(&self, op: PacketOp) -> Route {
+    /// unroutable. `seen` is the routing CKR's copy of the port's fan-out.
+    fn route(&self, op: PacketOp, seen: &mut FanOut) -> Route {
         match (op, &self.ctl, self.data) {
             (PacketOp::Sync | PacketOp::Credit, Some(ctl), _) => Route::Count(ctl.clone()),
             (PacketOp::Sync | PacketOp::Credit, None, _) | (_, _, None) => Route::Drop,
-            (PacketOp::Bcast, Some(ctl), Some(local)) => ctl.fan_out(local),
+            (PacketOp::Bcast, Some(ctl), Some(local)) => ctl.fan_out(local, seen),
             (_, _, Some(local)) => Route::Output(local),
         }
     }
@@ -322,6 +326,7 @@ pub(crate) fn build_transport(
         for (p, (inputs, mut outputs)) in ckr_in.into_iter().zip(ckr_out).enumerate() {
             outputs.extend(delivery_tx.iter().map(|tx| tx.share()));
             let (next_pair, routes) = (next_pair.clone(), routes.clone());
+            let mut seen: Vec<FanOut> = routes.iter().map(|_| FanOut::default()).collect();
             machines.push(Box::new(CkMachine::new(
                 r,
                 ckr_wake[p].clone(),
@@ -332,7 +337,7 @@ pub(crate) fn build_transport(
                 Box::new(move |h: &Header| match next_pair.get(h.dst as usize) {
                     Some(&t) if t < np => Route::Output(t),
                     Some(_) => match routes.get(h.port as usize) {
-                        Some(port) => port.route(h.op),
+                        Some(port) => port.route(h.op, &mut seen[h.port as usize]),
                         None => Route::Drop,
                     },
                     None => Route::Drop,
@@ -402,6 +407,7 @@ fn build_single_rank(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::Copies;
     use smi_wire::{Datatype, NetworkPacket, ReduceOp};
 
     /// A `Sync` or a credit for a port with control state — every kind but
@@ -430,9 +436,63 @@ mod tests {
                 for control in [PacketOp::Sync, PacketOp::Credit] {
                     let want = res.ctl.clone().map_or(Route::Drop, Route::Count);
                     let at = format!("{control:?} to {kind:?}, armed {armed}");
-                    assert!(route.route(control) == want, "{at}");
+                    assert!(route.route(control, &mut FanOut::default()) == want, "{at}");
                 }
             }
+        }
+    }
+
+    /// A CKR's copy of a bcast port's fan-out follows every generation of
+    /// the port: an arm's copies, a re-arm's new ones, the local delivery
+    /// after a disarm, and each of three messages under a rotating root —
+    /// interior, root, leaf — each armed and then disarmed. Between
+    /// generations the verdict takes no lock: it comes while another
+    /// thread holds the port's control state.
+    #[test]
+    fn the_fan_out_snapshot_follows_every_generation() {
+        let ctl = PortCtl::default();
+        let route = PortRoute {
+            data: Some(2),
+            ctl: Some(ctl.clone()),
+        };
+        let mut seen = FanOut::default();
+        let mut verdict = || route.route(PacketOp::Bcast, &mut seen);
+        let multicast = |copies: &Copies| Route::Multicast {
+            copies: copies.clone(),
+            local: 2,
+        };
+        let up = || Some((NetworkPacket::control(1, 0, 0, PacketOp::Sync, 0), 0));
+        assert!(verdict() == Route::Output(2), "never armed");
+        let first: Copies = Arc::new([(2, 0), (3, 1)]);
+        ctl.arm(first.clone(), &[2, 3], up());
+        assert!(verdict() == multicast(&first), "armed");
+        let second: Copies = Arc::new([(4, 1)]);
+        ctl.arm(second.clone(), &[4], up());
+        assert!(verdict() == multicast(&second), "re-armed");
+        std::thread::scope(|s| {
+            let held = ctl.lock();
+            let (tx, rx) = std::sync::mpsc::channel();
+            s.spawn(move || tx.send(verdict() == multicast(&second)).unwrap());
+            let got = rx.recv_timeout(std::time::Duration::from_secs(5));
+            drop(held);
+            assert_eq!(got, Ok(true), "an unchanged generation locked");
+        });
+        let mut verdict = || route.route(PacketOp::Bcast, &mut seen);
+        ctl.disarm();
+        assert!(verdict() == Route::Output(2), "disarmed");
+        // Rotating roots: an interior with children 5 and 6, then the root
+        // (no copies, no announcement), then a leaf (no children).
+        let interior: Copies = Arc::new([(5, 0), (6, 0)]);
+        let generations = [
+            (interior.clone(), vec![5, 6], up(), multicast(&interior)),
+            (Copies::default(), vec![5], None, Route::Output(2)),
+            (Copies::default(), vec![], up(), Route::Output(2)),
+        ];
+        for (m, (copies, children, up, want)) in generations.into_iter().enumerate() {
+            ctl.arm(copies, &children, up);
+            assert!(verdict() == want, "message {m}");
+            ctl.disarm();
+            assert!(verdict() == Route::Output(2), "message {m} disarmed");
         }
     }
 }
